@@ -23,4 +23,5 @@ let () =
       Test_wire.suite;
       Test_net.suite;
       Test_replica.suite;
+      Test_fingerprint.suite;
     ]
