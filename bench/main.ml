@@ -207,6 +207,7 @@ let run_point t gen ~ops ~batch =
     remaining := !remaining - chunk
   done;
   let wall = Unix.gettimeofday () -. w0 in
+  let s = Fastver.stats t in
   let dops = s.ops - ops0
   and dvt = s.verify_time_s -. vt0
   and dnv = s.verifies - nv0
@@ -1559,7 +1560,6 @@ let fig_adaptive s =
     Gc.compact ();
     let t = Fastver.create ~config () in
     Fastver.load t (records n);
-    let st = Fastver.stats t in
     let certs = ref [] in
     (* one untimed warmup epoch (identical across systems, certs still
        compared) so phase 0 doesn't time cold caches *)
@@ -1567,6 +1567,7 @@ let fig_adaptive s =
     certs := (Fastver.current_epoch t, Fastver.verify t) :: !certs;
     let phase_rows =
       List.init phases (fun phase ->
+          let st = Fastver.stats t in
           let ops0 = st.ops and fast0 = st.blum_fast_path in
           let epoch_ts =
             List.init epochs_per_phase (fun _ ->
@@ -1588,6 +1589,7 @@ let fig_adaptive s =
             Array.sort Float.compare a;
             a.(Array.length a / 2)
           in
+          let st = Fastver.stats t in
           let dops = st.ops - ops0 in
           let tp =
             float_of_int dops /. float_of_int epochs_per_phase /. median

@@ -20,9 +20,6 @@ type t = {
   cold_gc_ratio : float;
   adaptive : bool;
   adaptive_cache_budget : int;
-  adaptive_depth_min : int;
-  adaptive_depth_max : int;
-  adaptive_hot_fraction : float;
 }
 
 let default =
@@ -48,9 +45,6 @@ let default =
     cold_gc_ratio = 0.5;
     adaptive = false;
     adaptive_cache_budget = 0;
-    adaptive_depth_min = 2;
-    adaptive_depth_max = 10;
-    adaptive_hot_fraction = 0.5;
   }
 
 let shards t = if t.n_shards <= 0 then max 1 t.n_workers else t.n_shards

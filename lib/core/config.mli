@@ -34,10 +34,11 @@ type t = {
   mset_secret : string;  (** 16-byte multiset-hash PRF key. *)
   seed : int;
   metrics_enabled : bool;
-      (** Record hot-path observability metrics (tier attribution, flush
-          sizes, scan timings) into the system's {!Fastver_obs.Registry}.
-          Callback-backed metrics register either way; disabling only skips
-          the per-operation counter updates. *)
+      (** Record hot-path observability histograms (flush sizes, scan and
+          checkpoint timings) and the adaptive-controller counters into the
+          system's {!Fastver_obs.Registry}. The operation counters behind
+          [Fastver.stats] (tier attribution, gets, puts, scans, CAS retries,
+          verifies) and the callback-backed metrics count either way. *)
   background_verify : bool;
       (** Run epoch verification scans concurrently with foreground
           traffic: the epoch boundary is sealed under a brief O(workers)
@@ -58,8 +59,8 @@ type t = {
   adaptive : bool;
       (** Run the online controller ({!Adaptive}) at every epoch seal:
           promote hot deferred keys to stay on the blum fast path, retune
-          per-shard frontier depth between [adaptive_depth_min] and
-          [adaptive_depth_max], and redistribute verifier-cache capacity
+          per-shard frontier depth between 2 and 10 Patricia levels, and
+          redistribute verifier-cache capacity
           across shards within [adaptive_cache_budget]. All movement rides
           the sealed-epoch machinery, so certificates stay bit-identical to
           a static run with the same tier assignment. *)
@@ -67,11 +68,6 @@ type t = {
       (** Store-wide verifier-cache entry budget shared by all shards; [0]
           (default) means [shards * cache_capacity] — i.e. resizing only
           redistributes, never grows beyond the static footprint. *)
-  adaptive_depth_min : int;  (** Lower bound for retuned frontier depth. *)
-  adaptive_depth_max : int;  (** Upper bound for retuned frontier depth. *)
-  adaptive_hot_fraction : float;
-      (** Fraction of a shard's cache capacity the controller may spend on
-          hot-key carry (promotions) each epoch. *)
 }
 
 val default : t

@@ -82,21 +82,17 @@ type shard = {
   mutable ops_cached_e : int;
 }
 
-type stats = {
-  mutable ops : int;
-  mutable gets : int;
-  mutable puts : int;
-  mutable scans : int;
-  mutable blum_fast_path : int;
-  mutable merkle_path : int;
-  mutable verifies : int;
+(* Scan and timing accumulators behind {!stats}; the event counts live in
+   [Metrics]. The scan fields are written under [verify_mutex]. The two
+   time sums [verifier_time_s] and [worker_busy_s] are diagnostics, added
+   to without synchronisation from whichever domain did the work. *)
+type acc = {
   mutable migrated_data : int;
   mutable migrated_frontier : int;
   mutable verify_time_s : float;
   mutable last_verify_latency_s : float;
   mutable verifier_time_s : float;
-  mutable cas_retries : int;
-  mutable worker_busy_s : float array;
+  worker_busy_s : float array;
       (* per-shard attributed processing time, for scalability modelling *)
   mutable serial_s : float;
       (* inherently serial work: the store-level multiset fold + signature *)
@@ -168,13 +164,13 @@ type t = {
       (* serialises cold maintenance (demotion + compaction) with itself
          and with checkpointing, so one demotion pass's segment rotations
          are never interleaved with another's manifest encoding *)
-  stats : stats;
+  acc : acc;
   metrics : Metrics.t;
 }
 
 (* Callback-backed metrics: surface the subsystems' own counters at render
    time instead of double-accounting them on the hot path. Runs once per
-   system (both constructors); re-registration on the same registry is
+   system (in [make]); re-registration on the same registry is
    idempotent. *)
 let wire_metrics t =
   let module V = Fastver_verifier.Verifier in
@@ -341,50 +337,24 @@ let mk_shard ?tree verifier sid =
     ops_cached_e = 0;
   }
 
-let mk_stats n_sh =
-  {
-    ops = 0;
-    gets = 0;
-    puts = 0;
-    scans = 0;
-    blum_fast_path = 0;
-    merkle_path = 0;
-    verifies = 0;
-    migrated_data = 0;
-    migrated_frontier = 0;
-    verify_time_s = 0.0;
-    last_verify_latency_s = 0.0;
-    verifier_time_s = 0.0;
-    cas_retries = 0;
-    worker_busy_s = Array.make n_sh 0.0;
-    serial_s = 0.0;
-  }
-
-let create ?(config = Config.default) () =
-  let enclave = Enclave.create config.cost_model in
-  let cold =
-    match cold_of_config config with
-    | Ok c -> c
-    | Error e -> invalid_arg ("Fastver.create: " ^ e)
-  in
-  let n_sh = Config.shards config in
-  let vconfig = vconfig_of config in
+(* The one constructor of [t]: a fresh system ([create]) and a recovered
+   one ([recover_generation]) differ only in these arguments. *)
+let make ~config ~enclave ~shards ~boundaries ~store ~nonces ~sealed ~loaded
+    ~live_epoch ~cold =
   let t =
     {
       config;
       enclave;
-      shards =
-        Array.init n_sh (fun sid ->
-            mk_shard (Verifier.create ~enclave vconfig) sid);
-      boundaries = [||];
-      store = Store.create ?cold ~codec:option_codec ();
-      auth = Auth.key_of_secret config.mac_secret;
-      nonces = Hashtbl.create 8;
-      sealed = Enclave.Sealed_slot.create ();
-      loaded = false;
+      shards;
+      boundaries;
+      store;
+      auth = Auth.key_of_secret config.Config.mac_secret;
+      nonces;
+      sealed;
+      loaded;
       gateway_lock = Mutex.create ();
       ops_since_verify = Atomic.make 0;
-      live_epoch = Atomic.make 0;
+      live_epoch = Atomic.make live_epoch;
       verify_mutex = Mutex.create ();
       verify_inflight = Atomic.make false;
       bg_lock = Mutex.create ();
@@ -395,15 +365,79 @@ let create ?(config = Config.default) () =
       repl = None;
       cold;
       cold_lock = Mutex.create ();
-      stats = mk_stats n_sh;
+      acc =
+        {
+          migrated_data = 0;
+          migrated_frontier = 0;
+          verify_time_s = 0.0;
+          last_verify_latency_s = 0.0;
+          verifier_time_s = 0.0;
+          worker_busy_s = Array.make (Array.length shards) 0.0;
+          serial_s = 0.0;
+        };
       metrics = Metrics.create ~enabled:config.metrics_enabled ();
     }
   in
   wire_metrics t;
   t
 
+let create ?(config = Config.default) () =
+  let enclave = Enclave.create config.cost_model in
+  let cold =
+    match cold_of_config config with
+    | Ok c -> c
+    | Error e -> invalid_arg ("Fastver.create: " ^ e)
+  in
+  let vconfig = vconfig_of config in
+  make ~config ~enclave
+    ~shards:
+      (Array.init (Config.shards config) (fun sid ->
+           mk_shard (Verifier.create ~enclave vconfig) sid))
+    ~boundaries:[||]
+    ~store:(Store.create ?cold ~codec:option_codec ())
+    ~nonces:(Hashtbl.create 8) ~sealed:(Enclave.Sealed_slot.create ())
+    ~loaded:false ~live_epoch:0 ~cold
+
 let config t = t.config
-let stats t = t.stats
+
+type stats = {
+  ops : int;
+  gets : int;
+  puts : int;
+  scans : int;
+  blum_fast_path : int;
+  merkle_path : int;
+  verifies : int;
+  migrated_data : int;
+  migrated_frontier : int;
+  verify_time_s : float;
+  last_verify_latency_s : float;
+  verifier_time_s : float;
+  cas_retries : int;
+  worker_busy_s : float array;
+  serial_s : float;
+}
+
+let stats t =
+  let c = Metrics.counts t.metrics and a = t.acc in
+  {
+    ops = c.c_gets + c.c_puts;
+    gets = c.c_gets;
+    puts = c.c_puts;
+    scans = c.c_scans;
+    blum_fast_path = c.c_blum;
+    merkle_path = c.c_merkle + c.c_cached;
+    verifies = c.c_verifies;
+    migrated_data = a.migrated_data;
+    migrated_frontier = a.migrated_frontier;
+    verify_time_s = a.verify_time_s;
+    last_verify_latency_s = a.last_verify_latency_s;
+    verifier_time_s = a.verifier_time_s;
+    cas_retries = c.c_cas_retries;
+    worker_busy_s = Array.copy a.worker_busy_s;
+    serial_s = a.serial_s;
+  }
+
 let registry t = Metrics.registry t.metrics
 let n_shards t = Array.length t.shards
 
@@ -727,10 +761,7 @@ let synth_boundaries n =
 (* Gateway: client authentication inside the enclave                   *)
 (* ------------------------------------------------------------------ *)
 
-let last_put : (Key.t * string option * meta) option ref = ref None
-
 let gateway_check_put t key value meta =
-  (match meta with Some m -> last_put := Some (key, value, m) | None -> ());
   match meta with
   | Some m when t.config.authenticate_clients ->
       with_lock t.gateway_lock (fun () ->
@@ -790,22 +821,13 @@ let flush_worker t sh =
     sh.log_len <- 0;
     let t0 = now () in
     Enclave.call t.enclave (fun () -> List.iter (apply_entry t sh) entries);
-    t.stats.verifier_time_s <- t.stats.verifier_time_s +. (now () -. t0)
+    t.acc.verifier_time_s <- t.acc.verifier_time_s +. (now () -. t0)
   end
 
 let push t sh e =
   sh.log <- e :: sh.log;
   sh.log_len <- sh.log_len + 1;
   if sh.log_len >= t.config.log_buffer_size then flush_worker t sh
-
-(* Drain all buffers; takes each shard's worker lock (callers already
-   inside a worker lock use [flush_worker] directly). *)
-let flush t =
-  Array.iter
-    (fun sh -> with_worker_lock t sh.sid (fun () -> flush_worker t sh))
-    t.shards
-
-let _ = flush
 
 (* ------------------------------------------------------------------ *)
 (* Mirror cache management (direct, in-enclave sections)               *)
@@ -1003,7 +1025,6 @@ let rec blum_fast t sh key cur ts action =
   end
   else begin
     (* Another domain won the CAS; retry against the fresh state. *)
-    t.stats.cas_retries <- t.stats.cas_retries + 1;
     Metrics.cas_retry t.metrics;
     match ok (Store.get t.store key) with
     | Some (cur', aux) when aux_is_blum aux ->
@@ -1050,7 +1071,6 @@ let merkle_slow t sh key action =
   match ok (Store.get t.store key) with
   | Some (_, aux) when aux_is_blum aux -> None
   | store_state ->
-  t.stats.merkle_path <- t.stats.merkle_path + 1;
   flush_worker t sh;
   let t0 = now () in
   let loaded = ref 0 in
@@ -1165,7 +1185,7 @@ let merkle_slow t sh key action =
             | A_get _ -> ());
             None)
   in
-  t.stats.verifier_time_s <- t.stats.verifier_time_s +. (now () -. t0);
+  t.acc.verifier_time_s <- t.acc.verifier_time_s +. (now () -. t0);
   if t.config.adaptive then begin
     if !loaded = 0 then sh.ops_cached_e <- sh.ops_cached_e + 1
     else sh.ops_merkle_e <- sh.ops_merkle_e + 1;
@@ -1177,7 +1197,6 @@ let merkle_slow t sh key action =
   Some (result, sh)
 
 let rec process_inner t key action =
-  t.stats.ops <- t.stats.ops + 1;
   (* Routing is forced by the key: each record belongs to exactly one
      shard, so a worker's log buffer only ever holds entries for its own
      partition — which is what lets a shard close and seal its own epoch
@@ -1185,21 +1204,17 @@ let rec process_inner t key action =
   let sh = t.shards.(shard_of_data_key t key) in
   match ok (Store.get t.store key) with
   | Some (cur, aux) when aux_is_blum aux -> (
-      t.stats.blum_fast_path <- t.stats.blum_fast_path + 1;
       match
         with_worker_lock t sh.sid (fun () ->
             blum_fast t sh key cur (aux_timestamp aux) action)
       with
       | value -> (value, sh)
-      | exception Raced ->
-          t.stats.ops <- t.stats.ops - 1;
-          process_inner t key action)
+      | exception Raced -> process_inner t key action)
   | Some _ | None -> (
       match merkle_slow t sh key action with
       | Some result -> result
       | None ->
           (* lost a first-touch race; the record is deferred now *)
-          t.stats.ops <- t.stats.ops - 1;
           process_inner t key action)
 
 let process t ?(admitted = false) key action =
@@ -1219,8 +1234,8 @@ let process t ?(admitted = false) key action =
   (match action with
   | A_get _ -> Metrics.get_op t.metrics
   | A_put _ -> Metrics.put_op t.metrics);
-  t.stats.worker_busy_s.(sh.sid) <-
-    t.stats.worker_busy_s.(sh.sid) +. (now () -. t0);
+  t.acc.worker_busy_s.(sh.sid) <-
+    t.acc.worker_busy_s.(sh.sid) +. (now () -. t0);
   result
 
 (* ------------------------------------------------------------------ *)
@@ -1247,9 +1262,9 @@ let adaptive_params t =
     Adaptive.cache_budget =
       (if t.config.adaptive_cache_budget > 0 then t.config.adaptive_cache_budget
        else n * t.config.cache_capacity);
-    depth_min = t.config.adaptive_depth_min;
-    depth_max = t.config.adaptive_depth_max;
-    hot_fraction = t.config.adaptive_hot_fraction;
+    depth_min = 2;
+    depth_max = 10;
+    hot_fraction = 0.5;
     (* The floor must leave room for a full merkle chain plus [ensure_room]'s
        two slots of headroom, or a shrunken shard would refuse its own slow
        path. *)
@@ -1626,7 +1641,7 @@ let verify_inner t =
   let t0 = now () in
   let charged0 = Enclave.charged_ns t.enclave in
   let vops0 = verifier_op_count t in
-  let touched0 = t.stats.migrated_data + t.stats.migrated_frontier in
+  let touched0 = t.acc.migrated_data + t.acc.migrated_frontier in
   Atomic.set t.verify_inflight true;
   Metrics.verify_in_flight t.metrics 1;
   Fun.protect
@@ -1696,7 +1711,7 @@ let verify_inner t =
           folds.(sid) <- fold
       | exception e -> failures.(sid) <- Some e);
       let dt = now () -. tw in
-      t.stats.worker_busy_s.(sid) <- t.stats.worker_busy_s.(sid) +. dt;
+      t.acc.worker_busy_s.(sid) <- t.acc.worker_busy_s.(sid) +. dt;
       Metrics.verify_shard t.metrics ~sid ~seconds:dt
     in
     (* Dispatch the slices over at most [recommended_domain_count]
@@ -1728,8 +1743,8 @@ let verify_inner t =
     Array.iter (function Some e -> raise e | None -> ()) failures;
     Array.iter
       (fun (d, f) ->
-        t.stats.migrated_data <- t.stats.migrated_data + d;
-        t.stats.migrated_frontier <- t.stats.migrated_frontier + f)
+        t.acc.migrated_data <- t.acc.migrated_data + d;
+        t.acc.migrated_frontier <- t.acc.migrated_frontier + f)
       results;
     (* 4b. Serial tail: fold every shard's detached set-hash values into
        the store-level accumulators and sign the epoch certificate. The
@@ -1748,7 +1763,7 @@ let verify_inner t =
           | Ok c -> c
           | Error e -> raise (Integrity_violation e))
     in
-    t.stats.serial_s <- t.stats.serial_s +. (now () -. ts);
+    t.acc.serial_s <- t.acc.serial_s +. (now () -. ts);
     cert
   in
   let cert =
@@ -1773,12 +1788,11 @@ let verify_inner t =
     +. Int64.to_float (Int64.sub (Enclave.charged_ns t.enclave) charged0)
        /. 1e9
   in
-  t.stats.verifies <- t.stats.verifies + 1;
-  t.stats.last_verify_latency_s <- elapsed;
-  t.stats.verify_time_s <- t.stats.verify_time_s +. elapsed;
-  t.stats.verifier_time_s <- t.stats.verifier_time_s +. (now () -. t0);
+  t.acc.last_verify_latency_s <- elapsed;
+  t.acc.verify_time_s <- t.acc.verify_time_s +. elapsed;
+  t.acc.verifier_time_s <- t.acc.verifier_time_s +. (now () -. t0);
   Metrics.verify_scan t.metrics ~seconds:elapsed
-    ~touched:(t.stats.migrated_data + t.stats.migrated_frontier - touched0);
+    ~touched:(t.acc.migrated_data + t.acc.migrated_frontier - touched0);
   (epoch, cert)
 
 (* Join the background scan domain, if one is outstanding. The handoff
@@ -1886,20 +1900,17 @@ let admit_put t ~client ~nonce ~mac ~key ~value =
 
 let get_key t k =
   check_loaded t;
-  t.stats.gets <- t.stats.gets + 1;
   let v, _ = process t (data_key k) (A_get None) in
   maybe_verify t;
   v
 
 let put_key t k v =
   check_loaded t;
-  t.stats.puts <- t.stats.puts + 1;
   ignore (process t (data_key k) (A_put (Some v, None)));
   maybe_verify t
 
 let delete_key t k =
   check_loaded t;
-  t.stats.puts <- t.stats.puts + 1;
   ignore (process t (data_key k) (A_put (None, None)));
   maybe_verify t
 
@@ -1910,11 +1921,9 @@ let delete t k = delete_key t (Key.of_int64 k)
 
 let scan t k len =
   check_loaded t;
-  t.stats.scans <- t.stats.scans + 1;
   Metrics.scan_op t.metrics;
   Array.init len (fun i ->
       let ki = Int64.add k (Int64.of_int i) in
-      t.stats.gets <- t.stats.gets + 1;
       let v, _ = process t (Key.of_int64 ki) (A_get None) in
       maybe_verify t;
       (ki, v))
@@ -2057,7 +2066,6 @@ module Session = struct
     s.nonce <- Int64.succ s.nonce;
     let nonce = s.nonce in
     let key = Key.of_int64 k in
-    s.sys.stats.gets <- s.sys.stats.gets + 1;
     let meta = mk_meta ~client:s.client_id ~nonce ~mac:"" in
     let value, sh = process s.sys key (A_get (Some meta)) in
     let mac, epoch = take_receipt s sh meta ~kind:Auth.Get ~key ~value ~nonce in
@@ -2069,7 +2077,6 @@ module Session = struct
     s.nonce <- Int64.succ s.nonce;
     let nonce = s.nonce in
     let key = Key.of_int64 k in
-    s.sys.stats.puts <- s.sys.stats.puts + 1;
     let mac = Auth.put_request s.auth ~client:s.client_id ~nonce key v in
     let meta = mk_meta ~client:s.client_id ~nonce ~mac in
     let _, sh = process s.sys key (A_put (Some v, Some meta)) in
@@ -2119,10 +2126,7 @@ module Batch = struct
      waiting for its receipt cell to fill when its log entry flushes. *)
   type pending = { p_meta : meta option; p_item : item; p_op : int }
 
-  let submit ?worker:_ ?(pre_admitted = false) t ops =
-    (* The [worker] hint is accepted for compatibility but ignored: shard
-       routing is forced by key, so a dispatcher cannot choose where an
-       operation runs — only which domain drives it. *)
+  let submit ?(pre_admitted = false) t ops =
     check_loaded t;
     let auth = t.config.authenticate_clients in
     let n = Array.length ops in
@@ -2155,26 +2159,22 @@ module Batch = struct
         (fun i op ->
           match op with
           | Get { client; nonce; key } -> (
-              t.stats.gets <- t.stats.gets + 1;
               match one i `Get ~client ~nonce ~mac:"" key with
               | item -> Got item
               | exception Integrity_violation e ->
                   errors.(i) <- Some e;
                   Failed e)
           | Put { client; nonce; mac; key; value } -> (
-              t.stats.puts <- t.stats.puts + 1;
               match one i (`Put value) ~client ~nonce ~mac key with
               | item -> Put_done item
               | exception Integrity_violation e ->
                   errors.(i) <- Some e;
                   Failed e)
           | Scan { client; nonce; start; len } -> (
-              t.stats.scans <- t.stats.scans + 1;
               Metrics.scan_op t.metrics;
               let items = ref [] in
               match
                 for j = 0 to len - 1 do
-                  t.stats.gets <- t.stats.gets + 1;
                   let k = Int64.add start (Int64.of_int j) in
                   items := one i `Get ~client ~nonce ~mac:"" k :: !items
                 done
@@ -2748,32 +2748,10 @@ let recover_generation ?(config = Config.default) ~gdir () =
     build [] 0
   in
   let t =
-    {
-      config;
-      enclave;
-      shards;
-      boundaries;
-      store;
-      auth = Auth.key_of_secret config.mac_secret;
-      nonces;
-      sealed;
-      loaded = true;
-      gateway_lock = Mutex.create ();
-      ops_since_verify = Atomic.make 0;
-      live_epoch = Atomic.make (Verifier.current_epoch verifiers.(0));
-      verify_mutex = Mutex.create ();
-      verify_inflight = Atomic.make false;
-      bg_lock = Mutex.create ();
-      bg_join = Atomic.make None;
-      redeferred = [];
-      redeferred_lock = Mutex.create ();
-      on_verified = None;
-      repl = None;
-      cold;
-      cold_lock = Mutex.create ();
-      stats = mk_stats n_sh;
-      metrics = Metrics.create ~enabled:config.metrics_enabled ();
-    }
+    make ~config ~enclave ~shards ~boundaries ~store ~nonces ~sealed
+      ~loaded:true
+      ~live_epoch:(Verifier.current_epoch verifiers.(0))
+      ~cold
   in
   Array.iter
     (fun sh ->
@@ -2807,7 +2785,6 @@ let recover_generation ?(config = Config.default) ~gdir () =
         sh.dirty <- k :: sh.dirty;
         sh.dirty_len <- sh.dirty_len + 1
       end);
-  wire_metrics t;
   Ok t
 
 let err_no_checkpoint = "no checkpoint found"
@@ -2971,13 +2948,6 @@ module Testing = struct
     | Ok (Some (_, aux)) -> Store.put t.store key value ~aux
     | Ok None | Error _ -> Store.put t.store key value ~aux:aux_merkle
 
-  let replay_last_put t =
-    match !last_put with
-    | None -> invalid_arg "Testing.replay_last_put: no put recorded"
-    | Some (key, value, m) ->
-        let _, sh = process t key (A_put (value, Some m)) in
-        flush_worker t sh
-
   let corrupt_merkle_record t k =
     let rec entry_of sid =
       if sid >= Array.length t.shards then
@@ -3014,7 +2984,6 @@ module Testing = struct
      [cold_lock] as annotated leaves — and these helpers let tests provoke
      violations directly. *)
   let enforce_lock_order on = Atomic.set Lock_order.enforce on
-  let with_tree_lock t f = with_shard_lock t 0 f
   let with_shard_lock t sid f = with_shard_lock t sid f
   let with_worker_lock t wid f = with_worker_lock t wid f
   let with_bg_lock t f = with_bg_lock t f

@@ -144,15 +144,14 @@ module Batch : sig
     | Scanned of item array
     | Failed of string
 
-  val submit : ?worker:int -> ?pre_admitted:bool -> t -> op array -> reply array
+  val submit : ?pre_admitted:bool -> t -> op array -> reply array
   (** [submit t ops] processes every operation (honouring [batch_size]
       verification scans) and returns replies in submission order. Does not
       raise on per-operation integrity failures — they come back as
       [Failed].
 
-      [?worker] is accepted for compatibility and ignored: since sharding,
-      every operation routes to the log buffer of the shard owning its key
-      ({!owner_of_key}), regardless of which executor drives it.
+      Every operation routes to the log buffer of the shard owning its key
+      ({!owner_of_key}), whichever domain calls [submit].
       [?pre_admitted] skips the gateway admission check on puts — for
       callers that already ran {!admit_put} on the dispatching domain to
       consume client nonces in arrival order; re-checking would burn the
@@ -239,9 +238,6 @@ val live_epoch : t -> int
 (** The epoch operations fold into right now. Equal to {!current_epoch}
     except while a background scan is in flight, when the verifier still
     holds the sealed epoch open and [live_epoch] is one ahead. *)
-
-val flush : t -> unit
-(** Drain every shard's log buffer into its verifier. *)
 
 val current_epoch : t -> int
 val check_epoch_certificate : t -> epoch:int -> string -> bool
@@ -361,28 +357,34 @@ val clear_replication_hooks : t -> unit
 (** {2 Statistics} *)
 
 type stats = {
-  mutable ops : int;
-  mutable gets : int;
-  mutable puts : int;
-  mutable scans : int;
-  mutable blum_fast_path : int;  (** ops served entirely in the deferred tier *)
-  mutable merkle_path : int;  (** ops that paid a Merkle chain *)
-  mutable verifies : int;
-  mutable migrated_data : int;
-  mutable migrated_frontier : int;
-  mutable verify_time_s : float;  (** total time in verification scans *)
-  mutable last_verify_latency_s : float;
-  mutable verifier_time_s : float;  (** wall time spent applying verifier ops *)
-  mutable cas_retries : int;
-  mutable worker_busy_s : float array;
+  ops : int;  (** validated elementary operations: [gets + puts] *)
+  gets : int;  (** validated reads, one per scanned key *)
+  puts : int;  (** validated updates and deletes *)
+  scans : int;
+  blum_fast_path : int;  (** ops served entirely in the deferred tier *)
+  merkle_path : int;  (** ops that paid a Merkle chain *)
+  verifies : int;
+  migrated_data : int;
+  migrated_frontier : int;
+  verify_time_s : float;  (** total time in verification scans *)
+  last_verify_latency_s : float;
+  verifier_time_s : float;  (** wall time spent applying verifier ops *)
+  cas_retries : int;
+  worker_busy_s : float array;
       (** per-shard attributed processing time (indexed by shard id);
           the scalability simulator derives modelled makespans from it *)
-  mutable serial_s : float;
+  serial_s : float;
       (** inherently serial verification work (fold aggregation and the
           store-level certificate MAC) *)
 }
 
 val stats : t -> stats
+(** A snapshot of the counters, taken at the call. The operation counts
+    ([ops] through [merkle_path], [verifies], [cas_retries]) are the
+    registry's atomic [fastver_*_total] counters, exact under any number of
+    domains and kept whatever [Config.metrics_enabled] says. The time sums
+    are diagnostics that concurrent domains add to without
+    synchronisation. *)
 
 val registry : t -> Fastver_obs.Registry.t
 (** The system's metric registry ({!Fastver_obs}). Always present; hot-path
@@ -450,9 +452,8 @@ val enclave_handle : t -> Fastver_enclave.Enclave.t
     variant ({!Fastver_simthreads}) because the reproduction container has
     one core.
 
-    Caveats: statistics counters are updated racily by design (they are
-    diagnostics); authenticated {!Session}s are not supported inside a
-    parallel run. *)
+    Caveat: authenticated {!Session}s are not supported inside a parallel
+    run. *)
 
 module Parallel : sig
   exception Worker_failed of int * exn
@@ -486,10 +487,6 @@ module Testing : sig
       verifier. The forgery must be detected on the record's next
       validation, or at the latest when its epoch verifies. *)
 
-  val replay_last_put : t -> unit
-  (** Re-submit the most recent authenticated put verbatim (nonce replay);
-      the gateway must reject it. *)
-
   val corrupt_merkle_record : t -> Key.t -> unit
   (** Flip a hash inside a stored merkle record. *)
 
@@ -505,9 +502,6 @@ module Testing : sig
       taken under them; [bg_lock] may only be taken with nothing held) —
       and raises [Invalid_argument] naming both locks on a violation. Off
       by default (one atomic load per lock operation when off). *)
-
-  val with_tree_lock : t -> (unit -> 'a) -> 'a
-  (** Shard 0's tree lock (compatibility alias for single-shard tests). *)
 
   val with_shard_lock : t -> int -> (unit -> 'a) -> 'a
   val with_worker_lock : t -> int -> (unit -> 'a) -> 'a

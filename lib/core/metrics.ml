@@ -99,17 +99,39 @@ let registry t = t.registry
 let enabled t = t.enabled
 
 let tier t which =
-  if t.enabled then
-    Counter.incr
-      (match which with
-      | Blum -> t.ops_blum
-      | Merkle -> t.ops_merkle
-      | Cached -> t.ops_cached)
+  Counter.incr
+    (match which with
+    | Blum -> t.ops_blum
+    | Merkle -> t.ops_merkle
+    | Cached -> t.ops_cached)
 
-let get_op t = if t.enabled then Counter.incr t.gets
-let put_op t = if t.enabled then Counter.incr t.puts
-let scan_op t = if t.enabled then Counter.incr t.scans
-let cas_retry t = if t.enabled then Counter.incr t.cas_retries
+let get_op t = Counter.incr t.gets
+let put_op t = Counter.incr t.puts
+let scan_op t = Counter.incr t.scans
+let cas_retry t = Counter.incr t.cas_retries
+
+type counts = {
+  c_gets : int;
+  c_puts : int;
+  c_scans : int;
+  c_blum : int;
+  c_merkle : int;
+  c_cached : int;
+  c_cas_retries : int;
+  c_verifies : int;
+}
+
+let counts t =
+  {
+    c_gets = Counter.get t.gets;
+    c_puts = Counter.get t.puts;
+    c_scans = Counter.get t.scans;
+    c_blum = Counter.get t.ops_blum;
+    c_merkle = Counter.get t.ops_merkle;
+    c_cached = Counter.get t.ops_cached;
+    c_cas_retries = Counter.get t.cas_retries;
+    c_verifies = Counter.get t.verifies;
+  }
 
 let flush t n = if t.enabled then Histogram.record t.flush_entries n
 
@@ -128,8 +150,8 @@ let verify_pause t ~seconds =
 let verify_in_flight t n = Gauge.set t.verify_in_flight (float_of_int n)
 
 let verify_scan t ~seconds ~touched =
+  Counter.incr t.verifies;
   if t.enabled then begin
-    Counter.incr t.verifies;
     Histogram.record_span t.verify_seconds seconds;
     Histogram.record t.verify_touched touched
   end

@@ -2,10 +2,11 @@
     maintains about itself.
 
     One instance per system, created alongside it (both [create] and
-    checkpoint recovery). Hot-path helpers are no-ops when the config
-    disables metrics; the registry itself always exists, so callback-backed
-    metrics (store stats, verifier op counts, epochs) can be attached and
-    rendered either way. *)
+    checkpoint recovery). The event counters below always count: they are
+    also the source of {!Fastver.stats}. The histograms are no-ops when the
+    config disables metrics; the registry itself always exists, so
+    callback-backed metrics (store stats, verifier op counts, epochs) can
+    be attached and rendered either way. *)
 
 type tier = Blum | Merkle | Cached
 
@@ -15,7 +16,7 @@ val create : enabled:bool -> unit -> t
 val registry : t -> Fastver_obs.Registry.t
 val enabled : t -> bool
 
-(** {2 Hot-path recording} (each guarded by [enabled]) *)
+(** {2 Event counters} (atomic, never gated by [enabled]) *)
 
 val tier : t -> tier -> unit
 (** One validated elementary operation, attributed to the tier that served
@@ -28,12 +29,30 @@ val put_op : t -> unit
 val scan_op : t -> unit
 val cas_retry : t -> unit
 
+type counts = {
+  c_gets : int;
+  c_puts : int;
+  c_scans : int;
+  c_blum : int;
+  c_merkle : int;
+  c_cached : int;
+  c_cas_retries : int;
+  c_verifies : int;
+}
+
+val counts : t -> counts
+(** The event counters, each read atomically (the record as a whole is
+    not one atomic snapshot). *)
+
+(** {2 Gated recording} (each a no-op unless [enabled]) *)
+
 val flush : t -> int -> unit
 (** Verification-log entries in one enclave flush. *)
 
 val verify_scan : t -> seconds:float -> touched:int -> unit
-(** One verification scan: wall+modelled duration and the number of
-    migrated records (data + frontier) it touched. *)
+(** One verification scan: counted always; its wall+modelled duration and
+    the number of migrated records (data + frontier) it touched are
+    recorded when enabled. *)
 
 val verify_pause : t -> seconds:float -> unit
 (** Foreground pause one verification imposed: the world-lock hold time —

@@ -97,10 +97,9 @@ type conn = {
 }
 
 (* One executor batch: data operations for a single owning worker, run
-   through [Fastver.Batch.submit ~worker] off the I/O domain. Executors
-   never see a [conn] or an fd — they only fill the reply slots. *)
+   through [Fastver.Batch.submit] off the I/O domain. Executors never see a
+   [conn] or an fd — they only fill the reply slots. *)
 type job = {
-  j_owner : int option; (* [None] = unpinned (inline single-domain mode) *)
   j_ops : (int64 * Fastver.Batch.op * Wire.response option Atomic.t) array;
       (* (wire nonce, op, reply slot) *)
 }
@@ -445,7 +444,7 @@ let nonce_of = function
 let run_job t (job : job) =
   let ops = Array.map (fun (_, op, _) -> op) job.j_ops in
   let replies =
-    try Fastver.Batch.submit ?worker:job.j_owner ~pre_admitted:true t.sys ops
+    try Fastver.Batch.submit ~pre_admitted:true t.sys ops
     with exn ->
       (* [Batch.submit] maps per-op failures to [Failed] itself; anything
          escaping (e.g. a tampering detection in an auto-triggered
@@ -556,13 +555,7 @@ let drain t =
             | [] -> ()
             | entries ->
                 groups.(owner) <- [];
-                let job =
-                  {
-                    j_owner =
-                      (match t.pool with Some _ -> Some owner | None -> None);
-                    j_ops = Array.of_list (List.rev entries);
-                  }
-                in
+                let job = { j_ops = Array.of_list (List.rev entries) } in
                 match t.pool with
                 | None -> run_job t job
                 | Some p -> dispatch t p ~owner job)
@@ -597,7 +590,7 @@ let drain t =
                          against a quiescent pool so it observes every
                          earlier put. *)
                       quiesce ();
-                      run_job t { j_owner = None; j_ops = [| entry |] }
+                      run_job t { j_ops = [| entry |] }
                   | None, _ ->
                       groups.(0) <- entry :: groups.(0);
                       any := true))

@@ -297,11 +297,19 @@ let test_client_auth () =
   Fastver.load t [| (1L, "one") |];
   let s = Fastver.Session.connect t ~client_id:1 in
   ignore (Fastver.Session.put s 1L "legit");
-  (* replaying the same nonce must be rejected by the gateway *)
-  (match Fastver.Testing.replay_last_put t with
-  | exception Fastver.Integrity_violation _ -> ()
-  | () -> Alcotest.fail "nonce replay accepted");
-  ()
+  (* replaying the same nonce (the session's first, 1) verbatim must be
+     rejected by the gateway *)
+  let auth = Fastver.Auth.key_of_secret config.mac_secret in
+  let mac =
+    Fastver.Auth.put_request auth ~client:1 ~nonce:1L (Key.of_int64 1L) "legit"
+  in
+  match
+    Fastver.admit_put t ~client:1 ~nonce:1L ~mac ~key:1L ~value:(Some "legit")
+  with
+  | Error e ->
+      Alcotest.(check string) "rejected as a replay"
+        "gateway: put nonce replayed" e
+  | Ok () -> Alcotest.fail "nonce replay accepted"
 
 let suite =
   ( "adversary",

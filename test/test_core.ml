@@ -246,6 +246,33 @@ let test_stats_accounting () =
   Alcotest.(check bool) "enclave transitions charged" true
     (Fastver.enclave_overhead_ns t >= 0L)
 
+(* Several domains drive operations at once; every one of them is counted
+   exactly once in the stats snapshot, however the domains interleave. *)
+let test_stats_exact_under_domains () =
+  let n = 2000 and workers = 4 and ops_per_worker = 3000 in
+  let config =
+    {
+      Fastver.Config.default with
+      n_workers = workers;
+      batch_size = 0;
+      frontier_levels = 3;
+      cost_model = Cost_model.zero;
+      authenticate_clients = false;
+    }
+  in
+  let t = Fastver.create ~config () in
+  Fastver.load t
+    (Array.init n (fun i -> (Int64.of_int i, Printf.sprintf "v%06d" i)));
+  Fastver.Parallel.run_ycsb t ~spec:Fastver_workload.Ycsb.workload_a
+    ~db_size:n ~ops_per_worker;
+  ignore (Fastver.verify t);
+  let s = Fastver.stats t in
+  Alcotest.(check int) "gets + puts" (workers * ops_per_worker)
+    (s.gets + s.puts);
+  Alcotest.(check int) "ops" (workers * ops_per_worker) s.ops;
+  Alcotest.(check int) "paths partition ops" s.ops
+    (s.blum_fast_path + s.merkle_path)
+
 let suite =
   ( "core",
     [
@@ -262,6 +289,8 @@ let suite =
       Alcotest.test_case "checkpoint/recover" `Quick test_checkpoint_recover;
       Alcotest.test_case "tampered tree file" `Quick test_recover_tampered_tree;
       Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
+      Alcotest.test_case "stats exact under domains" `Quick
+        test_stats_exact_under_domains;
     ] )
 
 (* Values far larger than the 8-byte benchmark payloads flow through every

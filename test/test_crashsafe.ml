@@ -73,10 +73,23 @@ let assert_recovered_consistent ~dir ~crashed =
          Alcotest.(check vo) "old generation state" (Some "committed-v1") v1
        else
          Alcotest.(check vo) "new generation state" (Some "in-flight-v2") v1);
-      (* the pre-crash authenticated put must not be replayable *)
-      (match Fastver.Testing.replay_last_put t2 with
-      | exception Fastver.Integrity_violation _ -> ()
-      | () -> Alcotest.fail "pre-crash put replayed after crash recovery");
+      (* the pre-crash authenticated put (the session's first nonce) must
+         not be replayable *)
+      let mac =
+        Fastver.Auth.put_request
+          (Fastver.Auth.key_of_secret config.mac_secret)
+          ~client:3 ~nonce:1L (Key.of_int64 1L) "committed-v1"
+      in
+      (match
+         Fastver.Batch.submit t2
+           [| Fastver.Batch.Put
+                { client = 3; nonce = 1L; mac; key = 1L;
+                  value = Some "committed-v1" } |]
+       with
+      | [| Fastver.Batch.Failed e |] ->
+          Alcotest.(check string) "rejected as a replay"
+            "gateway: put nonce replayed" e
+      | _ -> Alcotest.fail "pre-crash put replayed after crash recovery");
       (* full verification over every record, then continued service *)
       for i = 0 to 39 do
         ignore (Fastver.get t2 (Int64.of_int i))

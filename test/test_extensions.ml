@@ -194,13 +194,23 @@ let test_nonce_replay_across_recovery () =
   match Fastver.recover ~config:(Fastver.config t) ~dir () with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok t2 -> (
-      (* replay the pre-crash put verbatim against the recovered system *)
-      match Fastver.Testing.replay_last_put t2 with
-      | exception Fastver.Integrity_violation _ -> ()
-      | exception Invalid_argument _ ->
-          (* last_put not recorded in t2's process: re-drive it through t *)
-          Alcotest.fail "replay harness missing"
-      | () -> Alcotest.fail "pre-crash put replayed after recovery")
+      (* replay the pre-crash put (the session's first nonce) verbatim
+         against the recovered system *)
+      let auth =
+        Fastver.Auth.key_of_secret (Fastver.config t).Fastver.Config.mac_secret
+      in
+      let mac =
+        Fastver.Auth.put_request auth ~client:9 ~nonce:1L (Key.of_int64 1L)
+          "legit"
+      in
+      match
+        Fastver.admit_put t2 ~client:9 ~nonce:1L ~mac ~key:1L
+          ~value:(Some "legit")
+      with
+      | Error e ->
+          Alcotest.(check string) "rejected as a replay"
+            "gateway: put nonce replayed" e
+      | Ok () -> Alcotest.fail "pre-crash put replayed after recovery")
 
 let suite =
   ( fst suite,

@@ -288,7 +288,7 @@ let test_lock_order_enforced () =
   Fun.protect ~finally:(fun () -> Fastver.Testing.enforce_lock_order false)
   @@ fun () ->
   (* the documented order is accepted: tree first, workers ascending *)
-  Fastver.Testing.with_tree_lock t (fun () ->
+  Fastver.Testing.with_shard_lock t 0 (fun () ->
       Fastver.Testing.with_worker_lock t 0 (fun () ->
           Fastver.Testing.with_worker_lock t 2 (fun () -> ())));
   let expect_violation name f =
@@ -302,7 +302,7 @@ let test_lock_order_enforced () =
   in
   expect_violation "worker-then-tree" (fun () ->
       Fastver.Testing.with_worker_lock t 1 (fun () ->
-          Fastver.Testing.with_tree_lock t (fun () -> ())));
+          Fastver.Testing.with_shard_lock t 0 (fun () -> ())));
   expect_violation "descending workers" (fun () ->
       Fastver.Testing.with_worker_lock t 2 (fun () ->
           Fastver.Testing.with_worker_lock t 1 (fun () -> ())));
@@ -336,7 +336,7 @@ let test_lock_order_enforced () =
       Fastver.Testing.with_redeferred_lock t (fun () ->
           Fastver.Testing.with_cold_lock t (fun () -> ())));
   expect_violation "bg under tree" (fun () ->
-      Fastver.Testing.with_tree_lock t (fun () ->
+      Fastver.Testing.with_shard_lock t 0 (fun () ->
           Fastver.Testing.with_bg_lock t (fun () -> ())));
   expect_violation "redeferred under bg" (fun () ->
       Fastver.Testing.with_bg_lock t (fun () ->
