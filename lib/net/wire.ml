@@ -1,5 +1,4 @@
 let version = 2
-let min_version = 1
 let magic = "FV"
 let header_len = 2 + 1 + 1 + 8
 let max_frame = 16 * 1024 * 1024
@@ -53,11 +52,8 @@ type response =
       files : (string * string) array;
       term : int;
     }
-  | Repl_op of { epoch : int; key : string; value : string option }
   | Repl_batch of { epoch : int; ops : (string * string option) array }
-      (* one epoch's buffered ops in apply order — the batched form of a run
-         of [Repl_op]s, cutting stream frames (and syscalls) by the batch
-         length *)
+      (* a run of one epoch's buffered ops, in apply order *)
   | Repl_epoch of { epoch : int; cert : string; stream_mac : string; term : int }
   | Term_info of {
       term : int;
@@ -94,7 +90,6 @@ let tag_stats_reply = 0x87
 let tag_metrics_reply = 0x88
 let tag_subscribed = 0x89
 let tag_checkpoint_reply = 0x8a
-let tag_repl_op = 0x8b
 let tag_repl_epoch = 0x8c
 let tag_repl_batch = 0x8d
 let tag_term_info = 0x8e
@@ -258,13 +253,6 @@ let encode_response_into b ~id resp =
           add_u32 b (String.length data);
           Buffer.add_string b data)
         files
-  | Repl_op { epoch; key; value } ->
-      begin_frame b ~id tag_repl_op;
-      if String.length key <> 32 then
-        invalid_arg "Wire.Repl_op: key must be 32 bytes";
-      add_u32 b epoch;
-      Buffer.add_string b key;
-      add_value_opt b value
   | Repl_batch { epoch; ops } ->
       begin_frame b ~id tag_repl_batch;
       add_u32 b epoch;
@@ -374,26 +362,22 @@ let header payload =
   if String.sub payload 0 2 <> magic then raise (Bad "bad magic");
   let c = { s = payload; pos = 2 } in
   let ver = u8 c in
-  if ver < min_version || ver > version then
+  if ver <> version then
     raise (Bad (Printf.sprintf "unsupported version %d" ver));
   let tag = u8 c in
   let id = i64 c in
-  (c, ver, tag, id)
+  (c, tag, id)
 
-(* Version-1 frames predate the fencing term: the term-bearing messages
-   ([Subscribe]/[Subscribed]/[Repl_epoch]) simply omit the field, and the
-   decoders below default it to 0 — term 0 is "before any election", so a
-   legacy peer is indistinguishable from a never-elected cluster. *)
 let decode decode_tag payload =
   match
-    let c, ver, tag, id = header payload in
-    (id, finish c (decode_tag ver c tag))
+    let c, tag, id = header payload in
+    (id, finish c (decode_tag c tag))
   with
   | v -> Ok v
   | exception Bad e -> Error e
 
 let decode_request =
-  decode (fun ver c tag ->
+  decode (fun c tag ->
       if tag = tag_open then Open_session { client = u32 c }
       else if tag = tag_close then Close_session
       else if tag = tag_get then
@@ -416,7 +400,7 @@ let decode_request =
       else if tag = tag_metrics then Metrics { format = metrics_format c }
       else if tag = tag_subscribe then
         let from_epoch = u32 c in
-        let term = if ver >= 2 then u32 c else 0 in
+        let term = u32 c in
         Subscribe { from_epoch; term }
       else if tag = tag_fetch_checkpoint then Fetch_checkpoint
       else if tag = tag_announce_term then
@@ -432,7 +416,7 @@ let decode_request =
       else raise (Bad (Printf.sprintf "unknown request tag 0x%02x" tag)))
 
 let decode_response =
-  decode (fun ver c tag ->
+  decode (fun c tag ->
       if tag = tag_opened then Session_opened { client = u32 c }
       else if tag = tag_closed then Session_closed
       else if tag = tag_got then
@@ -473,11 +457,11 @@ let decode_response =
       else if tag = tag_subscribed then
         let from_epoch = u32 c in
         let run_id = i64 c in
-        let term = if ver >= 2 then u32 c else 0 in
+        let term = u32 c in
         Subscribed { from_epoch; run_id; term }
       else if tag = tag_checkpoint_reply then begin
         let generation = u32 c in
-        let term = if ver >= 2 then u32 c else 0 in
+        let term = u32 c in
         let count = u32 c in
         (* each file entry consumes >= 6 bytes (two length prefixes), so
            [count] is implicitly bounded by the payload: check before
@@ -492,11 +476,6 @@ let decode_response =
         in
         Checkpoint_reply { generation; files; term }
       end
-      else if tag = tag_repl_op then
-        let epoch = u32 c in
-        let key = str c 32 in
-        let value = value_opt c in
-        Repl_op { epoch; key; value }
       else if tag = tag_repl_batch then begin
         let epoch = u32 c in
         let count = u32 c in
@@ -517,7 +496,7 @@ let decode_response =
         let epoch = u32 c in
         let cert = mac_str c in
         let stream_mac = mac_str c in
-        let term = if ver >= 2 then u32 c else 0 in
+        let term = u32 c in
         Repl_epoch { epoch; cert; stream_mac; term }
       else if tag = tag_term_info then
         let term = u32 c in
@@ -578,9 +557,6 @@ let pp_response ppf = function
   | Checkpoint_reply { generation; files; term } ->
       Format.fprintf ppf "checkpoint-reply(gen %d, %d files, term %d)"
         generation (Array.length files) term
-  | Repl_op { epoch; value; _ } ->
-      Format.fprintf ppf "repl-op(epoch %d, %s)" epoch
-        (match value with None -> "delete" | Some _ -> "put")
   | Repl_batch { epoch; ops } ->
       Format.fprintf ppf "repl-batch(epoch %d, %d ops)" epoch (Array.length ops)
   | Repl_epoch { epoch; term; _ } ->

@@ -16,13 +16,8 @@
     never an exception and never unbounded work or allocation. *)
 
 val version : int
-(** Protocol version carried in every encoded frame (currently 2, which
-    added the replication fencing term). *)
-
-val min_version : int
-(** Oldest version the decoders still accept. Version-1 frames lack the
-    term field on [Subscribe]/[Subscribed]/[Repl_epoch]; decoding defaults
-    it to 0 ("before any election"), so both framings interoperate. *)
+(** Protocol version carried in every encoded frame (2). The decoders
+    accept this version only. *)
 
 val header_len : int
 (** Bytes of the fixed payload header (magic, version, type, request id). *)
@@ -123,19 +118,13 @@ type response =
           costs availability at the next subscribe, never integrity, since
           divergent state is still caught by the local re-verification
           scan against the streamed certificates). *)
-  | Repl_op of { epoch : int; key : string; value : string option }
-      (** One applied op in stream order. [key] is the raw 32-byte data-key
-          path ({!Key.to_bytes32}); [value = None] is a delete. Untrusted
-          until the epoch's boundary record authenticates: followers fold
-          every op into a per-epoch digest that {!response.Repl_epoch}'s
-          [stream_mac] must match. *)
   | Repl_batch of { epoch : int; ops : (string * string option) array }
-      (** A run of consecutive ops from one epoch in apply order — the
-          batched form of {!response.Repl_op}, flushed by the primary at
-          each epoch seal (plus size/time caps), cutting stream frames and
-          syscalls by the batch length. Followers treat it exactly as the
-          equivalent [Repl_op] sequence: the per-op stream digest is
-          unchanged, so old and new frames interoperate. *)
+      (** A run of consecutive applied ops from one epoch, in apply order,
+          flushed by the primary at each epoch seal (plus size/time caps).
+          Each [key] is the raw 32-byte data-key path ({!Key.to_bytes32});
+          [value = None] is a delete. Untrusted until the epoch's boundary
+          record authenticates: followers fold every op into a per-epoch
+          digest that {!response.Repl_epoch}'s [stream_mac] must match. *)
   | Repl_epoch of { epoch : int; cert : string; stream_mac : string; term : int }
       (** Epoch-boundary record: [cert] is the store-level epoch certificate
           (HMAC over {!Fastver_verifier.Verifier.epoch_certificate_message});

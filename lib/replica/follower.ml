@@ -219,7 +219,7 @@ let handle_boundary t ~epoch ~cert ~stream_mac ~term =
   if
     not
       (Stream.check_boundary_mac ~mac_secret ~term ~epoch ~digest
-         ~tag:stream_mac ())
+         ~tag:stream_mac)
   then
     halt t ~epoch
       (Printf.sprintf
@@ -265,10 +265,9 @@ exception Disconnected_exn
 
 let stream_once t conn =
   match Client.recv conn with
-  | _, Wire.Repl_op { epoch; key; value } -> record_op t ~epoch ~key ~value
   | _, Wire.Repl_batch { epoch; ops } ->
-      (* Exactly the equivalent Repl_op run: fold and buffer each op in
-         order; authentication still happens only at the boundary record. *)
+      (* Fold and buffer each op in order; authentication happens only at
+         the boundary record. *)
       Array.iter (fun (key, value) -> record_op t ~epoch ~key ~value) ops
   | _, Wire.Repl_epoch { epoch; cert; stream_mac; term } ->
       handle_boundary t ~epoch ~cert ~stream_mac ~term

@@ -11,7 +11,6 @@ type config = {
   retain_epochs : int;
   conn_out_limit : int;
   checkpoint_dir : string option;
-  batch_ops : int;
   batch_delay : float;
   term : int;
   priority : int;
@@ -22,7 +21,6 @@ let default_config =
     retain_epochs = 64;
     conn_out_limit = 64 * 1024 * 1024;
     checkpoint_dir = None;
-    batch_ops = 512;
     batch_delay = 0.02;
     term = 0;
     priority = 0;
@@ -138,6 +136,9 @@ let flush_batch t =
     broadcast t frame
   end
 
+(* Ops coalesced into one [Repl_batch] frame before a forced flush. *)
+let batch_ops = 512
+
 (* ---- Tee hooks (see Fastver.set_replication_hooks for the contract) ---- *)
 
 let on_op t ~epoch ~key ~value =
@@ -152,35 +153,21 @@ let on_op t ~epoch ~key ~value =
         in
         Hashtbl.replace t.digests epoch (Stream.fold digest ~epoch ~key ~value);
         Fastver_obs.Counter.incr t.m_ops;
-        if t.cfg.batch_ops <= 1 then begin
-          (* Legacy per-op framing (batch_ops <= 1): one frame per op. *)
-          let frame =
-            Wire.encode_response_into t.enc ~id:0L
-              (Wire.Repl_op { epoch; key; value })
-          in
-          t.log <- (epoch, frame) :: t.log;
-          t.frames <- t.frames + 1;
-          Fastver_obs.Counter.incr t.m_frames;
-          broadcast t frame;
+        if t.batch_n > 0 && t.batch_epoch <> epoch then flush_batch t;
+        if t.batch_n = 0 then begin
+          t.batch_epoch <- epoch;
+          t.batch_since <- now
+        end;
+        t.batch <- (key, value) :: t.batch;
+        t.batch_n <- t.batch_n + 1;
+        if t.batch_n >= batch_ops then begin
+          flush_batch t;
           true
         end
-        else begin
-          if t.batch_n > 0 && t.batch_epoch <> epoch then flush_batch t;
-          if t.batch_n = 0 then begin
-            t.batch_epoch <- epoch;
-            t.batch_since <- now
-          end;
-          t.batch <- (key, value) :: t.batch;
-          t.batch_n <- t.batch_n + 1;
-          if t.batch_n >= t.cfg.batch_ops then begin
-            flush_batch t;
-            true
-          end
-          else
-            (* Wake only on the first buffered op, so the loop re-arms its
-               select timeout to the batch_delay time cap. *)
-            t.batch_n = 1
-        end)
+        else
+          (* Wake only on the first buffered op, so the loop re-arms its
+             select timeout to the batch_delay time cap. *)
+          t.batch_n = 1)
   in
   if want_wake then wake t
 
@@ -199,7 +186,7 @@ let on_seal t ~epoch ~cert =
       let stream_mac =
         Stream.boundary_mac
           ~mac_secret:(Fastver.config t.sys).mac_secret
-          ~term:t.term ~epoch ~digest ()
+          ~term:t.term ~epoch ~digest
       in
       let frame =
         Wire.encode_response_into t.enc ~id:0L

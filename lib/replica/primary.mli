@@ -43,16 +43,12 @@ type config = {
   checkpoint_dir : string option;
       (** where [Fetch_checkpoint] reads generations from; [None] disables
           checkpoint catch-up *)
-  batch_ops : int;
-      (** ops coalesced into one [Repl_batch] frame before a forced flush
-          (default 512); [<= 1] restores per-op [Repl_op] framing. Batches
-          also flush at every epoch seal, at any epoch change, before a
-          subscriber's replay snapshot, and after {!batch_delay}. The
-          per-op stream digest and boundary MAC are unchanged — batching
-          is pure framing. *)
   batch_delay : float;
-      (** seconds a buffered op may wait before its batch is flushed
-          (default 0.02) *)
+      (** seconds a buffered op may wait before its [Repl_batch] frame is
+          flushed (default 0.02). A batch also flushes at 512 ops, at every
+          epoch seal, at any epoch change and before a subscriber's replay
+          snapshot. The per-op stream digest and boundary MAC do not depend
+          on where batches split. *)
   term : int;
       (** initial fencing term (default 0 — "never elected"). Election
           winners get theirs via {!promote}. *)
@@ -98,9 +94,8 @@ val sealed_epoch : t -> int
 (** Highest epoch whose boundary record has been emitted ([-1] if none). *)
 
 val frames_emitted : t -> int
-(** Op-carrying stream frames emitted so far ([Repl_op] or [Repl_batch] —
-    boundary records excluded). With batching, ops/frames ≈ the realised
-    coalescing factor. *)
+(** [Repl_batch] frames emitted so far (boundary records excluded);
+    ops/frames is the realised coalescing factor. *)
 
 val followers : t -> int
 (** Live replication connections (subscribed or not). *)

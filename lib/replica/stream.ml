@@ -40,17 +40,14 @@ let fold digest ~epoch ~key ~value =
 
 (* The fencing term rides under the boundary MAC too — otherwise a relay
    could re-stamp a deposed primary's records with the current term and
-   defeat the monotone-term check. Term 0 ("before any election") keeps the
-   legacy message byte-identical, so v1 boundary records and never-elected
-   clusters interoperate unchanged. *)
+   defeat the monotone-term check. *)
 let boundary_message ~term ~epoch ~digest =
-  if term = 0 then Printf.sprintf "fastver-repl-epoch:%d:%s" epoch digest
-  else Printf.sprintf "fastver-repl-epoch:%d:t%d:%s" epoch term digest
+  Printf.sprintf "fastver-repl-epoch:%d:t%d:%s" epoch term digest
 
-let boundary_mac ~mac_secret ?(term = 0) ~epoch ~digest () =
+let boundary_mac ~mac_secret ~term ~epoch ~digest =
   Fastver_crypto.Hmac.mac ~key:mac_secret (boundary_message ~term ~epoch ~digest)
 
-let check_boundary_mac ~mac_secret ?(term = 0) ~epoch ~digest ~tag () =
+let check_boundary_mac ~mac_secret ~term ~epoch ~digest ~tag =
   Fastver_crypto.Hmac.verify ~key:mac_secret
     (boundary_message ~term ~epoch ~digest)
     ~tag

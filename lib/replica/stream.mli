@@ -1,9 +1,9 @@
 (** Integrity of the replication stream itself.
 
     Epoch certificates authenticate epoch numbers, not op payloads; the
-    stream adds a per-epoch running digest over every {!Wire.response.Repl_op}
-    record, and the boundary record carries an HMAC over (epoch, digest)
-    under the shared secret. Primary and follower fold identically; a single
+    stream adds a per-epoch running digest over every op a
+    {!Wire.response.Repl_batch} carries, and the boundary record carries an
+    HMAC over (epoch, term, digest) under the shared secret. Primary and follower fold identically; a single
     flipped bit in any streamed op (or a dropped/injected/reordered op)
     changes the follower's digest and the boundary MAC no longer checks. *)
 
@@ -16,18 +16,11 @@ val fold : string -> epoch:int -> key:string -> value:string option -> string
     @raise Invalid_argument on wrong digest or key width. *)
 
 val boundary_mac :
-  mac_secret:string -> ?term:int -> epoch:int -> digest:string -> unit -> string
+  mac_secret:string -> term:int -> epoch:int -> digest:string -> string
 (** The [stream_mac] the primary puts in its epoch-boundary record. The
-    fencing [term] (default 0) is covered by the MAC; term 0 produces the
-    pre-election (wire v1) message byte-for-byte, so both framings
-    interoperate. *)
+    fencing [term] is covered by the MAC. *)
 
 val check_boundary_mac :
-  mac_secret:string ->
-  ?term:int ->
-  epoch:int ->
-  digest:string ->
-  tag:string ->
-  unit ->
+  mac_secret:string -> term:int -> epoch:int -> digest:string -> tag:string ->
   bool
 (** Constant-time check of a received boundary MAC. *)

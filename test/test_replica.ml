@@ -106,33 +106,32 @@ let test_stream_digest () =
   in
   Alcotest.(check bool) "delete <> empty put" false (String.equal del emp);
   let mac =
-    Replica.Stream.boundary_mac ~mac_secret:secret ~epoch:3 ~digest:d1 ()
+    Replica.Stream.boundary_mac ~mac_secret:secret ~term:0 ~epoch:3 ~digest:d1
   in
   Alcotest.(check bool) "boundary mac checks" true
-    (Replica.Stream.check_boundary_mac ~mac_secret:secret ~epoch:3 ~digest:d1
-       ~tag:mac ());
+    (Replica.Stream.check_boundary_mac ~mac_secret:secret ~term:0 ~epoch:3
+       ~digest:d1 ~tag:mac);
   Alcotest.(check bool) "wrong epoch rejected" false
-    (Replica.Stream.check_boundary_mac ~mac_secret:secret ~epoch:4 ~digest:d1
-       ~tag:mac ());
+    (Replica.Stream.check_boundary_mac ~mac_secret:secret ~term:0 ~epoch:4
+       ~digest:d1 ~tag:mac);
   let flipped = Bytes.of_string mac in
   Bytes.set flipped 0 (Char.chr (Char.code (Bytes.get flipped 0) lxor 1));
   Alcotest.(check bool) "flipped mac rejected" false
-    (Replica.Stream.check_boundary_mac ~mac_secret:secret ~epoch:3 ~digest:d1
-       ~tag:(Bytes.to_string flipped) ());
+    (Replica.Stream.check_boundary_mac ~mac_secret:secret ~term:0 ~epoch:3
+       ~digest:d1 ~tag:(Bytes.to_string flipped));
   (* the fencing term is covered by the MAC — a relay cannot re-stamp a
-     boundary record under a different term — and term 0 is byte-identical
-     to the pre-election message, so v1 streams still authenticate *)
+     boundary record under a different term *)
   let mac_t2 =
-    Replica.Stream.boundary_mac ~mac_secret:secret ~term:2 ~epoch:3 ~digest:d1 ()
+    Replica.Stream.boundary_mac ~mac_secret:secret ~term:2 ~epoch:3 ~digest:d1
   in
   Alcotest.(check bool) "term folded into the mac" false
     (String.equal mac mac_t2);
   Alcotest.(check bool) "term mac checks under its term" true
     (Replica.Stream.check_boundary_mac ~mac_secret:secret ~term:2 ~epoch:3
-       ~digest:d1 ~tag:mac_t2 ());
+       ~digest:d1 ~tag:mac_t2);
   Alcotest.(check bool) "re-stamped term rejected" false
     (Replica.Stream.check_boundary_mac ~mac_secret:secret ~term:1 ~epoch:3
-       ~digest:d1 ~tag:mac_t2 ())
+       ~digest:d1 ~tag:mac_t2)
 
 (* ------------------------------------------------------------------ *)
 (* Certificate chain                                                   *)
@@ -200,8 +199,6 @@ let test_wire_repl_opcodes () =
       Net.Wire.Checkpoint_reply
         { generation = 3; files = [| ("MANIFEST", "x"); ("a.bin", "\x00\xff") |];
           term = 1 };
-      Net.Wire.Repl_op { epoch = 5; key; value = Some "hello" };
-      Net.Wire.Repl_op { epoch = 5; key; value = None };
       Net.Wire.Repl_batch
         { epoch = 5; ops = [| (key, Some "a"); (key, None); (key, Some "") |] };
       Net.Wire.Repl_batch { epoch = 0; ops = [||] };
@@ -234,12 +231,6 @@ let test_wire_repl_opcodes () =
   (* the encoder refuses a key that is not the raw 32-byte path *)
   (match
      Net.Wire.encode_response ~id:0L
-       (Net.Wire.Repl_op { epoch = 0; key = "short"; value = None })
-   with
-  | _ -> Alcotest.fail "short key accepted"
-  | exception Invalid_argument _ -> ());
-  (match
-     Net.Wire.encode_response ~id:0L
        (Net.Wire.Repl_batch { epoch = 0; ops = [| ("short", None) |] })
    with
   | _ -> Alcotest.fail "short batched key accepted"
@@ -263,8 +254,8 @@ let test_wire_repl_opcodes () =
 
 (* QCheck: hostile bytes under the replication tags never raise and never
    decode to a malformed value (keys always come back 32 bytes wide). *)
-let prop_repl_op_hostile =
-  QCheck.Test.make ~name:"hostile Repl_op/Repl_epoch bytes are total"
+let prop_repl_hostile =
+  QCheck.Test.make ~name:"hostile Repl_batch/Repl_epoch bytes are total"
     ~count:1000
     QCheck.(pair (oneofl [ '\x8b'; '\x8c'; '\x8d'; '\x89'; '\x8a' ])
               (string_of_size QCheck.Gen.(0 -- 200)))
@@ -277,7 +268,6 @@ let prop_repl_op_hostile =
       Buffer.add_string b junk;
       match Net.Wire.decode_response (Buffer.contents b) with
       | Error _ -> true
-      | Ok (_, Net.Wire.Repl_op { key; _ }) -> String.length key = 32
       | Ok (_, Net.Wire.Repl_batch { ops; _ }) ->
           Array.for_all (fun (key, _) -> String.length key = 32) ops
       | Ok _ -> true)
@@ -531,8 +521,8 @@ let flip_byte tag index payload =
     Some (Bytes.to_string b)
   end
 
-let halted_with_evidence ?pconfig ~what ~tamper () =
-  let t, p, addr = mk_primary ?pconfig () in
+let halted_with_evidence ~what ~tamper () =
+  let t, p, addr = mk_primary () in
   Fastver.put t 5L "target";
   Fastver.put t 6L "decoy";
   ignore (Fastver.verify t);
@@ -573,13 +563,6 @@ let test_flipped_op_halts () =
   halted_with_evidence ~what:"flipped batched op"
     ~tamper:(flip_byte 0x8d (-1)) ()
 
-(* The same property under legacy per-op framing (batch_ops <= 1). *)
-let test_flipped_legacy_op_halts () =
-  halted_with_evidence
-    ~pconfig:{ Replica.Primary.default_config with batch_ops = 1 }
-    ~what:"flipped legacy op"
-    ~tamper:(flip_byte 0x8b (-1)) ()
-
 (* Flip one bit of the epoch certificate inside the boundary record: the
    stream digest still matches, but the certificate chain rejects it. *)
 let test_flipped_cert_halts () =
@@ -590,42 +573,34 @@ let test_flipped_cert_halts () =
 (* Frame batching                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The same op sequence framed per-op vs batched: batching must carry 10k
-   ops in at least 10x fewer op-carrying frames, and a follower replaying
-   either framing converges to the same verified state — the stream digest
-   and boundary MAC are framing-independent. *)
+(* Batching must carry 10k ops in at most 1k op-carrying frames, and a
+   follower replaying the batches converges to the same verified state. *)
 let test_batching_cuts_frames () =
-  let run ~batch_ops =
-    let pcfg =
-      (* a long delay so only the size cap and epoch seals split batches *)
-      { Replica.Primary.default_config with batch_ops; batch_delay = 5.0 }
-    in
-    let t, p, addr = mk_primary ~pconfig:pcfg () in
-    for e = 0 to 1 do
-      for i = 0 to 4999 do
-        Fastver.put t (Int64.of_int (i mod 200)) (Printf.sprintf "%d-%d" e i)
-      done;
-      ignore (Fastver.verify t)
-    done;
-    let frames = Replica.Primary.frames_emitted p in
-    let f, fdir = mk_follower addr in
-    wait_for "catch-up" (caught_up t f);
-    Alcotest.(check (option string)) "last write replayed" (Some "1-4999")
-      (Fastver.get (Replica.Follower.system f) 199L);
-    Alcotest.(check int) "every op applied" 10_000
-      (Replica.Follower.applied_ops f);
-    Replica.Follower.stop f;
-    Replica.Primary.stop p;
-    remove_tree fdir;
-    frames
+  let pcfg =
+    (* a long delay so only the size cap and epoch seals split batches *)
+    { Replica.Primary.default_config with batch_delay = 5.0 }
   in
-  let batched = run ~batch_ops:512 in
-  let legacy = run ~batch_ops:1 in
-  Alcotest.(check int) "legacy framing is one frame per op" 10_000 legacy;
+  let t, p, addr = mk_primary ~pconfig:pcfg () in
+  for e = 0 to 1 do
+    for i = 0 to 4999 do
+      Fastver.put t (Int64.of_int (i mod 200)) (Printf.sprintf "%d-%d" e i)
+    done;
+    ignore (Fastver.verify t)
+  done;
+  let frames = Replica.Primary.frames_emitted p in
+  let f, fdir = mk_follower addr in
+  wait_for "catch-up" (caught_up t f);
+  Alcotest.(check (option string)) "last write replayed" (Some "1-4999")
+    (Fastver.get (Replica.Follower.system f) 199L);
+  Alcotest.(check int) "every op applied" 10_000
+    (Replica.Follower.applied_ops f);
+  Replica.Follower.stop f;
+  Replica.Primary.stop p;
+  remove_tree fdir;
   Alcotest.(check bool)
-    (Printf.sprintf "10k ops in >=10x fewer frames (%d vs %d)" batched legacy)
+    (Printf.sprintf "10k ops in at most 1k frames (%d)" frames)
     true
-    (batched > 0 && batched * 10 <= legacy)
+    (frames > 0 && frames <= 1_000)
 
 (* ------------------------------------------------------------------ *)
 (* Stream teardown totality                                            *)
@@ -1389,7 +1364,7 @@ let suite =
       Alcotest.test_case "certificate chain" `Quick test_cert_chain;
       Alcotest.test_case "replication wire opcodes" `Quick
         test_wire_repl_opcodes;
-      QCheck_alcotest.to_alcotest prop_repl_op_hostile;
+      QCheck_alcotest.to_alcotest prop_repl_hostile;
       Alcotest.test_case "follower replays and serves" `Quick
         test_follower_replays_and_serves;
       Alcotest.test_case "follower survives primary death" `Quick
@@ -1400,8 +1375,6 @@ let suite =
         test_batching_cuts_frames;
       Alcotest.test_case "flipped op halts follower" `Quick
         test_flipped_op_halts;
-      Alcotest.test_case "flipped legacy op halts follower" `Quick
-        test_flipped_legacy_op_halts;
       Alcotest.test_case "flipped cert halts follower" `Quick
         test_flipped_cert_halts;
       Alcotest.test_case "truncated stream reconnects" `Quick

@@ -101,10 +101,6 @@ let gen_response =
           (list_size (0 -- 6)
              (pair (string_size (0 -- 24)) (string_size (0 -- 120))))
           (0 -- 1_000_000);
-        map3
-          (* the encoder requires the raw 32-byte data-key path *)
-          (fun epoch key value -> Wire.Repl_op { epoch; key; value })
-          (0 -- 1_000_000) (string_size (32 -- 32)) gen_value;
         map2
           (fun epoch ops ->
             Wire.Repl_batch { epoch; ops = Array.of_list ops })
@@ -287,14 +283,8 @@ let test_bad_metrics_format () =
   | Ok _ -> Alcotest.fail "unknown metrics format byte accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Version-1 compatibility                                             *)
+(* Protocol version                                                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Hand-built v1 framings: the pre-election protocol carried no fencing
-   term in Subscribe/Subscribed/Repl_epoch. A v2 decoder must accept them
-   with [term = 0] ("before any election") — and because decoders reject
-   trailing bytes, a v1 frame that smuggles the v2 term field in must
-   error, not silently parse. *)
 
 let le32 v =
   let b = Buffer.create 4 in
@@ -309,66 +299,25 @@ let le64 v =
   Buffer.add_int64_le b v;
   Buffer.contents b
 
-let v1_frame ~tag ~id body =
-  Printf.sprintf "FV\x01%c%s%s" (Char.chr tag) (le64 id) body
-
-let mac16 s = Printf.sprintf "%c%c%s"
-    (Char.chr (String.length s land 0xff))
-    (Char.chr ((String.length s lsr 8) land 0xff))
-    s
-
-let prop_v1_subscribe =
-  QCheck.Test.make ~name:"v1 Subscribe decodes with term = 0" ~count:300
-    QCheck.(pair (int_bound 1_000_000) int64)
-    (fun (from_epoch, id) ->
-      Wire.decode_request (v1_frame ~tag:0x09 ~id (le32 from_epoch))
-      = Ok (id, Wire.Subscribe { from_epoch; term = 0 }))
-
-let prop_v1_subscribe_trailing_term =
-  QCheck.Test.make ~name:"v1 Subscribe with smuggled term field errors"
-    ~count:300
-    QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
-    (fun (from_epoch, term) ->
-      Result.is_error
-        (Wire.decode_request
-           (v1_frame ~tag:0x09 ~id:1L (le32 from_epoch ^ le32 term))))
-
-let prop_v1_subscribed =
-  QCheck.Test.make ~name:"v1 Subscribed decodes with term = 0" ~count:300
-    QCheck.(pair (int_bound 1_000_000) int64)
-    (fun (from_epoch, run_id) ->
-      Wire.decode_response (v1_frame ~tag:0x89 ~id:2L (le32 from_epoch ^ le64 run_id))
-      = Ok (2L, Wire.Subscribed { from_epoch; run_id; term = 0 }))
-
-let prop_v1_repl_epoch =
-  QCheck.Test.make ~name:"v1 Repl_epoch decodes with term = 0" ~count:300
-    QCheck.(triple (int_bound 1_000_000)
-              (string_of_size QCheck.Gen.(0 -- 48))
-              (string_of_size QCheck.Gen.(0 -- 48)))
-    (fun (epoch, cert, stream_mac) ->
-      Wire.decode_response
-        (v1_frame ~tag:0x8c ~id:3L (le32 epoch ^ mac16 cert ^ mac16 stream_mac))
-      = Ok (3L, Wire.Repl_epoch { epoch; cert; stream_mac; term = 0 }))
-
-let prop_v1_checkpoint_reply =
-  QCheck.Test.make ~name:"v1 Checkpoint_reply decodes with term = 0"
-    ~count:300
-    QCheck.(pair (int_bound 1_000_000)
-              (small_list (pair (string_of_size QCheck.Gen.(0 -- 24))
-                             (string_of_size QCheck.Gen.(0 -- 64)))))
-    (fun (generation, files) ->
-      let body =
-        le32 generation
-        ^ le32 (List.length files)
-        ^ String.concat ""
-            (List.map (fun (n, d) -> mac16 n ^ le32 (String.length d) ^ d)
-               files)
+(* Every well-formed message, re-stamped with any header version other than
+   2, is refused: there is one framing, and no version-dependent field. *)
+let prop_other_versions_rejected =
+  QCheck.Test.make ~name:"any header version but 2 is an error"
+    ~count:500
+    QCheck.(triple (int_bound 255) arb_request arb_response)
+    (fun (ver, req, resp) ->
+      QCheck.assume (ver <> Wire.version);
+      let restamp frame =
+        let b = Bytes.of_string (payload_of_frame frame) in
+        Bytes.set b 2 (Char.chr ver);
+        Bytes.to_string b
       in
-      Wire.decode_response (v1_frame ~tag:0x8a ~id:5L body)
-      = Ok (5L, Wire.Checkpoint_reply
-                  { generation; files = Array.of_list files; term = 0 }))
+      Result.is_error
+        (Wire.decode_request (restamp (Wire.encode_request ~id:1L req)))
+      && Result.is_error
+           (Wire.decode_response (restamp (Wire.encode_response ~id:1L resp))))
 
-(* A v2 frame in the old (term-less) framing is short, not ambiguous. *)
+(* A Subscribe without its term field is short, not ambiguous. *)
 let test_v2_requires_term () =
   let frame = Printf.sprintf "FV\x02\x09%s%s" (le64 4L) (le32 17) in
   match Wire.decode_request frame with
@@ -398,9 +347,8 @@ let prop_hostile_election_fields =
     QCheck.(pair (oneofl [ 0x09; 0x0b; 0x0c; 0x89; 0x8c; 0x8e ])
               (string_of_size QCheck.Gen.(0 -- 64)))
     (fun (tag, body) ->
-      decodes_without_raising (v1_frame ~tag ~id:0L body)
-      && decodes_without_raising
-           (Printf.sprintf "FV\x02%c%s%s" (Char.chr tag) (le64 0L) body))
+      decodes_without_raising
+        (Printf.sprintf "FV\x02%c%s%s" (Char.chr tag) (le64 0L) body))
 
 let test_version_rejected () =
   let payload = payload_of_frame (Wire.encode_request ~id:0L Wire.Verify) in
@@ -421,11 +369,7 @@ let suite =
       Alcotest.test_case "v2 subscribe requires term" `Quick
         test_v2_requires_term;
       Alcotest.test_case "term-info flag strict" `Quick test_term_info_bad_flag;
-      QCheck_alcotest.to_alcotest prop_v1_subscribe;
-      QCheck_alcotest.to_alcotest prop_v1_subscribe_trailing_term;
-      QCheck_alcotest.to_alcotest prop_v1_subscribed;
-      QCheck_alcotest.to_alcotest prop_v1_repl_epoch;
-      QCheck_alcotest.to_alcotest prop_v1_checkpoint_reply;
+      QCheck_alcotest.to_alcotest prop_other_versions_rejected;
       QCheck_alcotest.to_alcotest prop_hostile_election_fields;
       QCheck_alcotest.to_alcotest prop_request_roundtrip;
       QCheck_alcotest.to_alcotest prop_response_roundtrip;
