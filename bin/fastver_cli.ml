@@ -595,7 +595,6 @@ let stats_cmd connect format check =
               ("store records", "fastver_store_records");
               ("store reads", "fastver_store_reads_total");
               ("store writes", "fastver_store_writes_total");
-              ("store spill reads", "fastver_store_spill_reads_total");
               ("cold segments", "fastver_cold_segments");
               ("cold live bytes", "fastver_cold_live_bytes");
               ("cold dead bytes", "fastver_cold_dead_bytes");

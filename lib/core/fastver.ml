@@ -254,9 +254,6 @@ let wire_metrics t =
     ~help:"Updates that appended a new immutable version"
     "fastver_store_rcu_copies_total" (fun () ->
       (Fastver_kvstore.Store.stats t.store).rcu_copies);
-  Reg.counter_fn reg ~help:"Gets served from the spill file"
-    "fastver_store_spill_reads_total" (fun () ->
-      (Fastver_kvstore.Store.stats t.store).spill_reads);
   (* Registered whether or not a cold tier is attached, so the documented
      fastver_cold_* names are always present in a snapshot. *)
   Store.Cold.wire_metrics t.cold reg;

@@ -412,8 +412,7 @@ val registry : t -> Fastver_obs.Registry.t
       [fastver_shard_ops_total{shard=...}] (per-shard totals),
       [fastver_store_records],
       [fastver_store_reads_total], [fastver_store_writes_total],
-      [fastver_store_rcu_copies_total], [fastver_store_spill_reads_total],
-      [fastver_enclave_overhead_ns].
+      [fastver_store_rcu_copies_total], [fastver_enclave_overhead_ns].
 
     [lib/net]'s server registers its own metrics here too. *)
 

@@ -6,19 +6,17 @@ module Cold = Fastver_cold.Cold
 
 type 'v body =
   | In_memory of { mutable value : 'v; mutable aux : int64 }
-  | Spilled of { file_off : int; len : int; aux : int64 }
   | Cold_ref of { cref : Cold.rref; aux : int64 }
 
 type 'v slot = { key : Key.t; mutable body : 'v body; prev : int }
 
 let aux_of_body = function
-  | In_memory { aux; _ } | Spilled { aux; _ } | Cold_ref { aux; _ } -> aux
+  | In_memory { aux; _ } | Cold_ref { aux; _ } -> aux
 
 type stats = {
   reads : int;
   writes : int;
   rcu_copies : int;
-  spill_reads : int;
 }
 
 (* Live counters: atomics, so gets in one domain and stats snapshots in
@@ -27,7 +25,6 @@ type stats_live = {
   a_reads : int Atomic.t;
   a_writes : int Atomic.t;
   a_rcu_copies : int Atomic.t;
-  a_spill_reads : int Atomic.t;
 }
 
 let bump a = ignore (Atomic.fetch_and_add a 1)
@@ -42,21 +39,12 @@ type 'v t = {
   mutable_region : int;
   codec : 'v codec;
   stripes : Mutex.t array;
-  spill : (string * int) option;
-  spill_lock : Mutex.t;
-      (* Serialises every seek/read/write on the shared spill channels.
-         Stripe locks only serialise per-key access: two gets of spilled
-         keys in different stripes would otherwise race seek_in against
-         really_input_string and return each other's bytes. *)
-  mutable spill_chan : (in_channel * out_channel) option;
-  mutable spill_end : int; (* bytes written to the spill file *)
-  mutable spilled_through : int; (* addresses < this may be on disk *)
   cold : Cold.t option;
   mutable demoted_through : int; (* addresses < this may be in the cold tier *)
   stats : stats_live;
 }
 
-let create ?(mutable_region_entries = 1 lsl 20) ?spill ?cold ~codec () =
+let create ?(mutable_region_entries = 1 lsl 20) ?cold ~codec () =
   {
     index = Key.Tbl.create 4096;
     chunks = Array.make 16 [||];
@@ -64,11 +52,6 @@ let create ?(mutable_region_entries = 1 lsl 20) ?spill ?cold ~codec () =
     mutable_region = mutable_region_entries;
     codec;
     stripes = Array.init 256 (fun _ -> Mutex.create ());
-    spill;
-    spill_lock = Mutex.create ();
-    spill_chan = None;
-    spill_end = 0;
-    spilled_through = 0;
     cold;
     demoted_through = 0;
     stats =
@@ -76,7 +59,6 @@ let create ?(mutable_region_entries = 1 lsl 20) ?spill ?cold ~codec () =
         a_reads = Atomic.make 0;
         a_writes = Atomic.make 0;
         a_rcu_copies = Atomic.make 0;
-        a_spill_reads = Atomic.make 0;
       };
   }
 
@@ -85,7 +67,6 @@ let stats t =
     reads = Atomic.get t.stats.a_reads;
     writes = Atomic.get t.stats.a_writes;
     rcu_copies = Atomic.get t.stats.a_rcu_copies;
-    spill_reads = Atomic.get t.stats.a_spill_reads;
   }
 let length t = Key.Tbl.length t.index
 let log_size t = t.tail
@@ -119,49 +100,14 @@ let with_stripe t key f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* Misconfiguration (a spilled or cold record with no backing tier) is a
-   total [Error _], not an exception: the server answers the one request
-   with a failure instead of dying mid-request. *)
-let spill_channels t =
-  match (t.spill_chan, t.spill) with
-  | Some c, _ -> Ok c
-  | None, None -> Error "Store: spill not configured"
-  | None, Some (path, _) -> (
-      match
-        ( open_out_gen [ Open_creat; Open_wronly; Open_binary ] 0o644 path,
-          open_in_bin path )
-      with
-      | oc, ic ->
-          t.spill_end <- in_channel_length ic;
-          seek_out oc t.spill_end;
-          t.spill_chan <- Some (ic, oc);
-          Ok (ic, oc)
-      | exception Sys_error e -> Error ("Store: spill open failed: " ^ e))
-
-let with_spill_lock t f =
-  Mutex.lock t.spill_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.spill_lock) f
-
 let decode_value t raw =
   match t.codec.decode raw with
   | v -> Ok v
   | exception _ -> Error "Store: undecodable record payload"
 
-let read_spilled t ~file_off ~len =
-  let raw =
-    with_spill_lock t (fun () ->
-        match spill_channels t with
-        | Error _ as e -> e
-        | Ok (ic, _) -> (
-            seek_in ic file_off;
-            bump t.stats.a_spill_reads;
-            match really_input_string ic len with
-            | raw -> Ok raw
-            | exception End_of_file -> Error "Store: spill read truncated"))
-  in
-  Result.bind raw (decode_value t)
-
-(* A cold read that raced compaction (the segment was rewritten and retired
+(* Misconfiguration (a cold record with no cold tier) is a total
+   [Error _], not an exception: the server answers the one request with a
+   failure instead of dying mid-request. A cold read that raced compaction (the segment was rewritten and retired
    between fetching the reference and reading it) reports [`Stale]; the
    rewrite installed a fresh reference first, so re-reading the slot body
    succeeds. Bounded retries: anything persistent is a real error. *)
@@ -172,10 +118,6 @@ let rec current ?(retries = 3) t key =
       let s = slot t addr in
       match s.body with
       | In_memory { value; aux } -> Ok (Some (addr, value, aux))
-      | Spilled { file_off; len; aux } ->
-          Result.map
-            (fun v -> Some (addr, v, aux))
-            (read_spilled t ~file_off ~len)
       | Cold_ref { cref; aux } -> (
           match t.cold with
           | None -> Error "Store: cold tier not configured"
@@ -212,7 +154,7 @@ let install t key value aux =
            update copy-on-write like any other on-disk version. *)
         match (slot t addr).body with
         | In_memory _ -> Some addr
-        | Spilled _ | Cold_ref _ -> None)
+        | Cold_ref _ -> None)
     | Some _ | None -> None
   in
   match in_place with
@@ -221,7 +163,7 @@ let install t key value aux =
       | In_memory b ->
           b.value <- value;
           b.aux <- aux
-      | Spilled _ | Cold_ref _ -> assert false)
+      | Cold_ref _ -> assert false)
   | None ->
       (match Key.Tbl.find_opt t.index key with
       | Some prev ->
@@ -239,8 +181,8 @@ let put t key value ~aux =
   with_stripe t key (fun () -> install t key value aux)
 
 (* Aux-only compare: every body variant carries its aux word, so the CAS
-   never needs the value bytes — a cold or spilled record CASes without
-   touching disk. *)
+   never needs the value bytes — a cold record CASes without touching
+   disk. *)
 let try_cas t key ~expected_aux value ~aux =
   with_stripe t key (fun () ->
       match Key.Tbl.find_opt t.index key with
@@ -276,10 +218,6 @@ let iter_live t f =
       (fun key addr ->
         match (slot t addr).body with
         | In_memory { value; aux } -> f key value aux
-        | Spilled { file_off; len; aux } -> (
-            match read_spilled t ~file_off ~len with
-            | Ok v -> f key v aux
-            | Error e -> raise (Iter_stop e))
         | Cold_ref { cref; aux } -> (
             match t.cold with
             | None -> raise (Iter_stop "Store: cold tier not configured")
@@ -298,49 +236,14 @@ let iter_live t f =
 
 let iter_aux t f = Key.Tbl.iter (fun key addr -> f key (aux_of_body (slot t addr).body)) t.index
 
-let spill_now t =
-  match t.spill with
-  | None -> Error "Store: spill not configured"
-  | Some (_, budget) ->
-      let keep_from = max (readonly_boundary t) (t.tail - budget) in
-      if keep_from <= t.spilled_through then Ok ()
-      else
-        with_spill_lock t @@ fun () ->
-        match spill_channels t with
-        | Error _ as e -> e
-        | Ok (_, oc) ->
-            for addr = t.spilled_through to keep_from - 1 do
-              let ci = addr lsr chunk_bits in
-              match t.chunks.(ci).(addr land (chunk_size - 1)) with
-              | None -> ()
-              | Some s -> (
-                  match s.body with
-                  | Spilled _ | Cold_ref _ -> ()
-                  | In_memory { value; aux } ->
-                      (* Superseded versions are simply dropped. *)
-                      if Key.Tbl.find_opt t.index s.key = Some addr then begin
-                        let data = t.codec.encode value in
-                        let file_off = t.spill_end in
-                        output_string oc data;
-                        t.spill_end <- t.spill_end + String.length data;
-                        s.body <-
-                          Spilled { file_off; len = String.length data; aux }
-                      end
-                      else
-                        t.chunks.(ci).(addr land (chunk_size - 1)) <- None)
-            done;
-            flush oc;
-            t.spilled_through <- keep_from;
-            Ok ()
-
 (* {2 Cold-tier demotion and compaction} *)
 
 let cold_tier t = t.cold
 
 (* Demote cooling record versions (older than the in-memory budget, outside
-   the mutable region) to the cold tier. Unlike [spill_now] this runs under
-   each key's stripe lock, so it is safe while serving: the body flip cannot
-   race an install or a read of the same key. *)
+   the mutable region) to the cold tier. This runs under each key's stripe
+   lock, so it is safe while serving: the body flip cannot race an install
+   or a read of the same key. *)
 let demote_now t ~budget =
   match t.cold with
   | None -> Ok 0
@@ -360,7 +263,7 @@ let demote_now t ~budget =
               with_stripe t s.key (fun () ->
                   if Key.Tbl.find_opt t.index s.key = Some a then begin
                     match s.body with
-                    | Spilled _ | Cold_ref _ -> ()
+                    | Cold_ref _ -> ()
                     | In_memory { value; aux } -> (
                         let data = t.codec.encode value in
                         match Cold.append c ~key:s.key ~aux ~value:data with
@@ -432,12 +335,11 @@ let compact_cold t ~min_dead_ratio =
    key(34) aux(8) tag(1) and either an inline payload (tag 0: len(4) data)
    or a cold-tier reference (tag 1: seg(4) off(8) len(4)) — cold values are
    already durable in their segment, so the checkpoint stores the pointer
-   and the cold manifest vouches for the segment. FVCKPT02 (inline-only, no
-   tag byte) is still readable; FVCKPT01 truncated the version through int32
-   and is rejected explicitly. *)
+   and the cold manifest vouches for the segment. Earlier formats are
+   rejected explicitly: FVCKPT02 had no tag byte, and FVCKPT01 truncated
+   the version through int32. *)
 let magic = "FVCKPT03"
-let magic_v2 = "FVCKPT02"
-let legacy_magic = "FVCKPT01" (* int32 version header; no longer readable *)
+let legacy_magics = [ "FVCKPT01"; "FVCKPT02" ]
 
 let checkpoint t ~path ~version =
   Ckpt_io.with_atomic_file path @@ fun w ->
@@ -459,10 +361,6 @@ let checkpoint t ~path ~version =
       Ckpt_io.write w (Key.encode key);
       match (slot t addr).body with
       | In_memory { value; aux } -> write_inline aux (t.codec.encode value)
-      | Spilled { file_off; len; aux } -> (
-          match read_spilled t ~file_off ~len with
-          | Ok v -> write_inline aux (t.codec.encode v)
-          | Error e -> failwith ("checkpoint: " ^ e))
       | Cold_ref { cref; aux } ->
           let meta = Bytes.create 25 in
           Bytes.set_int64_le meta 0 aux;
@@ -484,7 +382,7 @@ let put_cold t key ~cref ~aux =
       Key.Tbl.replace t.index key addr);
   match t.cold with Some c -> Cold.note_live c cref | None -> ()
 
-let recover ?mutable_region_entries ?spill ?cold ~codec ~path () =
+let recover ?mutable_region_entries ?cold ~codec ~path () =
   match open_in_bin path with
   | exception Sys_error e -> Error e
   | ic -> (
@@ -494,13 +392,14 @@ let recover ?mutable_region_entries ?spill ?cold ~codec ~path () =
           let size = in_channel_length ic in
           match really_input_string ic (String.length magic) with
           | exception End_of_file -> Error "checkpoint truncated"
-          | m when m = legacy_magic ->
+          | m when List.mem m legacy_magics ->
               Error
-                "unsupported legacy checkpoint format FVCKPT01; \
-                 re-checkpoint with this release"
-          | m when m <> magic && m <> magic_v2 -> Error "bad checkpoint magic"
-          | m -> (
-              let v3 = m = magic in
+                (Printf.sprintf
+                   "unsupported legacy checkpoint format %s; re-checkpoint \
+                    with this release"
+                   m)
+          | m when m <> magic -> Error "bad checkpoint magic"
+          | _ -> (
               try
                 let header = really_input_string ic 16 in
                 let version64 = String.get_int64_le header 0 in
@@ -508,16 +407,16 @@ let recover ?mutable_region_entries ?spill ?cold ~codec ~path () =
                 then failwith "checkpoint: bad version";
                 let version = Int64.to_int version64 in
                 let count64 = String.get_int64_le header 8 in
-                (* Each record occupies at least 34 + 12 bytes (v2) or
-                   34 + 13 (v3, inline empty payload). *)
+                (* Each record occupies at least 34 + 13 bytes (an inline
+                   empty payload). *)
                 let remaining = size - String.length magic - 16 in
                 if
                   count64 < 0L
                   || Int64.of_int (Int64.to_int count64) <> count64
-                  || Int64.to_int count64 > remaining / 46
+                  || Int64.to_int count64 > remaining / 47
                 then failwith "checkpoint: implausible record count";
                 let count = Int64.to_int count64 in
-                let t = create ?mutable_region_entries ?spill ?cold ~codec () in
+                let t = create ?mutable_region_entries ?cold ~codec () in
                 let decode_key kenc =
                   let depth = String.get_uint16_le kenc 0 in
                   let path32 = String.sub kenc 2 32 in
@@ -527,57 +426,45 @@ let recover ?mutable_region_entries ?spill ?cold ~codec ~path () =
                        trees are rebuilt by the integrity layer. *)
                     failwith "non-data key in checkpoint"
                 in
-                let put_inline key aux len =
-                  if len < 0 || len > size - pos_in ic then
-                    failwith "checkpoint: record length exceeds file";
-                  let data = really_input_string ic len in
-                  let value =
-                    match codec.decode data with
-                    | v -> v
-                    | exception _ -> failwith "checkpoint: undecodable record"
-                  in
-                  put t key value ~aux
-                in
                 for _ = 1 to count do
                   let kenc = really_input_string ic 34 in
-                  if v3 then begin
-                    let meta = really_input_string ic 9 in
-                    let aux = String.get_int64_le meta 0 in
-                    match meta.[8] with
-                    | '\000' ->
-                        let len32 = really_input_string ic 4 in
-                        put_inline (decode_key kenc) aux
-                          (Int32.to_int (String.get_int32_le len32 0))
-                    | '\001' -> (
-                        let refb = really_input_string ic 16 in
-                        let seg = Int32.to_int (String.get_int32_le refb 0) in
-                        let off64 = String.get_int64_le refb 4 in
-                        let len = Int32.to_int (String.get_int32_le refb 12) in
-                        if
-                          off64 < 0L
-                          || Int64.of_int (Int64.to_int off64) <> off64
-                          || seg < 0 || len < 0
-                        then failwith "checkpoint: malformed cold reference";
-                        let cref =
-                          { Cold.seg; off = Int64.to_int off64; len }
-                        in
-                        match cold with
-                        | None ->
-                            failwith
-                              "checkpoint references cold segments but no \
-                               cold tier is configured"
-                        | Some c -> (
-                            match Cold.validate_ref c cref with
-                            | Error e -> failwith ("checkpoint: " ^ e)
-                            | Ok () -> put_cold t (decode_key kenc) ~cref ~aux))
-                    | _ -> failwith "checkpoint: unknown record tag"
-                  end
-                  else begin
-                    let meta = really_input_string ic 12 in
-                    let aux = String.get_int64_le meta 0 in
-                    let len = Int32.to_int (String.get_int32_le meta 8) in
-                    put_inline (decode_key kenc) aux len
-                  end
+                  let meta = really_input_string ic 9 in
+                  let aux = String.get_int64_le meta 0 in
+                  match meta.[8] with
+                  | '\000' ->
+                      let len32 = really_input_string ic 4 in
+                      let len = Int32.to_int (String.get_int32_le len32 0) in
+                      if len < 0 || len > size - pos_in ic then
+                        failwith "checkpoint: record length exceeds file";
+                      let data = really_input_string ic len in
+                      let value =
+                        match codec.decode data with
+                        | v -> v
+                        | exception _ ->
+                            failwith "checkpoint: undecodable record"
+                      in
+                      put t (decode_key kenc) value ~aux
+                  | '\001' -> (
+                      let refb = really_input_string ic 16 in
+                      let seg = Int32.to_int (String.get_int32_le refb 0) in
+                      let off64 = String.get_int64_le refb 4 in
+                      let len = Int32.to_int (String.get_int32_le refb 12) in
+                      if
+                        off64 < 0L
+                        || Int64.of_int (Int64.to_int off64) <> off64
+                        || seg < 0 || len < 0
+                      then failwith "checkpoint: malformed cold reference";
+                      let cref = { Cold.seg; off = Int64.to_int off64; len } in
+                      match cold with
+                      | None ->
+                          failwith
+                            "checkpoint references cold segments but no cold \
+                             tier is configured"
+                      | Some c -> (
+                          match Cold.validate_ref c cref with
+                          | Error e -> failwith ("checkpoint: " ^ e)
+                          | Ok () -> put_cold t (decode_key kenc) ~cref ~aux))
+                  | _ -> failwith "checkpoint: unknown record tag"
                 done;
                 Ok (t, version)
               with

@@ -3,9 +3,8 @@
     Records live in a log-structured address space split, like FASTER's
     HybridLog, into a {e mutable region} (newest addresses, updated in
     place), a {e read-only region} (updates go copy-on-write: a new version
-    is appended and the hash index is swung to it), and two optional on-disk
-    regions for the oldest versions: a plain {e spill} file (unauthenticated,
-    kept for baselines) and an authenticated {e cold tier}
+    is appended and the hash index is swung to it), and an optional on-disk
+    region for the oldest versions: an authenticated {e cold tier}
     ({!Fastver_cold.Cold}) whose reads are MAC-checked end to end. A hash
     index maps each key to the address of its newest version.
 
@@ -15,8 +14,8 @@
     speculative timestamp installation (§5.3). Mutations are serialised per
     key through striped locks, so the store is safe under OCaml domains.
 
-    Reads that may touch a disk tier are total: a missing or misconfigured
-    backing tier, a torn read or a failed integrity check is an [Error _],
+    Reads that may touch the cold tier are total: a missing tier, a torn
+    read or a failed integrity check is an [Error _],
     never an exception — the server fails the one request and keeps serving.
 
     The store is polymorphic in the value type; a {!codec} is needed only
@@ -32,16 +31,13 @@ type 'v t
 
 val create :
   ?mutable_region_entries:int ->
-  ?spill:(string * int) ->
   ?cold:Cold.t ->
   codec:'v codec ->
   unit ->
   'v t
 (** [create ~codec ()] builds an empty store. [mutable_region_entries]
     bounds the in-place-updatable suffix of the log (default 1 M entries).
-    [spill = (path, memory_budget_entries)] enables spilling of cold record
-    versions to [path] once the in-memory log exceeds the budget. [cold]
-    attaches an authenticated cold tier; {!demote_now} moves cooling
+    [cold] attaches an authenticated cold tier; {!demote_now} moves cooling
     versions into it. *)
 
 val length : 'v t -> int
@@ -82,11 +78,6 @@ val iter_aux : 'v t -> (Key.t -> int64 -> unit) -> unit
 
 (** {2 Maintenance} *)
 
-val spill_now : 'v t -> (unit, string) result
-(** Force cold versions beyond the memory budget out to the spill file.
-    [Error _] when no spill file is configured (misconfiguration is total,
-    never an exception). *)
-
 val cold_tier : 'v t -> Cold.t option
 
 val demote_now : 'v t -> budget:int -> (int, string) result
@@ -104,7 +95,6 @@ type stats = {
   reads : int;
   writes : int;
   rcu_copies : int;  (** updates that had to append a new version *)
-  spill_reads : int;  (** gets served from the spill file *)
 }
 
 val stats : 'v t -> stats
@@ -124,21 +114,20 @@ val checkpoint : 'v t -> path:string -> version:int -> unit
     file intact. [version] (the verified epoch) is stored as a full int64.
     Cold records are stored as segment references (their bytes are already
     durable in the cold tier); pair this file with the cold manifest in the
-    same generation. @raise Failure if a spilled record cannot be read back. *)
+    same generation. *)
 
 val recover :
   ?mutable_region_entries:int ->
-  ?spill:(string * int) ->
   ?cold:Cold.t ->
   codec:'v codec ->
   path:string ->
   unit ->
   ('v t * int, string) result
 (** Returns the store and the checkpoint version, or an error if the file is
-    missing or corrupt. Reads the current [FVCKPT03] format and the previous
-    inline-only [FVCKPT02]; the legacy [FVCKPT01] magic (int32 version
-    header) is rejected with an explicit unsupported-format error rather
-    than a generic bad-magic one. Cold references are validated against
+    missing or corrupt. Reads the [FVCKPT03] format only; the legacy
+    [FVCKPT01] (int32 version header) and [FVCKPT02] (no record tag) magics
+    are rejected with an explicit unsupported-format error rather than a
+    generic bad-magic one. Cold references are validated against
     [cold] (recovered from the same generation's manifest) — a checkpoint
     that references cold segments recovers to [Error _] when no cold tier is
     configured. Total on untrusted input: every on-disk length and count is

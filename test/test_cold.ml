@@ -7,7 +7,7 @@
    QCheck (hostile lengths, truncation, single-byte mutations); the
    GC/retire/stale protocol; concurrent reads from different segments; the
    larger-than-memory path through the full Fastver stack with verification
-   on; and misconfiguration totality (spill or cold tier absent). *)
+   on; and misconfiguration totality (cold tier absent). *)
 
 let ckpt t ~dir =
   match Fastver.checkpoint t ~dir with
@@ -441,13 +441,6 @@ let test_concurrent_segment_reads () =
 (* Misconfiguration is a total Error, never an exception              *)
 (* ------------------------------------------------------------------ *)
 
-let test_spill_unconfigured_total () =
-  let s = Store.create ~codec:Store.string_codec () in
-  Store.put s (k 1) "x" ~aux:0L;
-  match Store.spill_now s with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "spill_now succeeded without a spill file"
-
 let test_cold_refs_need_tier () =
   let cdir = fresh_dir "fv-cold-misconf-tier" in
   let path =
@@ -638,8 +631,6 @@ let suite =
       Alcotest.test_case "gc: store compaction" `Quick test_store_compaction;
       Alcotest.test_case "concurrent segment reads" `Quick
         test_concurrent_segment_reads;
-      Alcotest.test_case "spill unconfigured is total" `Quick
-        test_spill_unconfigured_total;
       Alcotest.test_case "cold refs need a tier" `Quick test_cold_refs_need_tier;
       Alcotest.test_case "demote without tier is a no-op" `Quick
         test_demote_without_tier_is_noop;

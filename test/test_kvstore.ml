@@ -104,23 +104,29 @@ let test_recover_corrupt () =
   | Ok _ -> Alcotest.fail "accepted corrupt checkpoint");
   Sys.remove dir
 
-(* A checkpoint from the FVCKPT01 era must be called out as a format change,
-   not lumped in with arbitrary corruption. *)
+(* A checkpoint from the FVCKPT01 or FVCKPT02 era must be called out as a
+   format change, not lumped in with arbitrary corruption. *)
 let test_recover_legacy_magic () =
   let path = Filename.temp_file "fv" "legacy" in
-  let oc = open_out_bin path in
-  output_string oc "FVCKPT01";
-  output_string oc (String.make 12 '\000') (* old int32-version header *);
-  close_out oc;
-  (match Store.recover ~codec:Store.string_codec ~path () with
-  | Ok _ -> Alcotest.fail "accepted a legacy checkpoint"
-  | Error e ->
-      let mentions_legacy =
-        let n = String.length e and m = String.length "legacy" in
-        let rec at i = i + m <= n && (String.sub e i m = "legacy" || at (i + 1)) in
-        at 0
-      in
-      Alcotest.(check bool) ("explicit legacy error: " ^ e) true mentions_legacy);
+  List.iter
+    (fun (magic, header) ->
+      let oc = open_out_bin path in
+      output_string oc magic;
+      output_string oc (String.make header '\000');
+      close_out oc;
+      match Store.recover ~codec:Store.string_codec ~path () with
+      | Ok _ -> Alcotest.failf "accepted a legacy %s checkpoint" magic
+      | Error e ->
+          let mentions_legacy =
+            let n = String.length e and m = String.length "legacy" in
+            let rec at i =
+              i + m <= n && (String.sub e i m = "legacy" || at (i + 1))
+            in
+            at 0
+          in
+          Alcotest.(check bool) ("explicit legacy error: " ^ e) true
+            mentions_legacy)
+    [ ("FVCKPT01", 12) (* int32-version header *); ("FVCKPT02", 16) ];
   Sys.remove path
 
 (* The verified epoch is an int64 on disk: versions past 2^31 must
@@ -212,27 +218,6 @@ let prop_recover_fuzz =
       Sys.remove path;
       ok)
 
-let test_spill () =
-  let path = Filename.temp_file "fv" "spill" in
-  let s =
-    Store.create ~mutable_region_entries:8 ~spill:(path, 16)
-      ~codec:Store.string_codec ()
-  in
-  for i = 0 to 63 do
-    Store.put s (k i) (Printf.sprintf "value-%04d" i) ~aux:0L
-  done;
-  ok_unit "spill_now" (Store.spill_now s);
-  (* all records must still be readable, some from disk *)
-  for i = 0 to 63 do
-    match get_ok s (k i) with
-    | Some (v, _) ->
-        Alcotest.(check string) "spilled value" (Printf.sprintf "value-%04d" i) v
-    | None -> Alcotest.failf "lost key %d" i
-  done;
-  Alcotest.(check bool) "some reads hit the spill file" true
-    ((Store.stats s).spill_reads > 0);
-  Sys.remove path
-
 let test_epoch_protection () =
   let e = Epoch_protection.create ~n_threads:2 in
   let fired = ref [] in
@@ -305,7 +290,6 @@ let suite =
         test_checkpoint_version_64bit;
       Alcotest.test_case "hostile checkpoint lengths" `Quick
         test_recover_hostile_lengths;
-      Alcotest.test_case "spill to disk" `Quick test_spill;
       Alcotest.test_case "epoch protection" `Quick test_epoch_protection;
       QCheck_alcotest.to_alcotest prop_model_check;
       QCheck_alcotest.to_alcotest prop_recover_fuzz;
@@ -348,49 +332,9 @@ let test_domain_safety () =
     (Int64.of_int (3 * per_domain))
     !total
 
-(* Spilled reads share one in_channel. Stripe locks don't serialise gets of
-   *different* keys, so two domains reading two spilled keys race seek_in
-   against really_input_string: without the dedicated spill-channel lock
-   each can be handed the other's bytes. *)
-let test_spill_read_race () =
-  let path = Filename.temp_file "fv" "spillrace" in
-  let s =
-    Store.create ~mutable_region_entries:4 ~spill:(path, 4)
-      ~codec:Store.string_codec ()
-  in
-  let n_keys = 32 in
-  for i = 0 to n_keys - 1 do
-    Store.put s (k i) (Printf.sprintf "spilled-%04d" i) ~aux:0L
-  done;
-  ok_unit "spill_now" (Store.spill_now s);
-  Alcotest.(check bool) "records actually spilled" true
-    ((Store.stats s).spill_reads >= 0 && Store.length s = n_keys);
-  (* hammer disjoint key sets from concurrent domains; every read must
-     return its own key's payload, never a neighbour's bytes *)
-  let mismatches = Atomic.make 0 in
-  let work lo hi () =
-    let rng = Random.State.make [| lo |] in
-    for _ = 1 to 20_000 do
-      let i = lo + Random.State.int rng (hi - lo) in
-      match Store.get s (k i) with
-      | Ok (Some (v, _)) when v = Printf.sprintf "spilled-%04d" i -> ()
-      | Ok _ | Error _ -> Atomic.incr mismatches
-    done
-  in
-  let d1 = Domain.spawn (work 0 (n_keys / 2)) in
-  let d2 = Domain.spawn (work (n_keys / 2) n_keys) in
-  work 0 n_keys ();
-  Domain.join d1;
-  Domain.join d2;
-  Alcotest.(check int) "no torn spilled reads" 0 (Atomic.get mismatches);
-  Alcotest.(check bool) "reads hit the spill file" true
-    ((Store.stats s).spill_reads > 0);
-  Sys.remove path
-
 let suite =
   ( fst suite,
     snd suite
     @ [
         Alcotest.test_case "domain safety" `Slow test_domain_safety;
-        Alcotest.test_case "spill read race" `Quick test_spill_read_race;
       ] )
