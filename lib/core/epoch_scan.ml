@@ -1,0 +1,642 @@
+open Fastver_verifier
+open Fastver_kvstore
+open State
+open Gateway
+open Tiers
+
+(* ------------------------------------------------------------------ *)
+(* Verification scan (§6.3, §8.1)                                      *)
+(* ------------------------------------------------------------------ *)
+
+let verifier_op_count t =
+  Array.fold_left
+    (fun acc sh ->
+      let s = Verifier.stats sh.verifier in
+      acc + s.n_add_m + s.n_evict_m + s.n_add_b + s.n_evict_b + s.n_evict_bm
+      + s.n_vget + s.n_vput)
+    0 t.shards
+
+(* Background slices re-take their shard's tree lock and worker lock per
+   [bg_chunk]-sized chunk of work, releasing them in between so foreground
+   operations interleave: the pause any single operation can observe is
+   bounded by one chunk, not the whole scan. *)
+let bg_chunk = 256
+
+let adaptive_params t =
+  let n = Array.length t.shards in
+  {
+    Adaptive.cache_budget =
+      (if t.config.adaptive_cache_budget > 0 then t.config.adaptive_cache_budget
+       else n * t.config.cache_capacity);
+    depth_min = 2;
+    depth_max = 10;
+    hot_fraction = 0.5;
+    (* The floor must leave room for a full merkle chain plus [ensure_room]'s
+       two slots of headroom, or a shrunken shard would refuse its own slow
+       path. *)
+    min_cache = max 32 (t.config.cache_capacity / 8);
+  }
+
+(* Controller step, inside the seal barrier (world lock held): snapshot this
+   epoch's observations, decide, and install the plan the following scan
+   executes. Applying the verifier-capacity change here is safe even when it
+   shrinks below the resident count: every add goes through [ensure_room]
+   first, which evicts the mirror down to the new capacity's headroom before
+   the verifier sees another record. *)
+let adaptive_step t =
+  if t.config.adaptive then begin
+    let obs =
+      Array.map
+        (fun sh ->
+          {
+            Adaptive.blum_ops = sh.ops_blum_e;
+            merkle_ops = sh.ops_merkle_e;
+            cached_ops = sh.ops_cached_e;
+            frontier_size = List.length sh.frontier;
+            cache_len = Key_lru.length sh.lru;
+            cache_cap = sh.cache_cap;
+            depth = sh.depth;
+            heat = Array.copy sh.heat;
+          })
+        t.shards
+    in
+    let plans = Adaptive.decide (adaptive_params t) obs in
+    Array.iteri
+      (fun i sh ->
+        let p = plans.(i) in
+        sh.plan <- Some p;
+        sh.cache_cap <- p.Adaptive.p_cache_cap;
+        Verifier.set_cache_capacity sh.verifier p.Adaptive.p_cache_cap;
+        sh.depth <- p.Adaptive.p_depth;
+        Adaptive.decay sh.heat;
+        sh.ops_blum_e <- 0;
+        sh.ops_merkle_e <- 0;
+        sh.ops_cached_e <- 0)
+      t.shards;
+    Metrics.adaptive_retune t.metrics
+  end
+
+(* One shard's slice of the verification scan: steps 1–3 (sorted dirty
+   re-apply, frontier migration, quiesced cache sweep). Because routing
+   confines every record — and therefore every buffered log entry — to its
+   own shard, the epoch close and seal also ride the slice
+   ([close_and_seal_shard] below): a shard certifies its partition the
+   moment its own migration finishes, without waiting for the others. Only
+   the store-level multiset fold remains serial.
+
+   Quiesced mode ([background = false]): the coordinator holds every lock
+   and the slices run free. Background mode: the world is live — the slice
+   chunks its way through the sealed snapshot under its shard's tree +
+   worker locks (the same order [merkle_slow] takes, so no deadlock),
+   racing foreground fast-path CASes on the store; migration therefore
+   claims each dirty record by CAS, and a record whose touch already
+   carried it into the live epoch is skipped (the toucher's [add_b]
+   balanced this epoch, and the seal parked the key for the next). *)
+let scan_shard t ~epoch ~background sh dirty =
+  let migrated_data = ref 0 and migrated_frontier = ref 0 in
+  let chunked len f =
+    if not background then begin
+      if len > 0 then Enclave.call t.enclave (fun () -> f 0 len)
+    end
+    else begin
+      let i = ref 0 in
+      while !i < len do
+        let hi = min len (!i + bg_chunk) in
+        with_shard_lock t sh.sid (fun () ->
+            with_worker_lock t sh.sid (fun () ->
+                (* Drain buffered foreground entries before any direct
+                   verifier call: their evict timestamps predate ours, and
+                   the thread clock only moves forward. *)
+                flush_worker t sh;
+                Enclave.call t.enclave (fun () -> f !i hi)));
+        i := hi
+      done
+    end
+  in
+  (* 1. Sorted merkle updates: re-apply every touched data record to the
+     tree in key order, exploiting chain-prefix locality (the snapshot
+     array is sorted in place — no per-node allocation). Duplicates cannot
+     arise today (a dirty key is blum-protected and re-touches take the
+     fast path), but the sorted pass skips adjacent equals so a duplicate
+     could never double-migrate. *)
+  if t.config.sorted_migration then Array.sort Key.compare dirty;
+  let plan = if t.config.adaptive then sh.plan else None in
+  let carry_budget =
+    ref (match plan with Some p -> p.Adaptive.p_hot_budget | None -> 0)
+  in
+  let promoted = ref 0 and demoted = ref 0 in
+  let rec migrate_dirty key =
+    match ok (Store.get t.store key) with
+    | Some (v, aux) when aux_is_blum aux -> (
+        let ts = aux_timestamp aux in
+        if Timestamp.epoch ts > epoch then
+          (* Re-touched across the seal while this scan was in flight: the
+             toucher's [add_b] balanced this epoch's evict and its key is
+             parked for the next seal. Nothing to do here. *)
+          ()
+        else
+          let carry =
+            match plan with
+            | Some p when !carry_budget > 0 ->
+                Adaptive.should_carry p
+                  ~heat:sh.heat.(Adaptive.bucket key)
+                  ~already_hot:(Key.Tbl.mem sh.hot key)
+            | Some _ | None -> false
+          in
+          if carry then begin
+            (* Hot carry: keep the record in the deferred tier across the
+               boundary instead of migrating it back to merkle, so its next
+               touches stay on the fast path. Same balance as a fast-path
+               epoch crossing: the [add_b] at [ts] squares the sealed
+               epoch's evict, the fresh evict lands in the live epoch, and
+               re-entering the dirty list guarantees the next scan balances
+               that one in turn. *)
+            let ts' =
+              Timestamp.max
+                (Timestamp.max sh.clock (Timestamp.next ts))
+                (Timestamp.first_of_epoch (epoch + 1))
+            in
+            if
+              not
+                (Store.try_cas t.store key ~expected_aux:aux v
+                   ~aux:(aux_blum ts'))
+            then migrate_dirty key
+            else begin
+              ensure_room t sh ();
+              ok
+                (Verifier.add_b sh.verifier ~tid:0 ~key ~value:(Value.Data v)
+                   ~timestamp:ts);
+              mirror_add_b sh ts;
+              ok (Verifier.evict_b sh.verifier ~tid:0 ~key ~timestamp:ts');
+              sh.clock <- ts';
+              sh.dirty <- key :: sh.dirty;
+              sh.dirty_len <- sh.dirty_len + 1;
+              decr carry_budget;
+              if not (Key.Tbl.mem sh.hot key) then begin
+                Key.Tbl.replace sh.hot key ();
+                incr promoted
+              end;
+              incr migrated_data
+            end
+          end
+          else if
+            not (Store.try_cas t.store key ~expected_aux:aux v ~aux:aux_merkle)
+          then
+            (* A foreground fast-path CAS slipped in between our read and
+               ours; re-read — it either stayed in the sealed epoch (retry
+               the claim) or crossed into the live one (skip, above). *)
+            migrate_dirty key
+          else begin
+            (* Claimed: the store says merkle, so any racing fast path now
+               fails its CAS and falls through to [merkle_slow], which
+               blocks on the shard's tree lock until this chunk completes. *)
+            let descent = Tree.descend sh.tree key in
+            assert (descent.outcome = Tree.Exists);
+            let parent = ensure_chain t sh descent.path in
+            ensure_room t sh ~protect:parent ();
+            ok
+              (Verifier.add_b sh.verifier ~tid:0 ~key ~value:(Value.Data v)
+                 ~timestamp:ts);
+            mirror_add_b sh ts;
+            let ptr = ok (Verifier.evict_m sh.verifier ~tid:0 ~key ~parent) in
+            apply_ptr sh parent ptr;
+            if Key.Tbl.mem sh.hot key then begin
+              Key.Tbl.remove sh.hot key;
+              incr demoted
+            end;
+            incr migrated_data
+          end)
+    | Some _ | None ->
+        raise (Integrity_violation "dirty record not in blum state")
+  in
+  chunked (Array.length dirty) (fun lo hi ->
+      for i = lo to hi - 1 do
+        let key = dirty.(i) in
+        if not (i > 0 && Key.equal key dirty.(i - 1)) then migrate_dirty key
+      done);
+  (* 1b. Frontier retune (adaptive): diff the current cut against the
+     depth-[p_depth] cut of today's tree and migrate membership toward it.
+     Promotions run the trusted-load procedure (chain in, [evict_bm] into
+     the live epoch); demotions reverse it ([add_b] squaring the sealed
+     epoch, [evict_m] back to a plain merkle pointer — which also clears
+     the parent's in-blum mark). A member that is currently cached, or
+     whose timestamp already crossed into the live epoch, is skipped and
+     retried at the next seal; convergence over a few epochs is the point,
+     not a liability — it bounds per-scan work and doubles as hysteresis. *)
+  (match plan with
+  | Some p ->
+      let demote = ref [||] and promote = ref [||] in
+      chunked 1 (fun _ _ ->
+          let cut = Tree.frontier sh.tree ~levels:p.Adaptive.p_depth in
+          let in_cut = Key.Tbl.create 64 in
+          List.iter (fun k -> Key.Tbl.replace in_cut k ()) cut;
+          demote :=
+            Array.of_list
+              (List.filter (fun f -> not (Key.Tbl.mem in_cut f)) sh.frontier);
+          promote :=
+            Array.of_list
+              (List.filter
+                 (fun k ->
+                   (not (Key.equal k Key.root))
+                   && (Tree.get_exn sh.tree k).aux.owner < 0)
+                 cut));
+      chunked (Array.length !demote) (fun lo hi ->
+          for i = lo to hi - 1 do
+            let f = !demote.(i) in
+            let entry = Tree.get_exn sh.tree f in
+            match entry.aux.mstate with
+            | M_blum ts
+              when Timestamp.epoch ts <= epoch && not (Key_lru.mem sh.lru f)
+              ->
+                let descent = Tree.descend sh.tree f in
+                assert (descent.outcome = Tree.Exists);
+                let parent = ensure_chain t sh descent.path in
+                ensure_room t sh ~protect:parent ();
+                ok
+                  (Verifier.add_b sh.verifier ~tid:0 ~key:f
+                     ~value:entry.value ~timestamp:ts);
+                mirror_add_b sh ts;
+                let ptr =
+                  ok (Verifier.evict_m sh.verifier ~tid:0 ~key:f ~parent)
+                in
+                apply_ptr sh parent ptr;
+                entry.aux.mstate <- M_merkle;
+                entry.aux.owner <- -1;
+                sh.frontier <-
+                  List.filter (fun k -> not (Key.equal k f)) sh.frontier;
+                incr migrated_frontier
+            | M_blum _ | M_cached _ -> ()
+            | M_merkle -> assert false
+          done);
+      chunked (Array.length !promote) (fun lo hi ->
+          for i = lo to hi - 1 do
+            let g = !promote.(i) in
+            let entry = Tree.get_exn sh.tree g in
+            match entry.aux.mstate with
+            | M_merkle ->
+                let descent = Tree.descend sh.tree g in
+                assert (descent.outcome = Tree.Exists);
+                let parent = ensure_chain t sh descent.path in
+                ensure_room t sh ~protect:parent ();
+                let installed =
+                  ok
+                    (Verifier.add_m sh.verifier ~tid:0 ~key:g
+                       ~value:entry.value ~parent)
+                in
+                assert (installed = None);
+                let ts' =
+                  Timestamp.max sh.clock
+                    (Timestamp.first_of_epoch (epoch + 1))
+                in
+                ok
+                  (Verifier.evict_bm sh.verifier ~tid:0 ~key:g ~timestamp:ts'
+                     ~parent);
+                sh.clock <- ts';
+                mark_in_blum sh parent g;
+                entry.aux.mstate <- M_blum ts';
+                entry.aux.owner <- sh.sid;
+                sh.frontier <- g :: sh.frontier;
+                incr migrated_frontier
+            | M_blum _ | M_cached _ ->
+                (* Resident on some chain right now (or already carried into
+                   the live epoch); retried at the next seal. *)
+                ()
+          done)
+  | None -> ());
+  Metrics.adaptive_promotions t.metrics !promoted;
+  Metrics.adaptive_demotions t.metrics !demoted;
+  (* 2. Migrate this shard's frontier merkle records that were not touched
+     (still in the deferred tier) to the next epoch. *)
+  let frontier = Array.of_list sh.frontier in
+  chunked (Array.length frontier) (fun lo hi ->
+      for i = lo to hi - 1 do
+        let f = frontier.(i) in
+        let entry = Tree.get_exn sh.tree f in
+        match entry.aux.mstate with
+        | M_blum ts when Timestamp.epoch ts <= epoch ->
+            ensure_room t sh ();
+            ok
+              (Verifier.add_b sh.verifier ~tid:0 ~key:f ~value:entry.value
+                 ~timestamp:ts);
+            mirror_add_b sh ts;
+            let ts' =
+              Timestamp.max sh.clock (Timestamp.first_of_epoch (epoch + 1))
+            in
+            ok (Verifier.evict_b sh.verifier ~tid:0 ~key:f ~timestamp:ts');
+            sh.clock <- ts';
+            entry.aux.mstate <- M_blum ts';
+            incr migrated_frontier
+        | M_blum _ ->
+            (* Already carried into the live epoch by a mid-scan cache
+               eviction; the next scan migrates it. *)
+            ()
+        | M_cached sid ->
+            (* Cached this epoch: the quiesced sweep below — or, in
+               background mode, a later capacity eviction at the live-epoch
+               floor — moves it into a later epoch. Only ever cached by its
+               own shard (routing is forced by key). *)
+            assert (sid = sh.sid)
+        | M_merkle -> assert false
+      done);
+  (* 3. Quiesced only: evict every remaining cached merkle record, children
+     first, so the epoch leaves the caches empty. Background scans leave
+     the working set resident — a record cached in epoch [e] contributes
+     nothing further to [e] (its add already balanced the evict that made
+     it cached), and its own eventual eviction lands at the live-epoch
+     floor, balanced by that epoch's scan. *)
+  if not background then
+    Enclave.call t.enclave (fun () ->
+        while Key_lru.length sh.lru > 0 do
+          match Key_lru.victim sh.lru with
+          | Some e -> evict_mirror t sh e ~epoch_floor:(epoch + 1)
+          | None ->
+              raise (Integrity_violation "cycle in cached merkle records")
+        done);
+  (!migrated_data, !migrated_frontier)
+
+(* 4a. Per-shard epoch close + seal, at the tail of each shard's own slice
+   (routing confines a shard's log entries to its own partition, so a
+   shard may certify the moment its migration finishes — this is what
+   moves the former serial close/detach loop into the parallel phase). In
+   background mode the shard's worker lock is held just long enough to
+   flush its buffer, close the epoch, detach its set hashes and seal;
+   afterwards the store-level aggregation reads only the returned fold,
+   never thread state that foreground traffic keeps mutating. *)
+let close_and_seal_shard t ~epoch ~background sh =
+  let work () =
+    flush_worker t sh;
+    let fold =
+      Enclave.call t.enclave (fun () ->
+          ok (Verifier.close_epoch sh.verifier ~tid:0 ~epoch);
+          let detached =
+            [| ok (Verifier.detach_epoch sh.verifier ~tid:0 ~epoch) |]
+          in
+          let _shard_cert, fold =
+            ok
+              (Verifier.seal_epoch_shard sh.verifier ~shard:sh.sid ~epoch
+                 ~detached)
+          in
+          fold)
+    in
+    sh.clock <- Timestamp.max sh.clock (Timestamp.first_of_epoch (epoch + 1));
+    fold
+  in
+  if background then with_worker_lock t sh.sid work else work ()
+
+(* The verification scan (§6.3, §8.1). Quiesced mode: stop-the-world — the
+   coordinator owns every shard for the whole scan (lock order: tree locks
+   ascending, then worker locks ascending — the same order [merkle_slow]
+   uses, so scans and operations cannot deadlock), and the per-shard
+   slices fan out to real domains (§8.5). Background mode
+   ([config.background_verify]): the world stops only for the {e seal
+   barrier} — flush every log buffer, snapshot every dirty set, route the
+   parked epoch-crossing keys, bump the live epoch — after which
+   foreground gets/puts resume immediately against epoch [e+1] while the
+   slices migrate epoch [e] underneath them.
+
+   Each slice ends by closing and sealing its own shard's epoch
+   ([close_and_seal_shard]); the serial tail is only the store-level
+   multiset fold over the per-shard values plus one HMAC. The fold is
+   order-independent, so the aggregated certificate is bit-identical
+   whether one shard or N produced it — and identical to the certificate a
+   single unsharded verifier would sign.
+
+   The caller must hold [verify_mutex]. Returns [(epoch, certificate)]. *)
+let verify_inner t =
+  let background = t.config.background_verify in
+  let t0 = now () in
+  let charged0 = Enclave.charged_ns t.enclave in
+  let vops0 = verifier_op_count t in
+  let touched0 = t.acc.migrated_data + t.acc.migrated_frontier in
+  Atomic.set t.verify_inflight true;
+  Metrics.verify_in_flight t.metrics 1;
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set t.verify_inflight false;
+      Metrics.verify_in_flight t.metrics 0)
+  @@ fun () ->
+  (* ---- Seal barrier: O(shards) under the world lock. ---- *)
+  lock_world t;
+  let seal () =
+    let epoch = Verifier.current_epoch t.shards.(0).verifier in
+    Array.iter (flush_worker t) t.shards;
+    let dirty_lists =
+      Array.map
+        (fun sh ->
+          let d = sh.dirty in
+          sh.dirty <- [];
+          sh.dirty_len <- 0;
+          d)
+        t.shards
+    in
+    (* Keys whose fast-path touch crossed the previous boundary belong to
+       this epoch's dirty sets; route each to its shard's snapshot. *)
+    List.iter
+      (fun k ->
+        let sid = shard_of_data_key t k in
+        dirty_lists.(sid) <- k :: dirty_lists.(sid))
+      (with_redeferred_lock t (fun () ->
+           let r = t.redeferred in
+           t.redeferred <- [];
+           r));
+    (* Adaptive controller: decide and install the next epoch's plan from
+       this epoch's observations, atomically with the boundary — the scan
+       below executes it. *)
+    adaptive_step t;
+    (* From here on, operations fold into the next epoch. *)
+    Atomic.set t.live_epoch (epoch + 1);
+    Atomic.set t.ops_since_verify 0;
+    (epoch, Array.map Array.of_list dirty_lists)
+  in
+  let epoch, dirty =
+    match seal () with
+    | sealed -> sealed
+    | exception e ->
+        unlock_world t;
+        raise e
+  in
+  if background then begin
+    unlock_world t;
+    Metrics.verify_pause t.metrics ~seconds:(now () -. t0)
+  end;
+  let run_scan () =
+    let n = Array.length t.shards in
+    let results = Array.make n (0, 0) in
+    let folds = Array.make n ("", "") in
+    let failures = Array.make n None in
+    let slice sid () =
+      let sh = t.shards.(sid) in
+      let tw = now () in
+      (match
+         let r = scan_shard t ~epoch ~background sh dirty.(sid) in
+         let fold = close_and_seal_shard t ~epoch ~background sh in
+         (r, fold)
+       with
+      | r, fold ->
+          results.(sid) <- r;
+          folds.(sid) <- fold
+      | exception e -> failures.(sid) <- Some e);
+      let dt = now () -. tw in
+      t.acc.worker_busy_s.(sid) <- t.acc.worker_busy_s.(sid) +. dt;
+      Metrics.verify_shard t.metrics ~sid ~seconds:dt
+    in
+    (* Dispatch the slices over at most [recommended_domain_count]
+       domains: spawning one domain per shard on a machine with fewer
+       cores makes the domains time-share, which both adds scheduler
+       overhead and corrupts the per-slice wall-clock accounting (each
+       slice's elapsed time would absorb the others' work). Each lane
+       drains a strided subset of shards sequentially; lane 0 runs on
+       the coordinator domain. Failures are collected per shard and
+       re-raised only after every domain has joined, so a tampering
+       detection on one partition never leaves another domain running
+       unsupervised. *)
+    let lanes = min n (Domain.recommended_domain_count ()) in
+    let lane l () =
+      let sid = ref l in
+      while !sid < n do
+        slice !sid ();
+        sid := !sid + lanes
+      done
+    in
+    (if lanes = 1 then lane 0 ()
+     else begin
+       let domains =
+         Array.init (lanes - 1) (fun i -> Domain.spawn (lane (i + 1)))
+       in
+       lane 0 ();
+       Array.iter Domain.join domains
+     end);
+    Array.iter (function Some e -> raise e | None -> ()) failures;
+    Array.iter
+      (fun (d, f) ->
+        t.acc.migrated_data <- t.acc.migrated_data + d;
+        t.acc.migrated_frontier <- t.acc.migrated_frontier + f)
+      results;
+    (* 4b. Serial tail: fold every shard's detached set-hash values into
+       the store-level accumulators and sign the epoch certificate. The
+       per-shard balance checks already ran inside the slices; this is
+       O(shards) multiset merges plus one HMAC — the only inherently
+       serial work left in a scan. *)
+    let ts = now () in
+    let cert =
+      Enclave.call t.enclave (fun () ->
+          match
+            Verifier.aggregate_epoch_certificate
+              ~mset_secret:t.config.mset_secret
+              ~mac_secret:t.config.mac_secret ~epoch
+              ~folds:(Array.to_list folds)
+          with
+          | Ok c -> c
+          | Error e -> raise (Integrity_violation e))
+    in
+    t.acc.serial_s <- t.acc.serial_s +. (now () -. ts);
+    cert
+  in
+  let cert =
+    if background then run_scan ()
+    else
+      Fun.protect ~finally:(fun () -> unlock_world t) run_scan
+  in
+  (* Epoch-boundary record for replication followers: emitted after the
+     scan proved the epoch balanced, in epoch order ([verify_mutex]
+     serializes scans). Every op teed with this epoch tag preceded the
+     seal barrier above, so followers hold the full epoch when this
+     record reaches them. *)
+  repl_seal t ~epoch ~cert;
+  if not background then
+    Metrics.verify_pause t.metrics ~seconds:(now () -. t0);
+  (* Account the enclave crossings this scan would have cost: its verifier
+     calls stream through log buffers in a real deployment. *)
+  let vops = verifier_op_count t - vops0 in
+  Enclave.charge_transitions t.enclave (vops / t.config.log_buffer_size);
+  let elapsed =
+    now () -. t0
+    +. Int64.to_float (Int64.sub (Enclave.charged_ns t.enclave) charged0)
+       /. 1e9
+  in
+  t.acc.last_verify_latency_s <- elapsed;
+  t.acc.verify_time_s <- t.acc.verify_time_s +. elapsed;
+  t.acc.verifier_time_s <- t.acc.verifier_time_s +. (now () -. t0);
+  Metrics.verify_scan t.metrics ~seconds:elapsed
+    ~touched:(t.acc.migrated_data + t.acc.migrated_frontier - touched0);
+  (epoch, cert)
+
+(* Join the background scan domain, if one is outstanding. The handoff
+   goes through [bg_lock] so a joiner racing a dispatcher can never leave
+   a domain unjoined. *)
+let join_bg t =
+  match with_bg_lock t (fun () -> Atomic.exchange t.bg_join None) with
+  | Some d -> Domain.join d
+  | None -> ()
+
+(* Cold-tier maintenance rides the verification cadence: right after a scan
+   every record's aux is freshly installed, so demotion moves settled
+   versions, and the records just migrated to merkle are exactly the cooling
+   ones. Runs outside [verify_mutex] (demotion flips bodies under stripe
+   locks, safe against live traffic) but under [cold_lock] so two scans
+   finishing close together don't compact concurrently. Maintenance errors
+   are soft — the tier degrades to serving what it has and the next cycle
+   retries — but injected crash faults propagate (the crash tests need the
+   exception to escape). *)
+let cold_maintain t =
+  match t.cold with
+  | None -> ()
+  | Some _ ->
+      with_cold_lock t (fun () ->
+          (match Store.demote_now t.store ~budget:t.config.cold_threshold with
+          | Ok _ -> ()
+          | Error e -> Logs.warn (fun m -> m "cold demotion: %s" e));
+          match
+            Store.compact_cold t.store
+              ~min_dead_ratio:t.config.cold_gc_ratio
+          with
+          | Ok _ -> ()
+          | Error e -> Logs.warn (fun m -> m "cold compaction: %s" e))
+
+let verify_pair t =
+  join_bg t;
+  let pair = with_lock t.verify_mutex (fun () -> verify_inner t) in
+  cold_maintain t;
+  (* post-verification hooks (auto-checkpoint) run outside the locks: they
+     re-enter the public API *)
+  (match t.on_verified with Some hook -> hook () | None -> ());
+  pair
+
+let verify t = snd (verify_pair t)
+
+let verify_async t ~on_complete =
+  (* Raise the latch before the domain exists, so [maybe_verify] callers
+     stop dispatching the moment a scan is queued, not once it starts. *)
+  Atomic.set t.verify_inflight true;
+  with_bg_lock t (fun () ->
+      let prev = Atomic.exchange t.bg_join None in
+      let d =
+        Domain.spawn (fun () ->
+            (* Chain behind any previous background scan; its result went
+               to its own completion callback. *)
+            (match prev with Some p -> Domain.join p | None -> ());
+            match with_lock t.verify_mutex (fun () -> verify_inner t) with
+            | pair ->
+                cold_maintain t;
+                (match t.on_verified with Some hook -> hook () | None -> ());
+                on_complete (Ok pair)
+            | exception e -> on_complete (Error e))
+      in
+      Atomic.set t.bg_join (Some d))
+
+let wait_verify t = join_bg t
+
+let maybe_verify t =
+  if
+    Atomic.fetch_and_add t.ops_since_verify 1 + 1 >= t.config.batch_size
+    && t.config.batch_size > 0
+  then
+    if t.config.background_verify then begin
+      (* Fire-and-forget, at most one in flight: the scan runs on its own
+         domain while this operation returns. A failed scan needs no
+         handling here — an integrity violation poisons the verifier, so
+         it resurfaces on the very next operation. *)
+      if Atomic.compare_and_set t.verify_inflight false true then
+        verify_async t ~on_complete:(fun _ -> ())
+    end
+    else ignore (verify t)
