@@ -1,15 +1,12 @@
 #!/bin/sh
 # Full pre-merge check: build every target (library, CLI, bench harness,
-# examples), then run the test suite. Any failure stops the script.
+# examples, perfbench) with one `dune build @all`, then run the test suite.
+# Any failure stops the script.
 set -eu
 cd "$(dirname "$0")/.."
 
 echo "== dune build @all"
 dune build @all
-
-echo "== dune build bench + examples + cli"
-dune build bench/main.exe bin/fastver_cli.exe @examples/all 2>/dev/null \
-  || dune build bench/main.exe bin/fastver_cli.exe examples
 
 echo "== dune runtest"
 # pin the property-test seed for reproducibility; override by exporting
