@@ -60,8 +60,8 @@ type t = {
       (** Run the online controller ({!Adaptive}) at every epoch seal:
           promote hot deferred keys to stay on the blum fast path, retune
           per-shard frontier depth between 2 and 10 Patricia levels, and
-          redistribute verifier-cache capacity
-          across shards within [adaptive_cache_budget]. All movement rides
+          redistribute verifier-cache capacity across shards within
+          [adaptive_cache_budget]. All movement rides
           the sealed-epoch machinery, so certificates stay bit-identical to
           a static run with the same tier assignment. *)
   adaptive_cache_budget : int;

@@ -387,8 +387,9 @@ val stats : t -> stats
     synchronisation. *)
 
 val registry : t -> Fastver_obs.Registry.t
-(** The system's metric registry ({!Fastver_obs}). Always present; hot-path
-    recording honours [Config.metrics_enabled]. Core metrics:
+(** The system's metric registry ({!Fastver_obs}). Always present; the
+    histograms honour [Config.metrics_enabled], and the counters that
+    {!stats} reads always count. Core metrics:
 
     - [fastver_ops_total{tier="blum"|"merkle"|"cached"}] — validated
       elementary ops by the tier that served them; the three sum to the

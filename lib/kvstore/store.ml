@@ -107,10 +107,11 @@ let decode_value t raw =
 
 (* Misconfiguration (a cold record with no cold tier) is a total
    [Error _], not an exception: the server answers the one request with a
-   failure instead of dying mid-request. A cold read that raced compaction (the segment was rewritten and retired
-   between fetching the reference and reading it) reports [`Stale]; the
-   rewrite installed a fresh reference first, so re-reading the slot body
-   succeeds. Bounded retries: anything persistent is a real error. *)
+   failure instead of dying mid-request. A cold read that raced compaction
+   (the segment was rewritten and retired between fetching the reference
+   and reading it) reports [`Stale]; the rewrite installed a fresh
+   reference first, so re-reading the slot body succeeds. Bounded retries:
+   anything persistent is a real error. *)
 let rec current ?(retries = 3) t key =
   match Key.Tbl.find_opt t.index key with
   | None -> Ok None

@@ -97,12 +97,10 @@ type conn = {
 }
 
 (* One executor batch: data operations for a single owning worker, run
-   through [Fastver.Batch.submit] off the I/O domain. Executors never see a
-   [conn] or an fd — they only fill the reply slots. *)
-type job = {
-  j_ops : (int64 * Fastver.Batch.op * Wire.response option Atomic.t) array;
-      (* (wire nonce, op, reply slot) *)
-}
+   through [Fastver.Batch.submit] off the I/O domain, as (wire nonce, op,
+   reply slot) triples. Executors never see a [conn] or an fd — they only
+   fill the reply slots. *)
+type job = (int64 * Fastver.Batch.op * Wire.response option Atomic.t) array
 
 (* Executor pool (active when the system has more than one shard): one
    domain per verifier shard, fed over a bounded queue each. Routing jobs
@@ -442,7 +440,7 @@ let nonce_of = function
    arrival order), so the submit skips re-admission. Called from executor
    domains and, in single-worker mode, inline on the I/O domain. *)
 let run_job t (job : job) =
-  let ops = Array.map (fun (_, op, _) -> op) job.j_ops in
+  let ops = Array.map (fun (_, op, _) -> op) job in
   let replies =
     try Fastver.Batch.submit ~pre_admitted:true t.sys ops
     with exn ->
@@ -458,7 +456,7 @@ let run_job t (job : job) =
           Fastver_obs.Counter.incr t.metrics.m_op_failures
       | _ -> ());
       Atomic.set slot (Some (response_of_reply nonce replies.(i))))
-    job.j_ops
+    job
 
 (* One-byte wake-up write into a select-loop pipe. EAGAIN/EWOULDBLOCK are
    success: a full pipe already guarantees a pending wake-up. EPIPE/EBADF
@@ -514,7 +512,7 @@ let dispatch t p ~owner job =
       (fun (_, _, slot) ->
         Fastver_obs.Counter.incr t.metrics.m_op_failures;
         Atomic.set slot (Some (Wire.Error "shutdown: server stopping")))
-      job.j_ops;
+      job;
     Mutex.lock p.idle_lock;
     ignore (Atomic.fetch_and_add p.in_flight (-1));
     if Atomic.get p.in_flight = 0 then Condition.broadcast p.idle_cond;
@@ -555,7 +553,7 @@ let drain t =
             | [] -> ()
             | entries ->
                 groups.(owner) <- [];
-                let job = { j_ops = Array.of_list (List.rev entries) } in
+                let job = Array.of_list (List.rev entries) in
                 match t.pool with
                 | None -> run_job t job
                 | Some p -> dispatch t p ~owner job)
@@ -590,7 +588,7 @@ let drain t =
                          against a quiescent pool so it observes every
                          earlier put. *)
                       quiesce ();
-                      run_job t { j_ops = [| entry |] }
+                      run_job t [| entry |]
                   | None, _ ->
                       groups.(0) <- entry :: groups.(0);
                       any := true))

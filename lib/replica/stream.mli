@@ -3,9 +3,10 @@
     Epoch certificates authenticate epoch numbers, not op payloads; the
     stream adds a per-epoch running digest over every op a
     {!Wire.response.Repl_batch} carries, and the boundary record carries an
-    HMAC over (epoch, term, digest) under the shared secret. Primary and follower fold identically; a single
-    flipped bit in any streamed op (or a dropped/injected/reordered op)
-    changes the follower's digest and the boundary MAC no longer checks. *)
+    HMAC over (epoch, term, digest) under the shared secret. Primary and
+    follower fold identically; a single flipped bit in any streamed op (or
+    a dropped/injected/reordered op) changes the follower's digest and the
+    boundary MAC no longer checks. *)
 
 val empty_digest : string
 (** The fold's starting value (32 zero bytes). *)
