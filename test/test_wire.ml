@@ -317,6 +317,19 @@ let prop_other_versions_rejected =
       && Result.is_error
            (Wire.decode_response (restamp (Wire.encode_response ~id:1L resp))))
 
+(* A version-1 Subscribe carrying a trailing term field is refused, not
+   read as a version-2 frame with the term smuggled through. *)
+let prop_v1_subscribe_trailing_term =
+  QCheck.Test.make ~name:"v1 Subscribe with smuggled term field errors"
+    ~count:300
+    QCheck.(pair (int_bound 1_000_000) (int_bound 1_000_000))
+    (fun (from_epoch, term) ->
+      let frame =
+        Printf.sprintf "FV\x01\x09%s%s%s" (le64 1L) (le32 from_epoch)
+          (le32 term)
+      in
+      Result.is_error (Wire.decode_request frame))
+
 (* A Subscribe without its term field is short, not ambiguous. *)
 let test_v2_requires_term () =
   let frame = Printf.sprintf "FV\x02\x09%s%s" (le64 4L) (le32 17) in
@@ -370,6 +383,7 @@ let suite =
         test_v2_requires_term;
       Alcotest.test_case "term-info flag strict" `Quick test_term_info_bad_flag;
       QCheck_alcotest.to_alcotest prop_other_versions_rejected;
+      QCheck_alcotest.to_alcotest prop_v1_subscribe_trailing_term;
       QCheck_alcotest.to_alcotest prop_hostile_election_fields;
       QCheck_alcotest.to_alcotest prop_request_roundtrip;
       QCheck_alcotest.to_alcotest prop_response_roundtrip;
