@@ -2,12 +2,10 @@ type reader = {
   mutable buf : Bytes.t;
   mutable pos : int; (* first unconsumed byte *)
   mutable len : int; (* end of buffered data; data is buf[pos..len) *)
-  max_frame : int;
   mutable broken : string option; (* sticky decode failure *)
 }
 
-let create ?(max_frame = Wire.max_frame) () =
-  { buf = Bytes.create 4096; pos = 0; len = 0; max_frame; broken = None }
+let create () = { buf = Bytes.create 4096; pos = 0; len = 0; broken = None }
 
 let buffered r = r.len - r.pos
 
@@ -50,7 +48,7 @@ let next r =
           r.broken <- Some "frame shorter than header";
           Error "frame shorter than header"
         end
-        else if flen > r.max_frame then begin
+        else if flen > Wire.max_frame then begin
           r.broken <- Some "frame exceeds size limit";
           Error "frame exceeds size limit"
         end

@@ -9,7 +9,7 @@
 
 type reader
 
-val create : ?max_frame:int -> unit -> reader
+val create : unit -> reader
 
 val feed : reader -> Bytes.t -> int -> int -> unit
 (** [feed r buf off len] appends [len] bytes of [buf] starting at [off]. *)
@@ -20,6 +20,3 @@ val next : reader -> (string option, string) result
 (** The next complete frame payload, [Ok None] if more bytes are needed, or
     [Error _] if the stream is unrecoverably malformed (the connection
     should be dropped). *)
-
-val buffered : reader -> int
-(** Bytes currently buffered (diagnostics, backpressure accounting). *)

@@ -4,25 +4,21 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type config = {
   batch_limit : int;
-  queue_limit : int;
-  conn_out_limit : int;
-  max_frame : int;
-  max_scan_len : int;
   read_only : bool;
       (* replication follower mode: refuse puts, and answer [Verify] from
          the already-verified epoch instead of running a scan (a follower's
          epochs are sealed by the primary's stream, never locally) *)
 }
 
-let default_config =
-  {
-    batch_limit = 256;
-    queue_limit = 1024;
-    conn_out_limit = 4 * 1024 * 1024;
-    max_frame = Wire.max_frame;
-    max_scan_len = 65536;
-    read_only = false;
-  }
+let default_config = { batch_limit = 256; read_only = false }
+
+(* Backpressure: a connection stops being read while the pending-request
+   queue holds [queue_limit] requests or its own unsent replies reach
+   [conn_out_limit] bytes; TCP flow control then pushes back on the
+   client. *)
+let queue_limit = 1024
+let conn_out_limit = 4 * 1024 * 1024
+let max_scan_len = 65536
 
 type counters = {
   accepted : int;
@@ -42,7 +38,6 @@ type metrics = {
   m_batches : Fastver_obs.Counter.t;
   m_proto_errors : Fastver_obs.Counter.t;
   m_op_failures : Fastver_obs.Counter.t;
-  m_lost_wakeups : Fastver_obs.Counter.t;
   m_batch_requests : Fastver_obs.Histogram.t;
   m_request_seconds : Fastver_obs.Histogram.t;
 }
@@ -65,12 +60,6 @@ let make_metrics sys =
     m_op_failures =
       Reg.counter reg ~help:"Operations answered with an error"
         "fastver_net_op_failures_total";
-    m_lost_wakeups =
-      Reg.counter reg
-        ~help:
-          "Select-loop wake-up writes that failed for a reason other than \
-           a full pipe or an orderly shutdown"
-        "fastver_net_lost_wakeups_total";
     m_batch_requests =
       Reg.histogram reg ~help:"Requests per worker-loop drain"
         "fastver_net_batch_requests";
@@ -80,21 +69,18 @@ let make_metrics sys =
         "fastver_request_seconds";
   }
 
-type conn = {
-  fd : Unix.file_descr;
-  reader : Frame.reader;
-  outq : string Queue.t;
+(* Per-connection serving state; the transport half lives in the
+   reactor's connection. *)
+type peer = {
   slots : (int64 * float * Wire.response option Atomic.t) Queue.t;
       (* (id, arrival, reply slot) in request order: responses — filled by
          executor domains or inline — are emitted strictly from the head,
          so per-connection reply order survives parallel execution *)
   enc : Buffer.t; (* reused encode buffer (one frame string per response) *)
-  mutable out_off : int; (* written prefix of the head of [outq] *)
-  mutable out_bytes : int; (* total queued output *)
   mutable client : int option;
-  mutable closing : bool; (* close once output drains *)
-  mutable dead : bool; (* close now, discard output *)
 }
+
+type conn = peer Reactor.conn
 
 (* One executor batch: data operations for a single owning worker, run
    through [Fastver.Batch.submit] off the I/O domain, as (wire nonce, op,
@@ -116,8 +102,6 @@ type pool = {
   in_flight : int Atomic.t; (* jobs pushed but not yet completed *)
   idle_lock : Mutex.t;
   idle_cond : Condition.t; (* signalled when [in_flight] drops to 0 *)
-  wake_r : Unix.file_descr; (* executor completion -> select wake-up *)
-  wake_w : Unix.file_descr;
 }
 
 type t = {
@@ -126,117 +110,53 @@ type t = {
   read_only : bool Atomic.t;
       (* starts as cfg.read_only; election promotion flips it off on a live
          follower (and demotion flips it back) without restarting the loop *)
-  listener : Unix.file_descr;
-  addr : Addr.t;
+  reactor : peer Reactor.t;
+      (* executor and background-verification completions wake it: the
+         next pass emits every connection's filled reply slots *)
   pending : (conn * int64 * Wire.request * float) Queue.t;
       (* (conn, id, request, arrival time) — the timestamp feeds the
          end-to-end latency histogram when the response is enqueued *)
-  mutable conns : conn list;
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
-  vwake_r : Unix.file_descr;
-      (* background-verification completion -> select wake-up: the
-         [Fastver.verify_async] callback runs on the scan domain, where
-         filling a reply slot alone would leave the response sitting until
-         unrelated traffic re-entered the event loop *)
-  vwake_w : Unix.file_descr;
-  stopping : bool Atomic.t;
   mutable domain : unit Domain.t option;
   metrics : metrics;
   clients_in_use : (int, conn) Hashtbl.t;
-  scratch : Bytes.t;
   pool : pool option;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Lifecycle                                                           *)
-(* ------------------------------------------------------------------ *)
-
 let create ?(config = default_config) sys ~listen =
-  (* A client that disconnects with a server write still pending would
-     otherwise deliver a fatal SIGPIPE to the whole process. Ignore it so
-     the failure surfaces as EPIPE, which the per-connection write path
-     turns into [conn.dead]. *)
-  if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  match Addr.to_sockaddr listen with
+  match Reactor.listen (Fastver.registry sys) listen with
   | Error e -> Error e
-  | Ok sockaddr -> (
-      let fd = Unix.socket (Addr.domain listen) Unix.SOCK_STREAM 0 in
-      match
-        (match listen with
-        | Addr.Unix_sock path ->
-            if Sys.file_exists path then Unix.unlink path
-        | Addr.Tcp _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true);
-        Unix.bind fd sockaddr;
-        Unix.listen fd 128;
-        Unix.set_nonblock fd
-      with
-      | () ->
-          let addr =
-            (* read the effective address back (supports tcp port 0) *)
-            match (listen, Unix.getsockname fd) with
-            | Addr.Tcp (host, _), Unix.ADDR_INET (_, port) ->
-                Addr.Tcp (host, port)
-            | a, _ -> a
-          in
-          let stop_r, stop_w = Unix.pipe ~cloexec:true () in
-          Unix.set_nonblock stop_r;
-          let vwake_r, vwake_w = Unix.pipe ~cloexec:true () in
-          Unix.set_nonblock vwake_r;
-          Unix.set_nonblock vwake_w;
-          let pool =
-            (* One executor per verifier shard: batches are grouped by
-               {!Fastver.owner_of_key}, which names shards, so the queue
-               array must cover every shard id even when shards exceed
-               workers. *)
-            let n = Fastver.n_shards sys in
-            if n <= 1 then None
-            else begin
-              let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-              Unix.set_nonblock wake_r;
-              Unix.set_nonblock wake_w;
-              Some
-                {
-                  n_execs = n;
-                  queues =
-                    Array.init n (fun _ -> Fastver.Bounded_queue.create 8);
-                  execs = [||];
-                  in_flight = Atomic.make 0;
-                  idle_lock = Mutex.create ();
-                  idle_cond = Condition.create ();
-                  wake_r;
-                  wake_w;
-                }
-            end
-          in
-          Ok
+  | Ok reactor ->
+      let pool =
+        (* One executor per verifier shard: batches are grouped by
+           {!Fastver.owner_of_key}, which names shards, so the queue array
+           must cover every shard id even when shards exceed workers. *)
+        let n = Fastver.n_shards sys in
+        if n <= 1 then None
+        else
+          Some
             {
-              sys;
-              cfg = config;
-              read_only = Atomic.make config.read_only;
-              listener = fd;
-              addr;
-              pending = Queue.create ();
-              conns = [];
-              stop_r;
-              stop_w;
-              vwake_r;
-              vwake_w;
-              stopping = Atomic.make false;
-              domain = None;
-              metrics = make_metrics sys;
-              clients_in_use = Hashtbl.create 16;
-              scratch = Bytes.create 65536;
-              pool;
+              n_execs = n;
+              queues = Array.init n (fun _ -> Fastver.Bounded_queue.create 8);
+              execs = [||];
+              in_flight = Atomic.make 0;
+              idle_lock = Mutex.create ();
+              idle_cond = Condition.create ();
             }
-      | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error
-            (Printf.sprintf "cannot listen on %s: %s" (Addr.to_string listen)
-               (Unix.error_message e)))
+      in
+      Ok
+        {
+          sys;
+          cfg = config;
+          read_only = Atomic.make config.read_only;
+          reactor;
+          pending = Queue.create ();
+          domain = None;
+          metrics = make_metrics sys;
+          clients_in_use = Hashtbl.create 16;
+          pool;
+        }
 
-let bound_addr t = t.addr
-let read_only t = Atomic.get t.read_only
+let bound_addr t = Reactor.addr t.reactor
 let set_read_only t v = Atomic.set t.read_only v
 
 let counters t =
@@ -251,25 +171,20 @@ let counters t =
     op_failures = C.get t.metrics.m_op_failures;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Output                                                              *)
-(* ------------------------------------------------------------------ *)
-
 (* Emit the filled prefix of the reply-slot queue. Slots behind an
    operation still running on an executor stay queued, so responses leave
    in request order even when later operations finished first. *)
 let emit_ready t conn =
-  if not conn.dead then begin
+  if not (Reactor.is_dead conn) then begin
+    let p = Reactor.data conn in
     let continue = ref true in
-    while !continue && not (Queue.is_empty conn.slots) do
-      let _, _, slot = Queue.peek conn.slots in
+    while !continue && not (Queue.is_empty p.slots) do
+      let _, _, slot = Queue.peek p.slots in
       match Atomic.get slot with
       | None -> continue := false
       | Some resp ->
-          let id, arrived, _ = Queue.pop conn.slots in
-          let s = Wire.encode_response_into conn.enc ~id resp in
-          Queue.push s conn.outq;
-          conn.out_bytes <- conn.out_bytes + String.length s;
+          let id, arrived, _ = Queue.pop p.slots in
+          Reactor.send conn (Wire.encode_response_into p.enc ~id resp);
           Fastver_obs.Counter.incr t.metrics.m_served;
           Fastver_obs.Histogram.record_span t.metrics.m_request_seconds
             (Unix.gettimeofday () -. arrived)
@@ -278,27 +193,10 @@ let emit_ready t conn =
 
 (* Queue an already-computed response at this request's position. *)
 let post t conn id ~arrived resp =
-  if not conn.dead then begin
-    Queue.push (id, arrived, Atomic.make (Some resp)) conn.slots;
+  if not (Reactor.is_dead conn) then begin
+    Queue.push (id, arrived, Atomic.make (Some resp)) (Reactor.data conn).slots;
     emit_ready t conn
   end
-
-let flush_output conn =
-  try
-    let continue = ref true in
-    while !continue && not (Queue.is_empty conn.outq) do
-      let head = Queue.peek conn.outq in
-      match Sockio.write_sub conn.fd head conn.out_off with
-      | `Again -> continue := false
-      | `Wrote n ->
-          conn.out_off <- conn.out_off + n;
-          conn.out_bytes <- conn.out_bytes - n;
-          if conn.out_off = String.length head then begin
-            ignore (Queue.pop conn.outq);
-            conn.out_off <- 0
-          end
-    done
-  with Unix.Unix_error _ -> conn.dead <- true
 
 (* ------------------------------------------------------------------ *)
 (* Request processing                                                  *)
@@ -327,8 +225,9 @@ let stats_reply t =
    ordering is exact. *)
 let classify t conn req =
   let auth = (Fastver.config t.sys).authenticate_clients in
+  let p = Reactor.data conn in
   let client () =
-    match conn.client with
+    match p.client with
     | Some c -> Ok c
     | None -> if auth then Error "no open session" else Ok 0
   in
@@ -346,29 +245,29 @@ let classify t conn req =
         | Ok client ->
             `Data (Fastver.Batch.Put { client; nonce; mac; key; value }))
   | Wire.Scan { start; len; nonce } -> (
-      if len < 0 || len > t.cfg.max_scan_len then `Err "scan length out of range"
+      if len < 0 || len > max_scan_len then `Err "scan length out of range"
       else
         match client () with
         | Error e -> `Err e
         | Ok client -> `Data (Fastver.Batch.Scan { client; nonce; start; len }))
   | Wire.Open_session { client } ->
       `Admin
-        (fun conn ->
-          match (conn.client, Hashtbl.find_opt t.clients_in_use client) with
+        (fun () ->
+          match (p.client, Hashtbl.find_opt t.clients_in_use client) with
           | Some _, _ -> Wire.Error "session already open on this connection"
           | None, Some other when other != conn ->
               Wire.Error "client id already in use"
           | None, _ ->
-              conn.client <- Some client;
+              p.client <- Some client;
               Hashtbl.replace t.clients_in_use client conn;
               Wire.Session_opened { client })
   | Wire.Close_session ->
       `Admin
-        (fun conn ->
-          (match conn.client with
+        (fun () ->
+          (match p.client with
           | Some c -> Hashtbl.remove t.clients_in_use c
           | None -> ());
-          conn.client <- None;
+          p.client <- None;
           Wire.Session_closed)
   | Wire.Verify ->
       if Atomic.get t.read_only then
@@ -377,7 +276,7 @@ let classify t conn req =
            Re-sign the certificate for the epoch we already hold so the
            client's [verify_now] check works unchanged. *)
         `Admin
-          (fun _conn ->
+          (fun () ->
             let epoch = Fastver.verified_epoch t.sys in
             if epoch < 0 then Wire.Error "read-only follower: no epoch verified yet"
             else
@@ -394,16 +293,16 @@ let classify t conn req =
         `Verify
       else
         `Admin
-          (fun _conn ->
+          (fun () ->
             let epoch = Fastver.current_epoch t.sys in
             match Fastver.verify t.sys with
             | cert -> Wire.Verified { epoch; cert }
             | exception Fastver.Integrity_violation e ->
                 Wire.Error ("integrity: " ^ e))
-  | Wire.Stats -> `Admin (fun _conn -> stats_reply t)
+  | Wire.Stats -> `Admin (fun () -> stats_reply t)
   | Wire.Metrics { format } ->
       `Admin
-        (fun _conn ->
+        (fun () ->
           let reg = Fastver.registry t.sys in
           let data =
             match format with
@@ -458,23 +357,11 @@ let run_job t (job : job) =
       Atomic.set slot (Some (response_of_reply nonce replies.(i))))
     job
 
-(* One-byte wake-up write into a select-loop pipe. EAGAIN/EWOULDBLOCK are
-   success: a full pipe already guarantees a pending wake-up. EPIPE/EBADF
-   during an orderly shutdown are expected — the loop closed its end and
-   will not select again. Anything else really did lose a wake-up (the
-   select loop may sleep on a filled reply slot until unrelated traffic
-   arrives), so make it loud instead of swallowing it. *)
-let wake t fd =
-  try ignore (Unix.write_substring fd "x" 0 1) with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _)
-    when Atomic.get t.stopping ->
-      ()
-  | Unix.Unix_error (e, fn, _) ->
-      Fastver_obs.Counter.incr t.metrics.m_lost_wakeups;
-      Log.err (fun m ->
-          m "lost select-loop wake-up: %s failed with %s" fn
-            (Unix.error_message e))
+let job_done p =
+  Mutex.lock p.idle_lock;
+  ignore (Atomic.fetch_and_add p.in_flight (-1));
+  if Atomic.get p.in_flight = 0 then Condition.broadcast p.idle_cond;
+  Mutex.unlock p.idle_lock
 
 let executor t p wid () =
   let rec loop () =
@@ -482,11 +369,8 @@ let executor t p wid () =
     | None -> () (* closed and drained: shutdown *)
     | Some job ->
         run_job t job;
-        Mutex.lock p.idle_lock;
-        ignore (Atomic.fetch_and_add p.in_flight (-1));
-        if Atomic.get p.in_flight = 0 then Condition.broadcast p.idle_cond;
-        Mutex.unlock p.idle_lock;
-        wake t p.wake_w;
+        job_done p;
+        Reactor.wake t.reactor;
         loop ()
   in
   loop ()
@@ -504,19 +388,16 @@ let barrier p =
 let dispatch t p ~owner job =
   Atomic.incr p.in_flight;
   if not (Fastver.Bounded_queue.push p.queues.(owner) job) then begin
-    (* The queue closed under us: [stop] raced this drain. No executor will
-       run the job, so fail its operations in place — the reply slots must
-       fill (a [closing] connection waits on them) and [in_flight] must
-       come back down or the final [barrier] would hang the shutdown. *)
+    (* The queue is closed: no executor will run the job, so fail its
+       operations in place — the reply slots must fill (a closing
+       connection waits on them) and [in_flight] must come back down or a
+       later [barrier] would hang. *)
     Array.iter
       (fun (_, _, slot) ->
         Fastver_obs.Counter.incr t.metrics.m_op_failures;
         Atomic.set slot (Some (Wire.Error "shutdown: server stopping")))
       job;
-    Mutex.lock p.idle_lock;
-    ignore (Atomic.fetch_and_add p.in_flight (-1));
-    if Atomic.get p.in_flight = 0 then Condition.broadcast p.idle_cond;
-    Mutex.unlock p.idle_lock
+    job_done p
   end
 
 let admit t (op : Fastver.Batch.op) =
@@ -566,7 +447,7 @@ let drain t =
     in
     List.iter
       (fun (conn, id, req, arrived) ->
-        if not conn.dead then
+        if not (Reactor.is_dead conn) then
           match classify t conn req with
           | `Data op -> (
               match admit t op with
@@ -575,7 +456,7 @@ let drain t =
                   post t conn id ~arrived (Wire.Error ("integrity: " ^ e))
               | Ok () -> (
                   let slot = Atomic.make None in
-                  Queue.push (id, arrived, slot) conn.slots;
+                  Queue.push (id, arrived, slot) (Reactor.data conn).slots;
                   let entry = (nonce_of req, op, slot) in
                   match (t.pool, op) with
                   | Some _, (Fastver.Batch.Get { key; _ }
@@ -600,7 +481,7 @@ let drain t =
                  the contract of a concurrent verification. *)
               flush_acc ();
               let slot = Atomic.make None in
-              Queue.push (id, arrived, slot) conn.slots;
+              Queue.push (id, arrived, slot) (Reactor.data conn).slots;
               Fastver.verify_async t.sys ~on_complete:(fun res ->
                   (match res with
                   | Ok (epoch, cert) ->
@@ -613,25 +494,21 @@ let drain t =
                         | e -> Printexc.to_string e
                       in
                       Atomic.set slot (Some (Wire.Error ("integrity: " ^ reason))));
-                  wake t t.vwake_w)
+                  (* the scan domain filled the slot: wake the loop so the
+                     reply does not wait for unrelated traffic *)
+                  Reactor.wake t.reactor)
           | `Admin f ->
               quiesce ();
-              post t conn id ~arrived (f conn)
+              post t conn id ~arrived (f ())
           | `Err e ->
               Fastver_obs.Counter.incr t.metrics.m_op_failures;
               post t conn id ~arrived (Wire.Error e))
       batch;
-    flush_acc ();
-    (* opportunistic write: the sockets are almost always writable *)
-    List.iter
-      (fun (conn, _, _, _) ->
-        emit_ready t conn;
-        if not (Queue.is_empty conn.outq) then flush_output conn)
-      batch
+    flush_acc ()
   end
 
 (* ------------------------------------------------------------------ *)
-(* Input                                                               *)
+(* Event loop                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let protocol_error t conn msg =
@@ -641,201 +518,76 @@ let protocol_error t conn msg =
      request histogram's count always equals [served] *)
   post t conn 0L ~arrived:(Unix.gettimeofday ())
     (Wire.Error ("protocol: " ^ msg));
-  conn.closing <- true
+  Reactor.close conn
 
-let parse_frames t conn =
-  let continue = ref true in
-  while !continue && not conn.closing do
-    match Frame.next conn.reader with
-    | Ok None -> continue := false
-    | Ok (Some payload) -> (
-        match Wire.decode_request payload with
-        | Ok (id, req) ->
-            Queue.push (conn, id, req, Unix.gettimeofday ()) t.pending
-        | Error e -> protocol_error t conn e)
-    | Error e -> protocol_error t conn e
-  done
+let input t conn = function
+  | Error e -> protocol_error t conn e
+  | Ok payload -> (
+      match Wire.decode_request payload with
+      | Ok (id, req) -> Queue.push (conn, id, req, Unix.gettimeofday ()) t.pending
+      | Error e -> protocol_error t conn e)
 
-let handle_readable t conn =
-  let continue = ref true in
-  while !continue do
-    match Sockio.read_chunk conn.fd t.scratch with
-    | `Again -> continue := false
-    | `Eof ->
-        conn.closing <- true;
-        continue := false
-    | `Data n -> Frame.feed conn.reader t.scratch 0 n
-    | exception Unix.Unix_error _ ->
-        conn.dead <- true;
-        continue := false
-  done;
-  parse_frames t conn
-
-let accept_loop t =
-  let continue = ref true in
-  while !continue do
-    match Unix.accept ~cloexec:true t.listener with
-    | fd, _peer ->
-        Unix.set_nonblock fd;
-        (match t.addr with
-        | Addr.Tcp _ -> Unix.setsockopt fd Unix.TCP_NODELAY true
-        | Addr.Unix_sock _ -> ());
+let handlers t =
+  {
+    Reactor.accept =
+      (fun () ->
         Fastver_obs.Counter.incr t.metrics.m_accepted;
-        t.conns <-
-          {
-            fd;
-            reader = Frame.create ~max_frame:t.cfg.max_frame ();
-            outq = Queue.create ();
-            slots = Queue.create ();
-            enc = Buffer.create 256;
-            out_off = 0;
-            out_bytes = 0;
-            client = None;
-            closing = false;
-            dead = false;
-          }
-          :: t.conns
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        continue := false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error _ -> continue := false
-  done
-
-let close_conn t conn =
-  (match conn.client with
-  | Some c -> Hashtbl.remove t.clients_in_use c
-  | None -> ());
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ())
-
-let reap t =
-  let gone, kept =
-    List.partition
+        { slots = Queue.create (); enc = Buffer.create 256; client = None });
+    input = input t;
+    wants_input =
       (fun c ->
-        (* a closing connection waits for replies still in flight on the
-           pool ([slots]) as well as unwritten output *)
-        c.dead
-        || (c.closing && Queue.is_empty c.outq && Queue.is_empty c.slots))
-      t.conns
-  in
-  List.iter (close_conn t) gone;
-  t.conns <- kept
+        Queue.length t.pending < queue_limit
+        && Reactor.out_bytes c < conn_out_limit);
+    settled =
+      (* a closing connection waits for replies still in flight on the
+         pool as well as for unwritten output *)
+      (fun c -> Queue.is_empty (Reactor.data c).slots);
+    pass =
+      (fun () ->
+        (* to empty: the loop blocks in select with no timeout, and every
+           other source of work — pool completions, background
+           verification — wakes it *)
+        while not (Queue.is_empty t.pending) do
+          drain t
+        done;
+        List.iter (emit_ready t) (Reactor.conns t.reactor));
+    deadline = (fun () -> None);
+    closed =
+      (fun c ->
+        match (Reactor.data c).client with
+        | Some id -> Hashtbl.remove t.clients_in_use id
+        | None -> ());
+  }
 
-(* ------------------------------------------------------------------ *)
-(* Event loop                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let run t =
-  Log.info (fun m -> m "serving on %a" Addr.pp t.addr);
+let start t =
+  Log.info (fun m -> m "serving on %a" Addr.pp (bound_addr t));
   (match t.pool with
   | Some p ->
       Log.info (fun m -> m "executor pool: %d shard domains" p.n_execs);
       p.execs <- Array.init p.n_execs (fun wid -> Domain.spawn (executor t p wid))
   | None -> ());
-  while not (Atomic.get t.stopping) do
-    let backpressured = Queue.length t.pending >= t.cfg.queue_limit in
-    let read_fds =
-      t.stop_r :: t.vwake_r :: t.listener
-      :: List.filter_map
-           (fun c ->
-             if
-               (not c.closing) && (not c.dead) && (not backpressured)
-               && c.out_bytes < t.cfg.conn_out_limit
-             then Some c.fd
-             else None)
-           t.conns
-    in
-    let read_fds =
-      match t.pool with Some p -> p.wake_r :: read_fds | None -> read_fds
-    in
-    let write_fds =
-      List.filter_map
-        (fun c ->
-          if (not c.dead) && not (Queue.is_empty c.outq) then Some c.fd
-          else None)
-        t.conns
-    in
-    (* Block until an fd is ready: [drain] below always empties [pending],
-       and every other wake source — stop, pool completions, background
-       verification completions, new frames — is a pipe or socket in
-       [read_fds]. A zero timeout here would busy-spin the I/O domain
-       whenever a single slow executor kept any request pending. *)
-    match Unix.select read_fds write_fds [] (-1.0) with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (Unix.EBADF, _, _) ->
-        (* a connection died under us between loop passes *)
-        reap t
-    | readable, writable, _ ->
-        if List.mem t.stop_r readable then begin
-          let buf = Bytes.create 64 in
-          try ignore (Unix.read t.stop_r buf 0 64) with Unix.Unix_error _ -> ()
-        end;
-        (match t.pool with
-        | Some p when List.mem p.wake_r readable -> (
-            (* drain coalesced completion wake-ups *)
-            let buf = Bytes.create 256 in
-            try
-              while Unix.read p.wake_r buf 0 256 = 256 do
-                ()
-              done
-            with Unix.Unix_error _ -> ())
-        | _ -> ());
-        (if List.mem t.vwake_r readable then
-           let buf = Bytes.create 256 in
-           try
-             while Unix.read t.vwake_r buf 0 256 = 256 do
-               ()
-             done
-           with Unix.Unix_error _ -> ());
-        if List.mem t.listener readable then accept_loop t;
-        List.iter
-          (fun c -> if List.mem c.fd readable then handle_readable t c)
-          t.conns;
-        (* to empty: the blocking select above relies on it *)
-        while not (Queue.is_empty t.pending) do
-          drain t
-        done;
-        ignore writable;
-        List.iter
-          (fun c ->
-            emit_ready t c;
-            (* opportunistic write for pool completions too, not just fds
-               select reported writable: a failed attempt is one EAGAIN *)
-            if not (Queue.is_empty c.outq) then flush_output c)
-          t.conns;
-        reap t
-  done;
-  (match t.pool with
-  | Some p ->
-      Array.iter Fastver.Bounded_queue.close p.queues;
-      Array.iter Domain.join p.execs;
-      p.execs <- [||];
-      (try Unix.close p.wake_r with Unix.Unix_error _ -> ());
-      (try Unix.close p.wake_w with Unix.Unix_error _ -> ())
-  | None -> ());
-  (* Executors are gone, so no new scan can start; join any background
-     verification still running before its completion callback could write
-     a closed vwake fd. *)
-  Fastver.wait_verify t.sys;
-  (try Unix.close t.vwake_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.vwake_w with Unix.Unix_error _ -> ());
-  List.iter (close_conn t) t.conns;
-  t.conns <- [];
-  (try Unix.close t.listener with Unix.Unix_error _ -> ());
-  (match t.addr with
-  | Addr.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-  | Addr.Tcp _ -> ());
-  let c = counters t in
-  Log.info (fun m ->
-      m "stopped: %d conns accepted, %d requests, %d batches (max %d)"
-        c.accepted c.served c.batches c.max_batch)
-
-let start t = t.domain <- Some (Domain.spawn (fun () -> run t))
+  t.domain <- Some (Domain.spawn (fun () -> Reactor.run t.reactor (handlers t)))
 
 let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    (try ignore (Unix.write_substring t.stop_w "x" 0 1)
-     with Unix.Unix_error _ -> ());
+  if Reactor.stop t.reactor then begin
     (match t.domain with Some d -> Domain.join d | None -> ());
     t.domain <- None;
-    try Unix.close t.stop_w with Unix.Unix_error _ -> ()
+    (match t.pool with
+    | Some p ->
+        Array.iter Fastver.Bounded_queue.close p.queues;
+        Array.iter Domain.join p.execs;
+        p.execs <- [||]
+    | None -> ());
+    (* Executors are gone, so no new scan can start; join any background
+       verification still running before its completion callback could
+       wake a closed pipe. *)
+    Fastver.wait_verify t.sys;
+    (* replies the pool finished after the loop's last pass still go out,
+       within the reactor's shutdown grace *)
+    List.iter (emit_ready t) (Reactor.conns t.reactor);
+    Reactor.shutdown t.reactor;
+    let c = counters t in
+    Log.info (fun m ->
+        m "stopped: %d conns accepted, %d requests, %d batches (max %d)"
+          c.accepted c.served c.batches c.max_batch)
   end

@@ -1,7 +1,7 @@
 (** The FastVer serving loop: an I/O event loop feeding an executor pool.
 
-    A single event loop (TCP and/or Unix-domain) reads requests into
-    per-connection buffers and drains them through the FastVer worker loop
+    A single event loop ({!Reactor}, shared with the replication primary;
+    TCP or Unix-domain) reads requests into per-connection buffers and drains them through the FastVer worker loop
     in batches via {!Fastver.Batch.submit}, so the whole batch shares one
     verification-log flush — the same enclave-transition amortisation the
     paper applies to ecalls (§7).
@@ -24,34 +24,36 @@
     O(workers) barrier and the scan runs on a background domain
     ({!Fastver.verify_async}) while executors keep serving gets and puts
     into the next epoch; the response is emitted when the scan completes
-    (a dedicated wake pipe re-enters the select loop, so the reply never
-    waits for unrelated traffic). The certificate is bit-identical to the
+    (the completion wakes the loop, so the reply never waits for unrelated
+    traffic). The certificate is bit-identical to the
     one a quiescent scan of the same epoch would produce.
 
     Robustness properties:
-    - {e backpressure}: the pending-request queue is bounded; when it (or a
-      connection's output queue) fills, the loop simply stops reading from
-      sockets until it drains — TCP flow control pushes back on clients;
+    - {e backpressure}: a connection is not read while the pending-request
+      queue holds 1024 requests or its own unsent replies reach 4 MiB —
+      TCP flow control pushes back on that client, and the others keep
+      being served;
     - {e error isolation}: a malformed frame or forged request poisons only
       its own connection/operation, never the loop or other clients;
     - {e clean shutdown}: {!stop} wakes the loop, which closes the executor
       queues, fails any batch that raced the close with an explicit
       [shutdown] error (never a crash: {!Fastver.Bounded_queue.push} is
       total), joins executors and any in-flight background verification,
-      then closes every socket and removes the Unix socket file;
+      writes the replies they filled within a one-second grace, then
+      closes every socket and removes the Unix socket file;
     - {e no busy-wait}: the loop always blocks in [select] — completions
-      from executor domains and background scans arrive over wake pipes,
-      and wake-up writes that fail for a real reason (not a full pipe, not
-      an orderly shutdown) are logged and counted
-      ([fastver_net_lost_wakeups_total]) instead of silently dropped. *)
+      from executor domains and background scans wake it through the
+      reactor's one wake pipe, and wake-up writes that fail for a real
+      reason (not a full pipe, not an orderly shutdown) are logged and
+      counted ([fastver_net_lost_wakeups_total]) instead of silently
+      dropped;
+    - {e descriptor ceiling}: a connection whose descriptor [select] cannot
+      hold is closed at accept and counted
+      ([fastver_net_connections_refused_total]); the loop keeps serving.
+      Scans longer than 65536 keys are refused. *)
 
 type config = {
   batch_limit : int;  (** max requests drained per batch (default 256) *)
-  queue_limit : int;  (** pending-queue bound — backpressure (default 1024) *)
-  conn_out_limit : int;
-      (** queued output bytes per connection before its reads pause *)
-  max_frame : int;
-  max_scan_len : int;  (** reject scans longer than this *)
   read_only : bool;
       (** replication-follower mode (default [false]): [Put] requests are
           refused, and [Verify] answers with the follower's already-verified
@@ -84,10 +86,6 @@ val create : ?config:config -> Fastver.t -> listen:Addr.t -> (t, string) result
 
 val bound_addr : t -> Addr.t
 
-val read_only : t -> bool
-(** The live value — starts as [config.read_only], moved by
-    {!set_read_only}. *)
-
 val set_read_only : t -> bool -> unit
 (** Flip follower mode on a running server. Election promotion calls
     [set_read_only t false] so a follower starts admitting puts without
@@ -96,11 +94,9 @@ val set_read_only : t -> bool -> unit
 
 val counters : t -> counters
 
-val run : t -> unit
-(** Run the event loop in the calling thread until {!stop}. *)
-
 val start : t -> unit
 (** Run the loop in a background domain. *)
 
 val stop : t -> unit
-(** Signal shutdown and, if {!start} was used, join the domain. Idempotent. *)
+(** Signal shutdown, join the loop domain (if {!start} ran) and close
+    everything. Idempotent. *)

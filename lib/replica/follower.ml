@@ -85,10 +85,6 @@ type t = {
   m_promote_s : Fastver_obs.Histogram.t;
 }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -96,29 +92,33 @@ let contains hay needle =
 
 (* ---- Bootstrap conversations ---- *)
 
-(* The handshake is deadline-bounded: a half-open primary socket (frozen
-   under SIGSTOP, or killed mid-handshake) otherwise parks the follower in
-   recv forever. [Client.Timeout] propagates to the caller, which treats it
-   like any other connection failure and falls back to reconnect. *)
-let subscribe ?(timeout = 5.0) conn ~from_epoch ~term =
-  let id = Client.send conn (Wire.Subscribe { from_epoch; term }) in
-  match Client.recv ~timeout conn with
-  | id', Wire.Subscribed { from_epoch = f; run_id; term } when Int64.equal id id'
-    ->
-      Ok (`Subscribed (f, run_id, term))
-  | id', Wire.Error e when Int64.equal id id' -> Ok (`Refused e)
-  | _ -> Error "unexpected response to subscribe"
+(* One deadline-bounded request/response exchange: a half-open primary
+   socket (frozen under SIGSTOP, or killed mid-handshake) otherwise parks
+   the follower in recv forever. A timeout, a malformed reply or a socket
+   error is a failed handshake like any other, which callers answer by
+   giving up or reconnecting. *)
+let handshake ~timeout what f =
+  match f () with
+  | r -> r
+  | exception Client.Timeout ->
+      Error (Printf.sprintf "%s timed out after %.1fs" what timeout)
+  | exception Client.Protocol_error e -> Error e
+  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+
+let subscribe ~timeout conn ~from_epoch ~term =
+  handshake ~timeout "subscribe handshake" (fun () ->
+      let id = Client.send conn (Wire.Subscribe { from_epoch; term }) in
+      match Client.recv ~timeout conn with
+      | id', Wire.Subscribed { from_epoch = f; run_id; term }
+        when Int64.equal id id' ->
+          Ok (`Subscribed (f, run_id, term))
+      | id', Wire.Error e when Int64.equal id id' -> Ok (`Refused e)
+      | _ -> Error "unexpected response to subscribe")
 
 let valid_component name =
   name <> "" && name <> "." && name <> ".."
   && Filename.basename name = name
   && not (String.contains name '/')
-
-let write_file path data =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc data)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -137,7 +137,9 @@ let rec mkdir_p dir =
    unauthenticated — a lie costs availability at the next subscribe, never
    integrity (divergent state still fails the local re-verification scan
    against the streamed certificates). *)
-let fetch_checkpoint ?(timeout = 60.0) conn ~config ~dir =
+let fetch_checkpoint conn ~config ~dir =
+  let timeout = 60.0 in
+  handshake ~timeout "checkpoint fetch" @@ fun () ->
   let id = Client.send conn Wire.Fetch_checkpoint in
   match Client.recv ~timeout conn with
   | id', Wire.Checkpoint_reply { generation; files; term } when Int64.equal id id' ->
@@ -152,7 +154,9 @@ let fetch_checkpoint ?(timeout = 60.0) conn ~config ~dir =
         Fastver_kvstore.Ckpt_io.remove_tree gdir;
         mkdir_p gdir;
         Array.iter
-          (fun (name, data) -> write_file (Filename.concat gdir name) data)
+          (fun (name, data) ->
+            Out_channel.with_open_bin (Filename.concat gdir name) (fun oc ->
+                output_string oc data))
           files;
         Result.map (fun sys -> (sys, term)) (Fastver.recover ~config ~dir ())
       end
@@ -168,7 +172,7 @@ let gauge_lag t =
     (float_of_int (max 0 (t.max_seen - Fastver.verified_epoch t.sys)))
 
 let halt t ~epoch reason =
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       if t.failure = None then t.failure <- Some (epoch, reason);
       t.state <- Halted);
   Fastver_obs.Counter.incr t.m_certs_bad;
@@ -181,7 +185,7 @@ let halt t ~epoch reason =
           reason))
 
 let record_op t ~epoch ~key ~value =
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let digest =
         match Hashtbl.find_opt t.digests epoch with
         | Some d -> d
@@ -200,7 +204,7 @@ let record_op t ~epoch ~key ~value =
    could read the altered value. *)
 let handle_boundary t ~epoch ~cert ~stream_mac ~term =
   let digest, ops =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         ( Option.value (Hashtbl.find_opt t.digests epoch)
             ~default:Stream.empty_digest,
           List.rev (Option.value (Hashtbl.find_opt t.pending epoch) ~default:[])
@@ -249,7 +253,7 @@ let handle_boundary t ~epoch ~cert ~stream_mac ~term =
   | _cert -> ()
   | exception Fastver.Integrity_violation e ->
       halt t ~epoch ("local verification failed: " ^ e));
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.remove t.pending epoch;
       Hashtbl.remove t.digests epoch;
       t.applied <- t.applied + List.length ops;
@@ -277,30 +281,28 @@ let stream_once t conn =
   | _, _ -> raise (Client.Protocol_error "unexpected frame on replication stream")
 
 let drop_unsealed t =
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       Hashtbl.reset t.pending;
       Hashtbl.reset t.digests;
       t.max_seen <- Fastver.verified_epoch t.sys)
 
 (* ---- Reconnect pacing: exponential backoff with full jitter ---- *)
 
+(* Sleep until [until] unless stopping, sliced so [stop] never waits out a
+   multi-second delay. *)
+let rec nap_until t until =
+  let left = until -. Unix.gettimeofday () in
+  if left > 0.0 && not (Atomic.get t.stop_flag) then begin
+    Unix.sleepf (Float.min 0.05 left);
+    nap_until t until
+  end
+
 (* Sleep uniform(0, backoff) then double the ceiling toward the cap; a
-   successful subscribe resets it to the base. Sliced so [stop] never waits
-   out a multi-second delay. *)
+   successful subscribe resets it to the base. *)
 let backoff_sleep t =
   let d = Random.State.float t.rng t.backoff in
   t.backoff <- Float.min backoff_cap (t.backoff *. 2.0);
-  let until = Unix.gettimeofday () +. d in
-  let rec nap () =
-    if not (Atomic.get t.stop_flag) then begin
-      let left = until -. Unix.gettimeofday () in
-      if left > 0.0 then begin
-        Unix.sleepf (Float.min 0.05 left);
-        nap ()
-      end
-    end
-  in
-  nap ()
+  nap_until t (Unix.gettimeofday () +. d)
 
 let reset_backoff t =
   t.backoff <- t.reconnect_delay;
@@ -317,9 +319,7 @@ let note_seen_term t term =
    secret, so the candidate holding the largest one provably contains every
    write any client could have had certified — there is nothing newer to
    lose. Priority and run-id only break exact ties deterministically. *)
-let rank (sealed, prio, rid) = (sealed, prio, rid)
-
-let my_rank t e = rank (Fastver.verified_epoch t.sys, e.priority, t.self_id)
+let my_rank t e = (Fastver.verified_epoch t.sys, e.priority, t.self_id)
 
 let retarget t ~addr ~term reason =
   Log.app (fun m ->
@@ -383,7 +383,7 @@ let run_election t e sb =
       let beaten =
         List.exists
           (fun (_, i) ->
-            rank (i.Primary.p_sealed, i.Primary.p_priority, i.Primary.p_run_id)
+            (i.Primary.p_sealed, i.Primary.p_priority, i.Primary.p_run_id)
             > mine)
           infos
       in
@@ -414,7 +414,7 @@ let run_election t e sb =
         | Some dir -> Fastver.set_auto_checkpoint t.sys ~dir
         | None -> ());
         (match t.server with Some s -> Server.set_read_only s false | None -> ());
-        with_lock t.lock (fun () ->
+        Mutex.protect t.lock (fun () ->
             t.term <- term;
             t.seen_term <- term;
             t.state <- Leading);
@@ -447,7 +447,7 @@ let step_down t sb ~term ~addr reason =
   Fastver.set_batch_size t.sys 0;
   Fastver.clear_auto_checkpoint t.sys;
   (match t.server with Some s -> Server.set_read_only s true | None -> ());
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       note_seen_term t term;
       t.state <- Disconnected);
   (match addr with
@@ -458,7 +458,7 @@ let step_down t sb ~term ~addr reason =
 (* ---- The follower loop ---- *)
 
 let rec run t =
-  match with_lock t.lock (fun () -> t.state) with
+  match Mutex.protect t.lock (fun () -> t.state) with
   | Leading -> lead t
   | Halted | Stopped -> ()
   | Streaming | Disconnected -> (
@@ -492,7 +492,7 @@ and reconnect t =
   else begin
     drop_unsealed t;
     check_directive t;
-    if with_lock t.lock (fun () -> t.state) = Leading then lead t
+    if Mutex.protect t.lock (fun () -> t.state) = Leading then lead t
     else begin
       match try_subscribe t with
       | `Streaming -> run t
@@ -506,7 +506,7 @@ and reconnect t =
                   run_election t e sb
               | Some _ -> ())
           | _ -> ());
-          if with_lock t.lock (fun () -> t.state) = Leading then lead t
+          if Mutex.protect t.lock (fun () -> t.state) = Leading then lead t
           else begin
             backoff_sleep t;
             reconnect t
@@ -550,7 +550,7 @@ and try_subscribe t =
             | _ -> ());
             t.run_id <- Some rid;
             t.conn <- Some conn;
-            with_lock t.lock (fun () -> t.state <- Streaming);
+            Mutex.protect t.lock (fun () -> t.state <- Streaming);
             reset_backoff t;
             `Streaming
           end
@@ -564,14 +564,7 @@ and try_subscribe t =
             ("primary refused re-subscription: " ^ e)
       | Error e ->
           Log.info (fun m -> m "subscribe failed (%s); will retry" e);
-          close_retry ()
-      | exception Client.Timeout ->
-          Log.info (fun m ->
-              m "subscribe handshake timed out after %.1fs; reconnecting"
-                t.handshake_timeout);
-          close_retry ()
-      | exception Client.Protocol_error _ -> close_retry ()
-      | exception Unix.Unix_error _ -> close_retry ())
+          close_retry ())
 
 (* The leader loop: stream hooks do the real work; this domain only watches
    for rivals (healed partitions) and deposition evidence, at
@@ -597,7 +590,7 @@ and lead t =
               in
               List.iter
                 (fun peer ->
-                  if with_lock t.lock (fun () -> t.state) = Leading then
+                  if Mutex.protect t.lock (fun () -> t.state) = Leading then
                     match
                       Primary.announce ~timeout:e.probe_timeout peer
                         ~term:(Primary.term sb)
@@ -615,19 +608,9 @@ and lead t =
                           ~addr:(Some peer) "rival primary outranks us"
                     | `Info _ | `Unreachable _ -> ())
                 (probe_targets e t.orig_primary));
-          match with_lock t.lock (fun () -> t.state) with
+          match Mutex.protect t.lock (fun () -> t.state) with
           | Leading ->
-              let until = Unix.gettimeofday () +. e.probe_interval in
-              let rec nap () =
-                if not (Atomic.get t.stop_flag) then begin
-                  let left = until -. Unix.gettimeofday () in
-                  if left > 0.0 then begin
-                    Unix.sleepf (Float.min 0.05 left);
-                    nap ()
-                  end
-                end
-              in
-              nap ();
+              nap_until t (Unix.gettimeofday () +. e.probe_interval);
               go ()
           | Disconnected -> reconnect t
           | _ -> ()
@@ -638,8 +621,8 @@ and lead t =
 
 (* ---- Lifecycle ---- *)
 
-let mk ?server_config ?(reconnect_delay = 0.2) ?(handshake_timeout = 5.0)
-    ?election ?(init_term = 0) ~primary ?listen ~conn ~run_id sys =
+let mk ?(reconnect_delay = 0.2) ?(handshake_timeout = 5.0)
+    ?election ~init_term ~primary ?listen ~conn ~run_id sys =
   let module Reg = Fastver_obs.Registry in
   let reg = Fastver.registry sys in
   Reg.counter_fn reg ~help:"Validated reads served by this follower"
@@ -649,11 +632,7 @@ let mk ?server_config ?(reconnect_delay = 0.2) ?(handshake_timeout = 5.0)
     match listen with
     | None -> Ok None
     | Some addr -> (
-        let config =
-          match server_config with
-          | Some c -> { c with Server.read_only = true }
-          | None -> { Server.default_config with read_only = true }
-        in
+        let config = { Server.default_config with read_only = true } in
         match Server.create ~config sys ~listen:addr with
         | Ok s ->
             Server.start s;
@@ -665,11 +644,7 @@ let mk ?server_config ?(reconnect_delay = 0.2) ?(handshake_timeout = 5.0)
     | Error _, _ | _, None -> Ok None
     | Ok _, Some e -> (
         let pconfig =
-          {
-            Primary.default_config with
-            checkpoint_dir = e.checkpoint_dir;
-            priority = e.priority;
-          }
+          { Primary.checkpoint_dir = e.checkpoint_dir; priority = e.priority }
         in
         match Primary.create ~config:pconfig ~role:Primary.Standby sys
                 ~listen:e.listen
@@ -741,7 +716,7 @@ let mk ?server_config ?(reconnect_delay = 0.2) ?(handshake_timeout = 5.0)
               "fastver_repl_promotion_seconds";
         }
 
-let create ?server_config ?reconnect_delay ?handshake_timeout ?election
+let create ?reconnect_delay ?handshake_timeout ?election
     ?(config = Fastver.Config.default) ?load ~primary ?listen ~dir () =
   (* A follower never seals epochs on its own: batch-triggered auto
      verification is disabled; epochs advance only at authenticated
@@ -750,69 +725,45 @@ let create ?server_config ?reconnect_delay ?handshake_timeout ?election
   let hs_timeout = Option.value handshake_timeout ~default:5.0 in
   match Client.connect primary with
   | Error e -> Error e
-  | Ok conn -> (
-      let fail e =
-        Client.close conn;
-        Error e
-      in
+  | Ok conn ->
+      let ( let* ) = Result.bind in
       (* A fresh follower's state reflects no sealed epoch: subscribe from
          0 at term 0. If the primary's retained stream starts later,
          bootstrap from its newest committed checkpoint generation and tail
          from the sealed epoch — exactly the recovery path a restarted
          primary takes. *)
-      match subscribe ~timeout:hs_timeout conn ~from_epoch:0 ~term:0 with
-      | Error e -> fail e
-      | exception Client.Timeout ->
-          fail
-            (Printf.sprintf "subscribe handshake timed out after %.1fs"
-               hs_timeout)
-      | exception Client.Protocol_error e -> fail e
-      | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
-      | Ok (`Subscribed (_, run_id, _)) -> (
-          let sys = Fastver.create ~config () in
-          (match load with Some f -> f sys | None -> ());
-          match
-            mk ?server_config ?reconnect_delay ?handshake_timeout ?election
-              ~primary ?listen ~conn ~run_id sys
-          with
-          | Ok t -> Ok t
-          | Error e -> fail e)
-      | Ok (`Refused reason) -> (
-          if not (contains reason "fetch a checkpoint") then
-            fail ("primary refused subscription: " ^ reason)
-          else
-            match fetch_checkpoint conn ~config ~dir with
-            | Error e -> fail e
-            | exception Client.Timeout -> fail "checkpoint fetch timed out"
-            | exception Client.Protocol_error e -> fail e
-            | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
-            | Ok (sys, ck_term) -> (
-                let from_epoch = Fastver.verified_epoch sys + 1 in
-                Log.app (fun m ->
-                    m
-                      "bootstrapped from primary checkpoint (verified epoch \
-                       %d, term %d); tailing from %d"
-                      (Fastver.verified_epoch sys)
-                      ck_term from_epoch);
-                match
-                  subscribe ~timeout:hs_timeout conn ~from_epoch ~term:ck_term
-                with
-                | Ok (`Subscribed (_, run_id, _)) -> (
-                    match
-                      mk ?server_config ?reconnect_delay ?handshake_timeout
-                        ?election ~init_term:ck_term ~primary ?listen ~conn
-                        ~run_id sys
-                    with
-                    | Ok t -> Ok t
-                    | Error e -> fail e)
-                | Ok (`Refused e) ->
-                    fail ("primary refused post-checkpoint subscription: " ^ e)
-                | Error e -> fail e
-                | exception Client.Timeout ->
-                    fail "post-checkpoint subscribe handshake timed out"
-                | exception Client.Protocol_error e -> fail e
-                | exception Unix.Unix_error (e, _, _) ->
-                    fail (Unix.error_message e))))
+      let result =
+        let* first = subscribe ~timeout:hs_timeout conn ~from_epoch:0 ~term:0 in
+        let* sys, init_term, run_id =
+          match first with
+          | `Subscribed (_, run_id, _) ->
+              let sys = Fastver.create ~config () in
+              Option.iter (fun f -> f sys) load;
+              Ok (sys, 0, run_id)
+          | `Refused reason when not (contains reason "fetch a checkpoint") ->
+              Error ("primary refused subscription: " ^ reason)
+          | `Refused _ -> (
+              let* sys, ck_term = fetch_checkpoint conn ~config ~dir in
+              let from_epoch = Fastver.verified_epoch sys + 1 in
+              Log.app (fun m ->
+                  m
+                    "bootstrapped from primary checkpoint (verified epoch %d, \
+                     term %d); tailing from %d"
+                    (Fastver.verified_epoch sys)
+                    ck_term from_epoch);
+              let* again =
+                subscribe ~timeout:hs_timeout conn ~from_epoch ~term:ck_term
+              in
+              match again with
+              | `Subscribed (_, run_id, _) -> Ok (sys, ck_term, run_id)
+              | `Refused e ->
+                  Error ("primary refused post-checkpoint subscription: " ^ e))
+        in
+        mk ?reconnect_delay ?handshake_timeout ?election
+          ~init_term ~primary ?listen ~conn ~run_id sys
+      in
+      if Result.is_error result then Client.close conn;
+      result
 
 let start t =
   t.domain <-
@@ -840,10 +791,10 @@ let stop t =
 
 let system t = t.sys
 let server t = t.server
-let state t = with_lock t.lock (fun () -> t.state)
-let failure t = with_lock t.lock (fun () -> t.failure)
+let state t = Mutex.protect t.lock (fun () -> t.state)
+let failure t = Mutex.protect t.lock (fun () -> t.failure)
 let verified_epoch t = Fastver.verified_epoch t.sys
-let applied_ops t = with_lock t.lock (fun () -> t.applied)
+let applied_ops t = Mutex.protect t.lock (fun () -> t.applied)
 let run_id t = t.run_id
-let term t = with_lock t.lock (fun () -> t.term)
+let term t = Mutex.protect t.lock (fun () -> t.term)
 let standby t = t.standby

@@ -68,7 +68,6 @@ val electable :
 (** [electable listen] with the defaults above. *)
 
 val create :
-  ?server_config:Fastver_net.Server.config ->
   ?reconnect_delay:float ->
   ?handshake_timeout:float ->
   ?election:election ->
@@ -107,18 +106,13 @@ val create :
     [fastver_repl_follower_reads_total], [fastver_repl_elections_total],
     [fastver_repl_promotion_seconds]. *)
 
-val run : t -> unit
-(** Consume the stream in the calling thread. Returns on {!stop}; raises
-    {!Fastver.Integrity_violation} on a halt (state and evidence are
-    recorded first, so reads keep serving). Disconnects reconnect
-    automatically from the first unverified epoch; a refused re-subscription
-    (stream floor passed the follower, or a rolled-back primary) is treated
-    as a halt — except "not primary"/"deposed" refusals, which mean the
-    cluster is mid-election and are retried. *)
-
 val start : t -> unit
-(** {!run} in a background domain; an integrity halt is recorded (see
-    {!failure}) rather than propagated. *)
+(** Consume the stream in a background domain until {!stop}. A halt is
+    recorded (see {!failure}) and reads keep serving. Disconnects
+    reconnect automatically from the first unverified epoch; a refused
+    re-subscription (stream floor passed the follower, or a rolled-back
+    primary) is treated as a halt — except "not primary"/"deposed"
+    refusals, which mean the cluster is mid-election and are retried. *)
 
 val stop : t -> unit
 (** Stop streaming, join the domain, stop the standby listener and the read

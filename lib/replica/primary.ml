@@ -2,49 +2,36 @@ let src = Logs.Src.create "fastver.replica.primary" ~doc:"Replication primary"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 module Wire = Fastver_net.Wire
-module Frame = Fastver_net.Frame
-module Sockio = Fastver_net.Sockio
+module Reactor = Fastver_net.Reactor
 module Addr = Fastver_net.Addr
 module Client = Fastver_net.Client
 
-type config = {
-  retain_epochs : int;
-  conn_out_limit : int;
-  checkpoint_dir : string option;
-  batch_delay : float;
-  term : int;
-  priority : int;
-}
+type config = { checkpoint_dir : string option; priority : int }
 
-let default_config =
-  {
-    retain_epochs = 64;
-    conn_out_limit = 64 * 1024 * 1024;
-    checkpoint_dir = None;
-    batch_delay = 0.02;
-    term = 0;
-    priority = 0;
-  }
+let default_config = { checkpoint_dir = None; priority = 0 }
+
+(* Sealed epochs kept replayable for tailing subscribers; anything older
+   must catch up via checkpoint fetch. *)
+let retain_epochs = 64
+
+(* A follower whose unsent backlog exceeds this is disconnected rather
+   than allowed to pin unbounded memory. *)
+let conn_out_limit = 64 * 1024 * 1024
+
+(* Ops coalesced into one [Repl_batch] frame before a forced flush, and
+   the longest a buffered op waits for its frame. *)
+let batch_ops = 512
+let batch_delay = 0.02
 
 type role = Leading | Standby
 
-type conn = {
-  fd : Unix.file_descr;
-  reader : Frame.reader;
-  outq : string Queue.t; (* filled under [t.lock] (hooks + loop) *)
-  pending : string Queue.t; (* loop-private: frames being written *)
-  mutable out_off : int; (* written prefix of the head of [pending] *)
-  mutable out_bytes : int; (* total queued bytes, under [t.lock] *)
-  mutable subscribed : bool; (* under [t.lock] *)
-  mutable closing : bool; (* flush, then close *)
-  mutable dead : bool; (* close now, discard output *)
-}
+(* Per-connection state, private to the loop domain. *)
+type peer = { mutable subscribed : bool }
 
 type t = {
   sys : Fastver.t;
   cfg : config;
-  listen_fd : Unix.file_descr;
-  addr : Addr.t;
+  reactor : peer Reactor.t;
   run_id : int64;
   lock : Mutex.t;
       (* LEAF lock: the op hook runs under core worker locks and the seal
@@ -74,12 +61,11 @@ type t = {
   mutable batch_since : float; (* arrival time of the oldest buffered op *)
   mutable frames : int; (* op-carrying stream frames emitted so far *)
   enc : Buffer.t; (* frame encode scratch, under [t.lock] *)
-  mutable conns : conn list; (* mutated by the loop; read under [t.lock] *)
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  mutable stopping : bool;
-  mutable loop_domain : unit Domain.t option;
-  scratch : Bytes.t;
+  outbox : string Queue.t;
+      (* frames teed since the loop's last fan-out, under [t.lock]: the
+         hooks only append here and wake the loop, which alone touches
+         connections *)
+  mutable domain : unit Domain.t option;
   m_ops : Fastver_obs.Counter.t;
   m_frames : Fastver_obs.Counter.t;
   m_epochs : Fastver_obs.Counter.t;
@@ -88,34 +74,32 @@ type t = {
   m_term : Fastver_obs.Gauge.t;
 }
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
-let wake t =
-  match Unix.write t.wake_w (Bytes.make 1 '!') 0 1 with
-  | _ -> ()
-  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EPIPE | EBADF), _, _) ->
-      () (* full pipe = wake-up already pending; EPIPE/EBADF = stopping *)
-
-(* Enqueue a frame to one subscribed connection; a follower that cannot
-   drain [conn_out_limit] bytes of backlog is cut off rather than allowed
-   to pin unbounded memory (it will re-subscribe, or re-bootstrap from a
-   checkpoint if it fell past the retained floor). Caller holds [t.lock]. *)
-let enqueue t c frame =
-  if (not c.dead) && not c.closing then begin
-    Queue.push frame c.outq;
-    c.out_bytes <- c.out_bytes + String.length frame;
-    if c.out_bytes > t.cfg.conn_out_limit then begin
+(* Queue a frame to one connection; a follower that cannot drain
+   [conn_out_limit] bytes of backlog is cut off (it will re-subscribe, or
+   re-bootstrap from a checkpoint if it fell past the retained floor).
+   Loop domain only. *)
+let enqueue c frame =
+  if Reactor.is_open c then begin
+    Reactor.send c frame;
+    if Reactor.out_bytes c > conn_out_limit then begin
       Log.warn (fun m ->
           m "follower too slow (%d bytes queued): dropping connection"
-            c.out_bytes);
-      c.dead <- true
+            (Reactor.out_bytes c));
+      Reactor.drop c
     end
   end
 
-let broadcast t frame =
-  List.iter (fun c -> if c.subscribed then enqueue t c frame) t.conns
+let subscribers t =
+  List.filter (fun c -> (Reactor.data c).subscribed) (Reactor.conns t.reactor)
+
+let fan_out frames subscribed =
+  if not (Queue.is_empty frames) then
+    List.iter (fun c -> Queue.iter (enqueue c) frames) subscribed
+
+let take_outbox t =
+  let q = Queue.create () in
+  Queue.transfer t.outbox q;
+  q
 
 (* Emit the buffered ops as one [Repl_batch] frame. Caller holds [t.lock].
    The per-epoch stream digest was already folded op by op at admission, so
@@ -133,11 +117,8 @@ let flush_batch t =
     t.batch_n <- 0;
     t.frames <- t.frames + 1;
     Fastver_obs.Counter.incr t.m_frames;
-    broadcast t frame
+    Queue.push frame t.outbox
   end
-
-(* Ops coalesced into one [Repl_batch] frame before a forced flush. *)
-let batch_ops = 512
 
 (* ---- Tee hooks (see Fastver.set_replication_hooks for the contract) ---- *)
 
@@ -145,7 +126,7 @@ let on_op t ~epoch ~key ~value =
   let key = Key.to_bytes32 key in
   let now = Unix.gettimeofday () in
   let want_wake =
-    with_lock t.lock (fun () ->
+    Mutex.protect t.lock (fun () ->
         let digest =
           match Hashtbl.find_opt t.digests epoch with
           | Some d -> d
@@ -166,13 +147,13 @@ let on_op t ~epoch ~key ~value =
         end
         else
           (* Wake only on the first buffered op, so the loop re-arms its
-             select timeout to the batch_delay time cap. *)
+             select deadline to the batch_delay time cap. *)
           t.batch_n = 1)
   in
-  if want_wake then wake t
+  if want_wake then Reactor.wake t.reactor
 
 let on_seal t ~epoch ~cert =
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       (* The boundary record commits the epoch's op sequence: everything
          buffered must be framed and in the log ahead of it. *)
       flush_batch t;
@@ -195,94 +176,81 @@ let on_seal t ~epoch ~cert =
       t.log <- (epoch, frame) :: t.log;
       t.sealed <- epoch;
       Fastver_obs.Counter.incr t.m_epochs;
-      broadcast t frame;
-      (* Prune: keep the last [retain_epochs] sealed epochs for tailing
-         subscribers; anything older must catch up via checkpoint fetch. *)
-      let new_floor = epoch - t.cfg.retain_epochs + 1 in
+      Queue.push frame t.outbox;
+      let new_floor = epoch - retain_epochs + 1 in
       if new_floor > t.floor then begin
         t.floor <- new_floor;
         t.log <- List.filter (fun (e, _) -> e >= new_floor) t.log
       end);
-  wake t
+  Reactor.wake t.reactor
 
 (* ---- Request handling (loop domain) ---- *)
 
-let reply t c ~id resp =
-  with_lock t.lock (fun () ->
-      enqueue t c (Wire.encode_response ~id resp))
+let reply c ~id resp = enqueue c (Wire.encode_response ~id resp)
 
 let handle_subscribe t c ~id ~from_epoch ~term:sub_term =
-  with_lock t.lock (fun () ->
-      if t.role = Standby then
-        enqueue t c
-          (Wire.encode_response ~id
-             (Wire.Error
-                (Printf.sprintf
-                   "not primary: standby candidate at term %d" t.term)))
-      else if sub_term > t.term then begin
-        (* The subscriber verified an epoch sealed under a term this primary
-           has never seen: an election happened behind our back, so *we* are
-           the deposed one. Record the evidence (the owner demotes) and
-           refuse — accepting would fork the chain. *)
-        if t.deposed_by = None then t.deposed_by <- Some (sub_term, None);
-        enqueue t c
-          (Wire.encode_response ~id
-             (Wire.Error
-                (Printf.sprintf
-                   "deposed: subscriber speaks term %d, this primary is at \
-                    term %d"
-                   sub_term t.term)))
-      end
-      else if sub_term < t.term && from_epoch - 1 >= t.term_start then
-        (* Fencing: the subscriber claims verified epochs that this primary
-           (re-)sealed under a newer term, but its own chain for them was
-           sealed under an older one — a deposed primary's descendant. Its
-           state may diverge from ours at those epochs, so replaying the
-           retained tail is unsound: it must discard and re-bootstrap. *)
-        enqueue t c
-          (Wire.encode_response ~id
-             (Wire.Error
-                (Printf.sprintf
-                   "stale term %d: epochs from %d were re-sealed under term \
-                    %d — fetch a checkpoint"
-                   sub_term t.term_start t.term)))
-      else if from_epoch < t.floor then
-        enqueue t c
-          (Wire.encode_response ~id
-             (Wire.Error
-                (Printf.sprintf
-                   "subscribe from epoch %d predates the retained stream \
-                    (floor %d): fetch a checkpoint"
-                   from_epoch t.floor)))
-      else if from_epoch > t.sealed + 1 then
-        enqueue t c
-          (Wire.encode_response ~id
-             (Wire.Error
-                (Printf.sprintf
-                   "subscribe from epoch %d is ahead of this primary (next \
-                    boundary is %d): possible primary rollback"
-                   from_epoch (t.sealed + 1))))
-      else begin
-        (* Ack, replay the retained tail, and mark subscribed — atomically
-           under the lock, so no hook-teed frame can slip between the replay
-           snapshot and the live stream. Flush the open batch first so the
-           log is complete up to this instant. *)
-        flush_batch t;
-        enqueue t c
-          (Wire.encode_response ~id
-             (Wire.Subscribed { from_epoch; run_id = t.run_id; term = t.term }));
-        List.iter
-          (fun (e, frame) -> if e >= from_epoch then enqueue t c frame)
-          (List.rev t.log);
-        c.subscribed <- true
-      end);
-  wake t
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  let verdict =
+    Mutex.protect t.lock (fun () ->
+        if t.role = Standby then
+          Error
+            (Printf.sprintf "not primary: standby candidate at term %d" t.term)
+        else if sub_term > t.term then begin
+          (* The subscriber verified an epoch sealed under a term this
+             primary has never seen: an election happened behind our back,
+             so *we* are the deposed one. Record the evidence (the owner
+             demotes) and refuse — accepting would fork the chain. *)
+          if t.deposed_by = None then t.deposed_by <- Some (sub_term, None);
+          Error
+            (Printf.sprintf
+               "deposed: subscriber speaks term %d, this primary is at term %d"
+               sub_term t.term)
+        end
+        else if sub_term < t.term && from_epoch - 1 >= t.term_start then
+          (* Fencing: the subscriber claims verified epochs that this
+             primary (re-)sealed under a newer term, but its own chain for
+             them was sealed under an older one — a deposed primary's
+             descendant. Its state may diverge from ours at those epochs,
+             so replaying the retained tail is unsound: it must discard and
+             re-bootstrap. *)
+          Error
+            (Printf.sprintf
+               "stale term %d: epochs from %d were re-sealed under term %d — \
+                fetch a checkpoint"
+               sub_term t.term_start t.term)
+        else if from_epoch < t.floor then
+          Error
+            (Printf.sprintf
+               "subscribe from epoch %d predates the retained stream (floor \
+                %d): fetch a checkpoint"
+               from_epoch t.floor)
+        else if from_epoch > t.sealed + 1 then
+          Error
+            (Printf.sprintf
+               "subscribe from epoch %d is ahead of this primary (next \
+                boundary is %d): possible primary rollback"
+               from_epoch (t.sealed + 1))
+        else begin
+          (* Snapshot the log, complete up to this instant once the open
+             batch is flushed, together with the frames not yet fanned
+             out: those are in the snapshot, so they go to the earlier
+             subscribers only, and every later frame reaches this one
+             through the outbox — none is duplicated or skipped. *)
+          flush_batch t;
+          let replay =
+            List.filter_map
+              (fun (e, frame) -> if e >= from_epoch then Some frame else None)
+              (List.rev t.log)
+          in
+          Ok (take_outbox t, replay, t.term)
+        end)
+  in
+  match verdict with
+  | Error e -> reply c ~id (Wire.Error e)
+  | Ok (unsent, replay, term) ->
+      fan_out unsent (subscribers t);
+      reply c ~id (Wire.Subscribed { from_epoch; run_id = t.run_id; term });
+      List.iter (enqueue c) replay;
+      (Reactor.data c).subscribed <- true
 
 (* Ship the newest checkpoint generation that has a manifest. The follower
    re-verifies every checksum through the normal recovery path, so nothing
@@ -310,7 +278,12 @@ let checkpoint_reply t =
             in
             let files =
               Array.of_list
-                (List.map (fun n -> (n, read_file (Filename.concat gdir n))) names)
+                (List.map
+                   (fun n ->
+                     ( n,
+                       In_channel.with_open_bin (Filename.concat gdir n)
+                         In_channel.input_all ))
+                   names)
             in
             let total =
               Array.fold_left (fun a (_, d) -> a + String.length d) 0 files
@@ -319,7 +292,7 @@ let checkpoint_reply t =
               Wire.Error "checkpoint generation too large to stream"
             else
               Wire.Checkpoint_reply
-                { generation = gen; files; term = with_lock t.lock (fun () -> t.term) }
+                { generation = gen; files; term = Mutex.protect t.lock (fun () -> t.term) }
           with
           | resp -> resp
           | exception Sys_error e ->
@@ -342,7 +315,8 @@ let term_info_locked t =
     }
 
 let handle_announce t c ~id ~term ~sealed ~priority ~run_id =
-  with_lock t.lock (fun () ->
+  reply c ~id
+  @@ Mutex.protect t.lock (fun () ->
       Log.debug (fun m ->
           m "announce-term from peer (term %d, sealed %d, prio %d, run %Ld)"
             term sealed priority run_id);
@@ -357,11 +331,11 @@ let handle_announce t c ~id ~term ~sealed ~priority ~run_id =
             t.term <- term;
             Fastver_obs.Gauge.set t.m_term (float_of_int term)
       end;
-      enqueue t c (Wire.encode_response ~id (term_info_locked t)));
-  wake t
+      term_info_locked t)
 
 let handle_promote t c ~id ~term ~addr =
-  with_lock t.lock (fun () ->
+  reply c ~id
+  @@ Mutex.protect t.lock (fun () ->
       (match t.role with
       | Leading ->
           if term > t.term && t.deposed_by = None then begin
@@ -375,227 +349,67 @@ let handle_promote t c ~id ~term ~addr =
             Fastver_obs.Gauge.set t.m_term (float_of_int t.term);
             if t.deposed_by = None then t.deposed_by <- Some (term, Some addr)
           end);
-      enqueue t c (Wire.encode_response ~id (term_info_locked t)));
-  wake t
+      term_info_locked t)
 
 let handle_request t c ~id req =
   match (req : Wire.request) with
   | Wire.Subscribe { from_epoch; term } ->
       handle_subscribe t c ~id ~from_epoch ~term
-  | Wire.Fetch_checkpoint ->
-      reply t c ~id (checkpoint_reply t);
-      wake t
+  | Wire.Fetch_checkpoint -> reply c ~id (checkpoint_reply t)
   | Wire.Announce_term { term; sealed; priority; run_id } ->
       handle_announce t c ~id ~term ~sealed ~priority ~run_id
   | Wire.Promote { term; addr } -> handle_promote t c ~id ~term ~addr
-  | _ ->
-      reply t c ~id (Wire.Error "not a replication opcode");
-      wake t
+  | _ -> reply c ~id (Wire.Error "not a replication opcode")
 
-(* ---- The select loop ---- *)
+(* ---- The loop ---- *)
 
-let drain_reader t c =
-  let rec frames () =
-    match Frame.next c.reader with
-    | Error e ->
-        Log.info (fun m -> m "malformed replication frame: %s" e);
-        reply t c ~id:0L (Wire.Error ("malformed frame: " ^ e));
-        c.closing <- true
-    | Ok None -> ()
-    | Ok (Some payload) ->
-        (match Wire.decode_request payload with
-        | Error e ->
-            reply t c ~id:0L (Wire.Error ("malformed request: " ^ e));
-            c.closing <- true
-        | Ok (id, req) -> handle_request t c ~id req);
-        if not (c.closing || c.dead) then frames ()
+let input t c = function
+  | Error e ->
+      Log.info (fun m -> m "malformed replication frame: %s" e);
+      reply c ~id:0L (Wire.Error ("malformed frame: " ^ e))
+  | Ok payload -> (
+      match Wire.decode_request payload with
+      | Error e ->
+          reply c ~id:0L (Wire.Error ("malformed request: " ^ e));
+          Reactor.close c
+      | Ok (id, req) -> handle_request t c ~id req)
+
+(* Every pass: send an aged batch on its way, then fan the teed frames out
+   to the subscribers — or, once demoted, cut them loose so they re-home
+   to whoever deposed us. The gauges sample the connections as the
+   previous pass left them, after its writes and reaping. *)
+let pass t () =
+  let conns = Reactor.conns t.reactor and subscribed = subscribers t in
+  Fastver_obs.Gauge.set t.m_followers
+    (float_of_int (List.length (List.filter Reactor.is_open subscribed)));
+  Fastver_obs.Gauge.set t.m_lag_bytes
+    (float_of_int (List.fold_left (fun a c -> max a (Reactor.out_bytes c)) 0 conns));
+  let frames, leading =
+    Mutex.protect t.lock (fun () ->
+        if t.batch_n > 0 && Unix.gettimeofday () -. t.batch_since >= batch_delay
+        then flush_batch t;
+        (take_outbox t, t.role = Leading))
   in
-  match Sockio.read_chunk c.fd t.scratch with
-  | `Eof -> c.dead <- true
-  | `Again -> ()
-  | `Data n ->
-      Frame.feed c.reader t.scratch 0 n;
-      frames ()
-  | exception Unix.Unix_error _ -> c.dead <- true
+  if not leading then List.iter Reactor.drop subscribed;
+  fan_out frames subscribed
 
-let flush_conn t c =
-  with_lock t.lock (fun () -> Queue.transfer c.outq c.pending);
-  let rec go () =
-    match Queue.peek_opt c.pending with
-    | None -> if c.closing then c.dead <- true
-    | Some head -> (
-        match Sockio.write_sub c.fd head c.out_off with
-        | `Again -> ()
-        | `Wrote n ->
-            c.out_off <- c.out_off + n;
-            if c.out_off >= String.length head then begin
-              ignore (Queue.pop c.pending);
-              c.out_off <- 0;
-              with_lock t.lock (fun () ->
-                  c.out_bytes <- c.out_bytes - String.length head);
-              go ()
-            end
-        | exception Unix.Unix_error _ -> c.dead <- true)
-  in
-  go ()
-
-let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-
-let accept_conns t =
-  let rec go () =
-    match Unix.accept ~cloexec:true t.listen_fd with
-    | fd, _ ->
-        Unix.set_nonblock fd;
-        (match t.addr with
-        | Addr.Tcp _ -> (
-            try Unix.setsockopt fd Unix.TCP_NODELAY true
-            with Unix.Unix_error _ -> ())
-        | Addr.Unix_sock _ -> ());
-        let c =
-          {
-            fd;
-            reader = Frame.create ();
-            outq = Queue.create ();
-            pending = Queue.create ();
-            out_off = 0;
-            out_bytes = 0;
-            subscribed = false;
-            closing = false;
-            dead = false;
-          }
-        in
-        with_lock t.lock (fun () -> t.conns <- c :: t.conns);
-        go ()
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error _ -> ()
-  in
-  go ()
-
-let loop t =
-  while not t.stopping do
-    let conns = with_lock t.lock (fun () -> t.conns) in
-    let rd =
-      t.listen_fd :: t.wake_r
-      :: List.filter_map (fun c -> if c.dead then None else Some c.fd) conns
-    in
-    let wr =
-      List.filter_map
-        (fun c ->
-          if (not c.dead) && (c.out_bytes > 0 || not (Queue.is_empty c.pending))
-          then Some c.fd
-          else None)
-        conns
-    in
-    let timeout =
-      (* Shorten the select timeout while a batch is buffered so the
-         batch_delay time cap actually fires. *)
-      with_lock t.lock (fun () ->
-          if t.batch_n > 0 then Float.min t.cfg.batch_delay 1.0 else 1.0)
-    in
-    (match Unix.select rd wr [] timeout with
-    | rd_ready, wr_ready, _ ->
-        if List.mem t.wake_r rd_ready then (
-          try ignore (Unix.read t.wake_r t.scratch 0 64)
-          with Unix.Unix_error _ -> ());
-        if List.mem t.listen_fd rd_ready then accept_conns t;
-        List.iter
-          (fun c ->
-            if (not c.dead) && List.mem c.fd wr_ready then flush_conn t c)
-          conns;
-        List.iter
-          (fun c ->
-            if (not c.dead) && (not c.closing) && List.mem c.fd rd_ready then
-              drain_reader t c)
-          conns
-    | exception Unix.Unix_error (EINTR, _, _) -> ());
-    (* Time cap: a batch older than batch_delay goes out now even if it
-       never filled; the broadcast frames get written next iteration. *)
-    with_lock t.lock (fun () ->
-        if
-          t.batch_n > 0
-          && Unix.gettimeofday () -. t.batch_since >= t.cfg.batch_delay
-        then flush_batch t);
-    (* Reap the dead; account follower + lag gauges. *)
-    let died, lag =
-      with_lock t.lock (fun () ->
-          let died = List.filter (fun c -> c.dead) t.conns in
-          t.conns <- List.filter (fun c -> not c.dead) t.conns;
-          let lag =
-            List.fold_left (fun a c -> max a c.out_bytes) 0 t.conns
-          in
-          Fastver_obs.Gauge.set t.m_followers
-            (float_of_int
-               (List.length (List.filter (fun c -> c.subscribed) t.conns)));
-          (died, lag))
-    in
-    List.iter close_conn died;
-    Fastver_obs.Gauge.set t.m_lag_bytes (float_of_int lag)
-  done;
-  (* Shutdown: drain queued output first, under a short grace budget, so a
-     follower mid-[Fetch_checkpoint] receives its complete reply (or, if it
-     cannot drain in time, a frame cut at the transport — which its decoder
-     rejects whole; it never sees a torn generation it would try to recover
-     from). Then shut the sockets down explicitly: readers get a clean EOF
-     rather than a reset, and retry against the elected primary. *)
-  let conns = with_lock t.lock (fun () -> t.conns) in
-  let deadline = Unix.gettimeofday () +. 1.0 in
-  let busy () =
-    List.filter
-      (fun c ->
-        (not c.dead)
-        && (not (Queue.is_empty c.pending)
-           || with_lock t.lock (fun () -> not (Queue.is_empty c.outq))))
-      conns
-  in
-  let rec drain () =
-    match busy () with
-    | [] -> ()
-    | busy when Unix.gettimeofday () < deadline -> (
-        match Unix.select [] (List.map (fun c -> c.fd) busy) [] 0.05 with
-        | _, wr, _ ->
-            List.iter (fun c -> if List.mem c.fd wr then flush_conn t c) busy;
-            drain ()
-        | exception Unix.Unix_error (EINTR, _, _) -> drain ())
-    | _ ->
-        Log.info (fun m ->
-            m "shutdown: dropping undrained follower output after grace")
-  in
-  drain ();
-  List.iter
-    (fun c ->
-      (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      close_conn c)
-    conns;
-  with_lock t.lock (fun () -> t.conns <- [])
+let handlers t =
+  {
+    Reactor.accept = (fun () -> { subscribed = false });
+    input = input t;
+    wants_input = (fun _ -> true);
+    settled = (fun _ -> true);
+    pass = pass t;
+    deadline =
+      (fun () ->
+        Mutex.protect t.lock (fun () ->
+            if t.batch_n > 0 then Some (t.batch_since +. batch_delay) else None));
+    closed = (fun _ -> ());
+  }
 
 (* ---- Lifecycle ---- *)
 
-let bound_addr t = t.addr
-
-let listen_on addr =
-  match Addr.to_sockaddr addr with
-  | Error e -> Error e
-  | Ok sockaddr -> (
-      (match addr with
-      | Addr.Unix_sock path when Sys.file_exists path -> (
-          try Unix.unlink path with Unix.Unix_error _ -> ())
-      | _ -> ());
-      let fd = Unix.socket ~cloexec:true (Addr.domain addr) Unix.SOCK_STREAM 0 in
-      match
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd sockaddr;
-        Unix.listen fd 64;
-        Unix.set_nonblock fd;
-        match (addr, Unix.getsockname fd) with
-        | Addr.Tcp (host, 0), Unix.ADDR_INET (_, port) -> Addr.Tcp (host, port)
-        | _ -> addr
-      with
-      | bound -> Ok (fd, bound)
-      | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
-          Error
-            (Printf.sprintf "cannot listen on %s: %s" (Addr.to_string addr)
-               (Unix.error_message e)))
+let bound_addr t = Reactor.addr t.reactor
 
 let install_hooks t =
   Fastver.set_replication_hooks t.sys
@@ -603,12 +417,9 @@ let install_hooks t =
     ~on_seal:(fun ~epoch ~cert -> on_seal t ~epoch ~cert)
 
 let create ?(config = default_config) ?(role = Leading) sys ~listen =
-  match listen_on listen with
+  match Reactor.listen (Fastver.registry sys) listen with
   | Error e -> Error e
-  | Ok (listen_fd, addr) ->
-      let wake_r, wake_w = Unix.pipe ~cloexec:true () in
-      Unix.set_nonblock wake_r;
-      Unix.set_nonblock wake_w;
+  | Ok reactor ->
       let module Reg = Fastver_obs.Registry in
       let reg = Fastver.registry sys in
       let run_id =
@@ -622,15 +433,14 @@ let create ?(config = default_config) ?(role = Leading) sys ~listen =
         {
           sys;
           cfg = config;
-          listen_fd;
-          addr;
+          reactor;
           run_id;
           lock = Mutex.create ();
           log = [];
           floor = Fastver.live_epoch sys;
           sealed = Fastver.verified_epoch sys;
           role;
-          term = config.term;
+          term = 0;
           term_start = Fastver.verified_epoch sys + 1;
           deposed_by = None;
           digests = Hashtbl.create 4;
@@ -640,12 +450,8 @@ let create ?(config = default_config) ?(role = Leading) sys ~listen =
           batch_since = 0.;
           frames = 0;
           enc = Buffer.create 256;
-          conns = [];
-          wake_r;
-          wake_w;
-          stopping = false;
-          loop_domain = None;
-          scratch = Bytes.create 65536;
+          outbox = Queue.create ();
+          domain = None;
           m_ops =
             Reg.counter reg ~help:"Ops teed into the replication stream"
               "fastver_repl_ops_streamed_total";
@@ -676,38 +482,25 @@ let create ?(config = default_config) ?(role = Leading) sys ~listen =
       if role = Leading then install_hooks t;
       Ok t
 
-let run t = loop t
-let start t = t.loop_domain <- Some (Domain.spawn (fun () -> loop t))
+let start t =
+  t.domain <- Some (Domain.spawn (fun () -> Reactor.run t.reactor (handlers t)))
 
 let stop t =
-  if not t.stopping then begin
-    t.stopping <- true;
+  if Reactor.stop t.reactor then begin
     Fastver.clear_replication_hooks t.sys;
-    wake t;
-    (match t.loop_domain with
-    | Some d ->
-        t.loop_domain <- None;
-        Domain.join d
-    | None -> ());
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      [ t.listen_fd; t.wake_r; t.wake_w ];
-    match t.addr with
-    | Addr.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
-    | Addr.Tcp _ -> ()
+    (match t.domain with Some d -> Domain.join d | None -> ());
+    t.domain <- None;
+    Reactor.shutdown t.reactor
   end
 
-let sealed_epoch t = with_lock t.lock (fun () -> t.sealed)
-let frames_emitted t = with_lock t.lock (fun () -> t.frames)
-let followers t = with_lock t.lock (fun () -> List.length t.conns)
+let frames_emitted t = Mutex.protect t.lock (fun () -> t.frames)
 let run_id t = t.run_id
-let role t = with_lock t.lock (fun () -> t.role)
-let term t = with_lock t.lock (fun () -> t.term)
+let term t = Mutex.protect t.lock (fun () -> t.term)
 let priority t = t.cfg.priority
-let deposed t = with_lock t.lock (fun () -> t.deposed_by)
+let deposed t = Mutex.protect t.lock (fun () -> t.deposed_by)
 
 let take_directive t =
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       let d = t.deposed_by in
       if t.role = Standby then t.deposed_by <- None;
       d)
@@ -722,7 +515,7 @@ let take_directive t =
    is exactly the first post-election epoch and the subscribe-time fencing
    check falls out of it. *)
 let promote t ~term =
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       if t.role = Leading then invalid_arg "Primary.promote: already leading";
       t.role <- Leading;
       t.term <- term;
@@ -738,26 +531,26 @@ let promote t ~term =
   install_hooks t;
   Log.info (fun m ->
       m "promoted: leading term %d from epoch %d at %s" term
-        (with_lock t.lock (fun () -> t.term_start))
-        (Addr.to_string t.addr));
-  wake t
+        (Mutex.protect t.lock (fun () -> t.term_start))
+        (Addr.to_string (bound_addr t)));
+  Reactor.wake t.reactor
 
 (* Demotion in place: stop teeing, adopt the deposing term, and cut every
    subscriber loose — they must re-subscribe to whoever deposed us. The
    listener stays up as a standby candidate (it keeps answering probes). *)
 let demote t ~term =
   Fastver.clear_replication_hooks t.sys;
-  with_lock t.lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.role <- Standby;
       t.term <- max t.term term;
       t.deposed_by <- None;
-      List.iter (fun c -> c.dead <- true) t.conns;
+      Queue.clear t.outbox;
       Fastver_obs.Gauge.set t.m_term (float_of_int t.term));
   Log.info (fun m ->
       m "demoted to standby at term %d (%s)"
-        (with_lock t.lock (fun () -> t.term))
-        (Addr.to_string t.addr));
-  wake t
+        (Mutex.protect t.lock (fun () -> t.term))
+        (Addr.to_string (bound_addr t)));
+  Reactor.wake t.reactor
 
 (* ---- Peer probing (election rounds, rival detection, rejoin checks) ---- *)
 
@@ -783,7 +576,6 @@ let rpc ?(timeout = 2.0) peer req ~k =
           | resp -> k resp
           | exception Client.Timeout -> `Unreachable "peer timed out"
           | exception Client.Protocol_error e -> `Unreachable e
-          | exception Client.Server_error e -> `Unreachable e
           | exception Unix.Unix_error (e, _, _) ->
               `Unreachable (Unix.error_message e))
 

@@ -1,15 +1,24 @@
 (** The replication primary: tees every admitted op into a framed stream and
     serves it, with epoch-boundary certificate records, to subscribed
-    followers on a dedicated listener.
+    followers on its own listener, driven by the same select loop as the
+    serving layer ({!Fastver_net.Reactor}).
 
     {!create} installs the {!Fastver.set_replication_hooks} tee, so it must
     run {e before} the store serves traffic: ops applied earlier are not in
     the retained log and their epoch could never authenticate downstream.
-    The stream layer keeps the last [retain_epochs] sealed epochs of
-    records; a follower subscribing from below that floor is told to fetch
+    The stream layer keeps the last 64 sealed epochs of records; a
+    follower subscribing from below that floor is told to fetch
     the newest committed checkpoint generation instead (shipped verbatim,
     manifest included — the follower re-verifies every checksum through the
     normal recovery path).
+
+    Ops are coalesced into [Repl_batch] frames of up to 512 ops; a batch is
+    also flushed 20 ms after its first op, at every epoch seal, at any
+    epoch change and before a subscriber's replay snapshot. The per-op
+    stream digest and boundary MAC do not depend on where batches split.
+    The tee hooks only append frames to an outbox and wake the loop; the
+    loop alone writes to connections, and disconnects a follower whose
+    unsent backlog exceeds 64 MiB.
 
     Wire conversation (see {!Fastver_net.Wire}): a follower sends
     [Subscribe { from_epoch; term }] meaning "my state reflects every sealed
@@ -34,24 +43,9 @@
     [fastver_repl_stream_lag_bytes], [fastver_repl_term]. *)
 
 type config = {
-  retain_epochs : int;
-      (** sealed epochs kept replayable for tailing subscribers
-          (default 64) *)
-  conn_out_limit : int;
-      (** a follower whose unsent backlog exceeds this is disconnected
-          (default 64 MiB) *)
   checkpoint_dir : string option;
       (** where [Fetch_checkpoint] reads generations from; [None] disables
           checkpoint catch-up *)
-  batch_delay : float;
-      (** seconds a buffered op may wait before its [Repl_batch] frame is
-          flushed (default 0.02). A batch also flushes at 512 ops, at every
-          epoch seal, at any epoch change and before a subscriber's replay
-          snapshot. The per-op stream digest and boundary MAC do not depend
-          on where batches split. *)
-  term : int;
-      (** initial fencing term (default 0 — "never elected"). Election
-          winners get theirs via {!promote}. *)
   priority : int;
       (** static election priority reported in [Term_info] (default 0);
           higher wins equal-epoch ties. *)
@@ -80,9 +74,6 @@ val create :
 val bound_addr : t -> Fastver_net.Addr.t
 (** Effective listen address (TCP port 0 resolved). *)
 
-val run : t -> unit
-(** Run the streaming loop in the calling thread until {!stop}. *)
-
 val start : t -> unit
 (** Run the loop in a background domain. *)
 
@@ -90,21 +81,14 @@ val stop : t -> unit
 (** Clear the tee hooks, wake and join the loop, close every connection and
     the listener. Idempotent. *)
 
-val sealed_epoch : t -> int
-(** Highest epoch whose boundary record has been emitted ([-1] if none). *)
-
 val frames_emitted : t -> int
 (** [Repl_batch] frames emitted so far (boundary records excluded);
     ops/frames is the realised coalescing factor. *)
-
-val followers : t -> int
-(** Live replication connections (subscribed or not). *)
 
 val run_id : t -> int64
 
 (** {2 Election} *)
 
-val role : t -> role
 val term : t -> int
 val priority : t -> int
 

@@ -101,15 +101,19 @@ kill -9 $BG_SRV 2>/dev/null || true
 
 echo "== multi-domain stress under verbose GC"
 # the parallel suite (real Domain.spawn workers, parallel verification
-# scans) and the net suite (executor pool, n_workers > 1) re-run with GC
-# statistics printed at exit, so heap corruption or a runaway allocation
-# under concurrency is caught here rather than in production
+# scans), the net suite (executor pool, n_workers > 1) and the replica
+# suite (the primary's tee hooks wake the shared select loop from core
+# domains) re-run with GC statistics printed at exit, so heap corruption
+# or a runaway allocation under concurrency is caught here rather than in
+# production
 TEST=_build/default/test/test_main.exe
 OCAMLRUNPARAM=v=0x400 $TEST test parallel > "$WORK/stress-parallel.log" 2>&1 \
   || { cat "$WORK/stress-parallel.log"; exit 1; }
 OCAMLRUNPARAM=v=0x400 $TEST test net > "$WORK/stress-net.log" 2>&1 \
   || { cat "$WORK/stress-net.log"; exit 1; }
-echo "  parallel + net suites clean under OCAMLRUNPARAM=v=0x400"
+OCAMLRUNPARAM=v=0x400 $TEST test replica > "$WORK/stress-replica.log" 2>&1 \
+  || { cat "$WORK/stress-replica.log"; exit 1; }
+echo "  parallel + net + replica suites clean under OCAMLRUNPARAM=v=0x400"
 
 echo "== cold tier (tamper detection + bench regression gate)"
 # the cold suite includes the three byte-flip tamper legs (record value,

@@ -593,6 +593,136 @@ let test_metrics_reconcile () =
       Net.Client.close conn)
 
 (* ------------------------------------------------------------------ *)
+(* Backpressure and the descriptor ceiling                             *)
+(* ------------------------------------------------------------------ *)
+
+let counter_value t name =
+  match
+    List.find_opt
+      (fun (n, l, _) -> n = name && l = [])
+      (Reg.dump (Fastver.registry t))
+  with
+  | Some (_, _, Reg.Counter_v v) -> v
+  | _ -> Alcotest.failf "counter %s missing from registry" name
+
+let sockaddr addr =
+  match Net.Addr.to_sockaddr addr with
+  | Ok a -> a
+  | Error e -> Alcotest.fail e
+
+(* A [Stats] round trip with a deadline: a server whose loop died leaves
+   the request unanswered, which must fail the test, not hang it. *)
+let answers conn =
+  let id = Net.Client.send conn Net.Wire.Stats in
+  match Net.Client.recv ~timeout:5.0 conn with
+  | id', Net.Wire.Stats_reply _ -> Int64.equal id id'
+  | _ -> false
+  | exception Net.Client.Timeout -> false
+
+(* A client that pipelines gets and never reads a response: the server
+   stops reading it once its unsent replies reach the per-connection
+   bound, so its requests stop entering the pending queue (its own writes
+   block instead), while a second client keeps being served. *)
+let test_backpressure () =
+  with_server (fun t addr ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect fd (sockaddr addr);
+      Net.Sockio.send_all fd
+        (Net.Wire.encode_request ~id:0L (Net.Wire.Open_session { client = 7 }));
+      Unix.set_nonblock fd;
+      (* write pipelined gets until the server has not taken a byte for
+         0.3 s; a server that never pushes back fails the cap *)
+      let sent = ref 0 and frame = ref "" and off = ref 0 in
+      let stalled_since = ref None in
+      while
+        match !stalled_since with
+        | Some since -> Unix.gettimeofday () -. since < 0.3
+        | None -> true
+      do
+        if !off = String.length !frame then begin
+          incr sent;
+          if !sent > 2_000_000 then Alcotest.fail "the server never pushed back";
+          let nonce = Int64.of_int !sent in
+          frame :=
+            Net.Wire.encode_request ~id:nonce
+              (Net.Wire.Get { key = Int64.of_int (!sent mod 256); nonce });
+          off := 0
+        end;
+        match Unix.write_substring fd !frame !off (String.length !frame - !off) with
+        | n ->
+            off := !off + n;
+            stalled_since := None
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            if !stalled_since = None then
+              stalled_since := Some (Unix.gettimeofday ());
+            Unix.sleepf 0.01
+      done;
+      let served = counter_value t "fastver_net_requests_total" in
+      Alcotest.(check bool)
+        (Printf.sprintf "pushed back after %d requests, %d answered" !sent
+           served)
+        true
+        (served > 0 && served < !sent);
+      (* the second client is served while the first stays blocked *)
+      let conn = connect addr in
+      let s = Net.Client.open_session conn ~client:8 ~secret in
+      for i = 0 to 49 do
+        Alcotest.(check (option string)) "second client served"
+          (Some (initial_value (Int64.of_int i)))
+          (Net.Client.get s (Int64.of_int i))
+      done;
+      Alcotest.(check int) "the blocked client was not read further"
+        (served + 51)
+        (counter_value t "fastver_net_requests_total");
+      Net.Client.close conn;
+      Unix.close fd)
+
+(* Unix.select cannot hold a descriptor at or above FD_SETSIZE (1024):
+   with 1,100 connections open, this process's descriptors cross it. The
+   loop must refuse those connections at accept and keep serving — an
+   early client, and a new one once the excess is gone. *)
+let test_fd_ceiling () =
+  with_server (fun t addr ->
+      let early = connect addr in
+      Alcotest.(check bool) "early client served" true (answers early);
+      let sa = sockaddr addr in
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      (* non-blocking connects: a listener whose loop died fills its
+         backlog, and EAGAIN past the deadline fails instead of hanging *)
+      let rec open_one () =
+        let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.set_nonblock fd;
+        match Unix.connect fd sa with
+        | () -> fd
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            Unix.close fd;
+            if Unix.gettimeofday () > deadline then
+              Alcotest.fail "the server stopped accepting connections";
+            Unix.sleepf 0.001;
+            open_one ()
+      in
+      let flood = List.init 1100 (fun _ -> open_one ()) in
+      let refused () =
+        counter_value t "fastver_net_connections_refused_total"
+      in
+      while
+        counter_value t "fastver_net_connections_total" + refused () < 1101
+      do
+        if Unix.gettimeofday () > deadline then
+          Alcotest.fail "the server stopped accepting connections";
+        Unix.sleepf 0.01
+      done;
+      Alcotest.(check bool) "early client still served" true (answers early);
+      Alcotest.(check bool) "connections above the ceiling refused" true
+        (refused () > 0);
+      List.iter Unix.close flood;
+      let late = connect addr in
+      Alcotest.(check bool) "new client served after the excess closed" true
+        (answers late);
+      Net.Client.close late;
+      Net.Client.close early)
+
+(* ------------------------------------------------------------------ *)
 (* Tampering on the wire                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -735,6 +865,10 @@ let suite =
       Alcotest.test_case "stop under load" `Quick test_stop_under_load;
       Alcotest.test_case "metrics reconcile with ground truth" `Quick
         test_metrics_reconcile;
+      Alcotest.test_case "backpressure bounds a non-reading client" `Quick
+        test_backpressure;
+      Alcotest.test_case "descriptor ceiling refuses, loop survives" `Quick
+        test_fd_ceiling;
       Alcotest.test_case "tampered response detected" `Quick
         test_tampered_response_detected;
       Alcotest.test_case "tamper needs verification" `Quick

@@ -576,11 +576,7 @@ let test_flipped_cert_halts () =
 (* Batching must carry 10k ops in at most 1k op-carrying frames, and a
    follower replaying the batches converges to the same verified state. *)
 let test_batching_cuts_frames () =
-  let pcfg =
-    (* a long delay so only the size cap and epoch seals split batches *)
-    { Replica.Primary.default_config with batch_delay = 5.0 }
-  in
-  let t, p, addr = mk_primary ~pconfig:pcfg () in
+  let t, p, addr = mk_primary () in
   for e = 0 to 1 do
     for i = 0 to 4999 do
       Fastver.put t (Int64.of_int (i mod 200)) (Printf.sprintf "%d-%d" e i)
@@ -601,6 +597,52 @@ let test_batching_cuts_frames () =
     (Printf.sprintf "10k ops in at most 1k frames (%d)" frames)
     true
     (frames > 0 && frames <= 1_000)
+
+(* ------------------------------------------------------------------ *)
+(* Subscribe under live load                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A follower subscribes while another domain streams puts across several
+   seals, so the replay snapshot is taken with frames in flight to the
+   live stream. The stream digest turns a frame duplicated or skipped
+   between the two into a halt; applying exactly the streamed puts and
+   verifying every epoch shows they met exactly. *)
+let test_subscribe_under_load () =
+  let t, p, addr = mk_primary () in
+  let subscribed = Atomic.make false and started = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        (* keep writing until well after the subscription *)
+        let n = ref 0 and after = ref 0 in
+        while !after < 2_000 do
+          Fastver.put t (Int64.of_int (!n mod 256)) (Printf.sprintf "live-%d" !n);
+          incr n;
+          if !n = 200 then Atomic.set started true;
+          if Atomic.get subscribed then incr after;
+          if !n mod 400 = 0 then ignore (Fastver.verify t)
+        done;
+        ignore (Fastver.verify t);
+        !n)
+  in
+  wait_for "writer under way" (fun () -> Atomic.get started);
+  let f, fdir = mk_follower addr in
+  Atomic.set subscribed true;
+  let puts = Domain.join writer in
+  wait_for "catch-up" (caught_up t f);
+  Alcotest.(check bool) "no halt" true
+    (Replica.Follower.failure f = None
+    && Replica.Follower.state f = Replica.Follower.Streaming);
+  Alcotest.(check int) "every put applied once" puts
+    (Replica.Follower.applied_ops f);
+  let ft = Replica.Follower.system f in
+  for k = 0 to 255 do
+    let k = Int64.of_int k in
+    Alcotest.(check (option string)) "replicated value" (Fastver.get t k)
+      (Fastver.get ft k)
+  done;
+  Replica.Follower.stop f;
+  Replica.Primary.stop p;
+  remove_tree fdir
 
 (* ------------------------------------------------------------------ *)
 (* Stream teardown totality                                            *)
@@ -1373,6 +1415,8 @@ let suite =
         test_checkpoint_bootstrap;
       Alcotest.test_case "batching cuts stream frames" `Quick
         test_batching_cuts_frames;
+      Alcotest.test_case "subscribe under live load" `Quick
+        test_subscribe_under_load;
       Alcotest.test_case "flipped op halts follower" `Quick
         test_flipped_op_halts;
       Alcotest.test_case "flipped cert halts follower" `Quick
