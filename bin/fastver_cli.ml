@@ -201,6 +201,58 @@ module Net = Fastver_net
 let parse_addr s =
   match Net.Addr.parse s with Ok a -> a | Error e -> die "%s" e
 
+(* Bulk loads are trusted and out-of-band (not streamed): a store that
+   bootstraps from a primary's stream installs the same initial database
+   the primary's [load_system] did. *)
+let initial_load db_size sys =
+  Logs.app (fun m -> m "fresh follower: loading %d records…" db_size);
+  Fastver.load sys
+    (Array.init db_size (fun i ->
+         (Int64.of_int i, Fastver_workload.Ycsb.initial_value (Int64.of_int i))))
+
+let stopping = Atomic.make false
+
+(* Block until SIGINT or SIGTERM (or until [halted] holds), dumping the
+   registry every [metrics_interval] seconds. *)
+let await_signal ?(halted = fun () -> false) ?metrics_interval sys =
+  let on_signal _ = Atomic.set stopping true in
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  let last_dump = ref (Unix.gettimeofday ()) in
+  while not (Atomic.get stopping || halted ()) do
+    (try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    match metrics_interval with
+    | Some secs when Unix.gettimeofday () -. !last_dump >= secs ->
+        last_dump := Unix.gettimeofday ();
+        Logs.app (fun m ->
+            m "metrics %s"
+              (Fastver_obs.Registry.to_json (Fastver.registry (sys ()))))
+    | _ -> ()
+  done
+
+(* The tail [serve --replication-listen] and [follow] share: run the node
+   until a signal. A halted node logs its evidence and keeps serving its
+   already-verified state until told to stop, then exits 3. *)
+let run_node ?metrics_interval f =
+  let module F = Fastver_replica.Follower in
+  F.start f;
+  let sys () = F.system f in
+  await_signal ~halted:(fun () -> F.state f = F.Halted) ?metrics_interval sys;
+  (match F.failure f with
+  | Some (epoch, reason) ->
+      Logs.err (fun m ->
+          m "INTEGRITY VIOLATION at epoch %d: %s — follower halted; \
+             already-verified state still serves"
+            epoch reason);
+      await_signal ?metrics_interval sys
+  | None -> ());
+  F.stop f;
+  Logs.app (fun m ->
+      m "node stopped: %d ops applied over %d verified epochs; served %d gets \
+         locally"
+        (F.applied_ops f) (F.verified_epoch f + 1) (Fastver.stats (sys ())).gets);
+  if F.failure f <> None then exit 3
+
 let serve_cmd listen db_size workers shards batch depth cache algo
     enclave_model no_auth seed batch_limit ckpt_dir background_verify
     metrics_interval cold_dir cold_threshold repl_listen repl_peers adaptive =
@@ -249,150 +301,61 @@ let serve_cmd listen db_size workers shards batch depth cache algo
               dir e)
   in
   Option.iter (fun dir -> Fastver.set_auto_checkpoint t ~dir) ckpt_dir;
-  (* The replication tee must be installed before the store serves traffic:
-     ops admitted earlier would be missing from the retained stream. *)
-  let primary =
-    match repl_listen with
-    | None -> None
-    | Some s -> (
-        let raddr = parse_addr s in
-        let rcfg =
-          { Fastver_replica.Primary.default_config with checkpoint_dir = ckpt_dir }
-        in
-        match Fastver_replica.Primary.create ~config:rcfg t ~listen:raddr with
-        | Error e -> die "replication listener: %s" e
-        | Ok p ->
-            Fastver_replica.Primary.start p;
-            Logs.app (fun m ->
-                m "replicating on %a" Net.Addr.pp
-                  (Fastver_replica.Primary.bound_addr p));
-            Some p)
-  in
-  let peer_addrs = List.map parse_addr repl_peers in
-  if peer_addrs <> [] && primary = None then
+  if repl_peers <> [] && repl_listen = None then
     die "--repl-peer requires --replication-listen";
   let scfg = { Net.Server.default_config with batch_limit } in
-  match Net.Server.create ~config:scfg t ~listen:addr with
-  | Error e -> die "%s" e
-  | Ok srv ->
-      let stopping = Atomic.make false in
-      let on_signal _ = Atomic.set stopping true in
-      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-      Logs.app (fun m ->
-          m "serving on %a (auth %s) — Ctrl-C to stop" Net.Addr.pp
-            (Net.Server.bound_addr srv)
-            (if no_auth then "off" else "on"));
+  let srv =
+    match Net.Server.create ~config:scfg t ~listen:addr with
+    | Error e -> die "%s" e
+    | Ok srv -> srv
+  in
+  Logs.app (fun m ->
+      m "serving on %a (auth %s) — Ctrl-C to stop" Net.Addr.pp
+        (Net.Server.bound_addr srv)
+        (if no_auth then "off" else "on"));
+  match repl_listen with
+  | None ->
       Net.Server.start srv;
-      (* Rejoin fencing: while serving as primary, probe peer replication
-         listeners. A peer that proves it is primary for a higher fencing
-         term — or deposition evidence recorded at subscribe time — means
-         an election happened while this process was down: demote in place
-         and re-join as a follower of the new primary, catching up via the
-         checkpoint-fetch path. Terms are in-memory, so a restarted deposed
-         primary is at term 0 — the lowest possible — and can never win a
-         probe exchange it should lose. *)
-      let demoted = ref None in
-      let find_new_primary p ~min_term =
-        List.find_map
-          (fun peer ->
-            match
-              Fastver_replica.Primary.announce ~timeout:0.5 peer
-                ~term:(Fastver_replica.Primary.term p)
-                ~sealed:(Fastver.verified_epoch t)
-                ~priority:(Fastver_replica.Primary.priority p)
-                ~run_id:(Fastver_replica.Primary.run_id p)
-            with
-            | `Info i
-              when i.Fastver_replica.Primary.p_primary
-                   && i.Fastver_replica.Primary.p_term >= min_term
-                   && i.Fastver_replica.Primary.p_term
-                      > Fastver_replica.Primary.term p ->
-                Some (i.Fastver_replica.Primary.p_term, peer)
-            | `Info _ | `Unreachable _ -> None)
-          peer_addrs
+      await_signal ?metrics_interval (fun () -> t);
+      Net.Server.stop srv;
+      let c = Net.Server.counters srv and s = Fastver.stats t in
+      Logs.app (fun m ->
+          m
+            "served %d requests on %d connections in %d drains (largest %d); \
+             %d protocol errors, %d failed ops; store at %d ops, epoch %d"
+            c.served c.accepted c.batches c.max_batch c.proto_errors
+            c.op_failures s.ops (Fastver.current_epoch t))
+  | Some s -> (
+      (* A replication node that starts out leading: lib/replica owns its
+         tee ordering, its rival watch against the --repl-peer listeners
+         and its demotion, re-bootstrapping from the new primary if this
+         store took writes while leading. *)
+      let election =
+        Fastver_replica.Follower.electable
+          ~peers:(List.map parse_addr repl_peers)
+          ~promote_batch:batch ?checkpoint_dir:ckpt_dir (parse_addr s)
       in
-      let demote_to p ~term ~target =
-        Logs.app (fun m ->
-            m
-              "deposed at fencing term %d: demoting to follower of %a \
-               (re-bootstrapping via checkpoint fetch)"
-              term Net.Addr.pp target);
-        Net.Server.stop srv;
-        Fastver_replica.Primary.stop p;
-        let fdir = Filename.temp_file "fastver" "-demoted" in
-        Sys.remove fdir;
-        let load sys =
-          Fastver.load sys
-            (Array.init db_size (fun i ->
-                 ( Int64.of_int i,
-                   Fastver_workload.Ycsb.initial_value (Int64.of_int i) )))
-        in
-        match
-          Fastver_replica.Follower.create ~config ~load ~primary:target
-            ~listen:addr ~dir:fdir ()
-        with
-        | Error e -> die "demotion failed: %s" e
-        | Ok f ->
-            Fastver_replica.Follower.start f;
-            Logs.app (fun m ->
-                m "demoted: serving verified reads on %a as a follower of %a"
-                  Net.Addr.pp addr Net.Addr.pp target);
-            demoted := Some f
+      let dir =
+        match ckpt_dir with
+        | Some dir -> dir
+        | None ->
+            let d = Filename.temp_file "fastver" "-rejoin" in
+            Sys.remove d;
+            d
       in
-      let last_dump = ref (Unix.gettimeofday ()) in
-      let last_probe = ref 0.0 in
-      while not (Atomic.get stopping) do
-        (try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-        (match (primary, !demoted) with
-        | Some p, None when Unix.gettimeofday () -. !last_probe >= 0.5 ->
-            last_probe := Unix.gettimeofday ();
-            (match Fastver_replica.Primary.deposed p with
-            | Some (term, Some addr_s) -> (
-                match Net.Addr.parse addr_s with
-                | Ok target -> demote_to p ~term ~target
-                | Error _ -> (
-                    match find_new_primary p ~min_term:term with
-                    | Some (term, target) -> demote_to p ~term ~target
-                    | None -> ()))
-            | Some (term, None) -> (
-                match find_new_primary p ~min_term:term with
-                | Some (term, target) -> demote_to p ~term ~target
-                | None -> ())
-            | None when peer_addrs <> [] -> (
-                match find_new_primary p ~min_term:0 with
-                | Some (term, target) -> demote_to p ~term ~target
-                | None -> ())
-            | None -> ())
-        | _ -> ());
-        match metrics_interval with
-        | Some secs when Unix.gettimeofday () -. !last_dump >= secs ->
-            last_dump := Unix.gettimeofday ();
-            Logs.app (fun m ->
-                m "metrics %s"
-                  (Fastver_obs.Registry.to_json (Fastver.registry t)))
-        | _ -> ()
-      done;
-      match !demoted with
-      | Some f ->
-          Fastver_replica.Follower.stop f;
-          Logs.app (fun m ->
-              m "demoted follower stopped: %d ops applied over %d verified \
-                 epochs"
-                (Fastver_replica.Follower.applied_ops f)
-                (Fastver_replica.Follower.verified_epoch f + 1))
-      | None ->
-          Net.Server.stop srv;
-          Option.iter Fastver_replica.Primary.stop primary;
-          let c = Net.Server.counters srv in
-          let s = Fastver.stats t in
-          Logs.app (fun m ->
-              m
-                "served %d requests on %d connections in %d drains (largest \
-                 %d); %d protocol errors, %d failed ops; store at %d ops, \
-                 epoch %d"
-                c.served c.accepted c.batches c.max_batch c.proto_errors
-                c.op_failures s.ops (Fastver.current_epoch t))
+      match
+        Fastver_replica.Follower.leading ~load:(initial_load db_size)
+          ~election ~server:srv ~dir t
+      with
+      | Error e -> die "replication listener: %s" e
+      | Ok f ->
+          Option.iter
+            (fun p ->
+              Logs.app (fun m ->
+                  m "replicating on %a" Net.Addr.pp
+                    (Fastver_replica.Primary.bound_addr p)))
+            (Fastver_replica.Follower.standby f);
+          run_node ?metrics_interval f)
 
 let recover_cmd dir workers batch depth cache algo enclave_model no_auth seed
     cold_dir cold_threshold =
@@ -440,68 +403,22 @@ let follow_cmd primary listen db_size workers shards depth cache algo
     { (mk_config workers 0 depth cache algo enclave_model no_auth seed)
       with n_shards = shards }
   in
-  (* Bulk loads are trusted and out-of-band (not streamed); a fresh follower
-     installs the same initial database the primary's [load_system] did. *)
-  let load sys =
-    Logs.app (fun m -> m "fresh follower: loading %d records…" db_size);
-    Fastver.load sys
-      (Array.init db_size (fun i ->
-           (Int64.of_int i, Fastver_workload.Ycsb.initial_value (Int64.of_int i))))
-  in
   match
-    Fastver_replica.Follower.create ~config ~load ?election
+    Fastver_replica.Follower.create ~config ~load:(initial_load db_size)
+      ?election
       ~primary:primary_addr ?listen:listen_addr ~dir ()
   with
   | Error e -> die "follow: %s" e
   | Ok f ->
-      let t = Fastver_replica.Follower.system f in
-      (match Fastver_replica.Follower.server f with
-      | Some srv ->
-          Logs.app (fun m ->
-              m "follower serving reads on %a (primary %a)" Net.Addr.pp
-                (Net.Server.bound_addr srv) Net.Addr.pp primary_addr)
-      | None ->
-          Logs.app (fun m ->
-              m "follower tailing %a (no read listener)" Net.Addr.pp
-                primary_addr));
-      (match election with
-      | Some e ->
-          Logs.app (fun m ->
-              m "electable candidate on %a (priority %d, %d peers)"
-                Net.Addr.pp e.Fastver_replica.Follower.listen priority
-                (List.length peers))
-      | None -> ());
-      Fastver_replica.Follower.start f;
-      let stopping = Atomic.make false in
-      let on_signal _ = Atomic.set stopping true in
-      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-      while
-        (not (Atomic.get stopping))
-        && Fastver_replica.Follower.state f <> Fastver_replica.Follower.Halted
-      do
-        try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done;
-      (match Fastver_replica.Follower.failure f with
-      | Some (epoch, reason) ->
-          Logs.err (fun m ->
-              m "INTEGRITY VIOLATION at epoch %d: %s — follower halted; \
-                 already-verified state still serves"
-                epoch reason);
-          (* keep serving verified state until told to stop *)
-          while not (Atomic.get stopping) do
-            try Unix.sleepf 0.2 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          done
-      | None -> ());
-      Fastver_replica.Follower.stop f;
-      let s = Fastver.stats t in
       Logs.app (fun m ->
-          m "follower stopped: %d ops applied over %d verified epochs; served \
-             %d gets locally"
-            (Fastver_replica.Follower.applied_ops f)
-            (Fastver_replica.Follower.verified_epoch f + 1)
-            s.gets);
-      if Fastver_replica.Follower.failure f <> None then exit 3
+          m "follower of %a serving reads on %s%s" Net.Addr.pp primary_addr
+            (Option.value listen ~default:"no listener")
+            (match electable with
+            | Some s ->
+                Printf.sprintf "; electable on %s (priority %d, %d peers)" s
+                  priority (List.length peers)
+            | None -> ""));
+      run_node f
 
 (* ------------------------------------------------------------------ *)
 (* stats: fetch and reconcile a live metrics snapshot                  *)
@@ -864,11 +781,13 @@ let follow_priority =
 let repl_peers =
   Arg.(value & opt_all string [] & info [ "repl-peer" ] ~docv:"ADDR"
          ~doc:"A peer replication listener to probe while serving \
-               (repeatable). If a peer proves it is primary for a higher \
-               fencing term — an election happened while this process was \
-               down — the server demotes in place: it stops accepting \
-               writes and re-joins as a read-only follower of the new \
-               primary, catching up through the checkpoint-fetch path.")
+               (repeatable). If a peer is a primary that outranks this one \
+               (a higher fencing term: an election happened while this \
+               process was down), the server steps down to a read-only \
+               follower of it. It keeps its store only if it applied no \
+               write and sealed no epoch while leading; otherwise it \
+               re-bootstraps from the new primary. The peers also vote in \
+               later elections this node takes part in.")
 
 let metrics_interval =
   Arg.(value & opt (some float) None & info [ "metrics-interval" ]

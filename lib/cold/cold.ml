@@ -6,8 +6,6 @@ module Histogram = Fastver_obs.Histogram
 
 type config = { dir : string; mac_secret : string; segment_bytes : int }
 
-let default_segment_bytes = 4 * 1024 * 1024
-
 type rref = { seg : int; off : int; len : int }
 
 type state = Active | Sealed | Retired

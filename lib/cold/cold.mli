@@ -32,9 +32,6 @@ type config = {
   segment_bytes : int;  (** seal threshold for a segment's record area *)
 }
 
-val default_segment_bytes : int
-(** 4 MiB. *)
-
 type rref = { seg : int; off : int; len : int }
 (** A cold record reference: segment id, byte offset of the record, and the
     {e value} length (the on-disk record occupies

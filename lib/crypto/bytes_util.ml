@@ -49,12 +49,8 @@ let of_hex s =
   String.init (n / 2) (fun i ->
       Char.chr ((digit_value s.[2 * i] lsl 4) lor digit_value s.[(2 * i) + 1]))
 
-let get_u32_be s off = String.get_int32_be s off
 let get_u64_le s off = String.get_int64_le s off
-let get_u64_be s off = String.get_int64_be s off
-let set_u32_be b off v = Bytes.set_int32_be b off v
 let set_u64_le b off v = Bytes.set_int64_le b off v
-let set_u64_be b off v = Bytes.set_int64_be b off v
 
 let string_of_u64_le v =
   let b = Bytes.create 8 in

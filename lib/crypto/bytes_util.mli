@@ -20,12 +20,8 @@ val to_hex : string -> string
 val of_hex : string -> string
 (** Inverse of {!to_hex}. @raise Invalid_argument on odd length or bad digit. *)
 
-val get_u32_be : string -> int -> int32
 val get_u64_le : string -> int -> int64
-val get_u64_be : string -> int -> int64
-val set_u32_be : Bytes.t -> int -> int32 -> unit
 val set_u64_le : Bytes.t -> int -> int64 -> unit
-val set_u64_be : Bytes.t -> int -> int64 -> unit
 
 val string_of_u64_le : int64 -> string
 (** 8-byte little-endian encoding. *)

@@ -4,14 +4,7 @@ let key_of_string s =
   if String.length s <> 16 then invalid_arg "Multiset_hash.key_of_string";
   Cmac.of_aes_key s
 
-let random_key () =
-  key_of_string (String.init 16 (fun _ -> Char.chr (Random.int 256)))
-
 type t = { key : key; acc : Bytes.t }
-
-let count = ref 0
-let elements_hashed () = !count
-let reset_element_count () = count := 0
 
 let create key = { key; acc = Bytes.make 16 '\000' }
 let reset t = Bytes.fill t.acc 0 16 '\000'
@@ -26,7 +19,6 @@ let add_128 (dst : Bytes.t) (src : string) =
   done
 
 let add t elem =
-  incr count;
   add_128 t.acc (Cmac.mac t.key elem)
 
 let of_value key v =

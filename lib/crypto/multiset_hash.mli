@@ -19,9 +19,6 @@ val key_of_string : string -> key
 (** Derive the PRF key from a 16-byte secret.
     @raise Invalid_argument on any other length. *)
 
-val random_key : unit -> key
-(** A fresh key from [Random]; test/bench convenience. *)
-
 type t
 (** A mutable accumulator holding the 16-byte running hash. *)
 
@@ -47,8 +44,3 @@ val empty_value : string
 
 val hash_elements : key -> string list -> string
 (** One-shot: hash of a whole multiset. *)
-
-val elements_hashed : unit -> int
-(** Process-wide count of {!add} calls, for cost breakdowns in benchmarks. *)
-
-val reset_element_count : unit -> unit

@@ -47,10 +47,6 @@ let charge_transitions t n =
 let charged_ns t = t.charged
 let transitions t = t.transitions
 
-let reset_accounting t =
-  t.charged <- 0L;
-  t.transitions <- 0
-
 let cost_model t = t.model
 
 let alloc_trusted t n =

@@ -28,8 +28,6 @@ val charged_ns : t -> int64
 val transitions : t -> int
 (** Number of host->enclave round trips so far. *)
 
-val reset_accounting : t -> unit
-
 val cost_model : t -> Cost_model.t
 
 (** {2 Trusted memory budget} *)

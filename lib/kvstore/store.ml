@@ -239,8 +239,6 @@ let iter_aux t f = Key.Tbl.iter (fun key addr -> f key (aux_of_body (slot t addr
 
 (* {2 Cold-tier demotion and compaction} *)
 
-let cold_tier t = t.cold
-
 (* Demote cooling record versions (older than the in-memory budget, outside
    the mutable region) to the cold tier. This runs under each key's stripe
    lock, so it is safe while serving: the body flip cannot race an install

@@ -78,8 +78,6 @@ val iter_aux : 'v t -> (Key.t -> int64 -> unit) -> unit
 
 (** {2 Maintenance} *)
 
-val cold_tier : 'v t -> Cold.t option
-
 val demote_now : 'v t -> budget:int -> (int, string) result
 (** Demote record versions older than the newest [budget] log entries (and
     outside the mutable region) to the cold tier; returns how many moved.

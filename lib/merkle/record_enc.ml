@@ -2,24 +2,12 @@ open Fastver_crypto
 
 type algo = Blake2b | Blake2s | Sha256
 
-let algo_of_string = function
-  | "blake2b" -> Ok Blake2b
-  | "blake2s" -> Ok Blake2s
-  | "sha256" -> Ok Sha256
-  | s -> Error (Printf.sprintf "unknown hash algorithm %S" s)
-
 let pp_algo ppf = function
   | Blake2b -> Format.pp_print_string ppf "blake2b"
   | Blake2s -> Format.pp_print_string ppf "blake2s"
   | Sha256 -> Format.pp_print_string ppf "sha256"
 
-let count = ref 0
-
-let hash_count () = !count
-let reset_hash_count () = count := 0
-
 let hash_value ?(algo = Blake2s) v =
-  incr count;
   let enc = Value.encode v in
   match algo with
   | Blake2b -> Blake2b.digest ~digest_size:32 enc

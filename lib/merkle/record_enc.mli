@@ -10,17 +10,10 @@
 
 type algo = Blake2b | Blake2s | Sha256
 
-val algo_of_string : string -> (algo, string) result
 val pp_algo : Format.formatter -> algo -> unit
 
 val hash_value : ?algo:algo -> Value.t -> string
 (** 32-byte Merkle hash of a value. Defaults to BLAKE2s. *)
-
-val hash_count : unit -> int
-(** Number of Merkle hash computations performed process-wide; benchmarks use
-    this to report verification-cost breakdowns (Fig. 14b). *)
-
-val reset_hash_count : unit -> unit
 
 val blum_element : Key.t -> Value.t -> int64 -> string
 (** [blum_element k v t] is the injective encoding of [(k, v, t)]. *)

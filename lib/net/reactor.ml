@@ -34,6 +34,9 @@ type 'a t = {
   wake_w : Unix.file_descr;
   stopping : bool Atomic.t;
   mutable conns : 'a conn list;
+  mutable accept_paused_until : float;
+      (* accept failed for want of descriptors: leave the listener out of
+         select until a connection is reaped or this time passes *)
   scratch : Bytes.t;
   m_lost_wakeups : Fastver_obs.Counter.t;
   m_refused : Fastver_obs.Counter.t;
@@ -50,6 +53,11 @@ type 'a handlers = {
 }
 
 let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* How long a listener stays out of select after accept ran out of
+   descriptors: a listener with a queued connection stays readable, so
+   polling it would spin the loop until a descriptor frees up. *)
+let accept_backoff = 0.1
 
 (* OCaml's [Unix.select] raises EINVAL for a descriptor at or above
    FD_SETSIZE, before any system call: a zero-timeout probe tells whether
@@ -93,6 +101,7 @@ let listen reg addr =
               wake_w;
               stopping = Atomic.make false;
               conns = [];
+              accept_paused_until = 0.0;
               scratch = Bytes.create 65536;
               m_lost_wakeups =
                 Reg.counter reg
@@ -166,9 +175,14 @@ let accept_all t h =
         end;
         go ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+        if t.accept_paused_until = 0.0 then
+          Log.warn (fun m ->
+              m "%a: out of descriptors; pausing accept" Addr.pp t.addr);
+        t.accept_paused_until <- Unix.gettimeofday () +. accept_backoff
     | exception Unix.Unix_error _ ->
-        (* EAGAIN: the backlog is empty. Anything else (EMFILE, ...) is
-           retried on the next pass. *)
+        (* EAGAIN: the backlog is empty. Anything else is retried on the
+           next pass. *)
         ()
   in
   go ()
@@ -222,38 +236,45 @@ let reap t h =
       t.conns
   in
   List.iter (fun c -> h.closed c; close_fd c.fd) gone;
+  if gone <> [] then t.accept_paused_until <- 0.0;
   t.conns <- kept
 
 let run t h =
   while not (Atomic.get t.stopping) do
+    let now = Unix.gettimeofday () in
+    let paused = now < t.accept_paused_until in
     let read_fds =
-      t.wake_r :: t.listener
-      :: List.filter_map
-           (fun c -> if is_open c && h.wants_input c then Some c.fd else None)
-           t.conns
+      t.wake_r
+      :: (if paused then [] else [ t.listener ])
+      @ List.filter_map
+          (fun c -> if is_open c && h.wants_input c then Some c.fd else None)
+          t.conns
     in
     let write_fds =
       List.filter_map (fun c -> if has_output c then Some c.fd else None) t.conns
     in
     let timeout =
-      match h.deadline () with
-      | None -> -1.0
-      | Some d -> Float.max 0.0 (d -. Unix.gettimeofday ())
+      match (h.deadline (), if paused then Some t.accept_paused_until else None) with
+      | None, None -> -1.0
+      | Some d, None | None, Some d -> Float.max 0.0 (d -. now)
+      | Some d, Some resume -> Float.max 0.0 (Float.min d resume -. now)
     in
     match Unix.select read_fds write_fds [] timeout with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | readable, _, _ ->
+        let ready = Hashtbl.create 16 in
+        List.iter (fun fd -> Hashtbl.replace ready fd ()) readable;
         (* wake-ups coalesce: one read empties any realistic backlog, and
            a remainder only costs another pass *)
-        if List.mem t.wake_r readable then
+        if Hashtbl.mem ready t.wake_r then
           (try ignore (Unix.read t.wake_r t.scratch 0 4096)
            with Unix.Unix_error _ -> ());
-        if List.mem t.listener readable then accept_all t h;
+        if Hashtbl.mem ready t.listener then accept_all t h;
         List.iter
           (fun c ->
             (* re-asked here: input read earlier in this pass may have
                filled the owner's queue *)
-            if List.mem c.fd readable && is_open c && h.wants_input c then
+            if Hashtbl.mem ready c.fd && is_open c && h.wants_input c then
               read_input t h c)
           t.conns;
         h.pass ();

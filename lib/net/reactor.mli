@@ -70,7 +70,10 @@ type 'a handlers = {
 val run : 'a t -> 'a handlers -> unit
 (** Serve until {!stop}. A connection whose descriptor [select] cannot
     hold (at or above FD_SETSIZE) is closed at accept and counted in
-    [fastver_net_connections_refused_total]; the loop keeps serving. *)
+    [fastver_net_connections_refused_total]; the loop keeps serving. When
+    accept runs out of descriptors (EMFILE/ENFILE) the listener is left
+    out of [select] until a connection is reaped or 100 ms pass, so the
+    queued connection waits instead of the loop spinning. *)
 
 val stop : 'a t -> bool
 (** Ask {!run} to return; [true] only on the first call. *)

@@ -39,13 +39,32 @@ let electable ?(peers = []) ?(priority = 0) ?(election_timeout = 1.0)
 
 let backoff_cap = 5.0
 
+type metrics = {
+  m_applied : Fastver_obs.Counter.t;
+  m_certs_ok : Fastver_obs.Counter.t;
+  m_certs_bad : Fastver_obs.Counter.t;
+  m_lag : Fastver_obs.Gauge.t;
+  m_elections : Fastver_obs.Counter.t;
+  m_promote_s : Fastver_obs.Histogram.t;
+}
+
+(* Where a leader began: verified epoch, store puts and chain term. *)
+type led_from = { epoch : int; puts : int; chain_term : int }
+
 type t = {
-  sys : Fastver.t;
-  server : Server.t option;
+  config : Fastver.Config.t; (* a re-bootstrapped store's, batch_size 0 *)
+  load : (Fastver.t -> unit) option;
+  dir : string; (* fetched checkpoint generations land under it *)
+  listen : Addr.t option; (* the read server's address *)
+  mutable sys : Fastver.t;
+  mutable server : Server.t option;
+  mutable standby : Primary.t option;
+      (* Some iff electable, except while re-bootstrapping *)
+  mutable chain : Verifier.Cert_chain.t;
+  mutable m : metrics;
   mutable primary : Addr.t; (* current subscription target *)
   orig_primary : Addr.t; (* as configured: probed so a rejoining deposed
                             primary learns of the new term *)
-  chain : Verifier.Cert_chain.t;
   lock : Mutex.t;
   mutable conn : Client.t option;
   mutable state : state;
@@ -75,20 +94,11 @@ type t = {
   mutable lost_since : float option;
       (* when the primary first became unreachable; election grace timer *)
   election : election option;
-  standby : Primary.t option; (* Some iff electable *)
   self_id : int64; (* candidate identity, final election tie-break *)
-  m_applied : Fastver_obs.Counter.t;
-  m_certs_ok : Fastver_obs.Counter.t;
-  m_certs_bad : Fastver_obs.Counter.t;
-  m_lag : Fastver_obs.Gauge.t;
-  m_elections : Fastver_obs.Counter.t;
-  m_promote_s : Fastver_obs.Histogram.t;
+  mutable led_from : led_from option;
+      (* while leading, and after stepping down until streaming again *)
+  mutable rebootstrap : bool; (* the store is discarded: bootstrap anew *)
 }
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn > 0 && go 0
 
 (* ---- Bootstrap conversations ---- *)
 
@@ -165,17 +175,111 @@ let fetch_checkpoint conn ~config ~dir =
       Error ("checkpoint fetch refused: " ^ e)
   | _ -> Error "unexpected response to checkpoint fetch"
 
+let primary_config (e : election) =
+  { Primary.checkpoint_dir = e.checkpoint_dir; priority = e.priority }
+
+(* Bootstrap a store on a new connection. Subscribe from epoch 0 at term 0:
+   if the primary still retains epoch 0, install the initial database with
+   [load] and replay the stream; otherwise fetch the newest committed
+   checkpoint generation into [dir], recover it and tail from its epoch —
+   the recovery path a restarted primary takes. Then bind the read server
+   (read-only) and the standby listener around the store and start them.
+   Returns the store, both listeners, its chain term and the primary's run
+   id. *)
+let bootstrap ~timeout ~config ~load ~dir ~listen ~election conn =
+  let ( let* ) = Result.bind in
+  let* first = subscribe ~timeout conn ~from_epoch:0 ~term:0 in
+  let* sys, term, run_id =
+    match first with
+    | `Subscribed (_, run_id, _) ->
+        let sys = Fastver.create ~config () in
+        Option.iter (fun f -> f sys) load;
+        Ok (sys, 0, run_id)
+    | `Refused reason when Primary.refusal reason <> `Rebootstrap ->
+        Error ("primary refused subscription: " ^ reason)
+    | `Refused _ -> (
+        let* sys, ck_term = fetch_checkpoint conn ~config ~dir in
+        let from_epoch = Fastver.verified_epoch sys + 1 in
+        Log.app (fun m ->
+            m
+              "bootstrapped from primary checkpoint (verified epoch %d, term \
+               %d); tailing from %d"
+              (Fastver.verified_epoch sys)
+              ck_term from_epoch);
+        let* again = subscribe ~timeout conn ~from_epoch ~term:ck_term in
+        match again with
+        | `Subscribed (_, run_id, _) -> Ok (sys, ck_term, run_id)
+        | `Refused e ->
+            Error ("primary refused post-checkpoint subscription: " ^ e))
+  in
+  let* server =
+    match listen with
+    | None -> Ok None
+    | Some addr ->
+        let config = { Server.default_config with read_only = true } in
+        Result.map Option.some (Server.create ~config sys ~listen:addr)
+  in
+  match
+    Option.map
+      (fun (e : election) ->
+        Primary.create ~config:(primary_config e) ~role:Primary.Standby sys
+          ~listen:e.listen)
+      election
+  with
+  | Some (Error err) ->
+      Option.iter Server.stop server;
+      Error ("cannot bind election listener: " ^ err)
+  | standby ->
+      let standby = Option.map Result.get_ok standby in
+      Option.iter Server.start server;
+      Option.iter Primary.start standby;
+      Ok (sys, server, standby, term, run_id)
+
+let metrics sys =
+  let module Reg = Fastver_obs.Registry in
+  let reg = Fastver.registry sys in
+  Reg.counter_fn reg ~help:"Validated reads served by this follower"
+    "fastver_repl_follower_reads_total" (fun () ->
+      (Fastver.stats sys).gets + (Fastver.stats sys).scans);
+  {
+    m_applied =
+      Reg.counter reg ~help:"Replicated ops applied after verification"
+        "fastver_repl_ops_applied_total";
+    m_certs_ok =
+      Reg.counter reg ~help:"Epoch boundary records that authenticated"
+        "fastver_repl_certs_verified_total";
+    m_certs_bad =
+      Reg.counter reg ~help:"Epoch boundary records rejected"
+        "fastver_repl_certs_rejected_total";
+    m_lag =
+      Reg.gauge reg
+        ~help:"Epochs seen in the stream but not yet verified locally"
+        "fastver_repl_lag_epochs";
+    m_elections =
+      Reg.counter reg ~help:"Election rounds started by this node"
+        "fastver_repl_elections_total";
+    m_promote_s =
+      Reg.histogram reg ~scale:1e-9
+        ~help:
+          "Election-start to serving-writes latency of in-place promotions"
+        "fastver_repl_promotion_seconds";
+  }
+
+let new_chain sys =
+  Verifier.Cert_chain.create ~mac_secret:(Fastver.config sys).mac_secret
+    ~verified:(Fastver.verified_epoch sys)
+
 (* ---- Stream handling ---- *)
 
 let gauge_lag t =
-  Fastver_obs.Gauge.set t.m_lag
+  Fastver_obs.Gauge.set t.m.m_lag
     (float_of_int (max 0 (t.max_seen - Fastver.verified_epoch t.sys)))
 
 let halt t ~epoch reason =
   Mutex.protect t.lock (fun () ->
       if t.failure = None then t.failure <- Some (epoch, reason);
       t.state <- Halted);
-  Fastver_obs.Counter.incr t.m_certs_bad;
+  Fastver_obs.Counter.incr t.m.m_certs_bad;
   (match t.conn with Some c -> Client.close c | None -> ());
   t.conn <- None;
   Log.err (fun m -> m "follower halted at epoch %d: %s" epoch reason);
@@ -244,8 +348,11 @@ let handle_boundary t ~epoch ~cert ~stream_mac ~term =
       (match value with
       | Some v -> Fastver.put_key t.sys k v
       | None -> Fastver.delete_key t.sys k);
-      Fastver_obs.Counter.incr t.m_applied)
+      Fastver_obs.Counter.incr t.m.m_applied)
     ops;
+  (* counted before the local scan makes the epoch visible as verified, so
+     a reader that sees the epoch also sees its ops *)
+  Mutex.protect t.lock (fun () -> t.applied <- t.applied + List.length ops);
   (* Seal locally: the follower's own verifier re-checks the epoch balance
      over the replayed ops, and its live epoch advances in lockstep with
      the primary's — receipts served from here on are stamped [>= epoch]. *)
@@ -256,13 +363,12 @@ let handle_boundary t ~epoch ~cert ~stream_mac ~term =
   Mutex.protect t.lock (fun () ->
       Hashtbl.remove t.pending epoch;
       Hashtbl.remove t.digests epoch;
-      t.applied <- t.applied + List.length ops;
       if epoch > t.max_seen then t.max_seen <- epoch;
       (* The chain term advances only here: the boundary authenticated, so
          our newest verified epoch really was sealed under [term]. *)
       if term > t.term then t.term <- term;
       if term > t.seen_term then t.seen_term <- term);
-  Fastver_obs.Counter.incr t.m_certs_ok;
+  Fastver_obs.Counter.incr t.m.m_certs_ok;
   gauge_lag t
 
 exception Disconnected_exn
@@ -311,15 +417,22 @@ let reset_backoff t =
 let note_seen_term t term =
   if term > t.seen_term then t.seen_term <- term
 
-(* ---- Election ---- *)
+let state t = Mutex.protect t.lock (fun () -> t.state)
 
-(* A candidate outranks another by (sealed, priority, run-id), compared
-   lexicographically. Soundness of leading with the *highest verified
-   epoch*: every sealed epoch is chain-authenticated back to the shared
-   secret, so the candidate holding the largest one provably contains every
-   write any client could have had certified — there is nothing newer to
-   lose. Priority and run-id only break exact ties deterministically. *)
-let my_rank t e = (Fastver.verified_epoch t.sys, e.priority, t.self_id)
+(* Subscribed on [conn]: stream from here on. *)
+let streaming t conn ~run_id ~term =
+  t.run_id <- Some run_id;
+  t.conn <- Some conn;
+  Mutex.protect t.lock (fun () -> t.state <- Streaming);
+  reset_backoff t;
+  if t.led_from <> None then begin
+    t.led_from <- None;
+    Log.app (fun m ->
+        m "demoted: serving verified reads as a follower of %s (term %d)"
+          (Addr.to_string t.primary) term)
+  end
+
+(* ---- Election ---- *)
 
 let retarget t ~addr ~term reason =
   Log.app (fun m ->
@@ -328,73 +441,100 @@ let retarget t ~addr ~term reason =
   note_seen_term t term;
   reset_backoff t
 
-(* Consume a [Promote] directive the standby listener may have received
+(* Act on a [Promote] directive the standby listener may have received
    from an election winner. *)
 let check_directive t =
-  match t.standby with
+  match Option.bind t.standby Primary.deposed with
+  | Some (term, Some addr_s) -> (
+      match Addr.parse addr_s with
+      | Ok addr -> retarget t ~addr ~term "promote directive from winner"
+      | Error _ ->
+          Log.warn (fun m ->
+              m "promote directive carried unparseable address %S" addr_s))
+  | Some (term, None) -> note_seen_term t term
   | None -> ()
-  | Some sb -> (
-      match Primary.take_directive sb with
-      | Some (term, Some addr_s) -> (
-          match Addr.parse addr_s with
-          | Ok addr -> retarget t ~addr ~term "promote directive from winner"
-          | Error _ ->
-              Log.warn (fun m ->
-                  m "promote directive carried unparseable address %S" addr_s))
-      | Some (term, None) -> note_seen_term t term
-      | None -> ())
 
-let probe_targets e orig =
-  if List.mem orig e.peers then e.peers else orig :: e.peers
+(* One exchange with a peer's replication listener ([Announce_term] or
+   [Promote]; both answer [Term_info]) on its own connection, giving the
+   peer's term, whether it leads, and its candidate rank. Total: any
+   failure is [None], and election treats that peer as not voting. *)
+let ask ~timeout peer req =
+  match Client.connect peer with
+  | Error _ -> None
+  | Ok conn -> (
+      Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
+      match
+        handshake ~timeout "peer probe" (fun () ->
+            let id = Client.send conn req in
+            Ok (Client.expect_id id (Client.recv ~timeout conn)))
+      with
+      | Ok (Wire.Term_info { term; sealed; priority; run_id; primary }) ->
+          Some (term, primary, (sealed, priority, run_id))
+      | Ok _ | Error _ -> None)
+
+(* The configured primary and the peers, never this node's own listener. *)
+let probe_targets t (e : election) =
+  List.filter (( <> ) e.listen)
+    (if List.mem t.orig_primary e.peers then e.peers
+     else t.orig_primary :: e.peers)
+
+(* The election state of every reachable probe target. *)
+let survey t (e : election) ~term =
+  let sealed = Fastver.verified_epoch t.sys in
+  List.filter_map
+    (fun peer ->
+      ask ~timeout:e.probe_timeout peer
+        (Wire.Announce_term
+           { term; sealed; priority = e.priority; run_id = t.self_id })
+      |> Option.map (fun i -> (peer, i)))
+    (probe_targets t e)
+
+(* Where this node begins leading; see {!wrote_while_leading}. *)
+let led_from t =
+  {
+    epoch = Fastver.verified_epoch t.sys;
+    puts = (Fastver.stats t.sys).puts;
+    chain_term = t.term;
+  }
+
+(* A candidate outranks another by (sealed, priority, run-id), compared
+   lexicographically. Soundness of leading with the *highest verified
+   epoch*: every sealed epoch is chain-authenticated back to the shared
+   secret, so the candidate holding the largest one provably contains every
+   write any client could have had certified — there is nothing newer to
+   lose. Priority and run-id only break exact ties deterministically. A
+   leader meeting a rival leader puts the term first. *)
+let rank t (e : election) = (Fastver.verified_epoch t.sys, e.priority, t.self_id)
 
 (* One candidacy round. Deterministic given the reachable peer set: every
-   candidate compares the same (sealed, priority, run-id) tuples, so the
-   maximum is the unique winner; unreachable peers simply do not vote
-   (a healed partition is reconciled by the leader's rival probes). *)
-let run_election t e sb =
-  Fastver_obs.Counter.incr t.m_elections;
+   candidate compares the same ranks, so the maximum is the unique winner;
+   unreachable peers simply do not vote (a healed partition is reconciled
+   by the leader's rival probes). A node re-bootstrapping has no standby
+   listener and only looks for a live primary. *)
+let run_election t e =
+  Fastver_obs.Counter.incr t.m.m_elections;
   let t0 = Unix.gettimeofday () in
-  let sealed = Fastver.verified_epoch t.sys in
-  let mine = my_rank t e in
-  let infos =
-    List.filter_map
-      (fun peer ->
-        match
-          Primary.announce ~timeout:e.probe_timeout peer ~term:t.seen_term
-            ~sealed ~priority:e.priority ~run_id:t.self_id
-        with
-        | `Info i -> Some (peer, i)
-        | `Unreachable why ->
-            Log.debug (fun m ->
-                m "election: peer %s unreachable (%s)" (Addr.to_string peer)
-                  why);
-            None)
-      (probe_targets e t.orig_primary)
-  in
+  let infos = survey t e ~term:t.seen_term in
   match
-    List.find_opt
-      (fun (_, i) -> i.Primary.p_primary && i.Primary.p_term >= t.seen_term)
-      infos
+    ( List.find_opt
+        (fun (_, (term, primary, _)) -> primary && term >= t.seen_term)
+        infos,
+      t.standby )
   with
-  | Some (peer, i) ->
+  | Some (peer, (term, _, _)), _ ->
       (* Someone already leads at a current term: no election needed. *)
-      retarget t ~addr:peer ~term:i.Primary.p_term "found a live primary"
-  | None ->
-      let beaten =
-        List.exists
-          (fun (_, i) ->
-            (i.Primary.p_sealed, i.Primary.p_priority, i.Primary.p_run_id)
-            > mine)
-          infos
-      in
+      retarget t ~addr:peer ~term "found a live primary"
+  | None, None -> t.lost_since <- Some t0
+  | None, Some sb ->
+      let sealed = Fastver.verified_epoch t.sys in
       let max_term =
         List.fold_left
-          (fun a (_, i) -> max a i.Primary.p_term)
+          (fun a (_, (term, _, _)) -> max a term)
           (max t.seen_term (Primary.term sb))
           infos
       in
       note_seen_term t max_term;
-      if beaten then begin
+      if List.exists (fun (_, (_, _, r)) -> r > rank t e) infos then begin
         (* A better candidate is live: restart the grace timer and let it
            claim the term (we will find it as primary next round, or get
            its Promote directive on the standby listener). *)
@@ -408,18 +548,18 @@ let run_election t e sb =
         (* We hold the highest verified epoch among reachable candidates:
            promote in place under a term above everything seen. *)
         let term = max_term + 1 in
+        t.led_from <- Some (led_from t);
         Primary.promote sb ~term;
         Fastver.set_batch_size t.sys e.promote_batch;
-        (match e.checkpoint_dir with
-        | Some dir -> Fastver.set_auto_checkpoint t.sys ~dir
-        | None -> ());
-        (match t.server with Some s -> Server.set_read_only s false | None -> ());
+        Option.iter (fun dir -> Fastver.set_auto_checkpoint t.sys ~dir)
+          e.checkpoint_dir;
+        Option.iter (fun s -> Server.set_read_only s false) t.server;
         Mutex.protect t.lock (fun () ->
             t.term <- term;
             t.seen_term <- term;
             t.state <- Leading);
         reset_backoff t;
-        Fastver_obs.Histogram.record_span t.m_promote_s
+        Fastver_obs.Histogram.record_span t.m.m_promote_s
           (Unix.gettimeofday () -. t0);
         Log.app (fun m ->
             m
@@ -432,33 +572,78 @@ let run_election t e sb =
            rejoining deposed primary learns it was fenced. *)
         List.iter
           (fun peer ->
-            match
-              Primary.send_promote ~timeout:e.probe_timeout peer ~term
-                ~self:e.listen
-            with
-            | `Ok | `Unreachable _ -> ())
-          (probe_targets e t.orig_primary)
+            ignore
+              (ask ~timeout:e.probe_timeout peer
+                 (Wire.Promote { term; addr = Addr.to_string e.listen })))
+          (probe_targets t e)
       end
 
-(* Leading → Standby: a rival with a greater claim is primary. Hand the
-   write role back, re-enter the follower loop against the rival. *)
-let step_down t sb ~term ~addr reason =
-  Primary.demote sb ~term;
-  Fastver.set_batch_size t.sys 0;
-  Fastver.clear_auto_checkpoint t.sys;
-  (match t.server with Some s -> Server.set_read_only s true | None -> ());
+(* Whether the store took a write or sealed an epoch since this node began
+   leading: it may then hold state outside its successor's history. *)
+let wrote_while_leading t =
+  match t.led_from with
+  | None -> false
+  | Some l ->
+      Fastver.verified_epoch t.sys <> l.epoch
+      || (Fastver.stats t.sys).puts <> l.puts
+
+(* Stop serving the store; the next connection bootstraps a new one. *)
+let discard t =
+  Option.iter Server.stop t.server;
+  Option.iter Primary.stop t.standby;
   Mutex.protect t.lock (fun () ->
-      note_seen_term t term;
-      t.state <- Disconnected);
-  (match addr with
-  | Some a -> retarget t ~addr:a ~term reason
-  | None -> reset_backoff t);
-  Log.app (fun m -> m "stepped down at term %d: %s" term reason)
+      t.server <- None;
+      t.standby <- None;
+      t.rebootstrap <- true)
+
+(* The leader watch and the one demotion path. Evidence is a deposition
+   the replication listener recorded, or a rival primary that outranks this
+   one by (term, rank). A leader that wrote nothing while leading still
+   holds a prefix of the history it followed: it keeps its store and claims
+   its old chain term. Any other discards its store and re-bootstraps from
+   its successor. *)
+let watch t (e : election) sb =
+  let evidence =
+    match Primary.deposed sb with
+    | Some (term, addr) ->
+        let addr = Option.bind addr (fun s -> Result.to_option (Addr.parse s)) in
+        Some (term, addr, "deposed by a higher term")
+    | None ->
+        let mine = (Primary.term sb, rank t e) in
+        List.find_map
+          (fun (peer, (term, primary, r)) ->
+            if primary && (term, r) > mine then
+              Some (term, Some peer, "rival primary outranks us")
+            else None)
+          (survey t e ~term:(Primary.term sb))
+  in
+  match evidence with
+  | None -> ()
+  | Some (term, addr, reason) ->
+      Option.iter (fun s -> Server.set_read_only s true) t.server;
+      Primary.demote sb ~term;
+      Fastver.set_batch_size t.sys 0;
+      Fastver.clear_auto_checkpoint t.sys;
+      let keep = not (wrote_while_leading t) in
+      Mutex.protect t.lock (fun () ->
+          (match t.led_from with
+          | Some l when keep -> t.term <- l.chain_term
+          | _ -> ());
+          note_seen_term t term;
+          t.state <- Disconnected);
+      (match addr with
+      | Some addr -> retarget t ~addr ~term reason
+      | None -> reset_backoff t);
+      Log.app (fun m ->
+          m "stepped down at term %d: %s; %s" term reason
+            (if keep then "nothing written while leading"
+             else "discarding the store it led with"));
+      if not keep then discard t
 
 (* ---- The follower loop ---- *)
 
 let rec run t =
-  match Mutex.protect t.lock (fun () -> t.state) with
+  match state t with
   | Leading -> lead t
   | Halted | Stopped -> ()
   | Streaming | Disconnected -> (
@@ -480,43 +665,40 @@ let rec run t =
               end))
 
 (* Reconnect with the follower's existing state: drop buffered unsealed
-   epochs (the primary replays them in full) and re-subscribe from the first
-   epoch we have not verified, claiming the chain term. Refusals split three
-   ways: "not primary"/"deposed" peers are retryable (the cluster is mid
-   election — back off and, if electable, run a candidacy round once the
-   grace timer fires); a floor/stale-term refusal needs a checkpoint
-   re-bootstrap (terminal here — restart the follower, as the CLI demotion
-   path does); a rollback refusal is integrity evidence and halts. *)
+   epochs (the primary replays them in full) and re-subscribe from the
+   first epoch we have not verified, claiming the chain term. A refusal is
+   retried (the cluster is mid-election — back off and, if electable, run
+   a candidacy round once the grace timer fires), re-bootstraps the store,
+   or halts on integrity evidence, as {!Primary.refusal} says. *)
 and reconnect t =
   if Atomic.get t.stop_flag then t.state <- Stopped
   else begin
     drop_unsealed t;
     check_directive t;
-    if Mutex.protect t.lock (fun () -> t.state) = Leading then lead t
-    else begin
-      match try_subscribe t with
-      | `Streaming -> run t
-      | `Retry ->
-          (match (t.election, t.standby) with
-          | Some e, Some sb -> (
-              let now = Unix.gettimeofday () in
-              match t.lost_since with
-              | None -> t.lost_since <- Some now
-              | Some since when now -. since >= e.election_timeout ->
-                  run_election t e sb
-              | Some _ -> ())
-          | _ -> ());
-          if Mutex.protect t.lock (fun () -> t.state) = Leading then lead t
-          else begin
-            backoff_sleep t;
-            reconnect t
-          end
-    end
+    match try_subscribe t with
+    | `Streaming -> run t
+    | `Retry ->
+        (match (t.election, t.lost_since) with
+        | Some _, None -> t.lost_since <- Some (Unix.gettimeofday ())
+        | Some e, Some since
+          when Unix.gettimeofday () -. since >= e.election_timeout ->
+            run_election t e
+        | _ -> ());
+        if state t = Leading then lead t
+        else begin
+          backoff_sleep t;
+          reconnect t
+        end
   end
 
 and try_subscribe t =
   match Client.connect t.primary with
   | Error _ -> `Retry
+  | Ok conn when t.rebootstrap -> rejoin t conn
+  | Ok conn when wrote_while_leading t ->
+      (* a write admitted just before stepping down landed after it *)
+      discard t;
+      rejoin t conn
   | Ok conn -> (
       let from_epoch = Fastver.verified_epoch t.sys + 1 in
       let close_retry () =
@@ -548,173 +730,118 @@ and try_subscribe t =
                        epoch %d"
                       old rid from_epoch)
             | _ -> ());
-            t.run_id <- Some rid;
-            t.conn <- Some conn;
-            Mutex.protect t.lock (fun () -> t.state <- Streaming);
-            reset_backoff t;
+            streaming t conn ~run_id:rid ~term:srv_term;
             `Streaming
           end
-      | Ok (`Refused e) when contains e "not primary" || contains e "deposed"
-        ->
-          Log.info (fun m -> m "subscribe refused (%s); will retry" e);
-          close_retry ()
-      | Ok (`Refused e) ->
-          Client.close conn;
-          halt t ~epoch:(Fastver.verified_epoch t.sys)
-            ("primary refused re-subscription: " ^ e)
+      | Ok (`Refused e) -> (
+          match Primary.refusal e with
+          | `Retry ->
+              Log.info (fun m -> m "subscribe refused (%s); will retry" e);
+              close_retry ()
+          | `Rebootstrap ->
+              Log.app (fun m -> m "subscribe refused (%s); re-bootstrapping" e);
+              discard t;
+              rejoin t conn
+          | `Halt ->
+              Client.close conn;
+              halt t ~epoch:(Fastver.verified_epoch t.sys)
+                ("primary refused re-subscription: " ^ e))
       | Error e ->
           Log.info (fun m -> m "subscribe failed (%s); will retry" e);
           close_retry ())
+
+(* Bootstrap a new store exactly as {!create} does, its checkpoint fetch in
+   a new directory under [t.dir] (never one holding this node's own,
+   possibly diverged, generations), and serve it on the same addresses. *)
+and rejoin t conn =
+  t.conn <- Some conn (* so [stop] can cut a long fetch short *);
+  mkdir_p t.dir;
+  let dir = Filename.temp_file ~temp_dir:t.dir "rejoin-" "" in
+  Sys.remove dir;
+  match
+    bootstrap ~timeout:t.handshake_timeout ~config:t.config ~load:t.load ~dir
+      ~listen:t.listen ~election:t.election conn
+  with
+  | Error e ->
+      Log.warn (fun m -> m "re-bootstrap failed (%s); will retry" e);
+      t.conn <- None;
+      Client.close conn;
+      `Retry
+  | Ok (sys, server, standby, term, run_id) ->
+      Mutex.protect t.lock (fun () ->
+          t.sys <- sys;
+          t.server <- server;
+          t.standby <- standby;
+          t.chain <- new_chain sys;
+          t.m <- metrics sys;
+          t.max_seen <- Fastver.verified_epoch sys;
+          t.term <- term;
+          note_seen_term t term;
+          t.rebootstrap <- false);
+      streaming t conn ~run_id ~term;
+      `Streaming
 
 (* The leader loop: stream hooks do the real work; this domain only watches
    for rivals (healed partitions) and deposition evidence, at
    probe_interval cadence. *)
 and lead t =
   match (t.election, t.standby) with
-  | Some e, Some sb ->
-      let rec go () =
-        if Atomic.get t.stop_flag then t.state <- Stopped
-        else begin
-          (match Primary.deposed sb with
-          | Some (term, addr_s) ->
-              let addr =
-                Option.bind addr_s (fun s -> Result.to_option (Addr.parse s))
-              in
-              step_down t sb ~term ~addr "deposed by a higher term"
-          | None ->
-              let my =
-                ( Primary.term sb,
-                  Fastver.verified_epoch t.sys,
-                  e.priority,
-                  t.self_id )
-              in
-              List.iter
-                (fun peer ->
-                  if Mutex.protect t.lock (fun () -> t.state) = Leading then
-                    match
-                      Primary.announce ~timeout:e.probe_timeout peer
-                        ~term:(Primary.term sb)
-                        ~sealed:(Fastver.verified_epoch t.sys)
-                        ~priority:e.priority ~run_id:t.self_id
-                    with
-                    | `Info i
-                      when i.Primary.p_primary
-                           && ( i.Primary.p_term,
-                                i.Primary.p_sealed,
-                                i.Primary.p_priority,
-                                i.Primary.p_run_id )
-                              > my ->
-                        step_down t sb ~term:i.Primary.p_term
-                          ~addr:(Some peer) "rival primary outranks us"
-                    | `Info _ | `Unreachable _ -> ())
-                (probe_targets e t.orig_primary));
-          match Mutex.protect t.lock (fun () -> t.state) with
-          | Leading ->
-              nap_until t (Unix.gettimeofday () +. e.probe_interval);
-              go ()
-          | Disconnected -> reconnect t
-          | _ -> ()
-        end
-      in
-      go ()
+  | Some e, Some sb -> (
+      if Atomic.get t.stop_flag then t.state <- Stopped
+      else begin
+        watch t e sb;
+        match state t with
+        | Leading ->
+            nap_until t (Unix.gettimeofday () +. e.probe_interval);
+            lead t
+        | Disconnected -> reconnect t
+        | _ -> ()
+      end)
   | _ -> ()
 
 (* ---- Lifecycle ---- *)
 
-let mk ?(reconnect_delay = 0.2) ?(handshake_timeout = 5.0)
-    ?election ~init_term ~primary ?listen ~conn ~run_id sys =
-  let module Reg = Fastver_obs.Registry in
-  let reg = Fastver.registry sys in
-  Reg.counter_fn reg ~help:"Validated reads served by this follower"
-    "fastver_repl_follower_reads_total" (fun () ->
-      (Fastver.stats sys).gets + (Fastver.stats sys).scans);
-  let server =
-    match listen with
-    | None -> Ok None
-    | Some addr -> (
-        let config = { Server.default_config with read_only = true } in
-        match Server.create ~config sys ~listen:addr with
-        | Ok s ->
-            Server.start s;
-            Ok (Some s)
-        | Error e -> Error e)
-  in
-  let standby =
-    match (server, election) with
-    | Error _, _ | _, None -> Ok None
-    | Ok _, Some e -> (
-        let pconfig =
-          { Primary.checkpoint_dir = e.checkpoint_dir; priority = e.priority }
-        in
-        match Primary.create ~config:pconfig ~role:Primary.Standby sys
-                ~listen:e.listen
-        with
-        | Ok sb ->
-            Primary.start sb;
-            Ok (Some sb)
-        | Error err -> Error ("cannot bind election listener: " ^ err))
-  in
-  match (server, standby) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok server, Ok standby ->
-      let rng = Random.State.make_self_init () in
-      Ok
-        {
-          sys;
-          server;
-          primary;
-          orig_primary = primary;
-          chain =
-            Verifier.Cert_chain.create
-              ~mac_secret:(Fastver.config sys).mac_secret
-              ~verified:(Fastver.verified_epoch sys);
-          lock = Mutex.create ();
-          conn = Some conn;
-          state = Streaming;
-          failure = None;
-          run_id = Some run_id;
-          applied = 0;
-          max_seen = Fastver.verified_epoch sys;
-          pending = Hashtbl.create 4;
-          digests = Hashtbl.create 4;
-          stop_flag = Atomic.make false;
-          domain = None;
-          reconnect_delay;
-          backoff = reconnect_delay;
-          rng;
-          handshake_timeout;
-          term = init_term;
-          seen_term = init_term;
-          lost_since = None;
-          election;
-          standby;
-          self_id =
-            Int64.logxor
-              (Int64.of_float (Unix.gettimeofday () *. 1e6))
-              (Random.State.int64 rng Int64.max_int);
-          m_applied =
-            Reg.counter reg ~help:"Replicated ops applied after verification"
-              "fastver_repl_ops_applied_total";
-          m_certs_ok =
-            Reg.counter reg ~help:"Epoch boundary records that authenticated"
-              "fastver_repl_certs_verified_total";
-          m_certs_bad =
-            Reg.counter reg ~help:"Epoch boundary records rejected"
-              "fastver_repl_certs_rejected_total";
-          m_lag =
-            Reg.gauge reg
-              ~help:"Epochs seen in the stream but not yet verified locally"
-              "fastver_repl_lag_epochs";
-          m_elections =
-            Reg.counter reg ~help:"Election rounds started by this node"
-              "fastver_repl_elections_total";
-          m_promote_s =
-            Reg.histogram reg ~scale:1e-9
-              ~help:
-                "Election-start to serving-writes latency of in-place \
-                 promotions"
-              "fastver_repl_promotion_seconds";
-        }
+let mk ?(reconnect_delay = 0.2) ?(handshake_timeout = 5.0) ?election ~config
+    ~load ~dir ~listen ~primary ~conn ~run_id (sys, server, standby, term) =
+  let rng = Random.State.make_self_init () in
+  {
+    config;
+    load;
+    dir;
+    listen;
+    sys;
+    server;
+    standby;
+    chain = new_chain sys;
+    m = metrics sys;
+    primary;
+    orig_primary = primary;
+    lock = Mutex.create ();
+    conn;
+    state = (if conn = None then Leading else Streaming);
+    failure = None;
+    run_id;
+    applied = 0;
+    max_seen = Fastver.verified_epoch sys;
+    pending = Hashtbl.create 4;
+    digests = Hashtbl.create 4;
+    stop_flag = Atomic.make false;
+    domain = None;
+    reconnect_delay;
+    backoff = reconnect_delay;
+    rng;
+    handshake_timeout;
+    term;
+    seen_term = term;
+    lost_since = None;
+    election;
+    self_id =
+      Int64.logxor
+        (Int64.of_float (Unix.gettimeofday () *. 1e6))
+        (Random.State.int64 rng Int64.max_int);
+    led_from = None;
+    rebootstrap = false;
+  }
 
 let create ?reconnect_delay ?handshake_timeout ?election
     ?(config = Fastver.Config.default) ?load ~primary ?listen ~dir () =
@@ -722,48 +849,39 @@ let create ?reconnect_delay ?handshake_timeout ?election
      verification is disabled; epochs advance only at authenticated
      boundary records (until an election promotes it). *)
   let config = { config with Fastver.Config.batch_size = 0 } in
-  let hs_timeout = Option.value handshake_timeout ~default:5.0 in
   match Client.connect primary with
   | Error e -> Error e
-  | Ok conn ->
-      let ( let* ) = Result.bind in
-      (* A fresh follower's state reflects no sealed epoch: subscribe from
-         0 at term 0. If the primary's retained stream starts later,
-         bootstrap from its newest committed checkpoint generation and tail
-         from the sealed epoch — exactly the recovery path a restarted
-         primary takes. *)
-      let result =
-        let* first = subscribe ~timeout:hs_timeout conn ~from_epoch:0 ~term:0 in
-        let* sys, init_term, run_id =
-          match first with
-          | `Subscribed (_, run_id, _) ->
-              let sys = Fastver.create ~config () in
-              Option.iter (fun f -> f sys) load;
-              Ok (sys, 0, run_id)
-          | `Refused reason when not (contains reason "fetch a checkpoint") ->
-              Error ("primary refused subscription: " ^ reason)
-          | `Refused _ -> (
-              let* sys, ck_term = fetch_checkpoint conn ~config ~dir in
-              let from_epoch = Fastver.verified_epoch sys + 1 in
-              Log.app (fun m ->
-                  m
-                    "bootstrapped from primary checkpoint (verified epoch %d, \
-                     term %d); tailing from %d"
-                    (Fastver.verified_epoch sys)
-                    ck_term from_epoch);
-              let* again =
-                subscribe ~timeout:hs_timeout conn ~from_epoch ~term:ck_term
-              in
-              match again with
-              | `Subscribed (_, run_id, _) -> Ok (sys, ck_term, run_id)
-              | `Refused e ->
-                  Error ("primary refused post-checkpoint subscription: " ^ e))
-        in
-        mk ?reconnect_delay ?handshake_timeout ?election
-          ~init_term ~primary ?listen ~conn ~run_id sys
+  | Ok conn -> (
+      match
+        bootstrap
+          ~timeout:(Option.value handshake_timeout ~default:5.0)
+          ~config ~load ~dir ~listen ~election conn
+      with
+      | Error e ->
+          Client.close conn;
+          Error e
+      | Ok (sys, server, standby, term, run_id) ->
+          Ok
+            (mk ?reconnect_delay ?handshake_timeout ?election ~config ~load
+               ~dir ~listen ~primary ~conn:(Some conn) ~run_id:(Some run_id)
+               (sys, server, standby, term)))
+
+let leading ~load ~election:e ~server ~dir sys =
+  match Primary.create ~config:(primary_config e) sys ~listen:e.listen with
+  | Error err -> Error ("cannot bind replication listener: " ^ err)
+  | Ok p ->
+      let config = { (Fastver.config sys) with Fastver.Config.batch_size = 0 } in
+      let t =
+        mk ~election:e ~config ~load:(Some load) ~dir
+          ~listen:(Some (Server.bound_addr server))
+          ~primary:e.listen ~conn:None ~run_id:None
+          (sys, Some server, Some p, 0)
       in
-      if Result.is_error result then Client.close conn;
-      result
+      (* recorded before the first request can write *)
+      t.led_from <- Some (led_from t);
+      Primary.start p;
+      Server.start server;
+      Ok t
 
 let start t =
   t.domain <-
@@ -785,13 +903,12 @@ let stop t =
       t.domain <- None;
       Domain.join d
   | None -> ());
-  (match t.standby with Some sb -> Primary.stop sb | None -> ());
-  (match t.server with Some s -> Server.stop s | None -> ());
+  Option.iter Primary.stop t.standby;
+  Option.iter Server.stop t.server;
   t.state <- Stopped
 
 let system t = t.sys
 let server t = t.server
-let state t = Mutex.protect t.lock (fun () -> t.state)
 let failure t = Mutex.protect t.lock (fun () -> t.failure)
 let verified_epoch t = Fastver.verified_epoch t.sys
 let applied_ops t = Mutex.protect t.lock (fun () -> t.applied)

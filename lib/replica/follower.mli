@@ -22,16 +22,24 @@
     tuple promotes in place under a fencing term above every term seen —
     sound because a sealed epoch is chain-authenticated, so the highest
     verified epoch provably contains every certified write. Losers receive
-    the winner's [Promote] directive and re-subscribe there. A deposed
-    primary that rejoins is refused at subscribe time (its chain term is
-    stale) and must demote itself to a follower. *)
+    the winner's [Promote] directive and re-subscribe there.
+
+    {b Demotion.} A leader — promoted here, or started by {!leading} —
+    watches for deposition evidence and probes its peers for a rival
+    primary that outranks it by (term, verified epoch, priority, run-id).
+    Either way it steps down: a leader that applied no write and sealed no
+    epoch while leading keeps its store, which is a prefix of the history
+    it followed, and re-subscribes under its old chain term; any other
+    discards its store and re-bootstraps from its successor exactly as
+    {!create} does, then rebuilds its read server and standby listener on
+    the same addresses. No read is served from a discarded store. *)
 
 type t
 
 type state =
   | Streaming  (** connected, applying verified epochs *)
   | Disconnected  (** between reconnect attempts *)
-  | Leading  (** won an election; serving writes and the stream *)
+  | Leading  (** elected, or built by {!leading}: writes and the stream *)
   | Halted
       (** integrity failure — evidence in {!failure}; reads still served *)
   | Stopped
@@ -106,19 +114,37 @@ val create :
     [fastver_repl_follower_reads_total], [fastver_repl_elections_total],
     [fastver_repl_promotion_seconds]. *)
 
+val leading :
+  load:(Fastver.t -> unit) ->
+  election:election ->
+  server:Fastver_net.Server.t ->
+  dir:string ->
+  Fastver.t ->
+  (t, string) result
+(** A node that starts [Leading] around an already-loaded store: binds
+    [election.listen] as the replication {!Primary} (installing its tee),
+    then starts [server], which must not have served traffic yet. It then
+    leads, and steps down, like a promoted follower. [load] and [dir] serve
+    a re-bootstrap after demotion, as in {!create}; a checkpoint fetch
+    lands in a new directory under [dir]. *)
+
 val start : t -> unit
-(** Consume the stream in a background domain until {!stop}. A halt is
-    recorded (see {!failure}) and reads keep serving. Disconnects
-    reconnect automatically from the first unverified epoch; a refused
-    re-subscription (stream floor passed the follower, or a rolled-back
-    primary) is treated as a halt — except "not primary"/"deposed"
-    refusals, which mean the cluster is mid-election and are retried. *)
+(** Run the node in a background domain until {!stop}: stream, or lead.
+    Disconnects reconnect automatically from the first unverified epoch.
+    A refused re-subscription is classified by {!Primary.refusal}: "not
+    primary"/"deposed" mean the cluster is mid-election and are retried;
+    a "fetch a checkpoint" refusal (the stream floor passed the follower,
+    or its chain term is stale) re-bootstraps the store as a deposed
+    leader does; anything else (a rolled-back primary) halts. A halt is
+    recorded (see {!failure}) and reads keep serving. *)
 
 val stop : t -> unit
 (** Stop streaming, join the domain, stop the standby listener and the read
     server. *)
 
 val system : t -> Fastver.t
+(** The current store: a re-bootstrap replaces it. *)
+
 val server : t -> Fastver_net.Server.t option
 val state : t -> state
 
@@ -139,4 +165,5 @@ val term : t -> int
     record (or the term this node promoted under). *)
 
 val standby : t -> Primary.t option
-(** The standby/leading replication listener, when electable. *)
+(** The standby/leading replication listener, when electable ([None]
+    while re-bootstrapping). *)

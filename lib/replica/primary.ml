@@ -4,7 +4,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 module Wire = Fastver_net.Wire
 module Reactor = Fastver_net.Reactor
 module Addr = Fastver_net.Addr
-module Client = Fastver_net.Client
 
 type config = { checkpoint_dir : string option; priority : int }
 
@@ -49,9 +48,10 @@ type t = {
          chain this primary re-sealed after winning an election — it must
          discard and re-bootstrap (checkpoint fetch) *)
   mutable deposed_by : (int * string option) option;
-      (* evidence this primary lost its mandate: a peer spoke from a higher
-         term (optionally naming the new primary's address). The owner polls
-         {!deposed} and demotes. *)
+      (* evidence of a higher term: a peer spoke from one (optionally
+         naming the new primary's address). A leader's owner reads it
+         through {!deposed} and demotes; a standby's reads it as a
+         directive to re-home. *)
   digests : (int, string) Hashtbl.t; (* per-open-epoch running digest *)
   mutable batch : (string * string option) list;
       (* ops buffered toward the next [Repl_batch] frame, newest first;
@@ -251,6 +251,20 @@ let handle_subscribe t c ~id ~from_epoch ~term:sub_term =
       reply c ~id (Wire.Subscribed { from_epoch; run_id = t.run_id; term });
       List.iter (enqueue c) replay;
       (Reactor.data c).subscribed <- true
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn > 0 && go 0
+
+(* What a subscriber does about each refusal [handle_subscribe] writes: a
+   standby or a deposed primary may lead again after an election, a fenced
+   or floor-passed subscriber must replace its store, and anything else
+   (a subscriber ahead of us: a rolled-back primary) is evidence. *)
+let refusal e =
+  if contains e "not primary" || contains e "deposed" then `Retry
+  else if contains e "fetch a checkpoint" then `Rebootstrap
+  else `Halt
 
 (* Ship the newest checkpoint generation that has a manifest. The follower
    re-verifies every checksum through the normal recovery path, so nothing
@@ -496,10 +510,8 @@ let stop t =
 let frames_emitted t = Mutex.protect t.lock (fun () -> t.frames)
 let run_id t = t.run_id
 let term t = Mutex.protect t.lock (fun () -> t.term)
-let priority t = t.cfg.priority
-let deposed t = Mutex.protect t.lock (fun () -> t.deposed_by)
 
-let take_directive t =
+let deposed t =
   Mutex.protect t.lock (fun () ->
       let d = t.deposed_by in
       if t.role = Standby then t.deposed_by <- None;
@@ -551,56 +563,3 @@ let demote t ~term =
         (Mutex.protect t.lock (fun () -> t.term))
         (Addr.to_string (bound_addr t)));
   Reactor.wake t.reactor
-
-(* ---- Peer probing (election rounds, rival detection, rejoin checks) ---- *)
-
-type peer_info = {
-  p_term : int;
-  p_sealed : int;
-  p_priority : int;
-  p_run_id : int64;
-  p_primary : bool;
-}
-
-let rpc ?(timeout = 2.0) peer req ~k =
-  match Client.connect peer with
-  | Error e -> `Unreachable e
-  | Ok conn ->
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () ->
-          match
-            let id = Client.send conn req in
-            Client.expect_id id (Client.recv ~timeout conn)
-          with
-          | resp -> k resp
-          | exception Client.Timeout -> `Unreachable "peer timed out"
-          | exception Client.Protocol_error e -> `Unreachable e
-          | exception Unix.Unix_error (e, _, _) ->
-              `Unreachable (Unix.error_message e))
-
-(* One [Announce_term] exchange with a peer's replication listener: "here
-   is my election state, what is yours?". Total — any failure is just
-   [`Unreachable], which election treats as that peer not voting. *)
-let announce ?timeout peer ~term ~sealed ~priority ~run_id =
-  rpc ?timeout peer (Wire.Announce_term { term; sealed; priority; run_id })
-    ~k:(function
-    | Wire.Term_info { term; sealed; priority; run_id; primary } ->
-        `Info
-          {
-            p_term = term;
-            p_sealed = sealed;
-            p_priority = priority;
-            p_run_id = run_id;
-            p_primary = primary;
-          }
-    | Wire.Error e -> `Unreachable ("peer refused announce-term: " ^ e)
-    | _ -> `Unreachable "unexpected reply to announce-term")
-
-(* Best-effort winner directive: "I am primary for [term] at [self]". *)
-let send_promote ?timeout peer ~term ~self =
-  rpc ?timeout peer (Wire.Promote { term; addr = Addr.to_string self })
-    ~k:(function
-    | Wire.Term_info _ -> `Ok
-    | Wire.Error e -> `Unreachable ("peer refused promote: " ^ e)
-    | _ -> `Unreachable "unexpected reply to promote")

@@ -32,11 +32,13 @@
 
     {b Fencing.} Every boundary record is stamped with the primary's term
     (covered by the stream MAC). At subscribe time: a subscriber speaking a
-    {e higher} term proves this primary was deposed (the refusal is recorded
-    — see {!deposed} — and the owner demotes); a subscriber whose {e older}
-    term claims epochs at or past {!promote}'s [term_start] is fenced off
-    with a "fetch a checkpoint" refusal, because those epochs were re-sealed
-    under the new term and its chain may diverge.
+    {e higher} term proves this primary was deposed (the refusal is
+    recorded as evidence, read through {!deposed} by the owning
+    {!Follower}, which demotes); a subscriber whose {e older} term claims
+    epochs at or past {!promote}'s [term_start] is fenced off with a "fetch
+    a checkpoint" refusal, because those epochs were re-sealed under the
+    new term and its chain may diverge. {!refusal} classifies every
+    refusal text for the subscriber.
 
     Metrics (on the system's registry): [fastver_repl_ops_streamed_total],
     [fastver_repl_epochs_streamed_total], [fastver_repl_followers],
@@ -90,17 +92,20 @@ val run_id : t -> int64
 (** {2 Election} *)
 
 val term : t -> int
-val priority : t -> int
 
 val deposed : t -> (int * string option) option
-(** Evidence this node's mandate ended: a peer spoke from a strictly higher
-    term ([Some (term, addr)]; [addr] names the new primary's replication
-    address when a [Promote] directive carried it). The owner should
-    {!demote} a leader, or re-subscribe a standby's follower at [addr]. *)
+(** Evidence of a strictly higher term: a peer spoke from one
+    ([Some (term, addr)]; [addr] names the new primary's replication
+    address when a [Promote] directive carried it). On a leader the
+    evidence stands until {!demote}; on a standby reading it consumes it,
+    so the owner re-homes once per directive. *)
 
-val take_directive : t -> (int * string option) option
-(** Like {!deposed}, but on a standby also consumes the directive, so the
-    owner acts on each one exactly once. *)
+val refusal : string -> [ `Retry | `Rebootstrap | `Halt ]
+(** How a subscriber answers a [Subscribe] refusal's text: [`Retry] a
+    standby or deposed primary (the cluster is mid-election),
+    [`Rebootstrap] a "fetch a checkpoint" refusal (stale term, or below
+    the retained floor), [`Halt] anything else — a subscriber ahead of the
+    primary is evidence of a rollback. *)
 
 val promote : t -> term:int -> unit
 (** Standby → Leading in place: install the tee hooks on the live store and
@@ -115,35 +120,3 @@ val demote : t -> term:int -> unit
 (** Leading → Standby in place: clear the tee hooks, adopt [term] (terms
     never move backwards), and disconnect every subscriber so they re-home
     to the new primary. The listener keeps answering election probes. *)
-
-(** {2 Peer probing} *)
-
-type peer_info = {
-  p_term : int;
-  p_sealed : int;
-  p_priority : int;
-  p_run_id : int64;
-  p_primary : bool;
-}
-
-val announce :
-  ?timeout:float ->
-  Fastver_net.Addr.t ->
-  term:int ->
-  sealed:int ->
-  priority:int ->
-  run_id:int64 ->
-  [ `Info of peer_info | `Unreachable of string ]
-(** One [Announce_term] exchange with a peer's replication listener. Total:
-    connection failures, timeouts (default 2 s) and refusals all come back
-    as [`Unreachable] — election treats such a peer as not voting. *)
-
-val send_promote :
-  ?timeout:float ->
-  Fastver_net.Addr.t ->
-  term:int ->
-  self:Fastver_net.Addr.t ->
-  [ `Ok | `Unreachable of string ]
-(** Best-effort winner directive: tell [peer] that [self] is primary for
-    [term]. Losers re-subscribe there; a stale rival primary records it as
-    deposition evidence. *)

@@ -5,6 +5,15 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# wait_sock PATH WHAT: wait up to 10 s for the Unix socket PATH to appear
+wait_sock() {
+  i=0
+  while [ ! -S "$1" ]; do
+    i=$((i + 1)); [ $i -gt 100 ] && { echo "$2 never came up"; exit 1; }
+    sleep 0.1
+  done
+}
+
 echo "== dune build @all"
 dune build @all
 
@@ -23,11 +32,7 @@ trap 'kill -9 $SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
 $FV serve --listen "unix:$WORK/sock" -n 2000 --batch 500 --enclave zero \
   --checkpoint-dir "$WORK/ckpt" &
 SRV=$!
-i=0
-while [ ! -S "$WORK/sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "server never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/sock" "server"
 # drive load until at least one checkpoint generation has committed
 $FV client-bench --connect "unix:$WORK/sock" --ops 3000 --clients 2 -n 2000
 i=0
@@ -48,11 +53,7 @@ echo "== observability smoke (serve + client ops + stats --check)"
 $FV serve --listen "unix:$WORK/obs.sock" -n 2000 --batch 0 --enclave zero &
 OBS_SRV=$!
 trap 'kill -9 $SRV $OBS_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
-i=0
-while [ ! -S "$WORK/obs.sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "obs server never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/obs.sock" "obs server"
 $FV client-bench --connect "unix:$WORK/obs.sock" --ops 2000 --clients 2 -n 2000
 # reconciliation: served > 0, per-tier op counts sum to validated ops,
 # one latency sample per served request — the CLI exits non-zero otherwise
@@ -77,11 +78,7 @@ $FV serve --listen "unix:$WORK/bg.sock" -n 2000 --batch 400 --enclave zero \
   --workers 4 --background-verify &
 BG_SRV=$!
 trap 'kill -9 $SRV $OBS_SRV $BG_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
-i=0
-while [ ! -S "$WORK/bg.sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "bg server never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/bg.sock" "bg server"
 # the bench completing with verified responses IS the non-zero foreground
 # throughput: every op was served while scans were being dispatched
 $FV client-bench --connect "unix:$WORK/bg.sock" --ops 6000 --clients 4 \
@@ -159,11 +156,7 @@ $FV serve --listen "unix:$WORK/shard.sock" -n 2000 --batch 0 --enclave zero \
   --workers 2 --shards 4 &
 SHARD_SRV=$!
 trap 'kill -9 $SRV $OBS_SRV $SHARD_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
-i=0
-while [ ! -S "$WORK/shard.sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "shard server never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/shard.sock" "shard server"
 # routing honours the sealed shard boundaries: every op lands on its
 # owner's executor, responses verify client-side, and the stats
 # reconciliation must balance across all four partitions
@@ -177,11 +170,7 @@ $FV serve --listen "unix:$WORK/pool.sock" -n 2000 --batch 0 --enclave zero \
   --workers 4 &
 POOL_SRV=$!
 trap 'kill -9 $SRV $OBS_SRV $SHARD_SRV $POOL_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
-i=0
-while [ ! -S "$WORK/pool.sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "pool server never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/pool.sock" "pool server"
 # parallel pipelined clients through the executor pool, every response
 # signature verified client-side, then the reconciliation checks again
 $FV client-bench --connect "unix:$WORK/pool.sock" --ops 4000 --clients 4 \
@@ -197,11 +186,7 @@ $FV serve --listen "unix:$WORK/rp.sock" --replication-listen "unix:$WORK/repl.so
 RP_SRV=$!
 F1=; F2=; F3=; RP2_SRV=
 trap 'kill -9 $SRV $OBS_SRV $SHARD_SRV $POOL_SRV $RP_SRV $F1 $F2 $F3 $RP2_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
-i=0
-while [ ! -S "$WORK/repl.sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "replication listener never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/repl.sock" "replication listener"
 $FV follow --primary "unix:$WORK/repl.sock" --listen "unix:$WORK/f1.sock" \
   -n 2000 --dir "$WORK/f1" > "$WORK/f1.log" 2>&1 &
 F1=$!
@@ -209,11 +194,7 @@ $FV follow --primary "unix:$WORK/repl.sock" --listen "unix:$WORK/f2.sock" \
   -n 2000 --dir "$WORK/f2" > "$WORK/f2.log" 2>&1 &
 F2=$!
 for s in f1 f2; do
-  i=0
-  while [ ! -S "$WORK/$s.sock" ]; do
-    i=$((i + 1)); [ $i -gt 100 ] && { echo "follower $s never came up"; exit 1; }
-    sleep 0.1
-  done
+  wait_sock "$WORK/$s.sock" "follower $s"
 done
 # write traffic on the primary seals epochs the followers must replay,
 # verify at each boundary, and mirror into their local stores
@@ -244,19 +225,11 @@ echo "  follower survived primary kill -9, reads still verify"
 $FV serve --listen "unix:$WORK/rp2.sock" --replication-listen "unix:$WORK/repl.sock" \
   -n 2000 --batch 400 --enclave zero --checkpoint-dir "$WORK/rckpt" &
 RP2_SRV=$!
-i=0
-while [ ! -S "$WORK/rp2.sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "restarted primary never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/rp2.sock" "restarted primary"
 $FV follow --primary "unix:$WORK/repl.sock" --listen "unix:$WORK/f3.sock" \
   -n 2000 --dir "$WORK/f3" > "$WORK/f3.log" 2>&1 &
 F3=$!
-i=0
-while [ ! -S "$WORK/f3.sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "rejoining follower never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/f3.sock" "rejoining follower"
 # the rejoining follower's state dir must hold a fetched generation, and
 # its log must show the checkpoint path rather than the fresh-load path
 ls "$WORK"/f3/ckpt-*/MANIFEST >/dev/null 2>&1 \
@@ -283,11 +256,7 @@ $FV serve --listen "unix:$WORK/ep.sock" --replication-listen "unix:$WORK/erepl.s
 EP_SRV=$!
 E1=; E2=; EP2_SRV=
 trap 'kill -9 $SRV $OBS_SRV $SHARD_SRV $POOL_SRV $RP_SRV $F1 $F2 $F3 $RP2_SRV $EP_SRV $E1 $E2 $EP2_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
-i=0
-while [ ! -S "$WORK/erepl.sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "election primary never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/erepl.sock" "election primary"
 $FV follow --primary "unix:$WORK/erepl.sock" --listen "unix:$WORK/e1.sock" \
   --electable "unix:$WORK/e1r.sock" --peer "unix:$WORK/e2r.sock" --priority 2 \
   -n 2000 --dir "$WORK/e1" > "$WORK/e1.log" 2>&1 &
@@ -297,11 +266,7 @@ $FV follow --primary "unix:$WORK/erepl.sock" --listen "unix:$WORK/e2.sock" \
   -n 2000 --dir "$WORK/e2" > "$WORK/e2.log" 2>&1 &
 E2=$!
 for s in e1 e2; do
-  i=0
-  while [ ! -S "$WORK/$s.sock" ]; do
-    i=$((i + 1)); [ $i -gt 100 ] && { echo "candidate $s never came up"; exit 1; }
-    sleep 0.1
-  done
+  wait_sock "$WORK/$s.sock" "candidate $s"
 done
 # seal verified epochs on the primary so the candidates hold certified
 # state to elect over
@@ -356,15 +321,14 @@ until grep -q "demoted: serving verified reads" "$WORK/ep2.log"; do
   i=$((i + 1)); [ $i -gt 200 ] && { echo "rejoining ex-primary never demoted"; cat "$WORK/ep2.log"; exit 1; }
   sleep 0.1
 done
-i=0
-while [ ! -S "$WORK/ep2.sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "demoted follower never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/ep2.sock" "demoted follower"
 # the demoted node serves verified reads of the post-failover history
 $FV client-bench --connect "unix:$WORK/ep2.sock" --ops 1000 --clients 1 \
   -n 2000 --put-ratio 0
 $FV stats --connect "unix:$WORK/ep2.sock" --check
+if grep -q "INTEGRITY VIOLATION" "$WORK/ep2.log"; then
+  echo "deposed primary halted after demoting"; cat "$WORK/ep2.log"; exit 1
+fi
 echo "  deposed primary rejoined as a follower, every node reconciles"
 kill -9 $E1 $E2 $EP2_SRV 2>/dev/null || true
 
@@ -374,11 +338,7 @@ $FV serve --listen "unix:$WORK/ad.sock" -n 2000 --batch 400 --enclave zero \
   --adaptive &
 AD_SRV=$!
 trap 'kill -9 $SRV $OBS_SRV $SHARD_SRV $POOL_SRV $RP_SRV $F1 $F2 $F3 $RP2_SRV $EP_SRV $E1 $E2 $EP2_SRV $AD_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
-i=0
-while [ ! -S "$WORK/ad.sock" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "adaptive server never came up"; exit 1; }
-  sleep 0.1
-done
+wait_sock "$WORK/ad.sock" "adaptive server"
 # rotating workload: three bursts with different zipf seeds and read/write
 # mixes, so the hot set and the tier pressure both shift under the
 # controller while certificates keep sealing

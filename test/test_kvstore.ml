@@ -1,4 +1,4 @@
-(* The FASTER-style host store and epoch protection. *)
+(* The FASTER-style host store. *)
 
 open Fastver_kvstore
 
@@ -218,24 +218,6 @@ let prop_recover_fuzz =
       Sys.remove path;
       ok)
 
-let test_epoch_protection () =
-  let e = Epoch_protection.create ~n_threads:2 in
-  let fired = ref [] in
-  Epoch_protection.acquire e ~tid:0;
-  Epoch_protection.acquire e ~tid:1;
-  ignore (Epoch_protection.bump e ~on_safe:(fun () -> fired := 1 :: !fired));
-  Alcotest.(check (list int)) "not safe while thread 0 inside old epoch" []
-    !fired;
-  Epoch_protection.refresh e ~tid:0;
-  Alcotest.(check (list int)) "still blocked on thread 1" [] !fired;
-  Epoch_protection.refresh e ~tid:1;
-  Alcotest.(check (list int)) "fires once all threads moved" [ 1 ] !fired;
-  Epoch_protection.release e ~tid:0;
-  Epoch_protection.release e ~tid:1;
-  ignore (Epoch_protection.bump e ~on_safe:(fun () -> fired := 2 :: !fired));
-  Alcotest.(check (list int)) "fires immediately when nobody is inside"
-    [ 2; 1 ] !fired
-
 let prop_model_check =
   (* differential test against a Hashtbl model *)
   QCheck.Test.make ~name:"store = hashtable model" ~count:60
@@ -290,7 +272,6 @@ let suite =
         test_checkpoint_version_64bit;
       Alcotest.test_case "hostile checkpoint lengths" `Quick
         test_recover_hostile_lengths;
-      Alcotest.test_case "epoch protection" `Quick test_epoch_protection;
       QCheck_alcotest.to_alcotest prop_model_check;
       QCheck_alcotest.to_alcotest prop_recover_fuzz;
     ] )

@@ -722,6 +722,84 @@ let test_fd_ceiling () =
       Net.Client.close late;
       Net.Client.close early)
 
+(* Set in the child that {!test_emfile_backoff} starts; the test
+   executable then runs {!emfile_child} instead of the suites. *)
+let emfile_child_env = "FASTVER_TEST_EMFILE_CHILD"
+
+(* The child's half, under [ulimit -n 64]: a bare reactor whose [pass]
+   counts loop passes, and a client that connects after every other
+   descriptor is taken, so the listener stays readable while accept fails
+   with EMFILE. Over half a second the loop may pass only a bounded number
+   of times; once the descriptors are released the queued client must get
+   its reply. Exits 0 on success. *)
+let emfile_child () =
+  let path = fresh_sock () in
+  match Net.Reactor.listen (Fastver_obs.Registry.create ()) (Net.Addr.Unix_sock path) with
+  | Error e ->
+      prerr_endline e;
+      exit 2
+  | Ok r ->
+      let passes = Atomic.make 0 in
+      let handlers =
+        {
+          Net.Reactor.accept = (fun () -> ());
+          input =
+            (fun c -> function
+              | Ok _ ->
+                  Net.Reactor.send c
+                    (Net.Wire.encode_response ~id:1L (Net.Wire.Error "served"))
+              | Error _ -> ());
+          wants_input = (fun _ -> true);
+          settled = (fun _ -> true);
+          pass = (fun () -> Atomic.incr passes);
+          deadline = (fun () -> None);
+          closed = (fun _ -> ());
+        }
+      in
+      let loop = Domain.spawn (fun () -> Net.Reactor.run r handlers) in
+      let rec hog acc =
+        match Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 with
+        | fd -> hog (fd :: acc)
+        | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) -> acc
+      in
+      let held =
+        match hog [] with
+        | spare :: rest ->
+            Unix.close spare;
+            rest
+        | [] -> exit 2
+      in
+      let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect client (Unix.ADDR_UNIX path);
+      Net.Sockio.send_all client (Net.Wire.encode_request ~id:1L Net.Wire.Stats);
+      let before = Atomic.get passes in
+      Unix.sleepf 0.5;
+      let spun = Atomic.get passes - before in
+      List.iter Unix.close held;
+      let served =
+        match Unix.select [ client ] [] [] 5.0 with
+        | [], _, _ -> false
+        | _ -> Unix.read client (Bytes.create 256) 0 256 > 0
+      in
+      ignore (Net.Reactor.stop r);
+      Domain.join loop;
+      Net.Reactor.shutdown r;
+      Unix.close client;
+      Printf.printf "passes while out of descriptors: %d; client served: %b\n"
+        spun served;
+      exit (if spun <= 50 && served then 0 else 1)
+
+(* accept failing with EMFILE leaves the listener readable: a loop that
+   keeps polling it spins at full CPU until a descriptor frees up. The
+   scenario runs in a child under its own descriptor limit, so it does
+   not depend on the host's. *)
+let test_emfile_backoff () =
+  let cmd =
+    Printf.sprintf "ulimit -n 64; %s=1 exec %s" emfile_child_env
+      (Filename.quote Sys.executable_name)
+  in
+  Alcotest.(check int) "child exits 0" 0 (Sys.command cmd)
+
 (* ------------------------------------------------------------------ *)
 (* Tampering on the wire                                               *)
 (* ------------------------------------------------------------------ *)
@@ -869,6 +947,8 @@ let suite =
         test_backpressure;
       Alcotest.test_case "descriptor ceiling refuses, loop survives" `Quick
         test_fd_ceiling;
+      Alcotest.test_case "descriptor exhaustion backs off accept" `Quick
+        test_emfile_backoff;
       Alcotest.test_case "tampered response detected" `Quick
         test_tampered_response_detected;
       Alcotest.test_case "tamper needs verification" `Quick

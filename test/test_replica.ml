@@ -1133,11 +1133,12 @@ let test_primary_loss_stage_sweep () =
 (* Election & failover                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let mk_electable ?(n = 256) ~priority ~peers ~repl ~lsock primary =
+let mk_electable ?(n = 256) ?(promote_batch = 1) ~priority ~peers ~repl ~lsock
+    primary =
   let dir = fresh_dir () in
   let e =
     Replica.Follower.electable ~peers ~priority ~election_timeout:0.3
-      ~probe_timeout:0.5 ~probe_interval:0.15 ~promote_batch:1 repl
+      ~probe_timeout:0.5 ~probe_interval:0.15 ~promote_batch repl
   in
   match
     Replica.Follower.create ~config:test_config ~reconnect_delay:0.05
@@ -1397,6 +1398,186 @@ let test_dual_promotion_heals () =
     (fun p -> try Sys.remove p with Sys_error _ -> ())
     [ pa; pb ]
 
+(* Reads through a node's read server, receipts checked by the client. *)
+let read_via lsock key =
+  match Net.Client.connect (Net.Addr.Unix_sock lsock) with
+  | Error e -> Alcotest.fail e
+  | Ok conn ->
+      let s = Net.Client.open_session conn ~client:1 ~secret in
+      let v = Net.Client.get s key in
+      Net.Client.close conn;
+      v
+
+(* The partitioned dual promotion of [test_dual_promotion_heals], but the
+   loser takes a write while leading — left unsealed, or sealed. After the
+   heal it must discard that store and re-bootstrap from the winner: it
+   may never serve a value outside the winner's history, nor halt. *)
+let test_divergent_loser ~seal () =
+  let t, p, addr = mk_primary () in
+  let ra = fresh_sock () and rb = fresh_sock () in
+  let pa = fresh_sock () and pb = fresh_sock () in
+  let la = fresh_sock () and lb = fresh_sock () in
+  let fa, da =
+    mk_electable ~promote_batch:1000 ~priority:2
+      ~peers:[ Net.Addr.Unix_sock pb ]
+      ~repl:(Net.Addr.Unix_sock ra) ~lsock:la addr
+  in
+  let fb, db =
+    mk_electable ~promote_batch:1000 ~priority:1
+      ~peers:[ Net.Addr.Unix_sock pa ]
+      ~repl:(Net.Addr.Unix_sock rb) ~lsock:lb addr
+  in
+  wait_for "both caught up" (fun () -> caught_up t fa () && caught_up t fb ());
+  Replica.Primary.stop p;
+  wait_for "both promote during the partition" (fun () ->
+      Replica.Follower.state fa = Replica.Follower.Leading
+      && Replica.Follower.state fb = Replica.Follower.Leading);
+  let sys_a = Replica.Follower.system fa in
+  Fastver.put sys_a 91L "a-history";
+  ignore (Fastver.verify sys_a);
+  let sys_b = Replica.Follower.system fb in
+  Fastver.put sys_b 92L "b-only";
+  if seal then ignore (Fastver.verify sys_b);
+  let stop_a, dfa =
+    start_forwarder ~listen_path:pa ~target:(Net.Addr.Unix_sock ra)
+  in
+  let stop_b, dfb =
+    start_forwarder ~listen_path:pb ~target:(Net.Addr.Unix_sock rb)
+  in
+  wait_for "the loser follows the winner's history" (fun () ->
+      Replica.Follower.state fb = Replica.Follower.Streaming
+      && Replica.Follower.verified_epoch fb >= Fastver.verified_epoch sys_a);
+  Alcotest.(check bool) "winner still leads" true
+    (Replica.Follower.state fa = Replica.Follower.Leading);
+  Alcotest.(check bool) "loser did not halt" true
+    (Replica.Follower.failure fb = None);
+  let sys_b = Replica.Follower.system fb in
+  Alcotest.(check (option string)) "loser's write is gone"
+    (Some (initial_value 92L)) (Fastver.get sys_b 92L);
+  Alcotest.(check (option string)) "winner's write replicated"
+    (Some "a-history") (Fastver.get sys_b 91L);
+  Alcotest.(check (option string)) "verified read of the loser's key"
+    (Some (initial_value 92L)) (read_via lb 92L);
+  Fastver.put sys_a 93L "post-heal";
+  ignore (Fastver.verify sys_a);
+  wait_for "post-heal write reaches the loser" (fun () ->
+      Fastver.get (Replica.Follower.system fb) 93L = Some "post-heal");
+  Replica.Follower.stop fb;
+  Replica.Follower.stop fa;
+  Atomic.set stop_a true;
+  Atomic.set stop_b true;
+  Domain.join dfa;
+  Domain.join dfb;
+  remove_tree da;
+  remove_tree db;
+  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ pa; pb ]
+
+(* A serving node built with [Follower.leading] — what [serve
+   --replication-listen] runs — takes a write, then a peer proves a higher
+   term: it must rejoin as a follower of that peer and serve its history
+   on the same read address. *)
+let test_leading_node_rejoins () =
+  let t = mk_system () in
+  let lsock = fresh_sock () and repl = fresh_sock () and wrepl = fresh_sock () in
+  let dir = fresh_dir () in
+  let srv =
+    match Net.Server.create t ~listen:(Net.Addr.Unix_sock lsock) with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let e =
+    Replica.Follower.electable
+      ~peers:[ Net.Addr.Unix_sock wrepl ]
+      ~election_timeout:0.3 ~probe_timeout:0.5 ~probe_interval:0.15
+      (Net.Addr.Unix_sock repl)
+  in
+  let f =
+    match
+      Replica.Follower.leading
+        ~load:(fun sys -> Fastver.load sys (records 256))
+        ~election:e ~server:srv ~dir t
+    with
+    | Ok f -> f
+    | Error e -> Alcotest.fail e
+  in
+  Replica.Follower.start f;
+  Fastver.put t 94L "old-leader";
+  ignore (Fastver.verify t);
+  Alcotest.(check (option string)) "the leader serves its write"
+    (Some "old-leader") (read_via lsock 94L);
+  (* a primary at a higher term over a history without that write *)
+  let w = mk_system () in
+  let wp =
+    match
+      Replica.Primary.create ~role:Replica.Primary.Standby w
+        ~listen:(Net.Addr.Unix_sock wrepl)
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.fail e
+  in
+  Replica.Primary.start wp;
+  Replica.Primary.promote wp ~term:3;
+  Fastver.put w 95L "new-history";
+  ignore (Fastver.verify w);
+  wait_for "the old leader rejoins under the new term" (fun () ->
+      Replica.Follower.state f = Replica.Follower.Streaming
+      && Replica.Follower.verified_epoch f >= Fastver.verified_epoch w
+      && Replica.Follower.term f = 3);
+  Alcotest.(check bool) "no integrity failure" true
+    (Replica.Follower.failure f = None);
+  Alcotest.(check (option string)) "new history served"
+    (Some "new-history") (read_via lsock 95L);
+  Alcotest.(check (option string)) "old leader's write gone"
+    (Some (initial_value 94L)) (read_via lsock 94L);
+  Replica.Follower.stop f;
+  Replica.Primary.stop wp;
+  remove_tree dir
+
+(* The primary restarts with sealed epochs the follower never saw: its
+   retained stream starts past the follower's verified epoch. The follower
+   must re-bootstrap from a checkpoint and tail on, not halt. *)
+let test_floor_passed_rebootstraps () =
+  let ckpt = fresh_dir () in
+  let t = mk_system () in
+  Fastver.set_auto_checkpoint t ~dir:ckpt;
+  let path = fresh_sock () in
+  let addr = Net.Addr.Unix_sock path in
+  let pcfg =
+    { Replica.Primary.default_config with checkpoint_dir = Some ckpt }
+  in
+  let start_primary () =
+    match Replica.Primary.create ~config:pcfg t ~listen:addr with
+    | Ok p ->
+        Replica.Primary.start p;
+        p
+    | Error e -> Alcotest.fail e
+  in
+  let p = start_primary () in
+  Fastver.put t 96L "first";
+  ignore (Fastver.verify t);
+  let f, fdir = mk_follower addr in
+  wait_for "caught up" (caught_up t f);
+  Replica.Primary.stop p;
+  wait_for "loss noticed" (fun () ->
+      Replica.Follower.state f = Replica.Follower.Disconnected);
+  Fastver.put t 96L "second";
+  ignore (Fastver.verify t);
+  let p2 = start_primary () in
+  Fastver.put t 97L "tail";
+  ignore (Fastver.verify t);
+  wait_for "re-bootstrapped and tailing" (fun () ->
+      Replica.Follower.state f = Replica.Follower.Streaming && caught_up t f ());
+  Alcotest.(check bool) "no halt" true (Replica.Follower.failure f = None);
+  let ft = Replica.Follower.system f in
+  Alcotest.(check (option string)) "missed epoch recovered" (Some "second")
+    (Fastver.get ft 96L);
+  Alcotest.(check (option string)) "tail streamed" (Some "tail")
+    (Fastver.get ft 97L);
+  Replica.Follower.stop f;
+  Replica.Primary.stop p2;
+  remove_tree fdir;
+  remove_tree ckpt
+
 (* ------------------------------------------------------------------ *)
 
 let suite =
@@ -1441,4 +1622,12 @@ let suite =
       Alcotest.test_case "subscribe fencing" `Quick test_subscribe_fencing;
       Alcotest.test_case "dual promotion heals" `Quick
         test_dual_promotion_heals;
+      Alcotest.test_case "divergent loser re-bootstraps (unsealed write)"
+        `Quick (test_divergent_loser ~seal:false);
+      Alcotest.test_case "divergent loser re-bootstraps (sealed write)" `Quick
+        (test_divergent_loser ~seal:true);
+      Alcotest.test_case "leading node rejoins a higher term" `Quick
+        test_leading_node_rejoins;
+      Alcotest.test_case "floor-passed follower re-bootstraps" `Quick
+        test_floor_passed_rebootstraps;
     ] )
