@@ -230,6 +230,16 @@ let await_signal ?(halted = fun () -> false) ?metrics_interval sys =
     | _ -> ()
   done
 
+(* A stopped read server's closing counters. *)
+let report_served srv t =
+  let c = Net.Server.counters srv and s = Fastver.stats t in
+  Logs.app (fun m ->
+      m
+        "served %d requests on %d connections in %d drains (largest %d); %d \
+         protocol errors, %d failed ops; store at %d ops, epoch %d"
+        c.served c.accepted c.batches c.max_batch c.proto_errors c.op_failures
+        s.ops (Fastver.current_epoch t))
+
 (* The tail [serve --replication-listen] and [follow] share: run the node
    until a signal. A halted node logs its evidence and keeps serving its
    already-verified state until told to stop, then exits 3. *)
@@ -247,6 +257,7 @@ let run_node ?metrics_interval f =
       await_signal ?metrics_interval sys
   | None -> ());
   F.stop f;
+  Option.iter (fun srv -> report_served srv (sys ())) (F.server f);
   Logs.app (fun m ->
       m "node stopped: %d ops applied over %d verified epochs; served %d gets \
          locally"
@@ -318,44 +329,21 @@ let serve_cmd listen db_size workers shards batch depth cache algo
       Net.Server.start srv;
       await_signal ?metrics_interval (fun () -> t);
       Net.Server.stop srv;
-      let c = Net.Server.counters srv and s = Fastver.stats t in
-      Logs.app (fun m ->
-          m
-            "served %d requests on %d connections in %d drains (largest %d); \
-             %d protocol errors, %d failed ops; store at %d ops, epoch %d"
-            c.served c.accepted c.batches c.max_batch c.proto_errors
-            c.op_failures s.ops (Fastver.current_epoch t))
+      report_served srv t
   | Some s -> (
       (* A replication node that starts out leading: lib/replica owns its
-         tee ordering, its rival watch against the --repl-peer listeners
-         and its demotion, re-bootstrapping from the new primary if this
-         store took writes while leading. *)
+         tee ordering, its watch for a rival primary and its demotion. *)
       let election =
         Fastver_replica.Follower.electable
           ~peers:(List.map parse_addr repl_peers)
           ~promote_batch:batch ?checkpoint_dir:ckpt_dir (parse_addr s)
       in
-      let dir =
-        match ckpt_dir with
-        | Some dir -> dir
-        | None ->
-            let d = Filename.temp_file "fastver" "-rejoin" in
-            Sys.remove d;
-            d
-      in
       match
         Fastver_replica.Follower.leading ~load:(initial_load db_size)
-          ~election ~server:srv ~dir t
+          ~election ~server:srv ~dir:(Filename.get_temp_dir_name ()) t
       with
       | Error e -> die "replication listener: %s" e
-      | Ok f ->
-          Option.iter
-            (fun p ->
-              Logs.app (fun m ->
-                  m "replicating on %a" Net.Addr.pp
-                    (Fastver_replica.Primary.bound_addr p)))
-            (Fastver_replica.Follower.standby f);
-          run_node ?metrics_interval f)
+      | Ok f -> run_node ?metrics_interval f)
 
 let recover_cmd dir workers batch depth cache algo enclave_model no_auth seed
     cold_dir cold_threshold =

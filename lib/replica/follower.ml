@@ -59,7 +59,7 @@ type t = {
   mutable sys : Fastver.t;
   mutable server : Server.t option;
   mutable standby : Primary.t option;
-      (* Some iff electable, except while re-bootstrapping *)
+      (* Some iff electable, unless a re-bootstrap could not rebind it *)
   mutable chain : Verifier.Cert_chain.t;
   mutable m : metrics;
   mutable primary : Addr.t; (* current subscription target *)
@@ -97,7 +97,10 @@ type t = {
   self_id : int64; (* candidate identity, final election tie-break *)
   mutable led_from : led_from option;
       (* while leading, and after stepping down until streaming again *)
-  mutable rebootstrap : bool; (* the store is discarded: bootstrap anew *)
+  mutable rebootstrap : bool;
+      (* the store may hold state outside the cluster's history: no reads
+         are served from it, and the next connection bootstraps anew *)
+  mutable fetched : string option; (* the rejoin directory of [sys] *)
 }
 
 (* ---- Bootstrap conversations ---- *)
@@ -182,58 +185,31 @@ let primary_config (e : election) =
    if the primary still retains epoch 0, install the initial database with
    [load] and replay the stream; otherwise fetch the newest committed
    checkpoint generation into [dir], recover it and tail from its epoch —
-   the recovery path a restarted primary takes. Then bind the read server
-   (read-only) and the standby listener around the store and start them.
-   Returns the store, both listeners, its chain term and the primary's run
-   id. *)
-let bootstrap ~timeout ~config ~load ~dir ~listen ~election conn =
+   the recovery path a restarted primary takes. Returns the store, its
+   chain term and the primary's run id. *)
+let bootstrap ~timeout ~config ~load ~dir conn =
   let ( let* ) = Result.bind in
   let* first = subscribe ~timeout conn ~from_epoch:0 ~term:0 in
-  let* sys, term, run_id =
-    match first with
-    | `Subscribed (_, run_id, _) ->
-        let sys = Fastver.create ~config () in
-        Option.iter (fun f -> f sys) load;
-        Ok (sys, 0, run_id)
-    | `Refused reason when Primary.refusal reason <> `Rebootstrap ->
-        Error ("primary refused subscription: " ^ reason)
-    | `Refused _ -> (
-        let* sys, ck_term = fetch_checkpoint conn ~config ~dir in
-        let from_epoch = Fastver.verified_epoch sys + 1 in
-        Log.app (fun m ->
-            m
-              "bootstrapped from primary checkpoint (verified epoch %d, term \
-               %d); tailing from %d"
-              (Fastver.verified_epoch sys)
-              ck_term from_epoch);
-        let* again = subscribe ~timeout conn ~from_epoch ~term:ck_term in
-        match again with
-        | `Subscribed (_, run_id, _) -> Ok (sys, ck_term, run_id)
-        | `Refused e ->
-            Error ("primary refused post-checkpoint subscription: " ^ e))
-  in
-  let* server =
-    match listen with
-    | None -> Ok None
-    | Some addr ->
-        let config = { Server.default_config with read_only = true } in
-        Result.map Option.some (Server.create ~config sys ~listen:addr)
-  in
-  match
-    Option.map
-      (fun (e : election) ->
-        Primary.create ~config:(primary_config e) ~role:Primary.Standby sys
-          ~listen:e.listen)
-      election
-  with
-  | Some (Error err) ->
-      Option.iter Server.stop server;
-      Error ("cannot bind election listener: " ^ err)
-  | standby ->
-      let standby = Option.map Result.get_ok standby in
-      Option.iter Server.start server;
-      Option.iter Primary.start standby;
-      Ok (sys, server, standby, term, run_id)
+  match first with
+  | `Subscribed (_, run_id, _) ->
+      let sys = Fastver.create ~config () in
+      Option.iter (fun f -> f sys) load;
+      Ok (sys, 0, run_id)
+  | `Refused reason when Primary.refusal reason <> `Rebootstrap ->
+      Error ("primary refused subscription: " ^ reason)
+  | `Refused _ -> (
+      let* sys, ck_term = fetch_checkpoint conn ~config ~dir in
+      let from_epoch = Fastver.verified_epoch sys + 1 in
+      Log.app (fun m ->
+          m
+            "bootstrapped from primary checkpoint (verified epoch %d, term \
+             %d); tailing from %d"
+            (Fastver.verified_epoch sys)
+            ck_term from_epoch);
+      let* again = subscribe ~timeout conn ~from_epoch ~term:ck_term in
+      match again with
+      | `Subscribed (_, run_id, _) -> Ok (sys, ck_term, run_id)
+      | `Refused e -> Error ("primary refused post-checkpoint subscription: " ^ e))
 
 let metrics sys =
   let module Reg = Fastver_obs.Registry in
@@ -432,6 +408,44 @@ let streaming t conn ~run_id ~term =
           (Addr.to_string t.primary) term)
   end
 
+(* ---- Listeners ---- *)
+
+(* Stop the read server. Its stop drains every request it already
+   admitted, so no put reaches the store after this returns. *)
+let close_reads t =
+  Option.iter Server.stop t.server;
+  t.server <- None
+
+(* Serve the current store on the read address, binding a new server if
+   none runs. *)
+let open_reads t ~read_only =
+  match (t.server, t.listen) with
+  | Some s, _ -> Ok (Server.set_read_only s read_only)
+  | None, None -> Ok ()
+  | None, Some addr ->
+      Server.create ~config:{ Server.default_config with read_only } t.sys
+        ~listen:addr
+      |> Result.map (fun s ->
+             Server.start s;
+             t.server <- Some s)
+
+let log_error = Result.iter_error (fun e -> Log.err (fun m -> m "%s" e))
+
+(* A freshly bootstrapped store's listeners: the read-only server and, if
+   electable, the standby. *)
+let open_listeners t =
+  let ( let* ) = Result.bind in
+  let* () = open_reads t ~read_only:true in
+  match t.election with
+  | None -> Ok ()
+  | Some e ->
+      Primary.create ~config:(primary_config e) ~role:Primary.Standby t.sys
+        ~listen:e.listen
+      |> Result.map_error (fun err -> "cannot bind election listener: " ^ err)
+      |> Result.map (fun sb ->
+             Primary.start sb;
+             t.standby <- Some sb)
+
 (* ---- Election ---- *)
 
 let retarget t ~addr ~term reason =
@@ -445,12 +459,8 @@ let retarget t ~addr ~term reason =
    from an election winner. *)
 let check_directive t =
   match Option.bind t.standby Primary.deposed with
-  | Some (term, Some addr_s) -> (
-      match Addr.parse addr_s with
-      | Ok addr -> retarget t ~addr ~term "promote directive from winner"
-      | Error _ ->
-          Log.warn (fun m ->
-              m "promote directive carried unparseable address %S" addr_s))
+  | Some (term, Some addr) ->
+      retarget t ~addr ~term "promote directive from winner"
   | Some (term, None) -> note_seen_term t term
   | None -> ()
 
@@ -478,8 +488,8 @@ let probe_targets t (e : election) =
     (if List.mem t.orig_primary e.peers then e.peers
      else t.orig_primary :: e.peers)
 
-(* The election state of every reachable probe target. *)
-let survey t (e : election) ~term =
+(* The election state of every reachable target. *)
+let survey t (e : election) ~term targets =
   let sealed = Fastver.verified_epoch t.sys in
   List.filter_map
     (fun peer ->
@@ -487,9 +497,9 @@ let survey t (e : election) ~term =
         (Wire.Announce_term
            { term; sealed; priority = e.priority; run_id = t.self_id })
       |> Option.map (fun i -> (peer, i)))
-    (probe_targets t e)
+    targets
 
-(* Where this node begins leading; see {!wrote_while_leading}. *)
+(* Where this node begins leading, compared at step-down by {!watch}. *)
 let led_from t =
   {
     epoch = Fastver.verified_epoch t.sys;
@@ -509,12 +519,14 @@ let rank t (e : election) = (Fastver.verified_epoch t.sys, e.priority, t.self_id
 (* One candidacy round. Deterministic given the reachable peer set: every
    candidate compares the same ranks, so the maximum is the unique winner;
    unreachable peers simply do not vote (a healed partition is reconciled
-   by the leader's rival probes). A node re-bootstrapping has no standby
-   listener and only looks for a live primary. *)
+   by the leader's rival probes). A node with nothing to probe is no
+   candidate, nor is one without a standby listener; they only look for a
+   live primary. *)
 let run_election t e =
   Fastver_obs.Counter.incr t.m.m_elections;
   let t0 = Unix.gettimeofday () in
-  let infos = survey t e ~term:t.seen_term in
+  let targets = probe_targets t e in
+  let infos = survey t e ~term:t.seen_term targets in
   match
     ( List.find_opt
         (fun (_, (term, primary, _)) -> primary && term >= t.seen_term)
@@ -524,8 +536,7 @@ let run_election t e =
   | Some (peer, (term, _, _)), _ ->
       (* Someone already leads at a current term: no election needed. *)
       retarget t ~addr:peer ~term "found a live primary"
-  | None, None -> t.lost_since <- Some t0
-  | None, Some sb ->
+  | None, Some sb when targets <> [] ->
       let sealed = Fastver.verified_epoch t.sys in
       let max_term =
         List.fold_left
@@ -553,7 +564,10 @@ let run_election t e =
         Fastver.set_batch_size t.sys e.promote_batch;
         Option.iter (fun dir -> Fastver.set_auto_checkpoint t.sys ~dir)
           e.checkpoint_dir;
-        Option.iter (fun s -> Server.set_read_only s false) t.server;
+        (* a store awaiting re-bootstrap may lead again: it may hold the
+           highest sealed epoch still reachable *)
+        t.rebootstrap <- false;
+        log_error (open_reads t ~read_only:false);
         Mutex.protect t.lock (fun () ->
             t.term <- term;
             t.seen_term <- term;
@@ -575,70 +589,55 @@ let run_election t e =
             ignore
               (ask ~timeout:e.probe_timeout peer
                  (Wire.Promote { term; addr = Addr.to_string e.listen })))
-          (probe_targets t e)
+          targets
       end
+  | None, _ -> t.lost_since <- Some t0
 
-(* Whether the store took a write or sealed an epoch since this node began
-   leading: it may then hold state outside its successor's history. *)
-let wrote_while_leading t =
-  match t.led_from with
-  | None -> false
-  | Some l ->
-      Fastver.verified_epoch t.sys <> l.epoch
-      || (Fastver.stats t.sys).puts <> l.puts
-
-(* Stop serving the store; the next connection bootstraps a new one. *)
-let discard t =
-  Option.iter Server.stop t.server;
-  Option.iter Primary.stop t.standby;
-  Mutex.protect t.lock (fun () ->
-      t.server <- None;
-      t.standby <- None;
-      t.rebootstrap <- true)
-
-(* The leader watch and the one demotion path. Evidence is a deposition
-   the replication listener recorded, or a rival primary that outranks this
-   one by (term, rank). A leader that wrote nothing while leading still
-   holds a prefix of the history it followed: it keeps its store and claims
-   its old chain term. Any other discards its store and re-bootstraps from
-   its successor. *)
+(* The leader watch and the one demotion path. A leader steps down only to
+   a live primary that outranks it by (term, rank), at a term no lower
+   than any deposition evidence's: that evidence (a higher-term subscribe,
+   announce or directive) is unauthenticated, so it only says whom to ask.
+   Stopping the read server drains every put it admitted. A leader that
+   then applied nothing while leading still holds a prefix of the history
+   it followed: it serves reads again and claims its old chain term. Any
+   other serves no read until {!rejoin} replaces its store; its standby
+   listener stays, so it still votes and may still be elected. *)
 let watch t (e : election) sb =
-  let evidence =
+  let floor, named =
     match Primary.deposed sb with
-    | Some (term, addr) ->
-        let addr = Option.bind addr (fun s -> Result.to_option (Addr.parse s)) in
-        Some (term, addr, "deposed by a higher term")
-    | None ->
-        let mine = (Primary.term sb, rank t e) in
-        List.find_map
-          (fun (peer, (term, primary, r)) ->
-            if primary && (term, r) > mine then
-              Some (term, Some peer, "rival primary outranks us")
-            else None)
-          (survey t e ~term:(Primary.term sb))
+    | Some (term, addr) -> (term, Option.to_list addr)
+    | None -> (0, [])
   in
-  match evidence with
+  let mine = (Primary.term sb, rank t e) in
+  match
+    List.find_opt
+      (fun (_, (term, primary, r)) ->
+        primary && term >= floor && (term, r) > mine)
+      (survey t e ~term:(Primary.term sb) (named @ probe_targets t e))
+  with
   | None -> ()
-  | Some (term, addr, reason) ->
-      Option.iter (fun s -> Server.set_read_only s true) t.server;
+  | Some (addr, (term, _, _)) ->
       Primary.demote sb ~term;
       Fastver.set_batch_size t.sys 0;
       Fastver.clear_auto_checkpoint t.sys;
-      let keep = not (wrote_while_leading t) in
+      close_reads t;
+      let keep =
+        match t.led_from with
+        | Some l ->
+            Fastver.verified_epoch t.sys = l.epoch
+            && (Fastver.stats t.sys).puts = l.puts
+        | None -> true
+      in
       Mutex.protect t.lock (fun () ->
           (match t.led_from with
           | Some l when keep -> t.term <- l.chain_term
           | _ -> ());
-          note_seen_term t term;
+          t.rebootstrap <- not keep;
           t.state <- Disconnected);
-      (match addr with
-      | Some addr -> retarget t ~addr ~term reason
-      | None -> reset_backoff t);
-      Log.app (fun m ->
-          m "stepped down at term %d: %s; %s" term reason
-            (if keep then "nothing written while leading"
-             else "discarding the store it led with"));
-      if not keep then discard t
+      if keep then log_error (open_reads t ~read_only:true);
+      retarget t ~addr ~term
+        (if keep then "stepped down, nothing written while leading"
+         else "stepped down, no reads until its store is re-bootstrapped")
 
 (* ---- The follower loop ---- *)
 
@@ -695,10 +694,6 @@ and try_subscribe t =
   match Client.connect t.primary with
   | Error _ -> `Retry
   | Ok conn when t.rebootstrap -> rejoin t conn
-  | Ok conn when wrote_while_leading t ->
-      (* a write admitted just before stepping down landed after it *)
-      discard t;
-      rejoin t conn
   | Ok conn -> (
       let from_epoch = Fastver.verified_epoch t.sys + 1 in
       let close_retry () =
@@ -740,7 +735,6 @@ and try_subscribe t =
               close_retry ()
           | `Rebootstrap ->
               Log.app (fun m -> m "subscribe refused (%s); re-bootstrapping" e);
-              discard t;
               rejoin t conn
           | `Halt ->
               Client.close conn;
@@ -750,34 +744,43 @@ and try_subscribe t =
           Log.info (fun m -> m "subscribe failed (%s); will retry" e);
           close_retry ())
 
-(* Bootstrap a new store exactly as {!create} does, its checkpoint fetch in
-   a new directory under [t.dir] (never one holding this node's own,
-   possibly diverged, generations), and serve it on the same addresses. *)
+(* Replace the store: no read is served from the old one meanwhile.
+   Bootstrap exactly as {!create} does, its checkpoint fetch in a new
+   directory under [t.dir] (never one holding this node's own, possibly
+   diverged, generations). Only once the successor has supplied the new
+   store does the old one stop answering election probes; the new one is
+   served on the same addresses and the previous rejoin directory goes. *)
 and rejoin t conn =
+  close_reads t;
+  t.rebootstrap <- true;
   t.conn <- Some conn (* so [stop] can cut a long fetch short *);
   mkdir_p t.dir;
   let dir = Filename.temp_file ~temp_dir:t.dir "rejoin-" "" in
   Sys.remove dir;
   match
     bootstrap ~timeout:t.handshake_timeout ~config:t.config ~load:t.load ~dir
-      ~listen:t.listen ~election:t.election conn
+      conn
   with
   | Error e ->
       Log.warn (fun m -> m "re-bootstrap failed (%s); will retry" e);
+      Fastver_kvstore.Ckpt_io.remove_tree dir;
       t.conn <- None;
       Client.close conn;
       `Retry
-  | Ok (sys, server, standby, term, run_id) ->
+  | Ok (sys, term, run_id) ->
+      Option.iter Primary.stop t.standby;
+      Option.iter Fastver_kvstore.Ckpt_io.remove_tree t.fetched;
       Mutex.protect t.lock (fun () ->
           t.sys <- sys;
-          t.server <- server;
-          t.standby <- standby;
+          t.standby <- None;
+          t.fetched <- Some dir;
           t.chain <- new_chain sys;
           t.m <- metrics sys;
           t.max_seen <- Fastver.verified_epoch sys;
           t.term <- term;
           note_seen_term t term;
           t.rebootstrap <- false);
+      log_error (open_listeners t);
       streaming t conn ~run_id ~term;
       `Streaming
 
@@ -841,6 +844,7 @@ let mk ?(reconnect_delay = 0.2) ?(handshake_timeout = 5.0) ?election ~config
         (Random.State.int64 rng Int64.max_int);
     led_from = None;
     rebootstrap = false;
+    fetched = None;
   }
 
 let create ?reconnect_delay ?handshake_timeout ?election
@@ -852,19 +856,27 @@ let create ?reconnect_delay ?handshake_timeout ?election
   match Client.connect primary with
   | Error e -> Error e
   | Ok conn -> (
+      let fail e =
+        Client.close conn;
+        Error e
+      in
       match
         bootstrap
           ~timeout:(Option.value handshake_timeout ~default:5.0)
-          ~config ~load ~dir ~listen ~election conn
+          ~config ~load ~dir conn
       with
-      | Error e ->
-          Client.close conn;
-          Error e
-      | Ok (sys, server, standby, term, run_id) ->
-          Ok
-            (mk ?reconnect_delay ?handshake_timeout ?election ~config ~load
-               ~dir ~listen ~primary ~conn:(Some conn) ~run_id:(Some run_id)
-               (sys, server, standby, term)))
+      | Error e -> fail e
+      | Ok (sys, term, run_id) -> (
+          let t =
+            mk ?reconnect_delay ?handshake_timeout ?election ~config ~load ~dir
+              ~listen ~primary ~conn:(Some conn) ~run_id:(Some run_id)
+              (sys, None, None, term)
+          in
+          match open_listeners t with
+          | Ok () -> Ok t
+          | Error e ->
+              close_reads t;
+              fail e))
 
 let leading ~load ~election:e ~server ~dir sys =
   match Primary.create ~config:(primary_config e) sys ~listen:e.listen with
@@ -881,6 +893,8 @@ let leading ~load ~election:e ~server ~dir sys =
       t.led_from <- Some (led_from t);
       Primary.start p;
       Server.start server;
+      Log.app (fun m ->
+          m "replicating on %s" (Addr.to_string (Primary.bound_addr p)));
       Ok t
 
 let start t =

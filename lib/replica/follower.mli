@@ -25,14 +25,14 @@
     the winner's [Promote] directive and re-subscribe there.
 
     {b Demotion.} A leader — promoted here, or started by {!leading} —
-    watches for deposition evidence and probes its peers for a rival
-    primary that outranks it by (term, verified epoch, priority, run-id).
-    Either way it steps down: a leader that applied no write and sealed no
-    epoch while leading keeps its store, which is a prefix of the history
-    it followed, and re-subscribes under its old chain term; any other
-    discards its store and re-bootstraps from its successor exactly as
-    {!create} does, then rebuilds its read server and standby listener on
-    the same addresses. No read is served from a discarded store. *)
+    steps down only to a live primary that outranks it by (term, verified
+    epoch, priority, run-id), at or above any (unauthenticated) deposition
+    evidence's term. Stopping its read server drains every admitted put. A
+    leader that then applied no write and sealed no epoch while leading
+    keeps its store, a prefix of the history it followed. Any other serves
+    no read until it re-bootstraps from its successor as {!create} does,
+    on the same addresses; its standby listener stays meanwhile, so it
+    still votes. A node with no peer to probe never promotes itself. *)
 
 type t
 
@@ -165,5 +165,4 @@ val term : t -> int
     record (or the term this node promoted under). *)
 
 val standby : t -> Primary.t option
-(** The standby/leading replication listener, when electable ([None]
-    while re-bootstrapping). *)
+(** The standby/leading replication listener, when electable. *)

@@ -47,11 +47,11 @@ type t = {
          reaches into [term_start, ..] but carries an older term verified a
          chain this primary re-sealed after winning an election — it must
          discard and re-bootstrap (checkpoint fetch) *)
-  mutable deposed_by : (int * string option) option;
+  mutable deposed_by : (int * Addr.t option) option;
       (* evidence of a higher term: a peer spoke from one (optionally
          naming the new primary's address). A leader's owner reads it
-         through {!deposed} and demotes; a standby's reads it as a
-         directive to re-home. *)
+         through {!deposed} and demotes once a primary at that term
+         answers; a standby's reads it as a directive to re-home. *)
   digests : (int, string) Hashtbl.t; (* per-open-epoch running digest *)
   mutable batch : (string * string option) list;
       (* ops buffered toward the next [Repl_batch] frame, newest first;
@@ -252,18 +252,15 @@ let handle_subscribe t c ~id ~from_epoch ~term:sub_term =
       List.iter (enqueue c) replay;
       (Reactor.data c).subscribed <- true
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn > 0 && go 0
-
 (* What a subscriber does about each refusal [handle_subscribe] writes: a
    standby or a deposed primary may lead again after an election, a fenced
    or floor-passed subscriber must replace its store, and anything else
    (a subscriber ahead of us: a rolled-back primary) is evidence. *)
 let refusal e =
-  if contains e "not primary" || contains e "deposed" then `Retry
-  else if contains e "fetch a checkpoint" then `Rebootstrap
+  if String.starts_with ~prefix:"not primary" e
+     || String.starts_with ~prefix:"deposed" e
+  then `Retry
+  else if String.ends_with ~suffix:"fetch a checkpoint" e then `Rebootstrap
   else `Halt
 
 (* Ship the newest checkpoint generation that has a manifest. The follower
@@ -348,6 +345,7 @@ let handle_announce t c ~id ~term ~sealed ~priority ~run_id =
       term_info_locked t)
 
 let handle_promote t c ~id ~term ~addr =
+  let named = Result.to_option (Addr.parse addr) in
   reply c ~id
   @@ Mutex.protect t.lock (fun () ->
       (match t.role with
@@ -355,13 +353,13 @@ let handle_promote t c ~id ~term ~addr =
           if term > t.term && t.deposed_by = None then begin
             Log.warn (fun m ->
                 m "deposed: peer promoted to term %d (serving at %s)" term addr);
-            t.deposed_by <- Some (term, Some addr)
+            t.deposed_by <- Some (term, named)
           end
       | Standby ->
           if term >= t.term then begin
             t.term <- max t.term term;
             Fastver_obs.Gauge.set t.m_term (float_of_int t.term);
-            if t.deposed_by = None then t.deposed_by <- Some (term, Some addr)
+            if t.deposed_by = None then t.deposed_by <- Some (term, named)
           end);
       term_info_locked t)
 

@@ -34,10 +34,11 @@
     (covered by the stream MAC). At subscribe time: a subscriber speaking a
     {e higher} term proves this primary was deposed (the refusal is
     recorded as evidence, read through {!deposed} by the owning
-    {!Follower}, which demotes); a subscriber whose {e older} term claims
-    epochs at or past {!promote}'s [term_start] is fenced off with a "fetch
-    a checkpoint" refusal, because those epochs were re-sealed under the
-    new term and its chain may diverge. {!refusal} classifies every
+    {!Follower}, which demotes once a primary at that term answers); a
+    subscriber whose {e older} term claims epochs at or past {!promote}'s
+    [term_start] is fenced off with a "fetch a checkpoint" refusal,
+    because those epochs were re-sealed under the new term and its chain
+    may diverge. {!refusal} classifies every
     refusal text for the subscriber.
 
     Metrics (on the system's registry): [fastver_repl_ops_streamed_total],
@@ -93,12 +94,12 @@ val run_id : t -> int64
 
 val term : t -> int
 
-val deposed : t -> (int * string option) option
+val deposed : t -> (int * Fastver_net.Addr.t option) option
 (** Evidence of a strictly higher term: a peer spoke from one
     ([Some (term, addr)]; [addr] names the new primary's replication
-    address when a [Promote] directive carried it). On a leader the
-    evidence stands until {!demote}; on a standby reading it consumes it,
-    so the owner re-homes once per directive. *)
+    address when a [Promote] directive carried a valid one). On a leader
+    the evidence stands until {!demote}; on a standby reading it consumes
+    it, so the owner re-homes once per directive. *)
 
 val refusal : string -> [ `Retry | `Rebootstrap | `Halt ]
 (** How a subscriber answers a [Subscribe] refusal's text: [`Retry] a

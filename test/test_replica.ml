@@ -1472,13 +1472,11 @@ let test_divergent_loser ~seal () =
   remove_tree db;
   List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ pa; pb ]
 
-(* A serving node built with [Follower.leading] — what [serve
-   --replication-listen] runs — takes a write, then a peer proves a higher
-   term: it must rejoin as a follower of that peer and serve its history
-   on the same read address. *)
-let test_leading_node_rejoins () =
+(* What [serve --replication-listen] runs: a loaded store and its read
+   server, wrapped by [Follower.leading] (not yet started). *)
+let mk_leading ~peers () =
   let t = mk_system () in
-  let lsock = fresh_sock () and repl = fresh_sock () and wrepl = fresh_sock () in
+  let lsock = fresh_sock () and repl = Net.Addr.Unix_sock (fresh_sock ()) in
   let dir = fresh_dir () in
   let srv =
     match Net.Server.create t ~listen:(Net.Addr.Unix_sock lsock) with
@@ -1486,51 +1484,123 @@ let test_leading_node_rejoins () =
     | Error e -> Alcotest.fail e
   in
   let e =
-    Replica.Follower.electable
-      ~peers:[ Net.Addr.Unix_sock wrepl ]
-      ~election_timeout:0.3 ~probe_timeout:0.5 ~probe_interval:0.15
-      (Net.Addr.Unix_sock repl)
+    Replica.Follower.electable ~peers ~election_timeout:0.3 ~probe_timeout:0.5
+      ~probe_interval:0.15 repl
   in
-  let f =
-    match
-      Replica.Follower.leading
-        ~load:(fun sys -> Fastver.load sys (records 256))
-        ~election:e ~server:srv ~dir t
-    with
-    | Ok f -> f
-    | Error e -> Alcotest.fail e
-  in
-  Replica.Follower.start f;
-  Fastver.put t 94L "old-leader";
-  ignore (Fastver.verify t);
-  Alcotest.(check (option string)) "the leader serves its write"
-    (Some "old-leader") (read_via lsock 94L);
-  (* a primary at a higher term over a history without that write *)
+  match
+    Replica.Follower.leading
+      ~load:(fun sys -> Fastver.load sys (records 256))
+      ~election:e ~server:srv ~dir t
+  with
+  | Ok f -> (t, f, lsock, repl, dir)
+  | Error e -> Alcotest.fail e
+
+(* A primary at term 3 on [addr], over a history holding one sealed write
+   (key 95) that no leading node under test has. *)
+let mk_rival addr =
   let w = mk_system () in
-  let wp =
-    match
-      Replica.Primary.create ~role:Replica.Primary.Standby w
-        ~listen:(Net.Addr.Unix_sock wrepl)
-    with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
-  Replica.Primary.start wp;
-  Replica.Primary.promote wp ~term:3;
-  Fastver.put w 95L "new-history";
-  ignore (Fastver.verify w);
+  match Replica.Primary.create ~role:Replica.Primary.Standby w ~listen:addr with
+  | Error e -> Alcotest.fail e
+  | Ok wp ->
+      Replica.Primary.start wp;
+      Replica.Primary.promote wp ~term:3;
+      Fastver.put w 95L "new-history";
+      ignore (Fastver.verify w);
+      (w, wp)
+
+let wait_rejoined f w =
   wait_for "the old leader rejoins under the new term" (fun () ->
       Replica.Follower.state f = Replica.Follower.Streaming
       && Replica.Follower.verified_epoch f >= Fastver.verified_epoch w
       && Replica.Follower.term f = 3);
   Alcotest.(check bool) "no integrity failure" true
-    (Replica.Follower.failure f = None);
+    (Replica.Follower.failure f = None)
+
+(* A serving node built with [Follower.leading] — what [serve
+   --replication-listen] runs — takes a write, then a peer proves a higher
+   term: it must rejoin as a follower of that peer and serve its history
+   on the same read address. *)
+let test_leading_node_rejoins () =
+  let wrepl = Net.Addr.Unix_sock (fresh_sock ()) in
+  let t, f, lsock, _, dir = mk_leading ~peers:[ wrepl ] () in
+  Replica.Follower.start f;
+  Fastver.put t 94L "old-leader";
+  ignore (Fastver.verify t);
+  Alcotest.(check (option string)) "the leader serves its write"
+    (Some "old-leader") (read_via lsock 94L);
+  let w, wp = mk_rival wrepl in
+  wait_rejoined f w;
   Alcotest.(check (option string)) "new history served"
     (Some "new-history") (read_via lsock 95L);
   Alcotest.(check (option string)) "old leader's write gone"
     (Some (initial_value 94L)) (read_via lsock 94L);
   Replica.Follower.stop f;
   Replica.Primary.stop wp;
+  remove_tree dir
+
+(* Puts pipelined into a leading node's read server as a rival primary
+   outranks it: applied before the step-down or still queued in the
+   server when it happens, none may survive into what the node serves
+   once it follows the rival. *)
+let test_queued_put_at_step_down () =
+  let wrepl = Net.Addr.Unix_sock (fresh_sock ()) in
+  let w, wp = mk_rival wrepl in
+  let _, f, lsock, _, dir = mk_leading ~peers:[ wrepl ] () in
+  (match Net.Client.connect (Net.Addr.Unix_sock lsock) with
+  | Error e -> Alcotest.fail e
+  | Ok conn ->
+      let s = Net.Client.open_session conn ~client:1 ~secret in
+      for i = 0 to 1999 do
+        ignore (Net.Client.send_put s (Int64.of_int (100 + (i mod 100))) "queued")
+      done;
+      Replica.Follower.start f;
+      (* refused once read-only, cut off when the server stops *)
+      (try Net.Client.drain s with _ -> ());
+      Net.Client.close conn);
+  wait_rejoined f w;
+  let sys = Replica.Follower.system f in
+  for k = 100 to 199 do
+    let k = Int64.of_int k in
+    Alcotest.(check (option string)) "no queued put survives"
+      (Some (initial_value k)) (Fastver.get sys k)
+  done;
+  Alcotest.(check (option string)) "verified read of a queued key"
+    (Some (initial_value 100L)) (read_via lsock 100L);
+  Replica.Follower.stop f;
+  Replica.Primary.stop wp;
+  remove_tree dir
+
+(* A leading node with no peers hears of a higher term from an
+   unauthenticated announce. No primary answers to confirm it, so the node
+   must keep leading under its own term and taking writes — never step
+   down, then elect itself alone above the claimed term. *)
+let test_unconfirmed_deposition () =
+  let _, f, lsock, repl, dir = mk_leading ~peers:[] () in
+  Replica.Follower.start f;
+  (match Net.Client.connect repl with
+  | Error e -> Alcotest.fail e
+  | Ok conn ->
+      let id =
+        Net.Client.send conn
+          (Net.Wire.Announce_term
+             { term = 5; sealed = 0; priority = 0; run_id = 1L })
+      in
+      ignore (Net.Client.expect_id id (Net.Client.recv ~timeout:5.0 conn));
+      Net.Client.close conn);
+  (* past the election timeout, several probe rounds *)
+  Unix.sleepf 1.5;
+  Alcotest.(check bool) "still leading" true
+    (Replica.Follower.state f = Replica.Follower.Leading);
+  Alcotest.(check int) "under its own term" 0 (Replica.Follower.term f);
+  (match Net.Client.connect (Net.Addr.Unix_sock lsock) with
+  | Error e -> Alcotest.fail e
+  | Ok conn ->
+      let s = Net.Client.open_session conn ~client:1 ~secret in
+      Net.Client.put s 98L "still-writable";
+      Alcotest.(check (option string)) "writes still served"
+        (Some "still-writable") (Net.Client.get s 98L);
+      Net.Client.close conn);
+  Replica.Follower.stop f;
   remove_tree dir
 
 (* The primary restarts with sealed epochs the follower never saw: its
@@ -1628,6 +1698,10 @@ let suite =
         (test_divergent_loser ~seal:true);
       Alcotest.test_case "leading node rejoins a higher term" `Quick
         test_leading_node_rejoins;
+      Alcotest.test_case "queued put at step-down never survives" `Quick
+        test_queued_put_at_step_down;
+      Alcotest.test_case "unconfirmed deposition keeps the leader" `Quick
+        test_unconfirmed_deposition;
       Alcotest.test_case "floor-passed follower re-bootstraps" `Quick
         test_floor_passed_rebootstraps;
     ] )
