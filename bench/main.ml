@@ -1032,61 +1032,6 @@ let bechamel_micro () =
   List.iter benchmark tests
 
 (* ------------------------------------------------------------------ *)
-(* Network serving layer: closed-loop clients over a Unix socket       *)
-(* ------------------------------------------------------------------ *)
-
-let fig_net () =
-  header
-    "Network serving layer: closed-loop pipelined clients over a Unix\n\
-     socket, every response signature verified client-side (§7: one\n\
-     verification-log flush per drained batch amortises the enclave\n\
-     transition across connections)";
-  let n = 20_000 in
-  let config =
-    {
-      Fastver.Config.default with
-      n_workers = 4;
-      batch_size = 16_384;
-      cost_model = Cost_model.zero;
-    }
-  in
-  Gc.compact ();
-  let t = Fastver.create ~config () in
-  Fastver.load t (records n);
-  let path = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "fastver-bench-%d.sock" (Unix.getpid ())) in
-  match Fastver_net.Server.create t ~listen:(Fastver_net.Addr.Unix_sock path) with
-  | Error e -> pf "  cannot start server: %s\n%!" e
-  | Ok srv ->
-      Fastver_net.Server.start srv;
-      let addr = Fastver_net.Server.bound_addr srv in
-      pf "%-8s %-7s %12s %10s %10s %10s\n" "clients" "window" "ops/s"
-        "p50(ms)" "p99(ms)" "failures";
-      let next_client = ref 1 in
-      List.iter
-        (fun (clients, window) ->
-          let r =
-            Fastver_net.Net_bench.run ~addr ~clients ~window ~ops:20_000
-              ~db_size:n ~first_client:!next_client ()
-          in
-          (* nonces are per-client and single-use, so sessions never share
-             a client id across runs *)
-          next_client := !next_client + clients;
-          let open Fastver_net.Net_bench in
-          pf "%-8d %-7d %12.0f %10.3f %10.3f %10d\n%!" clients window
-            r.ops_per_s r.p50_ms r.p99_ms (r.integrity_failures + r.errors);
-          Results.(record "net"
-            [ ("clients", I clients); ("window", I window); ("ops", I r.ops);
-              ("ops_per_s", F r.ops_per_s); ("p50_ms", F r.p50_ms);
-              ("p99_ms", F r.p99_ms); ("mean_ms", F r.mean_ms);
-              ("integrity_failures", I r.integrity_failures);
-              ("errors", I r.errors);
-              ("metrics_snapshot",
-               J (Fastver_obs.Registry.to_json (Fastver.registry t))) ]))
-        [ (1, 1); (1, 32); (4, 32); (8, 64) ];
-      Fastver_net.Server.stop srv
-
-(* ------------------------------------------------------------------ *)
 (* Observability overhead: metrics-on vs metrics-off                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1494,231 +1439,13 @@ let fig_repl () =
   pf "  wrote %s\n%!" path
 
 (* ------------------------------------------------------------------ *)
-(* Adaptive verification hierarchy                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A rotating-hot-set workload across phase boundaries. The adaptive
-   controller re-learns the hot keys from the obs heat sketch, carries them
-   in the fast (Blum) tier across epochs, and retunes cache capacity and
-   frontier depth; statics re-load every hot key through the Merkle path
-   once per epoch, and a mis-tuned static additionally thrashes its
-   verifier cache and maintains an oversized frontier. Certificates must
-   stay bit-identical across all three systems: tier placement is invisible
-   to the certificate chain. *)
-let fig_adaptive s =
-  header
-    "Adaptive verification hierarchy: online hot/cold tier migration\n\
-     driven by the obs subsystem. Rotating skewed phases; adaptive vs a\n\
-     well-tuned and a mis-tuned static hierarchy; certificates must be\n\
-     bit-identical to a static replay of the same operations";
-  let n = max 4_096 (400_000 / s.div) in
-  let phases = 3 and epochs_per_phase = 6 in
-  let hot = 64 and reps = 40 and cold = 1_500 in
-  let ops_per_epoch = (hot * reps) + cold in
-  let run_epoch t ~phase =
-    for rep = 1 to reps do
-      for h = 0 to hot - 1 do
-        Fastver.put t
-          (Int64.of_int (((phase * 1000) + h) mod n))
-          (Printf.sprintf "h%d-%d" h rep)
-      done
-    done;
-    for c = 0 to cold - 1 do
-      Fastver.put t
-        (Int64.of_int (((phase * 7919) + (c * 13)) mod n))
-        (Printf.sprintf "c%d" c)
-    done
-  in
-  (* The adaptive system starts from the SAME mis-tuned shape as
-     static-cold (tiny cache, deep frontier) — what it measures is the
-     controller climbing out of a bad configuration online, with only the
-     cache budget to grow into. *)
-  let systems =
-    [ ("adaptive", 8, 64, 2 * 4096, true);
-      ("static-warm", 4, 4096, 0, false);
-      ("static-cold", 8, 64, 0, false) ]
-  in
-  pf "%-12s %-6s %12s %12s\n" "system" "phase" "ops/s" "fast-path%";
-  (* One full 3-phase trace against a fresh store. Returns per-phase
-     throughput (median epoch — one GC spike or scheduler stall cannot
-     swing a whole phase), per-phase fast-path%, overall throughput and
-     the certificate trace. *)
-  let run_trace (_, d, cache, budget, adaptive) =
-    let config =
-      {
-        Fastver.Config.default with
-        n_workers = 2;
-        frontier_levels = d;
-        cache_capacity = cache;
-        batch_size = 0;
-        cost_model = Cost_model.simulated;
-        authenticate_clients = false;
-        adaptive;
-        adaptive_cache_budget = budget;
-      }
-    in
-    Gc.compact ();
-    let t = Fastver.create ~config () in
-    Fastver.load t (records n);
-    let certs = ref [] in
-    (* one untimed warmup epoch (identical across systems, certs still
-       compared) so phase 0 doesn't time cold caches *)
-    run_epoch t ~phase:0;
-    certs := (Fastver.current_epoch t, Fastver.verify t) :: !certs;
-    let phase_rows =
-      List.init phases (fun phase ->
-          let st = Fastver.stats t in
-          let ops0 = st.ops and fast0 = st.blum_fast_path in
-          let epoch_ts =
-            List.init epochs_per_phase (fun _ ->
-                let w0 = Unix.gettimeofday () in
-                let ov0 = Fastver.enclave_overhead_ns t in
-                run_epoch t ~phase;
-                let epoch = Fastver.current_epoch t in
-                certs := (epoch, Fastver.verify t) :: !certs;
-                let dov =
-                  Int64.to_float
-                    (Int64.sub (Fastver.enclave_overhead_ns t) ov0)
-                  /. 1e9
-                in
-                Unix.gettimeofday () -. w0 +. dov)
-          in
-          let eff = List.fold_left ( +. ) 0.0 epoch_ts in
-          let median =
-            let a = Array.of_list epoch_ts in
-            Array.sort Float.compare a;
-            a.(Array.length a / 2)
-          in
-          let st = Fastver.stats t in
-          let dops = st.ops - ops0 in
-          let tp =
-            float_of_int dops /. float_of_int epochs_per_phase /. median
-          in
-          let fastpct =
-            100.0
-            *. float_of_int (st.blum_fast_path - fast0)
-            /. float_of_int (max 1 dops)
-          in
-          (tp, fastpct, eff))
-    in
-    let total_eff =
-      List.fold_left (fun a (_, _, e) -> a +. e) 0.0 phase_rows
-    in
-    let overall =
-      float_of_int (phases * epochs_per_phase * ops_per_epoch) /. total_eff
-    in
-    (List.map (fun (tp, f, _) -> (tp, f)) phase_rows, overall, List.rev !certs)
-  in
-  let measured =
-    List.map
-      (fun ((name, _, _, _, _) as sys) ->
-        (* best of two traces, per phase: systems run sequentially, so a
-           load shift between one system's window and the next would
-           otherwise masquerade as a configuration effect. Certificates
-           must agree between the repeats — the controller is
-           deterministic, so they do. *)
-        let rows1, overall1, certs1 = run_trace sys in
-        let rows2, overall2, certs2 = run_trace sys in
-        if certs1 <> certs2 then
-          failwith (name ^ ": certificates diverged between repeat traces");
-        let rows =
-          List.map2
-            (fun (tp1, f1) (tp2, f2) ->
-              if tp2 > tp1 then (tp2, f2) else (tp1, f1))
-            rows1 rows2
-        in
-        List.iteri
-          (fun phase (tp, fastpct) ->
-            pf "%-12s %-6d %12.0f %11.1f%%\n%!" name phase tp fastpct;
-            Results.(record "adaptive"
-              [ ("system", S name); ("phase", I phase); ("records", I n);
-                ("ops_per_s", F tp); ("fast_path_pct", F fastpct) ]))
-          rows;
-        let overall = Float.max overall1 overall2 in
-        pf "%-12s %-6s %12.0f\n%!" name "all" overall;
-        (name, List.map fst rows, overall, certs1))
-      systems
-  in
-  let tps_of name =
-    let _, tps, overall, _ =
-      List.find (fun (nm, _, _, _) -> nm = name) measured
-    in
-    (tps, overall)
-  in
-  let adaptive_tps, adaptive_overall = tps_of "adaptive" in
-  let static_overalls =
-    List.filter_map
-      (fun (nm, _, overall, _) -> if nm = "adaptive" then None else Some overall)
-      measured
-  in
-  let worst_static = List.fold_left Float.min infinity static_overalls in
-  (* per phase, adaptive against the best static for that phase *)
-  let best_static_per_phase =
-    List.init phases (fun i ->
-        List.fold_left
-          (fun best (nm, tps, _, _) ->
-            if nm = "adaptive" then best else Float.max best (List.nth tps i))
-          0.0 measured)
-  in
-  let min_phase_ratio =
-    List.fold_left2
-      (fun acc a b -> Float.min acc (a /. b))
-      infinity adaptive_tps best_static_per_phase
-  in
-  let overall_vs_worst = adaptive_overall /. worst_static in
-  let _, _, _, adaptive_certs = List.hd measured in
-  let cert_identical =
-    List.for_all
-      (fun (_, _, _, certs) -> certs = adaptive_certs)
-      measured
-  in
-  if not cert_identical then
-    failwith "adaptive: certificates diverged from the static replay";
-  pf
-    "  adaptive vs best static (worst phase): %.2fx | vs worst static \
-     overall: %.2fx | certs identical: %b\n%!"
-    min_phase_ratio overall_vs_worst cert_identical;
-  Results.(record "adaptive"
-    [ ("system", S "summary");
-      ("min_phase_ratio_vs_best_static", F min_phase_ratio);
-      ("overall_ratio_vs_worst_static", F overall_vs_worst) ]);
-  let path = "BENCH_adaptive.json" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\n  \"figure\": \"adaptive\",\n  \"records\": %d,\n  \"phases\": %d,\n  \
-     \"epochs_per_phase\": %d,\n  \"ops_per_epoch\": %d,\n  \
-     \"cert_identical\": %b,\n  \
-     \"adaptive_vs_best_static_min_phase_ratio\": %.4f,\n  \
-     \"adaptive_vs_worst_static_overall_ratio\": %.4f,\n  \"rows\": [\n%s\n  \
-     ]\n}\n"
-    n phases epochs_per_phase ops_per_epoch cert_identical min_phase_ratio
-    overall_vs_worst
-    (String.concat ",\n"
-       (List.concat_map
-          (fun (nm, tps, overall, _) ->
-            List.mapi
-              (fun i tp ->
-                Printf.sprintf
-                  "    {\"system\": \"%s\", \"phase\": %d, \"ops_per_s\": \
-                   %.1f}"
-                  nm i tp)
-              tps
-            @ [ Printf.sprintf
-                  "    {\"system\": \"%s\", \"phase\": -1, \"ops_per_s\": \
-                   %.1f}"
-                  nm overall ])
-          measured));
-  close_out oc;
-  pf "  wrote %s\n%!" path
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let all_figs =
   [ "fig12"; "fig13a"; "fig13b"; "fig13cd"; "fig14a"; "fig14b"; "fig14c";
-    "scale"; "vpause"; "concerto"; "ablations"; "coldtier"; "net"; "repl";
-    "adaptive"; "wirealloc"; "obs"; "micro" ]
+    "scale"; "vpause"; "concerto"; "ablations"; "coldtier"; "repl";
+    "wirealloc"; "obs"; "micro" ]
 
 let run_bench only quick full =
   (* Reduce GC-induced variance: larger minor heap, and each measurement
@@ -1745,9 +1472,7 @@ let run_bench only quick full =
   run "concerto" (fun () -> concerto s);
   run "ablations" (fun () -> ablations s);
   run "coldtier" fig_coldtier;
-  run "net" fig_net;
   run "repl" fig_repl;
-  run "adaptive" (fun () -> fig_adaptive s);
   run "wirealloc" fig_wire_alloc;
   run "obs" (fun () -> fig_obs s);
   run "micro" bechamel_micro;

@@ -266,7 +266,7 @@ let run_node ?metrics_interval f =
 
 let serve_cmd listen db_size workers shards batch depth cache algo
     enclave_model no_auth seed batch_limit ckpt_dir background_verify
-    metrics_interval cold_dir cold_threshold repl_listen repl_peers adaptive =
+    metrics_interval cold_dir cold_threshold repl_listen repl_peers =
   if db_size < 1 then die "--db-size must be at least 1";
   if workers < 1 then die "--workers must be at least 1";
   if shards < 0 then die "--shards must be non-negative";
@@ -280,7 +280,6 @@ let serve_cmd listen db_size workers shards batch depth cache algo
       background_verify;
       cold_dir;
       cold_threshold;
-      adaptive;
     }
   in
   let t =
@@ -512,10 +511,6 @@ let stats_cmd connect format check =
               ("net batches", "fastver_net_batches_total");
               ("net protocol errors", "fastver_net_proto_errors_total");
               ("net op failures", "fastver_net_op_failures_total");
-              ("adaptive retunes", "fastver_adaptive_retunes_total");
-              ("adaptive promotions", "fastver_adaptive_promotions_total");
-              ("adaptive demotions", "fastver_adaptive_demotions_total");
-              ("adaptive cache bytes", "fastver_adaptive_cache_bytes");
               ("repl frames streamed", "fastver_repl_frames_total");
             ];
           let lat field disp =
@@ -722,14 +717,6 @@ let repl_listen =
          ~doc:"Also serve the replication stream (op records + epoch \
                certificates) to followers on this address.")
 
-let adaptive_flag =
-  Arg.(value & flag & info [ "adaptive" ]
-         ~doc:"Enable the adaptive verification hierarchy: at every epoch \
-               boundary a controller retunes the hot/cold tier split, \
-               per-shard verifier cache capacities, and the Merkle frontier \
-               depth from live observability data. Certificates are \
-               bit-identical to a static run over the same operations.")
-
 let follow_primary =
   Arg.(required & opt (some string) None & info [ "primary" ] ~docv:"ADDR"
          ~doc:"The primary's replication listener (its \
@@ -789,7 +776,7 @@ let serve_term =
     $ setup_logs $ listen $ db_size $ workers $ shards $ batch $ depth $ cache
     $ algo $ enclave_model $ no_auth $ seed $ batch_limit $ ckpt_dir
     $ background_verify $ metrics_interval $ cold_dir $ cold_threshold
-    $ repl_listen $ repl_peers $ adaptive_flag)
+    $ repl_listen $ repl_peers)
 
 let follow_term =
   Term.(
@@ -1189,7 +1176,7 @@ let bench_diff_term =
 
 let history_fig =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FIG"
-         ~doc:"The figure whose archived runs to list (e.g. fig12, adaptive).")
+         ~doc:"The figure whose archived runs to list (e.g. fig12, vpause).")
 
 let history_last =
   Arg.(value & opt int 0 & info [ "last" ] ~docv:"N"

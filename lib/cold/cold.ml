@@ -262,10 +262,10 @@ let get t ~key (r : rref) =
         Error (`Fail "cold: reference out of segment bounds")
       else begin
         let rlen = Segment.record_len ~value_len:r.len in
-        let t0 = Unix.gettimeofday () in
+        let wait = Fastver_obs.Span.start () in
         Mutex.lock seg.read_lock;
         (match t.read_wait with
-        | Some h -> Histogram.record_span h (Unix.gettimeofday () -. t0)
+        | Some h -> Fastver_obs.Span.finish wait h
         | None -> ());
         let raw =
           Fun.protect ~finally:(fun () -> Mutex.unlock seg.read_lock)

@@ -18,8 +18,6 @@ type t = {
   cold_threshold : int;
   cold_segment_bytes : int;
   cold_gc_ratio : float;
-  adaptive : bool;
-  adaptive_cache_budget : int;
 }
 
 let default =
@@ -43,8 +41,6 @@ let default =
     cold_threshold = 100_000;
     cold_segment_bytes = 4 * 1024 * 1024;
     cold_gc_ratio = 0.5;
-    adaptive = false;
-    adaptive_cache_budget = 0;
   }
 
 let shards t = if t.n_shards <= 0 then max 1 t.n_workers else t.n_shards
@@ -52,7 +48,7 @@ let shards t = if t.n_shards <= 0 then max 1 t.n_workers else t.n_shards
 let pp ppf t =
   Format.fprintf ppf
     "workers=%d shards=%d cache=%d d=%d batch=%d log=%d algo=%a enclave=%a \
-     auth=%b sorted=%b metrics=%b bgverify=%b cold=%s adaptive=%b"
+     auth=%b sorted=%b metrics=%b bgverify=%b cold=%s"
     t.n_workers (shards t) t.cache_capacity t.frontier_levels t.batch_size
     t.log_buffer_size Record_enc.pp_algo t.algo Cost_model.pp t.cost_model
     t.authenticate_clients t.sorted_migration t.metrics_enabled
@@ -60,4 +56,3 @@ let pp ppf t =
     (match t.cold_dir with
     | None -> "off"
     | Some d -> Printf.sprintf "%s@%d" d t.cold_threshold)
-    t.adaptive

@@ -35,10 +35,10 @@ type t = {
   seed : int;
   metrics_enabled : bool;
       (** Record hot-path observability histograms (flush sizes, scan and
-          checkpoint timings) and the adaptive-controller counters into the
-          system's {!Fastver_obs.Registry}. The operation counters behind
-          [Fastver.stats] (tier attribution, gets, puts, scans, CAS retries,
-          verifies) and the callback-backed metrics count either way. *)
+          checkpoint timings) into the system's {!Fastver_obs.Registry}.
+          The operation counters behind [Fastver.stats] (tier attribution,
+          gets, puts, scans, CAS retries, verifies) and the callback-backed
+          metrics count either way. *)
   background_verify : bool;
       (** Run epoch verification scans concurrently with foreground
           traffic: the epoch boundary is sealed under a brief O(workers)
@@ -56,18 +56,6 @@ type t = {
   cold_segment_bytes : int;  (** Cold segment seal threshold. *)
   cold_gc_ratio : float;
       (** Compact a sealed segment once this fraction of its bytes is dead. *)
-  adaptive : bool;
-      (** Run the online controller ({!Adaptive}) at every epoch seal:
-          promote hot deferred keys to stay on the blum fast path, retune
-          per-shard frontier depth between 2 and 10 Patricia levels, and
-          redistribute verifier-cache capacity across shards within
-          [adaptive_cache_budget]. All movement rides
-          the sealed-epoch machinery, so certificates stay bit-identical to
-          a static run with the same tier assignment. *)
-  adaptive_cache_budget : int;
-      (** Store-wide verifier-cache entry budget shared by all shards; [0]
-          (default) means [shards * cache_capacity] — i.e. resizing only
-          redistributes, never grows beyond the static footprint. *)
 }
 
 val default : t

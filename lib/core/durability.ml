@@ -524,20 +524,7 @@ let recover_generation ?(config = Config.default) ~gdir () =
   Array.iter
     (fun sh ->
       Tree.iter sh.tree (fun k entry ->
-          if entry.aux.owner >= 0 then sh.frontier <- k :: sh.frontier);
-      (* The frontier cut depth survives as the shape of the recovered
-         frontier itself (owner marks): a member's Patricia level is the
-         length of its parent chain. Heat, hot-set and per-epoch counters
-         are advisory and restart cold; the carried keys themselves persist
-         as blum aux and re-enter via the dirty re-seed below, so an
-         adaptive store recovers mid-flight without certificate drift. *)
-      sh.depth <-
-        (match sh.frontier with
-        | [] -> config.frontier_levels
-        | fs ->
-            List.fold_left
-              (fun d f -> max d (List.length (Tree.descend sh.tree f).path))
-              1 fs))
+          if entry.aux.owner >= 0 then sh.frontier <- k :: sh.frontier))
     t.shards;
   (* Re-seed the dirty sets from the persisted protection state: a
      checkpoint may land mid-epoch (with background verification it

@@ -22,60 +22,6 @@ let verifier_op_count t =
    bounded by one chunk, not the whole scan. *)
 let bg_chunk = 256
 
-let adaptive_params t =
-  let n = Array.length t.shards in
-  {
-    Adaptive.cache_budget =
-      (if t.config.adaptive_cache_budget > 0 then t.config.adaptive_cache_budget
-       else n * t.config.cache_capacity);
-    depth_min = 2;
-    depth_max = 10;
-    hot_fraction = 0.5;
-    (* The floor must leave room for a full merkle chain plus [ensure_room]'s
-       two slots of headroom, or a shrunken shard would refuse its own slow
-       path. *)
-    min_cache = max 32 (t.config.cache_capacity / 8);
-  }
-
-(* Controller step, inside the seal barrier (world lock held): snapshot this
-   epoch's observations, decide, and install the plan the following scan
-   executes. Applying the verifier-capacity change here is safe even when it
-   shrinks below the resident count: every add goes through [ensure_room]
-   first, which evicts the mirror down to the new capacity's headroom before
-   the verifier sees another record. *)
-let adaptive_step t =
-  if t.config.adaptive then begin
-    let obs =
-      Array.map
-        (fun sh ->
-          {
-            Adaptive.blum_ops = sh.ops_blum_e;
-            merkle_ops = sh.ops_merkle_e;
-            cached_ops = sh.ops_cached_e;
-            frontier_size = List.length sh.frontier;
-            cache_len = Key_lru.length sh.lru;
-            cache_cap = sh.cache_cap;
-            depth = sh.depth;
-            heat = Array.copy sh.heat;
-          })
-        t.shards
-    in
-    let plans = Adaptive.decide (adaptive_params t) obs in
-    Array.iteri
-      (fun i sh ->
-        let p = plans.(i) in
-        sh.plan <- Some p;
-        sh.cache_cap <- p.Adaptive.p_cache_cap;
-        Verifier.set_cache_capacity sh.verifier p.Adaptive.p_cache_cap;
-        sh.depth <- p.Adaptive.p_depth;
-        Adaptive.decay sh.heat;
-        sh.ops_blum_e <- 0;
-        sh.ops_merkle_e <- 0;
-        sh.ops_cached_e <- 0)
-      t.shards;
-    Metrics.adaptive_retune t.metrics
-  end
-
 (* One shard's slice of the verification scan: steps 1–3 (sorted dirty
    re-apply, frontier migration, quiesced cache sweep). Because routing
    confines every record — and therefore every buffered log entry — to its
@@ -120,92 +66,38 @@ let scan_shard t ~epoch ~background sh dirty =
      fast path), but the sorted pass skips adjacent equals so a duplicate
      could never double-migrate. *)
   if t.config.sorted_migration then Array.sort Key.compare dirty;
-  let plan = if t.config.adaptive then sh.plan else None in
-  let carry_budget =
-    ref (match plan with Some p -> p.Adaptive.p_hot_budget | None -> 0)
-  in
-  let promoted = ref 0 and demoted = ref 0 in
   let rec migrate_dirty key =
     match ok (Store.get t.store key) with
-    | Some (v, aux) when aux_is_blum aux -> (
+    | Some (v, aux) when aux_is_blum aux ->
         let ts = aux_timestamp aux in
         if Timestamp.epoch ts > epoch then
           (* Re-touched across the seal while this scan was in flight: the
              toucher's [add_b] balanced this epoch's evict and its key is
              parked for the next seal. Nothing to do here. *)
           ()
-        else
-          let carry =
-            match plan with
-            | Some p when !carry_budget > 0 ->
-                Adaptive.should_carry p
-                  ~heat:sh.heat.(Adaptive.bucket key)
-                  ~already_hot:(Key.Tbl.mem sh.hot key)
-            | Some _ | None -> false
-          in
-          if carry then begin
-            (* Hot carry: keep the record in the deferred tier across the
-               boundary instead of migrating it back to merkle, so its next
-               touches stay on the fast path. Same balance as a fast-path
-               epoch crossing: the [add_b] at [ts] squares the sealed
-               epoch's evict, the fresh evict lands in the live epoch, and
-               re-entering the dirty list guarantees the next scan balances
-               that one in turn. *)
-            let ts' =
-              Timestamp.max
-                (Timestamp.max sh.clock (Timestamp.next ts))
-                (Timestamp.first_of_epoch (epoch + 1))
-            in
-            if
-              not
-                (Store.try_cas t.store key ~expected_aux:aux v
-                   ~aux:(aux_blum ts'))
-            then migrate_dirty key
-            else begin
-              ensure_room t sh ();
-              ok
-                (Verifier.add_b sh.verifier ~tid:0 ~key ~value:(Value.Data v)
-                   ~timestamp:ts);
-              mirror_add_b sh ts;
-              ok (Verifier.evict_b sh.verifier ~tid:0 ~key ~timestamp:ts');
-              sh.clock <- ts';
-              sh.dirty <- key :: sh.dirty;
-              sh.dirty_len <- sh.dirty_len + 1;
-              decr carry_budget;
-              if not (Key.Tbl.mem sh.hot key) then begin
-                Key.Tbl.replace sh.hot key ();
-                incr promoted
-              end;
-              incr migrated_data
-            end
-          end
-          else if
-            not (Store.try_cas t.store key ~expected_aux:aux v ~aux:aux_merkle)
-          then
-            (* A foreground fast-path CAS slipped in between our read and
-               ours; re-read — it either stayed in the sealed epoch (retry
-               the claim) or crossed into the live one (skip, above). *)
-            migrate_dirty key
-          else begin
-            (* Claimed: the store says merkle, so any racing fast path now
-               fails its CAS and falls through to [merkle_slow], which
-               blocks on the shard's tree lock until this chunk completes. *)
-            let descent = Tree.descend sh.tree key in
-            assert (descent.outcome = Tree.Exists);
-            let parent = ensure_chain t sh descent.path in
-            ensure_room t sh ~protect:parent ();
-            ok
-              (Verifier.add_b sh.verifier ~tid:0 ~key ~value:(Value.Data v)
-                 ~timestamp:ts);
-            mirror_add_b sh ts;
-            let ptr = ok (Verifier.evict_m sh.verifier ~tid:0 ~key ~parent) in
-            apply_ptr sh parent ptr;
-            if Key.Tbl.mem sh.hot key then begin
-              Key.Tbl.remove sh.hot key;
-              incr demoted
-            end;
-            incr migrated_data
-          end)
+        else if
+          not (Store.try_cas t.store key ~expected_aux:aux v ~aux:aux_merkle)
+        then
+          (* A foreground fast-path CAS slipped in between our read and
+             ours; re-read — it either stayed in the sealed epoch (retry
+             the claim) or crossed into the live one (skip, above). *)
+          migrate_dirty key
+        else begin
+          (* Claimed: the store says merkle, so any racing fast path now
+             fails its CAS and falls through to [merkle_slow], which
+             blocks on the shard's tree lock until this chunk completes. *)
+          let descent = Tree.descend sh.tree key in
+          assert (descent.outcome = Tree.Exists);
+          let parent = ensure_chain t sh descent.path in
+          ensure_room t sh ~protect:parent ();
+          ok
+            (Verifier.add_b sh.verifier ~tid:0 ~key ~value:(Value.Data v)
+               ~timestamp:ts);
+          mirror_add_b sh ts;
+          let ptr = ok (Verifier.evict_m sh.verifier ~tid:0 ~key ~parent) in
+          apply_ptr sh parent ptr;
+          incr migrated_data
+        end
     | Some _ | None ->
         raise (Integrity_violation "dirty record not in blum state")
   in
@@ -214,97 +106,6 @@ let scan_shard t ~epoch ~background sh dirty =
         let key = dirty.(i) in
         if not (i > 0 && Key.equal key dirty.(i - 1)) then migrate_dirty key
       done);
-  (* 1b. Frontier retune (adaptive): diff the current cut against the
-     depth-[p_depth] cut of today's tree and migrate membership toward it.
-     Promotions run the trusted-load procedure (chain in, [evict_bm] into
-     the live epoch); demotions reverse it ([add_b] squaring the sealed
-     epoch, [evict_m] back to a plain merkle pointer — which also clears
-     the parent's in-blum mark). A member that is currently cached, or
-     whose timestamp already crossed into the live epoch, is skipped and
-     retried at the next seal; convergence over a few epochs is the point,
-     not a liability — it bounds per-scan work and doubles as hysteresis. *)
-  (match plan with
-  | Some p ->
-      let demote = ref [||] and promote = ref [||] in
-      chunked 1 (fun _ _ ->
-          let cut = Tree.frontier sh.tree ~levels:p.Adaptive.p_depth in
-          let in_cut = Key.Tbl.create 64 in
-          List.iter (fun k -> Key.Tbl.replace in_cut k ()) cut;
-          demote :=
-            Array.of_list
-              (List.filter (fun f -> not (Key.Tbl.mem in_cut f)) sh.frontier);
-          promote :=
-            Array.of_list
-              (List.filter
-                 (fun k ->
-                   (not (Key.equal k Key.root))
-                   && (Tree.get_exn sh.tree k).aux.owner < 0)
-                 cut));
-      chunked (Array.length !demote) (fun lo hi ->
-          for i = lo to hi - 1 do
-            let f = !demote.(i) in
-            let entry = Tree.get_exn sh.tree f in
-            match entry.aux.mstate with
-            | M_blum ts
-              when Timestamp.epoch ts <= epoch && not (Key_lru.mem sh.lru f)
-              ->
-                let descent = Tree.descend sh.tree f in
-                assert (descent.outcome = Tree.Exists);
-                let parent = ensure_chain t sh descent.path in
-                ensure_room t sh ~protect:parent ();
-                ok
-                  (Verifier.add_b sh.verifier ~tid:0 ~key:f
-                     ~value:entry.value ~timestamp:ts);
-                mirror_add_b sh ts;
-                let ptr =
-                  ok (Verifier.evict_m sh.verifier ~tid:0 ~key:f ~parent)
-                in
-                apply_ptr sh parent ptr;
-                entry.aux.mstate <- M_merkle;
-                entry.aux.owner <- -1;
-                sh.frontier <-
-                  List.filter (fun k -> not (Key.equal k f)) sh.frontier;
-                incr migrated_frontier
-            | M_blum _ | M_cached _ -> ()
-            | M_merkle -> assert false
-          done);
-      chunked (Array.length !promote) (fun lo hi ->
-          for i = lo to hi - 1 do
-            let g = !promote.(i) in
-            let entry = Tree.get_exn sh.tree g in
-            match entry.aux.mstate with
-            | M_merkle ->
-                let descent = Tree.descend sh.tree g in
-                assert (descent.outcome = Tree.Exists);
-                let parent = ensure_chain t sh descent.path in
-                ensure_room t sh ~protect:parent ();
-                let installed =
-                  ok
-                    (Verifier.add_m sh.verifier ~tid:0 ~key:g
-                       ~value:entry.value ~parent)
-                in
-                assert (installed = None);
-                let ts' =
-                  Timestamp.max sh.clock
-                    (Timestamp.first_of_epoch (epoch + 1))
-                in
-                ok
-                  (Verifier.evict_bm sh.verifier ~tid:0 ~key:g ~timestamp:ts'
-                     ~parent);
-                sh.clock <- ts';
-                mark_in_blum sh parent g;
-                entry.aux.mstate <- M_blum ts';
-                entry.aux.owner <- sh.sid;
-                sh.frontier <- g :: sh.frontier;
-                incr migrated_frontier
-            | M_blum _ | M_cached _ ->
-                (* Resident on some chain right now (or already carried into
-                   the live epoch); retried at the next seal. *)
-                ()
-          done)
-  | None -> ());
-  Metrics.adaptive_promotions t.metrics !promoted;
-  Metrics.adaptive_demotions t.metrics !demoted;
   (* 2. Migrate this shard's frontier merkle records that were not touched
      (still in the deferred tier) to the next epoch. *)
   let frontier = Array.of_list sh.frontier in
@@ -439,10 +240,6 @@ let verify_inner t =
            let r = t.redeferred in
            t.redeferred <- [];
            r));
-    (* Adaptive controller: decide and install the next epoch's plan from
-       this epoch's observations, atomically with the boundary — the scan
-       below executes it. *)
-    adaptive_step t;
     (* From here on, operations fold into the next epoch. *)
     Atomic.set t.live_epoch (epoch + 1);
     Atomic.set t.ops_since_verify 0;

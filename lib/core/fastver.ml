@@ -9,7 +9,6 @@ exception Integrity_violation = State.Integrity_violation
 
 module Config = Config
 module Auth = Auth
-module Adaptive = Adaptive
 module Bounded_queue = Bounded_queue
 
 type t = State.t
@@ -74,26 +73,6 @@ let stats t =
 let registry t = Metrics.registry t.metrics
 let n_shards t = Array.length t.shards
 
-type adaptive_shard = {
-  a_sid : int;
-  a_depth : int;
-  a_cache_cap : int;
-  a_hot_keys : int;
-  a_frontier : int;
-}
-
-(* Unsynchronised int reads: a point-in-time picture for stats and tests. *)
-let adaptive_state t =
-  Array.map
-    (fun sh ->
-      {
-        a_sid = sh.sid;
-        a_depth = sh.depth;
-        a_cache_cap = sh.cache_cap;
-        a_hot_keys = Key.Tbl.length sh.hot;
-        a_frontier = List.length sh.frontier;
-      })
-    t.shards
 let enclave_handle t = t.enclave
 let enclave_overhead_ns t = Enclave.charged_ns t.enclave
 let cold_stats t = Option.map Store.Cold.stats t.cold
@@ -250,7 +229,6 @@ let load t records =
      that shard's own verifier thread. *)
   Array.iter
     (fun sh ->
-      sh.depth <- t.config.frontier_levels;
       let frontier =
         Tree.frontier sh.tree ~levels:t.config.frontier_levels
         |> List.filter (fun k -> not (Key.equal k Key.root))

@@ -36,10 +36,6 @@ module Config : module type of Config
 module Auth : module type of Auth
 (** Client/verifier MAC encodings (TCB on both ends). *)
 
-module Adaptive : module type of Adaptive
-(** The online verification-hierarchy controller (pure decision logic;
-    re-exported for tests and operator tooling). *)
-
 module Bounded_queue : module type of Bounded_queue
 (** Bounded blocking MPMC queue (re-exported for the network server's
     executor pool). *)
@@ -177,19 +173,6 @@ val owner_of_key : t -> int64 -> int
 val n_shards : t -> int
 (** Number of verifier shards (= [Config.shards config] for a fresh system;
     adopted from the sealed checkpoint payload after {!recover}). *)
-
-type adaptive_shard = {
-  a_sid : int;
-  a_depth : int;  (** current frontier cut depth (Patricia levels) *)
-  a_cache_cap : int;  (** live verifier-cache capacity (entries) *)
-  a_hot_keys : int;  (** keys currently carried in the deferred tier *)
-  a_frontier : int;  (** blum-protected internal nodes *)
-}
-
-val adaptive_state : t -> adaptive_shard array
-(** Point-in-time adaptive-controller state per shard (unsynchronised int
-    reads; for stats surfacing and tests). Meaningful whether or not the
-    controller is enabled — a static run reports its fixed configuration. *)
 
 (** {2 Verification} *)
 

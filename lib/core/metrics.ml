@@ -20,9 +20,6 @@ type t = {
   verify_in_flight : Gauge.t;
   checkpoint_seconds : Histogram.t;
   recover_seconds : Histogram.t;
-  adaptive_promotions : Counter.t;
-  adaptive_demotions : Counter.t;
-  adaptive_retunes : Counter.t;
 }
 
 let create ~enabled () =
@@ -81,18 +78,6 @@ let create ~enabled () =
     recover_seconds =
       Registry.histogram r ~scale:1e-9
         ~help:"Checkpoint recovery duration" "fastver_recover_seconds";
-    adaptive_promotions =
-      Registry.counter r
-        ~help:"Hot keys carried in the deferred tier by the controller"
-        "fastver_adaptive_promotions_total";
-    adaptive_demotions =
-      Registry.counter r
-        ~help:"Cooled keys released back to merkle protection"
-        "fastver_adaptive_demotions_total";
-    adaptive_retunes =
-      Registry.counter r
-        ~help:"Controller decisions applied at epoch seals"
-        "fastver_adaptive_retunes_total";
   }
 
 let registry t = t.registry
@@ -155,14 +140,6 @@ let verify_scan t ~seconds ~touched =
     Histogram.record_span t.verify_seconds seconds;
     Histogram.record t.verify_touched touched
   end
-
-let adaptive_promotions t n =
-  if t.enabled && n > 0 then Counter.add t.adaptive_promotions n
-
-let adaptive_demotions t n =
-  if t.enabled && n > 0 then Counter.add t.adaptive_demotions n
-
-let adaptive_retune t = if t.enabled then Counter.incr t.adaptive_retunes
 
 let checkpoint_write t seconds =
   if t.enabled then Histogram.record_span t.checkpoint_seconds seconds

@@ -73,14 +73,5 @@ val verify_shard : t -> sid:int -> seconds:float -> unit
 (** One shard's share of a verification scan (dirty re-apply + frontier
     migration + epoch close/seal on its own domain). *)
 
-val adaptive_promotions : t -> int -> unit
-(** Hot keys the controller carried in the deferred tier this scan. *)
-
-val adaptive_demotions : t -> int -> unit
-(** Previously-hot keys released back to merkle protection this scan. *)
-
-val adaptive_retune : t -> unit
-(** One controller decision applied at an epoch seal. *)
-
 val checkpoint_write : t -> float -> unit
 val recover_done : t -> float -> unit

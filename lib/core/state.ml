@@ -64,18 +64,6 @@ type shard = {
   mutable log_len : int;
   mutable dirty : Key.t list; (* data keys handed to blum this epoch *)
   mutable dirty_len : int;
-  (* Adaptive-controller state. [heat] and the per-epoch tier counters are
-     written under [worker_lock] (and only when the config enables the
-     controller); the rest is written at the seal barrier under the world
-     lock and read by the scan that follows. *)
-  mutable cache_cap : int; (* live verifier-cache capacity for this shard *)
-  mutable depth : int; (* current frontier cut depth (Patricia levels) *)
-  heat : int array; (* Adaptive.buckets-cell per-key-range heat sketch *)
-  hot : unit Key.Tbl.t; (* keys currently carried in the deferred tier *)
-  mutable plan : Adaptive.plan option; (* decision for the upcoming scan *)
-  mutable ops_blum_e : int; (* per-epoch tier attribution for the controller *)
-  mutable ops_merkle_e : int;
-  mutable ops_cached_e : int;
 }
 
 (* Scan and timing accumulators behind {!stats}; the event counts live in
@@ -213,32 +201,6 @@ let wire_metrics t =
           s.n_add_m + s.n_evict_m + s.n_add_b + s.n_evict_b + s.n_evict_bm
           + s.n_vget + s.n_vput))
     t.shards;
-  (* Adaptive-controller decision surfaces. The bytes figure is a nominal
-     footprint (entries x a conservative 128 B/record: 34 B encoded key +
-     value/pointer payload + table overhead) so operators can watch the
-     budget without the verifier exposing its allocator. *)
-  let cache_entry_bytes = 128 in
-  Array.iter
-    (fun sh ->
-      let labels = [ ("shard", string_of_int sh.sid) ] in
-      Reg.gauge_fn reg ~labels
-        ~help:"Live verifier-cache capacity (entries)"
-        "fastver_adaptive_cache_capacity" (fun () ->
-          float_of_int sh.cache_cap);
-      Reg.gauge_fn reg ~labels
-        ~help:"Frontier cut depth (Patricia levels)" "fastver_adaptive_depth"
-        (fun () -> float_of_int sh.depth);
-      Reg.gauge_fn reg ~labels
-        ~help:"Keys currently carried in the deferred tier"
-        "fastver_adaptive_hot_keys" (fun () ->
-          float_of_int (Key.Tbl.length sh.hot)))
-    t.shards;
-  Reg.gauge_fn reg
-    ~help:"Nominal verifier-cache footprint across shards (bytes)"
-    "fastver_adaptive_cache_bytes" (fun () ->
-      float_of_int
-        (cache_entry_bytes
-        * Array.fold_left (fun a sh -> a + sh.cache_cap) 0 t.shards));
   Reg.gauge_fn reg ~help:"Live data records in the host store"
     "fastver_store_records" (fun () ->
       float_of_int (Fastver_kvstore.Store.length t.store));
@@ -320,14 +282,6 @@ let mk_shard ?tree verifier sid =
     log_len = 0;
     dirty = [];
     dirty_len = 0;
-    cache_cap = Verifier.cache_capacity verifier;
-    depth = 0;
-    heat = Array.make Adaptive.buckets 0;
-    hot = Key.Tbl.create 64;
-    plan = None;
-    ops_blum_e = 0;
-    ops_merkle_e = 0;
-    ops_cached_e = 0;
   }
 
 (* The one constructor of [t]: a fresh system ([create]) and a recovered
@@ -587,7 +541,7 @@ let unlock_world t =
       Lock_order.note_tree_unlock sh.sid)
     t.shards
 
-let now = Unix.gettimeofday
+let now = Fastver_obs.Span.now
 
 let maux sh k = (Tree.get_exn sh.tree k).aux
 

@@ -56,7 +56,7 @@ let evict_mirror _t sh e ~epoch_floor =
 let ensure_room t sh ?protect () =
   (* Keep two slots of headroom: one for the record being added, one for the
      transient data record of the operation in flight. *)
-  while Key_lru.length sh.lru >= sh.cache_cap - 2 do
+  while Key_lru.length sh.lru >= Verifier.cache_capacity sh.verifier - 2 do
     match Key_lru.victim ?exclude:protect sh.lru with
     | Some e ->
         (* Evictions must land in the live epoch: during a background scan
@@ -189,11 +189,6 @@ let rec blum_fast t sh key cur ts action =
          its shard's snapshot. Exactly one touch per record crosses (the
          next one sees both timestamps in the live epoch). *)
       with_redeferred_lock t (fun () -> t.redeferred <- key :: t.redeferred);
-    if t.config.adaptive then begin
-      sh.ops_blum_e <- sh.ops_blum_e + 1;
-      let b = Adaptive.bucket key in
-      sh.heat.(b) <- sh.heat.(b) + 1
-    end;
     Metrics.tier t.metrics Metrics.Blum;
     cur
   end
@@ -360,12 +355,6 @@ let merkle_slow t sh key action =
             None)
   in
   t.acc.verifier_time_s <- t.acc.verifier_time_s +. (now () -. t0);
-  if t.config.adaptive then begin
-    if !loaded = 0 then sh.ops_cached_e <- sh.ops_cached_e + 1
-    else sh.ops_merkle_e <- sh.ops_merkle_e + 1;
-    let b = Adaptive.bucket key in
-    sh.heat.(b) <- sh.heat.(b) + 1
-  end;
   Metrics.tier t.metrics
     (if !loaded = 0 then Metrics.Cached else Metrics.Merkle);
   Some (result, sh)

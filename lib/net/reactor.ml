@@ -40,6 +40,7 @@ type 'a t = {
   scratch : Bytes.t;
   m_lost_wakeups : Fastver_obs.Counter.t;
   m_refused : Fastver_obs.Counter.t;
+  m_accept_pauses : Fastver_obs.Counter.t;
 }
 
 type 'a handlers = {
@@ -115,6 +116,12 @@ let listen reg addr =
                     "Accepted connections closed at once because their \
                      descriptor exceeds the select limit"
                   "fastver_net_connections_refused_total";
+              m_accept_pauses =
+                Reg.counter reg
+                  ~help:
+                    "Times accept ran out of descriptors and the listener \
+                     was paused"
+                  "fastver_net_accept_pauses_total";
             }
       | exception Unix.Unix_error (e, _, _) ->
           close_fd fd;
@@ -176,9 +183,11 @@ let accept_all t h =
         go ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
     | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
-        if t.accept_paused_until = 0.0 then
+        if t.accept_paused_until = 0.0 then begin
+          Fastver_obs.Counter.incr t.m_accept_pauses;
           Log.warn (fun m ->
-              m "%a: out of descriptors; pausing accept" Addr.pp t.addr);
+              m "%a: out of descriptors; pausing accept" Addr.pp t.addr)
+        end;
         t.accept_paused_until <- Unix.gettimeofday () +. accept_backoff
     | exception Unix.Unix_error _ ->
         (* EAGAIN: the backlog is empty. Anything else is retried on the

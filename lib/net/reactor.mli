@@ -40,8 +40,9 @@ type 'a t
 
 val listen : Fastver_obs.Registry.t -> Addr.t -> ('a t, string) result
 (** Bind and listen at once (a stale Unix-socket file is removed first).
-    Registers [fastver_net_lost_wakeups_total] and
-    [fastver_net_connections_refused_total]. *)
+    Registers [fastver_net_lost_wakeups_total],
+    [fastver_net_connections_refused_total] and
+    [fastver_net_accept_pauses_total]. *)
 
 val addr : 'a t -> Addr.t
 (** The bound address, TCP port 0 resolved. *)
@@ -73,7 +74,8 @@ val run : 'a t -> 'a handlers -> unit
     [fastver_net_connections_refused_total]; the loop keeps serving. When
     accept runs out of descriptors (EMFILE/ENFILE) the listener is left
     out of [select] until a connection is reaped or 100 ms pass, so the
-    queued connection waits instead of the loop spinning. *)
+    queued connection waits instead of the loop spinning; each such pause
+    counts once in [fastver_net_accept_pauses_total]. *)
 
 val stop : 'a t -> bool
 (** Ask {!run} to return; [true] only on the first call. *)

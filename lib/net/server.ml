@@ -72,7 +72,7 @@ let make_metrics sys =
 (* Per-connection serving state; the transport half lives in the
    reactor's connection. *)
 type peer = {
-  slots : (int64 * float * Wire.response option Atomic.t) Queue.t;
+  slots : (int64 * Fastver_obs.Span.t * Wire.response option Atomic.t) Queue.t;
       (* (id, arrival, reply slot) in request order: responses — filled by
          executor domains or inline — are emitted strictly from the head,
          so per-connection reply order survives parallel execution *)
@@ -113,7 +113,7 @@ type t = {
   reactor : peer Reactor.t;
       (* executor and background-verification completions wake it: the
          next pass emits every connection's filled reply slots *)
-  pending : (conn * int64 * Wire.request * float) Queue.t;
+  pending : (conn * int64 * Wire.request * Fastver_obs.Span.t) Queue.t;
       (* (conn, id, request, arrival time) — the timestamp feeds the
          end-to-end latency histogram when the response is enqueued *)
   mutable domain : unit Domain.t option;
@@ -186,8 +186,7 @@ let emit_ready t conn =
           let id, arrived, _ = Queue.pop p.slots in
           Reactor.send conn (Wire.encode_response_into p.enc ~id resp);
           Fastver_obs.Counter.incr t.metrics.m_served;
-          Fastver_obs.Histogram.record_span t.metrics.m_request_seconds
-            (Unix.gettimeofday () -. arrived)
+          Fastver_obs.Span.finish arrived t.metrics.m_request_seconds
     done
   end
 
@@ -516,7 +515,7 @@ let protocol_error t conn msg =
   (* arrival = now: a malformed frame has no decoded request to timestamp,
      but every emitted response must carry a latency sample so that the
      request histogram's count always equals [served] *)
-  post t conn 0L ~arrived:(Unix.gettimeofday ())
+  post t conn 0L ~arrived:(Fastver_obs.Span.start ())
     (Wire.Error ("protocol: " ^ msg));
   Reactor.close conn
 
@@ -524,7 +523,8 @@ let input t conn = function
   | Error e -> protocol_error t conn e
   | Ok payload -> (
       match Wire.decode_request payload with
-      | Ok (id, req) -> Queue.push (conn, id, req, Unix.gettimeofday ()) t.pending
+      | Ok (id, req) ->
+          Queue.push (conn, id, req, Fastver_obs.Span.start ()) t.pending
       | Error e -> protocol_error t conn e)
 
 let handlers t =

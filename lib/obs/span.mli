@@ -1,5 +1,10 @@
-(** Lightweight stage timing: a wall-clock start mark whose elapsed time
-    lands in a {!Histogram}. *)
+(** Lightweight stage timing: a start mark on the monotonic clock whose
+    elapsed time lands in a {!Histogram}. A wall-clock step (NTP, an
+    operator setting the date) cannot make a duration negative or huge. *)
+
+val now : unit -> float
+(** Seconds on the monotonic clock from an arbitrary origin: only the
+    difference of two readings means anything. *)
 
 type t
 

@@ -46,9 +46,6 @@ type t = {
   enclave : Enclave.t;
   threads : thread array;
   mset_key : Multiset_hash.key;
-  mutable cache_capacity : int;
-      (* live per-thread cache cap; starts at [config.cache_capacity] and may
-         be retuned between epochs by the adaptive controller *)
   mutable verified : int;
   mutable failure : string option;
   mutable ops_processed : int;
@@ -83,7 +80,6 @@ let create ?enclave config =
     config;
     enclave;
     threads;
-    cache_capacity = config.cache_capacity;
     mset_key = Multiset_hash.key_of_string config.mset_secret;
     verified = -1;
     failure = None;
@@ -159,7 +155,7 @@ let add_m t ~tid ~key ~value ~parent =
     fail t "add_m: value incompatible with key %a" Key.pp key
   else if Key.Tbl.mem th.cache key then
     fail t "add_m: %a already cached in thread %d" Key.pp key tid
-  else if Key.Tbl.length th.cache >= t.cache_capacity then
+  else if Key.Tbl.length th.cache >= t.config.cache_capacity then
     fail t "add_m: cache of thread %d full" tid
   else
     let* parent_entry, n = parent_node t th ~key ~parent in
@@ -247,7 +243,7 @@ let add_b t ~tid ~key ~value ~timestamp =
     fail t "add_b: value incompatible with key %a" Key.pp key
   else if Key.Tbl.mem th.cache key then
     fail t "add_b: %a already cached in thread %d" Key.pp key tid
-  else if Key.Tbl.length th.cache >= t.cache_capacity then
+  else if Key.Tbl.length th.cache >= t.config.cache_capacity then
     fail t "add_b: cache of thread %d full" tid
   else if epoch <= t.verified then
     fail t "add_b: timestamp epoch %d already verified" epoch
@@ -663,8 +659,7 @@ let cached t ~tid key =
 
 let cache_size t ~tid = Key.Tbl.length (thread t tid).cache
 let clock t ~tid = (thread t tid).clock
-let cache_capacity t = t.cache_capacity
-let set_cache_capacity t n = t.cache_capacity <- max 2 n
+let cache_capacity t = t.config.cache_capacity
 
 (* A follower consuming the primary's epoch-certificate stream holds no
    verifier state of its own for the chain — just the last epoch whose

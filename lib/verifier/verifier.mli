@@ -222,14 +222,7 @@ val cache_size : t -> tid:int -> int
 val clock : t -> tid:int -> Timestamp.t
 
 val cache_capacity : t -> int
-(** Live per-thread cache capacity (initially [config.cache_capacity]). *)
-
-val set_cache_capacity : t -> int -> unit
-(** Retune the per-thread cache capacity (clamped to [>= 2]). Safe to call
-    between epochs; the host must evict residents down to the new capacity
-    before issuing further adds, exactly as it maintains headroom today. The
-    soundness argument is unchanged — capacity only bounds memory, never
-    correctness. *)
+(** Per-thread cache capacity ([config.cache_capacity]). *)
 
 type op_stats = {
   mutable n_add_m : int;

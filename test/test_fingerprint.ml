@@ -91,8 +91,6 @@ let suite =
         "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 15482 15474 3235 1700 1543 1524 1476 7";
       golden "4 shards" (straight { base with n_shards = 4 })
         "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 11852 11820 3320 1785 1567 1524 1476 7";
-      golden "adaptive" (straight { base with adaptive = true })
-        "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 15055 15025 3338 1870 1498 1524 1476 7";
       golden "cold tier" with_cold
         "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 15482 15474 3235 1700 1543 1524 1476 7";
       golden "checkpoint, recover, continue" recovered

@@ -20,7 +20,6 @@ let () =
         Test_extensions.suite;
         Test_crashsafe.suite;
         Test_shard.suite;
-        Test_adaptive.suite;
         Test_parallel.suite;
         Test_simthreads.suite;
         Test_wire.suite;

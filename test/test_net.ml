@@ -596,14 +596,12 @@ let test_metrics_reconcile () =
 (* Backpressure and the descriptor ceiling                             *)
 (* ------------------------------------------------------------------ *)
 
-let counter_value t name =
-  match
-    List.find_opt
-      (fun (n, l, _) -> n = name && l = [])
-      (Reg.dump (Fastver.registry t))
-  with
+let reg_counter reg name =
+  match List.find_opt (fun (n, l, _) -> n = name && l = []) (Reg.dump reg) with
   | Some (_, _, Reg.Counter_v v) -> v
   | _ -> Alcotest.failf "counter %s missing from registry" name
+
+let counter_value t name = reg_counter (Fastver.registry t) name
 
 let sockaddr addr =
   match Net.Addr.to_sockaddr addr with
@@ -730,11 +728,12 @@ let emfile_child_env = "FASTVER_TEST_EMFILE_CHILD"
    counts loop passes, and a client that connects after every other
    descriptor is taken, so the listener stays readable while accept fails
    with EMFILE. Over half a second the loop may pass only a bounded number
-   of times; once the descriptors are released the queued client must get
-   its reply. Exits 0 on success. *)
+   of times and must count the pause; once the descriptors are released
+   the queued client must get its reply. Exits 0 on success. *)
 let emfile_child () =
   let path = fresh_sock () in
-  match Net.Reactor.listen (Fastver_obs.Registry.create ()) (Net.Addr.Unix_sock path) with
+  let reg = Reg.create () in
+  match Net.Reactor.listen reg (Net.Addr.Unix_sock path) with
   | Error e ->
       prerr_endline e;
       exit 2
@@ -785,9 +784,12 @@ let emfile_child () =
       Domain.join loop;
       Net.Reactor.shutdown r;
       Unix.close client;
-      Printf.printf "passes while out of descriptors: %d; client served: %b\n"
-        spun served;
-      exit (if spun <= 50 && served then 0 else 1)
+      let pauses = reg_counter reg "fastver_net_accept_pauses_total" in
+      Printf.printf
+        "passes while out of descriptors: %d; accept pauses: %d; client \
+         served: %b\n"
+        spun pauses served;
+      exit (if spun <= 50 && pauses >= 1 && served then 0 else 1)
 
 (* accept failing with EMFILE leaves the listener readable: a loop that
    keeps polling it spins at full CPU until a descriptor frees up. The

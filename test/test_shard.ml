@@ -2,7 +2,8 @@
    bit-identical whatever the shard count, because the per-shard multiset
    folds merge order-independently into the same store-level accumulators
    a single verifier would have built. These tests pin that equivalence —
-   fixed scenarios across a sweep of widths plus a QCheck property over
+   fixed scenarios across a sweep of widths, a seeded stream across a sweep
+   of cache capacities and frontier depths, plus a QCheck property over
    random workloads — and exercise the total recover/checkpoint paths that
    the sharded layout leans on: hostile bytes in any per-shard component
    must yield [Error] (never an exception), a failed checkpoint must leave
@@ -13,13 +14,14 @@ module C = Fastver_kvstore.Ckpt_io
 
 let vo = Alcotest.(option string)
 
-let config ?(shards = 1) () =
+let config ?(shards = 1) ?(cache = 512) ?(depth = 2) () =
   {
     Fastver.Config.default with
     n_workers = 1;
     n_shards = shards;
     batch_size = 0;
-    frontier_levels = 2;
+    frontier_levels = depth;
+    cache_capacity = cache;
     cost_model = Cost_model.zero;
   }
 
@@ -59,6 +61,45 @@ let scripted_ops =
     [ (31, "g"); (0, "h") ];
   ]
 
+(* Tier placement is invisible to clients: the verifier-cache capacity and
+   the frontier depth only decide which records ride the merkle chain, the
+   verifier cache or the deferred tier. One seeded stream of gets and puts
+   over a skewed key set must return every get's latest value (checked
+   against a model) and certify the same epochs and certificates at every
+   point of the sweep. *)
+let run_placement ~cache ~depth =
+  let n = 2048 in
+  let t = Fastver.create ~config:(config ~cache ~depth ()) () in
+  let model = Hashtbl.create n in
+  Fastver.load t
+    (Array.init n (fun i ->
+         let k = Int64.of_int i and v = Printf.sprintf "v%06d" i in
+         Hashtbl.replace model k v;
+         (k, v)));
+  let rng = Random.State.make [| 20 |] in
+  let certs = ref [] in
+  for e = 1 to 6 do
+    for i = 1 to 400 do
+      (* half the touches go to a 16-key hot set that moves every epoch *)
+      let k =
+        if Random.State.bool rng then (e * 37) + Random.State.int rng 16
+        else Random.State.int rng n
+      in
+      let k = Int64.of_int (k mod n) in
+      if Random.State.int rng 4 = 0 then begin
+        let v = Printf.sprintf "e%d-%d" e i in
+        Fastver.put t k v;
+        Hashtbl.replace model k v
+      end
+      else if Fastver.get t k <> Some (Hashtbl.find model k) then
+        Alcotest.failf "cache %d depth %d: get %Ld returned a stale value"
+          cache depth k
+    done;
+    let epoch = Fastver.current_epoch t in
+    certs := (epoch, Fastver.verify t) :: !certs
+  done;
+  (Fastver.verifier_stats t, List.rev !certs)
+
 let test_cert_equal_across_widths () =
   let _, base = run_epochs ~shards:1 ~n:32 scripted_ops in
   List.iter
@@ -76,7 +117,36 @@ let test_cert_equal_across_widths () =
             (Printf.sprintf "epoch %d cert @ %d shards" e1 shards)
             c1 cn)
         base certs)
-    [ 2; 3; 5; 8 ]
+    [ 2; 3; 5; 8 ];
+  (* and across tier placements, at one shard *)
+  let points =
+    List.concat_map
+      (fun cache -> List.map (fun depth -> (cache, depth)) [ 2; 6; 10 ])
+      [ 32; 128; 4096 ]
+  in
+  let runs =
+    List.map
+      (fun (cache, depth) -> ((cache, depth), run_placement ~cache ~depth))
+      points
+  in
+  let _, (_, certs0) = List.hd runs in
+  List.iter
+    (fun ((cache, depth), (_, certs)) ->
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "epochs and certificates @ cache %d depth %d" cache
+           depth)
+        certs0 certs)
+    runs;
+  (* every point is a different placement: its verifier op mix differs *)
+  let mixes =
+    List.map
+      (fun (_, ((st : Fastver_verifier.Verifier.op_stats), _)) ->
+        (st.n_add_m, st.n_evict_m, st.n_add_b, st.n_evict_b, st.n_evict_bm))
+      runs
+  in
+  Alcotest.(check int)
+    "distinct verifier op mixes" (List.length points)
+    (List.length (List.sort_uniq compare mixes))
 
 (* A certificate sealed by an N-shard store must check out against a
    1-shard store at the same epoch: clients cannot tell the layouts
