@@ -30,8 +30,16 @@ let depth =
          ~doc:"Merkle frontier depth kept under deferred verification.")
 
 let cache =
-  Arg.(value & opt int 512 & info [ "cache" ] ~docv:"ENTRIES"
-         ~doc:"Verifier cache entries per thread.")
+  let default = Fastver.Config.default.cache_capacity
+  and entry = Fastver_verifier.Verifier.entry_bytes in
+  Arg.(value & opt int default & info [ "cache" ] ~docv:"ENTRIES"
+         ~doc:(Printf.sprintf
+                 "Verifier cache entries per shard. Each entry is charged %d \
+                  bytes of the enclave's 192 MiB trusted memory (the default \
+                  of %d costs %d MiB per shard); a configuration over that \
+                  budget is refused at start-up."
+                 entry default
+                 (default * entry / (1024 * 1024))))
 
 let workload =
   let wl = Arg.enum [ ("a", `A); ("b", `B); ("c", `C); ("e", `E) ] in
@@ -77,6 +85,8 @@ let shards =
          ~doc:"Verifier shards (independent keyspace partitions, each with \
                its own Merkle tree and verifier). 0 follows --workers.")
 
+let die fmt = Fmt.kstr (fun s -> Logs.err (fun m -> m "%s" s); exit 2) fmt
+
 let mk_config workers batch depth cache algo enclave_model no_auth seed =
   {
     Fastver.Config.default with
@@ -102,7 +112,9 @@ let spec_of workload theta =
   with_dist base (Zipfian theta)
 
 let load_system config db_size =
-  let t = Fastver.create ~config () in
+  let t =
+    try Fastver.create ~config () with Invalid_argument e -> die "%s" e
+  in
   Logs.app (fun m -> m "loading %d records…" db_size);
   let t0 = Unix.gettimeofday () in
   Fastver.load t
@@ -137,8 +149,6 @@ let report t ops wall =
 (* ------------------------------------------------------------------ *)
 (* run: drive a workload                                               *)
 (* ------------------------------------------------------------------ *)
-
-let die fmt = Fmt.kstr (fun s -> Logs.err (fun m -> m "%s" s); exit 2) fmt
 
 let run_cmd db_size ops workers shards batch depth cache workload theta algo
     enclave_model no_auth parallel seed =

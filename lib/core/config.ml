@@ -24,7 +24,7 @@ let default =
   {
     n_workers = 1;
     n_shards = 0;
-    cache_capacity = 512;
+    cache_capacity = 65_536;
     frontier_levels = 6;
     batch_size = 65536;
     log_buffer_size = 4096;

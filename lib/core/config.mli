@@ -12,7 +12,12 @@ type t = {
           state, and epoch clock; per-shard epoch certificates fold into one
           store-level certificate. [0] (the default) follows [n_workers] —
           use {!shards} to resolve. *)
-  cache_capacity : int;  (** Verifier cache entries per thread. *)
+  cache_capacity : int;
+      (** Verifier cache entries per shard (default 65,536). Each entry is
+          charged [Verifier.entry_bytes] (176) of trusted memory, so the
+          default costs 11 MiB per shard; {!Fastver.create} refuses a
+          configuration whose caches exceed the 192 MiB enclave budget.
+          The cache stays resident across verification scans. *)
   frontier_levels : int;
       (** Patricia levels below the root whose nodes stay blum-protected;
           roughly [2^d] records migrate on every verification. *)
@@ -59,7 +64,8 @@ type t = {
 }
 
 val default : t
-(** 1 worker, 512-entry caches, d = 6, 64K batch, simulated enclave. *)
+(** 1 worker, 65,536-entry caches per shard, d = 6, 64K batch, simulated
+    enclave. *)
 
 val shards : t -> int
 (** Resolved shard count: [n_shards] if positive, else [max 1 n_workers]. *)

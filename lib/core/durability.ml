@@ -215,20 +215,13 @@ let checkpoint t ~dir =
     Fun.protect ~finally:(fun () -> unlock_world t)
     @@ fun () ->
     Array.iter (flush_worker t) t.shards;
-    (* With background verification, foreground traffic may have left merkle
-       records cached at the instant the world stopped; the sealed summaries
-       require empty caches and the tree images cannot encode cached
-       records, so evict them all (children first) into the live epoch. *)
+    (* Scans leave the working set cached; the sealed summaries require
+       empty caches and the tree images cannot encode cached records, so
+       evict them all (children first) into the live epoch. *)
     Array.iter
       (fun sh ->
         Enclave.call t.enclave (fun () ->
-            while Key_lru.length sh.lru > 0 do
-              match Key_lru.victim sh.lru with
-              | Some e ->
-                  evict_mirror t sh e ~epoch_floor:(Atomic.get t.live_epoch)
-              | None ->
-                  raise (Integrity_violation "cycle in cached merkle records")
-            done))
+            drain_cache t sh ~epoch_floor:(Atomic.get t.live_epoch)))
       t.shards;
     let summaries =
       Array.map
@@ -515,7 +508,7 @@ let recover_generation ?(config = Config.default) ~gdir () =
     in
     build [] 0
   in
-  let t =
+  let* t =
     make ~config ~enclave ~shards ~boundaries ~store ~nonces ~sealed
       ~loaded:true
       ~live_epoch:(Verifier.current_epoch verifiers.(0))

@@ -22,8 +22,9 @@ let verifier_op_count t =
    bounded by one chunk, not the whole scan. *)
 let bg_chunk = 256
 
-(* One shard's slice of the verification scan: steps 1–3 (sorted dirty
-   re-apply, frontier migration, quiesced cache sweep). Because routing
+(* One shard's slice of the verification scan: steps 1–2 (sorted dirty
+   re-apply, frontier migration). Both modes leave the verifier cache's
+   working set resident across the seal. Because routing
    confines every record — and therefore every buffered log entry — to its
    own shard, the epoch close and seal also ride the slice
    ([close_and_seal_shard] below): a shard certifies its partition the
@@ -132,27 +133,16 @@ let scan_shard t ~epoch ~background sh dirty =
                eviction; the next scan migrates it. *)
             ()
         | M_cached sid ->
-            (* Cached this epoch: the quiesced sweep below — or, in
-               background mode, a later capacity eviction at the live-epoch
-               floor — moves it into a later epoch. Only ever cached by its
-               own shard (routing is forced by key). *)
+            (* Cached: it stays resident across the seal, in both modes. A
+               record cached in epoch [e] contributes nothing further to
+               [e] (its add already balanced the evict that made it
+               cached), and its own eventual eviction — by capacity or a
+               checkpoint's drain — lands at the live-epoch floor, balanced
+               by that epoch's scan. Only ever cached by its own shard
+               (routing is forced by key). *)
             assert (sid = sh.sid)
         | M_merkle -> assert false
       done);
-  (* 3. Quiesced only: evict every remaining cached merkle record, children
-     first, so the epoch leaves the caches empty. Background scans leave
-     the working set resident — a record cached in epoch [e] contributes
-     nothing further to [e] (its add already balanced the evict that made
-     it cached), and its own eventual eviction lands at the live-epoch
-     floor, balanced by that epoch's scan. *)
-  if not background then
-    Enclave.call t.enclave (fun () ->
-        while Key_lru.length sh.lru > 0 do
-          match Key_lru.victim sh.lru with
-          | Some e -> evict_mirror t sh e ~epoch_floor:(epoch + 1)
-          | None ->
-              raise (Integrity_violation "cycle in cached merkle records")
-        done);
   (!migrated_data, !migrated_frontier)
 
 (* 4a. Per-shard epoch close + seal, at the tail of each shard's own slice

@@ -21,14 +21,18 @@ let create ?(config = Config.default) () =
     | Error e -> invalid_arg ("Fastver.create: " ^ e)
   in
   let vconfig = vconfig_of config in
-  make ~config ~enclave
-    ~shards:
-      (Array.init (Config.shards config) (fun sid ->
-           mk_shard (Verifier.create ~enclave vconfig) sid))
-    ~boundaries:[||]
-    ~store:(Store.create ?cold ~codec:option_codec ())
-    ~nonces:(Hashtbl.create 8) ~sealed:(Enclave.Sealed_slot.create ())
-    ~loaded:false ~live_epoch:0 ~cold
+  match
+    make ~config ~enclave
+      ~shards:
+        (Array.init (Config.shards config) (fun sid ->
+             mk_shard (Verifier.create ~enclave vconfig) sid))
+      ~boundaries:[||]
+      ~store:(Store.create ?cold ~codec:option_codec ())
+      ~nonces:(Hashtbl.create 8) ~sealed:(Enclave.Sealed_slot.create ())
+      ~loaded:false ~live_epoch:0 ~cold
+  with
+  | Ok t -> t
+  | Error e -> invalid_arg ("Fastver.create: " ^ e)
 
 let config t = t.config
 
@@ -258,11 +262,7 @@ let load t records =
               entry.aux.mstate <- M_blum ts')
             frontier;
           (* Clear the chain nodes so every shard starts symmetric. *)
-          while Key_lru.length sh.lru > 0 do
-            match Key_lru.victim sh.lru with
-            | Some e -> evict_mirror t sh e ~epoch_floor:0
-            | None -> assert false
-          done))
+          drain_cache t sh ~epoch_floor:0))
     t.shards
 
 (* ------------------------------------------------------------------ *)
@@ -640,6 +640,13 @@ module Testing = struct
               match e.aux.mstate with M_merkle -> found := Some k | _ -> ()))
       t.shards;
     !found
+
+  let chain t k =
+    let key = Key.of_int64 k in
+    let sh = t.shards.(shard_of_data_key t key) in
+    List.map
+      (fun p -> (p, Key.equal p Key.root || Key_lru.mem sh.lru p))
+      (Tree.descend sh.tree key).path
 
   (* Lock-order assertion hooks: with enforcement on, every acquisition in
      the core checks the documented order — shard tree locks ascending,

@@ -43,9 +43,13 @@ module Bounded_queue : module type of Bounded_queue
 type t
 
 val create : ?config:Config.t -> unit -> t
-(** @raise Invalid_argument if [Config.cold_dir] is set but the cold tier
+(** Every shard's verifier cache is charged, at full capacity, to the
+    enclave's 192 MiB trusted-memory budget here, once.
+
+    @raise Invalid_argument if [Config.cold_dir] is set but the cold tier
     cannot be opened (unwritable directory, segment size below the record
-    overhead). *)
+    overhead), or if [shards × cache_capacity × Verifier.entry_bytes]
+    exceeds the trusted-memory budget (the message names both). *)
 
 val config : t -> Config.t
 
@@ -270,7 +274,9 @@ val recover : ?config:Config.t -> dir:string -> unit -> (t, string) result
     version must match every sealed shard summary's verified epoch. The
     shard count and routing boundaries are adopted from the sealed payload
     ([config.n_shards] only governs fresh systems); a payload from a
-    pre-sharding release is rejected with an explicit [Error _]. Total on
+    pre-sharding release is rejected with an explicit [Error _], and so
+    are verifier caches that do not fit the trusted-memory budget (as in
+    {!create}, for the adopted shard count). Total on
     corrupt input: malformed checkpoints yield [Error _], never an
     exception. *)
 
@@ -475,6 +481,11 @@ module Testing : sig
 
   val some_merkle_key : t -> Key.t option
   (** Any currently merkle-protected internal record. *)
+
+  val chain : t -> int64 -> (Key.t * bool) list
+  (** The Merkle records on a data key's path, root first and ending at its
+      pointing parent, each paired with whether it is resident in its
+      shard's verifier cache (the pinned root always is). *)
 
   val enforce_lock_order : bool -> unit
   (** Globally enable the lock-order shadow: every lock acquisition in the

@@ -284,10 +284,30 @@ let mk_shard ?tree verifier sid =
     dirty_len = 0;
   }
 
+(* Charge every shard's verifier cache, at full capacity, to the enclave's
+   trusted-memory budget. This happens once, when the system is built, so a
+   configuration that does not fit is refused at start-up and never fails
+   mid-run. *)
+let reserve_caches enclave (config : Config.t) ~shards =
+  let cap = config.cache_capacity and entry = Verifier.entry_bytes in
+  let budget = Enclave.memory_budget enclave in
+  (* Exact, and compared by division so a huge capacity cannot overflow. *)
+  if cap > budget / entry / shards then
+    Error
+      (Printf.sprintf
+         "verifier caches need %.0f trusted bytes (%d shards x %d entries x \
+          %d B), over the enclave's %d-byte budget"
+         (float_of_int shards *. float_of_int cap *. float_of_int entry)
+         shards cap entry budget)
+  else Ok (Enclave.alloc_trusted enclave (shards * cap * entry))
+
 (* The one constructor of [t]: a fresh system ([create]) and a recovered
-   one ([recover_generation]) differ only in these arguments. *)
+   one ([recover_generation]) differ only in these arguments. Fails if the
+   verifier caches do not fit the enclave's trusted-memory budget. *)
 let make ~config ~enclave ~shards ~boundaries ~store ~nonces ~sealed ~loaded
     ~live_epoch ~cold =
+  let ( let* ) = Result.bind in
+  let* () = reserve_caches enclave config ~shards:(Array.length shards) in
   let t =
     {
       config;
@@ -326,7 +346,7 @@ let make ~config ~enclave ~shards ~boundaries ~store ~nonces ~sealed ~loaded
     }
   in
   wire_metrics t;
-  t
+  Ok t
 
 let verified_epoch t =
   Array.fold_left

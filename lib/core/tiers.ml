@@ -53,6 +53,17 @@ let evict_mirror _t sh e ~epoch_floor =
   Key.Tbl.remove sh.via k;
   Key.Tbl.remove sh.parents k
 
+(* Empty [sh]'s verifier cache, children first, landing every blum
+   re-eviction at [epoch_floor]. Only a checkpoint (tree images cannot
+   encode cached records) and the end of [load]'s frontier install need
+   it: scans leave the working set resident. *)
+let drain_cache t sh ~epoch_floor =
+  while Key_lru.length sh.lru > 0 do
+    match Key_lru.victim sh.lru with
+    | Some e -> evict_mirror t sh e ~epoch_floor
+    | None -> raise (Integrity_violation "cycle in cached merkle records")
+  done
+
 let ensure_room t sh ?protect () =
   (* Keep two slots of headroom: one for the record being added, one for the
      transient data record of the operation in flight. *)

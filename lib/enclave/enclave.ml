@@ -53,6 +53,7 @@ let alloc_trusted t n =
   if t.in_use + n > t.memory_budget then raise Out_of_enclave_memory;
   t.in_use <- t.in_use + n
 
+let memory_budget t = t.memory_budget
 let free_trusted t n = t.in_use <- max 0 (t.in_use - n)
 let trusted_bytes_in_use t = t.in_use
 

@@ -36,6 +36,9 @@ val alloc_trusted : t -> int -> unit
 (** Record an allocation of trusted memory.
     @raise Out_of_enclave_memory if the budget would be exceeded. *)
 
+val memory_budget : t -> int
+(** The trusted-memory budget in bytes. *)
+
 val free_trusted : t -> int -> unit
 val trusted_bytes_in_use : t -> int
 

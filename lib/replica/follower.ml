@@ -191,10 +191,12 @@ let bootstrap ~timeout ~config ~load ~dir conn =
   let ( let* ) = Result.bind in
   let* first = subscribe ~timeout conn ~from_epoch:0 ~term:0 in
   match first with
-  | `Subscribed (_, run_id, _) ->
-      let sys = Fastver.create ~config () in
-      Option.iter (fun f -> f sys) load;
-      Ok (sys, 0, run_id)
+  | `Subscribed (_, run_id, _) -> (
+      match Fastver.create ~config () with
+      | exception Invalid_argument e -> Error e
+      | sys ->
+          Option.iter (fun f -> f sys) load;
+          Ok (sys, 0, run_id))
   | `Refused reason when Primary.refusal reason <> `Rebootstrap ->
       Error ("primary refused subscription: " ^ reason)
   | `Refused _ -> (

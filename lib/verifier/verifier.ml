@@ -661,6 +661,13 @@ let cache_size t ~tid = Key.Tbl.length (thread t tid).cache
 let clock t ~tid = (thread t tid).clock
 let cache_capacity t = t.config.cache_capacity
 
+(* A full Merkle node record as the cache holds it: its key (2-byte depth +
+   32-byte path = 34), its add method (1), and its value in the layout of
+   [Value.encode] — a tag byte plus two set pointer slots, each presence (1)
+   + key (34) + hash (32) + in_blum (1) = 68, so 137. That is 172 bytes,
+   rounded up to 8-byte alignment. *)
+let entry_bytes = 176
+
 (* A follower consuming the primary's epoch-certificate stream holds no
    verifier state of its own for the chain — just the last epoch whose
    certificate authenticated. Certificates are HMACs over the epoch number

@@ -224,6 +224,10 @@ val clock : t -> tid:int -> Timestamp.t
 val cache_capacity : t -> int
 (** Per-thread cache capacity ([config.cache_capacity]). *)
 
+val entry_bytes : int
+(** Trusted bytes of one cache entry holding a full Merkle node record (the
+    largest record the cache holds): 176. *)
+
 type op_stats = {
   mutable n_add_m : int;
   mutable n_evict_m : int;

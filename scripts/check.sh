@@ -326,4 +326,15 @@ fi
 echo "  deposed primary rejoined as a follower, every node reconciles"
 kill -9 $E1 $E2 $EP2_SRV 2>/dev/null || true
 
+echo "== tracked bench summaries untouched"
+# the --quick bench legs above archive under bench/results/ only; the root
+# BENCH_*.json files record default-scale runs and must come out unchanged
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  git diff --quiet -- 'BENCH_*.json' \
+    || { git diff --stat -- 'BENCH_*.json'; echo "check rewrote tracked BENCH_*.json"; exit 1; }
+  echo "  BENCH_*.json unchanged"
+else
+  echo "  (not a git checkout; skipped)"
+fi
+
 echo "OK"

@@ -311,6 +311,74 @@ let test_client_auth () =
         "gateway: put nonce replayed" e
   | Ok () -> Alcotest.fail "nonce replay accepted"
 
+(* 17. Long-lived residency: Merkle ancestors that stay in the verifier
+   cache across several seals must not shield the host copies below them —
+   neither the data record they point to nor an uncached Merkle node that
+   a cached ancestor anchors. *)
+let test_resident_ancestors ~background () =
+  let n = 2000 in
+  let mk () =
+    let config =
+      {
+        Fastver.Config.default with
+        batch_size = 0;
+        frontier_levels = 2;
+        background_verify = background;
+      }
+    in
+    let t = Fastver.create ~config () in
+    Fastver.load t
+      (Array.init n (fun i -> (Int64.of_int i, Printf.sprintf "v%d" i)));
+    (* warm key 5's ancestors, then seal three epochs that keep them *)
+    ignore (Fastver.get t 5L);
+    for e = 1 to 3 do
+      Fastver.put t (Int64.of_int (100 * e)) "other";
+      ignore (Fastver.verify t)
+    done;
+    (* the chain is loaded from its frontier anchor (Patricia level 2,
+       blum-protected) down to the pointing parent; the records above the
+       anchor never need to be *)
+    let below_frontier =
+      List.filteri (fun i _ -> i >= 2) (Fastver.Testing.chain t 5L)
+    in
+    Alcotest.(check bool) "chain deeper than the frontier" true
+      (List.length below_frontier >= 3);
+    Alcotest.(check bool) "ancestors resident after three seals" true
+      (List.for_all snd below_frontier);
+    t
+  in
+  let detected name t op =
+    match op () with
+    | exception Fastver.Integrity_violation _ -> ()
+    | _ -> (
+        match Fastver.verify t with
+        | exception Fastver.Integrity_violation _ -> ()
+        | _ -> Alcotest.failf "%s: tampering never detected" name)
+  in
+  (* (a) the data record below the resident chain *)
+  let t = mk () in
+  Fastver.Testing.corrupt_store t 5L (Some "EVIL");
+  detected "data record under cached ancestors" t (fun () -> Fastver.get t 5L);
+  (* (b) an uncached Merkle node whose nearest resident ancestor is a
+     cached record, not the pinned root *)
+  let t = mk () in
+  let rec anchored_uncached = function
+    | (a, true) :: ((u, false) :: _) when not (Key.equal a Key.root) -> Some u
+    | _ :: rest -> anchored_uncached rest
+    | [] -> None
+  in
+  let rec pick k =
+    if k >= n then Alcotest.fail "no uncached node under a cached ancestor"
+    else
+      match anchored_uncached (Fastver.Testing.chain t (Int64.of_int k)) with
+      | Some u -> (Int64.of_int k, u)
+      | None -> pick (k + 1)
+  in
+  let k, u = pick 0 in
+  Fastver.Testing.corrupt_merkle_record t u;
+  detected "uncached merkle node under cached ancestors" t (fun () ->
+      Fastver.get t k)
+
 let suite =
   ( "adversary",
     [
@@ -330,4 +398,9 @@ let suite =
       Alcotest.test_case "sealed slot" `Quick test_sealed_slot;
       Alcotest.test_case "end-to-end store tamper" `Quick test_end_to_end_tamper;
       Alcotest.test_case "client auth" `Quick test_client_auth;
+      Alcotest.test_case "tamper under resident ancestors" `Quick
+        (test_resident_ancestors ~background:false);
+      Alcotest.test_case "tamper under resident ancestors (background)"
+        `Quick
+        (test_resident_ancestors ~background:true);
     ] )

@@ -308,6 +308,67 @@ let test_large_values () =
   ignore (Fastver.verify t);
   Alcotest.(check vo) "empty value persists" (Some "") (Fastver.get t 5L)
 
+(* Every shard's verifier cache is charged to the enclave's 192 MiB
+   trusted-memory budget when the system is built: the default fits at 8
+   shards, and a configuration over the budget is refused up front — by
+   [create] and by [recover] — with the bytes asked for and the budget. *)
+let test_trusted_budget () =
+  let budget = 192 * 1024 * 1024 in
+  let entry = Fastver_verifier.Verifier.entry_bytes in
+  let default = Fastver.Config.default.cache_capacity in
+  let cfg cache workers =
+    {
+      Fastver.Config.default with
+      n_workers = workers;
+      cache_capacity = cache;
+      batch_size = 0;
+      frontier_levels = 2;
+      cost_model = Cost_model.zero;
+    }
+  in
+  let t8 = Fastver.create ~config:(cfg default 8) () in
+  Alcotest.(check int) "default at -w 8 charged" (8 * default * entry)
+    (Enclave.trusted_bytes_in_use (Fastver.enclave_handle t8));
+  let names_both msg =
+    let has needle =
+      let n = String.length needle in
+      let rec at i =
+        i + n <= String.length msg && (String.sub msg i n = needle || at (i + 1))
+      in
+      at 0
+    in
+    Alcotest.(check bool)
+      ("names the budget: " ^ msg) true
+      (has (string_of_int budget) && has "trusted bytes")
+  in
+  let refused cache workers =
+    match Fastver.create ~config:(cfg cache workers) () with
+    | exception Invalid_argument msg -> names_both msg
+    | _ -> Alcotest.failf "cache %d at %d shards accepted" cache workers
+  in
+  refused ((budget / entry) + 1) 1;
+  refused ((budget / entry / 16) + 1) 16;
+  refused max_int 1;
+  (* recovery adopts the sealed shard count and checks its caches too *)
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fv-test-budget" in
+  Fastver_kvstore.Ckpt_io.remove_tree dir;
+  let t = Fastver.create ~config:(cfg 512 2) () in
+  Fastver.load t (Array.init 50 (fun i -> (Int64.of_int i, string_of_int i)));
+  ignore (Fastver.verify t);
+  ckpt t ~dir;
+  (match Fastver.recover ~config:(cfg (budget / entry) 2) ~dir () with
+  | Error msg -> names_both msg
+  | Ok _ -> Alcotest.fail "over-budget recovery accepted");
+  match Fastver.recover ~config:(cfg default 2) ~dir () with
+  | Error e -> Alcotest.failf "recover at the default: %s" e
+  | Ok t' ->
+      Alcotest.(check vo) "recovered" (Some "7") (Fastver.get t' 7L);
+      Fastver_kvstore.Ckpt_io.remove_tree dir
+
 let suite =
   ( fst suite,
-    snd suite @ [ Alcotest.test_case "large values" `Quick test_large_values ] )
+    snd suite
+    @ [
+        Alcotest.test_case "large values" `Quick test_large_values;
+        Alcotest.test_case "trusted memory budget" `Quick test_trusted_budget;
+      ] )

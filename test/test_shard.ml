@@ -122,7 +122,7 @@ let test_cert_equal_across_widths () =
   let points =
     List.concat_map
       (fun cache -> List.map (fun depth -> (cache, depth)) [ 2; 6; 10 ])
-      [ 32; 128; 4096 ]
+      [ 32; 128; 4096; Fastver.Config.default.cache_capacity ]
   in
   let runs =
     List.map
@@ -137,16 +137,26 @@ let test_cert_equal_across_widths () =
            depth)
         certs0 certs)
     runs;
-  (* every point is a different placement: its verifier op mix differs *)
-  let mixes =
-    List.map
-      (fun (_, ((st : Fastver_verifier.Verifier.op_stats), _)) ->
-        (st.n_add_m, st.n_evict_m, st.n_add_b, st.n_evict_b, st.n_evict_bm))
-      runs
+  let mix point =
+    let (st : Fastver_verifier.Verifier.op_stats), _ = List.assoc point runs in
+    (st.n_add_m, st.n_evict_m, st.n_add_b, st.n_evict_b, st.n_evict_bm)
   in
+  (* every point below the default capacity is a different placement: its
+     verifier op mix differs *)
+  let default = Fastver.Config.default.cache_capacity in
+  let below = List.filter (fun (cache, _) -> cache < default) points in
   Alcotest.(check int)
-    "distinct verifier op mixes" (List.length points)
-    (List.length (List.sort_uniq compare mixes))
+    "distinct verifier op mixes" (List.length below)
+    (List.length (List.sort_uniq compare (List.map mix below)));
+  (* 4,096 entries already hold the whole 2,048-key tree, so the default
+     capacity places every record exactly as 4,096 does *)
+  List.iter
+    (fun depth ->
+      Alcotest.(check bool)
+        (Printf.sprintf "default cache places as 4096 @ depth %d" depth)
+        true
+        (mix (4096, depth) = mix (default, depth)))
+    [ 2; 6; 10 ]
 
 (* A certificate sealed by an N-shard store must check out against a
    1-shard store at the same epoch: clients cannot tell the layouts
