@@ -365,6 +365,20 @@ let recover_cmd dir workers batch depth cache algo enclave_model no_auth seed
   match Fastver.recover ~config ~dir () with
   | Error e -> die "recover: %s" e
   | Ok t -> (
+      (match Fastver.checkpoint_chain t ~dir with
+      | [] -> ()
+      | base :: deltas ->
+          Logs.app (fun m ->
+              m "applied checkpoint chain: base ckpt-%d, %d delta%s%s" base
+                (List.length deltas)
+                (if List.length deltas = 1 then "" else "s")
+                (match deltas with
+                | [] -> ""
+                | _ ->
+                    " ("
+                    ^ String.concat " "
+                        (List.map (Printf.sprintf "ckpt-%d") deltas)
+                    ^ ")")));
       let epoch = Fastver.current_epoch t in
       match Fastver.verify t with
       | exception Fastver.Integrity_violation reason ->
@@ -496,6 +510,16 @@ let stats_cmd connect format check =
           tier "merkle";
           tier "cached";
           List.iter
+            (fun kind ->
+              let labels = Printf.sprintf "{\"kind\":\"%s\"}" kind in
+              c ~labels
+                (Printf.sprintf "checkpoint generations (%s)" kind)
+                "fastver_checkpoint_generations_total";
+              c ~labels
+                (Printf.sprintf "checkpoint bytes (%s)" kind)
+                "fastver_checkpoint_bytes_total")
+            [ "base"; "delta" ];
+          List.iter
             (fun (disp, name) -> c disp name)
             [
               ("gets", "fastver_gets_total");
@@ -506,6 +530,7 @@ let stats_cmd connect format check =
               ("epoch", "fastver_epoch");
               ("verified epoch", "fastver_verified_epoch");
               ("epoch certificates", "fastver_epoch_certificates_total");
+              ("checkpoint chain links", "fastver_checkpoint_chain_links");
               ("store records", "fastver_store_records");
               ("store reads", "fastver_store_reads_total");
               ("store writes", "fastver_store_writes_total");

@@ -66,7 +66,8 @@ let apply_ptr t parent (ptr : Value.ptr) =
   match pe.value with
   | Value.Node n ->
       let d = Key.dir ptr.key ~ancestor:parent in
-      pe.value <- Value.Node (Value.set_slot n d (Some ptr))
+      Tree.set_value t.tree parent pe
+        (Value.Node (Value.set_slot n d (Some ptr)))
   | Value.Data _ -> assert false
 
 let evict_one t e =

@@ -25,6 +25,7 @@ type segment = {
 
 type t = {
   cfg : config;
+  mac_key : Fastver_crypto.Hmac.key;  (* [cfg.mac_secret], pads precomputed *)
   mset_key : MH.key;
   writer_lock : Mutex.t;
   table_lock : Mutex.t;  (* guards [segments] and segment state fields *)
@@ -154,6 +155,7 @@ let create ?(clear_stray = false) cfg =
           let t =
             {
               cfg;
+              mac_key = Fastver_crypto.Hmac.key cfg.mac_secret;
               mset_key;
               writer_lock = Mutex.create ();
               table_lock = Mutex.create ();
@@ -178,7 +180,7 @@ let seal_active t =
   (* caller holds [writer_lock] *)
   let seg = t.active in
   let footer =
-    Segment.encode_footer ~mac_secret:t.cfg.mac_secret
+    Segment.encode_footer ~mac_key:t.mac_key
       ~n_records:(Int64.of_int seg.n_records)
       ~data_len:(Int64.of_int seg.data_len)
       ~summary:(MH.value seg.summary)
@@ -216,7 +218,7 @@ let check_fault t record =
 let append t ~key ~aux ~value =
   Mutex.lock t.writer_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.writer_lock) @@ fun () ->
-  let record = Segment.encode_record ~mac_secret:t.cfg.mac_secret ~key ~aux ~value in
+  let record = Segment.encode_record ~mac_key:t.mac_key ~key ~aux ~value in
   let rlen = String.length record in
   match
     begin
@@ -279,7 +281,7 @@ let get t ~key (r : rref) =
         match raw with
         | Error e -> Error (`Fail e)
         | Ok raw -> (
-            match Segment.decode_record ~mac_secret:t.cfg.mac_secret raw with
+            match Segment.decode_record ~mac_key:t.mac_key raw with
             | Error e ->
                 Atomic.incr t.scrub_failures;
                 Error (`Fail e)
@@ -497,6 +499,7 @@ let recover cfg ~manifest =
   | Error _ as e -> e
   | Ok (next_id, psegs) -> (
       let mset_key = mset_key_of_secret cfg.mac_secret in
+      let mac_key = Fastver_crypto.Hmac.key cfg.mac_secret in
       let segments = Hashtbl.create 16 in
       let active = ref None in
       let check_one p =
@@ -520,7 +523,7 @@ let recover cfg ~manifest =
                     Error e
                 | Ok fbytes -> (
                     match
-                      Segment.decode_footer ~mac_secret:cfg.mac_secret fbytes
+                      Segment.decode_footer ~mac_key fbytes
                     with
                     | Error e ->
                         Unix.close rfd;
@@ -630,6 +633,7 @@ let recover cfg ~manifest =
               Ok
                 {
                   cfg;
+                  mac_key;
                   mset_key;
                   writer_lock = Mutex.create ();
                   table_lock = Mutex.create ();
@@ -672,7 +676,7 @@ let scrub_segment t seg =
           else
             let rlen = Segment.record_len ~value_len:vlen in
             let r = String.sub raw !off rlen in
-            match Segment.decode_record ~mac_secret:t.cfg.mac_secret r with
+            match Segment.decode_record ~mac_key:t.mac_key r with
             | Error e -> err := Some e
             | Ok _ ->
                 MH.add acc (Segment.record_mac r);
@@ -685,7 +689,7 @@ let scrub_segment t seg =
           let fbytes =
             String.sub raw seg.data_len Segment.footer_len
           in
-          match Segment.decode_footer ~mac_secret:t.cfg.mac_secret fbytes with
+          match Segment.decode_footer ~mac_key:t.mac_key fbytes with
           | Error e -> fail e
           | Ok f ->
               if Int64.to_int f.Segment.n_records <> !count then

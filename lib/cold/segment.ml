@@ -11,14 +11,14 @@ let footer_magic = "FVCOLDS1"
 let record_domain = "fastver-cold-record\x01"
 let footer_domain = "fastver-cold-footer\x01"
 
-let encode_record ~mac_secret ~key ~aux ~value =
+let encode_record ~mac_key ~key ~aux ~value =
   let vlen = String.length value in
   let hdr = Bytes.create record_header_len in
   Bytes.blit_string (Key.encode key) 0 hdr 0 key_len;
   B.set_u64_le hdr key_len aux;
   Bytes.set_int32_le hdr (key_len + 8) (Int32.of_int vlen);
   let hdr = Bytes.unsafe_to_string hdr in
-  let mac = Hmac.mac ~key:mac_secret (record_domain ^ hdr ^ value) in
+  let mac = Hmac.mac_with mac_key (record_domain ^ hdr ^ value) in
   hdr ^ value ^ mac
 
 let record_mac r =
@@ -28,7 +28,7 @@ let record_mac r =
 
 type record = { key_enc : string; aux : int64; value : string }
 
-let decode_record ~mac_secret r =
+let decode_record ~mac_key r =
   let n = String.length r in
   if n < record_overhead then Error "cold record: truncated header"
   else
@@ -40,7 +40,7 @@ let decode_record ~mac_secret r =
       let hdr = String.sub r 0 record_header_len in
       let value = String.sub r record_header_len vlen in
       let tag = String.sub r (record_header_len + vlen) mac_len in
-      if not (Hmac.verify ~key:mac_secret (record_domain ^ hdr ^ value) ~tag)
+      if not (Hmac.verify_with mac_key (record_domain ^ hdr ^ value) ~tag)
       then Error "cold record: MAC mismatch"
       else
         let key_enc = String.sub r 0 key_len in
@@ -49,7 +49,7 @@ let decode_record ~mac_secret r =
 
 type footer = { n_records : int64; data_len : int64; summary : string }
 
-let encode_footer ~mac_secret ~n_records ~data_len ~summary =
+let encode_footer ~mac_key ~n_records ~data_len ~summary =
   if String.length summary <> 16 then
     invalid_arg "Segment.encode_footer: summary must be 16 bytes";
   let body = Bytes.create (footer_len - mac_len) in
@@ -58,15 +58,15 @@ let encode_footer ~mac_secret ~n_records ~data_len ~summary =
   B.set_u64_le body 16 data_len;
   Bytes.blit_string summary 0 body 24 16;
   let body = Bytes.unsafe_to_string body in
-  body ^ Hmac.mac ~key:mac_secret (footer_domain ^ body)
+  body ^ Hmac.mac_with mac_key (footer_domain ^ body)
 
-let decode_footer ~mac_secret f =
+let decode_footer ~mac_key f =
   if String.length f <> footer_len then Error "cold footer: wrong length"
   else if String.sub f 0 8 <> footer_magic then Error "cold footer: bad magic"
   else
     let body = String.sub f 0 (footer_len - mac_len) in
     let tag = String.sub f (footer_len - mac_len) mac_len in
-    if not (Hmac.verify ~key:mac_secret (footer_domain ^ body) ~tag) then
+    if not (Hmac.verify_with mac_key (footer_domain ^ body) ~tag) then
       Error "cold footer: MAC mismatch"
     else
       let n_records = B.get_u64_le f 8 in

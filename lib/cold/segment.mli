@@ -42,7 +42,7 @@ val footer_len : int
 val footer_magic : string
 
 val encode_record :
-  mac_secret:string -> key:Key.t -> aux:int64 -> value:string -> string
+  mac_key:Fastver_crypto.Hmac.key -> key:Key.t -> aux:int64 -> value:string -> string
 (** The full on-disk record, MAC included. *)
 
 val record_mac : string -> string
@@ -52,7 +52,7 @@ val record_mac : string -> string
 type record = { key_enc : string; aux : int64; value : string }
 
 val decode_record :
-  mac_secret:string -> string -> (record, string) result
+  mac_key:Fastver_crypto.Hmac.key -> string -> (record, string) result
 (** Decode and authenticate one record occupying the whole input string.
     [Error] on bad framing, a length that disagrees with the input, or a MAC
     mismatch (any flipped byte in key, aux/timestamp, length or value). *)
@@ -60,9 +60,9 @@ val decode_record :
 type footer = { n_records : int64; data_len : int64; summary : string }
 
 val encode_footer :
-  mac_secret:string -> n_records:int64 -> data_len:int64 -> summary:string ->
+  mac_key:Fastver_crypto.Hmac.key -> n_records:int64 -> data_len:int64 -> summary:string ->
   string
 (** @raise Invalid_argument if [summary] is not 16 bytes. *)
 
-val decode_footer : mac_secret:string -> string -> (footer, string) result
+val decode_footer : mac_key:Fastver_crypto.Hmac.key -> string -> (footer, string) result
 (** [Error] on wrong length, bad magic, negative fields or MAC mismatch. *)

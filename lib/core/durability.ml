@@ -16,10 +16,9 @@ let tpm_file = "tpm.state"
    verification failures after recovery. *)
 let shard_tree_file sid = Printf.sprintf "merkle-%d.tree" sid
 
-(* Present only when a cold tier is configured; checksummed by the MANIFEST
-   like every other component. Written after the data checkpoint so every
-   cold reference the data file holds points at a segment the manifest
-   commits. *)
+(* The committed prefix of every cold segment; empty when no cold tier is
+   configured. Written after the data image so every cold reference the
+   image holds points at a segment the manifest commits. *)
 let cold_manifest_file = "cold.manifest"
 
 (* Checkpoints are versioned generations [dir/ckpt-<n>/] holding the
@@ -30,13 +29,21 @@ let cold_manifest_file = "cold.manifest"
    byte offset leaves either a committed generation (old or new) or a torn
    one that recovery can recognise and discard.
 
+   A generation is a delta: its data and tree images hold only what changed
+   since its parent generation, whose number and MANIFEST digest its own
+   MANIFEST records. A base is a delta with no parent. Recovery applies a
+   chain base-first, and a new base is written once the deltas since the
+   last one add up to its size, which bounds recovery at about twice one
+   base.
+
    The shard count lives in the sealed payload, so the static component
    check below names only the shard-count-independent files; the per-shard
    tree files are still checksummed by the manifest (its [verify] covers
    every entry), and a missing one surfaces as a read failure during
    recovery of a generation whose manifest vouches for it — Tampered by
    construction. *)
-let static_component_files = [ data_file; sealed_file; tpm_file ]
+let static_component_files =
+  [ data_file; sealed_file; tpm_file; cold_manifest_file ]
 
 (* A generation commits only when its manifest lists every component file,
    records the directory's own generation number, and every checksum
@@ -52,12 +59,26 @@ let static_component_files = [ data_file; sealed_file; tpm_file ]
    (the manifest only ever commits over fully-synced components), so it
    implies tampering or corruption and must be surfaced, never silently
    skipped — deleting it and falling back would hand an adversary a
-   one-bit-flip rollback primitive and destroy the evidence. *)
-type generation_status = Committed | Torn of string | Tampered of string
+   one-bit-flip rollback primitive and destroy the evidence.
+
+   [Unsupported] — a manifest an earlier release wrote. *)
+type generation_status =
+  | Committed of Ckpt_io.Manifest.t
+  | Torn of string
+  | Tampered of string
+  | Unsupported of string
 
 let classify_generation ~number gdir =
   match Ckpt_io.Manifest.read ~dir:gdir with
-  | Error e -> Torn e
+  | Error e -> (
+      match Ckpt_io.Manifest.legacy ~dir:gdir with
+      | Some magic ->
+          Unsupported
+            (Printf.sprintf
+               "unsupported legacy manifest format %s; re-checkpoint with \
+                this release"
+               magic)
+      | None -> Torn e)
   | Ok m ->
       if m.Ckpt_io.Manifest.generation <> number then
         Tampered
@@ -74,7 +95,7 @@ let classify_generation ~number gdir =
       then Tampered "manifest missing a component file"
       else
         match Ckpt_io.Manifest.verify ~dir:gdir m with
-        | Ok () -> Committed
+        | Ok () -> Committed m
         | Error e -> Tampered e
 
 let read_file path =
@@ -198,6 +219,55 @@ let parse_sealed_payload payload =
     Ok (nonces, boundaries, summaries)
   with Corrupt e -> Error e
 
+(* Merkle image record: key(34), value length(4), value, protection tag
+   ('m', or 'b' and a timestamp(8)), owner(4). A removal (delta images
+   only) is the key and a value length of -1. *)
+let encode_tree_record buf k (entry : maux Tree.entry option) =
+  Buffer.add_string buf (Key.encode k);
+  match entry with
+  | None -> Buffer.add_int32_le buf (-1l)
+  | Some entry ->
+      let venc = Value.encode entry.value in
+      Buffer.add_int32_le buf (Int32.of_int (String.length venc));
+      Buffer.add_string buf venc;
+      mstate_encode buf entry.aux.mstate ~is_root:(Key.equal k Key.root);
+      Buffer.add_int32_le buf (Int32.of_int entry.aux.owner)
+
+(* Streams through the writer in blocks, never a whole-image buffer. *)
+let write_tree_image sh ~path ~base =
+  Ckpt_io.with_atomic_file path (fun w ->
+      let buf = Buffer.create 65536 in
+      let emit k entry =
+        encode_tree_record buf k entry;
+        if Buffer.length buf >= 65536 - 256 then begin
+          Ckpt_io.write w (Buffer.contents buf);
+          Buffer.clear buf
+        end
+      in
+      if base then Tree.iter sh.tree (fun k e -> emit k (Some e))
+      else Tree.iter_changed sh.tree emit;
+      Ckpt_io.write w (Buffer.contents buf))
+
+let chain_of t ~dir = List.assoc_opt dir t.chains
+
+let remember_chain t ~dir chain =
+  t.chains <- (dir, chain) :: List.remove_assoc dir t.chains
+
+(* A new base once the deltas since the last one reach its size: recovery
+   then reads at most about twice one base. *)
+let needs_base { links; _ } =
+  match List.rev links with
+  | [] -> true
+  | base :: deltas ->
+      List.fold_left (fun acc l -> acc + l.bytes) 0 deltas >= base.bytes
+
+(* Start recording changes for the next delta. Called when a checkpoint
+   begins (before anything is written) and after recovery, so a system that
+   never checkpoints pays nothing. *)
+let track_changes t =
+  Store.track_changes t.store;
+  Array.iter (fun sh -> Tree.track_changes sh.tree) t.shards
+
 let checkpoint t ~dir =
   check_loaded t;
   let ck0 = now () in
@@ -214,6 +284,7 @@ let checkpoint t ~dir =
     lock_world t;
     Fun.protect ~finally:(fun () -> unlock_world t)
     @@ fun () ->
+    track_changes t;
     Array.iter (flush_worker t) t.shards;
     (* Scans leave the working set cached; the sealed summaries require
        empty caches and the tree images cannot encode cached records, so
@@ -234,6 +305,10 @@ let checkpoint t ~dir =
        a recovered system would accept replays of pre-crash puts. It is
        sealed alongside the shard summaries and routing boundaries. *)
     Enclave.Sealed_slot.store t.sealed (encode_sealed_payload t ~summaries);
+    (* The chain this process last committed to [dir] (or recovered from
+       it); with none, or once the deltas outweigh their base, a base. *)
+    let prev = chain_of t ~dir in
+    let base = match prev with None -> true | Some c -> needs_base c in
     (* A fresh generation directory: higher than anything on disk, committed
        or torn. Its files all land inside it, so a crash mid-checkpoint can
        never touch a previous generation. *)
@@ -243,86 +318,107 @@ let checkpoint t ~dir =
     let gdir = Filename.concat dir (Ckpt_io.generation_dir_name generation) in
     Ckpt_io.remove_tree gdir;
     Sys.mkdir gdir 0o755;
-    Ckpt_io.write_file_atomic (Filename.concat gdir sealed_file)
-      (Enclave.Sealed_slot.external_blob t.sealed);
+    let component name write =
+      let d : Ckpt_io.digest = write (Filename.concat gdir name) in
+      { Ckpt_io.Manifest.name; size = d.size; sha256_hex = d.sha256_hex }
+    in
+    let sealed =
+      component sealed_file (fun p ->
+          Ckpt_io.write_file_atomic p
+            (Enclave.Sealed_slot.external_blob t.sealed))
+    in
     (* Simulated TPM NVRAM: hardware state that survives restarts. *)
-    Ckpt_io.write_file_atomic (Filename.concat gdir tpm_file)
-      (Fastver_crypto.Bytes_util.to_hex (Enclave.Sealed_slot.hw_key t.sealed)
-      ^ "\n"
-      ^ Int64.to_string (Enclave.Sealed_slot.counter t.sealed));
-    Store.checkpoint t.store
-      ~path:(Filename.concat gdir data_file)
-      ~version:(verified_epoch t);
+    let tpm =
+      component tpm_file (fun p ->
+          Ckpt_io.write_file_atomic p
+            (Fastver_crypto.Bytes_util.to_hex
+               (Enclave.Sealed_slot.hw_key t.sealed)
+            ^ "\n"
+            ^ Int64.to_string (Enclave.Sealed_slot.counter t.sealed)))
+    in
     (* Cold tier: the segment files themselves stay in [cold_dir] (they are
        append-only and immutable once sealed); the generation records only
        the manifest naming the committed prefix of each. [manifest_encode]
-       fsyncs the active segment first, so every record the data checkpoint
+       fsyncs the active segment first, so every record the data image
        references is durable before the manifest that vouches for it. Under
-       [cold_lock] so a racing maintenance pass's segment rotation is never
-       interleaved with the encoding. *)
-    (match t.cold with
-    | None -> ()
-    | Some c ->
-        let encoded = with_cold_lock t (fun () -> Store.Cold.manifest_encode c) in
-        Ckpt_io.write_file_atomic
-          (Filename.concat gdir cold_manifest_file)
-          encoded);
-    (* Per-shard merkle images. *)
-    Array.iter
-      (fun sh ->
-        let buf = Buffer.create 4096 in
-        Tree.iter sh.tree (fun k entry ->
-            Buffer.add_string buf (Key.encode k);
-            let venc = Value.encode entry.value in
-            let b4 = Bytes.create 4 in
-            Bytes.set_int32_le b4 0 (Int32.of_int (String.length venc));
-            Buffer.add_bytes buf b4;
-            Buffer.add_string buf venc;
-            mstate_encode buf entry.aux.mstate
-              ~is_root:(Key.equal k Key.root);
-            Bytes.set_int32_le b4 0 (Int32.of_int entry.aux.owner);
-            Buffer.add_bytes buf b4);
-        Ckpt_io.write_file_atomic
-          (Filename.concat gdir (shard_tree_file sh.sid))
-          (Buffer.contents buf))
-      t.shards;
-    (* Commit point: the manifest, checksumming every component, goes last. *)
-    let components =
-      static_component_files
-      @ List.init (Array.length t.shards) shard_tree_file
-      @ (match t.cold with None -> [] | Some _ -> [ cold_manifest_file ])
+       [cold_lock] so a racing maintenance pass can neither demote nor
+       compact while the data image is written, nor rotate segments during
+       the encoding. *)
+    let data, cold =
+      with_cold_lock t (fun () ->
+          let data =
+            component data_file (fun path ->
+                Store.write_image t.store ~path ~version:(verified_epoch t)
+                  ~base)
+          in
+          let encoded =
+            match t.cold with
+            | None -> ""
+            | Some c -> Store.Cold.manifest_encode c
+          in
+          (data, component cold_manifest_file (fun p ->
+               Ckpt_io.write_file_atomic p encoded)))
     in
-    let entries =
-      List.map
-        (fun name ->
-          match Ckpt_io.Manifest.entry_of_file ~dir:gdir name with
-          | Ok e -> e
-          | Error e -> raise (Ckpt_error ("checkpoint: " ^ name ^ ": " ^ e)))
-        components
+    let trees =
+      Array.to_list
+        (Array.map
+           (fun sh ->
+             component (shard_tree_file sh.sid) (fun path ->
+                 write_tree_image sh ~path ~base))
+           t.shards)
     in
-    Ckpt_io.Manifest.write ~dir:gdir { generation; entries };
+    (* Commit point: the manifest, checksumming every component and naming
+       the parent, goes last. *)
+    let parent =
+      match prev with
+      | Some { links = tip :: _; _ } when not base ->
+          Some (tip.gen, tip.manifest_sha)
+      | Some _ | None -> None
+    in
+    let entries = data :: sealed :: tpm :: cold :: trees in
+    let m = { Ckpt_io.Manifest.generation; parent; entries } in
+    let mdigest =
+      Ckpt_io.write_file_atomic
+        (Filename.concat gdir Ckpt_io.Manifest.filename)
+        (Ckpt_io.Manifest.encode m)
+    in
     Ckpt_io.fsync_dir dir;
-    (* Retention: keep this generation plus its newest *committed*
-       predecessor (the fallback for a crash during the *next* checkpoint);
-       prune everything else. The fallback is chosen by commit status, not by
-       number: a checkpoint attempt that failed non-fatally (disk full, say,
-       with the process still serving) leaves a torn directory in the numeric
-       predecessor slot, and keeping that instead of the last good generation
-       would leave no usable fallback at all. *)
-    let older =
-      List.filter (fun (g, _) -> g < generation) (Ckpt_io.generations dir)
+    (* Committed: the next delta starts from here. *)
+    Store.commit_changes t.store;
+    Array.iter (fun sh -> Tree.clear_changed sh.tree) t.shards;
+    let link =
+      {
+        gen = generation;
+        manifest_sha = mdigest.sha256_hex;
+        bytes =
+          List.fold_left
+            (fun acc e -> acc + e.Ckpt_io.Manifest.size)
+            mdigest.size entries;
+      }
     in
-    let fallback =
-      List.find_opt
-        (fun (g, path) -> classify_generation ~number:g path = Committed)
-        older
+    let chain =
+      {
+        links =
+          (match (prev, base) with
+          | Some c, false -> link :: c.links
+          | _ -> [ link ]);
+        fallback =
+          (match prev with
+          | Some c -> List.map (fun l -> l.gen) c.links
+          | None -> []);
+      }
     in
+    remember_chain t ~dir chain;
+    Metrics.checkpoint_committed t.metrics ~base ~bytes:link.bytes
+      ~links:(List.length chain.links);
+    (* Retention, decided from memory: keep this chain and the one it
+       replaced (the fallback should the newest generation be lost), delete
+       everything else — torn attempts included — without reading any of
+       it. A tampered generation on either chain stays as evidence. *)
+    let keep = List.map (fun l -> l.gen) chain.links @ chain.fallback in
     List.iter
-      (fun (g, path) ->
-        match fallback with
-        | Some (fg, _) when g = fg -> ()
-        | Some _ | None -> Ckpt_io.remove_tree path)
-      older;
+      (fun (g, path) -> if not (List.mem g keep) then Ckpt_io.remove_tree path)
+      (Ckpt_io.generations dir);
     (* Only now — after the new generation committed and old ones were
        pruned — may segments retired two checkpoints ago be unlinked: no
        retained manifest can still name them. *)
@@ -337,16 +433,15 @@ let checkpoint t ~dir =
   | exception Sys_error e -> Error ("checkpoint: " ^ e)
   | exception Failure e -> Error ("checkpoint: " ^ e)
 
-(* Total parser for one shard's merkle image: every malformed-input path is
-   an [Error] — truncation, a data key where an internal node belongs, a
-   negative length, an unknown protection tag. The enclosing generation was
-   already classified Committed, so any of these means the manifest was
-   forged around tampered bytes; the caller treats the generation as
-   tampered and refuses to fall back. *)
-let parse_tree_file ~sid raw =
+(* Total parser for one shard's merkle image, applied onto [tree]: every
+   malformed-input path is an [Error] — truncation, a data key where an
+   internal node belongs, a negative length, an unknown protection tag.
+   The enclosing generation was already classified Committed, so any of
+   these means the manifest was forged around tampered bytes; the caller
+   treats the chain as tampered and refuses to fall back. *)
+let apply_tree_image tree ~sid raw =
   let exception Corrupt of string in
   let fail fmt = Printf.ksprintf (fun e -> raise (Corrupt e)) fmt in
-  let tree = Tree.create ~root_aux:{ mstate = M_cached sid; owner = -1 } in
   let pos = ref 0 and n = String.length raw in
   let need k = if k < 0 || !pos + k > n then fail "tree file truncated" in
   try
@@ -360,71 +455,86 @@ let parse_tree_file ~sid raw =
       need 4;
       let vlen = Int32.to_int (String.get_int32_le raw !pos) in
       pos := !pos + 4;
-      need vlen;
-      let value =
-        match Value.decode (String.sub raw !pos vlen) with
-        | Ok v -> v
-        | Error e -> fail "%s" e
-      in
-      pos := !pos + vlen;
-      need 1;
-      let mstate =
-        match raw.[!pos] with
-        | 'm' ->
-            incr pos;
-            M_merkle
-        | 'b' ->
-            need 9;
-            let ts = String.get_int64_le raw (!pos + 1) in
-            pos := !pos + 9;
-            M_blum ts
-        | c -> fail "bad mstate tag 0x%02x" (Char.code c)
-      in
-      need 4;
-      let owner = Int32.to_int (String.get_int32_le raw !pos) in
-      pos := !pos + 4;
-      if Key.equal key Key.root then begin
-        let e = Tree.get_exn tree Key.root in
-        e.value <- value;
-        e.aux <- { mstate = M_cached sid; owner }
+      if vlen = -1 then begin
+        if Key.equal key Key.root then fail "root removed in tree file";
+        Tree.remove tree key
       end
-      else Tree.set tree key value ~aux:{ mstate; owner }
+      else begin
+        need vlen;
+        let value =
+          match Value.decode (String.sub raw !pos vlen) with
+          | Ok v -> v
+          | Error e -> fail "%s" e
+        in
+        pos := !pos + vlen;
+        need 1;
+        let mstate =
+          match raw.[!pos] with
+          | 'm' ->
+              incr pos;
+              M_merkle
+          | 'b' ->
+              need 9;
+              let ts = String.get_int64_le raw (!pos + 1) in
+              pos := !pos + 9;
+              M_blum ts
+          | c -> fail "bad mstate tag 0x%02x" (Char.code c)
+        in
+        need 4;
+        let owner = Int32.to_int (String.get_int32_le raw !pos) in
+        pos := !pos + 4;
+        if Key.equal key Key.root then
+          Tree.set tree key value ~aux:{ mstate = M_cached sid; owner }
+        else Tree.set tree key value ~aux:{ mstate; owner }
+      end
     done;
-    (* Structural consistency: every pointer must target either a data key
-       (whose record lives in the store) or an internal record present in
-       this file, strictly inside its pointing record's subtree. No honest
-       checkpoint writes anything else, and a dangling or upward pointer
-       would crash or loop tree descent after recovery instead of
-       surfacing as the tampering it is. *)
-    Tree.iter tree (fun k e ->
+    Ok ()
+  with Corrupt e -> Error e
+
+(* Structural consistency of the tree a chain produced: every pointer must
+   target either a data key (whose record lives in the store) or an
+   internal record present in the tree, strictly inside its pointing
+   record's subtree. No honest chain produces anything else, and a dangling
+   or upward pointer would crash or loop tree descent after recovery
+   instead of surfacing as the tampering it is. *)
+let check_tree_pointers tree =
+  let exception Corrupt of string in
+  try
+    Tree.iter tree (fun k (e : maux Tree.entry) ->
         match e.value with
-        | Value.Data _ -> fail "data value under merkle key in tree file"
+        | Value.Data _ -> raise (Corrupt "data value under merkle key in tree file")
         | Value.Node node ->
             List.iter
               (function
                 | None -> ()
                 | Some (p : Value.ptr) ->
                     if not (Key.is_proper_ancestor k p.key) then
-                      fail "pointer outside its subtree in tree file";
+                      raise (Corrupt "pointer outside its subtree in tree file");
                     if not (Key.is_data_key p.key) then (
                       match Tree.find tree p.key with
                       | Some { value = Value.Node _; _ } -> ()
                       | Some _ | None ->
-                          fail "dangling pointer in tree file"))
+                          raise (Corrupt "dangling pointer in tree file")))
               [ node.left; node.right ]);
-    Ok tree
+    Ok ()
   with Corrupt e -> Error e
 
-(* Rebuild a system from one committed generation directory. Total: every
+(* Rebuild a system from a committed chain, given base first. Total: every
    decoder failure is an [Error]; nothing here may raise on corrupt input.
-   The shard count and routing boundaries are adopted from the sealed
-   payload — the configuration's [n_shards] only governs fresh systems. *)
-let recover_generation ?(config = Config.default) ~gdir () =
+   The trusted state — sealed payload, TPM counter, cold manifest — comes
+   from the tip alone; the data and tree images of every link are applied
+   in order, and the checks that tie them to the trusted state run once, on
+   the result. The shard count and routing boundaries are adopted from the
+   sealed payload — the configuration's [n_shards] only governs fresh
+   systems. *)
+let recover_chain ?(config = Config.default) ~gdirs () =
   let ( let* ) = Result.bind in
-  let* tpm =
-    try Ok (read_file (Filename.concat gdir tpm_file))
+  let read name gdir =
+    try Ok (read_file (Filename.concat gdir name))
     with Sys_error e | Failure e -> Error e
   in
+  let tip = List.nth gdirs (List.length gdirs - 1) in
+  let* tpm = read tpm_file tip in
   let* hw_key, counter =
     match String.split_on_char '\n' tpm with
     | [ k; c ] -> (
@@ -433,10 +543,7 @@ let recover_generation ?(config = Config.default) ~gdir () =
     | _ -> Error "corrupt tpm state"
   in
   let sealed = Enclave.Sealed_slot.create_with ~hw_key ~counter in
-  let* blob =
-    try Ok (read_file (Filename.concat gdir sealed_file))
-    with Sys_error e | Failure e -> Error e
-  in
+  let* blob = read sealed_file tip in
   Enclave.Sealed_slot.inject_blob sealed blob;
   let* sealed_payload = Enclave.Sealed_slot.load sealed in
   let* nonces, boundaries, summaries = parse_sealed_payload sealed_payload in
@@ -453,29 +560,26 @@ let recover_generation ?(config = Config.default) ~gdir () =
     in
     build [] 0
   in
-  (* The cold tier recovers from the manifest this generation committed:
-     sealed segments are re-verified against their footers and the torn
-     tail of the active segment is truncated back to the committed length.
-     A generation without a cold manifest (written with the tier off)
-     recovers with a fresh tier when one is now configured. *)
+  (* The cold tier recovers from the manifest the tip committed: sealed
+     segments are re-verified against their footers and the torn tail of
+     the active segment is truncated back to the committed length. A
+     generation written with the tier off (an empty cold manifest) recovers
+     with a fresh tier when one is now configured. *)
   let* cold =
-    let mpath = Filename.concat gdir cold_manifest_file in
-    if Sys.file_exists mpath then
-      let* manifest =
-        try Ok (read_file mpath) with Sys_error e | Failure e -> Error e
-      in
-      cold_of_config ~manifest config
-    else cold_of_config config
+    let* manifest = read cold_manifest_file tip in
+    if manifest = "" then cold_of_config config
+    else cold_of_config ~manifest config
   in
   let* store, data_version =
-    Store.recover ?cold ~codec:option_codec
-      ~path:(Filename.concat gdir data_file)
+    Store.recover_chain ?cold ~codec:option_codec
+      ~paths:(List.map (fun g -> Filename.concat g data_file) gdirs)
       ()
   in
-  (* The data checkpoint's version must equal every sealed shard summary's
-     verified epoch: they were written by the same checkpoint, and a
-     disagreement means the generation was stitched together from mixed
-     states (the sealed summaries are the trusted side of the pair). *)
+  (* The data version must equal every sealed shard summary's verified
+     epoch: the tip's images and summaries were written by the same
+     checkpoint, and a disagreement means the chain was stitched together
+     from mixed states (the sealed summaries are the trusted side of the
+     pair). *)
   let* () =
     let rec check sid =
       if sid >= n_sh then Ok ()
@@ -495,14 +599,20 @@ let recover_generation ?(config = Config.default) ~gdir () =
     let rec build acc sid =
       if sid >= n_sh then Ok (Array.of_list (List.rev acc))
       else
-        let* raw =
-          try Ok (read_file (Filename.concat gdir (shard_tree_file sid)))
-          with Sys_error e | Failure e -> Error e
+        let tree = Tree.create ~root_aux:{ mstate = M_cached sid; owner = -1 } in
+        let* () =
+          List.fold_left
+            (fun acc gdir ->
+              let* () = acc in
+              let* raw = read (shard_tree_file sid) gdir in
+              apply_tree_image tree ~sid raw)
+            (Ok ()) gdirs
+          |> Result.map_error (fun e -> Printf.sprintf "shard %d: %s" sid e)
         in
-        let* tree =
+        let* () =
           Result.map_error
             (fun e -> Printf.sprintf "shard %d: %s" sid e)
-            (parse_tree_file ~sid raw)
+            (check_tree_pointers tree)
         in
         build (mk_shard ~tree verifiers.(sid) sid :: acc) (sid + 1)
     in
@@ -537,11 +647,44 @@ let recover_generation ?(config = Config.default) ~gdir () =
 
 let err_no_checkpoint = "no checkpoint found"
 
+let tampering gdir e =
+  Error
+    (Printf.sprintf
+       "%s: %s — a committed manifest that fails validation implies \
+        tampering, not a crash; refusing to fall back to an older generation"
+       (Filename.basename gdir) e)
+
+(* From a committed tip back to its base: returns the parents, base first,
+   each with its manifest and that manifest's digest. Each parent must
+   exist, hash to the digest its child's manifest records, and be committed
+   itself; a link that fails any of these is tampering, never a reason to
+   skip. *)
+let walk_chain ~dir gdir (m : Ckpt_io.Manifest.t) =
+  let rec walk acc gdir (m : Ckpt_io.Manifest.t) =
+    match m.parent with
+    | None -> Ok acc
+    | Some (p, sha) -> (
+        let pdir = Filename.concat dir (Ckpt_io.generation_dir_name p) in
+        match
+          Ckpt_io.sha256_file (Filename.concat pdir Ckpt_io.Manifest.filename)
+        with
+        | Error _ ->
+            tampering gdir (Printf.sprintf "parent generation %d is missing" p)
+        | Ok actual when not (String.equal actual sha) ->
+            tampering gdir
+              (Printf.sprintf "parent generation %d's manifest digest differs" p)
+        | Ok _ -> (
+            match classify_generation ~number:p pdir with
+            | Committed pm -> walk ((p, pdir, pm, sha) :: acc) pdir pm
+            | Torn e | Tampered e | Unsupported e -> tampering pdir e))
+  in
+  walk [] gdir m
+
 (* Newest-first scan over the generations, applying the torn/tampered
    distinction of {!classify_generation}: torn crash artifacts are deleted
    and skipped (they never committed and can never shadow the good
-   generation behind them); a tampered generation stops recovery cold, with
-   the directory left in place as evidence. *)
+   generation behind them); a tampered generation or chain link stops
+   recovery cold, with the directory left in place as evidence. *)
 let recover ?(config = Config.default) ~dir () =
   let t0 = now () in
   let rec scan = function
@@ -551,14 +694,35 @@ let recover ?(config = Config.default) ~dir () =
         | Torn _ ->
             Ckpt_io.remove_tree gdir;
             scan older
-        | Tampered e ->
-            Error
-              (Printf.sprintf
-                 "%s: %s — a committed manifest that fails validation \
-                  implies tampering, not a crash; refusing to fall back to \
-                  an older generation"
-                 (Filename.basename gdir) e)
-        | Committed -> recover_generation ~config ~gdir ())
+        | Unsupported e -> Error e
+        | Tampered e -> tampering gdir e
+        | Committed m -> (
+            let ( let* ) = Result.bind in
+            let* parents = walk_chain ~dir gdir m in
+            let* tip_sha =
+              Ckpt_io.sha256_file
+                (Filename.concat gdir Ckpt_io.Manifest.filename)
+            in
+            let chain = parents @ [ (number, gdir, m, tip_sha) ] in
+            let* t =
+              recover_chain ~config
+                ~gdirs:(List.map (fun (_, d, _, _) -> d) chain)
+                ()
+            in
+            let link (gen, _, (pm : Ckpt_io.Manifest.t), manifest_sha) =
+              let bytes =
+                List.fold_left
+                  (fun acc e -> acc + e.Ckpt_io.Manifest.size)
+                  (String.length (Ckpt_io.Manifest.encode pm))
+                  pm.entries
+              in
+              { gen; manifest_sha; bytes }
+            in
+            remember_chain t ~dir
+              { links = List.rev_map link chain; fallback = [] };
+            Metrics.checkpoint_chain_links t.metrics (List.length chain);
+            track_changes t;
+            Ok t))
   in
   match Ckpt_io.generations dir with
   | [] ->
@@ -580,3 +744,10 @@ let recover ?(config = Config.default) ~dir () =
           Metrics.recover_done t.metrics (now () -. t0);
           Ok t
       | Error _ as e -> e)
+
+(* The generations of the chain this system last committed to (or
+   recovered from) [dir], base first. *)
+let chain_generations t ~dir =
+  match chain_of t ~dir with
+  | None -> []
+  | Some c -> List.rev_map (fun l -> l.gen) c.links

@@ -126,7 +126,7 @@ let scan_shard t ~epoch ~background sh dirty =
             in
             ok (Verifier.evict_b sh.verifier ~tid:0 ~key:f ~timestamp:ts');
             sh.clock <- ts';
-            entry.aux.mstate <- M_blum ts';
+            set_mstate sh f entry (M_blum ts');
             incr migrated_frontier
         | M_blum _ ->
             (* Already carried into the live epoch by a mid-scan cache

@@ -223,7 +223,7 @@ let load t records =
       Tree.bulk_build sh.tree ~algo:t.config.algo
         ~aux:(fun _ _ -> { mstate = M_merkle; owner = -1 })
         (Array.of_list buckets.(sh.sid));
-      (maux sh Key.root).mstate <- M_cached sh.sid;
+      set_mstate sh Key.root (Tree.get_exn sh.tree Key.root) (M_cached sh.sid);
       ok
         (Verifier.install_root sh.verifier
            (Tree.get_exn sh.tree Key.root).value))
@@ -242,7 +242,7 @@ let load t records =
           List.iter
             (fun f ->
               let entry = Tree.get_exn sh.tree f in
-              entry.aux.owner <- sh.sid;
+              Tree.set_aux sh.tree f entry { entry.aux with owner = sh.sid };
               sh.frontier <- f :: sh.frontier;
               let descent = Tree.descend sh.tree f in
               assert (descent.outcome = Tree.Exists);
@@ -259,7 +259,7 @@ let load t records =
                 (Verifier.evict_bm sh.verifier ~tid:0 ~key:f ~timestamp:ts'
                    ~parent);
               mark_in_blum sh parent f;
-              entry.aux.mstate <- M_blum ts')
+              set_mstate sh f entry (M_blum ts'))
             frontier;
           (* Clear the chain nodes so every shard starts symmetric. *)
           drain_cache t sh ~epoch_floor:0))
@@ -495,6 +495,7 @@ end
 let checkpoint = Durability.checkpoint
 let recover = Durability.recover
 let err_no_checkpoint = Durability.err_no_checkpoint
+let checkpoint_chain = Durability.chain_generations
 
 module String_keys = struct
   let key s =
@@ -617,17 +618,17 @@ module Testing = struct
         invalid_arg "corrupt_merkle_record: key not present"
       else
         match Tree.find t.shards.(sid).tree k with
-        | Some e -> e
+        | Some e -> (t.shards.(sid).tree, e)
         | None -> entry_of (sid + 1)
     in
-    let e = entry_of 0 in
+    let tree, e = entry_of 0 in
     match e.value with
     | Value.Node { left = Some p; right } ->
-        e.value <-
-          Value.Node { left = Some { p with hash = String.make 32 'Z' }; right }
+        Tree.set_value tree k e
+          (Value.Node { left = Some { p with hash = String.make 32 'Z' }; right })
     | Value.Node { left = None; right = Some p } ->
-        e.value <-
-          Value.Node { left = None; right = Some { p with hash = String.make 32 'Z' } }
+        Tree.set_value tree k e
+          (Value.Node { left = None; right = Some { p with hash = String.make 32 'Z' } })
     | Value.Node { left = None; right = None } | Value.Data _ ->
         invalid_arg "corrupt_merkle_record: nothing to corrupt"
 
@@ -640,6 +641,27 @@ module Testing = struct
               match e.aux.mstate with M_merkle -> found := Some k | _ -> ()))
       t.shards;
     !found
+
+  let store_contents t =
+    let acc = ref [] in
+    (match
+       Store.iter_live t.store (fun k v aux -> acc := (k, v, aux) :: !acc)
+     with
+    | Ok () -> ()
+    | Error e -> failwith e);
+    List.sort (fun (a, _, _) (b, _, _) -> Key.compare a b) !acc
+
+  let tree_entries t sid =
+    let acc = ref [] in
+    Tree.iter t.shards.(sid).tree (fun k (e : maux Tree.entry) ->
+        let st =
+          match e.aux.mstate with
+          | M_merkle -> "merkle"
+          | M_blum ts -> Printf.sprintf "blum %Ld" ts
+          | M_cached _ -> "cached"
+        in
+        acc := (k, e.value, st, e.aux.owner) :: !acc);
+    List.sort (fun (a, _, _, _) (b, _, _, _) -> Key.compare a b) !acc
 
   let chain t k =
     let key = Key.of_int64 k in

@@ -248,9 +248,17 @@ val checkpoint : t -> dir:string -> (unit, string) result
     files are written temp-file + fsync + rename and committed by a MANIFEST
     (written last, same protocol) carrying the SHA-256 of every component —
     a crash at any byte offset leaves the previous generation untouched.
-    The new generation and its newest {e committed} predecessor are
-    retained (a torn attempt in the numeric predecessor slot is never kept
-    in place of the last good generation); everything else is pruned.
+
+    Incremental: a generation is a {e delta} holding only the data records
+    and merkle records changed since its parent generation, whose number
+    and MANIFEST digest its own MANIFEST records; a {e base} is a delta
+    with no parent. The first checkpoint a system makes into a directory
+    (unless it recovered from it) is a base, and so is the next one once
+    the deltas since the last base add up to its size. Changes are tracked
+    from a system's first checkpoint (or its recovery) on, and a failed
+    attempt's changes carry over to the next. Retention is decided from
+    memory: the new chain and the chain it replaced are kept without being
+    read, and every other generation is deleted.
 
     Total on I/O and encoding failure: a full disk, an unwritable
     directory, or state that cannot be encoded yields [Error _] with the
@@ -261,7 +269,8 @@ val checkpoint : t -> dir:string -> (unit, string) result
     raise. *)
 
 val recover : ?config:Config.t -> dir:string -> unit -> (t, string) result
-(** Rebuild a system from the newest committed checkpoint generation.
+(** Rebuild a system from the newest committed checkpoint generation and
+    the chain of parents it rests on, applied base first.
     Generations are scanned newest-first; a {e torn} one — no manifest, or
     a manifest that doesn't parse, which is all a crash can leave behind —
     is deleted and skipped. A {e tampered} one — a well-formed manifest
@@ -269,16 +278,22 @@ val recover : ?config:Config.t -> dir:string -> unit -> (t, string) result
     generation disagrees with its [ckpt-<n>] directory name — stops
     recovery with [Error _] and is left in place as evidence: silently
     falling back to an older generation would turn one flipped bit into a
-    rollback primitive. The verifier summaries are validated against the
-    enclave's rollback-protected sealed slot, and the data checkpoint's
-    version must match every sealed shard summary's verified epoch. The
-    shard count and routing boundaries are adopted from the sealed payload
-    ([config.n_shards] only governs fresh systems); a payload from a
-    pre-sharding release is rejected with an explicit [Error _], and so
+    rollback primitive. So does a chain link that is missing, torn,
+    tampered, or whose MANIFEST digest differs from the one its child
+    records. The verifier summaries are validated against the
+    enclave's rollback-protected sealed slot, and the data version the
+    chain produces must match every sealed shard summary's verified epoch.
+    The shard count and routing boundaries are adopted from the sealed
+    payload ([config.n_shards] only governs fresh systems); a payload from
+    a pre-sharding release is rejected with an explicit [Error _], and so
     are verifier caches that do not fit the trusted-memory budget (as in
     {!create}, for the adopted shard count). Total on
     corrupt input: malformed checkpoints yield [Error _], never an
     exception. *)
+
+val checkpoint_chain : t -> dir:string -> int list
+(** The generation numbers of the chain this system last committed to, or
+    recovered from, [dir]: base first, then its deltas. [[]] if none. *)
 
 val err_no_checkpoint : string
 (** The exact [Error] payload {!recover} returns when [dir] holds no
@@ -481,6 +496,14 @@ module Testing : sig
 
   val some_merkle_key : t -> Key.t option
   (** Any currently merkle-protected internal record. *)
+
+  val store_contents : t -> (Key.t * string option * int64) list
+  (** Every live data record — key, value, aux — sorted by key. *)
+
+  val tree_entries : t -> int -> (Key.t * Value.t * string * int) list
+  (** Shard [sid]'s merkle records — key, value, protection state
+      (["merkle"], ["blum <ts>"] or ["cached"]) and owner — sorted by
+      key. *)
 
   val chain : t -> int64 -> (Key.t * bool) list
   (** The Merkle records on a data key's path, root first and ending at its

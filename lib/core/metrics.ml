@@ -19,6 +19,11 @@ type t = {
   verify_pause_seconds : Histogram.t;
   verify_in_flight : Gauge.t;
   checkpoint_seconds : Histogram.t;
+  checkpoint_bytes_base : Counter.t;
+  checkpoint_bytes_delta : Counter.t;
+  checkpoint_gens_base : Counter.t;
+  checkpoint_gens_delta : Counter.t;
+  checkpoint_chain_links : Gauge.t;
   recover_seconds : Histogram.t;
 }
 
@@ -28,6 +33,16 @@ let create ~enabled () =
     Registry.counter r ~labels:[ ("tier", tier) ]
       ~help:"Validated elementary operations by protection tier"
       "fastver_ops_total"
+  in
+  let ckpt_counter name help kind =
+    Registry.counter r ~labels:[ ("kind", kind) ] ~help name
+  in
+  let ckpt_bytes =
+    ckpt_counter "fastver_checkpoint_bytes_total"
+      "Bytes of committed checkpoint generations (components and manifest)"
+  and ckpt_gens =
+    ckpt_counter "fastver_checkpoint_generations_total"
+      "Committed checkpoint generations"
   in
   {
     enabled;
@@ -75,6 +90,15 @@ let create ~enabled () =
       Registry.histogram r ~scale:1e-9
         ~help:"Checkpoint generation write duration"
         "fastver_checkpoint_write_seconds";
+    checkpoint_bytes_base = ckpt_bytes "base";
+    checkpoint_bytes_delta = ckpt_bytes "delta";
+    checkpoint_gens_base = ckpt_gens "base";
+    checkpoint_gens_delta = ckpt_gens "delta";
+    checkpoint_chain_links =
+      Registry.gauge r
+        ~help:
+          "Generations in the newest checkpoint chain (its base and deltas)"
+        "fastver_checkpoint_chain_links";
     recover_seconds =
       Registry.histogram r ~scale:1e-9
         ~help:"Checkpoint recovery duration" "fastver_recover_seconds";
@@ -143,6 +167,20 @@ let verify_scan t ~seconds ~touched =
 
 let checkpoint_write t seconds =
   if t.enabled then Histogram.record_span t.checkpoint_seconds seconds
+
+let checkpoint_chain_links t links =
+  Gauge.set t.checkpoint_chain_links (float_of_int links)
+
+let checkpoint_committed t ~base ~bytes ~links =
+  if base then begin
+    Counter.add t.checkpoint_bytes_base bytes;
+    Counter.incr t.checkpoint_gens_base
+  end
+  else begin
+    Counter.add t.checkpoint_bytes_delta bytes;
+    Counter.incr t.checkpoint_gens_delta
+  end;
+  checkpoint_chain_links t links
 
 let recover_done t seconds =
   if t.enabled then Histogram.record_span t.recover_seconds seconds

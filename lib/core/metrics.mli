@@ -74,4 +74,12 @@ val verify_shard : t -> sid:int -> seconds:float -> unit
     migration + epoch close/seal on its own domain). *)
 
 val checkpoint_write : t -> float -> unit
+
+val checkpoint_committed : t -> base:bool -> bytes:int -> links:int -> unit
+(** A generation committed: its kind, its bytes, and the length of the
+    chain it now tips. *)
+
+val checkpoint_chain_links : t -> int -> unit
+(** The chain length after recovery. *)
+
 val recover_done : t -> float -> unit

@@ -18,8 +18,10 @@ let aux_timestamp aux = Int64.logand aux Int64.max_int
    shard whose (single) verifier thread holds the record. *)
 type mstate = M_merkle | M_blum of Timestamp.t | M_cached of int
 
-type maux = { mutable mstate : mstate; mutable owner : int }
-(** [owner >= 0] marks a frontier record and names its shard. *)
+type maux = { mstate : mstate; owner : int }
+(** [owner >= 0] marks a frontier record and names its shard. Immutable:
+    a change goes through {!Tree.set_aux}, which records the key for the
+    next incremental checkpoint. *)
 
 (* ------------------------------------------------------------------ *)
 (* Shards                                                              *)
@@ -95,6 +97,16 @@ type replication = {
   on_seal : epoch:int -> cert:string -> unit;
 }
 
+(* One committed checkpoint generation, as this process wrote or recovered
+   it: its number, the SHA-256 (hex) of its MANIFEST — the parent link its
+   child records — and its bytes on disk. *)
+type ckpt_link = { gen : int; manifest_sha : string; bytes : int }
+
+(* The chain a checkpoint directory's newest committed generation rests
+   on, tip first and base last, plus the generations of the chain it
+   replaced: retention keeps both without reading either. *)
+type ckpt_chain = { links : ckpt_link list; fallback : int list }
+
 type t = {
   mutable config : Config.t;
       (* mutable only for [set_batch_size]: election promotion re-enables
@@ -148,6 +160,8 @@ type t = {
       (* serialises cold maintenance (demotion + compaction) with itself
          and with checkpointing, so one demotion pass's segment rotations
          are never interleaved with another's manifest encoding *)
+  mutable chains : (string * ckpt_chain) list;
+      (* per checkpoint directory; written under [verify_mutex] *)
   acc : acc;
   metrics : Metrics.t;
 }
@@ -332,6 +346,7 @@ let make ~config ~enclave ~shards ~boundaries ~store ~nonces ~sealed ~loaded
       repl = None;
       cold;
       cold_lock = Mutex.create ();
+      chains = [];
       acc =
         {
           migrated_data = 0;
@@ -564,6 +579,9 @@ let unlock_world t =
 let now = Fastver_obs.Span.now
 
 let maux sh k = (Tree.get_exn sh.tree k).aux
+
+let set_mstate sh k (e : maux Tree.entry) mstate =
+  Tree.set_aux sh.tree k e { e.aux with mstate }
 
 (* Mirror the verifier's Lamport-clock rules so the host can predict evict
    timestamps without a verifier round trip (§5.3). *)

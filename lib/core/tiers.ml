@@ -14,7 +14,8 @@ let apply_ptr sh parent (ptr : Value.ptr) =
   match pe.value with
   | Value.Node n ->
       let d = Key.dir ptr.key ~ancestor:parent in
-      pe.value <- Value.Node (Value.set_slot n d (Some ptr))
+      Tree.set_value sh.tree parent pe
+        (Value.Node (Value.set_slot n d (Some ptr)))
   | Value.Data _ -> assert false
 
 let mark_in_blum sh parent key =
@@ -24,7 +25,8 @@ let mark_in_blum sh parent key =
       let d = Key.dir key ~ancestor:parent in
       match Value.slot n d with
       | Some p when Key.equal p.key key ->
-          pe.value <- Value.Node (Value.set_slot n d (Some { p with in_blum = true }))
+          Tree.set_value sh.tree parent pe
+            (Value.Node (Value.set_slot n d (Some { p with in_blum = true })))
       | Some _ | None -> assert false)
   | Value.Data _ -> assert false
 
@@ -43,12 +45,12 @@ let evict_mirror _t sh e ~epoch_floor =
       let ptr = ok (Verifier.evict_m sh.verifier ~tid:0 ~key:k ~parent) in
       apply_ptr sh parent ptr;
       decr_parent_children sh parent;
-      (maux sh k).mstate <- M_merkle
+      set_mstate sh k (Tree.get_exn sh.tree k) M_merkle
   | `B ->
       let ts' = Timestamp.max sh.clock (Timestamp.first_of_epoch epoch_floor) in
       ok (Verifier.evict_b sh.verifier ~tid:0 ~key:k ~timestamp:ts');
       sh.clock <- ts';
-      (maux sh k).mstate <- M_blum ts');
+      set_mstate sh k (Tree.get_exn sh.tree k) (M_blum ts'));
   Key_lru.remove sh.lru e;
   Key.Tbl.remove sh.via k;
   Key.Tbl.remove sh.parents k
@@ -130,7 +132,7 @@ let ensure_chain ?loaded t sh path =
               mirror_add_b sh ts;
               ignore (Key_lru.add sh.lru k);
               Key.Tbl.replace sh.via k `B;
-              entry.aux.mstate <- M_cached sh.sid
+              set_mstate sh k entry (M_cached sh.sid)
           | M_merkle ->
               note_load ();
               let parent = arr.(j - 1) in
@@ -147,7 +149,7 @@ let ensure_chain ?loaded t sh path =
               (match Key_lru.find sh.lru parent with
               | Some pe -> Key_lru.incr_children pe
               | None -> assert (Key.equal parent Key.root));
-              entry.aux.mstate <- M_cached sh.sid
+              set_mstate sh k entry (M_cached sh.sid)
           | M_cached _ -> assert false)
   done;
   arr.(n - 1)
@@ -306,6 +308,10 @@ let merkle_slow t sh key action =
                cache residency. *)
             incr loaded;
             let node_key = Key.lca key pointee in
+            (* Make room first: an eviction may be the pointee itself (a
+               cached child of [parent]), and its hand-back rewrites the
+               parent's slot that the new node must carry over. *)
+            ensure_room t sh ~protect:parent ();
             let pn = Tree.get_exn sh.tree parent in
             let old_ptr =
               match pn.value with
@@ -322,7 +328,6 @@ let merkle_slow t sh key action =
                    (Key.dir pointee ~ancestor:node_key)
                    (Some old_ptr))
             in
-            ensure_room t sh ~protect:parent ();
             let installed =
               ok
                 (Verifier.add_m sh.verifier ~tid:0 ~key:node_key

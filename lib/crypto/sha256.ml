@@ -41,6 +41,15 @@ let init () =
     w = Array.make 64 0l;
   }
 
+let copy c =
+  {
+    h = Array.copy c.h;
+    buf = Bytes.copy c.buf;
+    buf_len = c.buf_len;
+    total = c.total;
+    w = Array.make 64 0l;
+  }
+
 let ( +% ) = Int32.add
 let ( ^% ) = Int32.logxor
 let ( &% ) = Int32.logand

@@ -7,6 +7,10 @@ type ctx
 (** Mutable hashing context for incremental use. *)
 
 val init : unit -> ctx
+val copy : ctx -> ctx
+(** An independent context in the same state: hash a shared prefix once,
+    then continue several messages from it. *)
+
 val update : ctx -> string -> unit
 val update_bytes : ctx -> Bytes.t -> int -> int -> unit
 

@@ -20,9 +20,18 @@ let bytes_written () = !written
 
 let crash msg = raise (Injected_crash msg)
 
-type writer = { oc : out_channel; final : string }
+(* Every byte a writer streams also feeds its SHA-256, so a component's
+   manifest entry comes from the write itself and is never read back. *)
+type writer = {
+  oc : out_channel;
+  final : string;
+  sha : Fastver_crypto.Sha256.ctx;
+  mutable size : int;
+}
 
-let write w s =
+type digest = { size : int; sha256_hex : string }
+
+let write (w : writer) s =
   let len = String.length s in
   (match !armed with
   | Some (Die_after_bytes n) when !written + len > n ->
@@ -36,9 +45,11 @@ let write w s =
                (Filename.basename w.final))
   | _ -> ());
   output_string w.oc s;
+  Fastver_crypto.Sha256.update w.sha s;
+  w.size <- w.size + len;
   written := !written + len
 
-let write_bytes w b = write w (Bytes.to_string b)
+let write_bytes w b = write w (Bytes.unsafe_to_string b)
 
 let fsync_dir dir =
   match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
@@ -51,9 +62,10 @@ let fsync_dir dir =
 let with_atomic_file path f =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  let result =
-    match f { oc; final = path } with
-    | r -> r
+  let w = { oc; final = path; sha = Fastver_crypto.Sha256.init (); size = 0 } in
+  let () =
+    match f w with
+    | () -> ()
     | exception e ->
         (* A real crash leaves the torn temp file behind; so do we. The
            committed name is untouched either way. *)
@@ -79,7 +91,11 @@ let with_atomic_file path f =
   | _ -> ());
   Sys.rename tmp path;
   fsync_dir (Filename.dirname path);
-  result
+  {
+    size = w.size;
+    sha256_hex =
+      Fastver_crypto.Bytes_util.to_hex (Fastver_crypto.Sha256.finalize w.sha);
+  }
 
 let write_file_atomic path contents =
   with_atomic_file path (fun w -> write w contents)
@@ -111,10 +127,20 @@ let sha256_file path =
 
 module Manifest = struct
   type entry = { name : string; size : int; sha256_hex : string }
-  type t = { generation : int; entries : entry list }
+
+  type t = {
+    generation : int;
+    parent : (int * string) option;
+    entries : entry list;
+  }
 
   let filename = "MANIFEST"
-  let magic = "FVMANIFEST1"
+
+  (* FVMANIFEST2 adds the parent line: a delta generation names its parent
+     and the SHA-256 of the parent's MANIFEST, so every link of a chain is
+     committed by its child. *)
+  let magic = "FVMANIFEST2"
+  let legacy_magics = [ "FVMANIFEST1" ]
 
   let entry_of_file ~dir name =
     let path = Filename.concat dir name in
@@ -125,17 +151,27 @@ module Manifest = struct
         | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
         | size -> Ok { name; size; sha256_hex })
 
-  let write ~dir m =
+  let encode m =
     let buf = Buffer.create 256 in
     Buffer.add_string buf magic;
     Buffer.add_char buf '\n';
     Buffer.add_string buf (Printf.sprintf "generation %d\n" m.generation);
+    (match m.parent with
+    | None -> Buffer.add_string buf "parent none\n"
+    | Some (g, sha) -> Buffer.add_string buf (Printf.sprintf "parent %d %s\n" g sha));
     List.iter
       (fun e ->
         Buffer.add_string buf
           (Printf.sprintf "%s %d %s\n" e.sha256_hex e.size e.name))
       m.entries;
-    write_file_atomic (Filename.concat dir filename) (Buffer.contents buf)
+    Buffer.contents buf
+
+  let write ~dir m =
+    ignore (write_file_atomic (Filename.concat dir filename) (encode m))
+
+  let is_hex s =
+    String.length s = 64
+    && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
 
   let read ~dir =
     let path = Filename.concat dir filename in
@@ -148,13 +184,23 @@ module Manifest = struct
             try
               let raw = really_input_string ic (in_channel_length ic) in
               match String.split_on_char '\n' raw with
-              | m :: gen_line :: rest when m = magic ->
+              | m :: gen_line :: parent_line :: rest when m = magic ->
                   let generation =
                     match String.split_on_char ' ' gen_line with
                     | [ "generation"; n ] -> int_of_string n
                     | _ -> failwith "manifest: bad generation line"
                   in
                   if generation < 0 then failwith "manifest: bad generation";
+                  let parent =
+                    match String.split_on_char ' ' parent_line with
+                    | [ "parent"; "none" ] -> None
+                    | [ "parent"; n; sha ] when is_hex sha ->
+                        let n = int_of_string n in
+                        if n < 0 || n >= generation then
+                          failwith "manifest: bad parent generation";
+                        Some (n, sha)
+                    | _ -> failwith "manifest: bad parent line"
+                  in
                   let entries =
                     List.filter_map
                       (fun line ->
@@ -172,11 +218,17 @@ module Manifest = struct
                       rest
                   in
                   if entries = [] then failwith "manifest: no entries";
-                  Ok { generation; entries }
+                  Ok { generation; parent; entries }
               | _ -> Error "manifest: bad magic"
             with
             | End_of_file -> Error "manifest truncated"
             | Failure e -> Error e)
+
+  let legacy ~dir =
+    let path = Filename.concat dir filename in
+    match In_channel.with_open_bin path In_channel.input_line with
+    | Some line when List.mem line legacy_magics -> Some line
+    | Some _ | None | (exception Sys_error _) -> None
 
   let verify ~dir m =
     List.fold_left

@@ -9,9 +9,12 @@
 
     A checkpoint {e generation} ([ckpt-<n>/]) is committed by its manifest: a
     file, written last with the same protocol, carrying the SHA-256 of every
-    component file. Recovery trusts a generation only after re-hashing every
-    component against the manifest, so torn or partially-synced generations
-    are detectable and can be discarded in favour of the previous one.
+    component file and, for a delta generation, the number of its parent
+    generation and the SHA-256 of the parent's manifest. The writer hashes
+    every byte it streams, so a component's entry costs no re-read.
+    Recovery trusts a generation only after re-hashing every component
+    against the manifest, so torn or partially-synced generations are
+    detectable and can be discarded in favour of the previous one.
 
     The module also hosts the crash-fault-injection hook used by the sweep
     tests: an armed fault makes the writer raise {!Injected_crash} at a
@@ -52,15 +55,19 @@ val bytes_written : unit -> int
 
 type writer
 
+type digest = { size : int; sha256_hex : string }
+(** Size and lowercase-hex SHA-256 of the bytes a writer streamed. *)
+
 val write : writer -> string -> unit
 val write_bytes : writer -> Bytes.t -> unit
 
-val with_atomic_file : string -> (writer -> 'a) -> 'a
+val with_atomic_file : string -> (writer -> unit) -> digest
 (** [with_atomic_file path f] runs [f] writing to [path ^ ".tmp"], then
-    fsyncs, renames onto [path] and fsyncs the directory. If [f] raises (or
-    an armed fault fires) the committed [path] is left untouched. *)
+    fsyncs, renames onto [path] and fsyncs the directory, and returns the
+    digest of what [f] wrote. If [f] raises (or an armed fault fires) the
+    committed [path] is left untouched. *)
 
-val write_file_atomic : string -> string -> unit
+val write_file_atomic : string -> string -> digest
 (** Whole-string convenience over {!with_atomic_file}. *)
 
 val fsync_dir : string -> unit
@@ -73,7 +80,14 @@ val sha256_file : string -> (string, string) result
 
 module Manifest : sig
   type entry = { name : string; size : int; sha256_hex : string }
-  type t = { generation : int; entries : entry list }
+
+  type t = {
+    generation : int;
+    parent : (int * string) option;
+        (** [Some (g, sha)]: a delta over generation [g], whose MANIFEST has
+            SHA-256 [sha] (hex). [None]: a base. *)
+    entries : entry list;
+  }
 
   val filename : string
   (** ["MANIFEST"]. *)
@@ -81,11 +95,19 @@ module Manifest : sig
   val entry_of_file : dir:string -> string -> (entry, string) result
   (** Hash an existing component file into a manifest entry. *)
 
+  val encode : t -> string
+  (** The [FVMANIFEST2] text of a manifest. *)
+
   val write : dir:string -> t -> unit
   (** Atomically write [dir/MANIFEST] — the generation's commit point. *)
 
   val read : dir:string -> (t, string) result
-  (** Total: any malformed manifest is an [Error], never an exception. *)
+  (** Total: any malformed manifest is an [Error], never an exception. A
+      parent number must be below the generation's own. *)
+
+  val legacy : dir:string -> string option
+  (** The magic of a manifest written by an earlier release ([FVMANIFEST1],
+      no parent line), which {!read} rejects as malformed. *)
 
   val verify : dir:string -> t -> (unit, string) result
   (** Re-hash every entry's file; [Error] on a missing file, size mismatch

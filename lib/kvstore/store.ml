@@ -42,6 +42,13 @@ type 'v t = {
   cold : Cold.t option;
   mutable demoted_through : int; (* addresses < this may be in the cold tier *)
   stats : stats_live;
+  mutable tracking : bool;
+  mutable changed : unit Key.Tbl.t array;
+      (* per stripe, under that stripe's lock: keys installed, deleted,
+         demoted or compacted since the last {!take_changes}; empty until
+         {!track_changes} *)
+  pending : unit Key.Tbl.t;
+      (* keys taken by image writes that have not committed yet *)
 }
 
 let create ?(mutable_region_entries = 1 lsl 20) ?cold ~codec () =
@@ -60,6 +67,9 @@ let create ?(mutable_region_entries = 1 lsl 20) ?cold ~codec () =
         a_writes = Atomic.make 0;
         a_rcu_copies = Atomic.make 0;
       };
+    tracking = false;
+    changed = [||];
+    pending = Key.Tbl.create 16;
   }
 
 let stats t =
@@ -95,10 +105,22 @@ let append t s =
 
 let readonly_boundary t = max 0 (t.tail - t.mutable_region)
 
+let stripe_of key = Key.hash key land 255
+
 let with_stripe t key f =
-  let m = t.stripes.(Key.hash key land 255) in
+  let m = t.stripes.(stripe_of key) in
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+(* Caller holds [key]'s stripe. *)
+let mark t key =
+  if t.tracking then Key.Tbl.replace t.changed.(stripe_of key) key ()
+
+let track_changes t =
+  if not t.tracking then begin
+    t.changed <- Array.init 256 (fun _ -> Key.Tbl.create 64);
+    t.tracking <- true
+  end
 
 let decode_value t raw =
   match t.codec.decode raw with
@@ -148,6 +170,7 @@ let note_dead_body t body =
    in the mutable region, copy-on-write otherwise. Caller holds the stripe. *)
 let install t key value aux =
   bump t.stats.a_writes;
+  mark t key;
   let in_place =
     match Key.Tbl.find_opt t.index key with
     | Some addr when addr >= readonly_boundary t -> (
@@ -207,7 +230,9 @@ let update t key f =
 let delete t key =
   with_stripe t key (fun () ->
       (match Key.Tbl.find_opt t.index key with
-      | Some addr -> note_dead_body t (slot t addr).body
+      | Some addr ->
+          mark t key;
+          note_dead_body t (slot t addr).body
       | None -> ());
       Key.Tbl.remove t.index key)
 
@@ -268,6 +293,7 @@ let demote_now t ~budget =
                         match Cold.append c ~key:s.key ~aux ~value:data with
                         | Ok cref ->
                             s.body <- Cold_ref { cref; aux };
+                            mark t s.key;
                             incr demoted
                         | Error e -> err := Some e)
                   end
@@ -315,6 +341,7 @@ let compact_cold t ~min_dead_ratio =
                             match Cold.append c ~key:s.key ~aux ~value:raw with
                             | Ok cref' ->
                                 s.body <- Cold_ref { cref = cref'; aux };
+                                mark t s.key;
                                 Cold.note_dead c cref;
                                 Cold.note_gc_rewrite c;
                                 incr rewritten
@@ -331,57 +358,98 @@ let compact_cold t ~min_dead_ratio =
               Ok !rewritten))
 
 (* Checkpoint format FVCKPT03: magic, version(8), count(8), then per record
-   key(34) aux(8) tag(1) and either an inline payload (tag 0: len(4) data)
-   or a cold-tier reference (tag 1: seg(4) off(8) len(4)) — cold values are
+   key(34) aux(8) tag(1) and either an inline payload (tag 0: len(4) data),
+   a cold-tier reference (tag 1: seg(4) off(8) len(4)) — cold values are
    already durable in their segment, so the checkpoint stores the pointer
-   and the cold manifest vouches for the segment. Earlier formats are
-   rejected explicitly: FVCKPT02 had no tag byte, and FVCKPT01 truncated
-   the version through int32. *)
+   and the cold manifest vouches for the segment — or a removal (tag 2,
+   aux zero, nothing after it). A base image holds every live record; a
+   delta image holds the records changed since its parent and a removal
+   for each key deleted since. Earlier formats are rejected explicitly:
+   FVCKPT02 had no tag byte, and FVCKPT01 truncated the version through
+   int32. *)
 let magic = "FVCKPT03"
 let legacy_magics = [ "FVCKPT01"; "FVCKPT02" ]
+let tag_inline = '\000'
+let tag_cold = '\001'
+let tag_removed = '\002'
 
-let checkpoint t ~path ~version =
+(* The smallest record: key, aux and tag of a removal. *)
+let min_record_len = 34 + 8 + 1
+
+(* Move every stripe's changed keys into [pending]. *)
+let take_changes t =
+  Array.iteri
+    (fun i tbl ->
+      Mutex.protect t.stripes.(i) (fun () ->
+          Key.Tbl.iter (fun k () -> Key.Tbl.replace t.pending k ()) tbl;
+          Key.Tbl.reset tbl))
+    t.changed
+
+let commit_changes t = Key.Tbl.reset t.pending
+
+let write_image t ~path ~version ~base =
+  take_changes t;
   Ckpt_io.with_atomic_file path @@ fun w ->
   Ckpt_io.write w magic;
   let header = Bytes.create 16 in
   Bytes.set_int64_le header 0 (Int64.of_int version);
-  Bytes.set_int64_le header 8 (Int64.of_int (length t));
+  Bytes.set_int64_le header 8
+    (Int64.of_int (if base then length t else Key.Tbl.length t.pending));
   Ckpt_io.write_bytes w header;
-  let write_inline aux data =
-    let meta = Bytes.create 13 in
+  let meta = Bytes.create 25 in
+  let write_meta aux tag len =
     Bytes.set_int64_le meta 0 aux;
-    Bytes.set meta 8 '\000';
-    Bytes.set_int32_le meta 9 (Int32.of_int (String.length data));
-    Ckpt_io.write_bytes w meta;
-    Ckpt_io.write w data
+    Bytes.set meta 8 tag;
+    Ckpt_io.write w (Bytes.sub_string meta 0 len)
   in
-  Key.Tbl.iter
-    (fun key addr ->
-      Ckpt_io.write w (Key.encode key);
-      match (slot t addr).body with
-      | In_memory { value; aux } -> write_inline aux (t.codec.encode value)
-      | Cold_ref { cref; aux } ->
-          let meta = Bytes.create 25 in
-          Bytes.set_int64_le meta 0 aux;
-          Bytes.set meta 8 '\001';
-          Bytes.set_int32_le meta 9 (Int32.of_int cref.Cold.seg);
-          Bytes.set_int64_le meta 13 (Int64.of_int cref.Cold.off);
-          Bytes.set_int32_le meta 21 (Int32.of_int cref.Cold.len);
-          Ckpt_io.write_bytes w meta)
-    t.index
+  let write_record key addr =
+    Ckpt_io.write w (Key.encode key);
+    match addr with
+    | None -> write_meta 0L tag_removed 9
+    | Some addr -> (
+        match (slot t addr).body with
+        | In_memory { value; aux } ->
+            let data = t.codec.encode value in
+            Bytes.set_int32_le meta 9 (Int32.of_int (String.length data));
+            write_meta aux tag_inline 13;
+            Ckpt_io.write w data
+        | Cold_ref { cref; aux } ->
+            Bytes.set_int32_le meta 9 (Int32.of_int cref.Cold.seg);
+            Bytes.set_int64_le meta 13 (Int64.of_int cref.Cold.off);
+            Bytes.set_int32_le meta 21 (Int32.of_int cref.Cold.len);
+            write_meta aux tag_cold 25)
+  in
+  if base then Key.Tbl.iter (fun key addr -> write_record key (Some addr)) t.index
+  else
+    Key.Tbl.iter
+      (fun key () -> write_record key (Key.Tbl.find_opt t.index key))
+      t.pending
+
+let checkpoint t ~path ~version =
+  ignore (write_image t ~path ~version ~base:true)
+
+(* Recovery installs bodies raw: a key already present is overwritten in
+   place and a removed key's slot is cleared, so no superseded version of
+   an earlier link survives in the log, and cold-tier accounting waits for
+   {!finish_load}, which sees only the final state. *)
+let load_body t key body =
+  match Key.Tbl.find_opt t.index key with
+  | Some addr -> (slot t addr).body <- body
+  | None -> Key.Tbl.replace t.index key (append t { key; body; prev = -1 })
+
+let load_removal t key =
+  match Key.Tbl.find_opt t.index key with
+  | Some addr ->
+      Key.Tbl.remove t.index key;
+      t.chunks.(addr lsr chunk_bits).(addr land (chunk_size - 1)) <- None
+  | None -> ()
 
 (* Every length and count read from disk is validated against the bytes
    actually remaining in the file before it is used for allocation or
    arithmetic: the checkpoint is untrusted input, and recovery must be total
    — any malformed file is an [Error], never an exception (and never an
    attempt to allocate a record the file could not possibly contain). *)
-let put_cold t key ~cref ~aux =
-  with_stripe t key (fun () ->
-      let addr = append t { key; body = Cold_ref { cref; aux }; prev = -1 } in
-      Key.Tbl.replace t.index key addr);
-  match t.cold with Some c -> Cold.note_live c cref | None -> ()
-
-let recover ?mutable_region_entries ?cold ~codec ~path () =
+let load_image t ~path =
   match open_in_bin path with
   | exception Sys_error e -> Error e
   | ic -> (
@@ -402,20 +470,18 @@ let recover ?mutable_region_entries ?cold ~codec ~path () =
               try
                 let header = really_input_string ic 16 in
                 let version64 = String.get_int64_le header 0 in
-                if version64 < 0L || Int64.of_int (Int64.to_int version64) <> version64
+                (* -1: checkpointed before the first verified epoch *)
+                if version64 < -1L || Int64.of_int (Int64.to_int version64) <> version64
                 then failwith "checkpoint: bad version";
                 let version = Int64.to_int version64 in
                 let count64 = String.get_int64_le header 8 in
-                (* Each record occupies at least 34 + 13 bytes (an inline
-                   empty payload). *)
                 let remaining = size - String.length magic - 16 in
                 if
                   count64 < 0L
                   || Int64.of_int (Int64.to_int count64) <> count64
-                  || Int64.to_int count64 > remaining / 47
+                  || Int64.to_int count64 > remaining / min_record_len
                 then failwith "checkpoint: implausible record count";
                 let count = Int64.to_int count64 in
-                let t = create ?mutable_region_entries ?cold ~codec () in
                 let decode_key kenc =
                   let depth = String.get_uint16_le kenc 0 in
                   let path32 = String.sub kenc 2 32 in
@@ -426,7 +492,7 @@ let recover ?mutable_region_entries ?cold ~codec ~path () =
                     failwith "non-data key in checkpoint"
                 in
                 for _ = 1 to count do
-                  let kenc = really_input_string ic 34 in
+                  let key = decode_key (really_input_string ic 34) in
                   let meta = really_input_string ic 9 in
                   let aux = String.get_int64_le meta 0 in
                   match meta.[8] with
@@ -437,13 +503,13 @@ let recover ?mutable_region_entries ?cold ~codec ~path () =
                         failwith "checkpoint: record length exceeds file";
                       let data = really_input_string ic len in
                       let value =
-                        match codec.decode data with
+                        match t.codec.decode data with
                         | v -> v
                         | exception _ ->
                             failwith "checkpoint: undecodable record"
                       in
-                      put t (decode_key kenc) value ~aux
-                  | '\001' -> (
+                      load_body t key (In_memory { value; aux })
+                  | '\001' ->
                       let refb = really_input_string ic 16 in
                       let seg = Int32.to_int (String.get_int32_le refb 0) in
                       let off64 = String.get_int64_le refb 4 in
@@ -454,19 +520,55 @@ let recover ?mutable_region_entries ?cold ~codec ~path () =
                         || seg < 0 || len < 0
                       then failwith "checkpoint: malformed cold reference";
                       let cref = { Cold.seg; off = Int64.to_int off64; len } in
-                      match cold with
-                      | None ->
-                          failwith
-                            "checkpoint references cold segments but no cold \
-                             tier is configured"
-                      | Some c -> (
-                          match Cold.validate_ref c cref with
-                          | Error e -> failwith ("checkpoint: " ^ e)
-                          | Ok () -> put_cold t (decode_key kenc) ~cref ~aux))
+                      load_body t key (Cold_ref { cref; aux })
+                  | '\002' -> load_removal t key
                   | _ -> failwith "checkpoint: unknown record tag"
                 done;
-                Ok (t, version)
+                Ok version
               with
               | End_of_file -> Error "checkpoint truncated"
               | Invalid_argument _ -> Error "checkpoint corrupt"
               | Failure e -> Error e)))
+
+(* Cold references are checked on the state the whole chain produced: an
+   earlier link may name a segment that compaction since retired, which a
+   later link's record for the same key supersedes. *)
+let finish_load t =
+  let exception Bad of string in
+  match
+    Key.Tbl.iter
+      (fun _ addr ->
+        match (slot t addr).body with
+        | In_memory _ -> ()
+        | Cold_ref { cref; _ } -> (
+            match t.cold with
+            | None ->
+                raise
+                  (Bad
+                     "checkpoint references cold segments but no cold tier \
+                      is configured")
+            | Some c -> (
+                match Cold.validate_ref c cref with
+                | Error e -> raise (Bad ("checkpoint: " ^ e))
+                | Ok () -> Cold.note_live c cref)))
+      t.index
+  with
+  | () -> Ok ()
+  | exception Bad e -> Error e
+
+let recover_chain ?mutable_region_entries ?cold ~codec ~paths () =
+  let t = create ?mutable_region_entries ?cold ~codec () in
+  let rec apply version = function
+    | [] -> (
+        match version with
+        | None -> Error "checkpoint chain is empty"
+        | Some v -> Result.map (fun () -> (t, v)) (finish_load t))
+    | path :: rest -> (
+        match load_image t ~path with
+        | Ok v -> apply (Some v) rest
+        | Error _ as e -> e)
+  in
+  apply None paths
+
+let recover ?mutable_region_entries ?cold ~codec ~path () =
+  recover_chain ?mutable_region_entries ?cold ~codec ~paths:[ path ] ()

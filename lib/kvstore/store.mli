@@ -104,15 +104,53 @@ val stats : 'v t -> stats
 
     [checkpoint] persists a prefix-consistent snapshot of all live records;
     [recover] reloads it. FastVer synchronises these with verification
-    epochs so that a verified epoch is also durable (§7). *)
+    epochs so that a verified epoch is also durable (§7). Incremental
+    checkpoints write {e delta} images — the records changed since the
+    previous image, plus a removal for each deleted key — and recovery
+    applies a base image and its deltas in order. *)
+
+val track_changes : 'v t -> unit
+(** Start recording which keys are installed, deleted, demoted or
+    compacted (idempotent). Until then the mutation paths pay nothing. *)
+
+val write_image :
+  'v t -> path:string -> version:int -> base:bool -> Ckpt_io.digest
+(** Write one image atomically ({!Ckpt_io.with_atomic_file}) and return its
+    digest. A base ([~base:true]) holds every live record; a delta holds
+    the keys changed since the last {!commit_changes}, including those of
+    images that never committed (a failed attempt loses nothing). Both
+    first move the keys recorded so far into the uncommitted set. [version]
+    (the verified epoch) is stored as a full int64. Cold records are stored
+    as segment references (their bytes are already durable in the cold
+    tier); pair the image with the cold manifest of the same generation. *)
+
+val commit_changes : 'v t -> unit
+(** The last written image committed: forget the keys it covered. *)
 
 val checkpoint : 'v t -> path:string -> version:int -> unit
-(** Atomic: the snapshot is streamed to [path ^ ".tmp"], fsynced and renamed
-    over [path] ({!Ckpt_io}), so a crash mid-checkpoint leaves the previous
-    file intact. [version] (the verified epoch) is stored as a full int64.
-    Cold records are stored as segment references (their bytes are already
-    durable in the cold tier); pair this file with the cold manifest in the
-    same generation. *)
+(** A base {!write_image}: the snapshot is streamed to [path ^ ".tmp"],
+    fsynced and renamed over [path], so a crash mid-checkpoint leaves the
+    previous file intact. *)
+
+val recover_chain :
+  ?mutable_region_entries:int ->
+  ?cold:Cold.t ->
+  codec:'v codec ->
+  paths:string list ->
+  unit ->
+  ('v t * int, string) result
+(** Apply a base image and then its deltas, in list order, and return the
+    store and the last image's version. Cold references are validated
+    against [cold] (recovered from the newest generation's manifest) only
+    on the resulting state, so an earlier image may name a segment that
+    compaction has since retired. A state that references cold segments
+    recovers to [Error _] when no cold tier is configured. Reads the
+    [FVCKPT03] format only; the legacy [FVCKPT01] (int32 version header)
+    and [FVCKPT02] (no record tag) magics are rejected with an explicit
+    unsupported-format error rather than a generic bad-magic one. Total on
+    untrusted input: every on-disk length and count is validated against
+    the file size before use, so arbitrary byte corruption yields
+    [Error _], never an exception or an oversized allocation. *)
 
 val recover :
   ?mutable_region_entries:int ->
@@ -121,13 +159,4 @@ val recover :
   path:string ->
   unit ->
   ('v t * int, string) result
-(** Returns the store and the checkpoint version, or an error if the file is
-    missing or corrupt. Reads the [FVCKPT03] format only; the legacy
-    [FVCKPT01] (int32 version header) and [FVCKPT02] (no record tag) magics
-    are rejected with an explicit unsupported-format error rather than a
-    generic bad-magic one. Cold references are validated against
-    [cold] (recovered from the same generation's manifest) — a checkpoint
-    that references cold segments recovers to [Error _] when no cold tier is
-    configured. Total on untrusted input: every on-disk length and count is
-    validated against the file size before use, so arbitrary byte corruption
-    yields [Error _], never an exception or an oversized allocation. *)
+(** {!recover_chain} over one image. *)

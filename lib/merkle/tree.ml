@@ -1,11 +1,43 @@
-type 'aux entry = { mutable value : Value.t; mutable aux : 'aux }
+type 'aux entry = {
+  mutable value : Value.t;
+  mutable aux : 'aux;
+  mutable changed : bool; (* its key is on [changed_keys] *)
+}
 
-type 'aux t = { records : 'aux entry Key.Tbl.t }
+type 'aux t = {
+  records : 'aux entry Key.Tbl.t;
+  mutable tracking : bool;
+  mutable changed_keys : Key.t list;
+      (* keys set or removed since [clear_changed], newest first; a key
+         removed and set again may repeat. A per-entry flag keeps marking
+         to a test and, once per key, a cons. *)
+}
 
 let create ~root_aux =
   let records = Key.Tbl.create 1024 in
-  Key.Tbl.replace records Key.root { value = Value.empty_node; aux = root_aux };
-  { records }
+  Key.Tbl.replace records Key.root
+    { value = Value.empty_node; aux = root_aux; changed = false };
+  { records; tracking = false; changed_keys = [] }
+
+let mark t k e =
+  if t.tracking && not e.changed then begin
+    e.changed <- true;
+    t.changed_keys <- k :: t.changed_keys
+  end
+
+let track_changes t = t.tracking <- true
+
+let iter_changed t f =
+  List.iter (fun k -> f k (Key.Tbl.find_opt t.records k)) t.changed_keys
+
+let clear_changed t =
+  List.iter
+    (fun k ->
+      match Key.Tbl.find_opt t.records k with
+      | Some e -> e.changed <- false
+      | None -> ())
+    t.changed_keys;
+  t.changed_keys <- []
 
 let find t k = Key.Tbl.find_opt t.records k
 
@@ -17,15 +49,32 @@ let get_exn t k =
 
 let mem t k = Key.Tbl.mem t.records k
 
+(* A new entry under tracking is born marked. *)
+let add t k value aux =
+  Key.Tbl.replace t.records k { value; aux; changed = t.tracking };
+  if t.tracking then t.changed_keys <- k :: t.changed_keys
+
 let set t k value ~aux =
   if Key.is_data_key k then invalid_arg "Tree.set: data key";
   match Key.Tbl.find_opt t.records k with
   | Some e ->
+      mark t k e;
       e.value <- value;
       e.aux <- aux
-  | None -> Key.Tbl.replace t.records k { value; aux }
+  | None -> add t k value aux
 
-let remove t k = Key.Tbl.remove t.records k
+let set_value t k e value =
+  mark t k e;
+  e.value <- value
+
+let set_aux t k e aux =
+  mark t k e;
+  e.aux <- aux
+
+let remove t k =
+  if t.tracking && Key.Tbl.mem t.records k then t.changed_keys <- k :: t.changed_keys;
+  Key.Tbl.remove t.records k
+
 let length t = Key.Tbl.length t.records
 let iter t f = Key.Tbl.iter f t.records
 
@@ -64,6 +113,7 @@ let root_hash t ?algo () = Record_enc.hash_value ?algo (get_exn t Key.root).valu
 (* Bottom-up Patricia construction over a sorted slice of data records.
    Returns the pointer to install in the parent. *)
 let bulk_build t ?algo ~aux records =
+  if t.tracking then Key.Tbl.iter (fun k _ -> t.changed_keys <- k :: t.changed_keys) t.records;
   Key.Tbl.reset t.records;
   Array.sort (fun (a, _) (b, _) -> Key.compare a b) records;
   Array.iteri
@@ -92,7 +142,7 @@ let bulk_build t ?algo ~aux records =
       assert (mid > lo && mid < hi);
       let left = build lo mid and right = build mid hi in
       let value = Value.Node { left = Some left; right = Some right } in
-      Key.Tbl.replace t.records node_key { value; aux = aux node_key value };
+      add t node_key value (aux node_key value);
       { Value.key = node_key; hash = Record_enc.hash_value ?algo value;
         in_blum = false }
   in
@@ -108,9 +158,7 @@ let bulk_build t ?algo ~aux records =
   in
   match Key.Tbl.find_opt t.records Key.root with
   | Some _ -> () (* build already produced the depth-0 node *)
-  | None ->
-      Key.Tbl.replace t.records Key.root
-        { value = root_value; aux = aux Key.root root_value }
+  | None -> add t Key.root root_value (aux Key.root root_value)
 
 let frontier t ~levels =
   if levels < 0 then invalid_arg "Tree.frontier";

@@ -12,7 +12,13 @@
 
 type 'aux t
 
-type 'aux entry = { mutable value : Value.t; mutable aux : 'aux }
+type 'aux entry = private {
+  mutable value : Value.t;
+  mutable aux : 'aux;
+  mutable changed : bool;  (** recorded since {!clear_changed} *)
+}
+(** Read freely; change only through {!set}, {!set_value} and {!set_aux},
+    which record the key for incremental checkpoints. *)
 
 val create : root_aux:'aux -> 'aux t
 (** A tree over the all-null database: the root record with two empty slots. *)
@@ -25,9 +31,30 @@ val set : 'aux t -> Key.t -> Value.t -> aux:'aux -> unit
 (** Insert or overwrite a merkle record.
     @raise Invalid_argument if [k] is a data key. *)
 
+val set_value : 'aux t -> Key.t -> 'aux entry -> Value.t -> unit
+(** [set_value t k e v] replaces the value of [e], the entry of [k]. *)
+
+val set_aux : 'aux t -> Key.t -> 'aux entry -> 'aux -> unit
+(** [set_aux t k e a] replaces the aux of [e], the entry of [k]. *)
+
 val remove : 'aux t -> Key.t -> unit
 val length : 'aux t -> int
 val iter : 'aux t -> (Key.t -> 'aux entry -> unit) -> unit
+
+(** {2 Change tracking}
+
+    For incremental checkpoints. Off until {!track_changes}, so a tree that
+    is never checkpointed pays one branch per mutation. *)
+
+val track_changes : 'aux t -> unit
+(** Start recording every key set or removed (idempotent). *)
+
+val iter_changed : 'aux t -> (Key.t -> 'aux entry option -> unit) -> unit
+(** Every key recorded since {!clear_changed}, with its current entry
+    ([None]: removed since). A key removed and set again may come twice,
+    each time with its current entry. *)
+
+val clear_changed : 'aux t -> unit
 
 (** {2 Navigation} *)
 

@@ -309,8 +309,8 @@ let classify t conn req =
             | Wire.Prometheus -> Fastver_obs.Registry.to_prometheus reg
           in
           Wire.Metrics_reply { format; data })
-  | Wire.Subscribe _ | Wire.Fetch_checkpoint | Wire.Announce_term _
-  | Wire.Promote _ ->
+  | Wire.Subscribe _ | Wire.Fetch_checkpoint | Wire.Fetch_generation _
+  | Wire.Announce_term _ | Wire.Promote _ ->
       `Err "replication opcodes are served on the replication listener"
 
 let response_of_reply nonce (reply : Fastver.Batch.reply) =
@@ -326,7 +326,7 @@ let nonce_of = function
       nonce
   | Wire.Open_session _ | Wire.Close_session | Wire.Verify | Wire.Stats
   | Wire.Metrics _ | Wire.Subscribe _ | Wire.Fetch_checkpoint
-  | Wire.Announce_term _ | Wire.Promote _ ->
+  | Wire.Fetch_generation _ | Wire.Announce_term _ | Wire.Promote _ ->
       0L
 
 (* ------------------------------------------------------------------ *)

@@ -16,6 +16,7 @@ type request =
   | Metrics of { format : metrics_format }
   | Subscribe of { from_epoch : int; term : int }
   | Fetch_checkpoint
+  | Fetch_generation of { generation : int }
   | Announce_term of {
       term : int;
       sealed : int;
@@ -80,6 +81,7 @@ let tag_subscribe = 0x09
 let tag_fetch_checkpoint = 0x0a
 let tag_announce_term = 0x0b
 let tag_promote = 0x0c
+let tag_fetch_generation = 0x0d
 let tag_opened = 0x81
 let tag_closed = 0x82
 let tag_got = 0x83
@@ -186,6 +188,9 @@ let encode_request_into b ~id req =
       add_u32 b from_epoch;
       add_u32 b term
   | Fetch_checkpoint -> begin_frame b ~id tag_fetch_checkpoint
+  | Fetch_generation { generation } ->
+      begin_frame b ~id tag_fetch_generation;
+      add_u32 b generation
   | Announce_term { term; sealed; priority; run_id } ->
       begin_frame b ~id tag_announce_term;
       add_u32 b term;
@@ -403,6 +408,8 @@ let decode_request =
         let term = u32 c in
         Subscribe { from_epoch; term }
       else if tag = tag_fetch_checkpoint then Fetch_checkpoint
+      else if tag = tag_fetch_generation then
+        Fetch_generation { generation = u32 c }
       else if tag = tag_announce_term then
         let term = u32 c in
         let sealed = Int64.to_int (i64 c) in
@@ -535,6 +542,8 @@ let pp_request ppf = function
   | Subscribe { from_epoch; term } ->
       Format.fprintf ppf "subscribe(from epoch %d, term %d)" from_epoch term
   | Fetch_checkpoint -> Format.fprintf ppf "fetch-checkpoint"
+  | Fetch_generation { generation } ->
+      Format.fprintf ppf "fetch-generation(%d)" generation
   | Announce_term { term; sealed; priority; run_id } ->
       Format.fprintf ppf "announce-term(term %d, sealed %d, prio %d, run %Ld)"
         term sealed priority run_id

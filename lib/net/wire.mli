@@ -49,7 +49,13 @@ type request =
   | Fetch_checkpoint
       (** Replication catch-up: ship the newest committed checkpoint
           generation so a follower too far behind the primary's replication
-          log can bootstrap, then re-subscribe from its sealed epoch. *)
+          log can bootstrap, then re-subscribe from its sealed epoch. A
+          delta generation's MANIFEST names its parent, which the follower
+          fetches with [Fetch_generation], back to the chain's base. *)
+  | Fetch_generation of { generation : int }
+      (** Ship one named committed generation (a parent on the chain the
+          newest generation rests on). One generation per reply, so the
+          frame limit bounds a generation, not a chain. *)
   | Announce_term of {
       term : int;
       sealed : int;

@@ -139,10 +139,14 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (EEXIST, _, _) -> ()
   end
 
-(* Fetch the primary's newest committed generation into [dir] and recover
-   from it. The shipped bytes are untrusted: component names are confined to
-   the generation directory and [Fastver.recover] re-verifies the manifest's
-   checksums (and the sealed shard layout) before any of it becomes state.
+(* Fetch the primary's newest committed generation into [dir], then each
+   parent its MANIFEST names back to the chain's base (one generation per
+   reply), and recover from them. The shipped bytes are untrusted:
+   component names are confined to the generation directory and
+   [Fastver.recover] re-verifies every manifest's checksums, every parent
+   link (and the sealed shard layout) before any of it becomes state. A
+   manifest's parent number is always below its own generation, so the
+   walk ends.
    Also returns the sender's fencing term: the generation's epochs were
    sealed under it, and terms are not persisted inside checkpoints, so the
    bootstrapping follower must claim it when re-subscribing or the primary's
@@ -151,32 +155,44 @@ let rec mkdir_p dir =
    integrity (divergent state still fails the local re-verification scan
    against the streamed certificates). *)
 let fetch_checkpoint conn ~config ~dir =
+  let module Ckpt_io = Fastver_kvstore.Ckpt_io in
   let timeout = 60.0 in
+  let rec fetch ~tip_term want =
+    let req =
+      match want with
+      | None -> Wire.Fetch_checkpoint
+      | Some generation -> Wire.Fetch_generation { generation }
+    in
+    let id = Client.send conn req in
+    match Client.recv ~timeout conn with
+    | id', Wire.Checkpoint_reply { generation; files; term }
+      when Int64.equal id id'
+           && Option.fold ~none:true ~some:(( = ) generation) want ->
+        let gdir = Filename.concat dir (Ckpt_io.generation_dir_name generation) in
+        if
+          Array.for_all (fun (name, _) -> valid_component name) files
+          && Array.length files > 0
+        then begin
+          Ckpt_io.remove_tree gdir;
+          mkdir_p gdir;
+          Array.iter
+            (fun (name, data) ->
+              Out_channel.with_open_bin (Filename.concat gdir name) (fun oc ->
+                  output_string oc data))
+            files;
+          let tip_term = Option.value tip_term ~default:term in
+          match Ckpt_io.Manifest.read ~dir:gdir with
+          | Ok { parent = Some (p, _); _ } -> fetch ~tip_term:(Some tip_term) (Some p)
+          | Ok { parent = None; _ } | Error _ -> Ok tip_term
+        end
+        else Error "checkpoint reply contains unsafe file names"
+    | id', Wire.Error e when Int64.equal id id' ->
+        Error ("checkpoint fetch refused: " ^ e)
+    | _ -> Error "unexpected response to checkpoint fetch"
+  in
   handshake ~timeout "checkpoint fetch" @@ fun () ->
-  let id = Client.send conn Wire.Fetch_checkpoint in
-  match Client.recv ~timeout conn with
-  | id', Wire.Checkpoint_reply { generation; files; term } when Int64.equal id id' ->
-      let gdir =
-        Filename.concat dir
-          (Fastver_kvstore.Ckpt_io.generation_dir_name generation)
-      in
-      if
-        Array.for_all (fun (name, _) -> valid_component name) files
-        && Array.length files > 0
-      then begin
-        Fastver_kvstore.Ckpt_io.remove_tree gdir;
-        mkdir_p gdir;
-        Array.iter
-          (fun (name, data) ->
-            Out_channel.with_open_bin (Filename.concat gdir name) (fun oc ->
-                output_string oc data))
-          files;
-        Result.map (fun sys -> (sys, term)) (Fastver.recover ~config ~dir ())
-      end
-      else Error "checkpoint reply contains unsafe file names"
-  | id', Wire.Error e when Int64.equal id id' ->
-      Error ("checkpoint fetch refused: " ^ e)
-  | _ -> Error "unexpected response to checkpoint fetch"
+  Result.bind (fetch ~tip_term:None None) (fun term ->
+      Result.map (fun sys -> (sys, term)) (Fastver.recover ~config ~dir ()))
 
 let primary_config (e : election) =
   { Primary.checkpoint_dir = e.checkpoint_dir; priority = e.priority }

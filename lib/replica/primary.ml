@@ -263,22 +263,30 @@ let refusal e =
   else if String.ends_with ~suffix:"fetch a checkpoint" e then `Rebootstrap
   else `Halt
 
-(* Ship the newest checkpoint generation that has a manifest. The follower
-   re-verifies every checksum through the normal recovery path, so nothing
-   about this transport is trusted — a torn or tampered shipment is caught
-   exactly like a torn or tampered local generation. *)
-let checkpoint_reply t =
+(* Ship one checkpoint generation that has a manifest: the newest one, or
+   the one a follower names while walking a delta chain back to its base.
+   The follower re-verifies every checksum and chain link through the
+   normal recovery path, so nothing about this transport is trusted — a
+   torn or tampered shipment is caught exactly like a torn or tampered
+   local generation. *)
+let checkpoint_reply t ~generation =
+  let module Ckpt_io = Fastver_kvstore.Ckpt_io in
   match t.cfg.checkpoint_dir with
   | None -> Wire.Error "primary has no checkpoint directory configured"
   | Some dir -> (
       let gens =
         List.filter
-          (fun (_, gdir) ->
-            Sys.file_exists (Filename.concat gdir Fastver_kvstore.Ckpt_io.Manifest.filename))
-          (Fastver_kvstore.Ckpt_io.generations dir)
+          (fun (g, gdir) ->
+            Sys.file_exists (Filename.concat gdir Ckpt_io.Manifest.filename)
+            && match generation with Some n -> g = n | None -> true)
+          (Ckpt_io.generations dir)
       in
       match gens with
-      | [] -> Wire.Error "primary has no committed checkpoint generation yet"
+      | [] -> (
+          match generation with
+          | None -> Wire.Error "primary has no committed checkpoint generation yet"
+          | Some n ->
+              Wire.Error (Printf.sprintf "primary has no generation %d" n))
       | (gen, gdir) :: _ -> (
           match
             let names =
@@ -367,7 +375,9 @@ let handle_request t c ~id req =
   match (req : Wire.request) with
   | Wire.Subscribe { from_epoch; term } ->
       handle_subscribe t c ~id ~from_epoch ~term
-  | Wire.Fetch_checkpoint -> reply c ~id (checkpoint_reply t)
+  | Wire.Fetch_checkpoint -> reply c ~id (checkpoint_reply t ~generation:None)
+  | Wire.Fetch_generation { generation } ->
+      reply c ~id (checkpoint_reply t ~generation:(Some generation))
   | Wire.Announce_term { term; sealed; priority; run_id } ->
       handle_announce t c ~id ~term ~sealed ~priority ~run_id
   | Wire.Promote { term; addr } -> handle_promote t c ~id ~term ~addr

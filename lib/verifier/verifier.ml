@@ -45,6 +45,7 @@ type t = {
   config : config;
   enclave : Enclave.t;
   threads : thread array;
+  mac_key : Hmac.key; (* [config.mac_secret]: certificate MACs *)
   mset_key : Multiset_hash.key;
   mutable verified : int;
   mutable failure : string option;
@@ -80,6 +81,7 @@ let create ?enclave config =
     config;
     enclave;
     threads;
+    mac_key = Hmac.key config.mac_secret;
     mset_key = Multiset_hash.key_of_string config.mset_secret;
     verified = -1;
     failure = None;
@@ -428,7 +430,7 @@ let verify_epoch_detached t ~epoch ~detached =
     else begin
       t.verified <- epoch;
       t.stats.n_certificates <- t.stats.n_certificates + 1;
-      Ok (Hmac.mac ~key:t.config.mac_secret (epoch_certificate_message ~epoch))
+      Ok (Hmac.mac_with t.mac_key (epoch_certificate_message ~epoch))
     end
   end
 
@@ -459,7 +461,7 @@ let verify_epoch t ~epoch =
     else begin
       t.verified <- epoch;
       t.stats.n_certificates <- t.stats.n_certificates + 1;
-      Ok (Hmac.mac ~key:t.config.mac_secret (epoch_certificate_message ~epoch))
+      Ok (Hmac.mac_with t.mac_key (epoch_certificate_message ~epoch))
     end
   end
 
@@ -498,7 +500,7 @@ let seal_epoch_shard t ~shard ~epoch ~detached =
       t.verified <- epoch;
       t.stats.n_certificates <- t.stats.n_certificates + 1;
       let cert =
-        Hmac.mac ~key:t.config.mac_secret
+        Hmac.mac_with t.mac_key
           (shard_certificate_message ~shard ~epoch)
       in
       Ok (cert, (Multiset_hash.value adds, Multiset_hash.value evicts))
@@ -521,7 +523,7 @@ let aggregate_epoch_certificate ~mset_secret ~mac_secret ~epoch ~folds =
 
 let sign t msg =
   if t.failure <> None then invalid_arg "Verifier.sign: poisoned";
-  Hmac.mac ~key:t.config.mac_secret msg
+  Hmac.mac_with t.mac_key msg
 
 let install_root t value =
   let* () = guard t in
@@ -676,12 +678,13 @@ let entry_bytes = 176
    forged byte stops the chain permanently at the offending epoch. *)
 module Cert_chain = struct
   type nonrec t = {
-    mac_secret : string;
+    mac_key : Hmac.key;
     mutable verified : int;
     mutable failed : (int * string) option;
   }
 
-  let create ~mac_secret ~verified = { mac_secret; verified; failed = None }
+  let create ~mac_secret ~verified =
+    { mac_key = Hmac.key mac_secret; verified; failed = None }
   let verified_epoch t = t.verified
   let failure t = t.failed
 
@@ -700,7 +703,7 @@ module Cert_chain = struct
         end
         else if
           not
-            (Hmac.verify ~key:t.mac_secret
+            (Hmac.verify_with t.mac_key
                (epoch_certificate_message ~epoch)
                ~tag:cert)
         then begin

@@ -40,12 +40,30 @@ until ls "$WORK"/ckpt/ckpt-*/MANIFEST >/dev/null 2>&1; do
   i=$((i + 1)); [ $i -gt 100 ] && { echo "no checkpoint committed"; exit 1; }
   sleep 0.1
 done
-# more load in flight, then kill -9 — possibly mid-checkpoint
-$FV client-bench --connect "unix:$WORK/sock" --ops 20000 --clients 2 -n 2000 &
+# newest committed generation number (0 if none)
+newest_gen() {
+  ls -d "$WORK"/ckpt/ckpt-*/MANIFEST 2>/dev/null \
+    | sed 's|.*/ckpt-\([0-9]*\)/MANIFEST|\1|' | sort -n | tail -1
+}
+FIRST_GEN=$(newest_gen)
+# more load in flight, then kill -9 — most likely mid-delta. The second
+# bench takes fresh client ids (the first one's put nonces are spent), and
+# the kill waits until the load has committed a newer generation and is
+# still running, so it lands on a server under load
+$FV client-bench --connect "unix:$WORK/sock" --ops 20000 --clients 2 -n 2000 \
+  --first-client 3 &
 BENCH=$!
-sleep 0.3
+i=0
+until [ "$(newest_gen)" -gt "$FIRST_GEN" ]; do
+  i=$((i + 1)); [ $i -gt 100 ] && { echo "load committed no new generation"; exit 1; }
+  kill -0 $BENCH 2>/dev/null || { echo "load ended before a new generation"; exit 1; }
+  sleep 0.1
+done
+sleep 0.2
+kill -0 $BENCH 2>/dev/null || { echo "load was not live at the kill"; exit 1; }
 kill -9 $SRV
 wait $BENCH 2>/dev/null || true
+echo "  killed under load after generation $(newest_gen) (first: $FIRST_GEN)"
 # recovery must land on a committed generation and pass full verification
 $FV recover --dir "$WORK/ckpt" --enclave zero
 

@@ -229,7 +229,7 @@ let prop_decode_record_total =
     ~count:400
     QCheck.(string_of_size Gen.(int_bound 300))
     (fun s ->
-      match Segment.decode_record ~mac_secret:secret s with
+      match Segment.decode_record ~mac_key:(Fastver_crypto.Hmac.key secret) s with
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
@@ -238,7 +238,7 @@ let prop_decode_footer_total =
     ~count:400
     QCheck.(string_of_size Gen.(int_bound 150))
     (fun s ->
-      match Segment.decode_footer ~mac_secret:secret s with
+      match Segment.decode_footer ~mac_key:(Fastver_crypto.Hmac.key secret) s with
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
@@ -248,14 +248,14 @@ let prop_record_flip_detected =
     QCheck.(triple (string_of_size Gen.(int_bound 64)) small_nat small_nat)
     (fun (value, pos, x) ->
       let enc =
-        Segment.encode_record ~mac_secret:secret ~key:(k 42)
+        Segment.encode_record ~mac_key:(Fastver_crypto.Hmac.key secret) ~key:(k 42)
           ~aux:0x7777_0042L ~value
       in
       let i = pos mod String.length enc in
       let b = Bytes.of_string enc in
       Bytes.set b i
         (Char.chr (Char.code (Bytes.get b i) lxor (1 + (x mod 255))));
-      match Segment.decode_record ~mac_secret:secret (Bytes.to_string b) with
+      match Segment.decode_record ~mac_key:(Fastver_crypto.Hmac.key secret) (Bytes.to_string b) with
       | Error _ -> true
       | Ok _ -> false
       | exception _ -> false)
@@ -266,14 +266,14 @@ let prop_footer_flip_detected =
     QCheck.(pair small_nat small_nat)
     (fun (pos, x) ->
       let enc =
-        Segment.encode_footer ~mac_secret:secret ~n_records:7L ~data_len:900L
+        Segment.encode_footer ~mac_key:(Fastver_crypto.Hmac.key secret) ~n_records:7L ~data_len:900L
           ~summary:(String.init 16 (fun i -> Char.chr (i * 5)))
       in
       let i = pos mod String.length enc in
       let b = Bytes.of_string enc in
       Bytes.set b i
         (Char.chr (Char.code (Bytes.get b i) lxor (1 + (x mod 255))));
-      match Segment.decode_footer ~mac_secret:secret (Bytes.to_string b) with
+      match Segment.decode_footer ~mac_key:(Fastver_crypto.Hmac.key secret) (Bytes.to_string b) with
       | Error _ -> true
       | Ok _ -> false
       | exception _ -> false)
@@ -281,11 +281,11 @@ let prop_footer_flip_detected =
 (* Every strict prefix of a valid record or footer is an [Error]. *)
 let test_codec_truncation () =
   let rec_enc =
-    Segment.encode_record ~mac_secret:secret ~key:(k 7) ~aux:9L
+    Segment.encode_record ~mac_key:(Fastver_crypto.Hmac.key secret) ~key:(k 7) ~aux:9L
       ~value:"truncate-me"
   in
   for l = 0 to String.length rec_enc - 1 do
-    match Segment.decode_record ~mac_secret:secret (String.sub rec_enc 0 l) with
+    match Segment.decode_record ~mac_key:(Fastver_crypto.Hmac.key secret) (String.sub rec_enc 0 l) with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "record prefix of %d bytes decoded" l
     | exception e ->
@@ -293,11 +293,11 @@ let test_codec_truncation () =
           (Printexc.to_string e)
   done;
   let f_enc =
-    Segment.encode_footer ~mac_secret:secret ~n_records:1L ~data_len:100L
+    Segment.encode_footer ~mac_key:(Fastver_crypto.Hmac.key secret) ~n_records:1L ~data_len:100L
       ~summary:(String.make 16 '\x01')
   in
   for l = 0 to String.length f_enc - 1 do
-    match Segment.decode_footer ~mac_secret:secret (String.sub f_enc 0 l) with
+    match Segment.decode_footer ~mac_key:(Fastver_crypto.Hmac.key secret) (String.sub f_enc 0 l) with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "footer prefix of %d bytes decoded" l
     | exception e ->

@@ -472,6 +472,93 @@ let test_retention_keeps_committed_fallback () =
         (Some "committed-v1") (Fastver.get t2 1L));
   C.remove_tree dir
 
+(* Retention decides from memory and never reads what it keeps: a byte
+   flipped in the fallback chain while the system runs survives the next
+   checkpoint untouched, and once the newest generation is lost, recovery
+   walks into the tampered link and refuses instead of skipping it. *)
+let test_retention_keeps_tampered_fallback () =
+  let dir = fresh_dir "fv-retention-evidence" in
+  let t = mk () in
+  Fastver.put t 1L "base";
+  ignore (Fastver.verify t);
+  ckpt t ~dir;
+  Fastver.put t 1L "delta-1";
+  ignore (Fastver.verify t);
+  ckpt t ~dir;
+  Alcotest.(check (list int)) "a base and one delta" [ 0; 1 ]
+    (Fastver.checkpoint_chain t ~dir);
+  let base_data = Filename.concat dir "ckpt-0/data.ckpt" in
+  mutate_file base_data flip_middle;
+  let flipped = In_channel.with_open_bin base_data In_channel.input_all in
+  Fastver.put t 1L "delta-2";
+  ignore (Fastver.verify t);
+  ckpt t ~dir;
+  Alcotest.(check string) "tampered base kept as it was" flipped
+    (In_channel.with_open_bin base_data In_channel.input_all);
+  C.remove_tree (Filename.concat dir "ckpt-2");
+  (match Fastver.recover ~config ~dir () with
+  | Ok _ -> Alcotest.fail "chain with a tampered link recovered"
+  | Error e ->
+      Alcotest.(check bool) ("surfaced as tampering: " ^ e) true
+        (contains e "tampering"));
+  Alcotest.(check bool) "tampered generation preserved as evidence" true
+    (Sys.file_exists (Filename.concat dir "ckpt-0/MANIFEST"));
+  C.remove_tree dir
+
+(* Dirty tracking is complete: after every committed generation, the system
+   recovered from the chain holds exactly the live system's store records
+   and, per shard, its merkle records (value, protection state, owner).
+   The stream mixes puts, deletes and gets over existing and fresh keys
+   (fresh keys split tree nodes), a cache small enough to force capacity
+   evictions, verification scans, and one checkpoint attempt that dies
+   mid-write; it runs long enough to roll over to a second base. *)
+let prop_delta_chain_equivalence =
+  QCheck.Test.make ~name:"recovered chain equals the live system" ~count:4
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let config = { config with cache_capacity = 16 } in
+      let dir = fresh_dir "fv-delta-equiv" in
+      let t = Fastver.create ~config () in
+      Fastver.load t
+        (Array.init 120 (fun i -> (Int64.of_int (2 * i), Printf.sprintf "v%d" i)));
+      let same t2 =
+        Fastver.Testing.store_contents t = Fastver.Testing.store_contents t2
+        && List.for_all
+             (fun sid ->
+               Fastver.Testing.tree_entries t sid
+               = Fastver.Testing.tree_entries t2 sid)
+             [ 0; 1 ]
+      in
+      let bases = ref 0 and deltas = ref 0 in
+      let ok = ref true in
+      for round = 1 to 14 do
+        for _ = 1 to 25 do
+          let k = Int64.of_int (Random.State.int rng 300) in
+          match Random.State.int rng 10 with
+          | 0 | 1 -> Fastver.delete t k
+          | 2 | 3 -> ignore (Fastver.get t k)
+          | _ -> Fastver.put t k (Printf.sprintf "r%d-%d" round (Random.State.bits rng))
+        done;
+        if round mod 3 = 0 then ignore (Fastver.verify t);
+        if round = 5 then begin
+          C.arm (C.Die_after_bytes 2000);
+          (try ckpt t ~dir with C.Injected_crash _ -> ());
+          C.disarm ()
+        end;
+        ckpt t ~dir;
+        if List.length (Fastver.checkpoint_chain t ~dir) = 1 then incr bases
+        else incr deltas;
+        match Fastver.recover ~config ~dir () with
+        | Error e -> QCheck.Test.fail_reportf "round %d: recover: %s" round e
+        | Ok t2 -> if not (same t2) then ok := false
+      done;
+      C.remove_tree dir;
+      if !bases < 2 || !deltas = 0 then
+        QCheck.Test.fail_reportf "%d bases and %d deltas: no delta, or no second base"
+          !bases !deltas;
+      !ok)
+
 (* An empty or missing directory is the one error after which a fresh start
    is safe (the CLI keys on its exact payload); a flat pre-generation layout
    is a format change and must say so. *)
@@ -713,6 +800,9 @@ let suite =
         test_generation_number_pinned;
       Alcotest.test_case "retention keeps committed fallback" `Quick
         test_retention_keeps_committed_fallback;
+      Alcotest.test_case "retention keeps a tampered fallback" `Quick
+        test_retention_keeps_tampered_fallback;
+      QCheck_alcotest.to_alcotest prop_delta_chain_equivalence;
       Alcotest.test_case "no-checkpoint vs legacy layout" `Quick
         test_no_checkpoint_vs_legacy_layout;
       Alcotest.test_case "version/epoch mismatch" `Quick

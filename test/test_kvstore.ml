@@ -142,6 +142,46 @@ let test_checkpoint_version_64bit () =
   | Ok (_, v) -> Alcotest.(check int) "version survives 32 bits" version v);
   Sys.remove path
 
+(* A base image and two deltas applied in order give the live store: the
+   deltas carry only the changed keys, deletions included, and a delta
+   written by an attempt that never committed is covered by the next. *)
+let test_delta_chain () =
+  let path i = Filename.temp_file "fv" (Printf.sprintf "chain%d" i) in
+  let s = mk () in
+  for i = 0 to 49 do
+    Store.put s (k i) (Printf.sprintf "v%d" i) ~aux:(Int64.of_int i)
+  done;
+  Store.track_changes s;
+  let p0 = path 0 and p1 = path 1 and p2 = path 2 in
+  ignore (Store.write_image s ~path:p0 ~version:1 ~base:true);
+  Store.commit_changes s;
+  Store.put s (k 3) "three" ~aux:30L;
+  Store.delete s (k 4);
+  Store.put s (k 60) "sixty" ~aux:60L;
+  (* written, never committed: its keys stay pending *)
+  ignore (Store.write_image s ~path:p1 ~version:2 ~base:false);
+  Store.delete s (k 60);
+  Store.put s (k 5) "five" ~aux:50L;
+  let d = Store.write_image s ~path:p1 ~version:2 ~base:false in
+  Store.commit_changes s;
+  Store.put s (k 4) "four-again" ~aux:40L;
+  ignore (Store.write_image s ~path:p2 ~version:3 ~base:false);
+  Alcotest.(check bool) "the delta is smaller than the base" true
+    (d.size < (Unix.stat p0).Unix.st_size);
+  (match
+     Store.recover_chain ~codec:Store.string_codec ~paths:[ p0; p1; p2 ] ()
+   with
+  | Error e -> Alcotest.failf "recover_chain: %s" e
+  | Ok (s2, version) ->
+      Alcotest.(check int) "tip version" 3 version;
+      Alcotest.(check int) "count" (Store.length s) (Store.length s2);
+      List.iter
+        (fun i ->
+          Alcotest.(check (option (pair string int64)))
+            (Printf.sprintf "key %d" i) (get_ok s (k i)) (get_ok s2 (k i)))
+        [ 0; 3; 4; 5; 49; 60 ]);
+  List.iter Sys.remove [ p0; p1; p2 ]
+
 let valid_checkpoint_bytes () =
   let path = Filename.temp_file "fv" "fuzzsrc" in
   let s = mk () in
@@ -270,6 +310,7 @@ let suite =
         test_recover_legacy_magic;
       Alcotest.test_case "64-bit checkpoint version" `Quick
         test_checkpoint_version_64bit;
+      Alcotest.test_case "delta image chain" `Quick test_delta_chain;
       Alcotest.test_case "hostile checkpoint lengths" `Quick
         test_recover_hostile_lengths;
       QCheck_alcotest.to_alcotest prop_model_check;

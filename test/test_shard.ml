@@ -320,6 +320,34 @@ let prop_sharded_recover_total =
       C.remove_tree dir;
       ok)
 
+(* A put that splits an edge, under a cache small enough that making room
+   for the new internal node evicts the displaced pointee: the new node
+   must carry the pointer as that eviction rewrote it. These seeded streams
+   raised "add_m: new internal node ... must preserve pointer" while the
+   room was made after the pointer was read. *)
+let test_split_under_eviction () =
+  List.iter
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let config = { (config ~cache:16 ()) with n_workers = 2; n_shards = 0 } in
+      let t = Fastver.create ~config () in
+      Fastver.load t
+        (Array.init 120 (fun i -> (Int64.of_int (2 * i), Printf.sprintf "v%d" i)));
+      for round = 1 to 14 do
+        for _ = 1 to 25 do
+          let k = Int64.of_int (Random.State.int rng 300) in
+          match Random.State.int rng 10 with
+          | 0 | 1 -> Fastver.delete t k
+          | 2 | 3 -> ignore (Fastver.get t k)
+          | _ ->
+              Fastver.put t k
+                (Printf.sprintf "r%d-%d" round (Random.State.bits rng))
+        done;
+        if round mod 3 = 0 then ignore (Fastver.verify t)
+      done;
+      ignore (Fastver.verify t))
+    [ 125; 162; 174; 178 ]
+
 let suite =
   ( "shard",
     [
@@ -331,6 +359,8 @@ let suite =
         test_checkpoint_error_leaves_system_live;
       Alcotest.test_case "recover adopts sealed shard layout" `Quick
         test_recover_adopts_sealed_layout;
+      Alcotest.test_case "split under capacity eviction" `Quick
+        test_split_under_eviction;
       QCheck_alcotest.to_alcotest prop_cert_shard_invariant;
       QCheck_alcotest.to_alcotest prop_sharded_recover_total;
     ] )

@@ -72,11 +72,12 @@ let test_put_then_reread () =
   ok_exn "vget sees update" (Verifier.vget w.v ~tid:0 ~key (Some "new"));
   let ptr = ok_exn "evict" (Verifier.evict_m w.v ~tid:0 ~key ~parent) in
   (* re-adding with the updated value authenticates against the new hash *)
-  (Tree.get_exn w.tree parent).Tree.value <-
-    (match (Tree.get_exn w.tree parent).Tree.value with
-    | Value.Node n ->
-        Value.Node (Value.set_slot n (Key.dir key ~ancestor:parent) (Some ptr))
-    | Value.Data _ -> assert false);
+  (let pe = Tree.get_exn w.tree parent in
+   Tree.set_value w.tree parent pe
+     (match pe.Tree.value with
+     | Value.Node n ->
+         Value.Node (Value.set_slot n (Key.dir key ~ancestor:parent) (Some ptr))
+     | Value.Data _ -> assert false));
   ignore
     (ok_exn "re-add new value"
        (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "new")) ~parent));
@@ -190,8 +191,8 @@ let test_lazy_updates_stay_consistent () =
     let e = Tree.get_exn w.tree k in
     match e.Tree.value with
     | Value.Node n ->
-        e.Tree.value <-
-          Value.Node (Value.set_slot n (Key.dir p.Value.key ~ancestor:k) (Some p))
+        Tree.set_value w.tree k e
+          (Value.Node (Value.set_slot n (Key.dir p.Value.key ~ancestor:k) (Some p)))
     | Value.Data _ -> assert false
   in
   update_tree parent ptr;
@@ -261,13 +262,13 @@ let test_checkpoint_summary_roundtrip () =
     let e = Tree.get_exn w.tree k in
     match e.Tree.value with
     | Value.Node n ->
-        e.Tree.value <-
-          Value.Node (Value.set_slot n (Key.dir p.Value.key ~ancestor:k) (Some p))
+        Tree.set_value w.tree k e
+          (Value.Node (Value.set_slot n (Key.dir p.Value.key ~ancestor:k) (Some p)))
     | Value.Data _ -> assert false
   in
   (* mirror the in_blum mark the verifier just set in the cached parent *)
   (match (Verifier.cached w.v ~tid:0 parent : Value.t option) with
-  | Some v -> (Tree.get_exn w.tree parent).Tree.value <- v
+  | Some v -> Tree.set_value w.tree parent (Tree.get_exn w.tree parent) v
   | None -> assert false);
   (* evict the chain so caches are clean, mirroring returned pointers *)
   let d = Tree.descend w.tree key in

@@ -37,6 +37,7 @@ let gen_request =
           (fun from_epoch term -> Wire.Subscribe { from_epoch; term })
           (0 -- 1_000_000) (0 -- 1_000_000);
         return Wire.Fetch_checkpoint;
+        map (fun generation -> Wire.Fetch_generation { generation }) (0 -- 1_000_000);
         map
           (fun (term, sealed, priority, run_id) ->
             Wire.Announce_term { term; sealed; priority; run_id })
