@@ -468,10 +468,12 @@ let counter_of json ?(labels = "{}") name =
   | None -> None
   | Some i -> num_after json i
 
-(* A histogram object holds no nested braces after its (empty) labels, so
-   the first '}' past the prefix closes it. *)
-let hist_of json name field =
-  match find_sub json (Printf.sprintf "{\"name\":\"%s\",\"labels\":{}," name) with
+(* A histogram object holds no nested braces after its labels, so the
+   first '}' past the prefix closes it. *)
+let hist_of json ?(labels = "{}") name field =
+  match
+    find_sub json (Printf.sprintf "{\"name\":\"%s\",\"labels\":%s," name labels)
+  with
   | None -> None
   | Some i -> (
       match String.index_from_opt json i '}' with
@@ -519,6 +521,19 @@ let stats_cmd connect format check =
                 (Printf.sprintf "checkpoint bytes (%s)" kind)
                 "fastver_checkpoint_bytes_total")
             [ "base"; "delta" ];
+          c "checkpoint write-backs" "fastver_checkpoint_writebacks_total";
+          List.iter
+            (fun phase ->
+              row
+                (Printf.sprintf "checkpoint %s (mean)" phase)
+                (match
+                   hist_of json
+                     ~labels:(Printf.sprintf "{\"phase\":\"%s\"}" phase)
+                     "fastver_checkpoint_phase_seconds" "mean"
+                 with
+                | Some v -> Printf.sprintf "%.6fs" v
+                | None -> "-"))
+            [ "writeback"; "summary"; "data"; "trees"; "manifest"; "retention" ];
           List.iter
             (fun (disp, name) -> c disp name)
             [

@@ -109,14 +109,31 @@ let read_file path =
    the directory as torn and the previous generation stays authoritative). *)
 exception Ckpt_error of string
 
-let mstate_encode buf st ~is_root =
-  match st with
-  | M_merkle -> Buffer.add_char buf 'm'
+(* A checkpoint leaves the verifier cache as it is, so a tree image
+   records each cached record as the state the sealed summary evicts it
+   to ({!Verifier.checkpoint_summary}): a Merkle-cached record, written
+   back in place, as Merkle-protected, and a blum-cached frontier record
+   as blum-protected at [vts], the timestamp of its virtual eviction. The
+   pinned root keeps its state and is written as 'm' (re-pinned on
+   recovery). *)
+let image_mstate sh ~vts k (e : maux Tree.entry) =
+  match e.aux.mstate with
+  | M_cached _ when not (Key.equal k Key.root) -> (
+      match Key.Tbl.find sh.via k with
+      | Via_merkle _ -> M_merkle
+      | Via_blum -> M_blum vts)
+  | st -> st
+
+(* The timestamp of [sh]'s virtual evictions: the verifier's, since
+   [sh.clock] mirrors its clock. *)
+let virtual_evict_ts t sh =
+  Timestamp.max sh.clock (Timestamp.first_of_epoch (Atomic.get t.live_epoch))
+
+let mstate_encode buf = function
+  | M_merkle | M_cached _ -> Buffer.add_char buf 'm'
   | M_blum ts ->
       Buffer.add_char buf 'b';
       Buffer.add_string buf (Timestamp.encode ts)
-  | M_cached _ when is_root -> Buffer.add_char buf 'm' (* re-pinned on recover *)
-  | M_cached _ -> raise (Ckpt_error "checkpoint: record still cached")
 
 (* Sealed-payload layout (version 2, sharded):
      u64  nonce_blob length
@@ -220,32 +237,40 @@ let parse_sealed_payload payload =
   with Corrupt e -> Error e
 
 (* Merkle image record: key(34), value length(4), value, protection tag
-   ('m', or 'b' and a timestamp(8)), owner(4). A removal (delta images
-   only) is the key and a value length of -1. *)
-let encode_tree_record buf k (entry : maux Tree.entry option) =
+   ('m', or 'b' and a timestamp(8)), owner(4). *)
+let encode_tree_record buf k st (entry : maux Tree.entry) =
   Buffer.add_string buf (Key.encode k);
-  match entry with
-  | None -> Buffer.add_int32_le buf (-1l)
-  | Some entry ->
-      let venc = Value.encode entry.value in
-      Buffer.add_int32_le buf (Int32.of_int (String.length venc));
-      Buffer.add_string buf venc;
-      mstate_encode buf entry.aux.mstate ~is_root:(Key.equal k Key.root);
-      Buffer.add_int32_le buf (Int32.of_int entry.aux.owner)
+  let venc = Value.encode entry.value in
+  Buffer.add_int32_le buf (Int32.of_int (String.length venc));
+  Buffer.add_string buf venc;
+  mstate_encode buf st;
+  Buffer.add_int32_le buf (Int32.of_int entry.aux.owner)
 
-(* Streams through the writer in blocks, never a whole-image buffer. *)
-let write_tree_image sh ~path ~base =
+(* Streams through the writer in blocks, never a whole-image buffer. A
+   delta holds the changed records plus every cached frontier record:
+   its virtual eviction timestamp moves with each checkpoint. *)
+let write_tree_image t sh ~path ~base =
+  let vts = virtual_evict_ts t sh in
   Ckpt_io.with_atomic_file path (fun w ->
       let buf = Buffer.create 65536 in
       let emit k entry =
-        encode_tree_record buf k entry;
+        encode_tree_record buf k (image_mstate sh ~vts k entry) entry;
         if Buffer.length buf >= 65536 - 256 then begin
           Ckpt_io.write w (Buffer.contents buf);
           Buffer.clear buf
         end
       in
-      if base then Tree.iter sh.tree (fun k e -> emit k (Some e))
-      else Tree.iter_changed sh.tree emit;
+      if base then Tree.iter sh.tree emit
+      else begin
+        Tree.iter_changed sh.tree emit;
+        List.iter
+          (fun f ->
+            let e = Tree.get_exn sh.tree f in
+            match e.aux.mstate with
+            | M_cached _ when not e.changed -> emit f e
+            | M_cached _ | M_merkle | M_blum _ -> ())
+          sh.frontier
+      end;
       Ckpt_io.write w (Buffer.contents buf))
 
 let chain_of t ~dir = List.assoc_opt dir t.chains
@@ -271,6 +296,14 @@ let track_changes t =
 let checkpoint t ~dir =
   check_loaded t;
   let ck0 = now () in
+  (* Each phase runs from the end of the one before, so together they
+     cover the whole checkpoint. *)
+  let mark = ref ck0 in
+  let phase p =
+    let n = now () in
+    Metrics.checkpoint_phase t.metrics p (n -. !mark);
+    mark := n
+  in
   match
     (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
     (* Serialize against verification scans: a checkpoint taken mid-scan
@@ -286,19 +319,19 @@ let checkpoint t ~dir =
     @@ fun () ->
     track_changes t;
     Array.iter (flush_worker t) t.shards;
-    (* Scans leave the working set cached; the sealed summaries require
-       empty caches and the tree images cannot encode cached records, so
-       evict them all (children first) into the live epoch. *)
+    (* The working set stays cached. Stale cached records are written back
+       in place, so the summaries and tree images below describe exactly
+       the state a full eviction into the live epoch would leave. *)
     Array.iter
-      (fun sh ->
-        Enclave.call t.enclave (fun () ->
-            drain_cache t sh ~epoch_floor:(Atomic.get t.live_epoch)))
+      (fun sh -> Enclave.call t.enclave (fun () -> write_back sh))
       t.shards;
+    phase Writeback;
+    let floor = Timestamp.first_of_epoch (Atomic.get t.live_epoch) in
     let summaries =
       Array.map
         (fun sh ->
           Enclave.call t.enclave (fun () ->
-              ok (Verifier.checkpoint_summary sh.verifier)))
+              ok (Verifier.checkpoint_summary sh.verifier ~floor)))
         t.shards
     in
     (* The gateway's anti-replay nonce table is trusted state too: without it
@@ -336,6 +369,7 @@ let checkpoint t ~dir =
             ^ "\n"
             ^ Int64.to_string (Enclave.Sealed_slot.counter t.sealed)))
     in
+    phase Summary;
     (* Cold tier: the segment files themselves stay in [cold_dir] (they are
        append-only and immutable once sealed); the generation records only
        the manifest naming the committed prefix of each. [manifest_encode]
@@ -359,14 +393,16 @@ let checkpoint t ~dir =
           (data, component cold_manifest_file (fun p ->
                Ckpt_io.write_file_atomic p encoded)))
     in
+    phase Data;
     let trees =
       Array.to_list
         (Array.map
            (fun sh ->
              component (shard_tree_file sh.sid) (fun path ->
-                 write_tree_image sh ~path ~base))
+                 write_tree_image t sh ~path ~base))
            t.shards)
     in
+    phase Trees;
     (* Commit point: the manifest, checksumming every component and naming
        the parent, goes last. *)
     let parent =
@@ -411,6 +447,7 @@ let checkpoint t ~dir =
     remember_chain t ~dir chain;
     Metrics.checkpoint_committed t.metrics ~base ~bytes:link.bytes
       ~links:(List.length chain.links);
+    phase Manifest;
     (* Retention, decided from memory: keep this chain and the one it
        replaced (the fallback should the newest generation be lost), delete
        everything else — torn attempts included — without reading any of
@@ -427,7 +464,8 @@ let checkpoint t ~dir =
     | Some c -> with_cold_lock t (fun () -> Store.Cold.note_checkpoint c))
   with
   | () ->
-      Metrics.checkpoint_write t.metrics (now () -. ck0);
+      phase Retention;
+      Metrics.checkpoint_write t.metrics (!mark -. ck0);
       Ok ()
   | exception Ckpt_error e -> Error e
   | exception Sys_error e -> Error ("checkpoint: " ^ e)
@@ -455,38 +493,32 @@ let apply_tree_image tree ~sid raw =
       need 4;
       let vlen = Int32.to_int (String.get_int32_le raw !pos) in
       pos := !pos + 4;
-      if vlen = -1 then begin
-        if Key.equal key Key.root then fail "root removed in tree file";
-        Tree.remove tree key
-      end
-      else begin
-        need vlen;
-        let value =
-          match Value.decode (String.sub raw !pos vlen) with
-          | Ok v -> v
-          | Error e -> fail "%s" e
-        in
-        pos := !pos + vlen;
-        need 1;
-        let mstate =
-          match raw.[!pos] with
-          | 'm' ->
-              incr pos;
-              M_merkle
-          | 'b' ->
-              need 9;
-              let ts = String.get_int64_le raw (!pos + 1) in
-              pos := !pos + 9;
-              M_blum ts
-          | c -> fail "bad mstate tag 0x%02x" (Char.code c)
-        in
-        need 4;
-        let owner = Int32.to_int (String.get_int32_le raw !pos) in
-        pos := !pos + 4;
-        if Key.equal key Key.root then
-          Tree.set tree key value ~aux:{ mstate = M_cached sid; owner }
-        else Tree.set tree key value ~aux:{ mstate; owner }
-      end
+      need vlen;
+      let value =
+        match Value.decode (String.sub raw !pos vlen) with
+        | Ok v -> v
+        | Error e -> fail "%s" e
+      in
+      pos := !pos + vlen;
+      need 1;
+      let mstate =
+        match raw.[!pos] with
+        | 'm' ->
+            incr pos;
+            M_merkle
+        | 'b' ->
+            need 9;
+            let ts = String.get_int64_le raw (!pos + 1) in
+            pos := !pos + 9;
+            M_blum ts
+        | c -> fail "bad mstate tag 0x%02x" (Char.code c)
+      in
+      need 4;
+      let owner = Int32.to_int (String.get_int32_le raw !pos) in
+      pos := !pos + 4;
+      if Key.equal key Key.root then
+        Tree.set tree key value ~aux:{ mstate = M_cached sid; owner }
+      else Tree.set tree key value ~aux:{ mstate; owner }
     done;
     Ok ()
   with Corrupt e -> Error e
@@ -571,7 +603,7 @@ let recover_chain ?(config = Config.default) ~gdirs () =
     else cold_of_config ~manifest config
   in
   let* store, data_version =
-    Store.recover_chain ?cold ~codec:option_codec
+    Store.recover_chain ?cold ~codec:Store.option_codec
       ~paths:(List.map (fun g -> Filename.concat g data_file) gdirs)
       ()
   in

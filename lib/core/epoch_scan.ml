@@ -136,10 +136,11 @@ let scan_shard t ~epoch ~background sh dirty =
             (* Cached: it stays resident across the seal, in both modes. A
                record cached in epoch [e] contributes nothing further to
                [e] (its add already balanced the evict that made it
-               cached), and its own eventual eviction — by capacity or a
-               checkpoint's drain — lands at the live-epoch floor, balanced
-               by that epoch's scan. Only ever cached by its own shard
-               (routing is forced by key). *)
+               cached), and its own eventual eviction — by capacity, or
+               the virtual one a checkpoint's sealed summary records —
+               lands at the live-epoch floor, balanced by that epoch's
+               scan. Only ever cached by its own shard (routing is forced
+               by key). *)
             assert (sid = sh.sid)
         | M_merkle -> assert false
       done);

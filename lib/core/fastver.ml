@@ -27,7 +27,7 @@ let create ?(config = Config.default) () =
         (Array.init (Config.shards config) (fun sid ->
              mk_shard (Verifier.create ~enclave vconfig) sid))
       ~boundaries:[||]
-      ~store:(Store.create ?cold ~codec:option_codec ())
+      ~store:(Store.create ?cold ~codec:Store.option_codec ())
       ~nonces:(Hashtbl.create 8) ~sealed:(Enclave.Sealed_slot.create ())
       ~loaded:false ~live_epoch:0 ~cold
   with
@@ -100,6 +100,7 @@ let verifier_stats t =
       n_vget = 0;
       n_vput = 0;
       n_certificates = 0;
+      n_flush_m = 0;
     }
   in
   Array.iter
@@ -112,6 +113,7 @@ let verifier_stats t =
       acc.n_evict_bm <- acc.n_evict_bm + s.n_evict_bm;
       acc.n_vget <- acc.n_vget + s.n_vget;
       acc.n_vput <- acc.n_vput + s.n_vput;
+      acc.n_flush_m <- acc.n_flush_m + s.n_flush_m;
       acc.n_certificates <- max acc.n_certificates s.n_certificates)
     t.shards;
   acc
@@ -652,16 +654,30 @@ module Testing = struct
     List.sort (fun (a, _, _) (b, _, _) -> Key.compare a b) !acc
 
   let tree_entries t sid =
+    let sh = t.shards.(sid) in
+    let vts = Durability.virtual_evict_ts t sh in
     let acc = ref [] in
-    Tree.iter t.shards.(sid).tree (fun k (e : maux Tree.entry) ->
+    Tree.iter sh.tree (fun k (e : maux Tree.entry) ->
         let st =
-          match e.aux.mstate with
+          match Durability.image_mstate sh ~vts k e with
           | M_merkle -> "merkle"
           | M_blum ts -> Printf.sprintf "blum %Ld" ts
           | M_cached _ -> "cached"
         in
         acc := (k, e.value, st, e.aux.owner) :: !acc);
     List.sort (fun (a, _, _, _) (b, _, _, _) -> Key.compare a b) !acc
+
+  let drain_caches t =
+    with_lock t.verify_mutex @@ fun () ->
+    lock_world t;
+    Fun.protect ~finally:(fun () -> unlock_world t) @@ fun () ->
+    Array.iter
+      (fun sh ->
+        flush_worker t sh;
+        drain_cache t sh ~epoch_floor:(Atomic.get t.live_epoch))
+      t.shards
+
+  let sealed_payload t = Enclave.Sealed_slot.load t.sealed
 
   let chain t k =
     let key = Key.of_int64 k in

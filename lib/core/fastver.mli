@@ -502,8 +502,18 @@ module Testing : sig
 
   val tree_entries : t -> int -> (Key.t * Value.t * string * int) list
   (** Shard [sid]'s merkle records — key, value, protection state
-      (["merkle"], ["blum <ts>"] or ["cached"]) and owner — sorted by
-      key. *)
+      (["merkle"], ["blum <ts>"], or ["cached"] for the pinned root) and
+      owner — sorted by key. A record in the verifier cache has the state a
+      checkpoint taken now would record for it. *)
+
+  val drain_caches : t -> unit
+  (** Evict every cached record of every shard, children first, into the
+      live epoch: what checkpoints did before they wrote stale records
+      back in place. Checkpointing after it seals the same payload as
+      checkpointing without it. *)
+
+  val sealed_payload : t -> (string, string) result
+  (** The plaintext of the payload the last checkpoint sealed. *)
 
   val chain : t -> int64 -> (Key.t * bool) list
   (** The Merkle records on a data key's path, root first and ending at its

@@ -2,6 +2,14 @@ open Fastver_obs
 
 type tier = Blum | Merkle | Cached
 
+type checkpoint_phase =
+  | Writeback
+  | Summary
+  | Data
+  | Trees
+  | Manifest
+  | Retention
+
 type t = {
   enabled : bool;
   registry : Registry.t;
@@ -19,6 +27,7 @@ type t = {
   verify_pause_seconds : Histogram.t;
   verify_in_flight : Gauge.t;
   checkpoint_seconds : Histogram.t;
+  checkpoint_phases : (checkpoint_phase * Histogram.t) list;
   checkpoint_bytes_base : Counter.t;
   checkpoint_bytes_delta : Counter.t;
   checkpoint_gens_base : Counter.t;
@@ -90,6 +99,24 @@ let create ~enabled () =
       Registry.histogram r ~scale:1e-9
         ~help:"Checkpoint generation write duration"
         "fastver_checkpoint_write_seconds";
+    checkpoint_phases =
+      List.map
+        (fun (p, name) ->
+          ( p,
+            Registry.histogram r ~scale:1e-9
+              ~labels:[ ("phase", name) ]
+              ~help:
+                "Checkpoint duration by phase; the phases add up to \
+                 fastver_checkpoint_write_seconds"
+              "fastver_checkpoint_phase_seconds" ))
+        [
+          (Writeback, "writeback");
+          (Summary, "summary");
+          (Data, "data");
+          (Trees, "trees");
+          (Manifest, "manifest");
+          (Retention, "retention");
+        ];
     checkpoint_bytes_base = ckpt_bytes "base";
     checkpoint_bytes_delta = ckpt_bytes "delta";
     checkpoint_gens_base = ckpt_gens "base";
@@ -167,6 +194,10 @@ let verify_scan t ~seconds ~touched =
 
 let checkpoint_write t seconds =
   if t.enabled then Histogram.record_span t.checkpoint_seconds seconds
+
+let checkpoint_phase t phase seconds =
+  if t.enabled then
+    Histogram.record_span (List.assoc phase t.checkpoint_phases) seconds
 
 let checkpoint_chain_links t links =
   Gauge.set t.checkpoint_chain_links (float_of_int links)

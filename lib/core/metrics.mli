@@ -75,6 +75,22 @@ val verify_shard : t -> sid:int -> seconds:float -> unit
 
 val checkpoint_write : t -> float -> unit
 
+(** The stages of one checkpoint, in order: writing stale cached records
+    back (with the locks and log flush before it), the sealed summaries,
+    the data image and cold manifest, the tree images, the MANIFEST
+    commit, and retention. *)
+type checkpoint_phase =
+  | Writeback
+  | Summary
+  | Data
+  | Trees
+  | Manifest
+  | Retention
+
+val checkpoint_phase : t -> checkpoint_phase -> float -> unit
+(** One phase's seconds ([fastver_checkpoint_phase_seconds{phase}]); a
+    checkpoint's phases add up to its {!checkpoint_write} duration. *)
+
 val checkpoint_committed : t -> base:bool -> bytes:int -> links:int -> unit
 (** A generation committed: its kind, its bytes, and the length of the
     chain it now tips. *)

@@ -46,10 +46,18 @@ type entry =
   | E_vget of Key.t * string option * meta option
   | E_vput of Key.t * string option * meta option
 
+(* The host mirror of a record in a shard's verifier cache. One added via
+   merkle names its pointing parent and mirrors the verifier's staleness:
+   its value changed since its hash was last stored at that parent, so a
+   checkpoint must write it back. One added via blum is a frontier record,
+   with no parent in the verifier. *)
+type cached_merkle = { mutable parent : Key.t; mutable stale : bool }
+type cached = Via_blum | Via_merkle of cached_merkle
+
 (* One keyspace partition: its own Merkle tree, its own single-threaded
    verifier (tid is always 0), its own dirty set, frontier and epoch
    clock — and its own pair of locks, so partitions never contend. The
-   worker-side mirror state (lru/via/parents/log) lives here too: shard
+   worker-side mirror state (lru/via/log) lives here too: shard
    routing is forced by key, so a shard {e is} its worker. *)
 type shard = {
   sid : int;
@@ -60,8 +68,7 @@ type shard = {
   mutable frontier : Key.t list; (* this shard's frontier merkle keys *)
   mutable clock : Timestamp.t; (* exact mirror of the verifier thread clock *)
   lru : Key_lru.t; (* mirror of the merkle records in the verifier cache *)
-  via : [ `M | `B ] Key.Tbl.t;
-  parents : Key.t Key.Tbl.t; (* pointing parent of each cached-via-merkle key *)
+  via : cached Key.Tbl.t; (* the same records, by key *)
   mutable log : entry list; (* buffered verifier calls, newest first *)
   mutable log_len : int;
   mutable dirty : Key.t list; (* data keys handed to blum this epoch *)
@@ -204,6 +211,10 @@ let wire_metrics t =
       ("vget", fun s -> s.n_vget);
       ("vput", fun s -> s.n_vput);
     ];
+  Reg.counter_fn reg
+    ~help:"Stale cached Merkle records written back in place by checkpoints"
+    "fastver_checkpoint_writebacks_total" (fun () ->
+      sum (fun s -> s.n_flush_m));
   Array.iter
     (fun sh ->
       Reg.counter_fn reg
@@ -238,14 +249,6 @@ let wire_metrics t =
   for sid = 0 to Array.length t.shards - 1 do
     ignore (Metrics.verify_shard_seconds t.metrics ~sid)
   done
-
-let option_codec : string option Store.codec =
-  {
-    encode = (function None -> "\x00" | Some v -> "\x01" ^ v);
-    decode =
-      (fun s ->
-        if s = "\x00" then None else Some (String.sub s 1 (String.length s - 1)));
-  }
 
 (* Open the cold tier named by the configuration. [manifest] is the
    committed cold manifest when recovering from a checkpoint; [None] means a
@@ -291,7 +294,6 @@ let mk_shard ?tree verifier sid =
     clock = Verifier.clock verifier ~tid:0;
     lru = Key_lru.create ();
     via = Key.Tbl.create 64;
-    parents = Key.Tbl.create 64;
     log = [];
     log_len = 0;
     dirty = [];

@@ -7,6 +7,12 @@ open Gateway
 (* Mirror cache management (direct, in-enclave sections)               *)
 (* ------------------------------------------------------------------ *)
 
+(* A cached-via-merkle record's value just changed. *)
+let mark_stale sh k =
+  match Key.Tbl.find_opt sh.via k with
+  | Some (Via_merkle m) -> m.stale <- true
+  | Some Via_blum | None -> ()
+
 (* Update the host copy of [parent]'s slot with a pointer computed and
    returned by the verifier (the eviction hand-back of §4.3). *)
 let apply_ptr sh parent (ptr : Value.ptr) =
@@ -15,7 +21,8 @@ let apply_ptr sh parent (ptr : Value.ptr) =
   | Value.Node n ->
       let d = Key.dir ptr.key ~ancestor:parent in
       Tree.set_value sh.tree parent pe
-        (Value.Node (Value.set_slot n d (Some ptr)))
+        (Value.Node (Value.set_slot n d (Some ptr)));
+      mark_stale sh parent
   | Value.Data _ -> assert false
 
 let mark_in_blum sh parent key =
@@ -26,7 +33,8 @@ let mark_in_blum sh parent key =
       match Value.slot n d with
       | Some p when Key.equal p.key key ->
           Tree.set_value sh.tree parent pe
-            (Value.Node (Value.set_slot n d (Some { p with in_blum = true })))
+            (Value.Node (Value.set_slot n d (Some { p with in_blum = true })));
+          mark_stale sh parent
       | Some _ | None -> assert false)
   | Value.Data _ -> assert false
 
@@ -40,30 +48,52 @@ let evict_mirror _t sh e ~epoch_floor =
   let k = Key_lru.key e in
   assert (Key_lru.children e = 0);
   (match Key.Tbl.find sh.via k with
-  | `M ->
-      let parent = Key.Tbl.find sh.parents k in
+  | Via_merkle { parent; _ } ->
       let ptr = ok (Verifier.evict_m sh.verifier ~tid:0 ~key:k ~parent) in
       apply_ptr sh parent ptr;
       decr_parent_children sh parent;
       set_mstate sh k (Tree.get_exn sh.tree k) M_merkle
-  | `B ->
+  | Via_blum ->
       let ts' = Timestamp.max sh.clock (Timestamp.first_of_epoch epoch_floor) in
       ok (Verifier.evict_b sh.verifier ~tid:0 ~key:k ~timestamp:ts');
       sh.clock <- ts';
       set_mstate sh k (Tree.get_exn sh.tree k) (M_blum ts'));
   Key_lru.remove sh.lru e;
-  Key.Tbl.remove sh.via k;
-  Key.Tbl.remove sh.parents k
+  Key.Tbl.remove sh.via k
 
 (* Empty [sh]'s verifier cache, children first, landing every blum
-   re-eviction at [epoch_floor]. Only a checkpoint (tree images cannot
-   encode cached records) and the end of [load]'s frontier install need
-   it: scans leave the working set resident. *)
+   re-eviction at [epoch_floor]. Only the end of [load]'s frontier install
+   needs it: scans and checkpoints leave the working set resident. *)
 let drain_cache t sh ~epoch_floor =
   while Key_lru.length sh.lru > 0 do
     match Key_lru.victim sh.lru with
     | Some e -> evict_mirror t sh e ~epoch_floor
     | None -> raise (Integrity_violation "cycle in cached merkle records")
+  done
+
+(* Store the hash of every stale cached record in its parent's slot,
+   deepest first: writing a record back makes its parent stale, and the
+   parent, shallower, comes later. The records stay cached. *)
+let write_back sh =
+  let by_depth = Array.make Key.max_depth [] in
+  let push k m = by_depth.(Key.depth k) <- (k, m) :: by_depth.(Key.depth k) in
+  Key.Tbl.iter
+    (fun k -> function
+      | Via_merkle m when m.stale -> push k m
+      | Via_merkle _ | Via_blum -> ())
+    sh.via;
+  for d = Key.max_depth - 1 downto 1 do
+    List.iter
+      (fun (k, (m : cached_merkle)) ->
+        m.stale <- false;
+        let ptr =
+          ok (Verifier.flush_m sh.verifier ~tid:0 ~key:k ~parent:m.parent)
+        in
+        (match Key.Tbl.find_opt sh.via m.parent with
+        | Some (Via_merkle pm) when not pm.stale -> push m.parent pm
+        | Some (Via_merkle _ | Via_blum) | None -> ());
+        apply_ptr sh m.parent ptr)
+      by_depth.(d)
   done
 
 let ensure_room t sh ?protect () =
@@ -131,7 +161,7 @@ let ensure_chain ?loaded t sh path =
                    ~timestamp:ts);
               mirror_add_b sh ts;
               ignore (Key_lru.add sh.lru k);
-              Key.Tbl.replace sh.via k `B;
+              Key.Tbl.replace sh.via k Via_blum;
               set_mstate sh k entry (M_cached sh.sid)
           | M_merkle ->
               note_load ();
@@ -144,8 +174,7 @@ let ensure_chain ?loaded t sh path =
               in
               assert (installed = None);
               ignore (Key_lru.add sh.lru k);
-              Key.Tbl.replace sh.via k `M;
-              Key.Tbl.replace sh.parents k parent;
+              Key.Tbl.replace sh.via k (Via_merkle { parent; stale = false });
               (match Key_lru.find sh.lru parent with
               | Some pe -> Key_lru.incr_children pe
               | None -> assert (Key.equal parent Key.root));
@@ -339,20 +368,23 @@ let merkle_slow t sh key action =
             | Some ptr -> apply_ptr sh parent ptr
             | None -> assert false);
             ignore (Key_lru.add sh.lru node_key);
-            Key.Tbl.replace sh.via node_key `M;
-            Key.Tbl.replace sh.parents node_key parent;
+            Key.Tbl.replace sh.via node_key
+              (Via_merkle { parent; stale = false });
             (match Key_lru.find sh.lru parent with
             | Some pe -> Key_lru.incr_children pe
             | None -> assert (Key.equal parent Key.root));
-            (* If the displaced pointee is a cached merkle record, its
-               pointing parent is now the new node. *)
-            (if (not (Key.is_data_key pointee)) && Key_lru.mem sh.lru pointee then begin
-               Key.Tbl.replace sh.parents pointee node_key;
-               decr_parent_children sh parent;
-               match Key_lru.find sh.lru node_key with
-               | Some ne -> Key_lru.incr_children ne
-               | None -> assert false
-             end);
+            (* If the displaced pointee is cached via merkle, its pointing
+               parent is now the new node. One cached via blum (a frontier
+               record) has no parent in the verifier and counts as nobody's
+               child. *)
+            (match Key.Tbl.find_opt sh.via pointee with
+            | Some (Via_merkle m) ->
+                m.parent <- node_key;
+                decr_parent_children sh parent;
+                (match Key_lru.find sh.lru node_key with
+                | Some ne -> Key_lru.incr_children ne
+                | None -> assert false)
+            | Some Via_blum | None -> ());
             (* Now a plain fresh insert under the new node. *)
             let installed =
               ok

@@ -35,6 +35,25 @@ type ctx = {
 let mask32 = 0xffffffff
 let ror32 x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
 
+(* The mixing function G on columns/diagonals [a b c d] of the working
+   vector, with message words [s.(i)] and [s.(i+1)]. Every index is a
+   constant below 16, so the accesses skip the bounds checks. *)
+let g v m s a b c d i =
+  let x = Array.unsafe_get m (Array.unsafe_get s i)
+  and y = Array.unsafe_get m (Array.unsafe_get s (i + 1)) in
+  let va = (Array.unsafe_get v a + Array.unsafe_get v b + x) land mask32 in
+  let vd = ror32 (Array.unsafe_get v d lxor va) 16 in
+  let vc = (Array.unsafe_get v c + vd) land mask32 in
+  let vb = ror32 (Array.unsafe_get v b lxor vc) 12 in
+  let va = (va + vb + y) land mask32 in
+  let vd = ror32 (vd lxor va) 8 in
+  let vc = (vc + vd) land mask32 in
+  Array.unsafe_set v a va;
+  Array.unsafe_set v d vd;
+  Array.unsafe_set v c vc;
+  Array.unsafe_set v b (ror32 (vb lxor vc) 7)
+[@@inline]
+
 let compress ctx ~last =
   let m = ctx.m and v = ctx.v and h = ctx.h in
   for i = 0 to 15 do
@@ -48,25 +67,15 @@ let compress ctx ~last =
   v.(13) <- v.(13) lxor ((ctx.total lsr 32) land mask32);
   if last then v.(14) <- v.(14) lxor mask32;
   for r = 0 to 9 do
-    let s = sigma.(r) in
-    let g a b c d x y =
-      v.(a) <- (v.(a) + v.(b) + x) land mask32;
-      v.(d) <- ror32 (v.(d) lxor v.(a)) 16;
-      v.(c) <- (v.(c) + v.(d)) land mask32;
-      v.(b) <- ror32 (v.(b) lxor v.(c)) 12;
-      v.(a) <- (v.(a) + v.(b) + y) land mask32;
-      v.(d) <- ror32 (v.(d) lxor v.(a)) 8;
-      v.(c) <- (v.(c) + v.(d)) land mask32;
-      v.(b) <- ror32 (v.(b) lxor v.(c)) 7 [@@inline]
-    in
-    g 0 4 8 12 m.(s.(0)) m.(s.(1));
-    g 1 5 9 13 m.(s.(2)) m.(s.(3));
-    g 2 6 10 14 m.(s.(4)) m.(s.(5));
-    g 3 7 11 15 m.(s.(6)) m.(s.(7));
-    g 0 5 10 15 m.(s.(8)) m.(s.(9));
-    g 1 6 11 12 m.(s.(10)) m.(s.(11));
-    g 2 7 8 13 m.(s.(12)) m.(s.(13));
-    g 3 4 9 14 m.(s.(14)) m.(s.(15))
+    let s = Array.unsafe_get sigma r in
+    g v m s 0 4 8 12 0;
+    g v m s 1 5 9 13 2;
+    g v m s 2 6 10 14 4;
+    g v m s 3 7 11 15 6;
+    g v m s 0 5 10 15 8;
+    g v m s 1 6 11 12 10;
+    g v m s 2 7 8 13 12;
+    g v m s 3 4 9 14 14
   done;
   for i = 0 to 7 do
     h.(i) <- h.(i) lxor v.(i) lxor v.(i + 8)

@@ -1,44 +1,45 @@
-(* Straightforward FIPS 180-4 implementation over Int32, with a 64-byte
-   internal block buffer for incremental hashing. *)
+(* FIPS 180-4. Words live in native ints masked to 32 bits, so the
+   compression function does not allocate (an [int32] array would box every
+   store); a 64-byte internal block buffer serves incremental hashing. *)
 
 let digest_size = 32
 
 let k =
   [|
-    0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-    0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-    0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-    0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-    0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-    0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-    0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-    0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-    0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-    0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-    0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-    0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-    0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l;
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+    0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+    0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+    0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+    0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+    0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+    0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+    0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+    0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+    0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+    0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
 type ctx = {
-  h : int32 array; (* 8 chaining words *)
+  h : int array; (* 8 chaining words *)
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
-  mutable total : int64; (* bytes hashed so far *)
-  w : int32 array; (* message schedule scratch *)
+  mutable total : int; (* bytes hashed so far *)
+  w : int array; (* message schedule scratch *)
 }
 
 let init () =
   {
     h =
       [|
-        0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al; 0x510e527fl;
-        0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l;
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f;
+        0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
       |];
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0L;
-    w = Array.make 64 0l;
+    total = 0;
+    w = Array.make 64 0;
   }
 
 let copy c =
@@ -47,32 +48,28 @@ let copy c =
     buf = Bytes.copy c.buf;
     buf_len = c.buf_len;
     total = c.total;
-    w = Array.make 64 0l;
+    w = Array.make 64 0;
   }
 
-let ( +% ) = Int32.add
-let ( ^% ) = Int32.logxor
-let ( &% ) = Int32.logand
-let ( |% ) = Int32.logor
-let notl = Int32.lognot
+let mask = 0xffffffff
+let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask [@@inline]
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-
-(* Compress one 64-byte block located at [off] in [block]. *)
+(* Compress one 64-byte block located at [off] in [block]. The schedule
+   loops index [w] (64 words) and [k] within their fixed bounds, so they
+   skip the bounds checks. *)
 let compress ctx (block : Bytes.t) off =
   let w = ctx.w in
   for i = 0 to 15 do
-    w.(i) <- Bytes.get_int32_be block (off + (4 * i))
+    Array.unsafe_set w i
+      (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask)
   done;
   for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 ^% rotr w.(i - 15) 18
-      ^% Int32.shift_right_logical w.(i - 15) 3
-    and s1 =
-      rotr w.(i - 2) 17 ^% rotr w.(i - 2) 19
-      ^% Int32.shift_right_logical w.(i - 2) 10
-    in
-    w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3)
+    and s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
+      land mask)
   done;
   let h = ctx.h in
   let a = ref h.(0)
@@ -84,35 +81,34 @@ let compress ctx (block : Bytes.t) off =
   and g = ref h.(6)
   and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 ^% rotr !e 11 ^% rotr !e 25 in
-    let ch = (!e &% !f) ^% (notl !e &% !g) in
-    let temp1 = !hh +% s1 +% ch +% k.(i) +% w.(i) in
-    let s0 = rotr !a 2 ^% rotr !a 13 ^% rotr !a 22 in
-    let maj = (!a &% !b) ^% (!a &% !c) ^% (!b &% !c) in
-    let temp2 = s0 +% maj in
+    let e0 = !e and a0 = !a in
+    let s1 = rotr e0 6 lxor rotr e0 11 lxor rotr e0 25 in
+    let ch = (e0 land !f) lxor (lnot e0 land !g) in
+    let temp1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = rotr a0 2 lxor rotr a0 13 lxor rotr a0 22 in
+    let maj = (a0 land !b) lxor (a0 land !c) lxor (!b land !c) in
     hh := !g;
     g := !f;
-    f := !e;
-    e := !d +% temp1;
+    f := e0;
+    e := (!d + temp1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := temp1 +% temp2
+    b := a0;
+    a := (temp1 + s0 + maj) land mask
   done;
-  ignore ( |% );
-  h.(0) <- h.(0) +% !a;
-  h.(1) <- h.(1) +% !b;
-  h.(2) <- h.(2) +% !c;
-  h.(3) <- h.(3) +% !d;
-  h.(4) <- h.(4) +% !e;
-  h.(5) <- h.(5) +% !f;
-  h.(6) <- h.(6) +% !g;
-  h.(7) <- h.(7) +% !hh
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
 let update_bytes ctx data off len =
   if off < 0 || len < 0 || off + len > Bytes.length data then
     invalid_arg "Sha256.update_bytes";
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref off and remaining = ref len in
   (* Top up a partially filled buffer first. *)
   if ctx.buf_len > 0 then begin
@@ -141,7 +137,7 @@ let update ctx s =
   update_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
+  let bit_len = Int64.mul (Int64.of_int ctx.total) 8L in
   (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
   let pad_len =
     let rem = (ctx.buf_len + 1 + 8) mod 64 in
@@ -154,7 +150,7 @@ let finalize ctx =
   update_bytes ctx pad 0 (Bytes.length pad);
   ctx.total <- total_before;
   let out = Bytes.create 32 in
-  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) v) ctx.h;
+  Array.iteri (fun i v -> Bytes.set_int32_be out (4 * i) (Int32.of_int v)) ctx.h;
   Bytes.unsafe_to_string out
 
 let digest msg =

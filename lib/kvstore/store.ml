@@ -2,6 +2,14 @@ type 'v codec = { encode : 'v -> string; decode : string -> 'v }
 
 let string_codec = { encode = Fun.id; decode = Fun.id }
 
+let option_codec =
+  {
+    encode = (function None -> "\x00" | Some v -> "\x01" ^ v);
+    decode =
+      (fun s ->
+        if s = "\x00" then None else Some (String.sub s 1 (String.length s - 1)));
+  }
+
 module Cold = Fastver_cold.Cold
 
 type 'v body =
@@ -44,8 +52,8 @@ type 'v t = {
   stats : stats_live;
   mutable tracking : bool;
   mutable changed : unit Key.Tbl.t array;
-      (* per stripe, under that stripe's lock: keys installed, deleted,
-         demoted or compacted since the last {!take_changes}; empty until
+      (* per stripe, under that stripe's lock: keys installed, demoted or
+         compacted since the last {!take_changes}; empty until
          {!track_changes} *)
   pending : unit Key.Tbl.t;
       (* keys taken by image writes that have not committed yet *)
@@ -227,15 +235,6 @@ let update t key f =
           install t key value aux;
           Ok ())
 
-let delete t key =
-  with_stripe t key (fun () ->
-      (match Key.Tbl.find_opt t.index key with
-      | Some addr ->
-          mark t key;
-          note_dead_body t (slot t addr).body
-      | None -> ());
-      Key.Tbl.remove t.index key)
-
 exception Iter_stop of string
 
 let iter_live t f =
@@ -361,20 +360,20 @@ let compact_cold t ~min_dead_ratio =
    key(34) aux(8) tag(1) and either an inline payload (tag 0: len(4) data),
    a cold-tier reference (tag 1: seg(4) off(8) len(4)) — cold values are
    already durable in their segment, so the checkpoint stores the pointer
-   and the cold manifest vouches for the segment — or a removal (tag 2,
-   aux zero, nothing after it). A base image holds every live record; a
-   delta image holds the records changed since its parent and a removal
-   for each key deleted since. Earlier formats are rejected explicitly:
+   and the cold manifest vouches for the segment. A base image holds every
+   live record; a delta image holds the records changed since its parent.
+   A store never drops a key (the system deletes by storing a null value),
+   so there is no removal record; a tag 2 that older deltas used is an
+   unknown tag. Earlier formats are rejected explicitly:
    FVCKPT02 had no tag byte, and FVCKPT01 truncated the version through
    int32. *)
 let magic = "FVCKPT03"
 let legacy_magics = [ "FVCKPT01"; "FVCKPT02" ]
 let tag_inline = '\000'
 let tag_cold = '\001'
-let tag_removed = '\002'
 
-(* The smallest record: key, aux and tag of a removal. *)
-let min_record_len = 34 + 8 + 1
+(* The smallest record: key, aux, tag and length of an empty payload. *)
+let min_record_len = 34 + 8 + 1 + 4
 
 (* Move every stripe's changed keys into [pending]. *)
 let take_changes t =
@@ -404,45 +403,35 @@ let write_image t ~path ~version ~base =
   in
   let write_record key addr =
     Ckpt_io.write w (Key.encode key);
-    match addr with
-    | None -> write_meta 0L tag_removed 9
-    | Some addr -> (
-        match (slot t addr).body with
-        | In_memory { value; aux } ->
-            let data = t.codec.encode value in
-            Bytes.set_int32_le meta 9 (Int32.of_int (String.length data));
-            write_meta aux tag_inline 13;
-            Ckpt_io.write w data
-        | Cold_ref { cref; aux } ->
-            Bytes.set_int32_le meta 9 (Int32.of_int cref.Cold.seg);
-            Bytes.set_int64_le meta 13 (Int64.of_int cref.Cold.off);
-            Bytes.set_int32_le meta 21 (Int32.of_int cref.Cold.len);
-            write_meta aux tag_cold 25)
+    match (slot t addr).body with
+    | In_memory { value; aux } ->
+        let data = t.codec.encode value in
+        Bytes.set_int32_le meta 9 (Int32.of_int (String.length data));
+        write_meta aux tag_inline 13;
+        Ckpt_io.write w data
+    | Cold_ref { cref; aux } ->
+        Bytes.set_int32_le meta 9 (Int32.of_int cref.Cold.seg);
+        Bytes.set_int64_le meta 13 (Int64.of_int cref.Cold.off);
+        Bytes.set_int32_le meta 21 (Int32.of_int cref.Cold.len);
+        write_meta aux tag_cold 25
   in
-  if base then Key.Tbl.iter (fun key addr -> write_record key (Some addr)) t.index
+  if base then Key.Tbl.iter write_record t.index
   else
     Key.Tbl.iter
-      (fun key () -> write_record key (Key.Tbl.find_opt t.index key))
+      (fun key () -> write_record key (Key.Tbl.find t.index key))
       t.pending
 
 let checkpoint t ~path ~version =
   ignore (write_image t ~path ~version ~base:true)
 
 (* Recovery installs bodies raw: a key already present is overwritten in
-   place and a removed key's slot is cleared, so no superseded version of
-   an earlier link survives in the log, and cold-tier accounting waits for
+   place, so no superseded version of an earlier link survives in the log,
+   and cold-tier accounting waits for
    {!finish_load}, which sees only the final state. *)
 let load_body t key body =
   match Key.Tbl.find_opt t.index key with
   | Some addr -> (slot t addr).body <- body
   | None -> Key.Tbl.replace t.index key (append t { key; body; prev = -1 })
-
-let load_removal t key =
-  match Key.Tbl.find_opt t.index key with
-  | Some addr ->
-      Key.Tbl.remove t.index key;
-      t.chunks.(addr lsr chunk_bits).(addr land (chunk_size - 1)) <- None
-  | None -> ()
 
 (* Every length and count read from disk is validated against the bytes
    actually remaining in the file before it is used for allocation or
@@ -521,7 +510,6 @@ let load_image t ~path =
                       then failwith "checkpoint: malformed cold reference";
                       let cref = { Cold.seg; off = Int64.to_int off64; len } in
                       load_body t key (Cold_ref { cref; aux })
-                  | '\002' -> load_removal t key
                   | _ -> failwith "checkpoint: unknown record tag"
                 done;
                 Ok version

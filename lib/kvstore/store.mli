@@ -27,6 +27,9 @@ type 'v codec = { encode : 'v -> string; decode : string -> 'v }
 
 val string_codec : string codec
 
+val option_codec : string option codec
+(** [None] is the null value a deleted key holds. *)
+
 type 'v t
 
 val create :
@@ -64,8 +67,6 @@ val update :
   'v t -> Key.t -> (('v * int64) option -> 'v * int64) -> (unit, string) result
 (** Read-modify-write under the key's stripe lock. [Error _] if the prior
     value could not be read back from its disk tier (no update happens). *)
-
-val delete : 'v t -> Key.t -> unit
 
 val iter_live :
   'v t -> (Key.t -> 'v -> int64 -> unit) -> (unit, string) result
@@ -106,12 +107,12 @@ val stats : 'v t -> stats
     [recover] reloads it. FastVer synchronises these with verification
     epochs so that a verified epoch is also durable (§7). Incremental
     checkpoints write {e delta} images — the records changed since the
-    previous image, plus a removal for each deleted key — and recovery
-    applies a base image and its deltas in order. *)
+    previous image — and recovery applies a base image and its deltas in
+    order. *)
 
 val track_changes : 'v t -> unit
-(** Start recording which keys are installed, deleted, demoted or
-    compacted (idempotent). Until then the mutation paths pay nothing. *)
+(** Start recording which keys are installed, demoted or compacted
+    (idempotent). Until then the mutation paths pay nothing. *)
 
 val write_image :
   'v t -> path:string -> version:int -> base:bool -> Ckpt_io.digest

@@ -8,9 +8,9 @@ type 'aux t = {
   records : 'aux entry Key.Tbl.t;
   mutable tracking : bool;
   mutable changed_keys : Key.t list;
-      (* keys set or removed since [clear_changed], newest first; a key
-         removed and set again may repeat. A per-entry flag keeps marking
-         to a test and, once per key, a cons. *)
+      (* keys set since [clear_changed], newest first, each once: a
+         per-entry flag keeps marking to a test and, once per key, a
+         cons. *)
 }
 
 let create ~root_aux =
@@ -28,15 +28,10 @@ let mark t k e =
 let track_changes t = t.tracking <- true
 
 let iter_changed t f =
-  List.iter (fun k -> f k (Key.Tbl.find_opt t.records k)) t.changed_keys
+  List.iter (fun k -> f k (Key.Tbl.find t.records k)) t.changed_keys
 
 let clear_changed t =
-  List.iter
-    (fun k ->
-      match Key.Tbl.find_opt t.records k with
-      | Some e -> e.changed <- false
-      | None -> ())
-    t.changed_keys;
+  List.iter (fun k -> (Key.Tbl.find t.records k).changed <- false) t.changed_keys;
   t.changed_keys <- []
 
 let find t k = Key.Tbl.find_opt t.records k
@@ -70,10 +65,6 @@ let set_value t k e value =
 let set_aux t k e aux =
   mark t k e;
   e.aux <- aux
-
-let remove t k =
-  if t.tracking && Key.Tbl.mem t.records k then t.changed_keys <- k :: t.changed_keys;
-  Key.Tbl.remove t.records k
 
 let length t = Key.Tbl.length t.records
 let iter t f = Key.Tbl.iter f t.records

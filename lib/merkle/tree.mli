@@ -37,7 +37,6 @@ val set_value : 'aux t -> Key.t -> 'aux entry -> Value.t -> unit
 val set_aux : 'aux t -> Key.t -> 'aux entry -> 'aux -> unit
 (** [set_aux t k e a] replaces the aux of [e], the entry of [k]. *)
 
-val remove : 'aux t -> Key.t -> unit
 val length : 'aux t -> int
 val iter : 'aux t -> (Key.t -> 'aux entry -> unit) -> unit
 
@@ -47,12 +46,11 @@ val iter : 'aux t -> (Key.t -> 'aux entry -> unit) -> unit
     is never checkpointed pays one branch per mutation. *)
 
 val track_changes : 'aux t -> unit
-(** Start recording every key set or removed (idempotent). *)
+(** Start recording every key set (idempotent). *)
 
-val iter_changed : 'aux t -> (Key.t -> 'aux entry option -> unit) -> unit
-(** Every key recorded since {!clear_changed}, with its current entry
-    ([None]: removed since). A key removed and set again may come twice,
-    each time with its current entry. *)
+val iter_changed : 'aux t -> (Key.t -> 'aux entry -> unit) -> unit
+(** Every key recorded since {!clear_changed}, once, with its current
+    entry. *)
 
 val clear_changed : 'aux t -> unit
 

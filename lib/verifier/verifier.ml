@@ -19,7 +19,13 @@ let default_config =
 
 type add_method = Via_merkle | Via_blum
 
-type cache_entry = { mutable value : Value.t; mutable added_via : add_method }
+(* [stale]: a Merkle-added record whose value has changed since its hash
+   was last written to its parent's slot. *)
+type cache_entry = {
+  mutable value : Value.t;
+  mutable added_via : add_method;
+  mutable stale : bool;
+}
 
 type thread = {
   tid : int;
@@ -28,6 +34,7 @@ type thread = {
   mutable closed_through : int; (* no more set elements for epochs <= this *)
   add_sets : (int, Multiset_hash.t) Hashtbl.t;
   evict_sets : (int, Multiset_hash.t) Hashtbl.t;
+  mutable n_stale : int; (* cached entries with [stale] set *)
 }
 
 type op_stats = {
@@ -39,6 +46,7 @@ type op_stats = {
   mutable n_vget : int;
   mutable n_vput : int;
   mutable n_certificates : int;
+  mutable n_flush_m : int;
 }
 
 type t = {
@@ -71,12 +79,13 @@ let create ?enclave config =
       closed_through = -1;
       add_sets = Hashtbl.create 4;
       evict_sets = Hashtbl.create 4;
+      n_stale = 0;
     }
   in
   let threads = Array.init config.n_threads thread in
   (* The root record is pinned in thread 0 and never evicted. *)
   Key.Tbl.replace threads.(0).cache Key.root
-    { value = Value.empty_node; added_via = Via_merkle };
+    { value = Value.empty_node; added_via = Via_merkle; stale = false };
   {
     config;
     enclave;
@@ -96,6 +105,7 @@ let create ?enclave config =
         n_vget = 0;
         n_vput = 0;
         n_certificates = 0;
+        n_flush_m = 0;
       };
   }
 
@@ -148,6 +158,23 @@ let parent_node t th ~key ~parent =
     | Some { value = Value.Data _; _ } ->
         fail t "parent %a holds a data value" Key.pp parent
 
+(* Every change to a cached value goes through here. A Merkle-added
+   record becomes stale; the pinned root has no parent slot and never
+   does. *)
+let set_value th key entry value =
+  entry.value <- value;
+  if
+    (not entry.stale) && entry.added_via = Via_merkle
+    && not (Key.equal key Key.root)
+  then begin
+    entry.stale <- true;
+    th.n_stale <- th.n_stale + 1
+  end
+
+let uncache th key entry =
+  if entry.stale then th.n_stale <- th.n_stale - 1;
+  Key.Tbl.remove th.cache key
+
 let add_m t ~tid ~key ~value ~parent =
   let* () = guard t in
   t.stats.n_add_m <- t.stats.n_add_m + 1;
@@ -163,7 +190,8 @@ let add_m t ~tid ~key ~value ~parent =
     let* parent_entry, n = parent_node t th ~key ~parent in
     let d = Key.dir key ~ancestor:parent in
     let finish installed =
-      Key.Tbl.replace th.cache key { value; added_via = Via_merkle };
+      Key.Tbl.replace th.cache key
+        { value; added_via = Via_merkle; stale = false };
       Ok installed
     in
     match Value.slot n d with
@@ -176,7 +204,8 @@ let add_m t ~tid ~key ~value ~parent =
           let ptr =
             { Value.key; hash = hash_value t value; in_blum = false }
           in
-          parent_entry.value <- Value.Node (Value.set_slot n d (Some ptr));
+          set_value th parent parent_entry
+            (Value.Node (Value.set_slot n d (Some ptr)));
           finish (Some ptr)
         end
     | Some ({ Value.key = pointee; hash; in_blum } as ptr) ->
@@ -201,7 +230,8 @@ let add_m t ~tid ~key ~value ~parent =
             let ptr' =
               { Value.key; hash = hash_value t value; in_blum = false }
             in
-            parent_entry.value <- Value.Node (Value.set_slot n d (Some ptr'));
+            set_value th parent parent_entry
+              (Value.Node (Value.set_slot n d (Some ptr')));
             finish (Some ptr')
           end
         end
@@ -229,11 +259,44 @@ let evict_m t ~tid ~key ~parent =
                 in_blum = false;
               }
             in
-            parent_entry.value <- Value.Node (Value.set_slot n d (Some ptr));
-            Key.Tbl.remove th.cache key;
+            set_value th parent parent_entry
+              (Value.Node (Value.set_slot n d (Some ptr)));
+            uncache th key entry;
             Ok ptr
         | Some _ | None ->
             fail t "evict_m: %a does not point to %a" Key.pp parent Key.pp key)
+
+(* [evict_m] then [add_m] of the same value, fused: the parent's slot
+   takes the record's hash and the record stays cached, no longer stale.
+   The add half cannot fail — the slot now holds exactly this hash — so
+   the pair needs no room in the cache. *)
+let flush_m t ~tid ~key ~parent =
+  let* () = guard t in
+  t.stats.n_flush_m <- t.stats.n_flush_m + 1;
+  let th = thread t tid in
+  if Key.equal key Key.root then fail t "flush_m: root is pinned"
+  else
+    match Key.Tbl.find_opt th.cache key with
+    | None -> fail t "flush_m: %a not cached in thread %d" Key.pp key tid
+    | Some { added_via = Via_blum; _ } ->
+        fail t "flush_m: %a was added via blum" Key.pp key
+    | Some entry -> (
+        let* parent_entry, n = parent_node t th ~key ~parent in
+        let d = Key.dir key ~ancestor:parent in
+        match Value.slot n d with
+        | Some { Value.key = pointee; _ } when Key.equal pointee key ->
+            let ptr =
+              { Value.key; hash = hash_value t entry.value; in_blum = false }
+            in
+            set_value th parent parent_entry
+              (Value.Node (Value.set_slot n d (Some ptr)));
+            if entry.stale then begin
+              entry.stale <- false;
+              th.n_stale <- th.n_stale - 1
+            end;
+            Ok ptr
+        | Some _ | None ->
+            fail t "flush_m: %a does not point to %a" Key.pp parent Key.pp key)
 
 let add_b t ~tid ~key ~value ~timestamp =
   let* () = guard t in
@@ -256,7 +319,7 @@ let add_b t ~tid ~key ~value ~timestamp =
       (set_hash th.add_sets epoch t.mset_key)
       (Record_enc.blum_element key value timestamp);
     th.clock <- Timestamp.max th.clock (Timestamp.next timestamp);
-    Key.Tbl.replace th.cache key { value; added_via = Via_blum };
+    Key.Tbl.replace th.cache key { value; added_via = Via_blum; stale = false };
     Ok ()
   end
 
@@ -276,7 +339,7 @@ let evict_to_blum t th ~key ~(entry : cache_entry) ~timestamp =
       (set_hash th.evict_sets epoch t.mset_key)
       (Record_enc.blum_element key entry.value timestamp);
     th.clock <- timestamp;
-    Key.Tbl.remove th.cache key;
+    uncache th key entry;
     Ok ()
   end
 
@@ -312,9 +375,9 @@ let evict_bm t ~tid ~key ~timestamp ~parent =
             when Key.equal pointee key ->
               (* The stale hash stays; the [in_blum] mark invalidates it for
                  future add_m until an evict_m refreshes it. *)
-              parent_entry.value <-
-                Value.Node
-                  (Value.set_slot n d (Some { ptr with in_blum = true }));
+              set_value th parent parent_entry
+                (Value.Node
+                   (Value.set_slot n d (Some { ptr with in_blum = true })));
               evict_to_blum t th ~key ~entry ~timestamp
           | Some { Value.key = pointee; in_blum = true; _ }
             when Key.equal pointee key ->
@@ -366,7 +429,7 @@ let vput t ~tid ~key value =
     match Key.Tbl.find_opt th.cache key with
     | None -> fail t "vput: %a not cached in thread %d" Key.pp key tid
     | Some entry ->
-        entry.value <- Value.Data value;
+        set_value th key entry (Value.Data value);
         Ok ()
 
 let close_epoch t ~tid ~epoch =
@@ -554,18 +617,60 @@ let install_blum t ~tid ~key ~value ~timestamp =
   end
 
 (* Summary layout: verified(8) | root_len(4) root_enc | per thread:
-   clock(8) closed(8) n_epochs(4) { epoch(8) add(16) evict(16) }. *)
-let checkpoint_summary t =
+   clock(8) closed(8) n_epochs(4) { epoch(8) add(16) evict(16) }.
+
+   The summary describes the state an eviction of every cached record
+   would leave, without evicting any. A clean Merkle-added record is
+   already what its parent's slot says, so its [evict_m] would change
+   nothing; a stale one would, so the summary is refused while any is
+   stale. Each blum-added record is folded in as an [evict_b] at
+   [max clock floor] — into a copy of the thread clock and of that
+   epoch's evict set — so the caller must record those records as
+   blum-protected at that timestamp. *)
+let checkpoint_summary t ~floor =
   let* () = guard t in
   t.ops_processed <- t.ops_processed - 1;
-  let clean =
-    Array.for_all
-      (fun th ->
-        Key.Tbl.length th.cache = if th.tid = 0 then 1 else 0)
-      t.threads
+  let stale = Array.fold_left (fun acc th -> acc + th.n_stale) 0 t.threads in
+  (* Per thread: its clock and evict sets after the virtual evictions. *)
+  let virtual_evicts th =
+    let blum =
+      Key.Tbl.fold
+        (fun key e acc ->
+          if e.added_via = Via_blum then (key, e.value) :: acc else acc)
+        th.cache []
+    in
+    let ts = Timestamp.max th.clock floor in
+    let epoch = Timestamp.epoch ts in
+    if blum = [] then Ok (th.clock, th.evict_sets)
+    else if epoch <= t.verified || epoch <= th.closed_through then
+      Error
+        (Printf.sprintf
+           "checkpoint_summary: thread %d cannot evict into closed epoch %d"
+           th.tid epoch)
+    else begin
+      let h =
+        match Hashtbl.find_opt th.evict_sets epoch with
+        | Some h -> Multiset_hash.of_value t.mset_key (Multiset_hash.value h)
+        | None -> Multiset_hash.create t.mset_key
+      in
+      List.iter
+        (fun (key, value) ->
+          Multiset_hash.add h (Record_enc.blum_element key value ts))
+        blum;
+      let evict_sets = Hashtbl.copy th.evict_sets in
+      Hashtbl.replace evict_sets epoch h;
+      Ok (ts, evict_sets)
+    end
   in
-  if not clean then Error "checkpoint_summary: caches not empty"
-  else begin
+  if stale > 0 then
+    Error
+      (Printf.sprintf "checkpoint_summary: %d stale merkle records cached"
+         stale)
+  else
+    let virtuals = Array.map virtual_evicts t.threads in
+    match Array.find_map (function Error e -> Some e | Ok _ -> None) virtuals with
+    | Some e -> Error e
+    | None ->
     let buf = Buffer.create 256 in
     let u64 v = Buffer.add_string buf (Bytes_util.string_of_u64_le v) in
     let u32 v =
@@ -579,14 +684,15 @@ let checkpoint_summary t =
     in
     u32 (String.length root_enc);
     Buffer.add_string buf root_enc;
-    Array.iter
-      (fun th ->
-        u64 th.clock;
+    Array.iter2
+      (fun th v ->
+        let clock, evict_sets = Result.get_ok v in
+        u64 clock;
         u64 (Int64.of_int th.closed_through);
         let epochs =
           List.sort_uniq Stdlib.compare
             (Hashtbl.fold (fun e _ acc -> e :: acc) th.add_sets []
-            @ Hashtbl.fold (fun e _ acc -> e :: acc) th.evict_sets [])
+            @ Hashtbl.fold (fun e _ acc -> e :: acc) evict_sets [])
         in
         u32 (List.length epochs);
         List.iter
@@ -598,11 +704,10 @@ let checkpoint_summary t =
               | None -> Multiset_hash.empty_value
             in
             Buffer.add_string buf (v th.add_sets);
-            Buffer.add_string buf (v th.evict_sets))
+            Buffer.add_string buf (v evict_sets))
           epochs)
-      t.threads;
+      t.threads virtuals;
     Ok (Buffer.contents buf)
-  end
 
 let of_summary ?enclave config summary =
   let t = create ?enclave config in

@@ -15,7 +15,8 @@
 
     Transitions: [add_m] (merkle → cached), [evict_m] (cached → merkle),
     [evict_bm] (cached-via-merkle → blum), [add_b] (blum → cached),
-    [evict_b] (cached-via-blum → blum). [vget]/[vput] validate client
+    [evict_b] (cached-via-blum → blum). [flush_m] refreshes a cached
+    record's Merkle hash in place. [vget]/[vput] validate client
     operations against cached records.
 
     All checks mirror the paper's F*-verified design, including the
@@ -71,6 +72,13 @@ val evict_m : t -> tid:int -> key:Key.t -> parent:Key.t -> Value.ptr result
     current value in the cached parent (lazy update propagation, §4.3.1) and
     returns that pointer so the (untrusted) host can mirror the
     verifier-computed hash without recomputing it. *)
+
+val flush_m : t -> tid:int -> key:Key.t -> parent:Key.t -> Value.ptr result
+(** Write a cached Merkle-added record back to Merkle protection without
+    evicting it: {!evict_m} followed by {!add_m} of the same value. Stores
+    the hash of its current value in the cached parent, returns that
+    pointer for the host to mirror, and leaves the record cached and no
+    longer stale (see {!checkpoint_summary}). *)
 
 val add_b :
   t -> tid:int -> key:Key.t -> value:Value.t -> timestamp:Timestamp.t ->
@@ -202,15 +210,22 @@ val install_blum :
 
 (** {2 Trusted checkpointing (§7 durability)}
 
-    Right after an epoch verifies — caches empty apart from the pinned root —
-    the entire trusted state compresses to a small summary: the verified
+    The entire trusted state compresses to a small summary: the verified
     epoch, per-thread clocks, the still-open epochs' set hashes, and the root
     record. The caller seals this blob in rollback-protected storage; on
-    recovery {!of_summary} rebuilds an equivalent verifier. *)
+    recovery {!of_summary} rebuilds an equivalent verifier with empty
+    caches. The summary is taken with records still cached: it describes
+    the state that evicting every cached record would leave, and leaves
+    this verifier as it was. *)
 
-val checkpoint_summary : t -> (string, string) Stdlib.result
-(** Fails unless every cache except the root is empty (run it right after
-    {!verify_epoch} once all records are evicted). *)
+val checkpoint_summary : t -> floor:Timestamp.t -> (string, string) Stdlib.result
+(** Refused while any Merkle-added record is {e stale} — its value changed
+    since its hash was last stored at its parent ({!add_m}, {!evict_m} and
+    {!flush_m} store it) — so the caller must {!flush_m} those first,
+    children before parents. Clean Merkle-added records are Merkle-protected
+    as they stand. Every blum-added record counts as evicted by {!evict_b}
+    at [max clock floor] into that epoch's evict set, in the summary only;
+    refused if that epoch is closed. *)
 
 val of_summary :
   ?enclave:Enclave.t -> config -> string -> (t, string) Stdlib.result
@@ -238,6 +253,7 @@ type op_stats = {
   mutable n_vput : int;
   mutable n_certificates : int;
       (** epoch certificates issued ({!verify_epoch} successes) *)
+  mutable n_flush_m : int;  (** {!flush_m} write-backs *)
 }
 
 val stats : t -> op_stats

@@ -45,26 +45,39 @@ newest_gen() {
   ls -d "$WORK"/ckpt/ckpt-*/MANIFEST 2>/dev/null \
     | sed 's|.*/ckpt-\([0-9]*\)/MANIFEST|\1|' | sort -n | tail -1
 }
-FIRST_GEN=$(newest_gen)
-# more load in flight, then kill -9 — most likely mid-delta. The second
-# bench takes fresh client ids (the first one's put nonces are spent), and
-# the kill waits until the load has committed a newer generation and is
-# still running, so it lands on a server under load
-$FV client-bench --connect "unix:$WORK/sock" --ops 20000 --clients 2 -n 2000 \
-  --first-client 3 &
-BENCH=$!
-i=0
-until [ "$(newest_gen)" -gt "$FIRST_GEN" ]; do
-  i=$((i + 1)); [ $i -gt 100 ] && { echo "load committed no new generation"; exit 1; }
-  kill -0 $BENCH 2>/dev/null || { echo "load ended before a new generation"; exit 1; }
-  sleep 0.1
-done
-sleep 0.2
-kill -0 $BENCH 2>/dev/null || { echo "load was not live at the kill"; exit 1; }
-kill -9 $SRV
-wait $BENCH 2>/dev/null || true
-echo "  killed under load after generation $(newest_gen) (first: $FIRST_GEN)"
+# kill_under_load CLIENT: more load in flight from client ids CLIENT and
+# CLIENT+1 (earlier benches spent the lower ids' put nonces), then kill -9
+# — most likely mid-delta. The kill waits until the load has committed a
+# generation newer than the newest one now and is still running, so it
+# lands on a server under load
+kill_under_load() {
+  before=$(newest_gen)
+  $FV client-bench --connect "unix:$WORK/sock" --ops 20000 --clients 2 \
+    -n 2000 --first-client "$1" &
+  BENCH=$!
+  i=0
+  until [ "$(newest_gen)" -gt "$before" ]; do
+    i=$((i + 1)); [ $i -gt 100 ] && { echo "load committed no new generation"; exit 1; }
+    kill -0 $BENCH 2>/dev/null || { echo "load ended before a new generation"; exit 1; }
+    sleep 0.1
+  done
+  sleep 0.2
+  kill -0 $BENCH 2>/dev/null || { echo "load was not live at the kill"; exit 1; }
+  kill -9 $SRV
+  wait $BENCH 2>/dev/null || true
+  echo "  killed under load after generation $(newest_gen) (before: $before)"
+}
+kill_under_load 3
 # recovery must land on a committed generation and pass full verification
+$FV recover --dir "$WORK/ckpt" --enclave zero
+# the recovered chain must take new generations and recover again: a
+# restarted server recovers from the same directory and extends its chain
+rm -f "$WORK/sock"
+$FV serve --listen "unix:$WORK/sock" -n 2000 --batch 500 --enclave zero \
+  --checkpoint-dir "$WORK/ckpt" &
+SRV=$!
+wait_sock "$WORK/sock" "restarted server"
+kill_under_load 5
 $FV recover --dir "$WORK/ckpt" --enclave zero
 
 echo "== observability smoke (serve + client ops + stats --check)"

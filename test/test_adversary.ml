@@ -379,6 +379,128 @@ let test_resident_ancestors ~background () =
   detected "uncached merkle node under cached ancestors" t (fun () ->
       Fastver.get t k)
 
+(* 18–19. A checkpoint keeps the verifier cache and records each cached
+   record in its tree image as the sealed summary evicts it: a record
+   written back in place as Merkle-protected, a cached frontier record as
+   blum-protected at its virtual eviction timestamp. A host that rewrites
+   either on disk, re-hashing the unkeyed MANIFEST, must be caught. *)
+module C = Fastver_kvstore.Ckpt_io
+
+(* Key 5's chain, written back and still resident, checkpointed into
+   [dir]: the scan migrates the put record 5 under its pointing parent,
+   which makes the chain up to the frontier stale. *)
+let resident_checkpoint dir =
+  let config =
+    {
+      Fastver.Config.default with
+      batch_size = 0;
+      frontier_levels = 2;
+      cost_model = Cost_model.zero;
+    }
+  in
+  let t = Fastver.create ~config () in
+  Fastver.load t (Array.init 2000 (fun i -> (Int64.of_int i, Printf.sprintf "v%d" i)));
+  Fastver.put t 5L "five";
+  ignore (Fastver.verify t);
+  C.remove_tree dir;
+  (match Fastver.checkpoint t ~dir with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "checkpoint: %s" e);
+  (config, Fastver.Testing.chain t 5L)
+
+(* Rewrite the record of [key] in the newest generation's tree image with
+   [f] (its value and protection tag bytes), then fix up the MANIFEST. *)
+let tamper_image_record dir key f =
+  let gdir =
+    match C.generations dir with
+    | (_, g) :: _ -> g
+    | [] -> Alcotest.fail "no generation"
+  in
+  let path = Filename.concat gdir "merkle-0.tree" in
+  let raw =
+    let ic = open_in_bin path in
+    let r = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    r
+  in
+  let buf = Buffer.create (String.length raw) in
+  let rec walk pos =
+    if pos < String.length raw then begin
+      let vlen = Int32.to_int (String.get_int32_le raw (pos + 34)) in
+      let tag_at = pos + 38 + vlen in
+      let rlen = 38 + vlen + (if raw.[tag_at] = 'b' then 9 else 1) + 4 in
+      let record = String.sub raw pos rlen in
+      Buffer.add_string buf
+        (if String.equal (String.sub raw pos 34) (Key.encode key) then
+           f ~vlen record
+         else record);
+      walk (pos + rlen)
+    end
+  in
+  walk 0;
+  let oc = open_out_bin path in
+  Buffer.output_buffer oc buf;
+  close_out oc;
+  match C.Manifest.read ~dir:gdir with
+  | Error e -> Alcotest.fail e
+  | Ok m ->
+      C.Manifest.write ~dir:gdir
+        {
+          m with
+          entries =
+            List.map
+              (fun (e : C.Manifest.entry) ->
+                match C.Manifest.entry_of_file ~dir:gdir e.name with
+                | Ok e' -> e'
+                | Error err -> Alcotest.fail err)
+              m.entries;
+        }
+
+(* Recovery fails, or the recovered system raises at the op or the scan. *)
+let caught name config dir op =
+  match Fastver.recover ~config ~dir () with
+  | Error _ -> ()
+  | Ok t -> (
+      match op t with
+      | exception Fastver.Integrity_violation _ -> ()
+      | _ -> (
+          match Fastver.verify t with
+          | exception Fastver.Integrity_violation _ -> ()
+          | _ -> Alcotest.failf "%s: tampering never detected" name))
+
+let test_tamper_written_back_record () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fv-adv-wb" in
+  let config, chain = resident_checkpoint dir in
+  let parent, resident = List.nth chain (List.length chain - 1) in
+  Alcotest.(check bool) "pointing parent still resident" true resident;
+  tamper_image_record dir parent (fun ~vlen record ->
+      let value =
+        match Value.decode (String.sub record 38 vlen) with
+        | Ok (Value.Node { left = Some p; right }) ->
+            Value.Node { left = Some { p with hash = String.make 32 'Z' }; right }
+        | Ok (Value.Node { left = None; right = Some p }) ->
+            Value.Node { left = None; right = Some { p with hash = String.make 32 'Z' } }
+        | Ok _ | Error _ -> Alcotest.fail "no pointer to tamper"
+      in
+      String.sub record 0 38 ^ Value.encode value
+      ^ String.sub record (38 + vlen) (String.length record - 38 - vlen));
+  caught "written-back record" config dir (fun t -> Fastver.get t 5L);
+  C.remove_tree dir
+
+let test_tamper_frontier_timestamp () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fv-adv-fts" in
+  let config, chain = resident_checkpoint dir in
+  let frontier, resident = List.nth chain config.frontier_levels in
+  Alcotest.(check bool) "frontier record still resident" true resident;
+  tamper_image_record dir frontier (fun ~vlen record ->
+      let b = Bytes.of_string record in
+      Alcotest.(check char) "recorded blum-protected" 'b' (Bytes.get b (38 + vlen));
+      let at = 38 + vlen + 1 in
+      Bytes.set_int64_le b at (Int64.add (Bytes.get_int64_le b at) 1L);
+      Bytes.to_string b);
+  caught "frontier timestamp" config dir (fun t -> Fastver.get t 5L);
+  C.remove_tree dir
+
 let suite =
   ( "adversary",
     [
@@ -403,4 +525,8 @@ let suite =
       Alcotest.test_case "tamper under resident ancestors (background)"
         `Quick
         (test_resident_ancestors ~background:true);
+      Alcotest.test_case "tampered written-back image record" `Quick
+        test_tamper_written_back_record;
+      Alcotest.test_case "tampered frontier image timestamp" `Quick
+        test_tamper_frontier_timestamp;
     ] )

@@ -559,6 +559,103 @@ let prop_delta_chain_equivalence =
           !bases !deltas;
       !ok)
 
+(* A checkpoint keeps the verifier cache and writes its stale records back
+   in place; it must seal exactly what draining the cache first would.
+   Two systems take the same seeded get/put stream (over existing and
+   fresh keys) and the same write-back checkpoints, mid-epoch and after
+   verification; at the last one, one system drains its cache first. The
+   sealed payloads must be byte-identical and both chains must recover to
+   the same store and trees — which needs every delta to rewrite the
+   cached frontier records, changed or not, at their moving virtual
+   timestamps. *)
+let prop_writeback_seals_like_drain =
+  QCheck.Test.make ~name:"write-back checkpoint seals what a drain seals"
+    ~count:2
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let flushes = ref 0 in
+      let agree i (cache, shards) =
+        let config =
+          { config with cache_capacity = cache; n_workers = 1; n_shards = shards }
+        in
+        let mk () =
+          let t = Fastver.create ~config () in
+          Fastver.load t
+            (Array.init 150 (fun i -> (Int64.of_int (2 * i), Printf.sprintf "v%d" i)));
+          t
+        in
+        let a = mk () and b = mk () in
+        let dir_a = fresh_dir "fv-wb-a" and dir_b = fresh_dir "fv-wb-b" in
+        let rng = Random.State.make [| seed; cache; shards |] in
+        (* Two wide rounds, then two that stay under a few keys: their
+           deltas leave cached frontier records untouched, and the last
+           one is mid-epoch at every other point. *)
+        let rounds =
+          [ (60, 400, false); (40, 400, true); (10, 30, false); (10, 30, i mod 2 = 0) ]
+        in
+        List.iteri
+          (fun round (ops, range, verify) ->
+            for _ = 1 to ops do
+              let k = Int64.of_int (Random.State.int rng range) in
+              if Random.State.int rng 10 < 3 then begin
+                ignore (Fastver.get a k);
+                ignore (Fastver.get b k)
+              end
+              else begin
+                let v = Printf.sprintf "r%d" (Random.State.bits rng) in
+                Fastver.put a k v;
+                Fastver.put b k v
+              end
+            done;
+            if verify then begin
+              ignore (Fastver.verify a);
+              ignore (Fastver.verify b)
+            end;
+            if round < List.length rounds - 1 then begin
+              ckpt a ~dir:dir_a;
+              ckpt b ~dir:dir_b
+            end)
+          rounds;
+        ckpt a ~dir:dir_a;
+        Fastver.Testing.drain_caches b;
+        ckpt b ~dir:dir_b;
+        flushes := !flushes + (Fastver.verifier_stats a).n_flush_m;
+        let payload t =
+          match Fastver.Testing.sealed_payload t with
+          | Ok p -> p
+          | Error e -> QCheck.Test.fail_reportf "sealed payload: %s" e
+        in
+        let recovered dir =
+          match Fastver.recover ~config ~dir () with
+          | Ok t -> t
+          | Error e -> QCheck.Test.fail_reportf "recover %s: %s" dir e
+        in
+        let ra = recovered dir_a and rb = recovered dir_b in
+        let same =
+          String.equal (payload a) (payload b)
+          && Fastver.Testing.store_contents ra = Fastver.Testing.store_contents rb
+          && List.for_all
+               (fun sid ->
+                 Fastver.Testing.tree_entries ra sid
+                 = Fastver.Testing.tree_entries rb sid)
+               (List.init shards Fun.id)
+        in
+        C.remove_tree dir_a;
+        C.remove_tree dir_b;
+        if not same then
+          QCheck.Test.fail_reportf "cache %d, %d shards: write-back differs" cache
+            shards;
+        same
+      in
+      let points =
+        List.concat_map
+          (fun cache -> List.map (fun sh -> (cache, sh)) [ 1; 2; 4 ])
+          [ 16; 128; Fastver.Config.default.cache_capacity ]
+      in
+      let all = List.for_all Fun.id (List.mapi agree points) in
+      if !flushes = 0 then QCheck.Test.fail_report "nothing was written back";
+      all)
+
 (* An empty or missing directory is the one error after which a fresh start
    is safe (the CLI keys on its exact payload); a flat pre-generation layout
    is a format change and must say so. *)
@@ -803,6 +900,7 @@ let suite =
       Alcotest.test_case "retention keeps a tampered fallback" `Quick
         test_retention_keeps_tampered_fallback;
       QCheck_alcotest.to_alcotest prop_delta_chain_equivalence;
+      QCheck_alcotest.to_alcotest prop_writeback_seals_like_drain;
       Alcotest.test_case "no-checkpoint vs legacy layout" `Quick
         test_no_checkpoint_vs_legacy_layout;
       Alcotest.test_case "version/epoch mismatch" `Quick

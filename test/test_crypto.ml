@@ -20,7 +20,14 @@ let test_sha256_vectors () =
     (Sha256.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
   check_hex "million a"
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.digest (String.make 1_000_000 'a'))
+    (Sha256.digest (String.make 1_000_000 'a'));
+  (* multi-block inputs, digests from Python's hashlib *)
+  check_hex "1000 bytes i mod 256"
+    "a8af099bf2e878609558dbf69d8f88f4a31040a8cf84b549a0cfa912f12ffc3f"
+    (Sha256.digest (String.init 1000 (fun i -> Char.chr (i mod 256))));
+  check_hex "137 bytes 7i mod 256"
+    "9410a0442580a544679733e583f1177b3b9e67921fc82d0d05557dd1a14cb936"
+    (Sha256.digest (String.init 137 (fun i -> Char.chr (7 * i mod 256))))
 
 let test_sha256_incremental () =
   let msg = String.init 1000 (fun i -> Char.chr (i mod 251)) in
@@ -59,7 +66,15 @@ let test_blake2s_vectors () =
     (Blake2s.digest "abc");
   check_hex "blake2s-256 empty"
     "69217a3079908094e11121d042354a7c1f55b6482ca1a51e1b250dfd1ed0eef9"
-    (Blake2s.digest "")
+    (Blake2s.digest "");
+  (* multi-block inputs, digests from Python's hashlib; 137 bytes is the
+     encoding of a Merkle node with two pointers *)
+  check_hex "blake2s-256 1000 bytes i mod 256"
+    "b5f9d7799111edafc9326fbf667be98140b5e20ce5e151793c59125bf654ac18"
+    (Blake2s.digest (String.init 1000 (fun i -> Char.chr (i mod 256))));
+  check_hex "blake2s-256 137 bytes 7i mod 256"
+    "86aa892b44e75de3ecfd7029bc3cd6e27b33a171d4de4bcca0e59ec688e02eed"
+    (Blake2s.digest (String.init 137 (fun i -> Char.chr (7 * i mod 256))))
 
 let test_blake2_multiblock () =
   (* Exercise the last-block handling around the 64/128-byte boundaries. *)

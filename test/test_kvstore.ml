@@ -53,16 +53,26 @@ let test_rcu_versions () =
   Alcotest.(check bool) "log grew" true (Store.log_size s > 16);
   Alcotest.(check bool) "rcu copies counted" true ((Store.stats s).rcu_copies >= 1)
 
+(* The system deletes a key by storing its null value; the store keeps the
+   key, and iteration sees the null. *)
+let mk_opt () =
+  Store.create ~mutable_region_entries:64 ~codec:Store.option_codec ()
+
+let vo = Alcotest.(option (pair (option string) int64))
+
 let test_delete_iter () =
-  let s = mk () in
+  let s = mk_opt () in
   for i = 0 to 9 do
-    Store.put s (k i) (string_of_int i) ~aux:0L
+    Store.put s (k i) (Some (string_of_int i)) ~aux:0L
   done;
-  Store.delete s (k 3);
-  Alcotest.(check int) "9 live" 9 (Store.length s);
-  let seen = ref 0 in
-  ok_unit "iter_live" (Store.iter_live s (fun _ _ _ -> incr seen));
-  Alcotest.(check int) "iter sees 9" 9 !seen
+  Store.put s (k 3) None ~aux:0L;
+  Alcotest.(check int) "10 keys" 10 (Store.length s);
+  let values = ref 0 and nulls = ref 0 in
+  ok_unit "iter_live"
+    (Store.iter_live s (fun _ v _ ->
+         incr (if v = None then nulls else values)));
+  Alcotest.(check (pair int int)) "iter sees 9 values and the null" (9, 1)
+    (!values, !nulls)
 
 let test_update_rmw () =
   let s = mk () in
@@ -77,21 +87,20 @@ let test_update_rmw () =
 let test_checkpoint_recover () =
   let dir = Filename.temp_file "fv" "ckpt" in
   Sys.remove dir;
-  let s = mk () in
+  let s = mk_opt () in
   for i = 0 to 99 do
-    Store.put s (k i) (Printf.sprintf "val%d" i) ~aux:(Int64.of_int i)
+    Store.put s (k i) (Some (Printf.sprintf "val%d" i)) ~aux:(Int64.of_int i)
   done;
-  Store.delete s (k 50);
+  Store.put s (k 50) None ~aux:0L;
   Store.checkpoint s ~path:dir ~version:3;
-  (match Store.recover ~codec:Store.string_codec ~path:dir () with
+  (match Store.recover ~codec:Store.option_codec ~path:dir () with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (s2, version) ->
       Alcotest.(check int) "version" 3 version;
-      Alcotest.(check int) "count" 99 (Store.length s2);
-      Alcotest.(check (option (pair string int64))) "record"
-        (Some ("val7", 7L)) (get_ok s2 (k 7));
-      Alcotest.(check (option (pair string int64))) "deleted stays deleted"
-        None (get_ok s2 (k 50)));
+      Alcotest.(check int) "count" 100 (Store.length s2);
+      Alcotest.check vo "record" (Some (Some "val7", 7L)) (get_ok s2 (k 7));
+      Alcotest.check vo "deleted stays deleted" (Some (None, 0L))
+        (get_ok s2 (k 50)));
   Sys.remove dir
 
 let test_recover_corrupt () =
@@ -143,33 +152,35 @@ let test_checkpoint_version_64bit () =
   Sys.remove path
 
 (* A base image and two deltas applied in order give the live store: the
-   deltas carry only the changed keys, deletions included, and a delta
-   written by an attempt that never committed is covered by the next. *)
+   deltas carry only the changed keys, deletions (null values) included,
+   and a delta written by an attempt that never committed is covered by
+   the next. A record with tag 2, the removal record older deltas wrote,
+   is an unknown tag. *)
 let test_delta_chain () =
   let path i = Filename.temp_file "fv" (Printf.sprintf "chain%d" i) in
-  let s = mk () in
+  let s = mk_opt () in
   for i = 0 to 49 do
-    Store.put s (k i) (Printf.sprintf "v%d" i) ~aux:(Int64.of_int i)
+    Store.put s (k i) (Some (Printf.sprintf "v%d" i)) ~aux:(Int64.of_int i)
   done;
   Store.track_changes s;
   let p0 = path 0 and p1 = path 1 and p2 = path 2 in
   ignore (Store.write_image s ~path:p0 ~version:1 ~base:true);
   Store.commit_changes s;
-  Store.put s (k 3) "three" ~aux:30L;
-  Store.delete s (k 4);
-  Store.put s (k 60) "sixty" ~aux:60L;
+  Store.put s (k 3) (Some "three") ~aux:30L;
+  Store.put s (k 4) None ~aux:0L;
+  Store.put s (k 60) (Some "sixty") ~aux:60L;
   (* written, never committed: its keys stay pending *)
   ignore (Store.write_image s ~path:p1 ~version:2 ~base:false);
-  Store.delete s (k 60);
-  Store.put s (k 5) "five" ~aux:50L;
+  Store.put s (k 60) None ~aux:0L;
+  Store.put s (k 5) (Some "five") ~aux:50L;
   let d = Store.write_image s ~path:p1 ~version:2 ~base:false in
   Store.commit_changes s;
-  Store.put s (k 4) "four-again" ~aux:40L;
+  Store.put s (k 4) (Some "four-again") ~aux:40L;
   ignore (Store.write_image s ~path:p2 ~version:3 ~base:false);
   Alcotest.(check bool) "the delta is smaller than the base" true
     (d.size < (Unix.stat p0).Unix.st_size);
   (match
-     Store.recover_chain ~codec:Store.string_codec ~paths:[ p0; p1; p2 ] ()
+     Store.recover_chain ~codec:Store.option_codec ~paths:[ p0; p1; p2 ] ()
    with
   | Error e -> Alcotest.failf "recover_chain: %s" e
   | Ok (s2, version) ->
@@ -177,9 +188,24 @@ let test_delta_chain () =
       Alcotest.(check int) "count" (Store.length s) (Store.length s2);
       List.iter
         (fun i ->
-          Alcotest.(check (option (pair string int64)))
-            (Printf.sprintf "key %d" i) (get_ok s (k i)) (get_ok s2 (k i)))
+          Alcotest.check vo (Printf.sprintf "key %d" i) (get_ok s (k i))
+            (get_ok s2 (k i)))
         [ 0; 3; 4; 5; 49; 60 ]);
+  (* p2 holds one record, key 4: its tag follows the magic (8), the
+     header (16), the key (34) and the aux (8) *)
+  let raw =
+    let ic = open_in_bin p2 in
+    let r = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+    close_in ic;
+    r
+  in
+  Bytes.set raw 66 '\002';
+  let oc = open_out_bin p2 in
+  output_bytes oc raw;
+  close_out oc;
+  (match Store.recover ~codec:Store.option_codec ~path:p2 () with
+  | Ok _ -> Alcotest.fail "a removal record was accepted"
+  | Error e -> Alcotest.(check string) "unknown tag" "checkpoint: unknown record tag" e);
   List.iter Sys.remove [ p0; p1; p2 ]
 
 let valid_checkpoint_bytes () =

@@ -26,4 +26,5 @@ let () =
         Test_net.suite;
         Test_replica.suite;
         Test_fingerprint.suite;
+        Test_ledger.suite;
       ]

@@ -348,6 +348,33 @@ let test_split_under_eviction () =
       ignore (Fastver.verify t))
     [ 125; 162; 174; 178 ]
 
+(* A fresh key can split the edge above a cached frontier record. That
+   record was added via blum: it has no parent in the verifier and counts
+   as nobody's child, so the split must not move a child count for it.
+   This seeded stream did, which let a pointing parent be evicted under a
+   cached child; the next checkpoint's drain then raised "cycle in cached
+   merkle records" (a write-back would find the parent gone). *)
+let test_split_over_cached_frontier () =
+  let dir = fresh_dir "fv-split-frontier" in
+  let t = Fastver.create ~config:(config ~cache:65_536 ()) () in
+  Fastver.load t
+    (Array.init 150 (fun i -> (Int64.of_int (2 * i), Printf.sprintf "v%d" i)));
+  let rng = Random.State.make [| 0; 65_536; 1 |] in
+  for round = 1 to 4 do
+    for _ = 1 to 40 do
+      let k = Int64.of_int (Random.State.int rng 400) in
+      if Random.State.int rng 10 < 3 then ignore (Fastver.get t k)
+      else Fastver.put t k (Printf.sprintf "r%d" (Random.State.bits rng))
+    done;
+    if round = 2 then ignore (Fastver.verify t);
+    match Fastver.checkpoint t ~dir with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "round %d: checkpoint: %s" round e
+  done;
+  Fastver.Testing.drain_caches t;
+  ignore (Fastver.verify t);
+  C.remove_tree dir
+
 let suite =
   ( "shard",
     [
@@ -361,6 +388,8 @@ let suite =
         test_recover_adopts_sealed_layout;
       Alcotest.test_case "split under capacity eviction" `Quick
         test_split_under_eviction;
+      Alcotest.test_case "split over a cached frontier record" `Quick
+        test_split_over_cached_frontier;
       QCheck_alcotest.to_alcotest prop_cert_shard_invariant;
       QCheck_alcotest.to_alcotest prop_sharded_recover_total;
     ] )

@@ -282,7 +282,9 @@ let test_checkpoint_summary_roundtrip () =
         end
   in
   evict_up d.Tree.path;
-  let summary = ok_exn "summary" (Verifier.checkpoint_summary w.v) in
+  let summary =
+    ok_exn "summary" (Verifier.checkpoint_summary w.v ~floor:Timestamp.zero)
+  in
   let v2 = ok_exn "restore" (Verifier.of_summary (Verifier.config w.v) summary) in
   Alcotest.(check int) "verified epoch preserved"
     (Verifier.verified_epoch w.v) (Verifier.verified_epoch v2);
@@ -296,6 +298,65 @@ let test_checkpoint_summary_roundtrip () =
   ignore (ok_exn "evict_m" (Verifier.evict_m v2 ~tid:0 ~key ~parent:parent'));
   ok_exn "close" (Verifier.close_epoch v2 ~tid:0 ~epoch:0);
   ignore (ok_exn "verify" (Verifier.verify_epoch v2 ~epoch:0))
+
+(* A summary taken with records still cached. It is refused while a
+   Merkle-added record is stale. Once [flush_m] has written the chain back,
+   children first, it is byte-identical to the summary that evicting
+   everything gives, with the blum-added record folded in as a virtual
+   [evict_b] at the floor; and the verifier keeps its cache. *)
+let test_writeback_summary () =
+  let floor = Timestamp.first_of_epoch 0 in
+  let key = Key.of_int64 2L in
+  let ts1 = Timestamp.make ~epoch:0 ~counter:1 in
+  let build () =
+    let w = mk_world 16 in
+    let parent, _ = add_chain w ~tid:0 key in
+    ignore
+      (ok_exn "add"
+         (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v2"))
+            ~parent));
+    ok_exn "vput" (Verifier.vput w.v ~tid:0 ~key (Some "new"));
+    ok_exn "evict_bm" (Verifier.evict_bm w.v ~tid:0 ~key ~timestamp:ts1 ~parent);
+    ok_exn "add_b"
+      (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "new"))
+         ~timestamp:ts1);
+    (w.v, Array.of_list (Tree.descend w.tree key).Tree.path)
+  in
+  let v, path = build () in
+  let n = Array.length path in
+  (match Verifier.checkpoint_summary v ~floor with
+  | Ok _ -> Alcotest.fail "summary taken over a stale record"
+  | Error _ -> ());
+  Alcotest.(check bool) "refusal does not poison" true
+    (Verifier.failure v = None);
+  for j = n - 1 downto 1 do
+    ignore
+      (ok_exn "flush_m" (Verifier.flush_m v ~tid:0 ~key:path.(j) ~parent:path.(j - 1)))
+  done;
+  let clock = Verifier.clock v ~tid:0 in
+  let s1 = ok_exn "summary after write-back" (Verifier.checkpoint_summary v ~floor) in
+  Alcotest.(check string) "summary leaves the verifier as it was" s1
+    (ok_exn "again" (Verifier.checkpoint_summary v ~floor));
+  Alcotest.(check bool) "clock untouched" true
+    (Timestamp.compare clock (Verifier.clock v ~tid:0) = 0);
+  Alcotest.(check int) "chain and blum record still cached" (n + 1)
+    (Verifier.cache_size v ~tid:0);
+  let v', _ = build () in
+  for j = n - 1 downto 1 do
+    ignore
+      (ok_exn "evict_m" (Verifier.evict_m v' ~tid:0 ~key:path.(j) ~parent:path.(j - 1)))
+  done;
+  let vts = Timestamp.max (Verifier.clock v' ~tid:0) floor in
+  ok_exn "evict_b" (Verifier.evict_b v' ~tid:0 ~key ~timestamp:vts);
+  Alcotest.(check string) "same summary as a full eviction"
+    (ok_exn "summary after eviction" (Verifier.checkpoint_summary v' ~floor))
+    s1;
+  (* restored, the record is blum-protected at the virtual timestamp *)
+  let r = ok_exn "restore" (Verifier.of_summary (Verifier.config v) s1) in
+  ok_exn "add_b at the virtual timestamp"
+    (Verifier.add_b r ~tid:0 ~key ~value:(Value.Data (Some "new")) ~timestamp:vts);
+  ok_exn "close" (Verifier.close_epoch r ~tid:0 ~epoch:0);
+  ignore (ok_exn "epoch balances" (Verifier.verify_epoch r ~epoch:0))
 
 let test_timestamp_packing () =
   let ts = Timestamp.make ~epoch:7 ~counter:42 in
@@ -321,6 +382,7 @@ let suite =
       Alcotest.test_case "lazy updates" `Quick test_lazy_updates_stay_consistent;
       Alcotest.test_case "install_blum setup" `Quick test_install_blum_setup;
       Alcotest.test_case "summary roundtrip" `Quick test_checkpoint_summary_roundtrip;
+      Alcotest.test_case "write-back summary" `Quick test_writeback_summary;
       Alcotest.test_case "timestamp packing" `Quick test_timestamp_packing;
     ] )
 
