@@ -990,7 +990,7 @@ let ablations s =
 let bechamel_micro () =
   header
     "Micro: per-operation cost of the primitives behind the figures\n\
-     (Bechamel OLS estimates)";
+     (Bechamel OLS estimates; record-shaped inputs match the served path)";
   let open Bechamel in
   let cmac_key = Fastver_crypto.Cmac.of_aes_key "0123456789abcdef" in
   let aes_key = Fastver_crypto.Aes128.expand_key "0123456789abcdef" in
@@ -999,10 +999,25 @@ let bechamel_micro () =
   let sample_elem =
     Record_enc.blum_element (Key.of_int64 17L) sample_value 123456L
   in
+  (* A Merkle node with both slots set: 137 encoded bytes, the record that
+     every add_m, evict_m and write-back hashes; its Blum element is 179. *)
+  let leaf = Key.of_int64 0x5a5a_1234L in
+  let ptr depth =
+    Some { Value.key = Key.prefix leaf depth; hash = String.make 32 'h'; in_blum = false }
+  in
+  let node = Value.Node { left = ptr 19; right = ptr 23 } in
+  let node_key = Key.prefix leaf 17 in
+  let node_elem = Record_enc.blum_element node_key node 123456L in
   let mset =
     Fastver_crypto.Multiset_hash.create
       (Fastver_crypto.Multiset_hash.key_of_string "0123456789abcdef")
   in
+  let hmac_key = Fastver_crypto.Hmac.key "secret" in
+  let auth_key = Fastver.Auth.key_of_secret "secret" in
+  (* A cold-tier record MAC covers a 20-byte domain, a 46-byte header and
+     the value: 100 bytes for a 34-byte value. *)
+  let cold_record = String.make 100 'c' in
+  let stream = Bytes.make (1 lsl 20) 's' in
   let tests =
     [
       Test.make ~name:"aes128-block (DV PRF core)"
@@ -1011,12 +1026,26 @@ let bechamel_micro () =
       Test.make ~name:"cmac-blum-element (fig12 hot path)"
         (Staged.stage (fun () ->
              ignore (Fastver_crypto.Cmac.mac cmac_key sample_elem)));
+      Test.make ~name:"cmac-node-blum-element (179 B)"
+        (Staged.stage (fun () ->
+             ignore (Fastver_crypto.Cmac.mac cmac_key node_elem)));
+      Test.make ~name:"cmac-receipt (served get)"
+        (Staged.stage (fun () ->
+             ignore
+               (Fastver.Auth.receipt auth_key ~kind:Fastver.Auth.Get ~client:3
+                  ~nonce:42L leaf (Some "01234567") ~epoch:7)));
       Test.make ~name:"multiset-add (deferred verification)"
         (Staged.stage (fun () ->
              Fastver_crypto.Multiset_hash.add mset sample_elem));
       Test.make ~name:"blake2s-record-hash (fig14b merkle)"
         (Staged.stage (fun () ->
              ignore (Record_enc.hash_value ~algo:Record_enc.Blake2s sample_value)));
+      Test.make ~name:"blake2s-node-hash (137 B)"
+        (Staged.stage (fun () ->
+             ignore (Record_enc.hash_value ~algo:Record_enc.Blake2s node)));
+      Test.make ~name:"node-blum-element (encode, 179 B)"
+        (Staged.stage (fun () ->
+             ignore (Record_enc.blum_element node_key node 123456L)));
       Test.make ~name:"blake2b-record-hash (ablation)"
         (Staged.stage (fun () ->
              ignore (Record_enc.hash_value ~algo:Record_enc.Blake2b sample_value)));
@@ -1025,7 +1054,15 @@ let bechamel_micro () =
              ignore (Record_enc.hash_value ~algo:Record_enc.Sha256 sample_value)));
       Test.make ~name:"hmac-sha256 (epoch certificate)"
         (Staged.stage (fun () ->
-             ignore (Fastver_crypto.Hmac.mac ~key:"secret" "epoch:42")));
+             ignore (Fastver_crypto.Hmac.mac_with hmac_key "epoch:42")));
+      Test.make ~name:"hmac-sha256-cold-record (100 B)"
+        (Staged.stage (fun () ->
+             ignore (Fastver_crypto.Hmac.mac_with hmac_key cold_record)));
+      Test.make ~name:"sha256-stream (1 MiB)"
+        (Staged.stage (fun () ->
+             let ctx = Fastver_crypto.Sha256.init () in
+             Fastver_crypto.Sha256.update_bytes ctx stream 0 (Bytes.length stream);
+             ignore (Fastver_crypto.Sha256.finalize ctx)));
     ]
   in
   let benchmark test =
@@ -1045,7 +1082,13 @@ let bechamel_micro () =
         in
         match Analyze.OLS.estimates result with
         | Some [ est ] ->
-            pf "  %-40s %10.0f ns/op\n%!" short est;
+            (* The stream case also reads as a rate: 1 MiB per op. *)
+            let rate =
+              if String.starts_with ~prefix:"sha256-stream" short then
+                Printf.sprintf " (%.0f MB/s)" (1.048576e9 /. est)
+              else ""
+            in
+            pf "  %-40s %10.0f ns/op%s\n%!" short est rate;
             Results.(record "micro"
               [ ("primitive", S short); ("ns_per_op", F est) ])
         | Some _ | None -> pf "  %-40s (no estimate)\n%!" name)

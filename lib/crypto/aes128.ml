@@ -1,154 +1,27 @@
-(* AES-128 using the standard 32-bit T-table formulation (Rijndael reference
-   code). All round computation happens on native OCaml ints holding 32-bit
-   words, so block encryption is allocation-free — this is the hot path of
-   the multiset hash, FastVer's analogue of the paper's AES-NI usage. *)
+(* Block encryption and key expansion run in C (aes128_stubs.c). *)
 
-let xtime b =
-  let b2 = b lsl 1 in
-  if b land 0x80 <> 0 then (b2 lxor 0x1b) land 0xff else b2 land 0xff
+external init_tables : unit -> unit = "fv_aes128_init" [@@noalloc]
+external expand : string -> Bytes.t -> unit = "fv_aes128_expand" [@@noalloc]
+external encrypt : string -> Bytes.t -> Bytes.t -> unit = "fv_aes128_encrypt"
+[@@noalloc]
 
-let gf_mul a b =
-  let rec go a b acc =
-    if b = 0 then acc
-    else
-      let acc = if b land 1 <> 0 then acc lxor a else acc in
-      go (xtime a) (b lsr 1) acc
-  in
-  go a b 0
+let () = init_tables ()
 
-(* S-box via the affine transform of the multiplicative inverse. *)
-let sbox =
-  let inv = Array.make 256 0 in
-  for x = 1 to 255 do
-    for y = 1 to 255 do
-      if gf_mul x y = 1 then inv.(x) <- y
-    done
-  done;
-  Array.init 256 (fun x ->
-      let b = inv.(x) in
-      let rot b n = ((b lsl n) lor (b lsr (8 - n))) land 0xff in
-      b lxor rot b 1 lxor rot b 2 lxor rot b 3 lxor rot b 4 lxor 0x63)
-
-let mask32 = 0xffffffff
-let ror32 x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
-
-(* Te0[x] = [2s, s, s, 3s] as a big-endian word; Te1..Te3 are rotations. *)
-let te0 =
-  Array.init 256 (fun x ->
-      let s = sbox.(x) in
-      (xtime s lsl 24) lor (s lsl 16) lor (s lsl 8) lor (xtime s lxor s))
-
-let te1 = Array.map (fun w -> ror32 w 8) te0
-let te2 = Array.map (fun w -> ror32 w 16) te0
-let te3 = Array.map (fun w -> ror32 w 24) te0
-
-let rcon =
-  let r = Array.make 11 0 in
-  let v = ref 1 in
-  for i = 1 to 10 do
-    r.(i) <- !v;
-    v := xtime !v
-  done;
-  r
-
-type key = int array (* 44 round-key words *)
-
-let sub_word w =
-  (sbox.((w lsr 24) land 0xff) lsl 24)
-  lor (sbox.((w lsr 16) land 0xff) lsl 16)
-  lor (sbox.((w lsr 8) land 0xff) lsl 8)
-  lor sbox.(w land 0xff)
+type key = string (* 44 round-key words, in the C kernel's layout *)
 
 let expand_key key_str =
   if String.length key_str <> 16 then invalid_arg "Aes128.expand_key";
-  let w = Array.make 44 0 in
-  for i = 0 to 3 do
-    w.(i) <- Int32.to_int (String.get_int32_be key_str (4 * i)) land mask32
-  done;
-  for i = 4 to 43 do
-    let t = w.(i - 1) in
-    let t =
-      if i mod 4 = 0 then
-        sub_word (ror32 t 24) lxor (rcon.(i / 4) lsl 24)
-      else t
-    in
-    w.(i) <- w.(i - 4) lxor t
-  done;
-  w
-
-(* One block; [get i] supplies input byte i, [set i b] receives output. *)
-let encrypt_generic (w : int array) ~get ~set =
-  let word o =
-    (get o lsl 24) lor (get (o + 1) lsl 16) lor (get (o + 2) lsl 8)
-    lor get (o + 3)
-  in
-  let s0 = ref (word 0 lxor w.(0))
-  and s1 = ref (word 4 lxor w.(1))
-  and s2 = ref (word 8 lxor w.(2))
-  and s3 = ref (word 12 lxor w.(3)) in
-  for round = 1 to 9 do
-    let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
-    let k = 4 * round in
-    s0 :=
-      te0.((a lsr 24) land 0xff)
-      lxor te1.((b lsr 16) land 0xff)
-      lxor te2.((c lsr 8) land 0xff)
-      lxor te3.(d land 0xff)
-      lxor w.(k);
-    s1 :=
-      te0.((b lsr 24) land 0xff)
-      lxor te1.((c lsr 16) land 0xff)
-      lxor te2.((d lsr 8) land 0xff)
-      lxor te3.(a land 0xff)
-      lxor w.(k + 1);
-    s2 :=
-      te0.((c lsr 24) land 0xff)
-      lxor te1.((d lsr 16) land 0xff)
-      lxor te2.((a lsr 8) land 0xff)
-      lxor te3.(b land 0xff)
-      lxor w.(k + 2);
-    s3 :=
-      te0.((d lsr 24) land 0xff)
-      lxor te1.((a lsr 16) land 0xff)
-      lxor te2.((b lsr 8) land 0xff)
-      lxor te3.(c land 0xff)
-      lxor w.(k + 3)
-  done;
-  (* Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns. *)
-  let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
-  let fin x0 x1 x2 x3 k =
-    (sbox.((x0 lsr 24) land 0xff) lsl 24)
-    lor (sbox.((x1 lsr 16) land 0xff) lsl 16)
-    lor (sbox.((x2 lsr 8) land 0xff) lsl 8)
-    lor sbox.(x3 land 0xff)
-    lxor k
-  in
-  let o0 = fin a b c d w.(40)
-  and o1 = fin b c d a w.(41)
-  and o2 = fin c d a b w.(42)
-  and o3 = fin d a b c w.(43) in
-  let out o v =
-    set o ((v lsr 24) land 0xff);
-    set (o + 1) ((v lsr 16) land 0xff);
-    set (o + 2) ((v lsr 8) land 0xff);
-    set (o + 3) (v land 0xff)
-  in
-  out 0 o0;
-  out 4 o1;
-  out 8 o2;
-  out 12 o3
+  let rk = Bytes.create 176 in
+  expand key_str rk;
+  Bytes.unsafe_to_string rk
 
 let encrypt_block_into w src dst =
   if Bytes.length src <> 16 || Bytes.length dst <> 16 then
     invalid_arg "Aes128.encrypt_block_into";
-  encrypt_generic w
-    ~get:(fun i -> Char.code (Bytes.unsafe_get src i))
-    ~set:(fun i b -> Bytes.unsafe_set dst i (Char.unsafe_chr b))
+  encrypt w src dst
 
 let encrypt_block w block =
   if String.length block <> 16 then invalid_arg "Aes128.encrypt_block";
   let dst = Bytes.create 16 in
-  encrypt_generic w
-    ~get:(fun i -> Char.code (String.unsafe_get block i))
-    ~set:(fun i b -> Bytes.unsafe_set dst i (Char.unsafe_chr b));
+  encrypt w (Bytes.unsafe_of_string block) dst;
   Bytes.unsafe_to_string dst

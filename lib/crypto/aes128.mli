@@ -1,4 +1,7 @@
-(** AES-128 block encryption (FIPS 197), implemented from scratch.
+(** AES-128 block encryption (FIPS 197), implemented from scratch as a
+    portable C kernel: the 32-bit T-table formulation, with blocks read and
+    written byte by byte, so results do not depend on the host's byte order.
+    There are no AES-NI instructions and no CPU dispatch.
 
     Only encryption is provided; FastVer uses AES strictly as a PRF inside
     AES-CMAC for multiset hashing (the paper uses AES-NI for the same

@@ -1,8 +1,10 @@
 (** BLAKE2s (RFC 7693), implemented from scratch.
 
-    The 32-bit sibling of BLAKE2b. Its word operations fit OCaml's native
-    ints, making compression allocation-free — so it plays the role of the
-    paper's Blake3 (a fast 32-bit cryptographic hash) for Merkle hashing. *)
+    The 32-bit sibling of BLAKE2b, and the Merkle record hash: it plays the
+    role of the paper's Blake3 (a fast 32-bit cryptographic hash).
+    Compression is a portable C kernel that reads message bytes one at a
+    time (no SIMD, no byte-order dependence); {!digest} is a single call
+    into it. *)
 
 type ctx
 

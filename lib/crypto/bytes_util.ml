@@ -4,15 +4,6 @@ let xor a b =
   String.init (String.length a) (fun i ->
       Char.chr (Char.code a.[i] lxor Char.code b.[i]))
 
-let xor_into dst src =
-  if Bytes.length dst <> String.length src then
-    invalid_arg "Bytes_util.xor_into: length mismatch";
-  for i = 0 to Bytes.length dst - 1 do
-    Bytes.unsafe_set dst i
-      (Char.unsafe_chr
-         (Char.code (Bytes.unsafe_get dst i) lxor Char.code src.[i]))
-  done
-
 let equal_constant_time a b =
   let la = String.length a and lb = String.length b in
   let n = max la lb in

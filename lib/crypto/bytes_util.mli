@@ -7,10 +7,6 @@ val xor : string -> string -> string
 (** [xor a b] is the byte-wise exclusive-or of two equal-length strings.
     @raise Invalid_argument if the lengths differ. *)
 
-val xor_into : Bytes.t -> string -> unit
-(** [xor_into dst src] xors [src] into [dst] in place.
-    @raise Invalid_argument if the lengths differ. *)
-
 val equal_constant_time : string -> string -> bool
 (** Timing-safe equality: always scans the full length of both inputs. *)
 

@@ -1,4 +1,11 @@
-type key = { aes : Aes128.key; k1 : string; k2 : string }
+(* The subkeys are derived here once per key; the MAC loop runs in C
+   (aes128_stubs.c). *)
+
+external cmac : Aes128.key -> string -> string -> Bytes.t -> unit
+  = "fv_aes128_cmac"
+[@@noalloc]
+
+type key = { aes : Aes128.key; subkeys : string (* K1 ‖ K2 *) }
 
 (* Left-shift a 16-byte string by one bit. *)
 let shift_left_1 s =
@@ -22,32 +29,9 @@ let of_aes_key key_str =
   let l = Aes128.encrypt_block aes (String.make 16 '\000') in
   let k1 = derive_subkey l in
   let k2 = derive_subkey k1 in
-  { aes; k1; k2 }
+  { aes; subkeys = k1 ^ k2 }
 
-let mac { aes; k1; k2 } msg =
-  let len = String.length msg in
-  let n_blocks = if len = 0 then 1 else (len + 15) / 16 in
-  let x = Bytes.make 16 '\000' in
-  let block = Bytes.create 16 in
-  (* All complete blocks except the last. *)
-  for i = 0 to n_blocks - 2 do
-    Bytes.blit_string msg (16 * i) block 0 16;
-    Bytes_util.xor_into block (Bytes.to_string x);
-    Aes128.encrypt_block_into aes block x
-  done;
-  (* Last block: complete -> xor K1; partial -> pad with 10..0 and xor K2. *)
-  let last_off = 16 * (n_blocks - 1) in
-  let last_len = len - last_off in
-  if last_len = 16 then begin
-    Bytes.blit_string msg last_off block 0 16;
-    Bytes_util.xor_into block k1
-  end
-  else begin
-    Bytes.fill block 0 16 '\000';
-    Bytes.blit_string msg last_off block 0 last_len;
-    Bytes.set block last_len '\x80';
-    Bytes_util.xor_into block k2
-  end;
-  Bytes_util.xor_into block (Bytes.to_string x);
-  Aes128.encrypt_block_into aes block x;
-  Bytes.to_string x
+let mac { aes; subkeys } msg =
+  let out = Bytes.create 16 in
+  cmac aes subkeys msg out;
+  Bytes.unsafe_to_string out

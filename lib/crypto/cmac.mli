@@ -1,7 +1,9 @@
 (** AES-CMAC (RFC 4493): a PRF / MAC over arbitrary-length messages.
 
     FastVer uses AES-CMAC as the pseudo-random function underlying the
-    multiset hash, following Concerto. *)
+    multiset hash, following Concerto, and for put MACs and receipts.
+    {!mac} runs the whole chaining loop in one call into the C kernel of
+    {!Aes128}. *)
 
 type key
 

@@ -1,4 +1,4 @@
-(** HMAC-SHA256 (RFC 2104).
+(** HMAC-SHA256 (RFC 2104), over {!Sha256}'s C compression.
 
     Used for client request signatures and verifier result signatures: the
     paper allows message authentication codes over a shared secret in place of

@@ -1,7 +1,8 @@
 (** SHA-256 (FIPS 180-4), implemented from scratch.
 
-    Used for HMAC-based message authentication between clients and the
-    verifier, and available as an alternative Merkle hash. *)
+    Used for HMAC (certificates, cold-segment records), checkpoint digests,
+    and as an alternative Merkle hash. Compression is a portable C kernel
+    (no SHA-NI) that takes every whole block of an update in one call. *)
 
 type ctx
 (** Mutable hashing context for incremental use. *)

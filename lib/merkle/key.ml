@@ -146,13 +146,16 @@ let hash k =
   let h = h lxor Int64.to_int k.w0 in
   (h lxor k.depth) land max_int
 
+let encode_into k b off =
+  Bytes.set_uint16_le b off k.depth;
+  Bytes.set_int64_be b (off + 2) k.w0;
+  Bytes.set_int64_be b (off + 10) k.w1;
+  Bytes.set_int64_be b (off + 18) k.w2;
+  Bytes.set_int64_be b (off + 26) k.w3
+
 let encode k =
   let b = Bytes.create 34 in
-  Bytes.set_uint16_le b 0 k.depth;
-  Bytes.set_int64_be b 2 k.w0;
-  Bytes.set_int64_be b 10 k.w1;
-  Bytes.set_int64_be b 18 k.w2;
-  Bytes.set_int64_be b 26 k.w3;
+  encode_into k b 0;
   Bytes.unsafe_to_string b
 
 let to_bit_string k = String.init k.depth (fun i -> if bit k i then '1' else '0')

@@ -69,6 +69,10 @@ val encode : t -> string
 (** Canonical 34-byte encoding (2-byte depth + 32 path bytes), injective;
     used inside hash and MAC computations. *)
 
+val encode_into : t -> Bytes.t -> int -> unit
+(** [encode_into k b off] writes {!encode}[ k] into [b] at [off], for
+    callers that assemble a larger record in one buffer. *)
+
 val pp : Format.formatter -> t -> unit
 (** Renders as [depth:hex-prefix], e.g. [5:0b...]. *)
 

@@ -17,4 +17,9 @@ let hash_value ?(algo = Blake2s) v =
 let blum_element k v t =
   (* Fixed-width key and timestamp bracket the variable-width value, so the
      encoding is injective. *)
-  Key.encode k ^ Value.encode v ^ Bytes_util.string_of_u64_le t
+  let n = Value.encoded_size v in
+  let b = Bytes.create (34 + n + 8) in
+  Key.encode_into k b 0;
+  Value.encode_into v b 34;
+  Bytes.set_int64_le b (34 + n) t;
+  Bytes.unsafe_to_string b

@@ -1,8 +1,8 @@
 (** Cryptographic encodings of records.
 
     Two hash roles, mirroring the paper's implementation (§7):
-    - {b Merkle hashing} of a record value (Blake3 in the paper; BLAKE2b here,
-      BLAKE2s/SHA-256 selectable for ablation);
+    - {b Merkle hashing} of a record value (Blake3 in the paper; BLAKE2s here,
+      BLAKE2b/SHA-256 selectable for ablation);
     - {b Blum elements}: the byte string representing [(record, timestamp)]
       that is folded into the deferred-verification multiset hashes with
       AES-CMAC. Elements embed the raw value bytes, not a value hash, so the

@@ -19,27 +19,42 @@ let slot n d = if d then n.right else n.left
 
 let set_slot n d p = if d then { n with right = p } else { n with left = p }
 
-let encode_ptr buf p =
+(* Encoded sizes: a tag byte, then per pointer slot a presence byte and,
+   when set, a 34-byte key, the hash and an [in_blum] byte. *)
+let ptr_size = function None -> 1 | Some p -> 36 + String.length p.hash
+
+let encoded_size = function
+  | Data None -> 1
+  | Data (Some s) -> 1 + String.length s
+  | Node { left; right } -> 1 + ptr_size left + ptr_size right
+
+let encode_ptr b off p =
   match p with
-  | None -> Buffer.add_char buf '\x00'
+  | None ->
+      Bytes.set b off '\x00';
+      off + 1
   | Some { key; hash; in_blum } ->
-      Buffer.add_char buf '\x01';
-      Buffer.add_string buf (Key.encode key);
-      Buffer.add_string buf hash;
-      Buffer.add_char buf (if in_blum then '\x01' else '\x00')
+      let n = String.length hash in
+      Bytes.set b off '\x01';
+      Key.encode_into key b (off + 1);
+      Bytes.blit_string hash 0 b (off + 35) n;
+      Bytes.set b (off + 35 + n) (if in_blum then '\x01' else '\x00');
+      off + 36 + n
+
+let encode_into v b off =
+  match v with
+  | Data None -> Bytes.set b off '\x00'
+  | Data (Some s) ->
+      Bytes.set b off '\x01';
+      Bytes.blit_string s 0 b (off + 1) (String.length s)
+  | Node { left; right } ->
+      Bytes.set b off '\x02';
+      ignore (encode_ptr b (encode_ptr b (off + 1) left) right : int)
 
 let encode v =
-  let buf = Buffer.create 64 in
-  (match v with
-  | Data None -> Buffer.add_char buf '\x00'
-  | Data (Some s) ->
-      Buffer.add_char buf '\x01';
-      Buffer.add_string buf s
-  | Node { left; right } ->
-      Buffer.add_char buf '\x02';
-      encode_ptr buf left;
-      encode_ptr buf right);
-  Buffer.contents buf
+  let b = Bytes.create (encoded_size v) in
+  encode_into v b 0;
+  Bytes.unsafe_to_string b
 
 let decode s =
   let ( let* ) = Result.bind in

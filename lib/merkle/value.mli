@@ -34,6 +34,13 @@ val set_slot : node -> bool -> ptr option -> node
 val encode : t -> string
 (** Injective binary encoding, input to {!Record_enc} hashing. *)
 
+val encoded_size : t -> int
+(** [String.length (encode v)], computed without encoding. *)
+
+val encode_into : t -> Bytes.t -> int -> unit
+(** [encode_into v b off] writes {!encode}[ v] into [b] at [off]; [b] must
+    have {!encoded_size}[ v] bytes free there. *)
+
 val decode : string -> (t, string) result
 (** Inverse of {!encode}; used when reloading untrusted persisted records
     (any tampering surfaces later as a verifier check failure). *)

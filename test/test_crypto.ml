@@ -153,6 +153,35 @@ let test_hmac_vectors () =
     "verify rejects" false
     (Hmac.verify ~key:"k" "msg" ~tag:(Hmac.mac ~key:"k" "msg2"))
 
+(* --- Known answers over every message length 0..300 --- *)
+
+(* Each primitive hashes (or MACs) the concatenation of its own outputs for
+   the messages [kat_msg 0] .. [kat_msg 300], which cross every block
+   boundary up to five blocks. The constants were computed with Python's
+   hashlib and hmac:
+     msg(n) = bytes((31*i + n) % 256 for i in range(n))
+     blake2s(b"".join(blake2s(msg(n)).digest() for n in range(301)))
+   and likewise with sha256, and with hmac-sha256 under the key below. *)
+let kat_msg n = String.init n (fun i -> Char.chr (((31 * i) + n) mod 256))
+
+let kat_fold f = f (String.concat "" (List.init 301 (fun n -> f (kat_msg n))))
+
+let test_known_answers () =
+  check_hex "blake2s"
+    "e10d837352abe948ed43d01b445bf07a95bd1503c37a4cd1eb3b874a6277b2d1"
+    (kat_fold (fun m -> Blake2s.digest m));
+  check_hex "sha256"
+    "2508c478cc7c1417db7b6e5532ddda7c5c497ad1e51c11df37059147d9b81354"
+    (kat_fold Sha256.digest);
+  let secret = "fastver known-answer key" in
+  let key = Hmac.key secret in
+  check_hex "hmac-sha256"
+    "647a5ac83eb7e3d5efe488b94a64ea224e9e8583f7f64d20d0911a5210820f22"
+    (kat_fold (Hmac.mac_with key));
+  check_hex "hmac-sha256, key per call"
+    "647a5ac83eb7e3d5efe488b94a64ea224e9e8583f7f64d20d0911a5210820f22"
+    (kat_fold (Hmac.mac ~key:secret))
+
 (* --- Bytes_util --- *)
 
 let test_bytes_util () =
@@ -222,6 +251,60 @@ let prop_sha256_incremental =
       Sha256.update ctx (String.sub s cut (String.length s - cut));
       Sha256.finalize ctx = Sha256.digest s)
 
+let prop_blake2s_incremental =
+  QCheck.Test.make ~name:"blake2s split-invariant" ~count:300
+    QCheck.(
+      triple (string_of_size Gen.(0 -- 300)) (int_range 1 32)
+        (small_list (int_range 0 130)))
+    (fun (s, digest_size, chunks) ->
+      let ctx = Blake2s.init ~digest_size () in
+      let pos =
+        List.fold_left
+          (fun pos len ->
+            let len = min len (String.length s - pos) in
+            Blake2s.update ctx (String.sub s pos len);
+            pos + len)
+          0 chunks
+      in
+      Blake2s.update ctx (String.sub s pos (String.length s - pos));
+      Blake2s.finalize ctx = Blake2s.digest ~digest_size s)
+
+(* RFC 4493 written out over single AES blocks, independent of [Cmac]. *)
+let reference_cmac key msg =
+  let aes = Aes128.expand_key key in
+  let dbl s =
+    let b = Bytes.create 16 in
+    for i = 0 to 15 do
+      let next = if i = 15 then 0 else Char.code s.[i + 1] lsr 7 in
+      Bytes.set b i (Char.chr (((Char.code s.[i] lsl 1) lor next) land 0xff))
+    done;
+    if Char.code s.[0] land 0x80 <> 0 then
+      Bytes.set b 15 (Char.chr (Char.code (Bytes.get b 15) lxor 0x87));
+    Bytes.to_string b
+  in
+  let k1 = dbl (Aes128.encrypt_block aes (String.make 16 '\000')) in
+  let k2 = dbl k1 in
+  let n = String.length msg in
+  let blocks = if n = 0 then 1 else (n + 15) / 16 in
+  let tail = String.sub msg (16 * (blocks - 1)) (n - (16 * (blocks - 1))) in
+  let last =
+    if String.length tail = 16 then Bytes_util.xor tail k1
+    else
+      Bytes_util.xor
+        (tail ^ "\x80" ^ String.make (15 - String.length tail) '\000')
+        k2
+  in
+  let x = ref (String.make 16 '\000') in
+  for i = 0 to blocks - 2 do
+    x := Aes128.encrypt_block aes (Bytes_util.xor !x (String.sub msg (16 * i) 16))
+  done;
+  Aes128.encrypt_block aes (Bytes_util.xor !x last)
+
+let prop_cmac_reference =
+  QCheck.Test.make ~name:"cmac matches block-wise reference" ~count:300
+    QCheck.(pair (string_of_size (Gen.return 16)) (string_of_size Gen.(0 -- 300)))
+    (fun (key, msg) -> Cmac.mac (Cmac.of_aes_key key) msg = reference_cmac key msg)
+
 let prop_multiset_permutation =
   QCheck.Test.make ~name:"multiset hash permutation-invariant" ~count:200
     QCheck.(small_list (string_of_size Gen.(0 -- 20)))
@@ -259,12 +342,15 @@ let suite =
       Alcotest.test_case "aes in-place" `Quick test_aes_in_place;
       Alcotest.test_case "cmac vectors" `Quick test_cmac_vectors;
       Alcotest.test_case "hmac vectors" `Quick test_hmac_vectors;
+      Alcotest.test_case "known answers, lengths 0..300" `Quick test_known_answers;
       Alcotest.test_case "bytes_util" `Quick test_bytes_util;
       Alcotest.test_case "multiset basic" `Quick test_multiset_basic;
       Alcotest.test_case "multiset merge" `Quick test_multiset_merge;
       QCheck_alcotest.to_alcotest prop_hex_roundtrip;
       QCheck_alcotest.to_alcotest prop_xor_involution;
       QCheck_alcotest.to_alcotest prop_sha256_incremental;
+      QCheck_alcotest.to_alcotest prop_blake2s_incremental;
+      QCheck_alcotest.to_alcotest prop_cmac_reference;
       QCheck_alcotest.to_alcotest prop_multiset_permutation;
       QCheck_alcotest.to_alcotest prop_cmac_distinct;
     ] )

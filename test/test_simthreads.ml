@@ -1,8 +1,21 @@
 (* The scalability simulator. *)
 
+(* Each side is timed as the best of 3 runs: a single run lasts tens of
+   milliseconds, so one scheduling hiccup on a shared host can swing it by
+   more than the margin under test. *)
 let test_dv_micro_scales () =
-  let r1 = Fastver_simthreads.Simthreads.run_dv_micro ~workers:1 ~db_size:4096 ~ops:40_000 () in
-  let r4 = Fastver_simthreads.Simthreads.run_dv_micro ~workers:4 ~db_size:4096 ~ops:40_000 () in
+  let best workers =
+    let run () =
+      Fastver_simthreads.Simthreads.run_dv_micro ~workers ~db_size:4096
+        ~ops:40_000 ()
+    in
+    let better (a : Fastver_simthreads.Simthreads.result) b =
+      if b.Fastver_simthreads.Simthreads.throughput > a.throughput then b else a
+    in
+    better (better (run ()) (run ())) (run ())
+  in
+  let r1 = best 1 in
+  let r4 = best 4 in
   Alcotest.(check bool)
     (Printf.sprintf "4 workers beat 1 (%.0f vs %.0f ops/s)" r4.throughput
        r1.throughput)
