@@ -1,64 +1,25 @@
-(* RFC 7693 BLAKE2s. Compression runs in C (blake2s_stubs.c); the
-   incremental context only buffers the input around it. *)
-
-external compress : Bytes.t -> Bytes.t -> int -> int -> bool -> unit
-  = "fv_blake2s_compress"
-[@@noalloc]
+(* RFC 7693 BLAKE2s. The whole hash runs in C (blake2s_stubs.c); an
+   incremental context only collects its input for one call at the end. *)
 
 external digest_into : string -> Bytes.t -> unit = "fv_blake2s_digest"
 [@@noalloc]
 
-type ctx = {
-  h : Bytes.t; (* 8 little-endian chaining words *)
-  buf : Bytes.t; (* 64-byte block buffer *)
-  mutable buf_len : int;
-  mutable total : int; (* byte counter; inputs < 2^62 bytes *)
-  digest_size : int;
-}
+type ctx = { buf : Buffer.t; digest_size : int }
 
 let check_size digest_size =
   if digest_size < 1 || digest_size > 32 then
     invalid_arg "Blake2s.init: digest_size out of range"
 
-(* The parameter block's word 0 (digest length, fanout = depth = 1) xored
-   into the first IV word. *)
 let init ?(digest_size = 32) () =
   check_size digest_size;
-  let h = Bytes.create 32 in
-  List.iteri
-    (fun i w -> Bytes.set_int32_le h (4 * i) (Int32.of_int w))
-    [
-      0x6a09e667 lxor 0x01010000 lxor digest_size; 0xbb67ae85; 0x3c6ef372;
-      0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
-    ];
-  { h; buf = Bytes.make 64 '\000'; buf_len = 0; total = 0; digest_size }
+  { buf = Buffer.create 64; digest_size }
 
-(* BLAKE2 must keep the final block out of [compress ~last:false]; flush the
-   buffer only when more input is known to follow. *)
-let update ctx s =
-  let len = String.length s in
-  let pos = ref 0 and remaining = ref len in
-  while !remaining > 0 do
-    if ctx.buf_len = 64 then begin
-      ctx.total <- ctx.total + 64;
-      compress ctx.h ctx.buf 0 ctx.total false;
-      ctx.buf_len <- 0
-    end;
-    let take = min (64 - ctx.buf_len) !remaining in
-    Bytes.blit_string s !pos ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    pos := !pos + take;
-    remaining := !remaining - take
-  done
-
-let finalize ctx =
-  ctx.total <- ctx.total + ctx.buf_len;
-  Bytes.fill ctx.buf ctx.buf_len (64 - ctx.buf_len) '\000';
-  compress ctx.h ctx.buf 0 ctx.total true;
-  Bytes.sub_string ctx.h 0 ctx.digest_size
+let update ctx s = Buffer.add_string ctx.buf s
 
 let digest ?(digest_size = 32) msg =
   check_size digest_size;
   let out = Bytes.create digest_size in
   digest_into msg out;
   Bytes.unsafe_to_string out
+
+let finalize ctx = digest ~digest_size:ctx.digest_size (Buffer.contents ctx.buf)

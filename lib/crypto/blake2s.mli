@@ -4,7 +4,8 @@
     role of the paper's Blake3 (a fast 32-bit cryptographic hash).
     Compression is a portable C kernel that reads message bytes one at a
     time (no SIMD, no byte-order dependence); {!digest} is a single call
-    into it. *)
+    into it, and {!finalize} makes that same call over everything an
+    incremental context was given. *)
 
 type ctx
 

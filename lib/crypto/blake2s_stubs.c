@@ -1,9 +1,8 @@
 /* BLAKE2s (RFC 7693): 64-byte blocks, 32-bit words, 10 rounds.
 
-   Message bytes are assembled into words one byte at a time, so the kernel
-   gives the same digests on any host byte order. The OCaml side keeps the
-   chaining state of an incremental context as 8 little-endian words in a
-   32-byte [Bytes.t], which is also the digest's byte order. */
+   Message bytes are assembled into words one byte at a time, and the digest
+   is stored little-endian byte by byte, so the kernel gives the same digests
+   on any host byte order. */
 
 #include <stdint.h>
 #include <string.h>
@@ -85,19 +84,6 @@ static void blake2s_compress(uint32_t h[8], const unsigned char *block,
     G(3, 4, 9, 14, m[s[14]], m[s[15]]);
   }
   for (i = 0; i < 8; i++) h[i] ^= v[i] ^ v[i + 8];
-}
-
-/* [h]: the 32-byte state; the block is the 64 bytes of [block] at [off]. */
-value fv_blake2s_compress(value h, value block, value off, value t, value last)
-{
-  unsigned char *hp = Bytes_val(h);
-  uint32_t hw[8];
-  int i;
-  for (i = 0; i < 8; i++) hw[i] = load32_le(hp + 4 * i);
-  blake2s_compress(hw, (const unsigned char *)String_val(block) + Long_val(off),
-                   (uint64_t)Long_val(t), Bool_val(last));
-  for (i = 0; i < 8; i++) store32_le(hp + 4 * i, hw[i]);
-  return Val_unit;
 }
 
 /* The unkeyed digest of [msg], as long as [out] (1 to 32 bytes). */
