@@ -275,8 +275,8 @@ let run_node ?metrics_interval f =
   if F.failure f <> None then exit 3
 
 let serve_cmd listen db_size workers shards batch depth cache algo
-    enclave_model no_auth seed batch_limit ckpt_dir background_verify
-    metrics_interval cold_dir cold_threshold repl_listen repl_peers =
+    enclave_model no_auth seed batch_limit ckpt_dir metrics_interval cold_dir
+    cold_threshold repl_listen repl_peers =
   if db_size < 1 then die "--db-size must be at least 1";
   if workers < 1 then die "--workers must be at least 1";
   if shards < 0 then die "--shards must be non-negative";
@@ -287,7 +287,6 @@ let serve_cmd listen db_size workers shards batch depth cache algo
       (mk_config workers batch depth cache algo enclave_model no_auth seed)
       with
       n_shards = shards;
-      background_verify;
       cold_dir;
       cold_threshold;
     }
@@ -754,13 +753,6 @@ let recover_dir =
   Arg.(required & opt (some string) None & info [ "dir" ] ~docv:"DIR"
          ~doc:"Checkpoint directory to recover from.")
 
-let background_verify =
-  Arg.(value & flag & info [ "background-verify" ]
-         ~doc:"Run verification scans on a background domain: Verify (and \
-               auto-triggered scans) seal the epoch boundary under a brief \
-               barrier and keep serving into the next epoch while the scan \
-               runs, instead of quiescing the executor pool.")
-
 let repl_listen =
   Arg.(value & opt (some string) None & info [ "replication-listen" ]
          ~docv:"ADDR"
@@ -825,8 +817,7 @@ let serve_term =
     const (fun () -> serve_cmd)
     $ setup_logs $ listen $ db_size $ workers $ shards $ batch $ depth $ cache
     $ algo $ enclave_model $ no_auth $ seed $ batch_limit $ ckpt_dir
-    $ background_verify $ metrics_interval $ cold_dir $ cold_threshold
-    $ repl_listen $ repl_peers)
+    $ metrics_interval $ cold_dir $ cold_threshold $ repl_listen $ repl_peers)
 
 let follow_term =
   Term.(
@@ -932,7 +923,6 @@ let default_threshold fig =
   if fig = "wirealloc" then 0.10
   else if fig = "scale" then 0.35
   else if fig = "coldtier" then 0.35 (* disk-bound rows jitter more than CPU *)
-  else if fig = "vpause" then 0.50 (* sub-ms pauses: scheduler noise dominates *)
   else 0.30
 
 (* Mean of each direction-carrying metric over a figure archive's rows. *)
@@ -1226,7 +1216,7 @@ let bench_diff_term =
 
 let history_fig =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FIG"
-         ~doc:"The figure whose archived runs to list (e.g. fig12, vpause).")
+         ~doc:"The figure whose archived runs to list (e.g. fig12, scale).")
 
 let history_last =
   Arg.(value & opt int 0 & info [ "last" ] ~docv:"N"

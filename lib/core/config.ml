@@ -13,7 +13,6 @@ type t = {
   mset_secret : string;
   seed : int;
   metrics_enabled : bool;
-  background_verify : bool;
   cold_dir : string option;
   cold_threshold : int;
   cold_segment_bytes : int;
@@ -36,7 +35,6 @@ let default =
     mset_secret = "fastver-mset-k3y";
     seed = 42;
     metrics_enabled = true;
-    background_verify = false;
     cold_dir = None;
     cold_threshold = 100_000;
     cold_segment_bytes = 4 * 1024 * 1024;
@@ -48,11 +46,10 @@ let shards t = if t.n_shards <= 0 then max 1 t.n_workers else t.n_shards
 let pp ppf t =
   Format.fprintf ppf
     "workers=%d shards=%d cache=%d d=%d batch=%d log=%d algo=%a enclave=%a \
-     auth=%b sorted=%b metrics=%b bgverify=%b cold=%s"
+     auth=%b sorted=%b metrics=%b cold=%s"
     t.n_workers (shards t) t.cache_capacity t.frontier_levels t.batch_size
     t.log_buffer_size Record_enc.pp_algo t.algo Cost_model.pp t.cost_model
     t.authenticate_clients t.sorted_migration t.metrics_enabled
-    t.background_verify
     (match t.cold_dir with
     | None -> "off"
     | Some d -> Printf.sprintf "%s@%d" d t.cold_threshold)

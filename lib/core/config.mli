@@ -44,13 +44,6 @@ type t = {
           The operation counters behind [Fastver.stats] (tier attribution,
           gets, puts, scans, CAS retries, verifies) and the callback-backed
           metrics count either way. *)
-  background_verify : bool;
-      (** Run epoch verification scans concurrently with foreground
-          traffic: the epoch boundary is sealed under a brief O(workers)
-          barrier, the live epoch is bumped so gets/puts resume
-          immediately, and the scan runs over the sealed snapshot on
-          background domains. Off by default: [Fastver.verify] then holds
-          the world lock for the whole scan (quiesced semantics). *)
   cold_dir : string option;
       (** Directory for the authenticated cold tier; [None] keeps every
           record in memory. Larger-than-memory datasets demote cooling

@@ -662,13 +662,11 @@ let recover_chain ?(config = Config.default) ~gdirs () =
           if entry.aux.owner >= 0 then sh.frontier <- k :: sh.frontier))
     t.shards;
   (* Re-seed the dirty sets from the persisted protection state: a
-     checkpoint may land mid-epoch (with background verification it
-     routinely does), so data records still riding the deferred tier
-     persist with blum aux, and their evict-set entries came back with the
-     sealed summaries. Without their keys in the shards' dirty lists the
-     next scan could never balance those entries. The store aux is the
-     source of truth — it also covers keys that were sitting in the
-     in-memory re-deferral list when the process died. *)
+     checkpoint may land mid-epoch, so data records still riding the
+     deferred tier persist with blum aux, and their evict-set entries came
+     back with the sealed summaries. Without their keys in the shards'
+     dirty lists the next scan could never balance those entries. The
+     store aux is the source of truth. *)
   Store.iter_aux t.store (fun k aux ->
       if aux_is_blum aux then begin
         let sh = t.shards.(shard_of_data_key t k) in

@@ -16,49 +16,19 @@ let verifier_op_count t =
       + s.n_vget + s.n_vput)
     0 t.shards
 
-(* Background slices re-take their shard's tree lock and worker lock per
-   [bg_chunk]-sized chunk of work, releasing them in between so foreground
-   operations interleave: the pause any single operation can observe is
-   bounded by one chunk, not the whole scan. *)
-let bg_chunk = 256
-
 (* One shard's slice of the verification scan: steps 1–2 (sorted dirty
-   re-apply, frontier migration). Both modes leave the verifier cache's
-   working set resident across the seal. Because routing
-   confines every record — and therefore every buffered log entry — to its
-   own shard, the epoch close and seal also ride the slice
-   ([close_and_seal_shard] below): a shard certifies its partition the
-   moment its own migration finishes, without waiting for the others. Only
-   the store-level multiset fold remains serial.
-
-   Quiesced mode ([background = false]): the coordinator holds every lock
-   and the slices run free. Background mode: the world is live — the slice
-   chunks its way through the sealed snapshot under its shard's tree +
-   worker locks (the same order [merkle_slow] takes, so no deadlock),
-   racing foreground fast-path CASes on the store; migration therefore
-   claims each dirty record by CAS, and a record whose touch already
-   carried it into the live epoch is skipped (the toucher's [add_b]
-   balanced this epoch, and the seal parked the key for the next). *)
-let scan_shard t ~epoch ~background sh dirty =
+   re-apply, frontier migration), leaving the verifier cache's working set
+   resident across the seal. Because routing confines every record — and
+   therefore every buffered log entry — to its own shard, the epoch close
+   and seal also ride the slice ([close_and_seal_shard] below): a shard
+   certifies its partition the moment its own migration finishes, without
+   waiting for the others. Only the store-level multiset fold remains
+   serial. The coordinator holds every shard's tree and worker lock, so
+   no foreground operation runs while a slice does. *)
+let scan_shard t ~epoch sh dirty =
   let migrated_data = ref 0 and migrated_frontier = ref 0 in
-  let chunked len f =
-    if not background then begin
-      if len > 0 then Enclave.call t.enclave (fun () -> f 0 len)
-    end
-    else begin
-      let i = ref 0 in
-      while !i < len do
-        let hi = min len (!i + bg_chunk) in
-        with_shard_lock t sh.sid (fun () ->
-            with_worker_lock t sh.sid (fun () ->
-                (* Drain buffered foreground entries before any direct
-                   verifier call: their evict timestamps predate ours, and
-                   the thread clock only moves forward. *)
-                flush_worker t sh;
-                Enclave.call t.enclave (fun () -> f !i hi)));
-        i := hi
-      done
-    end
+  let in_enclave len f =
+    if len > 0 then Enclave.call t.enclave (fun () -> f len)
   in
   (* 1. Sorted merkle updates: re-apply every touched data record to the
      tree in key order, exploiting chain-prefix locality (the snapshot
@@ -71,22 +41,15 @@ let scan_shard t ~epoch ~background sh dirty =
     match ok (Store.get t.store key) with
     | Some (v, aux) when aux_is_blum aux ->
         let ts = aux_timestamp aux in
-        if Timestamp.epoch ts > epoch then
-          (* Re-touched across the seal while this scan was in flight: the
-             toucher's [add_b] balanced this epoch's evict and its key is
-             parked for the next seal. Nothing to do here. *)
-          ()
-        else if
+        if
           not (Store.try_cas t.store key ~expected_aux:aux v ~aux:aux_merkle)
         then
-          (* A foreground fast-path CAS slipped in between our read and
-             ours; re-read — it either stayed in the sealed epoch (retry
-             the claim) or crossed into the live one (skip, above). *)
+          (* The store is not frozen with the shards: cold-tier demotion
+             ([cold_maintain]) rewrites record bodies under the store's
+             stripe locks, outside [verify_mutex]. Claiming by CAS keeps
+             the read and the claim one step; re-read and retry. *)
           migrate_dirty key
         else begin
-          (* Claimed: the store says merkle, so any racing fast path now
-             fails its CAS and falls through to [merkle_slow], which
-             blocks on the shard's tree lock until this chunk completes. *)
           let descent = Tree.descend sh.tree key in
           assert (descent.outcome = Tree.Exists);
           let parent = ensure_chain t sh descent.path in
@@ -102,16 +65,16 @@ let scan_shard t ~epoch ~background sh dirty =
     | Some _ | None ->
         raise (Integrity_violation "dirty record not in blum state")
   in
-  chunked (Array.length dirty) (fun lo hi ->
-      for i = lo to hi - 1 do
+  in_enclave (Array.length dirty) (fun len ->
+      for i = 0 to len - 1 do
         let key = dirty.(i) in
         if not (i > 0 && Key.equal key dirty.(i - 1)) then migrate_dirty key
       done);
   (* 2. Migrate this shard's frontier merkle records that were not touched
      (still in the deferred tier) to the next epoch. *)
   let frontier = Array.of_list sh.frontier in
-  chunked (Array.length frontier) (fun lo hi ->
-      for i = lo to hi - 1 do
+  in_enclave (Array.length frontier) (fun len ->
+      for i = 0 to len - 1 do
         let f = frontier.(i) in
         let entry = Tree.get_exn sh.tree f in
         match entry.aux.mstate with
@@ -133,7 +96,7 @@ let scan_shard t ~epoch ~background sh dirty =
                eviction; the next scan migrates it. *)
             ()
         | M_cached sid ->
-            (* Cached: it stays resident across the seal, in both modes. A
+            (* Cached: it stays resident across the seal. A
                record cached in epoch [e] contributes nothing further to
                [e] (its add already balanced the evict that made it
                cached), and its own eventual eviction — by capacity, or
@@ -149,42 +112,33 @@ let scan_shard t ~epoch ~background sh dirty =
 (* 4a. Per-shard epoch close + seal, at the tail of each shard's own slice
    (routing confines a shard's log entries to its own partition, so a
    shard may certify the moment its migration finishes — this is what
-   moves the former serial close/detach loop into the parallel phase). In
-   background mode the shard's worker lock is held just long enough to
-   flush its buffer, close the epoch, detach its set hashes and seal;
-   afterwards the store-level aggregation reads only the returned fold,
-   never thread state that foreground traffic keeps mutating. *)
-let close_and_seal_shard t ~epoch ~background sh =
-  let work () =
-    flush_worker t sh;
-    let fold =
-      Enclave.call t.enclave (fun () ->
-          ok (Verifier.close_epoch sh.verifier ~tid:0 ~epoch);
-          let detached =
-            [| ok (Verifier.detach_epoch sh.verifier ~tid:0 ~epoch) |]
-          in
-          let _shard_cert, fold =
-            ok
-              (Verifier.seal_epoch_shard sh.verifier ~shard:sh.sid ~epoch
-                 ~detached)
-          in
-          fold)
-    in
-    sh.clock <- Timestamp.max sh.clock (Timestamp.first_of_epoch (epoch + 1));
-    fold
+   moves the former serial close/detach loop into the parallel phase).
+   The store-level aggregation reads only the returned fold. *)
+let close_and_seal_shard t ~epoch sh =
+  flush_worker t sh;
+  let fold =
+    Enclave.call t.enclave (fun () ->
+        ok (Verifier.close_epoch sh.verifier ~tid:0 ~epoch);
+        let detached =
+          [| ok (Verifier.detach_epoch sh.verifier ~tid:0 ~epoch) |]
+        in
+        let _shard_cert, fold =
+          ok
+            (Verifier.seal_epoch_shard sh.verifier ~shard:sh.sid ~epoch
+               ~detached)
+        in
+        fold)
   in
-  if background then with_worker_lock t sh.sid work else work ()
+  sh.clock <- Timestamp.max sh.clock (Timestamp.first_of_epoch (epoch + 1));
+  fold
 
-(* The verification scan (§6.3, §8.1). Quiesced mode: stop-the-world — the
-   coordinator owns every shard for the whole scan (lock order: tree locks
-   ascending, then worker locks ascending — the same order [merkle_slow]
-   uses, so scans and operations cannot deadlock), and the per-shard
-   slices fan out to real domains (§8.5). Background mode
-   ([config.background_verify]): the world stops only for the {e seal
-   barrier} — flush every log buffer, snapshot every dirty set, route the
-   parked epoch-crossing keys, bump the live epoch — after which
-   foreground gets/puts resume immediately against epoch [e+1] while the
-   slices migrate epoch [e] underneath them.
+(* The verification scan (§6.3, §8.1), stop-the-world: the coordinator
+   owns every shard for the whole scan (lock order: tree locks ascending,
+   then worker locks ascending — the same order [merkle_slow] uses, so
+   scans and operations cannot deadlock). The seal flushes every log
+   buffer, snapshots every dirty set and bumps the live epoch, so a cache
+   eviction made by a slice lands in epoch [e+1]; then the per-shard
+   slices fan out to real domains (§8.5).
 
    Each slice ends by closing and sealing its own shard's epoch
    ([close_and_seal_shard]); the serial tail is only the store-level
@@ -195,59 +149,30 @@ let close_and_seal_shard t ~epoch ~background sh =
 
    The caller must hold [verify_mutex]. Returns [(epoch, certificate)]. *)
 let verify_inner t =
-  let background = t.config.background_verify in
   let t0 = now () in
   let charged0 = Enclave.charged_ns t.enclave in
   let vops0 = verifier_op_count t in
   let touched0 = t.acc.migrated_data + t.acc.migrated_frontier in
-  Atomic.set t.verify_inflight true;
   Metrics.verify_in_flight t.metrics 1;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set t.verify_inflight false;
-      Metrics.verify_in_flight t.metrics 0)
+  Fun.protect ~finally:(fun () -> Metrics.verify_in_flight t.metrics 0)
   @@ fun () ->
-  (* ---- Seal barrier: O(shards) under the world lock. ---- *)
   lock_world t;
-  let seal () =
+  let scan () =
     let epoch = Verifier.current_epoch t.shards.(0).verifier in
     Array.iter (flush_worker t) t.shards;
-    let dirty_lists =
+    let dirty =
       Array.map
         (fun sh ->
-          let d = sh.dirty in
+          let d = Array.of_list sh.dirty in
           sh.dirty <- [];
           sh.dirty_len <- 0;
           d)
         t.shards
     in
-    (* Keys whose fast-path touch crossed the previous boundary belong to
-       this epoch's dirty sets; route each to its shard's snapshot. *)
-    List.iter
-      (fun k ->
-        let sid = shard_of_data_key t k in
-        dirty_lists.(sid) <- k :: dirty_lists.(sid))
-      (with_redeferred_lock t (fun () ->
-           let r = t.redeferred in
-           t.redeferred <- [];
-           r));
-    (* From here on, operations fold into the next epoch. *)
+    (* From here on, operations and the slices' own cache evictions fold
+       into the next epoch. *)
     Atomic.set t.live_epoch (epoch + 1);
     Atomic.set t.ops_since_verify 0;
-    (epoch, Array.map Array.of_list dirty_lists)
-  in
-  let epoch, dirty =
-    match seal () with
-    | sealed -> sealed
-    | exception e ->
-        unlock_world t;
-        raise e
-  in
-  if background then begin
-    unlock_world t;
-    Metrics.verify_pause t.metrics ~seconds:(now () -. t0)
-  end;
-  let run_scan () =
     let n = Array.length t.shards in
     let results = Array.make n (0, 0) in
     let folds = Array.make n ("", "") in
@@ -256,8 +181,8 @@ let verify_inner t =
       let sh = t.shards.(sid) in
       let tw = now () in
       (match
-         let r = scan_shard t ~epoch ~background sh dirty.(sid) in
-         let fold = close_and_seal_shard t ~epoch ~background sh in
+         let r = scan_shard t ~epoch sh dirty.(sid) in
+         let fold = close_and_seal_shard t ~epoch sh in
          (r, fold)
        with
       | r, fold ->
@@ -318,21 +243,16 @@ let verify_inner t =
           | Error e -> raise (Integrity_violation e))
     in
     t.acc.serial_s <- t.acc.serial_s +. (now () -. ts);
-    cert
+    (epoch, cert)
   in
-  let cert =
-    if background then run_scan ()
-    else
-      Fun.protect ~finally:(fun () -> unlock_world t) run_scan
-  in
+  let epoch, cert = Fun.protect ~finally:(fun () -> unlock_world t) scan in
   (* Epoch-boundary record for replication followers: emitted after the
      scan proved the epoch balanced, in epoch order ([verify_mutex]
      serializes scans). Every op teed with this epoch tag preceded the
-     seal barrier above, so followers hold the full epoch when this
-     record reaches them. *)
+     seal above, so followers hold the full epoch when this record
+     reaches them. *)
   repl_seal t ~epoch ~cert;
-  if not background then
-    Metrics.verify_pause t.metrics ~seconds:(now () -. t0);
+  Metrics.verify_pause t.metrics ~seconds:(now () -. t0);
   (* Account the enclave crossings this scan would have cost: its verifier
      calls stream through log buffers in a real deployment. *)
   let vops = verifier_op_count t - vops0 in
@@ -348,14 +268,6 @@ let verify_inner t =
   Metrics.verify_scan t.metrics ~seconds:elapsed
     ~touched:(t.acc.migrated_data + t.acc.migrated_frontier - touched0);
   (epoch, cert)
-
-(* Join the background scan domain, if one is outstanding. The handoff
-   goes through [bg_lock] so a joiner racing a dispatcher can never leave
-   a domain unjoined. *)
-let join_bg t =
-  match with_bg_lock t (fun () -> Atomic.exchange t.bg_join None) with
-  | Some d -> Domain.join d
-  | None -> ()
 
 (* Cold-tier maintenance rides the verification cadence: right after a scan
    every record's aux is freshly installed, so demotion moves settled
@@ -382,7 +294,6 @@ let cold_maintain t =
           | Error e -> Logs.warn (fun m -> m "cold compaction: %s" e))
 
 let verify_pair t =
-  join_bg t;
   let pair = with_lock t.verify_mutex (fun () -> verify_inner t) in
   cold_maintain t;
   (* post-verification hooks (auto-checkpoint) run outside the locks: they
@@ -392,39 +303,8 @@ let verify_pair t =
 
 let verify t = snd (verify_pair t)
 
-let verify_async t ~on_complete =
-  (* Raise the latch before the domain exists, so [maybe_verify] callers
-     stop dispatching the moment a scan is queued, not once it starts. *)
-  Atomic.set t.verify_inflight true;
-  with_bg_lock t (fun () ->
-      let prev = Atomic.exchange t.bg_join None in
-      let d =
-        Domain.spawn (fun () ->
-            (* Chain behind any previous background scan; its result went
-               to its own completion callback. *)
-            (match prev with Some p -> Domain.join p | None -> ());
-            match with_lock t.verify_mutex (fun () -> verify_inner t) with
-            | pair ->
-                cold_maintain t;
-                (match t.on_verified with Some hook -> hook () | None -> ());
-                on_complete (Ok pair)
-            | exception e -> on_complete (Error e))
-      in
-      Atomic.set t.bg_join (Some d))
-
-let wait_verify t = join_bg t
-
 let maybe_verify t =
   if
     Atomic.fetch_and_add t.ops_since_verify 1 + 1 >= t.config.batch_size
     && t.config.batch_size > 0
-  then
-    if t.config.background_verify then begin
-      (* Fire-and-forget, at most one in flight: the scan runs on its own
-         domain while this operation returns. A failed scan needs no
-         handling here — an integrity violation poisons the verifier, so
-         it resurfaces on the very next operation. *)
-      if Atomic.compare_and_set t.verify_inflight false true then
-        verify_async t ~on_complete:(fun _ -> ())
-    end
-    else ignore (verify t)
+  then ignore (verify t)

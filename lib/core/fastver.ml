@@ -124,7 +124,6 @@ let set_replication_hooks t ~on_op ~on_seal =
   t.repl <- Some { on_op; on_seal }
 
 let clear_replication_hooks t = t.repl <- None
-let verify_in_flight t = Atomic.get t.verify_inflight
 
 let owner_of_key t k = shard_of_data_key t (Key.of_int64 k)
 
@@ -138,8 +137,6 @@ let synth_boundaries n =
       Key.of_bytes32 (Bytes.to_string b))
 
 let verify = Epoch_scan.verify
-let verify_async = Epoch_scan.verify_async
-let wait_verify = Epoch_scan.wait_verify
 
 (* ------------------------------------------------------------------ *)
 (* Public operations                                                   *)
@@ -348,8 +345,7 @@ module Session = struct
     while verified_epoch s.sys < r.epoch do
       (* [verify_pair] reports which epoch the certificate covers — reading
          the verifier's current epoch separately would race a concurrent
-         (or background) scan and check the certificate against the wrong
-         epoch. *)
+         scan and check the certificate against the wrong epoch. *)
       let epoch, cert = verify_pair s.sys in
       if not (check_epoch_certificate s.sys ~epoch cert) then
         raise (Integrity_violation "bad epoch certificate")
@@ -461,9 +457,9 @@ module Batch = struct
       | exception Integrity_violation e -> Some e
     in
     (if auth then
-       (* Live epoch, not the verifier's: a background scan keeps the sealed
-          epoch open in the verifier while these ops folded into the live
-          one; a later fallback stamp is merely conservative. *)
+       (* Live epoch, not the verifier's: a concurrent scan keeps the
+          sealed epoch open in the verifier after bumping the live one; a
+          later fallback stamp is merely conservative. *)
        let fallback_epoch = Atomic.get t.live_epoch in
        List.iter
          (fun p ->
@@ -688,13 +684,10 @@ module Testing = struct
 
   (* Lock-order assertion hooks: with enforcement on, every acquisition in
      the core checks the documented order — shard tree locks ascending,
-     then worker locks ascending, with [bg_lock]/[redeferred_lock]/
-     [cold_lock] as annotated leaves — and these helpers let tests provoke
-     violations directly. *)
+     then worker locks ascending, with [cold_lock] as an annotated leaf —
+     and these helpers let tests provoke violations directly. *)
   let enforce_lock_order on = Atomic.set Lock_order.enforce on
   let with_shard_lock t sid f = with_shard_lock t sid f
   let with_worker_lock t wid f = with_worker_lock t wid f
-  let with_bg_lock t f = with_bg_lock t f
-  let with_redeferred_lock t f = with_redeferred_lock t f
   let with_cold_lock t f = with_cold_lock t f
 end

@@ -194,37 +194,15 @@ val verify : t -> string
     folds are order-independent, so the certificate is bit-identical to the
     1-shard scan's.
 
-    With [Config.background_verify] the world stops only for the {e seal
-    barrier} — an O(shards) section that flushes the log buffers,
-    snapshots the per-shard dirty sets and bumps {!live_epoch} — and the
-    scan then runs over the sealed snapshot concurrently with foreground
-    gets/puts, which immediately fold into the next epoch. [verify] itself
-    still blocks its caller until the certificate is sealed (use
-    {!verify_async} to overlap); the certificate is bit-identical to the
-    quiesced scan's. *)
-
-val verify_async : t -> on_complete:((int * string, exn) result -> unit) -> unit
-(** Run the next verification scan on its own domain and return
-    immediately. [on_complete] fires on that domain with [(epoch,
-    certificate)] — or the raised exception (an [Integrity_violation]
-    poisons the verifier, so it also resurfaces on the next operation).
-    Scans are serialized: a dispatch while one is in flight queues behind
-    it. The spawned domain is joined by the next {!verify},
-    {!wait_verify} or {!checkpoint}, so callers that only ever dispatch
-    must call {!wait_verify} before discarding the system. *)
-
-val wait_verify : t -> unit
-(** Join the outstanding {!verify_async} scan, if any (its result still
-    goes to its own [on_complete]). No-op when none is in flight. *)
-
-val verify_in_flight : t -> bool
-(** Whether a verification scan is currently queued or running (also
-    surfaced as the [fastver_verify_in_flight] gauge). *)
+    The scan stops the world: it holds every shard's tree and worker lock
+    from the seal to the certificate, so gets and puts on any shard wait
+    for the whole scan ([fastver_verify_pause_seconds]). *)
 
 val live_epoch : t -> int
-(** The epoch operations fold into right now. Equal to {!current_epoch}
-    except while a background scan is in flight, when the verifier still
-    holds the sealed epoch open and [live_epoch] is one ahead. *)
+(** The epoch operations fold into right now, readable without a lock.
+    Equal to {!current_epoch} except while a scan holds the world, when
+    the verifier still holds the sealed epoch open and [live_epoch] is
+    already one ahead. *)
 
 val current_epoch : t -> int
 val check_epoch_certificate : t -> epoch:int -> string -> bool
@@ -236,8 +214,8 @@ val checkpoint : t -> dir:string -> (unit, string) result
 (** Persist the data records, per-shard merkle records and sealed verifier
     summaries (§7): run after {!verify} so that the on-disk state
     corresponds to a verified epoch. Serializes with verification scans (a
-    checkpoint issued during a background scan waits for the scan to
-    finish) and evicts all cached merkle records first — so a mid-epoch
+    checkpoint issued during a scan waits for the scan to finish) and
+    writes back stale cached merkle records first — so a mid-epoch
     checkpoint under live traffic is well-defined: still-deferred records
     persist with their blum protection state, and recovery re-seeds the
     dirty sets from it. A recovered system therefore resumes from the last
@@ -406,11 +384,10 @@ val registry : t -> Fastver_obs.Registry.t
       [fastver_verify_shard_seconds{shard=...}] (per-shard parallel scan
       slices incl. close/seal), [fastver_verify_touched_records],
       [fastver_verify_pause_seconds] (the foreground pause per
-      verification: the whole scan when quiesced, only the seal barrier
-      with [background_verify]), [fastver_checkpoint_write_seconds],
+      verification: the whole stop-the-world scan, seal to certificate),
+      [fastver_checkpoint_write_seconds],
       [fastver_recover_seconds] (histograms);
-    - [fastver_verify_in_flight] (gauge, 0/1: a scan is queued or
-      running);
+    - [fastver_verify_in_flight] (gauge, 0/1: a scan is running);
     - callback-backed: [fastver_epoch], [fastver_verified_epoch],
       [fastver_epoch_certificates_total],
       [fastver_verifier_ops_total{op=...}] (summed over shards),
@@ -523,17 +500,13 @@ module Testing : sig
   val enforce_lock_order : bool -> unit
   (** Globally enable the lock-order shadow: every lock acquisition in the
       core checks the documented order — shard tree locks in ascending
-      shard id, then worker locks in ascending id, with [bg_lock],
-      [redeferred_lock] and [cold_lock] as leaves ([redeferred_lock] and
-      [cold_lock] may be taken under tree/worker locks but nothing may be
-      taken under them; [bg_lock] may only be taken with nothing held) —
-      and raises [Invalid_argument] naming both locks on a violation. Off
+      shard id, then worker locks in ascending id, with [cold_lock] as a
+      leaf (it may be taken under tree/worker locks but nothing may be
+      taken under it) — and raises [Invalid_argument] naming both locks on a violation. Off
       by default (one atomic load per lock operation when off). *)
 
   val with_shard_lock : t -> int -> (unit -> 'a) -> 'a
   val with_worker_lock : t -> int -> (unit -> 'a) -> 'a
-  val with_bg_lock : t -> (unit -> 'a) -> 'a
-  val with_redeferred_lock : t -> (unit -> 'a) -> 'a
   val with_cold_lock : t -> (unit -> 'a) -> 'a
   (** Order-checked lock acquisition, exposed so tests can provoke
       violations deliberately. *)

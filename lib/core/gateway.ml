@@ -28,11 +28,9 @@ let gateway_check_put t key value meta =
 let gateway_receipt t ~kind key value meta =
   match meta with
   | Some m when t.config.authenticate_clients ->
-      (* The live epoch, not the verifier's: during a background scan the
-         verifier still holds the sealed epoch open, but this op folds into
-         the live one — a receipt stamped with the sealed epoch could claim
-         certainty one epoch early. Reading one epoch late is merely
-         conservative. *)
+      (* The epoch this op folds into. Receipts are stamped under the
+         shard's worker lock, which a scan holds from its seal to its
+         close, so this is never an epoch the scan has sealed. *)
       let epoch = Atomic.get t.live_epoch in
       let mac =
         Auth.receipt t.auth ~kind ~client:m.client ~nonce:m.nonce key value

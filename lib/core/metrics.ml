@@ -88,8 +88,7 @@ let create ~enabled () =
       Registry.histogram r ~scale:1e-9
         ~help:
           "Foreground pause per verification (world-lock hold: the whole \
-           scan when quiesced, only the O(workers) seal barrier in \
-           background mode)"
+           scan, seal to certificate)"
         "fastver_verify_pause_seconds";
     verify_in_flight =
       Registry.gauge r

@@ -55,14 +55,14 @@ val verify_scan : t -> seconds:float -> touched:int -> unit
     recorded when enabled. *)
 
 val verify_pause : t -> seconds:float -> unit
-(** Foreground pause one verification imposed: the world-lock hold time —
-    the whole scan when quiesced, only the seal barrier in background
-    mode. *)
+(** Foreground pause one verification imposed: the world-lock hold time,
+    which is the whole scan from seal to certificate. *)
 
 val verify_in_flight : t -> int -> unit
 (** Set the in-flight-verification gauge (0 or 1). Not gated by [enabled]:
-    the gauge is cheap and load-bearing for operators watching a
-    background scan. *)
+    the gauge is cheap, and a metrics dump taken on another thread (for
+    example [serve --metrics-interval]) sees it at 1 while a scan holds
+    the world. *)
 
 val verify_shard_seconds : t -> sid:int -> Fastver_obs.Histogram.t
 (** The per-shard scan-slice histogram ([fastver_verify_shard_seconds]

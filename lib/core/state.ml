@@ -137,27 +137,15 @@ type t = {
   gateway_lock : Mutex.t;
   ops_since_verify : int Atomic.t;
   live_epoch : int Atomic.t;
-      (* the epoch operations are folding into right now. Trails the
-         verifiers' current epoch during a background scan: the seal barrier
-         bumps it to [e+1] while the verifiers still hold epoch [e] open
-         until the scan closes it. Equal to the verifiers' current epoch
-         whenever no scan is in flight. *)
+      (* the epoch operations and evictions fold into. A scan's seal bumps
+         it to [e+1] while the verifiers still hold epoch [e] open, so an
+         eviction made by the scan itself lands in [e+1]; equal to the
+         verifiers' current epoch whenever no scan holds the world. Read
+         without locks by [Batch]'s fallback receipt stamp and by the
+         replication primary. *)
   verify_mutex : Mutex.t;
       (* serializes verification scans and checkpoints with each other;
          acquired before (never inside) the shard locks *)
-  verify_inflight : bool Atomic.t;
-  bg_lock : Mutex.t;
-      (* guards the [bg_join] handoff so racing dispatchers cannot leak an
-         unjoined domain; nothing else may be acquired while held *)
-  bg_join : unit Domain.t option Atomic.t;
-      (* the background scan domain, if one was spawned; joined by the next
-         verify/checkpoint/shutdown so domains never leak *)
-  mutable redeferred : Key.t list;
-  redeferred_lock : Mutex.t;
-      (* leaf lock (no other lock taken while held): data keys whose
-         fast-path touch crossed the epoch boundary during a background
-         scan; the next seal barrier routes them to their shards' dirty
-         snapshots *)
   mutable on_verified : (unit -> unit) option;
       (* e.g. auto-checkpoint: runs after each successful scan *)
   mutable repl : replication option;
@@ -339,11 +327,6 @@ let make ~config ~enclave ~shards ~boundaries ~store ~nonces ~sealed ~loaded
       ops_since_verify = Atomic.make 0;
       live_epoch = Atomic.make live_epoch;
       verify_mutex = Mutex.create ();
-      verify_inflight = Atomic.make false;
-      bg_lock = Mutex.create ();
-      bg_join = Atomic.make None;
-      redeferred = [];
-      redeferred_lock = Mutex.create ();
       on_verified = None;
       repl = None;
       cold;
@@ -385,44 +368,30 @@ let with_lock m f =
 
 (* Shadow of the documented lock order — shard tree locks in ascending sid,
    then worker locks in ascending sid ([merkle_slow], [verify_inner] and
-   [checkpoint] all follow it); [redeferred_lock] and [cold_lock] come
-   after the world (redeferred under any shard/worker lock, cold under the
-   world lock), and both are leaves: nothing is acquired while they are
-   held. [bg_lock] stands alone: it is only ever taken with nothing held,
-   and nothing is acquired under it. Each domain tracks what it holds in
-   domain-local state; enforcement is off by default (a single [Atomic.get]
-   per lock operation) and switched on by tests via
+   [checkpoint] all follow it); [cold_lock] comes after the world (it may
+   be taken under the world lock) and is a leaf: nothing is acquired while
+   it is held. Each domain tracks what it holds in domain-local state;
+   enforcement is off by default (a single [Atomic.get] per lock
+   operation) and switched on by tests via
    [Testing.enforce_lock_order]. A violation raises [Invalid_argument] at
    the acquisition that breaks the order, naming both locks. *)
 module Lock_order = struct
   type held = {
     mutable trees : int list; (* desc *)
     mutable workers : int list; (* desc *)
-    mutable bg : bool;
-    mutable redeferred : bool;
     mutable cold : bool;
   }
 
   let enforce = Atomic.make false
 
   let dls =
-    Domain.DLS.new_key (fun () ->
-        { trees = []; workers = []; bg = false; redeferred = false;
-          cold = false })
+    Domain.DLS.new_key (fun () -> { trees = []; workers = []; cold = false })
 
   let fail fmt = Printf.ksprintf invalid_arg ("lock order: " ^^ fmt)
 
-  (* Locks under which nothing further may be acquired. *)
-  let leaf_held h =
-    if h.bg then Some "bg_lock"
-    else if h.redeferred then Some "redeferred_lock"
-    else if h.cold then Some "cold_lock"
-    else None
-
+  (* [cold_lock] is a leaf: nothing further may be acquired under it. *)
   let check_leaf h what =
-    match leaf_held h with
-    | Some l -> fail "%s requested while holding %s" what l
-    | None -> ()
+    if h.cold then fail "%s requested while holding cold_lock" what
 
   let note_tree_lock sid =
     if Atomic.get enforce then begin
@@ -464,35 +433,6 @@ module Lock_order = struct
       h.workers <- List.filter (fun w -> w <> wid) h.workers
     end
 
-  let note_bg_lock () =
-    if Atomic.get enforce then begin
-      let h = Domain.DLS.get dls in
-      check_leaf h "bg_lock";
-      (match h.trees with
-      | sid :: _ -> fail "bg_lock requested while holding shard tree lock %d" sid
-      | [] -> ());
-      (match h.workers with
-      | wid :: _ -> fail "bg_lock requested while holding worker lock %d" wid
-      | [] -> ());
-      h.bg <- true
-    end
-
-  let note_bg_unlock () =
-    if Atomic.get enforce then (Domain.DLS.get dls).bg <- false
-
-  (* Acquirable under shard/worker locks (the fast path parks keys while
-     holding its worker lock; the seal barrier routes them under the world
-     lock) — but itself a leaf. *)
-  let note_redeferred_lock () =
-    if Atomic.get enforce then begin
-      let h = Domain.DLS.get dls in
-      check_leaf h "redeferred_lock";
-      h.redeferred <- true
-    end
-
-  let note_redeferred_unlock () =
-    if Atomic.get enforce then (Domain.DLS.get dls).redeferred <- false
-
   (* Acquirable under the world lock (checkpoint commits the cold manifest
      with the world stopped) — but itself a leaf. *)
   let note_cold_lock () =
@@ -522,24 +462,6 @@ let with_worker_lock t wid f =
     ~finally:(fun () ->
       Mutex.unlock t.shards.(wid).worker_lock;
       Lock_order.note_worker_unlock wid)
-    f
-
-let with_bg_lock t f =
-  Lock_order.note_bg_lock ();
-  Mutex.lock t.bg_lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.bg_lock;
-      Lock_order.note_bg_unlock ())
-    f
-
-let with_redeferred_lock t f =
-  Lock_order.note_redeferred_lock ();
-  Mutex.lock t.redeferred_lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.redeferred_lock;
-      Lock_order.note_redeferred_unlock ())
     f
 
 let with_cold_lock t f =

@@ -102,9 +102,9 @@ let ensure_room t sh ?protect () =
   while Key_lru.length sh.lru >= Verifier.cache_capacity sh.verifier - 2 do
     match Key_lru.victim ?exclude:protect sh.lru with
     | Some e ->
-        (* Evictions must land in the live epoch: during a background scan
-           of the sealed epoch, an evict timestamped into the sealed epoch
-           would add an element the in-flight scan can no longer balance. *)
+        (* Evictions must land in the live epoch: during a scan of the
+           sealed epoch, an evict timestamped into the sealed epoch would
+           add an element the scan's migration can no longer balance. *)
         evict_mirror t sh e ~epoch_floor:(Atomic.get t.live_epoch)
     | None ->
         raise
@@ -197,11 +197,8 @@ exception Raced
 (* Fast path: the record rides the deferred tier — one CAS plus three O(1)
    log entries, no Merkle hashing (§5.3). *)
 let rec blum_fast t sh key cur ts action =
-  (* The evict must land in the live epoch: while a background scan has the
-     previous epoch sealed but still open in the verifier, a re-touch of a
-     record whose timestamp predates the seal would otherwise evict back
-     into the sealed epoch — an element the in-flight scan's snapshot can
-     no longer balance. *)
+  (* The evict lands no earlier than the live epoch: never in an epoch a
+     scan has already sealed. *)
   let clock' = Timestamp.max sh.clock (Timestamp.next ts) in
   let ts' =
     Timestamp.max clock' (Timestamp.first_of_epoch (Atomic.get t.live_epoch))
@@ -220,17 +217,6 @@ let rec blum_fast t sh key cur ts action =
     (match action with
     | A_put (v, _) -> repl_op t ~epoch:(Timestamp.epoch ts') ~key ~value:v
     | A_get _ -> ());
-    if Timestamp.epoch ts < Timestamp.epoch ts' then
-      (* The touch crossed the epoch boundary (only possible while a
-         background scan is in flight): the [add_b] above balances the
-         sealed epoch's evict of this record, and the new evict lands in
-         the live epoch — so the record must re-enter the live epoch's
-         dirty set or that evict would never be balanced. The shard's
-         dirty list is snapshotted by the seal barrier; park the key in a
-         leaf-locked side list that the next seal barrier routes back to
-         its shard's snapshot. Exactly one touch per record crosses (the
-         next one sees both timestamps in the live epoch). *)
-      with_redeferred_lock t (fun () -> t.redeferred <- key :: t.redeferred);
     Metrics.tier t.metrics Metrics.Blum;
     cur
   end
@@ -258,8 +244,7 @@ let client_validate t sh key cur action =
 (* Hand the (cached, just-validated) data record to the deferred tier for the
    rest of the epoch (§6.1: touched records are hot). *)
 let defer_data t sh key parent new_v =
-  (* Same live-epoch floor as [blum_fast]: during a background scan the
-     deferral's evict may not land in the sealed epoch. *)
+  (* Same live-epoch floor as [blum_fast]. *)
   let ts' =
     Timestamp.max sh.clock (Timestamp.first_of_epoch (Atomic.get t.live_epoch))
   in

@@ -15,11 +15,6 @@ let expand_key key_str =
   expand key_str rk;
   Bytes.unsafe_to_string rk
 
-let encrypt_block_into w src dst =
-  if Bytes.length src <> 16 || Bytes.length dst <> 16 then
-    invalid_arg "Aes128.encrypt_block_into";
-  encrypt w src dst
-
 let encrypt_block w block =
   if String.length block <> 16 then invalid_arg "Aes128.encrypt_block";
   let dst = Bytes.create 16 in

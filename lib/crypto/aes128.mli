@@ -16,7 +16,3 @@ val expand_key : string -> key
 val encrypt_block : key -> string -> string
 (** [encrypt_block k block] encrypts one 16-byte block.
     @raise Invalid_argument unless [block] is 16 bytes. *)
-
-val encrypt_block_into : key -> Bytes.t -> Bytes.t -> unit
-(** [encrypt_block_into k src dst] is an allocation-light variant; [src] and
-    [dst] are 16-byte buffers and may alias. *)

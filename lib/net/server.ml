@@ -111,8 +111,8 @@ type t = {
       (* starts as cfg.read_only; election promotion flips it off on a live
          follower (and demotion flips it back) without restarting the loop *)
   reactor : peer Reactor.t;
-      (* executor and background-verification completions wake it: the
-         next pass emits every connection's filled reply slots *)
+      (* executor completions wake it: the next pass emits every
+         connection's filled reply slots *)
   pending : (conn * int64 * Wire.request * Fastver_obs.Span.t) Queue.t;
       (* (conn, id, request, arrival time) — the timestamp feeds the
          end-to-end latency histogram when the response is enqueued *)
@@ -285,11 +285,6 @@ let classify t conn req =
                   (Fastver_verifier.Verifier.epoch_certificate_message ~epoch)
               in
               Wire.Verified { epoch; cert })
-      else if (Fastver.config t.sys).background_verify then
-        (* No quiesce, no blocking the I/O domain: the scan runs on a
-           background domain and the reply slot is filled from its
-           completion callback (see [`Verify] in [drain]). *)
-        `Verify
       else
         `Admin
           (fun () ->
@@ -472,30 +467,6 @@ let drain t =
                   | None, _ ->
                       groups.(0) <- entry :: groups.(0);
                       any := true))
-          | `Verify ->
-              (* Dispatch (not barrier) the data ops accumulated so far, so
-                 this connection's earlier puts are at least in executor
-                 queues when the scan domain seals the epoch boundary; the
-                 certificate covers whatever prefix beat the seal, exactly
-                 the contract of a concurrent verification. *)
-              flush_acc ();
-              let slot = Atomic.make None in
-              Queue.push (id, arrived, slot) (Reactor.data conn).slots;
-              Fastver.verify_async t.sys ~on_complete:(fun res ->
-                  (match res with
-                  | Ok (epoch, cert) ->
-                      Atomic.set slot (Some (Wire.Verified { epoch; cert }))
-                  | Error e ->
-                      Fastver_obs.Counter.incr t.metrics.m_op_failures;
-                      let reason =
-                        match e with
-                        | Fastver.Integrity_violation r -> r
-                        | e -> Printexc.to_string e
-                      in
-                      Atomic.set slot (Some (Wire.Error ("integrity: " ^ reason))));
-                  (* the scan domain filled the slot: wake the loop so the
-                     reply does not wait for unrelated traffic *)
-                  Reactor.wake t.reactor)
           | `Admin f ->
               quiesce ();
               post t conn id ~arrived (f ())
@@ -544,9 +515,8 @@ let handlers t =
       (fun c -> Queue.is_empty (Reactor.data c).slots);
     pass =
       (fun () ->
-        (* to empty: the loop blocks in select with no timeout, and every
-           other source of work — pool completions, background
-           verification — wakes it *)
+        (* to empty: the loop blocks in select with no timeout, and the
+           only other source of work — pool completions — wakes it *)
         while not (Queue.is_empty t.pending) do
           drain t
         done;
@@ -578,10 +548,6 @@ let stop t =
         Array.iter Domain.join p.execs;
         p.execs <- [||]
     | None -> ());
-    (* Executors are gone, so no new scan can start; join any background
-       verification still running before its completion callback could
-       wake a closed pipe. *)
-    Fastver.wait_verify t.sys;
     (* replies the pool finished after the loop's last pass still go out,
        within the reactor's shutdown grace *)
     List.iter (emit_ready t) (Reactor.conns t.reactor);

@@ -17,16 +17,8 @@
     arrival order (same key → same owner → same FIFO queue), while
     independent keys may execute in parallel. Cross-partition requests —
     scans, verify, stats, metrics, session admin — quiesce the pool first
-    and run at their exact position.
-
-    Exception: with {!Fastver.Config.t.background_verify} set, [Verify]
-    does {e not} quiesce. The epoch boundary is sealed under a brief
-    O(workers) barrier and the scan runs on a background domain
-    ({!Fastver.verify_async}) while executors keep serving gets and puts
-    into the next epoch; the response is emitted when the scan completes
-    (the completion wakes the loop, so the reply never waits for unrelated
-    traffic). The certificate is bit-identical to the
-    one a quiescent scan of the same epoch would produce.
+    and run at their exact position; [Verify] runs the stop-the-world scan
+    ({!Fastver.verify}) there.
 
     Robustness properties:
     - {e backpressure}: a connection is not read while the pending-request
@@ -38,15 +30,14 @@
     - {e clean shutdown}: {!stop} wakes the loop, which closes the executor
       queues, fails any batch that raced the close with an explicit
       [shutdown] error (never a crash: {!Fastver.Bounded_queue.push} is
-      total), joins executors and any in-flight background verification,
-      writes the replies they filled within a one-second grace, then
+      total), joins executors, writes the replies they filled within a
+      one-second grace, then
       closes every socket and removes the Unix socket file;
     - {e no busy-wait}: the loop always blocks in [select] — completions
-      from executor domains and background scans wake it through the
-      reactor's one wake pipe, and wake-up writes that fail for a real
-      reason (not a full pipe, not an orderly shutdown) are logged and
-      counted ([fastver_net_lost_wakeups_total]) instead of silently
-      dropped;
+      from executor domains wake it through the reactor's one wake pipe,
+      and wake-up writes that fail for a real reason (not a full pipe, not
+      an orderly shutdown) are logged and counted
+      ([fastver_net_lost_wakeups_total]) instead of silently dropped;
     - {e descriptor ceiling}: a connection whose descriptor [select] cannot
       hold is closed at accept and counted
       ([fastver_net_connections_refused_total]); the loop keeps serving.

@@ -447,12 +447,11 @@ let close_epoch t ~tid ~epoch =
 let epoch_certificate_message ~epoch =
   Printf.sprintf "fastver-epoch-verified:%d" epoch
 
-(* Background verification: once a thread has closed [epoch], its epoch set
-   hashes are frozen. [detach_epoch] removes them from the thread's open-set
-   tables (under whatever lock serializes that thread's operations) and
-   returns the raw values, so the serial aggregation in
-   [verify_epoch_detached] never touches per-thread hashtables that
-   foreground traffic is concurrently folding epoch e+1 elements into. *)
+(* Once a thread has closed [epoch], its epoch set hashes are frozen.
+   [detach_epoch] removes them from the thread's open-set tables (under
+   whatever lock serializes that thread's operations) and returns the raw
+   values, so the serial aggregation in [verify_epoch_detached] never
+   touches per-thread hashtables that later epochs fold elements into. *)
 let detach_epoch t ~tid ~epoch =
   let* () = guard t in
   let th = thread t tid in

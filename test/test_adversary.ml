@@ -315,7 +315,7 @@ let test_client_auth () =
    cache across several seals must not shield the host copies below them —
    neither the data record they point to nor an uncached Merkle node that
    a cached ancestor anchors. *)
-let test_resident_ancestors ~background () =
+let test_resident_ancestors () =
   let n = 2000 in
   let mk () =
     let config =
@@ -323,7 +323,6 @@ let test_resident_ancestors ~background () =
         Fastver.Config.default with
         batch_size = 0;
         frontier_levels = 2;
-        background_verify = background;
       }
     in
     let t = Fastver.create ~config () in
@@ -521,10 +520,7 @@ let suite =
       Alcotest.test_case "end-to-end store tamper" `Quick test_end_to_end_tamper;
       Alcotest.test_case "client auth" `Quick test_client_auth;
       Alcotest.test_case "tamper under resident ancestors" `Quick
-        (test_resident_ancestors ~background:false);
-      Alcotest.test_case "tamper under resident ancestors (background)"
-        `Quick
-        (test_resident_ancestors ~background:true);
+        test_resident_ancestors;
       Alcotest.test_case "tampered written-back image record" `Quick
         test_tamper_written_back_record;
       Alcotest.test_case "tampered frontier image timestamp" `Quick

@@ -201,52 +201,6 @@ let test_survivor_can_checkpoint_again () =
         (Some "in-flight-v2") (Fastver.get t2 1L));
   C.remove_tree dir
 
-(* A crash while a *background* verification scan is in flight: the
-   restarted process recovers from the last committed generation, whose
-   verifier summary pins the last sealed epoch — none of the migrations the
-   interrupted scan performed in the old process's memory are visible. We
-   simulate the kill by recovering concurrently while the old system's
-   verify_async is still running, then join it only to avoid leaking a
-   domain. *)
-let test_recover_mid_background_scan () =
-  let bg_config = { config with background_verify = true } in
-  let dir = fresh_dir "fv-crash-bg-verify" in
-  let t = Fastver.create ~config:bg_config () in
-  Fastver.load t
-    (Array.init 40 (fun i -> (Int64.of_int i, Printf.sprintf "v%06d" i)));
-  Fastver.put t 1L "sealed-state";
-  ignore (Fastver.verify t);
-  ckpt t ~dir;
-  let e_sealed = Fastver.current_epoch t in
-  (* dirty the open epoch, then fire the scan the "crash" interrupts *)
-  for i = 0 to 39 do
-    Fastver.put t (Int64.of_int i) (Printf.sprintf "open-%d" i)
-  done;
-  let finished = Atomic.make None in
-  Fastver.verify_async t ~on_complete:(fun r -> Atomic.set finished (Some r));
-  (match Fastver.recover ~config:bg_config ~dir () with
-  | Error e -> Alcotest.failf "recover mid-scan: %s" e
-  | Ok t2 ->
-      Alcotest.(check int) "lands on the last sealed epoch" e_sealed
-        (Fastver.current_epoch t2);
-      Alcotest.(check vo) "pre-seal state only" (Some "sealed-state")
-        (Fastver.get t2 1L);
-      (* the recovered system is fully serviceable: re-verify, write on *)
-      Fastver.put t2 2L "after-recovery";
-      ignore (Fastver.verify t2);
-      Alcotest.(check vo) "usable after recovery" (Some "after-recovery")
-        (Fastver.get t2 2L));
-  Fastver.wait_verify t;
-  (match Atomic.get finished with
-  | Some (Ok (epoch, _)) ->
-      Alcotest.(check int) "old process's scan covered the open epoch"
-        e_sealed epoch
-  | Some (Error e) ->
-      Alcotest.failf "old process's background scan failed: %s"
-        (Printexc.to_string e)
-  | None -> Alcotest.fail "background scan never completed");
-  C.remove_tree dir
-
 (* Checkpoints are no longer pinned to a just-verified boundary: one taken
    mid-epoch — slow-path records cached, blum-dirty records outstanding —
    must drain the caches into the checkpoint, and recovery must rebuild the
@@ -884,8 +838,6 @@ let suite =
       Alcotest.test_case "double crash" `Quick test_double_crash;
       Alcotest.test_case "survivor checkpoints again" `Quick
         test_survivor_can_checkpoint_again;
-      Alcotest.test_case "recover mid background scan" `Quick
-        test_recover_mid_background_scan;
       Alcotest.test_case "mid-epoch checkpoint recovers" `Quick
         test_mid_epoch_checkpoint_recovers;
       Alcotest.test_case "corrupt component files" `Quick

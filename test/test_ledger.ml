@@ -1,13 +1,15 @@
 (* A deterministic cost ledger. Wall clocks drift between hosts and runs;
    verifier op counts for a fixed seed do not. This runs reduced, in-process
-   versions of two perfbench shapes over 10,000 keys, with one shard, a
+   versions of three perfbench shapes over 10,000 keys, with one shard, a
    verification scan every 2,048 ops and a fixed seed, and checks each
    verifier cost per user op against a committed upper bound. A change that
    lowers a cost tightens its bound; one that raises a bound says why.
    - durable-write: 90% puts over uniform keys, a checkpoint every epoch
      (perfbench runs 50,000 keys);
    - cold-read: 95% gets over uniform keys, with a cold tier that keeps a
-     quarter of the records in memory (perfbench: 25,000 of 100,000). *)
+     quarter of the records in memory (perfbench: 25,000 of 100,000);
+   - hot-rw: 50% puts over zipf 0.99 keys, all in memory (perfbench runs
+     100,000 keys, two shards and 8,192-op epochs). *)
 
 module Ycsb = Fastver_workload.Ycsb
 module Verifier = Fastver_verifier.Verifier
@@ -22,10 +24,10 @@ let temp_dir shape =
     (Printf.sprintf "fv-ledger-%s-%d" shape (Unix.getpid ()))
 
 (* Loads the keys, runs [warm_epochs] uncounted and [epochs] counted epochs
-   of gets and puts, each closed by a verification scan and [after_scan],
-   and returns the system with each verifier counter's growth per counted
-   user op. *)
-let run_shape ~config ~read_prop ~after_scan =
+   of gets and puts over zipf [theta] keys (0 = uniform), each closed by a
+   verification scan and [after_scan], and returns the system with each
+   verifier counter's growth per counted user op. *)
+let run_shape ~theta ~config ~read_prop ~after_scan =
   let t = Fastver.create ~config () in
   Fastver.load t
     (Array.init db_size (fun i ->
@@ -37,7 +39,7 @@ let run_shape ~config ~read_prop ~after_scan =
         Ycsb.workload_a with
         read_prop;
         update_prop = 1.0 -. read_prop;
-        dist = Zipfian 0.0;
+        dist = Zipfian theta;
       }
   in
   let epoch () =
@@ -73,7 +75,7 @@ let test_durable_write () =
     { Fastver.Config.default with batch_size = 0; cost_model = Cost_model.zero }
   in
   let _, per =
-    run_shape ~config ~read_prop:0.1 ~after_scan:(fun t ->
+    run_shape ~theta:0.0 ~config ~read_prop:0.1 ~after_scan:(fun t ->
         match Fastver.checkpoint t ~dir with
         | Ok () -> ()
         | Error e -> Alcotest.failf "checkpoint: %s" e)
@@ -105,7 +107,9 @@ let test_cold_read () =
       cold_threshold = db_size / 4;
     }
   in
-  let t, per = run_shape ~config ~read_prop:0.95 ~after_scan:ignore in
+  let t, per =
+    run_shape ~theta:0.0 ~config ~read_prop:0.95 ~after_scan:ignore
+  in
   let cold_reads = (Option.get (Fastver.cold_stats t)).reads in
   Fastver_kvstore.Ckpt_io.remove_tree dir;
   if cold_reads = 0 then Alcotest.fail "cold-read: no get reached the cold tier";
@@ -117,9 +121,29 @@ let test_cold_read () =
       ("evict_b", per (fun s -> s.n_evict_b), 0.19);
     ]
 
+(* Under zipf 0.99 most ops re-touch a key already deferred this epoch: one
+   [add_b] and one [evict_b] on the fast path. Each first touch pays its
+   Merkle chain ([add_m]) and one scan migration ([add_b] + [evict_m]).
+   The counts did not change when the background scan mode was deleted. *)
+let test_hot_rw () =
+  let config =
+    { Fastver.Config.default with batch_size = 0; cost_model = Cost_model.zero }
+  in
+  let _, per =
+    run_shape ~theta:0.99 ~config ~read_prop:0.5 ~after_scan:ignore
+  in
+  check "hot-rw"
+    [
+      ("add_m", per (fun s -> s.n_add_m), 0.80);
+      ("evict_m", per (fun s -> s.n_evict_m), 0.44);
+      ("add_b", per (fun s -> s.n_add_b), 1.02);
+      ("evict_b", per (fun s -> s.n_evict_b), 0.60);
+    ]
+
 let suite =
   ( "ledger",
     [
       Alcotest.test_case "durable-write shape" `Quick test_durable_write;
       Alcotest.test_case "cold-read shape" `Quick test_cold_read;
+      Alcotest.test_case "hot-rw shape" `Quick test_hot_rw;
     ] )

@@ -315,93 +315,6 @@ let test_multi_domain_stress () =
         (Fastver.verifier_failure t = None))
 
 (* ------------------------------------------------------------------ *)
-(* Background verification over the wire                               *)
-(* ------------------------------------------------------------------ *)
-
-(* With [background_verify] the Verify request no longer quiesces the
-   executor pool: session A's verify_now blocks only its own connection
-   while session B (on another connection) keeps being served. Across a few
-   cycles the foreground must demonstrably progress during in-flight scans,
-   every certificate must check out, and the pause histogram must have
-   recorded one seal barrier per scan. *)
-let test_background_verify_serves_foreground () =
-  let config =
-    {
-      test_config with
-      n_workers = 4;
-      batch_size = 0;
-      background_verify = true;
-    }
-  in
-  with_server ~config (fun t addr ->
-      let conn_a = connect addr and conn_b = connect addr in
-      let s_a = Net.Client.open_session conn_a ~client:1 ~secret in
-      let s_b = Net.Client.open_session conn_b ~client:2 ~secret in
-      let cycles = 8 in
-      let in_verify = Atomic.make false in
-      let overlap = Atomic.make 0 in
-      let fail_b = Atomic.make None in
-      let stop_b = Atomic.make false in
-      let b_driver =
-        Domain.spawn (fun () ->
-            try
-              let i = ref 0 in
-              while not (Atomic.get stop_b) do
-                incr i;
-                Net.Client.put s_b
-                  (Int64.of_int (128 + (!i mod 64)))
-                  (Printf.sprintf "b%d" !i);
-                if Atomic.get in_verify then Atomic.incr overlap
-              done
-            with e -> Atomic.set fail_b (Some e))
-      in
-      let epochs = ref [] in
-      for i = 0 to cycles - 1 do
-        for j = 0 to 63 do
-          Net.Client.put s_a (Int64.of_int j) (Printf.sprintf "a%d-%d" i j)
-        done;
-        Atomic.set in_verify true;
-        let epoch, _cert = Net.Client.verify_now s_a in
-        Atomic.set in_verify false;
-        epochs := epoch :: !epochs
-      done;
-      Atomic.set stop_b true;
-      Domain.join b_driver;
-      (match Atomic.get fail_b with
-      | Some e ->
-          Alcotest.failf "foreground client failed: %s" (Printexc.to_string e)
-      | None -> ());
-      (* consecutive scans sealed consecutive epochs *)
-      (match List.rev !epochs with
-      | e0 :: rest ->
-          ignore
-            (List.fold_left
-               (fun prev e ->
-                 Alcotest.(check int) "consecutive sealed epochs" (prev + 1) e;
-                 e)
-               e0 rest)
-      | [] -> Alcotest.fail "no scans ran");
-      Alcotest.(check bool) "foreground served during in-flight scans" true
-        (Atomic.get overlap > 0);
-      (* the pause histogram saw one seal barrier per scan *)
-      let dump = Fastver_obs.Registry.dump (Fastver.registry t) in
-      (match
-         List.find_opt
-           (fun (n, _, _) -> n = "fastver_verify_pause_seconds")
-           dump
-       with
-      | Some (_, _, Fastver_obs.Registry.Histogram_v (snap, _)) ->
-          Alcotest.(check bool) "pause recorded per scan" true
-            (snap.Fastver_obs.Histogram.count >= cycles)
-      | _ -> Alcotest.fail "fastver_verify_pause_seconds missing");
-      Net.Client.close_session s_a;
-      Net.Client.close_session s_b;
-      Net.Client.close conn_a;
-      Net.Client.close conn_b;
-      Fastver.wait_verify t;
-      ignore (Fastver.verify t))
-
-(* ------------------------------------------------------------------ *)
 (* Executor-pool robustness: stalls and shutdown races                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -938,8 +851,6 @@ let suite =
         test_session_matches_direct;
       Alcotest.test_case "two sessions" `Quick test_two_sessions;
       Alcotest.test_case "multi-domain stress" `Slow test_multi_domain_stress;
-      Alcotest.test_case "background verify serves foreground" `Slow
-        test_background_verify_serves_foreground;
       Alcotest.test_case "stalled executor does not spin" `Slow
         test_stalled_executor_no_spin;
       Alcotest.test_case "stop under load" `Quick test_stop_under_load;
