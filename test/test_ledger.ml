@@ -2,7 +2,10 @@
    verifier op counts for a fixed seed do not. This runs reduced, in-process
    versions of three perfbench shapes over 10,000 keys, with one shard, a
    verification scan every 2,048 ops and a fixed seed, and checks each
-   verifier cost per user op against a committed upper bound. A change that
+   verifier cost, and the enclave transitions, per user op against a
+   committed upper bound. The transition bounds are the exact counts over
+   the 8,192 counted ops (7,906, 7,898 and 5,373), so one more transition
+   fails them. A change that
    lowers a cost tightens its bound; one that raises a bound says why.
    - durable-write: 90% puts over uniform keys, a checkpoint every epoch
      (perfbench runs 50,000 keys);
@@ -26,7 +29,8 @@ let temp_dir shape =
 (* Loads the keys, runs [warm_epochs] uncounted and [epochs] counted epochs
    of gets and puts over zipf [theta] keys (0 = uniform), each closed by a
    verification scan and [after_scan], and returns the system with each
-   verifier counter's growth per counted user op. *)
+   verifier counter's growth per counted user op, and the enclave
+   transitions per counted user op. *)
 let run_shape ~theta ~config ~read_prop ~after_scan =
   let t = Fastver.create ~config () in
   Fastver.load t
@@ -48,17 +52,19 @@ let run_shape ~theta ~config ~read_prop ~after_scan =
     after_scan t
   in
   for _ = 1 to warm_epochs do epoch () done;
-  let s0 = Fastver.verifier_stats t in
+  let enclave = Fastver.enclave_handle t in
+  let s0 = Fastver.verifier_stats t and tr0 = Enclave.transitions enclave in
   for _ = 1 to epochs do epoch () done;
-  let s = Fastver.verifier_stats t in
+  let s = Fastver.verifier_stats t and tr = Enclave.transitions enclave in
+  let per_op n = float_of_int n /. float_of_int (epochs * epoch_ops) in
   ( t,
-    fun (count : Verifier.op_stats -> int) ->
-      float_of_int (count s - count s0) /. float_of_int (epochs * epoch_ops) )
+    (fun (count : Verifier.op_stats -> int) -> per_op (count s - count s0)),
+    per_op (tr - tr0) )
 
 let check shape costs =
   List.iter
     (fun (name, v, bound) ->
-      Printf.printf "ledger %s %-14s %.3f per user op (bound %.2f)\n" shape name
+      Printf.printf "ledger %s %-14s %.4f per user op (bound %.4f)\n" shape name
         v bound;
       if v > bound then
         Alcotest.failf "%s: %s per user op %.3f is over its bound %.2f" shape
@@ -74,7 +80,7 @@ let test_durable_write () =
   let config =
     { Fastver.Config.default with batch_size = 0; cost_model = Cost_model.zero }
   in
-  let _, per =
+  let _, per, transitions =
     run_shape ~theta:0.0 ~config ~read_prop:0.1 ~after_scan:(fun t ->
         match Fastver.checkpoint t ~dir with
         | Ok () -> ()
@@ -90,6 +96,7 @@ let test_durable_write () =
       ("evict_m", evict_m, 0.85);
       ("write-backs", flush_m, 2.45);
       ("merkle hashes", add_m +. evict_m +. flush_m, 4.50);
+      ("transitions", transitions, 0.9651);
     ]
 
 (* The same keys as durable-write (the key stream does not depend on the op
@@ -107,7 +114,7 @@ let test_cold_read () =
       cold_threshold = db_size / 4;
     }
   in
-  let t, per =
+  let t, per, transitions =
     run_shape ~theta:0.0 ~config ~read_prop:0.95 ~after_scan:ignore
   in
   let cold_reads = (Option.get (Fastver.cold_stats t)).reads in
@@ -119,6 +126,7 @@ let test_cold_read () =
       ("evict_m", per (fun s -> s.n_evict_m), 0.85);
       ("add_b", per (fun s -> s.n_add_b), 1.02);
       ("evict_b", per (fun s -> s.n_evict_b), 0.19);
+      ("transitions", transitions, 0.9642);
     ]
 
 (* Under zipf 0.99 most ops re-touch a key already deferred this epoch: one
@@ -129,7 +137,7 @@ let test_hot_rw () =
   let config =
     { Fastver.Config.default with batch_size = 0; cost_model = Cost_model.zero }
   in
-  let _, per =
+  let _, per, transitions =
     run_shape ~theta:0.99 ~config ~read_prop:0.5 ~after_scan:ignore
   in
   check "hot-rw"
@@ -138,6 +146,7 @@ let test_hot_rw () =
       ("evict_m", per (fun s -> s.n_evict_m), 0.44);
       ("add_b", per (fun s -> s.n_add_b), 1.02);
       ("evict_b", per (fun s -> s.n_evict_b), 0.60);
+      ("transitions", transitions, 0.6559);
     ]
 
 let suite =

@@ -358,6 +358,67 @@ let test_writeback_summary () =
   ok_exn "close" (Verifier.close_epoch r ~tid:0 ~epoch:0);
   ignore (ok_exn "epoch balances" (Verifier.verify_epoch r ~epoch:0))
 
+(* The sealed summary's bytes are a format: checkpoint images and sealed
+   payloads carry them. A fixed script across two epochs, with records
+   added via Merkle and via Blum, one epoch verified, and one blum-added
+   record still cached (a virtual eviction into a later epoch), pins the
+   layout by its SHA-256. *)
+let test_summary_golden () =
+  let w = mk_world 16 in
+  let k2 = Key.of_int64 2L and k5 = Key.of_int64 5L in
+  let flush_path key =
+    let path = Array.of_list (Tree.descend w.tree key).Tree.path in
+    for j = Array.length path - 1 downto 1 do
+      ignore
+        (ok_exn "flush_m"
+           (Verifier.flush_m w.v ~tid:0 ~key:path.(j) ~parent:path.(j - 1)))
+    done
+  in
+  let parent, _ = add_chain w ~tid:0 k2 in
+  ignore
+    (ok_exn "add_m k2"
+       (Verifier.add_m w.v ~tid:0 ~key:k2 ~value:(Value.Data (Some "v2"))
+          ~parent));
+  let ts01 = Timestamp.make ~epoch:0 ~counter:1 in
+  ok_exn "evict_bm k2" (Verifier.evict_bm w.v ~tid:0 ~key:k2 ~timestamp:ts01 ~parent);
+  ok_exn "add_b k2"
+    (Verifier.add_b w.v ~tid:0 ~key:k2 ~value:(Value.Data (Some "v2"))
+       ~timestamp:ts01);
+  ok_exn "vput k2" (Verifier.vput w.v ~tid:0 ~key:k2 (Some "w2"));
+  let ts0c = Verifier.clock w.v ~tid:0 in
+  ok_exn "evict_b k2" (Verifier.evict_b w.v ~tid:0 ~key:k2 ~timestamp:ts0c);
+  ok_exn "re-add_b k2"
+    (Verifier.add_b w.v ~tid:0 ~key:k2 ~value:(Value.Data (Some "w2"))
+       ~timestamp:ts0c);
+  let ts1 =
+    Timestamp.max (Verifier.clock w.v ~tid:0) (Timestamp.first_of_epoch 1)
+  in
+  ok_exn "evict_b k2 into epoch 1"
+    (Verifier.evict_b w.v ~tid:0 ~key:k2 ~timestamp:ts1);
+  ok_exn "close 0" (Verifier.close_epoch w.v ~tid:0 ~epoch:0);
+  ignore (ok_exn "verify 0" (Verifier.verify_epoch w.v ~epoch:0));
+  let parent5, _ = add_chain w ~tid:0 k5 in
+  ignore
+    (ok_exn "add_m k5"
+       (Verifier.add_m w.v ~tid:0 ~key:k5 ~value:(Value.Data (Some "v5"))
+          ~parent:parent5));
+  let ts5 = Verifier.clock w.v ~tid:0 in
+  ok_exn "evict_bm k5"
+    (Verifier.evict_bm w.v ~tid:0 ~key:k5 ~timestamp:ts5 ~parent:parent5);
+  ok_exn "add_b k5"
+    (Verifier.add_b w.v ~tid:0 ~key:k5 ~value:(Value.Data (Some "v5"))
+       ~timestamp:ts5);
+  ok_exn "vput k5" (Verifier.vput w.v ~tid:0 ~key:k5 (Some "w5"));
+  flush_path k2;
+  flush_path k5;
+  let summary =
+    ok_exn "summary"
+      (Verifier.checkpoint_summary w.v ~floor:(Timestamp.first_of_epoch 2))
+  in
+  Alcotest.(check string) "summary sha-256"
+    "5bd171446b2de1d90dd6707e80c858f55d88febb22728f2a835342b4ee21b032"
+    (Fastver_crypto.Bytes_util.to_hex (Fastver_crypto.Sha256.digest summary))
+
 let test_timestamp_packing () =
   let ts = Timestamp.make ~epoch:7 ~counter:42 in
   Alcotest.(check int) "epoch" 7 (Timestamp.epoch ts);
@@ -383,6 +444,7 @@ let suite =
       Alcotest.test_case "install_blum setup" `Quick test_install_blum_setup;
       Alcotest.test_case "summary roundtrip" `Quick test_checkpoint_summary_roundtrip;
       Alcotest.test_case "write-back summary" `Quick test_writeback_summary;
+      Alcotest.test_case "summary golden" `Quick test_summary_golden;
       Alcotest.test_case "timestamp packing" `Quick test_timestamp_packing;
     ] )
 
