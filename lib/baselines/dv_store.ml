@@ -32,7 +32,7 @@ let create ?(algo = Record_enc.Blake2s) data =
       let r = { key; value = Some v; ts = Timestamp.zero } in
       Hashtbl.replace records k r;
       ok
-        (Verifier.install_blum verifier ~tid:0 ~key ~value:(Value.Data (Some v))
+        (Verifier.install_blum verifier ~key ~value:(Value.Data (Some v))
            ~timestamp:Timestamp.zero))
     data;
   {
@@ -54,21 +54,21 @@ let operate t k update =
   in
   let t0 = now () in
   ok
-    (Verifier.add_b t.verifier ~tid:0 ~key:r.key ~value:(Value.Data r.value)
+    (Verifier.add_b t.verifier ~key:r.key ~value:(Value.Data r.value)
        ~timestamp:r.ts);
   t.clock <- Timestamp.max t.clock (Timestamp.next r.ts);
   let result =
     match update with
     | None ->
-        ok (Verifier.vget t.verifier ~tid:0 ~key:r.key r.value);
+        ok (Verifier.vget t.verifier ~key:r.key r.value);
         r.value
     | Some v ->
-        ok (Verifier.vput t.verifier ~tid:0 ~key:r.key (Some v));
+        ok (Verifier.vput t.verifier ~key:r.key (Some v));
         r.value <- Some v;
         r.value
   in
   let ts' = t.clock in
-  ok (Verifier.evict_b t.verifier ~tid:0 ~key:r.key ~timestamp:ts');
+  ok (Verifier.evict_b t.verifier ~key:r.key ~timestamp:ts');
   t.clock <- ts';
   r.ts <- ts';
   t.verifier_time <- t.verifier_time +. (now () -. t0);
@@ -85,15 +85,15 @@ let verify t =
   Hashtbl.iter
     (fun _ r ->
       ok
-        (Verifier.add_b t.verifier ~tid:0 ~key:r.key ~value:(Value.Data r.value)
+        (Verifier.add_b t.verifier ~key:r.key ~value:(Value.Data r.value)
            ~timestamp:r.ts);
       t.clock <- Timestamp.max t.clock (Timestamp.next r.ts);
       let ts' = Timestamp.max t.clock floor in
-      ok (Verifier.evict_b t.verifier ~tid:0 ~key:r.key ~timestamp:ts');
+      ok (Verifier.evict_b t.verifier ~key:r.key ~timestamp:ts');
       t.clock <- ts';
       r.ts <- ts')
     t.records;
-  ok (Verifier.close_epoch t.verifier ~tid:0 ~epoch);
+  ok (Verifier.close_epoch t.verifier ~epoch);
   t.clock <- Timestamp.max t.clock floor;
   ignore (ok (Verifier.verify_epoch t.verifier ~epoch));
   let dt = now () -. t0 in

@@ -73,7 +73,7 @@ let apply_ptr t parent (ptr : Value.ptr) =
 let evict_one t e =
   let k = Key_lru.key e in
   let parent = Key.Tbl.find t.parents k in
-  let ptr = ok (Verifier.evict_m t.verifier ~tid:0 ~key:k ~parent) in
+  let ptr = ok (Verifier.evict_m t.verifier ~key:k ~parent) in
   apply_ptr t parent ptr;
   (match Key_lru.find t.lru parent with
   | Some pe -> Key_lru.decr_children pe
@@ -103,7 +103,7 @@ let ensure_chain t path =
           let entry = Tree.get_exn t.tree k in
           let installed =
             ok
-              (Verifier.add_m t.verifier ~tid:0 ~key:k ~value:entry.value
+              (Verifier.add_m t.verifier ~key:k ~value:entry.value
                  ~parent)
           in
           assert (installed = None);
@@ -147,17 +147,17 @@ let get t k =
         let parent = ensure_chain t descent.path in
         let installed =
           ok
-            (Verifier.add_m t.verifier ~tid:0 ~key ~value:(Value.Data cur)
+            (Verifier.add_m t.verifier ~key ~value:(Value.Data cur)
                ~parent)
         in
         assert (installed = None);
-        ok (Verifier.vget t.verifier ~tid:0 ~key cur);
-        let ptr = ok (Verifier.evict_m t.verifier ~tid:0 ~key ~parent) in
+        ok (Verifier.vget t.verifier ~key cur);
+        let ptr = ok (Verifier.evict_m t.verifier ~key ~parent) in
         apply_ptr t parent ptr;
         cur
     | Tree.Empty_slot | Tree.Split _ ->
         let parent = ensure_chain t descent.path in
-        ok (Verifier.vget_absent t.verifier ~tid:0 ~key ~parent);
+        ok (Verifier.vget_absent t.verifier ~key ~parent);
         None
   in
   finish_op t descent.path;
@@ -175,25 +175,25 @@ let put t k v =
       let parent = ensure_chain t descent.path in
       let installed =
         ok
-          (Verifier.add_m t.verifier ~tid:0 ~key ~value:(Value.Data cur)
+          (Verifier.add_m t.verifier ~key ~value:(Value.Data cur)
              ~parent)
       in
       assert (installed = None);
-      ok (Verifier.vput t.verifier ~tid:0 ~key (Some v));
-      let ptr = ok (Verifier.evict_m t.verifier ~tid:0 ~key ~parent) in
+      ok (Verifier.vput t.verifier ~key (Some v));
+      let ptr = ok (Verifier.evict_m t.verifier ~key ~parent) in
       apply_ptr t parent ptr;
       Hashtbl.replace t.data k (Some v)
   | Tree.Empty_slot ->
       let parent = ensure_chain t descent.path in
       (match
          ok
-           (Verifier.add_m t.verifier ~tid:0 ~key ~value:(Value.Data None)
+           (Verifier.add_m t.verifier ~key ~value:(Value.Data None)
               ~parent)
        with
       | Some ptr -> apply_ptr t parent ptr
       | None -> assert false);
-      ok (Verifier.vput t.verifier ~tid:0 ~key (Some v));
-      let ptr = ok (Verifier.evict_m t.verifier ~tid:0 ~key ~parent) in
+      ok (Verifier.vput t.verifier ~key (Some v));
+      let ptr = ok (Verifier.evict_m t.verifier ~key ~parent) in
       apply_ptr t parent ptr;
       Hashtbl.replace t.data k (Some v)
   | Tree.Split pointee ->
@@ -216,7 +216,7 @@ let put t k v =
       ensure_room t ~protect:parent ();
       (match
          ok
-           (Verifier.add_m t.verifier ~tid:0 ~key:node_key ~value:node_value
+           (Verifier.add_m t.verifier ~key:node_key ~value:node_value
               ~parent)
        with
       | Some ptr ->
@@ -239,13 +239,13 @@ let put t k v =
        end);
       (match
          ok
-           (Verifier.add_m t.verifier ~tid:0 ~key ~value:(Value.Data None)
+           (Verifier.add_m t.verifier ~key ~value:(Value.Data None)
               ~parent:node_key)
        with
       | Some ptr -> apply_ptr t node_key ptr
       | None -> assert false);
-      ok (Verifier.vput t.verifier ~tid:0 ~key (Some v));
-      let ptr = ok (Verifier.evict_m t.verifier ~tid:0 ~key ~parent:node_key) in
+      ok (Verifier.vput t.verifier ~key (Some v));
+      let ptr = ok (Verifier.evict_m t.verifier ~key ~parent:node_key) in
       apply_ptr t node_key ptr;
       Hashtbl.replace t.data k (Some v));
   finish_op t descent.path;

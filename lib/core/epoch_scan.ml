@@ -55,10 +55,10 @@ let scan_shard t ~epoch sh dirty =
           let parent = ensure_chain t sh descent.path in
           ensure_room t sh ~protect:parent ();
           ok
-            (Verifier.add_b sh.verifier ~tid:0 ~key ~value:(Value.Data v)
+            (Verifier.add_b sh.verifier ~key ~value:(Value.Data v)
                ~timestamp:ts);
           mirror_add_b sh ts;
-          let ptr = ok (Verifier.evict_m sh.verifier ~tid:0 ~key ~parent) in
+          let ptr = ok (Verifier.evict_m sh.verifier ~key ~parent) in
           apply_ptr sh parent ptr;
           incr migrated_data
         end
@@ -81,13 +81,13 @@ let scan_shard t ~epoch sh dirty =
         | M_blum ts when Timestamp.epoch ts <= epoch ->
             ensure_room t sh ();
             ok
-              (Verifier.add_b sh.verifier ~tid:0 ~key:f ~value:entry.value
+              (Verifier.add_b sh.verifier ~key:f ~value:entry.value
                  ~timestamp:ts);
             mirror_add_b sh ts;
             let ts' =
               Timestamp.max sh.clock (Timestamp.first_of_epoch (epoch + 1))
             in
-            ok (Verifier.evict_b sh.verifier ~tid:0 ~key:f ~timestamp:ts');
+            ok (Verifier.evict_b sh.verifier ~key:f ~timestamp:ts');
             sh.clock <- ts';
             set_mstate sh f entry (M_blum ts');
             incr migrated_frontier
@@ -112,22 +112,14 @@ let scan_shard t ~epoch sh dirty =
 (* 4a. Per-shard epoch close + seal, at the tail of each shard's own slice
    (routing confines a shard's log entries to its own partition, so a
    shard may certify the moment its migration finishes — this is what
-   moves the former serial close/detach loop into the parallel phase).
-   The store-level aggregation reads only the returned fold. *)
+   keeps the per-shard close and seal in the parallel phase). The
+   store-level aggregation reads only the returned fold. *)
 let close_and_seal_shard t ~epoch sh =
   flush_worker t sh;
   let fold =
     Enclave.call t.enclave (fun () ->
-        ok (Verifier.close_epoch sh.verifier ~tid:0 ~epoch);
-        let detached =
-          [| ok (Verifier.detach_epoch sh.verifier ~tid:0 ~epoch) |]
-        in
-        let _shard_cert, fold =
-          ok
-            (Verifier.seal_epoch_shard sh.verifier ~shard:sh.sid ~epoch
-               ~detached)
-        in
-        fold)
+        ok (Verifier.close_epoch sh.verifier ~epoch);
+        ok (Verifier.seal_epoch_shard sh.verifier ~shard:sh.sid ~epoch))
   in
   sh.clock <- Timestamp.max sh.clock (Timestamp.first_of_epoch (epoch + 1));
   fold

@@ -249,13 +249,13 @@ let load t records =
               ensure_room t sh ~protect:parent ();
               let installed =
                 ok
-                  (Verifier.add_m sh.verifier ~tid:0 ~key:f
+                  (Verifier.add_m sh.verifier ~key:f
                      ~value:entry.value ~parent)
               in
               assert (installed = None);
               let ts' = sh.clock in
               ok
-                (Verifier.evict_bm sh.verifier ~tid:0 ~key:f ~timestamp:ts'
+                (Verifier.evict_bm sh.verifier ~key:f ~timestamp:ts'
                    ~parent);
               mark_in_blum sh parent f;
               set_mstate sh f entry (M_blum ts'))

@@ -45,14 +45,14 @@ let gateway_receipt t ~kind key value meta =
 
 let apply_entry t sh = function
   | E_add_b (k, v, ts) ->
-      ok (Verifier.add_b sh.verifier ~tid:0 ~key:k ~value:v ~timestamp:ts)
+      ok (Verifier.add_b sh.verifier ~key:k ~value:v ~timestamp:ts)
   | E_evict_b (k, ts) ->
-      ok (Verifier.evict_b sh.verifier ~tid:0 ~key:k ~timestamp:ts)
+      ok (Verifier.evict_b sh.verifier ~key:k ~timestamp:ts)
   | E_vget (k, v, meta) ->
-      ok (Verifier.vget sh.verifier ~tid:0 ~key:k v);
+      ok (Verifier.vget sh.verifier ~key:k v);
       gateway_receipt t ~kind:Auth.Get k v meta
   | E_vput (k, v, meta) ->
-      ok (Verifier.vput sh.verifier ~tid:0 ~key:k v);
+      ok (Verifier.vput sh.verifier ~key:k v);
       gateway_receipt t ~kind:Auth.Put k v meta
 
 let flush_worker t sh =

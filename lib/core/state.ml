@@ -62,7 +62,7 @@ type cached = Via_blum | Via_merkle of cached_merkle
 type shard = {
   sid : int;
   tree : maux Tree.t; (* this partition's merkle records *)
-  verifier : Verifier.t; (* n_threads = 1, sharing the system enclave *)
+  verifier : Verifier.t; (* sharing the system enclave *)
   tree_lock : Mutex.t;
   worker_lock : Mutex.t;
   mutable frontier : Key.t list; (* this shard's frontier merkle keys *)
@@ -259,8 +259,7 @@ let cold_of_config ?manifest (config : Config.t) =
 
 let vconfig_of (config : Config.t) =
   {
-    Verifier.n_threads = 1;
-    cache_capacity = config.cache_capacity;
+    Verifier.cache_capacity = config.cache_capacity;
     algo = config.algo;
     mac_secret = config.mac_secret;
     mset_secret = config.mset_secret;
@@ -279,7 +278,7 @@ let mk_shard ?tree verifier sid =
     tree_lock = Mutex.create ();
     worker_lock = Mutex.create ();
     frontier = [];
-    clock = Verifier.clock verifier ~tid:0;
+    clock = Verifier.clock verifier;
     lru = Key_lru.create ();
     via = Key.Tbl.create 64;
     log = [];

@@ -49,13 +49,13 @@ let evict_mirror _t sh e ~epoch_floor =
   assert (Key_lru.children e = 0);
   (match Key.Tbl.find sh.via k with
   | Via_merkle { parent; _ } ->
-      let ptr = ok (Verifier.evict_m sh.verifier ~tid:0 ~key:k ~parent) in
+      let ptr = ok (Verifier.evict_m sh.verifier ~key:k ~parent) in
       apply_ptr sh parent ptr;
       decr_parent_children sh parent;
       set_mstate sh k (Tree.get_exn sh.tree k) M_merkle
   | Via_blum ->
       let ts' = Timestamp.max sh.clock (Timestamp.first_of_epoch epoch_floor) in
-      ok (Verifier.evict_b sh.verifier ~tid:0 ~key:k ~timestamp:ts');
+      ok (Verifier.evict_b sh.verifier ~key:k ~timestamp:ts');
       sh.clock <- ts';
       set_mstate sh k (Tree.get_exn sh.tree k) (M_blum ts'));
   Key_lru.remove sh.lru e;
@@ -87,7 +87,7 @@ let write_back sh =
       (fun (k, (m : cached_merkle)) ->
         m.stale <- false;
         let ptr =
-          ok (Verifier.flush_m sh.verifier ~tid:0 ~key:k ~parent:m.parent)
+          ok (Verifier.flush_m sh.verifier ~key:k ~parent:m.parent)
         in
         (match Key.Tbl.find_opt sh.via m.parent with
         | Some (Via_merkle pm) when not pm.stale -> push m.parent pm
@@ -157,7 +157,7 @@ let ensure_chain ?loaded t sh path =
               note_load ();
               ensure_room t sh ();
               ok
-                (Verifier.add_b sh.verifier ~tid:0 ~key:k ~value:entry.value
+                (Verifier.add_b sh.verifier ~key:k ~value:entry.value
                    ~timestamp:ts);
               mirror_add_b sh ts;
               ignore (Key_lru.add sh.lru k);
@@ -169,7 +169,7 @@ let ensure_chain ?loaded t sh path =
               ensure_room t sh ~protect:parent ();
               let installed =
                 ok
-                  (Verifier.add_m sh.verifier ~tid:0 ~key:k
+                  (Verifier.add_m sh.verifier ~key:k
                      ~value:entry.value ~parent)
               in
               assert (installed = None);
@@ -233,11 +233,11 @@ let rec blum_fast t sh key cur ts action =
 let client_validate t sh key cur action =
   match action with
   | A_get meta ->
-      ok (Verifier.vget sh.verifier ~tid:0 ~key cur);
+      ok (Verifier.vget sh.verifier ~key cur);
       gateway_receipt t ~kind:Auth.Get key cur meta;
       cur
   | A_put (v, meta) ->
-      ok (Verifier.vput sh.verifier ~tid:0 ~key v);
+      ok (Verifier.vput sh.verifier ~key v);
       gateway_receipt t ~kind:Auth.Put key v meta;
       v
 
@@ -248,7 +248,7 @@ let defer_data t sh key parent new_v =
   let ts' =
     Timestamp.max sh.clock (Timestamp.first_of_epoch (Atomic.get t.live_epoch))
   in
-  ok (Verifier.evict_bm sh.verifier ~tid:0 ~key ~timestamp:ts' ~parent);
+  ok (Verifier.evict_bm sh.verifier ~key ~timestamp:ts' ~parent);
   sh.clock <- ts';
   mark_in_blum sh parent key;
   Store.put t.store key new_v ~aux:(aux_blum ts');
@@ -281,7 +281,7 @@ let merkle_slow t sh key action =
             let parent = ensure_chain ~loaded t sh descent.path in
             let installed =
               ok
-                (Verifier.add_m sh.verifier ~tid:0 ~key
+                (Verifier.add_m sh.verifier ~key
                    ~value:(Value.Data cur) ~parent)
             in
             assert (installed = None);
@@ -295,14 +295,14 @@ let merkle_slow t sh key action =
         | (Tree.Empty_slot | Tree.Split _), A_get meta ->
             (* Non-existence proof from the pointing parent (Example 4.1). *)
             let parent = ensure_chain ~loaded t sh descent.path in
-            ok (Verifier.vget_absent sh.verifier ~tid:0 ~key ~parent);
+            ok (Verifier.vget_absent sh.verifier ~key ~parent);
             gateway_receipt t ~kind:Auth.Get key None meta;
             None
         | Tree.Empty_slot, (A_put (_, _) as action) ->
             let parent = ensure_chain ~loaded t sh descent.path in
             let installed =
               ok
-                (Verifier.add_m sh.verifier ~tid:0 ~key
+                (Verifier.add_m sh.verifier ~key
                    ~value:(Value.Data None) ~parent)
             in
             (match installed with
@@ -344,7 +344,7 @@ let merkle_slow t sh key action =
             in
             let installed =
               ok
-                (Verifier.add_m sh.verifier ~tid:0 ~key:node_key
+                (Verifier.add_m sh.verifier ~key:node_key
                    ~value:node_value ~parent)
             in
             Tree.set sh.tree node_key node_value
@@ -373,7 +373,7 @@ let merkle_slow t sh key action =
             (* Now a plain fresh insert under the new node. *)
             let installed =
               ok
-                (Verifier.add_m sh.verifier ~tid:0 ~key
+                (Verifier.add_m sh.verifier ~key
                    ~value:(Value.Data None) ~parent:node_key)
             in
             (match installed with

@@ -1,7 +1,6 @@
 open Fastver_crypto
 
 type config = {
-  n_threads : int;
   cache_capacity : int;
   algo : Record_enc.algo;
   mac_secret : string;
@@ -10,7 +9,6 @@ type config = {
 
 let default_config =
   {
-    n_threads = 1;
     cache_capacity = 512;
     algo = Record_enc.Blake2s;
     mac_secret = "fastver-default-client-secret";
@@ -25,16 +23,6 @@ type cache_entry = {
   mutable value : Value.t;
   mutable added_via : add_method;
   mutable stale : bool;
-}
-
-type thread = {
-  tid : int;
-  cache : cache_entry Key.Tbl.t;
-  mutable clock : Timestamp.t;
-  mutable closed_through : int; (* no more set elements for epochs <= this *)
-  add_sets : (int, Multiset_hash.t) Hashtbl.t;
-  evict_sets : (int, Multiset_hash.t) Hashtbl.t;
-  mutable n_stale : int; (* cached entries with [stale] set *)
 }
 
 type op_stats = {
@@ -52,7 +40,12 @@ type op_stats = {
 type t = {
   config : config;
   enclave : Enclave.t;
-  threads : thread array;
+  cache : cache_entry Key.Tbl.t;
+  mutable clock : Timestamp.t;
+  mutable closed_through : int; (* no more set elements for epochs <= this *)
+  add_sets : (int, Multiset_hash.t) Hashtbl.t;
+  evict_sets : (int, Multiset_hash.t) Hashtbl.t;
+  mutable n_stale : int; (* cached entries with [stale] set *)
   mac_key : Hmac.key; (* [config.mac_secret]: certificate MACs *)
   mset_key : Multiset_hash.key;
   mutable verified : int;
@@ -62,7 +55,6 @@ type t = {
 }
 
 let create ?enclave config =
-  if config.n_threads < 1 then invalid_arg "Verifier.create: n_threads";
   if config.cache_capacity < 2 then invalid_arg "Verifier.create: capacity";
   if String.length config.mset_secret <> 16 then
     invalid_arg "Verifier.create: mset_secret must be 16 bytes";
@@ -71,25 +63,19 @@ let create ?enclave config =
     | Some e -> e
     | None -> Enclave.create Cost_model.zero
   in
-  let thread tid =
-    {
-      tid;
-      cache = Key.Tbl.create 64;
-      clock = Timestamp.zero;
-      closed_through = -1;
-      add_sets = Hashtbl.create 4;
-      evict_sets = Hashtbl.create 4;
-      n_stale = 0;
-    }
-  in
-  let threads = Array.init config.n_threads thread in
-  (* The root record is pinned in thread 0 and never evicted. *)
-  Key.Tbl.replace threads.(0).cache Key.root
+  let cache = Key.Tbl.create 64 in
+  (* The root record is pinned and never evicted. *)
+  Key.Tbl.replace cache Key.root
     { value = Value.empty_node; added_via = Via_merkle; stale = false };
   {
     config;
     enclave;
-    threads;
+    cache;
+    clock = Timestamp.zero;
+    closed_through = -1;
+    add_sets = Hashtbl.create 4;
+    evict_sets = Hashtbl.create 4;
+    n_stale = 0;
     mac_key = Hmac.key config.mac_secret;
     mset_key = Multiset_hash.key_of_string config.mset_secret;
     verified = -1;
@@ -123,11 +109,6 @@ let fail t fmt =
       Error reason)
     fmt
 
-let thread t tid =
-  if tid < 0 || tid >= Array.length t.threads then
-    invalid_arg "Verifier: bad thread id";
-  t.threads.(tid)
-
 (* Every operation begins here: poisoned verifiers refuse all work. *)
 let guard t =
   match t.failure with
@@ -148,12 +129,12 @@ let set_hash sets epoch key =
       Hashtbl.replace sets epoch h;
       h
 
-let parent_node t th ~key ~parent =
+let parent_node t ~key ~parent =
   if not (Key.is_proper_ancestor parent key) then
     fail t "%a is not a proper ancestor of %a" Key.pp parent Key.pp key
   else
-    match Key.Tbl.find_opt th.cache parent with
-    | None -> fail t "parent %a not in cache of thread %d" Key.pp parent th.tid
+    match Key.Tbl.find_opt t.cache parent with
+    | None -> fail t "parent %a not in cache" Key.pp parent
     | Some ({ value = Value.Node n; _ } as entry) -> Ok (entry, n)
     | Some { value = Value.Data _; _ } ->
         fail t "parent %a holds a data value" Key.pp parent
@@ -161,36 +142,35 @@ let parent_node t th ~key ~parent =
 (* Every change to a cached value goes through here. A Merkle-added
    record becomes stale; the pinned root has no parent slot and never
    does. *)
-let set_value th key entry value =
+let set_value t key entry value =
   entry.value <- value;
   if
     (not entry.stale) && entry.added_via = Via_merkle
     && not (Key.equal key Key.root)
   then begin
     entry.stale <- true;
-    th.n_stale <- th.n_stale + 1
+    t.n_stale <- t.n_stale + 1
   end
 
-let uncache th key entry =
-  if entry.stale then th.n_stale <- th.n_stale - 1;
-  Key.Tbl.remove th.cache key
+let uncache t key entry =
+  if entry.stale then t.n_stale <- t.n_stale - 1;
+  Key.Tbl.remove t.cache key
 
-let add_m t ~tid ~key ~value ~parent =
+let add_m t ~key ~value ~parent =
   let* () = guard t in
   t.stats.n_add_m <- t.stats.n_add_m + 1;
-  let th = thread t tid in
   if Key.equal key Key.root then fail t "add_m: root is pinned"
   else if not (Value.compatible key value) then
     fail t "add_m: value incompatible with key %a" Key.pp key
-  else if Key.Tbl.mem th.cache key then
-    fail t "add_m: %a already cached in thread %d" Key.pp key tid
-  else if Key.Tbl.length th.cache >= t.config.cache_capacity then
-    fail t "add_m: cache of thread %d full" tid
+  else if Key.Tbl.mem t.cache key then
+    fail t "add_m: %a already cached" Key.pp key
+  else if Key.Tbl.length t.cache >= t.config.cache_capacity then
+    fail t "add_m: cache full"
   else
-    let* parent_entry, n = parent_node t th ~key ~parent in
+    let* parent_entry, n = parent_node t ~key ~parent in
     let d = Key.dir key ~ancestor:parent in
     let finish installed =
-      Key.Tbl.replace th.cache key
+      Key.Tbl.replace t.cache key
         { value; added_via = Via_merkle; stale = false };
       Ok installed
     in
@@ -204,7 +184,7 @@ let add_m t ~tid ~key ~value ~parent =
           let ptr =
             { Value.key; hash = hash_value t value; in_blum = false }
           in
-          set_value th parent parent_entry
+          set_value t parent parent_entry
             (Value.Node (Value.set_slot n d (Some ptr)));
           finish (Some ptr)
         end
@@ -230,7 +210,7 @@ let add_m t ~tid ~key ~value ~parent =
             let ptr' =
               { Value.key; hash = hash_value t value; in_blum = false }
             in
-            set_value th parent parent_entry
+            set_value t parent parent_entry
               (Value.Node (Value.set_slot n d (Some ptr')));
             finish (Some ptr')
           end
@@ -239,16 +219,15 @@ let add_m t ~tid ~key ~value ~parent =
           fail t "add_m: slot of %a points to unrelated key %a" Key.pp parent
             Key.pp pointee
 
-let evict_m t ~tid ~key ~parent =
+let evict_m t ~key ~parent =
   let* () = guard t in
   t.stats.n_evict_m <- t.stats.n_evict_m + 1;
-  let th = thread t tid in
   if Key.equal key Key.root then fail t "evict_m: root is pinned"
   else
-    match Key.Tbl.find_opt th.cache key with
-    | None -> fail t "evict_m: %a not cached in thread %d" Key.pp key tid
+    match Key.Tbl.find_opt t.cache key with
+    | None -> fail t "evict_m: %a not cached" Key.pp key
     | Some entry ->
-        let* parent_entry, n = parent_node t th ~key ~parent in
+        let* parent_entry, n = parent_node t ~key ~parent in
         let d = Key.dir key ~ancestor:parent in
         (match Value.slot n d with
         | Some { Value.key = pointee; _ } when Key.equal pointee key ->
@@ -259,9 +238,9 @@ let evict_m t ~tid ~key ~parent =
                 in_blum = false;
               }
             in
-            set_value th parent parent_entry
+            set_value t parent parent_entry
               (Value.Node (Value.set_slot n d (Some ptr)));
-            uncache th key entry;
+            uncache t key entry;
             Ok ptr
         | Some _ | None ->
             fail t "evict_m: %a does not point to %a" Key.pp parent Key.pp key)
@@ -270,115 +249,111 @@ let evict_m t ~tid ~key ~parent =
    takes the record's hash and the record stays cached, no longer stale.
    The add half cannot fail — the slot now holds exactly this hash — so
    the pair needs no room in the cache. *)
-let flush_m t ~tid ~key ~parent =
+let flush_m t ~key ~parent =
   let* () = guard t in
   t.stats.n_flush_m <- t.stats.n_flush_m + 1;
-  let th = thread t tid in
   if Key.equal key Key.root then fail t "flush_m: root is pinned"
   else
-    match Key.Tbl.find_opt th.cache key with
-    | None -> fail t "flush_m: %a not cached in thread %d" Key.pp key tid
+    match Key.Tbl.find_opt t.cache key with
+    | None -> fail t "flush_m: %a not cached" Key.pp key
     | Some { added_via = Via_blum; _ } ->
         fail t "flush_m: %a was added via blum" Key.pp key
     | Some entry -> (
-        let* parent_entry, n = parent_node t th ~key ~parent in
+        let* parent_entry, n = parent_node t ~key ~parent in
         let d = Key.dir key ~ancestor:parent in
         match Value.slot n d with
         | Some { Value.key = pointee; _ } when Key.equal pointee key ->
             let ptr =
               { Value.key; hash = hash_value t entry.value; in_blum = false }
             in
-            set_value th parent parent_entry
+            set_value t parent parent_entry
               (Value.Node (Value.set_slot n d (Some ptr)));
             if entry.stale then begin
               entry.stale <- false;
-              th.n_stale <- th.n_stale - 1
+              t.n_stale <- t.n_stale - 1
             end;
             Ok ptr
         | Some _ | None ->
             fail t "flush_m: %a does not point to %a" Key.pp parent Key.pp key)
 
-let add_b t ~tid ~key ~value ~timestamp =
+let add_b t ~key ~value ~timestamp =
   let* () = guard t in
   t.stats.n_add_b <- t.stats.n_add_b + 1;
-  let th = thread t tid in
   let epoch = Timestamp.epoch timestamp in
   if Key.equal key Key.root then fail t "add_b: root is pinned"
   else if not (Value.compatible key value) then
     fail t "add_b: value incompatible with key %a" Key.pp key
-  else if Key.Tbl.mem th.cache key then
-    fail t "add_b: %a already cached in thread %d" Key.pp key tid
-  else if Key.Tbl.length th.cache >= t.config.cache_capacity then
-    fail t "add_b: cache of thread %d full" tid
+  else if Key.Tbl.mem t.cache key then
+    fail t "add_b: %a already cached" Key.pp key
+  else if Key.Tbl.length t.cache >= t.config.cache_capacity then
+    fail t "add_b: cache full"
   else if epoch <= t.verified then
     fail t "add_b: timestamp epoch %d already verified" epoch
-  else if epoch <= th.closed_through then
-    fail t "add_b: thread %d already closed epoch %d" tid epoch
+  else if epoch <= t.closed_through then
+    fail t "add_b: epoch %d already closed" epoch
   else begin
     Multiset_hash.add
-      (set_hash th.add_sets epoch t.mset_key)
+      (set_hash t.add_sets epoch t.mset_key)
       (Record_enc.blum_element key value timestamp);
-    th.clock <- Timestamp.max th.clock (Timestamp.next timestamp);
-    Key.Tbl.replace th.cache key { value; added_via = Via_blum; stale = false };
+    t.clock <- Timestamp.max t.clock (Timestamp.next timestamp);
+    Key.Tbl.replace t.cache key { value; added_via = Via_blum; stale = false };
     Ok ()
   end
 
 (* Shared tail of evict_b / evict_bm: fold the evict element, advance the
    clock, drop the cache entry. *)
-let evict_to_blum t th ~key ~(entry : cache_entry) ~timestamp =
+let evict_to_blum t ~key ~(entry : cache_entry) ~timestamp =
   let epoch = Timestamp.epoch timestamp in
-  if Timestamp.compare timestamp th.clock < 0 then
-    fail t "evict to blum: timestamp %a behind clock %a of thread %d"
-      Timestamp.pp timestamp Timestamp.pp th.clock th.tid
+  if Timestamp.compare timestamp t.clock < 0 then
+    fail t "evict to blum: timestamp %a behind clock %a"
+      Timestamp.pp timestamp Timestamp.pp t.clock
   else if epoch <= t.verified then
     fail t "evict to blum: epoch %d already verified" epoch
-  else if epoch <= th.closed_through then
-    fail t "evict to blum: thread %d already closed epoch %d" th.tid epoch
+  else if epoch <= t.closed_through then
+    fail t "evict to blum: epoch %d already closed" epoch
   else begin
     Multiset_hash.add
-      (set_hash th.evict_sets epoch t.mset_key)
+      (set_hash t.evict_sets epoch t.mset_key)
       (Record_enc.blum_element key entry.value timestamp);
-    th.clock <- timestamp;
-    uncache th key entry;
+    t.clock <- timestamp;
+    uncache t key entry;
     Ok ()
   end
 
-let evict_b t ~tid ~key ~timestamp =
+let evict_b t ~key ~timestamp =
   let* () = guard t in
   t.stats.n_evict_b <- t.stats.n_evict_b + 1;
-  let th = thread t tid in
-  match Key.Tbl.find_opt th.cache key with
-  | None -> fail t "evict_b: %a not cached in thread %d" Key.pp key tid
+  match Key.Tbl.find_opt t.cache key with
+  | None -> fail t "evict_b: %a not cached" Key.pp key
   | Some entry -> (
       match entry.added_via with
       | Via_merkle ->
           fail t "evict_b: %a was added via merkle (must use evict_bm)" Key.pp
             key
-      | Via_blum -> evict_to_blum t th ~key ~entry ~timestamp)
+      | Via_blum -> evict_to_blum t ~key ~entry ~timestamp)
 
-let evict_bm t ~tid ~key ~timestamp ~parent =
+let evict_bm t ~key ~timestamp ~parent =
   let* () = guard t in
   t.stats.n_evict_bm <- t.stats.n_evict_bm + 1;
-  let th = thread t tid in
-  match Key.Tbl.find_opt th.cache key with
-  | None -> fail t "evict_bm: %a not cached in thread %d" Key.pp key tid
+  match Key.Tbl.find_opt t.cache key with
+  | None -> fail t "evict_bm: %a not cached" Key.pp key
   | Some entry -> (
       match entry.added_via with
       | Via_blum ->
           fail t "evict_bm: %a was added via blum (must use evict_b)" Key.pp
             key
       | Via_merkle -> (
-          let* parent_entry, n = parent_node t th ~key ~parent in
+          let* parent_entry, n = parent_node t ~key ~parent in
           let d = Key.dir key ~ancestor:parent in
           match Value.slot n d with
           | Some ({ Value.key = pointee; in_blum = false; _ } as ptr)
             when Key.equal pointee key ->
               (* The stale hash stays; the [in_blum] mark invalidates it for
                  future add_m until an evict_m refreshes it. *)
-              set_value th parent parent_entry
+              set_value t parent parent_entry
                 (Value.Node
                    (Value.set_slot n d (Some { ptr with in_blum = true })));
-              evict_to_blum t th ~key ~entry ~timestamp
+              evict_to_blum t ~key ~entry ~timestamp
           | Some { Value.key = pointee; in_blum = true; _ }
             when Key.equal pointee key ->
               fail t "evict_bm: %a already marked in_blum" Key.pp key
@@ -386,28 +361,26 @@ let evict_bm t ~tid ~key ~timestamp ~parent =
               fail t "evict_bm: %a does not point to %a" Key.pp parent Key.pp
                 key))
 
-let vget t ~tid ~key value =
+let vget t ~key value =
   let* () = guard t in
   t.stats.n_vget <- t.stats.n_vget + 1;
-  let th = thread t tid in
   if not (Key.is_data_key key) then fail t "vget: %a not a data key" Key.pp key
   else
-    match Key.Tbl.find_opt th.cache key with
-    | None -> fail t "vget: %a not cached in thread %d" Key.pp key tid
+    match Key.Tbl.find_opt t.cache key with
+    | None -> fail t "vget: %a not cached" Key.pp key
     | Some { value = Value.Data v; _ } ->
         if Option.equal String.equal v value then Ok ()
         else fail t "vget: stale or tampered value for %a" Key.pp key
     | Some { value = Value.Node _; _ } ->
         fail t "vget: merkle value under data key %a" Key.pp key
 
-let vget_absent t ~tid ~key ~parent =
+let vget_absent t ~key ~parent =
   let* () = guard t in
   t.stats.n_vget <- t.stats.n_vget + 1;
-  let th = thread t tid in
   if not (Key.is_data_key key) then
     fail t "vget_absent: %a not a data key" Key.pp key
   else
-    let* _, n = parent_node t th ~key ~parent in
+    let* _, n = parent_node t ~key ~parent in
     let d = Key.dir key ~ancestor:parent in
     match Value.slot n d with
     | None -> Ok ()
@@ -420,43 +393,41 @@ let vget_absent t ~tid ~key ~parent =
             Key.pp key
         else Ok ()
 
-let vput t ~tid ~key value =
+let vput t ~key value =
   let* () = guard t in
   t.stats.n_vput <- t.stats.n_vput + 1;
-  let th = thread t tid in
   if not (Key.is_data_key key) then fail t "vput: %a not a data key" Key.pp key
   else
-    match Key.Tbl.find_opt th.cache key with
-    | None -> fail t "vput: %a not cached in thread %d" Key.pp key tid
+    match Key.Tbl.find_opt t.cache key with
+    | None -> fail t "vput: %a not cached" Key.pp key
     | Some entry ->
-        set_value th key entry (Value.Data value);
+        set_value t key entry (Value.Data value);
         Ok ()
 
-let close_epoch t ~tid ~epoch =
+let close_epoch t ~epoch =
   let* () = guard t in
-  let th = thread t tid in
-  if epoch <> th.closed_through + 1 then
-    fail t "close_epoch: thread %d must close epoch %d next" tid
-      (th.closed_through + 1)
+  if epoch <> t.closed_through + 1 then
+    fail t "close_epoch: must close epoch %d next"
+      (t.closed_through + 1)
   else begin
-    th.closed_through <- epoch;
-    th.clock <- Timestamp.max th.clock (Timestamp.first_of_epoch (epoch + 1));
+    t.closed_through <- epoch;
+    t.clock <- Timestamp.max t.clock (Timestamp.first_of_epoch (epoch + 1));
     Ok ()
   end
 
 let epoch_certificate_message ~epoch =
   Printf.sprintf "fastver-epoch-verified:%d" epoch
 
-(* Once a thread has closed [epoch], its epoch set hashes are frozen.
-   [detach_epoch] removes them from the thread's open-set tables (under
-   whatever lock serializes that thread's operations) and returns the raw
-   values, so the serial aggregation in [verify_epoch_detached] never
-   touches per-thread hashtables that later epochs fold elements into. *)
-let detach_epoch t ~tid ~epoch =
+(* Takes [epoch]'s add and evict set hashes out of the open tables and
+   checks that they balance: every record read from Blum protection in the
+   epoch was written to it, with the same value and timestamp. Advances
+   {!verified_epoch} and counts one certificate on success. *)
+let seal t ~what ~epoch =
   let* () = guard t in
-  let th = thread t tid in
-  if th.closed_through < epoch then
-    fail t "detach_epoch: thread %d has not closed epoch %d" tid epoch
+  if epoch <> t.verified + 1 then
+    fail t "%s: expected epoch %d" what (t.verified + 1)
+  else if t.closed_through < epoch then
+    fail t "%s: epoch %d not closed" what epoch
   else begin
     let take sets =
       match Hashtbl.find_opt sets epoch with
@@ -465,109 +436,30 @@ let detach_epoch t ~tid ~epoch =
           Multiset_hash.value h
       | None -> Multiset_hash.empty_value
     in
-    let add = take th.add_sets in
-    let evict = take th.evict_sets in
-    Ok (add, evict)
-  end
-
-let verify_epoch_detached t ~epoch ~detached =
-  let* () = guard t in
-  if epoch <> t.verified + 1 then
-    fail t "verify_epoch: expected epoch %d" (t.verified + 1)
-  else if Array.length detached <> Array.length t.threads then
-    fail t "verify_epoch: detached sets for %d threads, have %d"
-      (Array.length detached) (Array.length t.threads)
-  else if Array.exists (fun th -> th.closed_through < epoch) t.threads then
-    fail t "verify_epoch: not all threads closed epoch %d" epoch
-  else begin
-    let adds = Multiset_hash.create t.mset_key
-    and evicts = Multiset_hash.create t.mset_key in
-    Array.iter
-      (fun (add, evict) ->
-        Multiset_hash.merge adds (Multiset_hash.of_value t.mset_key add);
-        Multiset_hash.merge evicts (Multiset_hash.of_value t.mset_key evict))
-      detached;
-    if not (Multiset_hash.equal adds evicts) then
-      fail t "verify_epoch: add/evict multiset mismatch in epoch %d" epoch
+    let add = take t.add_sets in
+    let evict = take t.evict_sets in
+    if not (Multiset_hash.equal_value add evict) then
+      fail t "%s: add/evict multiset mismatch in epoch %d" what epoch
     else begin
       t.verified <- epoch;
       t.stats.n_certificates <- t.stats.n_certificates + 1;
-      Ok (Hmac.mac_with t.mac_key (epoch_certificate_message ~epoch))
+      Ok (add, evict)
     end
   end
 
 let verify_epoch t ~epoch =
-  let* () = guard t in
-  if epoch <> t.verified + 1 then
-    fail t "verify_epoch: expected epoch %d" (t.verified + 1)
-  else if
-    Array.exists (fun th -> th.closed_through < epoch) t.threads
-  then fail t "verify_epoch: not all threads closed epoch %d" epoch
-  else begin
-    let adds = Multiset_hash.create t.mset_key
-    and evicts = Multiset_hash.create t.mset_key in
-    let take sets acc =
-      match Hashtbl.find_opt sets epoch with
-      | Some h ->
-          Multiset_hash.merge acc h;
-          Hashtbl.remove sets epoch
-      | None -> ()
-    in
-    Array.iter
-      (fun th ->
-        take th.add_sets adds;
-        take th.evict_sets evicts)
-      t.threads;
-    if not (Multiset_hash.equal adds evicts) then
-      fail t "verify_epoch: add/evict multiset mismatch in epoch %d" epoch
-    else begin
-      t.verified <- epoch;
-      t.stats.n_certificates <- t.stats.n_certificates + 1;
-      Ok (Hmac.mac_with t.mac_key (epoch_certificate_message ~epoch))
-    end
-  end
+  let* _ = seal t ~what:"verify_epoch" ~epoch in
+  Ok (Hmac.mac_with t.mac_key (epoch_certificate_message ~epoch))
 
 (* Sharded stores (§5.3 extended across trees): each shard runs its own
    verifier over a disjoint keyspace slice. Sealing an epoch is two-level:
-   every shard checks its local add/evict balance and issues a shard
-   certificate, exporting its folded (add, evict) values; the store-level
-   certificate then folds the per-shard values order-independently and signs
-   the unchanged store-level message — so the aggregated certificate is
-   bit-identical whether one shard or N produced it. *)
-
-let shard_certificate_message ~shard ~epoch =
-  Printf.sprintf "fastver-shard-verified:%d:%d" shard epoch
-
-let seal_epoch_shard t ~shard ~epoch ~detached =
-  let* () = guard t in
-  if epoch <> t.verified + 1 then
-    fail t "seal_epoch: shard %d expected epoch %d" shard (t.verified + 1)
-  else if Array.length detached <> Array.length t.threads then
-    fail t "seal_epoch: detached sets for %d threads, have %d"
-      (Array.length detached) (Array.length t.threads)
-  else if Array.exists (fun th -> th.closed_through < epoch) t.threads then
-    fail t "seal_epoch: not all threads closed epoch %d" epoch
-  else begin
-    let adds = Multiset_hash.create t.mset_key
-    and evicts = Multiset_hash.create t.mset_key in
-    Array.iter
-      (fun (add, evict) ->
-        Multiset_hash.merge adds (Multiset_hash.of_value t.mset_key add);
-        Multiset_hash.merge evicts (Multiset_hash.of_value t.mset_key evict))
-      detached;
-    if not (Multiset_hash.equal adds evicts) then
-      fail t "seal_epoch: add/evict multiset mismatch in shard %d epoch %d"
-        shard epoch
-    else begin
-      t.verified <- epoch;
-      t.stats.n_certificates <- t.stats.n_certificates + 1;
-      let cert =
-        Hmac.mac_with t.mac_key
-          (shard_certificate_message ~shard ~epoch)
-      in
-      Ok (cert, (Multiset_hash.value adds, Multiset_hash.value evicts))
-    end
-  end
+   every shard checks its local add/evict balance and exports its (add,
+   evict) values; the store-level certificate then folds the per-shard
+   values order-independently and signs the unchanged store-level message
+   — so the aggregated certificate is bit-identical whether one shard or N
+   produced it. *)
+let seal_epoch_shard t ~shard ~epoch =
+  seal t ~what:(Printf.sprintf "seal_epoch: shard %d" shard) ~epoch
 
 let aggregate_epoch_certificate ~mset_secret ~mac_secret ~epoch ~folds =
   let key = Multiset_hash.key_of_string mset_secret in
@@ -587,6 +479,8 @@ let sign t msg =
   if t.failure <> None then invalid_arg "Verifier.sign: poisoned";
   Hmac.mac_with t.mac_key msg
 
+let root_entry t = Key.Tbl.find t.cache Key.root
+
 let install_root t value =
   let* () = guard t in
   t.ops_processed <- t.ops_processed - 1;
@@ -596,10 +490,10 @@ let install_root t value =
     match value with
     | Value.Data _ -> fail t "install_root: root must be a merkle value"
     | Value.Node _ ->
-        (Key.Tbl.find t.threads.(0).cache Key.root).value <- value;
+        (root_entry t).value <- value;
         Ok ()
 
-let install_blum t ~tid ~key ~value ~timestamp =
+let install_blum t ~key ~value ~timestamp =
   let* () = guard t in
   t.ops_processed <- t.ops_processed - 1;
   if t.ops_processed > 0 || t.verified >= 0 then
@@ -607,48 +501,45 @@ let install_blum t ~tid ~key ~value ~timestamp =
   else if not (Value.compatible key value) then
     fail t "install_blum: value incompatible with key %a" Key.pp key
   else begin
-    let th = thread t tid in
     Multiset_hash.add
-      (set_hash th.evict_sets (Timestamp.epoch timestamp) t.mset_key)
+      (set_hash t.evict_sets (Timestamp.epoch timestamp) t.mset_key)
       (Record_enc.blum_element key value timestamp);
-    th.clock <- Timestamp.max th.clock timestamp;
+    t.clock <- Timestamp.max t.clock timestamp;
     Ok ()
   end
 
-(* Summary layout: verified(8) | root_len(4) root_enc | per thread:
-   clock(8) closed(8) n_epochs(4) { epoch(8) add(16) evict(16) }.
+(* Summary layout: verified(8) | root_len(4) root_enc | clock(8) closed(8)
+   n_epochs(4) { epoch(8) add(16) evict(16) }.
 
    The summary describes the state an eviction of every cached record
    would leave, without evicting any. A clean Merkle-added record is
    already what its parent's slot says, so its [evict_m] would change
    nothing; a stale one would, so the summary is refused while any is
    stale. Each blum-added record is folded in as an [evict_b] at
-   [max clock floor] — into a copy of the thread clock and of that
-   epoch's evict set — so the caller must record those records as
-   blum-protected at that timestamp. *)
+   [max clock floor] — into a copy of the clock and of that epoch's evict
+   set — so the caller must record those records as blum-protected at
+   that timestamp. *)
 let checkpoint_summary t ~floor =
   let* () = guard t in
   t.ops_processed <- t.ops_processed - 1;
-  let stale = Array.fold_left (fun acc th -> acc + th.n_stale) 0 t.threads in
-  (* Per thread: its clock and evict sets after the virtual evictions. *)
-  let virtual_evicts th =
+  (* The clock and evict sets after the virtual evictions. *)
+  let virtual_evicts () =
     let blum =
       Key.Tbl.fold
         (fun key e acc ->
           if e.added_via = Via_blum then (key, e.value) :: acc else acc)
-        th.cache []
+        t.cache []
     in
-    let ts = Timestamp.max th.clock floor in
+    let ts = Timestamp.max t.clock floor in
     let epoch = Timestamp.epoch ts in
-    if blum = [] then Ok (th.clock, th.evict_sets)
-    else if epoch <= t.verified || epoch <= th.closed_through then
+    if blum = [] then Ok (t.clock, t.evict_sets)
+    else if epoch <= t.verified || epoch <= t.closed_through then
       Error
         (Printf.sprintf
-           "checkpoint_summary: thread %d cannot evict into closed epoch %d"
-           th.tid epoch)
+           "checkpoint_summary: cannot evict into closed epoch %d" epoch)
     else begin
       let h =
-        match Hashtbl.find_opt th.evict_sets epoch with
+        match Hashtbl.find_opt t.evict_sets epoch with
         | Some h -> Multiset_hash.of_value t.mset_key (Multiset_hash.value h)
         | None -> Multiset_hash.create t.mset_key
       in
@@ -656,20 +547,17 @@ let checkpoint_summary t ~floor =
         (fun (key, value) ->
           Multiset_hash.add h (Record_enc.blum_element key value ts))
         blum;
-      let evict_sets = Hashtbl.copy th.evict_sets in
+      let evict_sets = Hashtbl.copy t.evict_sets in
       Hashtbl.replace evict_sets epoch h;
       Ok (ts, evict_sets)
     end
   in
-  if stale > 0 then
+  if t.n_stale > 0 then
     Error
       (Printf.sprintf "checkpoint_summary: %d stale merkle records cached"
-         stale)
+         t.n_stale)
   else
-    let virtuals = Array.map virtual_evicts t.threads in
-    match Array.find_map (function Error e -> Some e | Ok _ -> None) virtuals with
-    | Some e -> Error e
-    | None ->
+    let* clock, evict_sets = virtual_evicts () in
     let buf = Buffer.create 256 in
     let u64 v = Buffer.add_string buf (Bytes_util.string_of_u64_le v) in
     let u32 v =
@@ -678,34 +566,28 @@ let checkpoint_summary t ~floor =
       Buffer.add_bytes buf b
     in
     u64 (Int64.of_int t.verified);
-    let root_enc =
-      Value.encode (Key.Tbl.find t.threads.(0).cache Key.root).value
-    in
+    let root_enc = Value.encode (root_entry t).value in
     u32 (String.length root_enc);
     Buffer.add_string buf root_enc;
-    Array.iter2
-      (fun th v ->
-        let clock, evict_sets = Result.get_ok v in
-        u64 clock;
-        u64 (Int64.of_int th.closed_through);
-        let epochs =
-          List.sort_uniq Stdlib.compare
-            (Hashtbl.fold (fun e _ acc -> e :: acc) th.add_sets []
-            @ Hashtbl.fold (fun e _ acc -> e :: acc) evict_sets [])
+    u64 clock;
+    u64 (Int64.of_int t.closed_through);
+    let epochs =
+      List.sort_uniq Stdlib.compare
+        (Hashtbl.fold (fun e _ acc -> e :: acc) t.add_sets []
+        @ Hashtbl.fold (fun e _ acc -> e :: acc) evict_sets [])
+    in
+    u32 (List.length epochs);
+    List.iter
+      (fun e ->
+        u64 (Int64.of_int e);
+        let v sets =
+          match Hashtbl.find_opt sets e with
+          | Some h -> Multiset_hash.value h
+          | None -> Multiset_hash.empty_value
         in
-        u32 (List.length epochs);
-        List.iter
-          (fun e ->
-            u64 (Int64.of_int e);
-            let v sets =
-              match Hashtbl.find_opt sets e with
-              | Some h -> Multiset_hash.value h
-              | None -> Multiset_hash.empty_value
-            in
-            Buffer.add_string buf (v th.add_sets);
-            Buffer.add_string buf (v evict_sets))
-          epochs)
-      t.threads virtuals;
+        Buffer.add_string buf (v t.add_sets);
+        Buffer.add_string buf (v evict_sets))
+      epochs;
     Ok (Buffer.contents buf)
 
 let of_summary ?enclave config summary =
@@ -731,40 +613,29 @@ let of_summary ?enclave config summary =
     t.verified <- Int64.to_int (u64 ());
     let root_len = u32 () in
     (match Value.decode (str root_len) with
-    | Ok (Value.Node _ as v) ->
-        (Key.Tbl.find t.threads.(0).cache Key.root).value <- v
+    | Ok (Value.Node _ as v) -> (root_entry t).value <- v
     | Ok (Value.Data _) -> failwith "root is a data value"
     | Error e -> failwith e);
-    Array.iter
-      (fun th ->
-        th.clock <- u64 ();
-        th.closed_through <- Int64.to_int (u64 ());
-        let n_epochs = u32 () in
-        for _ = 1 to n_epochs do
-          let e = Int64.to_int (u64 ()) in
-          let add = str 16 and evict = str 16 in
-          if not (Multiset_hash.equal_value add Multiset_hash.empty_value)
-          then
-            Hashtbl.replace th.add_sets e
-              (Multiset_hash.of_value t.mset_key add);
-          if not (Multiset_hash.equal_value evict Multiset_hash.empty_value)
-          then
-            Hashtbl.replace th.evict_sets e
-              (Multiset_hash.of_value t.mset_key evict)
-        done)
-      t.threads;
+    t.clock <- u64 ();
+    t.closed_through <- Int64.to_int (u64 ());
+    let n_epochs = u32 () in
+    for _ = 1 to n_epochs do
+      let e = Int64.to_int (u64 ()) in
+      let add = str 16 and evict = str 16 in
+      if not (Multiset_hash.equal_value add Multiset_hash.empty_value) then
+        Hashtbl.replace t.add_sets e (Multiset_hash.of_value t.mset_key add);
+      if not (Multiset_hash.equal_value evict Multiset_hash.empty_value) then
+        Hashtbl.replace t.evict_sets e
+          (Multiset_hash.of_value t.mset_key evict)
+    done;
     if !pos <> String.length summary then fail "trailing bytes" else Ok t
   with
   | Invalid_argument _ -> fail "truncated"
   | Failure msg -> fail msg
 
-let cached t ~tid key =
-  Option.map
-    (fun e -> e.value)
-    (Key.Tbl.find_opt (thread t tid).cache key)
-
-let cache_size t ~tid = Key.Tbl.length (thread t tid).cache
-let clock t ~tid = (thread t tid).clock
+let cached t key = Option.map (fun e -> e.value) (Key.Tbl.find_opt t.cache key)
+let cache_size t = Key.Tbl.length t.cache
+let clock t = t.clock
 let cache_capacity t = t.config.cache_capacity
 
 (* A full Merkle node record as the cache holds it: its key (2-byte depth +

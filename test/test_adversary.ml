@@ -17,29 +17,27 @@ type world = {
   tree : unit Tree.t;
 }
 
-let mk_world ?(threads = 1) n =
+let mk_world n =
   let tree = Tree.create ~root_aux:() in
   let records =
     Array.init n (fun i ->
         (Key.of_int64 (Int64.of_int i), Value.Data (Some (Printf.sprintf "v%d" i))))
   in
   Tree.bulk_build tree ~aux:(fun _ _ -> ()) records;
-  let v =
-    Verifier.create { Verifier.default_config with n_threads = threads }
-  in
+  let v = Verifier.create Verifier.default_config in
   ok_exn "install_root"
     (Verifier.install_root v (Tree.get_exn tree Key.root).Tree.value);
   { v; tree }
 
-let add_chain w ~tid key =
+let add_chain w key =
   let d = Tree.descend w.tree key in
   let arr = Array.of_list d.Tree.path in
   Array.iteri
     (fun j k ->
-      if j > 0 && Verifier.cached w.v ~tid k = None then
+      if j > 0 && Verifier.cached w.v k = None then
         ignore
           (ok_exn "chain"
-             (Verifier.add_m w.v ~tid ~key:k
+             (Verifier.add_m w.v ~key:k
                 ~value:(Tree.get_exn w.tree k).Tree.value ~parent:arr.(j - 1))))
     arr;
   arr.(Array.length arr - 1)
@@ -48,9 +46,9 @@ let add_chain w ~tid key =
 let test_tampered_value () =
   let w = mk_world 64 in
   let key = Key.of_int64 7L in
-  let parent = add_chain w ~tid:0 key in
+  let parent = add_chain w key in
   expect_fail "tampered value"
-    (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "EVIL")) ~parent)
+    (Verifier.add_m w.v ~key ~value:(Value.Data (Some "EVIL")) ~parent)
 
 (* 2. Presenting a tampered merkle record on the chain. *)
 let test_tampered_merkle_record () =
@@ -69,22 +67,22 @@ let test_tampered_merkle_record () =
         | _ -> Alcotest.fail "unexpected shape"
       in
       expect_fail "tampered merkle value"
-        (Verifier.add_m w.v ~tid:0 ~key:second ~value:evil ~parent:Key.root)
+        (Verifier.add_m w.v ~key:second ~value:evil ~parent:Key.root)
   | _ -> Alcotest.fail "tree too shallow"
 
 (* 3. Claiming a wrong parent for add_m. *)
 let test_wrong_parent () =
   let w = mk_world 64 in
   let key = Key.of_int64 7L in
-  let _parent = add_chain w ~tid:0 key in
+  let _parent = add_chain w key in
   (* the root is an ancestor but not the pointing parent *)
   expect_fail "wrong parent"
-    (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v7"))
+    (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v7"))
        ~parent:Key.root);
   (* a non-ancestor is rejected outright *)
   let w2 = mk_world 64 in
   expect_fail "non-ancestor parent"
-    (Verifier.add_m w2.v ~tid:0 ~key ~value:(Value.Data (Some "v7"))
+    (Verifier.add_m w2.v ~key ~value:(Value.Data (Some "v7"))
        ~parent:(Key.of_int64 3L))
 
 (* 4. The cross-mechanism replay the in_blum bit exists to stop: hand a
@@ -92,108 +90,112 @@ let test_wrong_parent () =
 let test_in_blum_replay () =
   let w = mk_world 64 in
   let key = Key.of_int64 9L in
-  let parent = add_chain w ~tid:0 key in
+  let parent = add_chain w key in
   ignore
-    (ok_exn "add" (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v9")) ~parent));
-  ok_exn "vput" (Verifier.vput w.v ~tid:0 ~key (Some "v9-new"));
+    (ok_exn "add" (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v9")) ~parent));
+  ok_exn "vput" (Verifier.vput w.v ~key (Some "v9-new"));
   ok_exn "evict_bm"
-    (Verifier.evict_bm w.v ~tid:0 ~key ~timestamp:(Timestamp.make ~epoch:0 ~counter:5)
+    (Verifier.evict_bm w.v ~key ~timestamp:(Timestamp.make ~epoch:0 ~counter:5)
        ~parent);
   (* parent still holds the hash of the OLD value, but marked in_blum *)
   expect_fail "stale merkle re-add"
-    (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v9")) ~parent)
+    (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v9")) ~parent)
 
 (* 5. Replaying an old blum record (stale timestamp): detected at epoch
    verification because the multisets cannot balance. *)
 let test_blum_stale_replay () =
   let w = mk_world 64 in
   let key = Key.of_int64 4L in
-  let parent = add_chain w ~tid:0 key in
+  let parent = add_chain w key in
   ignore
-    (ok_exn "add" (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v4")) ~parent));
+    (ok_exn "add" (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v4")) ~parent));
   let ts0 = Timestamp.make ~epoch:0 ~counter:1 in
-  ok_exn "evict_bm" (Verifier.evict_bm w.v ~tid:0 ~key ~timestamp:ts0 ~parent);
+  ok_exn "evict_bm" (Verifier.evict_bm w.v ~key ~timestamp:ts0 ~parent);
   (* honest round: add, update to "v4b", evict at ts1 *)
   ok_exn "add_b"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "v4")) ~timestamp:ts0);
-  ok_exn "vput" (Verifier.vput w.v ~tid:0 ~key (Some "v4b"));
-  let ts1 = Verifier.clock w.v ~tid:0 in
-  ok_exn "evict_b" (Verifier.evict_b w.v ~tid:0 ~key ~timestamp:ts1);
+    (Verifier.add_b w.v ~key ~value:(Value.Data (Some "v4")) ~timestamp:ts0);
+  ok_exn "vput" (Verifier.vput w.v ~key (Some "v4b"));
+  let ts1 = Verifier.clock w.v in
+  ok_exn "evict_b" (Verifier.evict_b w.v ~key ~timestamp:ts1);
   (* ATTACK: serve the old value (v4, ts0) to a reader *)
   ok_exn "replayed add_b accepted provisionally"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "v4")) ~timestamp:ts0);
+    (Verifier.add_b w.v ~key ~value:(Value.Data (Some "v4")) ~timestamp:ts0);
   ok_exn "stale read validated provisionally"
-    (Verifier.vget w.v ~tid:0 ~key (Some "v4"));
-  let ts2 = Verifier.clock w.v ~tid:0 in
-  ok_exn "evict" (Verifier.evict_b w.v ~tid:0 ~key ~timestamp:ts2);
+    (Verifier.vget w.v ~key (Some "v4"));
+  let ts2 = Verifier.clock w.v in
+  ok_exn "evict" (Verifier.evict_b w.v ~key ~timestamp:ts2);
   (* balance as well as the host can... *)
   ok_exn "migrate"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "v4b")) ~timestamp:ts1);
-  let ts3 = Timestamp.max (Verifier.clock w.v ~tid:0) (Timestamp.first_of_epoch 1) in
-  ok_exn "evict fwd" (Verifier.evict_b w.v ~tid:0 ~key ~timestamp:ts3);
-  ok_exn "close" (Verifier.close_epoch w.v ~tid:0 ~epoch:0);
+    (Verifier.add_b w.v ~key ~value:(Value.Data (Some "v4b")) ~timestamp:ts1);
+  let ts3 = Timestamp.max (Verifier.clock w.v) (Timestamp.first_of_epoch 1) in
+  ok_exn "evict fwd" (Verifier.evict_b w.v ~key ~timestamp:ts3);
+  ok_exn "close" (Verifier.close_epoch w.v ~epoch:0);
   expect_fail "epoch verification catches replay"
     (Verifier.verify_epoch w.v ~epoch:0)
 
-(* 6. Forking a record across two verifier threads by double-adding: the
-   additive multiset hash counts multiplicities, so epoch checks fail. *)
-let test_cross_thread_fork () =
-  let w = mk_world ~threads:2 64 in
-  let key = Key.of_int64 11L in
-  let parent = add_chain w ~tid:0 key in
-  ignore
-    (ok_exn "add" (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v11")) ~parent));
+(* 6. Forking a record across two shard verifiers: both [add_b] the same
+   (record, timestamp), so the record is read twice from Blum protection
+   but written once. The forked shard's epoch cannot balance: its seal
+   fails, while the honest shard's seals. *)
+let test_cross_verifier_fork () =
+  let w = mk_world 64 in
+  let forked = Verifier.create Verifier.default_config in
+  let key = Key.of_int64 11L and value = Value.Data (Some "v11") in
+  let parent = add_chain w key in
+  ignore (ok_exn "add" (Verifier.add_m w.v ~key ~value ~parent));
   let ts0 = Timestamp.make ~epoch:0 ~counter:1 in
-  ok_exn "evict_bm" (Verifier.evict_bm w.v ~tid:0 ~key ~timestamp:ts0 ~parent);
-  (* ATTACK: add the same (record, ts) into BOTH threads *)
-  ok_exn "fork copy 1"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "v11")) ~timestamp:ts0);
-  ok_exn "fork copy 2"
-    (Verifier.add_b w.v ~tid:1 ~key ~value:(Value.Data (Some "v11")) ~timestamp:ts0);
+  ok_exn "evict_bm" (Verifier.evict_bm w.v ~key ~timestamp:ts0 ~parent);
+  (* ATTACK: add the same (record, ts) into BOTH shards' verifiers *)
+  ok_exn "fork copy 1" (Verifier.add_b w.v ~key ~value ~timestamp:ts0);
+  ok_exn "fork copy 2" (Verifier.add_b forked ~key ~value ~timestamp:ts0);
   (* both copies evicted into the next epoch, "balancing" naively *)
   let e1 = Timestamp.first_of_epoch 1 in
-  ok_exn "evict 1" (Verifier.evict_b w.v ~tid:0 ~key ~timestamp:e1);
-  ok_exn "evict 2" (Verifier.evict_b w.v ~tid:1 ~key ~timestamp:e1);
-  ok_exn "close 0" (Verifier.close_epoch w.v ~tid:0 ~epoch:0);
-  ok_exn "close 1" (Verifier.close_epoch w.v ~tid:1 ~epoch:0);
-  expect_fail "fork detected at epoch verification"
-    (Verifier.verify_epoch w.v ~epoch:0)
+  ok_exn "evict 1" (Verifier.evict_b w.v ~key ~timestamp:e1);
+  ok_exn "evict 2" (Verifier.evict_b forked ~key ~timestamp:e1);
+  ok_exn "close 0" (Verifier.close_epoch w.v ~epoch:0);
+  ok_exn "close 1" (Verifier.close_epoch forked ~epoch:0);
+  ignore
+    (ok_exn "honest shard seals" (Verifier.seal_epoch_shard w.v ~shard:0 ~epoch:0));
+  expect_fail "fork detected at the forked shard's seal"
+    (Verifier.seal_epoch_shard forked ~shard:1 ~epoch:0);
+  Alcotest.(check bool) "forked shard poisoned" true
+    (Verifier.failure forked <> None)
 
 (* 7. Same-thread double add of a cached key is rejected immediately. *)
 let test_double_add_same_thread () =
   let w = mk_world 64 in
   let key = Key.of_int64 3L in
-  let parent = add_chain w ~tid:0 key in
+  let parent = add_chain w key in
   ignore
-    (ok_exn "add" (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v3")) ~parent));
+    (ok_exn "add" (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v3")) ~parent));
   expect_fail "double add_m"
-    (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v3")) ~parent);
+    (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v3")) ~parent);
   let w = mk_world 64 in
   let key = Key.of_int64 3L in
   ok_exn "add_b"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "x"))
+    (Verifier.add_b w.v ~key ~value:(Value.Data (Some "x"))
        ~timestamp:Timestamp.zero);
   expect_fail "double add_b"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "x"))
+    (Verifier.add_b w.v ~key ~value:(Value.Data (Some "x"))
        ~timestamp:Timestamp.zero)
 
 (* 8. Evict-method confusion. *)
 let test_evict_method_confusion () =
   let w = mk_world 64 in
   let key = Key.of_int64 5L in
-  let parent = add_chain w ~tid:0 key in
+  let parent = add_chain w key in
   ignore
-    (ok_exn "add" (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v5")) ~parent));
+    (ok_exn "add" (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v5")) ~parent));
   expect_fail "evict_b of merkle-added record"
-    (Verifier.evict_b w.v ~tid:0 ~key ~timestamp:(Timestamp.make ~epoch:0 ~counter:9));
+    (Verifier.evict_b w.v ~key ~timestamp:(Timestamp.make ~epoch:0 ~counter:9));
   let w = mk_world 64 in
   let key = Key.of_int64 5L in
-  let parent = add_chain w ~tid:0 key in
+  let parent = add_chain w key in
   ok_exn "add_b"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "v5"))
+    (Verifier.add_b w.v ~key ~value:(Value.Data (Some "v5"))
        ~timestamp:Timestamp.zero);
   expect_fail "evict_bm of blum-added record"
-    (Verifier.evict_bm w.v ~tid:0 ~key
+    (Verifier.evict_bm w.v ~key
        ~timestamp:(Timestamp.make ~epoch:0 ~counter:9) ~parent)
 
 (* 9. Timestamp discipline on evictions. *)
@@ -201,50 +203,50 @@ let test_timestamp_regression () =
   let w = mk_world 64 in
   let key = Key.of_int64 6L in
   ok_exn "add_b"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "x"))
+    (Verifier.add_b w.v ~key ~value:(Value.Data (Some "x"))
        ~timestamp:(Timestamp.make ~epoch:0 ~counter:50));
   (* clock is now (0,51); evicting at (0,10) would let elements collide *)
   expect_fail "backwards evict timestamp"
-    (Verifier.evict_b w.v ~tid:0 ~key ~timestamp:(Timestamp.make ~epoch:0 ~counter:10))
+    (Verifier.evict_b w.v ~key ~timestamp:(Timestamp.make ~epoch:0 ~counter:10))
 
 (* 10. Contributing to an already-verified epoch. *)
 let test_closed_epoch_write () =
   let w = mk_world 64 in
-  ok_exn "close" (Verifier.close_epoch w.v ~tid:0 ~epoch:0);
+  ok_exn "close" (Verifier.close_epoch w.v ~epoch:0);
   ignore (ok_exn "verify" (Verifier.verify_epoch w.v ~epoch:0));
   expect_fail "add_b into verified epoch"
-    (Verifier.add_b w.v ~tid:0 ~key:(Key.of_int64 1L) ~value:(Value.Data None)
+    (Verifier.add_b w.v ~key:(Key.of_int64 1L) ~value:(Value.Data None)
        ~timestamp:(Timestamp.make ~epoch:0 ~counter:99))
 
 (* 11. Wrong-value validation is immediate. *)
 let test_vget_wrong_value () =
   let w = mk_world 64 in
   let key = Key.of_int64 8L in
-  let parent = add_chain w ~tid:0 key in
+  let parent = add_chain w key in
   ignore
-    (ok_exn "add" (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v8")) ~parent));
-  expect_fail "wrong value" (Verifier.vget w.v ~tid:0 ~key (Some "forged"));
+    (ok_exn "add" (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v8")) ~parent));
+  expect_fail "wrong value" (Verifier.vget w.v ~key (Some "forged"));
   Alcotest.(check bool) "poisoned" true (Verifier.failure w.v <> None)
 
 (* 12. False absence claims. *)
 let test_false_absence () =
   let w = mk_world 64 in
   let key = Key.of_int64 8L in
-  let parent = add_chain w ~tid:0 key in
+  let parent = add_chain w key in
   (* key 8 exists: its pointing parent's slot names it *)
   expect_fail "absence of existing key"
-    (Verifier.vget_absent w.v ~tid:0 ~key ~parent)
+    (Verifier.vget_absent w.v ~key ~parent)
 
 (* 13. Poisoning is permanent. *)
 let test_poison_permanent () =
   let w = mk_world 64 in
   let key = Key.of_int64 8L in
-  let parent = add_chain w ~tid:0 key in
+  let parent = add_chain w key in
   expect_fail "bad add"
-    (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "EVIL")) ~parent);
+    (Verifier.add_m w.v ~key ~value:(Value.Data (Some "EVIL")) ~parent);
   expect_fail "all later ops refused"
-    (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v8")) ~parent);
-  expect_fail "epochs refused" (Verifier.close_epoch w.v ~tid:0 ~epoch:0)
+    (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v8")) ~parent);
+  expect_fail "epochs refused" (Verifier.close_epoch w.v ~epoch:0)
 
 (* 14. Sealed-slot rollback protection (§2.2's persistent hash). *)
 let test_sealed_slot () =
@@ -508,7 +510,7 @@ let suite =
       Alcotest.test_case "wrong parent" `Quick test_wrong_parent;
       Alcotest.test_case "in_blum replay" `Quick test_in_blum_replay;
       Alcotest.test_case "blum stale replay" `Quick test_blum_stale_replay;
-      Alcotest.test_case "cross-thread fork" `Quick test_cross_thread_fork;
+      Alcotest.test_case "cross-verifier fork" `Quick test_cross_verifier_fork;
       Alcotest.test_case "double add" `Quick test_double_add_same_thread;
       Alcotest.test_case "evict-method confusion" `Quick test_evict_method_confusion;
       Alcotest.test_case "timestamp regression" `Quick test_timestamp_regression;

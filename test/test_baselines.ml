@@ -65,13 +65,13 @@ let test_dv_detects_tamper () =
   let v = Dv_store.verifier dv in
   let open Fastver_verifier in
   (match
-     Verifier.add_b v ~tid:0 ~key:(Key.of_int64 3L)
+     Verifier.add_b v ~key:(Key.of_int64 3L)
        ~value:(Value.Data (Some "FORGED")) ~timestamp:Timestamp.zero
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "provisional add rejected early: %s" e);
   (match
-     Verifier.evict_b v ~tid:0 ~key:(Key.of_int64 3L)
+     Verifier.evict_b v ~key:(Key.of_int64 3L)
        ~timestamp:(Timestamp.make ~epoch:1 ~counter:0)
    with
   | Ok () -> ()

@@ -9,7 +9,6 @@ let () =
         Test_key.suite;
         Test_tree.suite;
         Test_verifier.suite;
-        Test_oplog.suite;
         Test_adversary.suite;
         Test_kvstore.suite;
         Test_cold.suite;

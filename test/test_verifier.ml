@@ -15,7 +15,7 @@ type world = {
   values : (int64, string) Hashtbl.t;
 }
 
-let mk_world ?(threads = 1) ?(capacity = 512) n =
+let mk_world ?(capacity = 512) n =
   let tree = Tree.create ~root_aux:() in
   let values = Hashtbl.create 64 in
   let records =
@@ -28,23 +28,23 @@ let mk_world ?(threads = 1) ?(capacity = 512) n =
   Tree.bulk_build tree ~aux:(fun _ _ -> ()) records;
   let v =
     Verifier.create
-      { Verifier.default_config with n_threads = threads; cache_capacity = capacity }
+      { Verifier.default_config with cache_capacity = capacity }
   in
   ok_exn "install_root"
     (Verifier.install_root v (Tree.get_exn tree Key.root).Tree.value);
   { v; tree; values }
 
-(* Add the merkle chain for [key] into thread [tid]'s cache; returns the
+(* Add the merkle chain for [key] into the verifier's cache; returns the
    pointing parent. Assumes chain nodes not yet cached. *)
-let add_chain w ~tid key =
+let add_chain w key =
   let d = Tree.descend w.tree key in
   let arr = Array.of_list d.Tree.path in
   Array.iteri
     (fun j k ->
-      if j > 0 && Verifier.cached w.v ~tid k = None then
+      if j > 0 && Verifier.cached w.v k = None then
         ignore
           (ok_exn "add_m chain"
-             (Verifier.add_m w.v ~tid ~key:k
+             (Verifier.add_m w.v ~key:k
                 ~value:(Tree.get_exn w.tree k).Tree.value ~parent:arr.(j - 1))))
     arr;
   (arr.(Array.length arr - 1), d.Tree.outcome)
@@ -52,25 +52,25 @@ let add_chain w ~tid key =
 let test_add_get_evict () =
   let w = mk_world 64 in
   let key = Key.of_int64 7L in
-  let parent, outcome = add_chain w ~tid:0 key in
+  let parent, outcome = add_chain w key in
   Alcotest.(check bool) "exists" true (outcome = Tree.Exists);
   ignore
     (ok_exn "add_m leaf"
-       (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v7")) ~parent));
-  ok_exn "vget" (Verifier.vget w.v ~tid:0 ~key (Some "v7"));
-  let ptr = ok_exn "evict_m" (Verifier.evict_m w.v ~tid:0 ~key ~parent) in
+       (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v7")) ~parent));
+  ok_exn "vget" (Verifier.vget w.v ~key (Some "v7"));
+  let ptr = ok_exn "evict_m" (Verifier.evict_m w.v ~key ~parent) in
   Alcotest.(check bool) "evict ptr names key" true (Key.equal ptr.Value.key key);
   Alcotest.(check bool) "healthy" true (Verifier.failure w.v = None)
 
 let test_put_then_reread () =
   let w = mk_world 64 in
   let key = Key.of_int64 3L in
-  let parent, _ = add_chain w ~tid:0 key in
+  let parent, _ = add_chain w key in
   ignore
-    (ok_exn "add" (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v3")) ~parent));
-  ok_exn "vput" (Verifier.vput w.v ~tid:0 ~key (Some "new"));
-  ok_exn "vget sees update" (Verifier.vget w.v ~tid:0 ~key (Some "new"));
-  let ptr = ok_exn "evict" (Verifier.evict_m w.v ~tid:0 ~key ~parent) in
+    (ok_exn "add" (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v3")) ~parent));
+  ok_exn "vput" (Verifier.vput w.v ~key (Some "new"));
+  ok_exn "vget sees update" (Verifier.vget w.v ~key (Some "new"));
+  let ptr = ok_exn "evict" (Verifier.evict_m w.v ~key ~parent) in
   (* re-adding with the updated value authenticates against the new hash *)
   (let pe = Tree.get_exn w.tree parent in
    Tree.set_value w.tree parent pe
@@ -80,26 +80,26 @@ let test_put_then_reread () =
      | Value.Data _ -> assert false));
   ignore
     (ok_exn "re-add new value"
-       (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "new")) ~parent));
-  ok_exn "vget" (Verifier.vget w.v ~tid:0 ~key (Some "new"))
+       (Verifier.add_m w.v ~key ~value:(Value.Data (Some "new")) ~parent));
+  ok_exn "vget" (Verifier.vget w.v ~key (Some "new"))
 
 let test_absence_proof () =
   let w = mk_world 8 in
   let missing = Key.of_int64 1_000_000L in
-  let parent, outcome = add_chain w ~tid:0 missing in
+  let parent, outcome = add_chain w missing in
   Alcotest.(check bool) "not exists" true (outcome <> Tree.Exists);
-  ok_exn "vget_absent" (Verifier.vget_absent w.v ~tid:0 ~key:missing ~parent)
+  ok_exn "vget_absent" (Verifier.vget_absent w.v ~key:missing ~parent)
 
 let test_fresh_insert () =
   let w = mk_world 4 in
   (* keys 0..3 exist; insert 1M: splits or lands in an empty slot *)
   let key = Key.of_int64 1_000_000L in
-  let parent, outcome = add_chain w ~tid:0 key in
+  let parent, outcome = add_chain w key in
   (match outcome with
   | Tree.Empty_slot ->
       ignore
         (ok_exn "fresh add"
-           (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data None) ~parent))
+           (Verifier.add_m w.v ~key ~value:(Value.Data None) ~parent))
   | Tree.Split pointee ->
       let node_key = Key.lca key pointee in
       let old_ptr =
@@ -115,65 +115,38 @@ let test_fresh_insert () =
       in
       ignore
         (ok_exn "split node"
-           (Verifier.add_m w.v ~tid:0 ~key:node_key ~value:node_value ~parent));
+           (Verifier.add_m w.v ~key:node_key ~value:node_value ~parent));
       ignore
         (ok_exn "fresh add under split"
-           (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data None)
+           (Verifier.add_m w.v ~key ~value:(Value.Data None)
               ~parent:node_key))
   | Tree.Exists -> Alcotest.fail "fresh key exists");
-  ok_exn "vput" (Verifier.vput w.v ~tid:0 ~key (Some "inserted"));
-  ok_exn "vget" (Verifier.vget w.v ~tid:0 ~key (Some "inserted"))
+  ok_exn "vput" (Verifier.vput w.v ~key (Some "inserted"));
+  ok_exn "vget" (Verifier.vget w.v ~key (Some "inserted"))
 
 let test_blum_cycle_and_epoch () =
   let w = mk_world 16 in
   let key = Key.of_int64 5L in
-  let parent, _ = add_chain w ~tid:0 key in
+  let parent, _ = add_chain w key in
   ignore
-    (ok_exn "add" (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v5")) ~parent));
+    (ok_exn "add" (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v5")) ~parent));
   (* hand over to blum *)
   let ts0 = Timestamp.make ~epoch:0 ~counter:1 in
-  ok_exn "evict_bm" (Verifier.evict_bm w.v ~tid:0 ~key ~timestamp:ts0 ~parent);
+  ok_exn "evict_bm" (Verifier.evict_bm w.v ~key ~timestamp:ts0 ~parent);
   (* blum round trip *)
   ok_exn "add_b"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "v5")) ~timestamp:ts0);
-  ok_exn "vput in blum" (Verifier.vput w.v ~tid:0 ~key (Some "v5'"));
-  let ts1 = Verifier.clock w.v ~tid:0 in
-  ok_exn "evict_b" (Verifier.evict_b w.v ~tid:0 ~key ~timestamp:ts1);
+    (Verifier.add_b w.v ~key ~value:(Value.Data (Some "v5")) ~timestamp:ts0);
+  ok_exn "vput in blum" (Verifier.vput w.v ~key (Some "v5'"));
+  let ts1 = Verifier.clock w.v in
+  ok_exn "evict_b" (Verifier.evict_b w.v ~key ~timestamp:ts1);
   (* migrate back to merkle so epoch 0 balances *)
   ok_exn "re-add_b"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "v5'")) ~timestamp:ts1);
-  ignore (ok_exn "evict_m back" (Verifier.evict_m w.v ~tid:0 ~key ~parent));
-  ok_exn "close" (Verifier.close_epoch w.v ~tid:0 ~epoch:0);
+    (Verifier.add_b w.v ~key ~value:(Value.Data (Some "v5'")) ~timestamp:ts1);
+  ignore (ok_exn "evict_m back" (Verifier.evict_m w.v ~key ~parent));
+  ok_exn "close" (Verifier.close_epoch w.v ~epoch:0);
   let cert = ok_exn "verify" (Verifier.verify_epoch w.v ~epoch:0) in
   Alcotest.(check int) "32-byte cert" 32 (String.length cert);
   Alcotest.(check int) "verified epoch" 0 (Verifier.verified_epoch w.v)
-
-let test_multi_thread_migration () =
-  (* A record evicted to blum by thread 0 re-enters through thread 1; the
-     aggregated epoch hashes must still balance (§5.3). *)
-  let w = mk_world ~threads:2 16 in
-  let key = Key.of_int64 9L in
-  let parent, _ = add_chain w ~tid:0 key in
-  ignore
-    (ok_exn "add" (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v9")) ~parent));
-  let ts0 = Timestamp.make ~epoch:0 ~counter:1 in
-  ok_exn "evict_bm@0" (Verifier.evict_bm w.v ~tid:0 ~key ~timestamp:ts0 ~parent);
-  ok_exn "add_b@1"
-    (Verifier.add_b w.v ~tid:1 ~key ~value:(Value.Data (Some "v9")) ~timestamp:ts0);
-  Alcotest.(check bool) "thread 1 clock advanced" true
-    (Timestamp.compare (Verifier.clock w.v ~tid:1) ts0 > 0);
-  let ts1 = Timestamp.max (Verifier.clock w.v ~tid:1) (Timestamp.first_of_epoch 1) in
-  ok_exn "evict_b@1 into epoch 1" (Verifier.evict_b w.v ~tid:1 ~key ~timestamp:ts1);
-  ok_exn "close@0" (Verifier.close_epoch w.v ~tid:0 ~epoch:0);
-  ok_exn "close@1" (Verifier.close_epoch w.v ~tid:1 ~epoch:0);
-  ignore (ok_exn "verify 0" (Verifier.verify_epoch w.v ~epoch:0));
-  (* epoch 1: bring it home through thread 0 *)
-  ok_exn "add_b@0"
-    (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "v9")) ~timestamp:ts1);
-  ignore (ok_exn "evict_m@0" (Verifier.evict_m w.v ~tid:0 ~key ~parent));
-  ok_exn "close@0/1" (Verifier.close_epoch w.v ~tid:0 ~epoch:1);
-  ok_exn "close@1/1" (Verifier.close_epoch w.v ~tid:1 ~epoch:1);
-  ignore (ok_exn "verify 1" (Verifier.verify_epoch w.v ~epoch:1))
 
 let test_lazy_updates_stay_consistent () =
   (* Example 4.3: update a record, evict it (parent hash updated), then
@@ -181,12 +154,12 @@ let test_lazy_updates_stay_consistent () =
      refreshed by the parent's eviction for a later re-add to succeed. *)
   let w = mk_world 256 in
   let key = Key.of_int64 100L in
-  let parent, _ = add_chain w ~tid:0 key in
+  let parent, _ = add_chain w key in
   ignore
     (ok_exn "add"
-       (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v100")) ~parent));
-  ok_exn "vput" (Verifier.vput w.v ~tid:0 ~key (Some "updated"));
-  let ptr = ok_exn "evict leaf" (Verifier.evict_m w.v ~tid:0 ~key ~parent) in
+       (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v100")) ~parent));
+  ok_exn "vput" (Verifier.vput w.v ~key (Some "updated"));
+  let ptr = ok_exn "evict leaf" (Verifier.evict_m w.v ~key ~parent) in
   let update_tree k p =
     let e = Tree.get_exn w.tree k in
     match e.Tree.value with
@@ -203,18 +176,18 @@ let test_lazy_updates_stay_consistent () =
     | p :: (k :: _ as rest) ->
         evict_up rest;
         if not (Key.equal k Key.root) then begin
-          let ptr = ok_exn "evict chain" (Verifier.evict_m w.v ~tid:0 ~key:k ~parent:p) in
+          let ptr = ok_exn "evict chain" (Verifier.evict_m w.v ~key:k ~parent:p) in
           update_tree p ptr
         end
   in
   evict_up d.Tree.path;
   (* everything out of cache: a fresh chain walk must authenticate *)
-  let parent', _ = add_chain w ~tid:0 key in
+  let parent', _ = add_chain w key in
   ignore
     (ok_exn "re-add after lazy propagation"
-       (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "updated"))
+       (Verifier.add_m w.v ~key ~value:(Value.Data (Some "updated"))
           ~parent:parent'));
-  ok_exn "vget" (Verifier.vget w.v ~tid:0 ~key (Some "updated"))
+  ok_exn "vget" (Verifier.vget w.v ~key (Some "updated"))
 
 let test_cache_capacity () =
   (* A bounded cache eventually rejects adds: the P1 enforcement point. *)
@@ -223,7 +196,7 @@ let test_cache_capacity () =
     if i > 16 then Alcotest.fail "capacity never enforced"
     else
       match
-        Verifier.add_b v ~tid:0 ~key:(Key.of_int64 (Int64.of_int (1000 + i)))
+        Verifier.add_b v ~key:(Key.of_int64 (Int64.of_int (1000 + i)))
           ~value:(Value.Data None) ~timestamp:Timestamp.zero
       with
       | Ok () -> fill (i + 1)
@@ -237,26 +210,26 @@ let test_install_blum_setup () =
   let v = Verifier.create Verifier.default_config in
   let key = Key.of_int64 1L in
   ok_exn "install"
-    (Verifier.install_blum v ~tid:0 ~key ~value:(Value.Data (Some "x"))
+    (Verifier.install_blum v ~key ~value:(Value.Data (Some "x"))
        ~timestamp:Timestamp.zero);
   ok_exn "add_b matches install"
-    (Verifier.add_b v ~tid:0 ~key ~value:(Value.Data (Some "x"))
+    (Verifier.add_b v ~key ~value:(Value.Data (Some "x"))
        ~timestamp:Timestamp.zero);
-  let ts = Verifier.clock v ~tid:0 in
+  let ts = Verifier.clock v in
   ok_exn "evict into epoch 1"
-    (Verifier.evict_b v ~tid:0 ~key
+    (Verifier.evict_b v ~key
        ~timestamp:(Timestamp.max ts (Timestamp.first_of_epoch 1)));
-  ok_exn "close" (Verifier.close_epoch v ~tid:0 ~epoch:0);
+  ok_exn "close" (Verifier.close_epoch v ~epoch:0);
   ignore (ok_exn "verify" (Verifier.verify_epoch v ~epoch:0))
 
 let test_checkpoint_summary_roundtrip () =
   let w = mk_world 16 in
   let key = Key.of_int64 2L in
-  let parent, _ = add_chain w ~tid:0 key in
+  let parent, _ = add_chain w key in
   ignore
-    (ok_exn "add" (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v2")) ~parent));
+    (ok_exn "add" (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v2")) ~parent));
   ok_exn "evict_bm"
-    (Verifier.evict_bm w.v ~tid:0 ~key ~timestamp:(Timestamp.make ~epoch:0 ~counter:1)
+    (Verifier.evict_bm w.v ~key ~timestamp:(Timestamp.make ~epoch:0 ~counter:1)
        ~parent);
   let update_tree k p =
     let e = Tree.get_exn w.tree k in
@@ -267,7 +240,7 @@ let test_checkpoint_summary_roundtrip () =
     | Value.Data _ -> assert false
   in
   (* mirror the in_blum mark the verifier just set in the cached parent *)
-  (match (Verifier.cached w.v ~tid:0 parent : Value.t option) with
+  (match (Verifier.cached w.v parent : Value.t option) with
   | Some v -> Tree.set_value w.tree parent (Tree.get_exn w.tree parent) v
   | None -> assert false);
   (* evict the chain so caches are clean, mirroring returned pointers *)
@@ -277,7 +250,7 @@ let test_checkpoint_summary_roundtrip () =
     | p :: (k :: _ as rest) ->
         evict_up rest;
         if not (Key.equal k Key.root) then begin
-          let ptr = ok_exn "evict" (Verifier.evict_m w.v ~tid:0 ~key:k ~parent:p) in
+          let ptr = ok_exn "evict" (Verifier.evict_m w.v ~key:k ~parent:p) in
           update_tree p ptr
         end
   in
@@ -289,14 +262,14 @@ let test_checkpoint_summary_roundtrip () =
   Alcotest.(check int) "verified epoch preserved"
     (Verifier.verified_epoch w.v) (Verifier.verified_epoch v2);
   Alcotest.(check bool) "clock preserved" true
-    (Timestamp.compare (Verifier.clock w.v ~tid:0) (Verifier.clock v2 ~tid:0) = 0);
+    (Timestamp.compare (Verifier.clock w.v) (Verifier.clock v2) = 0);
   (* the restored verifier accepts the pending blum record and verifies *)
   ok_exn "add_b after restore"
-    (Verifier.add_b v2 ~tid:0 ~key ~value:(Value.Data (Some "v2"))
+    (Verifier.add_b v2 ~key ~value:(Value.Data (Some "v2"))
        ~timestamp:(Timestamp.make ~epoch:0 ~counter:1));
-  let parent', _ = add_chain { w with v = v2 } ~tid:0 key in
-  ignore (ok_exn "evict_m" (Verifier.evict_m v2 ~tid:0 ~key ~parent:parent'));
-  ok_exn "close" (Verifier.close_epoch v2 ~tid:0 ~epoch:0);
+  let parent', _ = add_chain { w with v = v2 } key in
+  ignore (ok_exn "evict_m" (Verifier.evict_m v2 ~key ~parent:parent'));
+  ok_exn "close" (Verifier.close_epoch v2 ~epoch:0);
   ignore (ok_exn "verify" (Verifier.verify_epoch v2 ~epoch:0))
 
 (* A summary taken with records still cached. It is refused while a
@@ -310,15 +283,15 @@ let test_writeback_summary () =
   let ts1 = Timestamp.make ~epoch:0 ~counter:1 in
   let build () =
     let w = mk_world 16 in
-    let parent, _ = add_chain w ~tid:0 key in
+    let parent, _ = add_chain w key in
     ignore
       (ok_exn "add"
-         (Verifier.add_m w.v ~tid:0 ~key ~value:(Value.Data (Some "v2"))
+         (Verifier.add_m w.v ~key ~value:(Value.Data (Some "v2"))
             ~parent));
-    ok_exn "vput" (Verifier.vput w.v ~tid:0 ~key (Some "new"));
-    ok_exn "evict_bm" (Verifier.evict_bm w.v ~tid:0 ~key ~timestamp:ts1 ~parent);
+    ok_exn "vput" (Verifier.vput w.v ~key (Some "new"));
+    ok_exn "evict_bm" (Verifier.evict_bm w.v ~key ~timestamp:ts1 ~parent);
     ok_exn "add_b"
-      (Verifier.add_b w.v ~tid:0 ~key ~value:(Value.Data (Some "new"))
+      (Verifier.add_b w.v ~key ~value:(Value.Data (Some "new"))
          ~timestamp:ts1);
     (w.v, Array.of_list (Tree.descend w.tree key).Tree.path)
   in
@@ -331,31 +304,31 @@ let test_writeback_summary () =
     (Verifier.failure v = None);
   for j = n - 1 downto 1 do
     ignore
-      (ok_exn "flush_m" (Verifier.flush_m v ~tid:0 ~key:path.(j) ~parent:path.(j - 1)))
+      (ok_exn "flush_m" (Verifier.flush_m v ~key:path.(j) ~parent:path.(j - 1)))
   done;
-  let clock = Verifier.clock v ~tid:0 in
+  let clock = Verifier.clock v in
   let s1 = ok_exn "summary after write-back" (Verifier.checkpoint_summary v ~floor) in
   Alcotest.(check string) "summary leaves the verifier as it was" s1
     (ok_exn "again" (Verifier.checkpoint_summary v ~floor));
   Alcotest.(check bool) "clock untouched" true
-    (Timestamp.compare clock (Verifier.clock v ~tid:0) = 0);
+    (Timestamp.compare clock (Verifier.clock v) = 0);
   Alcotest.(check int) "chain and blum record still cached" (n + 1)
-    (Verifier.cache_size v ~tid:0);
+    (Verifier.cache_size v);
   let v', _ = build () in
   for j = n - 1 downto 1 do
     ignore
-      (ok_exn "evict_m" (Verifier.evict_m v' ~tid:0 ~key:path.(j) ~parent:path.(j - 1)))
+      (ok_exn "evict_m" (Verifier.evict_m v' ~key:path.(j) ~parent:path.(j - 1)))
   done;
-  let vts = Timestamp.max (Verifier.clock v' ~tid:0) floor in
-  ok_exn "evict_b" (Verifier.evict_b v' ~tid:0 ~key ~timestamp:vts);
+  let vts = Timestamp.max (Verifier.clock v') floor in
+  ok_exn "evict_b" (Verifier.evict_b v' ~key ~timestamp:vts);
   Alcotest.(check string) "same summary as a full eviction"
     (ok_exn "summary after eviction" (Verifier.checkpoint_summary v' ~floor))
     s1;
   (* restored, the record is blum-protected at the virtual timestamp *)
   let r = ok_exn "restore" (Verifier.of_summary (Verifier.config v) s1) in
   ok_exn "add_b at the virtual timestamp"
-    (Verifier.add_b r ~tid:0 ~key ~value:(Value.Data (Some "new")) ~timestamp:vts);
-  ok_exn "close" (Verifier.close_epoch r ~tid:0 ~epoch:0);
+    (Verifier.add_b r ~key ~value:(Value.Data (Some "new")) ~timestamp:vts);
+  ok_exn "close" (Verifier.close_epoch r ~epoch:0);
   ignore (ok_exn "epoch balances" (Verifier.verify_epoch r ~epoch:0))
 
 (* The sealed summary's bytes are a format: checkpoint images and sealed
@@ -371,44 +344,44 @@ let test_summary_golden () =
     for j = Array.length path - 1 downto 1 do
       ignore
         (ok_exn "flush_m"
-           (Verifier.flush_m w.v ~tid:0 ~key:path.(j) ~parent:path.(j - 1)))
+           (Verifier.flush_m w.v ~key:path.(j) ~parent:path.(j - 1)))
     done
   in
-  let parent, _ = add_chain w ~tid:0 k2 in
+  let parent, _ = add_chain w k2 in
   ignore
     (ok_exn "add_m k2"
-       (Verifier.add_m w.v ~tid:0 ~key:k2 ~value:(Value.Data (Some "v2"))
+       (Verifier.add_m w.v ~key:k2 ~value:(Value.Data (Some "v2"))
           ~parent));
   let ts01 = Timestamp.make ~epoch:0 ~counter:1 in
-  ok_exn "evict_bm k2" (Verifier.evict_bm w.v ~tid:0 ~key:k2 ~timestamp:ts01 ~parent);
+  ok_exn "evict_bm k2" (Verifier.evict_bm w.v ~key:k2 ~timestamp:ts01 ~parent);
   ok_exn "add_b k2"
-    (Verifier.add_b w.v ~tid:0 ~key:k2 ~value:(Value.Data (Some "v2"))
+    (Verifier.add_b w.v ~key:k2 ~value:(Value.Data (Some "v2"))
        ~timestamp:ts01);
-  ok_exn "vput k2" (Verifier.vput w.v ~tid:0 ~key:k2 (Some "w2"));
-  let ts0c = Verifier.clock w.v ~tid:0 in
-  ok_exn "evict_b k2" (Verifier.evict_b w.v ~tid:0 ~key:k2 ~timestamp:ts0c);
+  ok_exn "vput k2" (Verifier.vput w.v ~key:k2 (Some "w2"));
+  let ts0c = Verifier.clock w.v in
+  ok_exn "evict_b k2" (Verifier.evict_b w.v ~key:k2 ~timestamp:ts0c);
   ok_exn "re-add_b k2"
-    (Verifier.add_b w.v ~tid:0 ~key:k2 ~value:(Value.Data (Some "w2"))
+    (Verifier.add_b w.v ~key:k2 ~value:(Value.Data (Some "w2"))
        ~timestamp:ts0c);
   let ts1 =
-    Timestamp.max (Verifier.clock w.v ~tid:0) (Timestamp.first_of_epoch 1)
+    Timestamp.max (Verifier.clock w.v) (Timestamp.first_of_epoch 1)
   in
   ok_exn "evict_b k2 into epoch 1"
-    (Verifier.evict_b w.v ~tid:0 ~key:k2 ~timestamp:ts1);
-  ok_exn "close 0" (Verifier.close_epoch w.v ~tid:0 ~epoch:0);
+    (Verifier.evict_b w.v ~key:k2 ~timestamp:ts1);
+  ok_exn "close 0" (Verifier.close_epoch w.v ~epoch:0);
   ignore (ok_exn "verify 0" (Verifier.verify_epoch w.v ~epoch:0));
-  let parent5, _ = add_chain w ~tid:0 k5 in
+  let parent5, _ = add_chain w k5 in
   ignore
     (ok_exn "add_m k5"
-       (Verifier.add_m w.v ~tid:0 ~key:k5 ~value:(Value.Data (Some "v5"))
+       (Verifier.add_m w.v ~key:k5 ~value:(Value.Data (Some "v5"))
           ~parent:parent5));
-  let ts5 = Verifier.clock w.v ~tid:0 in
+  let ts5 = Verifier.clock w.v in
   ok_exn "evict_bm k5"
-    (Verifier.evict_bm w.v ~tid:0 ~key:k5 ~timestamp:ts5 ~parent:parent5);
+    (Verifier.evict_bm w.v ~key:k5 ~timestamp:ts5 ~parent:parent5);
   ok_exn "add_b k5"
-    (Verifier.add_b w.v ~tid:0 ~key:k5 ~value:(Value.Data (Some "v5"))
+    (Verifier.add_b w.v ~key:k5 ~value:(Value.Data (Some "v5"))
        ~timestamp:ts5);
-  ok_exn "vput k5" (Verifier.vput w.v ~tid:0 ~key:k5 (Some "w5"));
+  ok_exn "vput k5" (Verifier.vput w.v ~key:k5 (Some "w5"));
   flush_path k2;
   flush_path k5;
   let summary =
@@ -439,7 +412,6 @@ let suite =
       Alcotest.test_case "absence proof" `Quick test_absence_proof;
       Alcotest.test_case "fresh insert" `Quick test_fresh_insert;
       Alcotest.test_case "blum cycle + epoch" `Quick test_blum_cycle_and_epoch;
-      Alcotest.test_case "multi-thread migration" `Quick test_multi_thread_migration;
       Alcotest.test_case "lazy updates" `Quick test_lazy_updates_stay_consistent;
       Alcotest.test_case "install_blum setup" `Quick test_install_blum_setup;
       Alcotest.test_case "summary roundtrip" `Quick test_checkpoint_summary_roundtrip;
@@ -454,17 +426,17 @@ let test_split_preserves_in_blum () =
   let w = mk_world 4 in
   (* move key 2 into the deferred tier so its parent slot is marked *)
   let victim = Key.of_int64 2L in
-  let parent, _ = add_chain w ~tid:0 victim in
+  let parent, _ = add_chain w victim in
   ignore
     (ok_exn "add"
-       (Verifier.add_m w.v ~tid:0 ~key:victim ~value:(Value.Data (Some "v2"))
+       (Verifier.add_m w.v ~key:victim ~value:(Value.Data (Some "v2"))
           ~parent));
   ok_exn "evict_bm"
-    (Verifier.evict_bm w.v ~tid:0 ~key:victim
+    (Verifier.evict_bm w.v ~key:victim
        ~timestamp:(Timestamp.make ~epoch:0 ~counter:1) ~parent);
   (* double evict_bm of the same record is impossible: not cached anymore *)
   (match
-     Verifier.evict_bm w.v ~tid:0 ~key:victim
+     Verifier.evict_bm w.v ~key:victim
        ~timestamp:(Timestamp.make ~epoch:0 ~counter:2) ~parent
    with
   | Ok () -> Alcotest.fail "evicted a non-cached record"
