@@ -13,7 +13,7 @@ type record = {
 type t = {
   verifier : Verifier.t;
   records : (int64, record) Hashtbl.t;
-  mutable clock : Timestamp.t; (* mirror of thread 0's clock *)
+  mutable clock : Timestamp.t; (* mirror of the verifier clock *)
   mutable ops : int;
   mutable verifier_time : float;
   mutable last_latency : float;

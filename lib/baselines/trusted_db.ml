@@ -2,7 +2,6 @@ type t = {
   enclave : Enclave.t;
   table : (int64, string) Hashtbl.t;
   overhead : int;
-  mutable ops : int;
 }
 
 let record_cost t v = t.overhead + 8 + String.length v
@@ -18,7 +17,6 @@ let create ?enclave ~record_overhead_bytes records =
       enclave;
       table = Hashtbl.create (Array.length records * 2);
       overhead = record_overhead_bytes;
-      ops = 0;
     }
   in
   Array.iter
@@ -29,11 +27,9 @@ let create ?enclave ~record_overhead_bytes records =
   t
 
 let get t k =
-  t.ops <- t.ops + 1;
   Enclave.call t.enclave (fun () -> Hashtbl.find_opt t.table k)
 
 let put t k v =
-  t.ops <- t.ops + 1;
   Enclave.call t.enclave (fun () ->
       (match Hashtbl.find_opt t.table k with
       | Some old -> Enclave.free_trusted t.enclave (record_cost t old)
@@ -42,4 +38,3 @@ let put t k v =
       Hashtbl.replace t.table k v)
 
 let memory_bytes t = Enclave.trusted_bytes_in_use t.enclave
-let ops t = t.ops

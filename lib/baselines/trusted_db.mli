@@ -14,4 +14,3 @@ val create :
 val get : t -> int64 -> string option
 val put : t -> int64 -> string -> unit
 val memory_bytes : t -> int
-val ops : t -> int

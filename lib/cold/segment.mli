@@ -28,9 +28,6 @@
     All decoders are total: hostile lengths, truncation or a flipped byte
     yield [Error _], never an exception or a silently short value. *)
 
-val record_header_len : int
-(** 46 — key + aux + vlen. *)
-
 val record_overhead : int
 (** 78 — header + MAC; a record occupies [record_overhead + value length]. *)
 
@@ -38,8 +35,6 @@ val record_len : value_len:int -> int
 
 val footer_len : int
 (** 72. *)
-
-val footer_magic : string
 
 val encode_record :
   mac_key:Fastver_crypto.Hmac.key -> key:Key.t -> aux:int64 -> value:string -> string

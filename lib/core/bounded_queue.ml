@@ -28,8 +28,6 @@ let create capacity =
     not_full = Condition.create ();
   }
 
-let capacity t = Array.length t.buf
-
 let push t x =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
@@ -66,9 +64,3 @@ let close t =
   Condition.broadcast t.not_empty;
   Condition.broadcast t.not_full;
   Mutex.unlock t.lock
-
-let length t =
-  Mutex.lock t.lock;
-  let n = t.len in
-  Mutex.unlock t.lock;
-  n

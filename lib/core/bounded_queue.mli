@@ -10,8 +10,6 @@ type 'a t
 val create : int -> 'a t
 (** [create capacity] — @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : 'a t -> int
-
 val push : 'a t -> 'a -> bool
 (** Blocks while the queue is full. Returns [true] once the element is
     enqueued, [false] if the queue is (or becomes, while blocked) closed —
@@ -26,5 +24,3 @@ val close : 'a t -> unit
 (** Idempotent. Wakes all blocked producers and consumers; subsequent
     pushes return [false], pops drain the remaining elements then return
     [None]. *)
-
-val length : 'a t -> int

@@ -6,7 +6,10 @@
 
 type t = {
   n_workers : int;
-      (** Worker threads; each pairs with one verifier thread (§5.3). *)
+      (** Worker domains that drive operations in {!Fastver.Parallel}.
+          Each operation routes to its key's shard, and each shard has one
+          verifier; [n_shards] defaults to [n_workers], so by default there
+          is one shard verifier per worker. *)
   n_shards : int;
       (** Keyspace partitions, each with its own Merkle tree, verifier
           state, and epoch clock; per-shard epoch certificates fold into one

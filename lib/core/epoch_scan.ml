@@ -111,7 +111,7 @@ let scan_shard t ~epoch sh dirty =
 
 (* 4a. Per-shard epoch close + seal, at the tail of each shard's own slice
    (routing confines a shard's log entries to its own partition, so a
-   shard may certify the moment its migration finishes — this is what
+   shard may seal the moment its migration finishes — this is what
    keeps the per-shard close and seal in the parallel phase). The
    store-level aggregation reads only the returned fold. *)
 let close_and_seal_shard t ~epoch sh =
@@ -217,7 +217,7 @@ let verify_inner t =
         t.acc.migrated_data <- t.acc.migrated_data + d;
         t.acc.migrated_frontier <- t.acc.migrated_frontier + f)
       results;
-    (* 4b. Serial tail: fold every shard's detached set-hash values into
+    (* 4b. Serial tail: fold every shard's sealed set-hash values into
        the store-level accumulators and sign the epoch certificate. The
        per-shard balance checks already ran inside the slices; this is
        O(shards) multiset merges plus one HMAC — the only inherently

@@ -229,7 +229,7 @@ let load t records =
     t.shards;
   t.loaded <- true;
   (* Push each shard's depth-d frontier into the deferred tier (§6.2), on
-     that shard's own verifier thread. *)
+     that shard's own verifier. *)
   Array.iter
     (fun sh ->
       let frontier =

@@ -146,7 +146,7 @@ let ensure_chain ?loaded t sh path =
     raise (Integrity_violation "routing: chain has no anchor for this shard");
   for j = anchor to n - 1 do
     let k = arr.(j) in
-    if Key.equal k Key.root then () (* pinned in the shard's thread 0 *)
+    if Key.equal k Key.root then () (* pinned in the shard's verifier *)
     else
       match Key_lru.find sh.lru k with
       | Some e -> Key_lru.touch sh.lru e

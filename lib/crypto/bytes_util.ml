@@ -47,5 +47,3 @@ let string_of_u64_le v =
   let b = Bytes.create 8 in
   Bytes.set_int64_le b 0 v;
   Bytes.unsafe_to_string b
-
-let zeros n = String.make n '\000'

@@ -21,6 +21,3 @@ val set_u64_le : Bytes.t -> int -> int64 -> unit
 
 val string_of_u64_le : int64 -> string
 (** 8-byte little-endian encoding. *)
-
-val zeros : int -> string
-(** [zeros n] is a string of [n] NUL bytes. *)

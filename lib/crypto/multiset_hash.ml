@@ -7,7 +7,6 @@ let key_of_string s =
 type t = { key : key; acc : Bytes.t }
 
 let create key = { key; acc = Bytes.make 16 '\000' }
-let reset t = Bytes.fill t.acc 0 16 '\000'
 
 (* dst := dst + src mod 2^128, little-endian byte order. *)
 let add_128 (dst : Bytes.t) (src : string) =

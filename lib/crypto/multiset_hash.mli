@@ -4,7 +4,7 @@
     MSet-Add-Hash construction (Clarke et al.) instantiated with AES-CMAC as
     the PRF, which is what Concerto-style deferred verification needs: the
     accumulator is incremental (elements fold in, in any order, on any
-    verifier thread) and aggregating per-thread accumulators is a single
+    shard's verifier) and aggregating per-shard accumulators is a single
     128-bit addition.
 
     Addition — not XOR — matters for soundness: with XOR, an element added an
@@ -23,7 +23,6 @@ type t
 (** A mutable accumulator holding the 16-byte running hash. *)
 
 val create : key -> t
-val reset : t -> unit
 
 val add : t -> string -> unit
 (** Fold one element into the accumulator. *)

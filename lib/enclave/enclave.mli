@@ -1,6 +1,6 @@
 (** A simulated enclave: a protected execution context with a call gate.
 
-    The enclave owns trusted state (the verifier threads live inside one) and
+    The enclave owns trusted state (every shard's verifier lives inside one) and
     meters every host-to-enclave transition against a {!Cost_model}. It also
     tracks a trusted-memory budget so experiments can enforce the paper's P1
     goal (graceful degradation with limited enclave memory). *)

@@ -81,13 +81,3 @@ let victim ?exclude t =
         end
   in
   go ()
-
-let iter_lru_first t f =
-  let rec go = function
-    | None -> ()
-    | Some e ->
-        let prev = e.prev in
-        f e;
-        go prev
-  in
-  go t.tail

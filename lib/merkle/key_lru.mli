@@ -27,7 +27,3 @@ val decr_children : entry -> unit
 val victim : ?exclude:Key.t -> t -> entry option
 (** The least-recently-used entry with no cached children, skipping
     [exclude] (the chain tip currently being extended). *)
-
-val iter_lru_first : t -> (entry -> unit) -> unit
-(** Iterate from least- to most-recently-used; entries may not be removed
-    during iteration. *)

@@ -42,8 +42,6 @@ let get_exn t k =
   | None ->
       Fmt.invalid_arg "Tree.get_exn: no merkle record for key %a" Key.pp k
 
-let mem t k = Key.Tbl.mem t.records k
-
 (* A new entry under tracking is born marked. *)
 let add t k value aux =
   Key.Tbl.replace t.records k { value; aux; changed = t.tracking };
@@ -93,11 +91,6 @@ let descend t k =
         else { path = List.rev acc; outcome = Split k2 }
   in
   go Key.root []
-
-let pointing_parent t k =
-  match List.rev (descend t k).path with
-  | parent :: _ -> parent
-  | [] -> assert false
 
 let root_hash t ?algo () = Record_enc.hash_value ?algo (get_exn t Key.root).value
 

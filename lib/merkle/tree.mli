@@ -25,7 +25,6 @@ val create : root_aux:'aux -> 'aux t
 
 val find : 'aux t -> Key.t -> 'aux entry option
 val get_exn : 'aux t -> Key.t -> 'aux entry
-val mem : 'aux t -> Key.t -> bool
 
 val set : 'aux t -> Key.t -> Value.t -> aux:'aux -> unit
 (** Insert or overwrite a merkle record.
@@ -74,9 +73,6 @@ val descend : 'aux t -> Key.t -> descent
     The last element of [path] is the {e pointing parent} of [k] — the node
     whose slot either names [k], is empty where [k] would attach, or names a
     key that [k] splits. *)
-
-val pointing_parent : 'aux t -> Key.t -> Key.t
-(** Last element of [(descend t k).path]. *)
 
 (** {2 Bulk construction} *)
 

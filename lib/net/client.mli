@@ -86,8 +86,6 @@ val send_get : session -> int64 -> int64
 (** Enqueue; returns the request id (for latency bookkeeping). *)
 
 val send_put : session -> int64 -> string -> int64
-val send_delete : session -> int64 -> int64
-val send_scan : session -> int64 -> int -> int64
 
 type reply =
   | Value of string option

@@ -10,7 +10,3 @@ val create : unit -> t
 val incr : t -> unit
 val add : t -> int -> unit
 val get : t -> int
-
-val set : t -> int -> unit
-(** Overwrite the count. For tests and for seeding recovered state — not a
-    serving-path operation. *)

@@ -50,7 +50,6 @@ val mean : snapshot -> float
 
 (** {2 Bucket geometry (exposed for tests and documentation)} *)
 
-val sub_bits : int
 val n_buckets : int
 val max_value : int
 val bucket_of_value : int -> int

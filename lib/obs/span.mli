@@ -9,7 +9,6 @@ val now : unit -> float
 type t
 
 val start : unit -> t
-val elapsed_s : t -> float
 
 val finish : t -> Histogram.t -> unit
 (** Record the elapsed time (as nanoseconds) into the histogram. *)

@@ -2,7 +2,7 @@
 
     Deferred verification tags every record with the timestamp of its last
     eviction. The high 32 bits carry the verification epoch the eviction
-    belongs to; the low 32 bits are a per-thread Lamport counter. Comparing
+    belongs to; the low 32 bits are a per-verifier Lamport counter. Comparing
     packed values as integers is exactly the lexicographic (epoch, counter)
     order the protocol needs. *)
 

@@ -475,10 +475,6 @@ let aggregate_epoch_certificate ~mset_secret ~mac_secret ~epoch ~folds =
          "aggregate_epoch: add/evict multiset mismatch in epoch %d" epoch)
   else Ok (Hmac.mac ~key:mac_secret (epoch_certificate_message ~epoch))
 
-let sign t msg =
-  if t.failure <> None then invalid_arg "Verifier.sign: poisoned";
-  Hmac.mac_with t.mac_key msg
-
 let root_entry t = Key.Tbl.find t.cache Key.root
 
 let install_root t value =

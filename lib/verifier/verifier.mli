@@ -156,12 +156,7 @@ val aggregate_epoch_certificate :
     poisons nothing (per-shard verifiers were already poisoned by their own
     local checks if anything was wrong). *)
 
-(** {2 Validation signatures} *)
-
-val sign : t -> string -> string
-(** MAC an arbitrary validation message under the client-shared secret.
-    Returns a poisoned-verifier-refuses signature only when healthy:
-    @raise Invalid_argument if the verifier is poisoned. *)
+(** {2 Certificate message} *)
 
 val epoch_certificate_message : epoch:int -> string
 (** The canonical byte string signed by {!verify_epoch}. *)

@@ -38,8 +38,6 @@ type t
 
 val create : ?seed:int -> db_size:int -> spec -> t
 val next : t -> op
-val value_of_counter : int -> string
-(** The deterministic 8-byte value written by the [n]-th update. *)
 
 val initial_value : int64 -> string
 (** The 8-byte value loaded for a key at database-load time. *)
