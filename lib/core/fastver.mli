@@ -429,10 +429,11 @@ val enclave_handle : t -> Fastver_enclave.Enclave.t
     records (Example 5.2) and interact only through the store, the Merkle
     tree (coarse lock) and stop-the-world verification scans. Here workers
     are OCaml domains, and each operation routes to its key's shard, whose
-    single verifier stands in for the paper's per-worker verifier thread. This is the real shared-memory runtime — on a
-    multi-core machine it parallelises; the benchmarks use the modelled
-    variant ({!Fastver_simthreads}) because the reproduction container has
-    one core.
+    single verifier stands in for the paper's per-worker verifier thread.
+    This is the real shared-memory runtime — on a multi-core machine it
+    parallelises; the benchmarks use the modelled variant
+    ({!Fastver_simthreads}) because the reproduction container has one
+    core.
 
     Caveat: authenticated {!Session}s are not supported inside a parallel
     run. *)

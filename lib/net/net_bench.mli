@@ -1,7 +1,8 @@
 (** Closed-loop network benchmark: N clients, each keeping a window of
     pipelined requests in flight against one server, every response
-    signature verified client-side. Used by [fastver client-bench] and the
-    [net] figure of the bench harness. *)
+    signature verified client-side. Used by [fastver client-bench] and by
+    the bench harness's [repl] figure, which measures verified reads from
+    followers. *)
 
 type result = {
   clients : int;

@@ -4,10 +4,10 @@
     Lamport clock, and per-epoch add-/evict-multiset hashes. The paper runs
     several such threads in one enclave and sums their epoch hashes; this
     system runs one verifier per shard instead and sums the shards' hashes
-    with {!aggregate_epoch_certificate}. The untrusted host drives the verifier
-    through the operations below; any check failure means the host deviated
-    from the protocol (or the data was tampered with), and poisons the
-    verifier permanently — it will never validate anything again.
+    with {!aggregate_epoch_certificate}. The untrusted host drives the
+    verifier through the operations below; any check failure means the host
+    deviated from the protocol (or the data was tampered with), and poisons
+    the verifier permanently — it will never validate anything again.
 
     Records move between three protection states (§6):
     - {b cached}: present in the verifier's cache (trusted memory);
@@ -61,11 +61,11 @@ val add_m :
   t -> key:Key.t -> value:Value.t -> parent:Key.t ->
   Value.ptr option result
 (** Add a merkle-protected record to the cache. [parent] must be cached
-    and its slot towards [key] must authenticate [value]
-    (pointing case), be empty ([value] must be the initial value), or point
-    below [key] ([value] must be the new internal node preserving the
-    pointer). Returns the pointer newly installed in the parent, if the slot
-    changed (fresh or split adds), so the host can mirror it. *)
+    and its slot towards [key] must authenticate [value] (pointing case), be
+    empty ([value] must be the initial value), or point below [key] ([value]
+    must be the new internal node preserving the pointer). Returns the
+    pointer newly installed in the parent, if the slot changed (fresh or
+    split adds), so the host can mirror it. *)
 
 val evict_m : t -> key:Key.t -> parent:Key.t -> Value.ptr result
 (** Evict a cached record to Merkle protection: stores the hash of its
@@ -122,18 +122,20 @@ val close_epoch : t -> epoch:int -> unit result
     its clock is advanced past the epoch. Epochs must be closed in order. *)
 
 val verify_epoch : t -> epoch:int -> string result
-(** Once [epoch] is closed, compare its add- and evict-set hashes. On success returns the epoch certificate — an HMAC
-    under the client secret over the epoch number — and advances
-    {!verified_epoch}. On mismatch the verifier is poisoned: some provisional
-    validation in this epoch was inconsistent. *)
+(** Once [epoch] is closed, compare its add- and evict-set hashes. On
+    success returns the epoch certificate — an HMAC under the client secret
+    over the epoch number — and advances {!verified_epoch}. On mismatch the
+    verifier is poisoned: some provisional validation in this epoch was
+    inconsistent. *)
 
 (** {2 Sharded epoch aggregation}
 
     A sharded store runs one verifier per keyspace partition. Sealing an
     epoch is two-level: each shard checks its local add/evict balance
-    ({!seal_epoch_shard}) and exports its set-hash values; the store level then folds every shard's values
-    order-independently ({!aggregate_epoch_certificate}) and signs the same
-    message {!verify_epoch} signs — so the aggregated certificate is
+    ({!seal_epoch_shard}) and exports its set-hash values; the store level
+    then folds every shard's values order-independently
+    ({!aggregate_epoch_certificate}) and signs the same message
+    {!verify_epoch} signs — so the aggregated certificate is
     bit-identical whether one shard or N produced it. *)
 
 val seal_epoch_shard :

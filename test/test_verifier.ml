@@ -15,7 +15,7 @@ type world = {
   values : (int64, string) Hashtbl.t;
 }
 
-let mk_world ?(capacity = 512) n =
+let mk_world n =
   let tree = Tree.create ~root_aux:() in
   let values = Hashtbl.create 64 in
   let records =
@@ -26,10 +26,7 @@ let mk_world ?(capacity = 512) n =
         (Key.of_int64 k, Value.Data (Some s)))
   in
   Tree.bulk_build tree ~aux:(fun _ _ -> ()) records;
-  let v =
-    Verifier.create
-      { Verifier.default_config with cache_capacity = capacity }
-  in
+  let v = Verifier.create Verifier.default_config in
   ok_exn "install_root"
     (Verifier.install_root v (Tree.get_exn tree Key.root).Tree.value);
   { v; tree; values }
@@ -413,6 +410,7 @@ let suite =
       Alcotest.test_case "fresh insert" `Quick test_fresh_insert;
       Alcotest.test_case "blum cycle + epoch" `Quick test_blum_cycle_and_epoch;
       Alcotest.test_case "lazy updates" `Quick test_lazy_updates_stay_consistent;
+      Alcotest.test_case "cache capacity" `Quick test_cache_capacity;
       Alcotest.test_case "install_blum setup" `Quick test_install_blum_setup;
       Alcotest.test_case "summary roundtrip" `Quick test_checkpoint_summary_roundtrip;
       Alcotest.test_case "write-back summary" `Quick test_writeback_summary;
