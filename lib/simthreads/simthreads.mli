@@ -9,7 +9,7 @@
     32-thread experiments cannot be measured. It executes the {e real}
     FastVer system configured with [w] logical workers — the production
     code paths route operations, partition the Merkle tree and run
-    per-thread verifiers exactly as a multi-core deployment would — and
+    one verifier per shard exactly as a multi-core deployment would — and
     derives a modelled parallel makespan from the measured per-worker busy
     times (the same per-slice [worker_busy_s] timings the parallel scan
     reports when it runs on real domains):
@@ -59,4 +59,4 @@ val run_dv_micro :
   result
 (** The Fig. 14c micro-benchmark: array-backed records, all records under
     deferred verification, a 50/50 read/update uniform workload sharded
-    across [workers] independent verifier threads. *)
+    across [workers] independent verifiers. *)

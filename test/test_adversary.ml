@@ -161,8 +161,8 @@ let test_cross_verifier_fork () =
   Alcotest.(check bool) "forked shard poisoned" true
     (Verifier.failure forked <> None)
 
-(* 7. Same-thread double add of a cached key is rejected immediately. *)
-let test_double_add_same_thread () =
+(* 7. A double add of a cached key is rejected immediately. *)
+let test_double_add () =
   let w = mk_world 64 in
   let key = Key.of_int64 3L in
   let parent = add_chain w key in
@@ -511,7 +511,7 @@ let suite =
       Alcotest.test_case "in_blum replay" `Quick test_in_blum_replay;
       Alcotest.test_case "blum stale replay" `Quick test_blum_stale_replay;
       Alcotest.test_case "cross-verifier fork" `Quick test_cross_verifier_fork;
-      Alcotest.test_case "double add" `Quick test_double_add_same_thread;
+      Alcotest.test_case "double add" `Quick test_double_add;
       Alcotest.test_case "evict-method confusion" `Quick test_evict_method_confusion;
       Alcotest.test_case "timestamp regression" `Quick test_timestamp_regression;
       Alcotest.test_case "write to verified epoch" `Quick test_closed_epoch_write;

@@ -5,8 +5,8 @@
    verifier cost, and the enclave transitions, per user op against a
    committed upper bound. The transition bounds are the exact counts over
    the 8,192 counted ops (7,906, 7,898 and 5,373), so one more transition
-   fails them. A change that
-   lowers a cost tightens its bound; one that raises a bound says why.
+   fails them. A change that lowers a cost tightens its bound; one that
+   raises a bound says why.
    - durable-write: 90% puts over uniform keys, a checkpoint every epoch
      (perfbench runs 50,000 keys);
    - cold-read: 95% gets over uniform keys, with a cold tier that keeps a
