@@ -1059,8 +1059,8 @@ let fig_coldtier s =
     "Cold tier: verified serving of larger-than-memory databases. The\n\
      in-memory budget is fixed; databases 2x/4x/8x that size overflow to\n\
      the authenticated log-structured cold tier after each verification\n\
-     scan. Every cold read is MAC-checked and re-enters deferred\n\
-     verification as an ordinary blum add; verification stays ON";
+     scan. Every cold read is MAC-checked and verified in place under\n\
+     its Merkle chain, and the record stays cold; verification stays ON";
   let budget = 2_048 in
   let json_rows = ref [] in
   pf "%-6s %-9s %12s %14s %10s %10s %9s %12s\n" "mult" "records" "ops/s"

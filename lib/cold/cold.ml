@@ -98,9 +98,13 @@ let mset_key_of_secret secret =
   MH.key_of_string
     (String.sub (Sha256.digest ("fastver-cold-summary\x01" ^ secret)) 0 16)
 
+(* Segment descriptors are close-on-exec: a program this process execs
+   never inherits one. *)
+let openfile path flags = Unix.openfile path (Unix.O_CLOEXEC :: flags) 0o644
+
 let open_segment_fds path =
-  let wfd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-  let rfd = Unix.openfile path [ Unix.O_RDONLY ] 0o644 in
+  let wfd = openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] in
+  let rfd = openfile path [ Unix.O_RDONLY ] in
   (wfd, rfd)
 
 let mk_active_segment ~mset_key ~dir id =
@@ -514,7 +518,7 @@ let recover cfg ~manifest =
                      "cold: segment %d size %d, manifest wants %d" p.p_id size
                      (p.p_data_len + Segment.footer_len))
               else
-                let rfd = Unix.openfile path [ Unix.O_RDONLY ] 0o644 in
+                let rfd = openfile path [ Unix.O_RDONLY ] in
                 match
                   really_pread rfd ~off:p.p_data_len ~len:Segment.footer_len
                 with
@@ -565,10 +569,10 @@ let recover cfg ~manifest =
                    p.p_id)
             else begin
               (* truncate the uncommitted tail a crash may have torn *)
-              let wfd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+              let wfd = openfile path [ Unix.O_WRONLY ] in
               Unix.ftruncate wfd p.p_data_len;
               Unix.fsync wfd;
-              let rfd = Unix.openfile path [ Unix.O_RDONLY ] 0o644 in
+              let rfd = openfile path [ Unix.O_RDONLY ] in
               let seg =
                 {
                   id = p.p_id;

@@ -8,9 +8,9 @@
     Integrity model: the disk is untrusted, exactly like the host memory the
     verifier already defends against. Every record carries its Blum aux word
     (evict timestamp) and a keyed MAC, so reading a record back from disk is
-    authenticated twice over — eagerly by the MAC at read time, and lazily by
-    the deferred-verification multisets when the record is re-admitted as an
-    ordinary Blum add. Sealed-segment footers let scrubbing and GC validate a
+    authenticated twice over — by the MAC at read time, and by the verifier,
+    which checks the record against its Merkle parent's hash before the read
+    is answered. Sealed-segment footers let scrubbing and GC validate a
     whole segment without consulting the verifier.
 
     Concurrency: appends, sealing, retirement and manifest encoding serialise

@@ -30,7 +30,7 @@ let scan_shard t ~epoch sh dirty =
   let in_enclave len f =
     if len > 0 then Enclave.call t.enclave (fun () -> f len)
   in
-  (* 1. Sorted merkle updates: re-apply every touched data record to the
+  (* 1. Sorted merkle updates: re-apply every written data record to the
      tree in key order, exploiting chain-prefix locality (the snapshot
      array is sorted in place — no per-node allocation). Duplicates cannot
      arise today (a dirty key is blum-protected and re-touches take the

@@ -80,6 +80,7 @@ let n_shards t = Array.length t.shards
 let enclave_handle t = t.enclave
 let enclave_overhead_ns t = Enclave.charged_ns t.enclave
 let cold_stats t = Option.map Store.Cold.stats t.cold
+let close_cold t = Option.iter Store.Cold.close t.cold
 let current_epoch t = Verifier.current_epoch t.shards.(0).verifier
 let verified_epoch = State.verified_epoch
 
@@ -662,6 +663,16 @@ module Testing = struct
         in
         acc := (k, e.value, st, e.aux.owner) :: !acc);
     List.sort (fun (a, _, _, _) (b, _, _, _) -> Key.compare a b) !acc
+
+  let pending t =
+    Array.fold_left
+      (fun (dirty, stale) sh ->
+        ( dirty + sh.dirty_len,
+          Key.Tbl.fold
+            (fun _ via n ->
+              match via with Via_merkle { stale = true; _ } -> n + 1 | _ -> n)
+            sh.via stale ))
+      (0, 0) t.shards
 
   let drain_caches t =
     with_lock t.verify_mutex @@ fun () ->

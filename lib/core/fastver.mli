@@ -11,12 +11,15 @@
     slices on different shards never contend. Every get/put is validated by
     its shard's verifier using the hybrid scheme of §6:
 
-    - hot records ride the {e deferred} tier: O(1) [add_b]/[evict_b] calls
-      and a multiset-hash fold, no Merkle hashing;
-    - a record's first touch in an epoch pays the Merkle chain from its
-      nearest blum-protected ancestor (the depth-[d] frontier), after which
-      it is handed to the deferred tier ([evict_bm]);
-    - {!verify} runs the verification scan: touched records are re-applied
+    - records written this epoch ride the {e deferred} tier: O(1)
+      [add_b]/[evict_b] calls and a multiset-hash fold, no Merkle hashing;
+    - a get of a record not written this epoch pays the Merkle chain from
+      its nearest blum-protected ancestor (the depth-[d] frontier) and is
+      verified in place ([add_m], [vget], [evict_m]): the record stays
+      Merkle-protected;
+    - a record's first put in an epoch pays the same chain, after which it
+      is handed to the deferred tier ([evict_bm]);
+    - {!verify} runs the verification scan: written records are re-applied
       to their shard's Merkle tree in sorted key order (§6.3), frontier
       merkle records migrate to the next epoch, each shard seals its own
       epoch-balance certificate, and the per-shard multiset folds aggregate
@@ -406,6 +409,11 @@ val cold_stats : t -> Fastver_kvstore.Store.Cold.stats option
 (** Cold-tier counters (segments, live/dead bytes, authenticated reads,
     GC rewrites); [None] when [Config.cold_dir] is unset. *)
 
+val close_cold : t -> unit
+(** Close the cold tier's segment descriptors, if one is attached. Reads
+    of cold records fail afterwards; for a system that will not serve
+    again, such as one that crashed mid-maintenance. *)
+
 val verifier_stats : t -> Fastver_verifier.Verifier.op_stats
 (** Verifier operation counters summed across shards ([n_certificates] is
     the per-shard maximum — every shard seals once per store epoch). *)
@@ -484,6 +492,11 @@ module Testing : sig
       (["merkle"], ["blum <ts>"], or ["cached"] for the pinned root) and
       owner — sorted by key. A record in the verifier cache has the state a
       checkpoint taken now would record for it. *)
+
+  val pending : t -> int * int
+  (** Summed over shards: the records on the dirty lists (handed to
+      deferred verification since the last scan) and the cached Merkle
+      records marked stale. *)
 
   val drain_caches : t -> unit
   (** Evict every cached record of every shard, children first, into the

@@ -14,15 +14,23 @@ let mark_stale sh k =
   | Some Via_blum | None -> ()
 
 (* Update the host copy of [parent]'s slot with a pointer computed and
-   returned by the verifier (the eviction hand-back of §4.3). *)
+   returned by the verifier (the eviction hand-back of §4.3). A slot that
+   already holds it is left alone, as the verifier leaves its own: the
+   parent neither goes stale nor joins the next checkpoint delta. *)
 let apply_ptr sh parent (ptr : Value.ptr) =
   let pe = Tree.get_exn sh.tree parent in
   match pe.value with
-  | Value.Node n ->
+  | Value.Node n -> (
       let d = Key.dir ptr.key ~ancestor:parent in
-      Tree.set_value sh.tree parent pe
-        (Value.Node (Value.set_slot n d (Some ptr)));
-      mark_stale sh parent
+      match Value.slot n d with
+      | Some p
+        when Key.equal p.key ptr.key && (not p.in_blum)
+             && String.equal p.hash ptr.hash ->
+          ()
+      | Some _ | None ->
+          Tree.set_value sh.tree parent pe
+            (Value.Node (Value.set_slot n d (Some ptr)));
+          mark_stale sh parent)
   | Value.Data _ -> assert false
 
 let mark_in_blum sh parent key =
@@ -241,8 +249,10 @@ let client_validate t sh key cur action =
       gateway_receipt t ~kind:Auth.Put key v meta;
       v
 
-(* Hand the (cached, just-validated) data record to the deferred tier for the
-   rest of the epoch (§6.1: touched records are hot). *)
+(* Hand the (cached, just-written) data record to the deferred tier for the
+   rest of the epoch (§6.1), where later touches take [blum_fast], and tee
+   the write to replication. Only writes come here: a read verifies a
+   Merkle-protected record in place. *)
 let defer_data t sh key parent new_v =
   (* Same live-epoch floor as [blum_fast]. *)
   let ts' =
@@ -253,13 +263,14 @@ let defer_data t sh key parent new_v =
   mark_in_blum sh parent key;
   Store.put t.store key new_v ~aux:(aux_blum ts');
   sh.dirty <- key :: sh.dirty;
-  sh.dirty_len <- sh.dirty_len + 1
+  sh.dirty_len <- sh.dirty_len + 1;
+  repl_op t ~epoch:(Timestamp.epoch ts') ~key ~value:new_v
 
-(* Slow path: the record is merkle-protected (first touch this epoch), or
-   absent. Pays the chain from the nearest blum anchor (§6). Takes the
+(* Slow path: the record is merkle-protected (not yet written this epoch),
+   or absent. Pays the chain from the nearest blum anchor (§6). Takes the
    shard's tree lock, then its worker lock; if the record turned
    blum-protected while we raced for the locks (another domain's first
-   touch), returns [None] and the caller retries on the fast path. *)
+   write), returns [None] and the caller retries on the fast path. *)
 let merkle_slow t sh key action =
   with_shard_lock t sh.sid @@ fun () ->
   let descent = Tree.descend sh.tree key in
@@ -286,11 +297,14 @@ let merkle_slow t sh key action =
             in
             assert (installed = None);
             let new_v = client_validate t sh key cur action in
-            defer_data t sh key parent new_v;
             (match action with
-            | A_put _ ->
-                repl_op t ~epoch:(Timestamp.epoch sh.clock) ~key ~value:new_v
-            | A_get _ -> ());
+            | A_get _ ->
+                (* Verified where it sits: the record stays
+                   Merkle-protected, its host copy is not rewritten, and
+                   its unchanged hash leaves the parent as it was. *)
+                apply_ptr sh parent
+                  (ok (Verifier.evict_m sh.verifier ~key ~parent))
+            | A_put _ -> defer_data t sh key parent new_v);
             cur
         | (Tree.Empty_slot | Tree.Split _), A_get meta ->
             (* Non-existence proof from the pointing parent (Example 4.1). *)
@@ -310,10 +324,6 @@ let merkle_slow t sh key action =
             | None -> assert false);
             let new_v = client_validate t sh key None action in
             defer_data t sh key parent new_v;
-            (match action with
-            | A_put _ ->
-                repl_op t ~epoch:(Timestamp.epoch sh.clock) ~key ~value:new_v
-            | A_get _ -> ());
             None
         | Tree.Split pointee, (A_put (_, _) as action) ->
             let parent = ensure_chain ~loaded t sh descent.path in
@@ -381,10 +391,6 @@ let merkle_slow t sh key action =
             | None -> assert false);
             let new_v = client_validate t sh key None action in
             defer_data t sh key node_key new_v;
-            (match action with
-            | A_put _ ->
-                repl_op t ~epoch:(Timestamp.epoch sh.clock) ~key ~value:new_v
-            | A_get _ -> ());
             None)
   in
   t.acc.verifier_time_s <- t.acc.verifier_time_s +. (now () -. t0);
@@ -398,19 +404,24 @@ let rec process_inner t key action =
      partition — which is what lets a shard close and seal its own epoch
      slice without waiting for the others. *)
   let sh = t.shards.(shard_of_data_key t key) in
-  match ok (Store.get t.store key) with
-  | Some (cur, aux) when aux_is_blum aux -> (
-      match
-        with_worker_lock t sh.sid (fun () ->
-            blum_fast t sh key cur (aux_timestamp aux) action)
-      with
-      | value -> (value, sh)
-      | exception Raced -> process_inner t key action)
+  (* Route on the aux word alone: a Merkle-protected record's body is read
+     once, under the locks in [merkle_slow], never here. *)
+  match Store.aux t.store key with
+  | Some aux when aux_is_blum aux -> (
+      match ok (Store.get t.store key) with
+      | Some (cur, aux) when aux_is_blum aux -> (
+          match
+            with_worker_lock t sh.sid (fun () ->
+                blum_fast t sh key cur (aux_timestamp aux) action)
+          with
+          | value -> (value, sh)
+          | exception Raced -> process_inner t key action)
+      | Some _ | None -> process_inner t key action)
   | Some _ | None -> (
       match merkle_slow t sh key action with
       | Some result -> result
       | None ->
-          (* lost a first-touch race; the record is deferred now *)
+          (* lost a first-write race; the record is deferred now *)
           process_inner t key action)
 
 let process t ?(admitted = false) key action =

@@ -52,7 +52,7 @@ let write (w : writer) s =
 let write_bytes w b = write w (Bytes.unsafe_to_string b)
 
 let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
+  match Unix.openfile dir [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
   | exception Unix.Unix_error _ -> ()
   | fd ->
       Fun.protect

@@ -169,6 +169,12 @@ let get t key =
   with_stripe t key (fun () ->
       Result.map (Option.map (fun (_, v, a) -> (v, a))) (current t key))
 
+let aux t key =
+  with_stripe t key (fun () ->
+      Option.map
+        (fun addr -> aux_of_body (slot t addr).body)
+        (Key.Tbl.find_opt t.index key))
+
 let note_dead_body t body =
   match (body, t.cold) with
   | Cold_ref { cref; _ }, Some c -> Cold.note_dead c cref

@@ -54,6 +54,10 @@ val get : 'v t -> Key.t -> (('v * int64) option, string) result
     when the record lives on disk and the read failed (misconfigured tier,
     torn read, or — for the cold tier — a failed MAC check). *)
 
+val aux : 'v t -> Key.t -> int64 option
+(** The aux field of a key's current version, [None] when absent. Every
+    body variant carries its aux word, so this never reads a disk tier. *)
+
 val put : 'v t -> Key.t -> 'v -> aux:int64 -> unit
 (** Insert or update unconditionally. *)
 

@@ -152,6 +152,19 @@ let set_value t key entry value =
     t.n_stale <- t.n_stale + 1
   end
 
+(* Store [ptr] in slot [d] of the cached node [parent]. A slot that
+   already holds it is left alone: an unchanged child does not make its
+   parent stale. *)
+let point_slot t parent parent_entry n d (ptr : Value.ptr) =
+  match Value.slot n d with
+  | Some p
+    when Key.equal p.key ptr.key && (not p.in_blum)
+         && String.equal p.hash ptr.hash ->
+      ()
+  | Some _ | None ->
+      set_value t parent parent_entry
+        (Value.Node (Value.set_slot n d (Some ptr)))
+
 let uncache t key entry =
   if entry.stale then t.n_stale <- t.n_stale - 1;
   Key.Tbl.remove t.cache key
@@ -238,8 +251,7 @@ let evict_m t ~key ~parent =
                 in_blum = false;
               }
             in
-            set_value t parent parent_entry
-              (Value.Node (Value.set_slot n d (Some ptr)));
+            point_slot t parent parent_entry n d ptr;
             uncache t key entry;
             Ok ptr
         | Some _ | None ->
@@ -266,8 +278,7 @@ let flush_m t ~key ~parent =
             let ptr =
               { Value.key; hash = hash_value t entry.value; in_blum = false }
             in
-            set_value t parent parent_entry
-              (Value.Node (Value.set_slot n d (Some ptr)));
+            point_slot t parent parent_entry n d ptr;
             if entry.stale then begin
               entry.stale <- false;
               t.n_stale <- t.n_stale - 1

@@ -71,7 +71,9 @@ val evict_m : t -> key:Key.t -> parent:Key.t -> Value.ptr result
 (** Evict a cached record to Merkle protection: stores the hash of its
     current value in the cached parent (lazy update propagation, §4.3.1) and
     returns that pointer so the (untrusted) host can mirror the
-    verifier-computed hash without recomputing it. *)
+    verifier-computed hash without recomputing it. When the pointer equals
+    the slot (same hash, no [in_blum] mark) the parent is left untouched
+    and does not become stale. *)
 
 val flush_m : t -> key:Key.t -> parent:Key.t -> Value.ptr result
 (** Write a cached Merkle-added record back to Merkle protection without

@@ -575,7 +575,7 @@ let test_larger_than_memory () =
   let cs = Option.get (Fastver.cold_stats t) in
   Alcotest.(check bool) "reads served from cold" true (cs.Cold.reads > 0);
   Alcotest.(check int) "no integrity failures" 0 cs.Cold.scrub_failures;
-  (* re-admitted records verify like any Blum add *)
+  (* records read from cold stay there, Merkle-protected *)
   ignore (Fastver.verify t);
   (* checkpoint/recover round trip carries the cold manifest *)
   ckpt t ~dir;
@@ -606,6 +606,27 @@ let test_larger_than_memory () =
       Alcotest.(check int) "still no integrity failures" 0
         cs2.Cold.scrub_failures);
   Ckpt_io.remove_tree dir;
+  Ckpt_io.remove_tree cdir
+
+(* A get of a cold-resident record reads its body from disk once, and
+   leaves it there: a second get reads it from the cold tier again. *)
+let test_cold_get_reads_once () =
+  let cdir = fresh_dir "fv-cold-get-once" in
+  let config = fv_config cdir in
+  let t = Fastver.create ~config () in
+  let n = 8 * config.cold_threshold in
+  Fastver.load t (Array.init n (fun i -> (Int64.of_int i, value_of i)));
+  ignore (Fastver.verify t);
+  let reads () = (Option.get (Fastver.cold_stats t)).Cold.reads in
+  for pass = 1 to 2 do
+    let r0 = reads () in
+    Alcotest.(check (option string)) "value" (Some (value_of 0))
+      (Fastver.get t 0L);
+    Alcotest.(check int) (Printf.sprintf "get %d: one cold read" pass) 1
+      (reads () - r0)
+  done;
+  ignore (Fastver.verify t);
+  Fastver.close_cold t;
   Ckpt_io.remove_tree cdir
 
 let suite =
@@ -640,4 +661,5 @@ let suite =
         test_metrics_live_values;
       Alcotest.test_case "larger than memory end to end" `Quick
         test_larger_than_memory;
+      Alcotest.test_case "cold get reads once" `Quick test_cold_get_reads_once;
     ] )

@@ -273,6 +273,45 @@ let test_stats_exact_under_domains () =
   Alcotest.(check int) "paths partition ops" s.ops
     (s.blum_fast_path + s.merkle_path)
 
+(* A get of a Merkle-protected record is verified where it sits: its aux,
+   the dirty lists, the stale marks and every host Merkle record stay as
+   they were. A put in the same epoch hands the record to deferred
+   verification, and the next get takes the fast path. *)
+let test_get_verifies_in_place () =
+  let t = mk ~n:200 () in
+  ignore (Fastver.verify t);
+  let k = 17L in
+  let aux () =
+    List.find_map
+      (fun (key, _, aux) ->
+        if Key.equal key (Key.of_int64 k) then Some aux else None)
+      (Fastver.Testing.store_contents t)
+  in
+  let tree () =
+    List.map (fun (key, v, _, _) -> (key, v)) (Fastver.Testing.tree_entries t 0)
+  in
+  let aux0 = aux () and pending0 = Fastver.Testing.pending t and tree0 = tree () in
+  let s0 = Fastver.stats t in
+  Alcotest.(check vo) "get" (Some "v000017") (Fastver.get t k);
+  let s1 = Fastver.stats t in
+  Alcotest.(check int) "took the merkle path" (s0.merkle_path + 1) s1.merkle_path;
+  Alcotest.(check (option int64)) "aux unchanged" aux0 (aux ());
+  Alcotest.(check (pair int int)) "no dirty record, no stale mark" pending0
+    (Fastver.Testing.pending t);
+  Alcotest.(check bool) "host tree, root included, unchanged" true
+    (List.equal (fun (a, v) (b, w) -> Key.equal a b && Value.equal v w)
+       tree0 (tree ()));
+  Fastver.put t k "fresh";
+  Alcotest.(check bool) "put defers" true (aux () <> aux0);
+  Alcotest.(check int) "put joins the dirty list" (fst pending0 + 1)
+    (fst (Fastver.Testing.pending t));
+  Alcotest.(check vo) "get after put" (Some "fresh") (Fastver.get t k);
+  Alcotest.(check int) "next get takes the fast path" (s1.blum_fast_path + 1)
+    (Fastver.stats t).blum_fast_path;
+  let e = Fastver.current_epoch t in
+  Alcotest.(check bool) "epoch certifies" true
+    (Fastver.check_epoch_certificate t ~epoch:e (Fastver.verify t))
+
 let suite =
   ( "core",
     [
@@ -291,6 +330,8 @@ let suite =
       Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
       Alcotest.test_case "stats exact under domains" `Quick
         test_stats_exact_under_domains;
+      Alcotest.test_case "get verifies in place" `Quick
+        test_get_verifies_in_place;
     ] )
 
 (* Values far larger than the 8-byte benchmark payloads flow through every

@@ -738,6 +738,7 @@ let test_crash_mid_cold_append () =
   in
   Cold.disarm_fault ();
   Alcotest.(check bool) "crashed mid segment write" true crashed;
+  Fastver.close_cold t;
   match Fastver.recover ~config:cold_config ~dir () with
   | Error e -> Alcotest.failf "recover after cold append crash: %s" e
   | Ok t2 ->
@@ -751,6 +752,7 @@ let test_crash_mid_cold_append () =
       ignore (Fastver.verify t2);
       Alcotest.(check vo) "usable after recovery" (Some "post-crash")
         (Fastver.get t2 1L);
+      Fastver.close_cold t2;
       C.remove_tree dir;
       C.remove_tree cdir
 
@@ -798,6 +800,7 @@ let test_crash_mid_compaction () =
   in
   Cold.disarm_fault ();
   Alcotest.(check bool) "crashed mid compaction" true crashed;
+  Cold.close cold;
   (* restart: recover the tier from the committed manifest (truncating the
      torn rewrite tail), then the store against it *)
   let cold2 =
@@ -823,6 +826,7 @@ let test_crash_mid_compaction () =
         | Ok None -> Alcotest.failf "key %d lost to the crash" i
         | Error e -> Alcotest.failf "get %d after crash recovery: %s" i e
       done);
+  Cold.close cold2;
   Sys.remove path;
   C.remove_tree cdir
 
@@ -858,4 +862,8 @@ let suite =
       Alcotest.test_case "version/epoch mismatch" `Quick
         test_version_epoch_mismatch;
       QCheck_alcotest.to_alcotest prop_recover_never_raises;
+      Alcotest.test_case "crash mid cold append" `Quick
+        test_crash_mid_cold_append;
+      Alcotest.test_case "crash mid compaction" `Quick
+        test_crash_mid_compaction;
     ] )

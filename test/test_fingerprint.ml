@@ -88,11 +88,11 @@ let suite =
   ( "fingerprint",
     [
       golden "1 shard" (straight base)
-        "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 15458 15391 3225 1688 1543 1524 1476 7";
+        "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 15725 15658 2328 1418 916 1524 1476 7";
       golden "4 shards" (straight { base with n_shards = 4 })
-        "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 11567 11305 3235 1686 1567 1524 1476 7";
+        "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 10794 10537 2292 1365 940 1524 1476 7";
       golden "cold tier" with_cold
-        "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 15458 15391 3225 1688 1543 1524 1476 7";
+        "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 15725 15658 2328 1418 916 1524 1476 7";
       golden "checkpoint, recover, continue" recovered
-        "7 e7615e9d54e7a598d42d3e89e9f058ba667722753af4083095776f21b089539c 7765 7706 1614 841 771 757 743 4";
+        "7 e7615e9d54e7a598d42d3e89e9f058ba667722753af4083095776f21b089539c 7944 7885 1157 699 456 757 743 4";
     ] )
