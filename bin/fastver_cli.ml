@@ -19,7 +19,8 @@ let ops =
 
 let workers =
   Arg.(value & opt int 4 & info [ "w"; "workers" ] ~docv:"W"
-         ~doc:"Worker (and verifier) threads.")
+         ~doc:"Shards: keyspace partitions, each with its own Merkle tree, \
+               verifier and worker (an executor when serving).")
 
 let batch =
   Arg.(value & opt int 32_768 & info [ "batch" ] ~docv:"B"
@@ -79,11 +80,6 @@ let parallel =
 
 let seed =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Workload seed.")
-
-let shards =
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N"
-         ~doc:"Verifier shards (independent keyspace partitions, each with \
-               its own Merkle tree and verifier). 0 follows --workers.")
 
 let die fmt = Fmt.kstr (fun s -> Logs.err (fun m -> m "%s" s); exit 2) fmt
 
@@ -150,16 +146,14 @@ let report t ops wall =
 (* run: drive a workload                                               *)
 (* ------------------------------------------------------------------ *)
 
-let run_cmd db_size ops workers shards batch depth cache workload theta algo
+let run_cmd db_size ops workers batch depth cache workload theta algo
     enclave_model no_auth parallel seed =
   if db_size < 1 then die "--db-size must be at least 1";
   if ops < 0 then die "--ops must be non-negative";
   if workers < 1 then die "--workers must be at least 1";
-  if shards < 0 then die "--shards must be non-negative";
   if theta < 0.0 || theta >= 1.0 then die "--theta must be in [0, 1)";
   let config =
-    { (mk_config workers batch depth cache algo enclave_model no_auth seed)
-      with n_shards = shards }
+    mk_config workers batch depth cache algo enclave_model no_auth seed
   in
   Logs.app (fun m -> m "config: %a" Fastver.Config.pp config);
   let t = load_system config db_size in
@@ -274,19 +268,17 @@ let run_node ?metrics_interval f =
         (F.applied_ops f) (F.verified_epoch f + 1) (Fastver.stats (sys ())).gets);
   if F.failure f <> None then exit 3
 
-let serve_cmd listen db_size workers shards batch depth cache algo
+let serve_cmd listen db_size workers batch depth cache algo
     enclave_model no_auth seed batch_limit ckpt_dir metrics_interval cold_dir
     cold_threshold repl_listen repl_peers =
   if db_size < 1 then die "--db-size must be at least 1";
   if workers < 1 then die "--workers must be at least 1";
-  if shards < 0 then die "--shards must be non-negative";
   if cold_threshold < 1 then die "--cold-threshold must be at least 1";
   let addr = parse_addr listen in
   let config =
     {
       (mk_config workers batch depth cache algo enclave_model no_auth seed)
       with
-      n_shards = shards;
       cold_dir;
       cold_threshold;
     }
@@ -393,7 +385,7 @@ let recover_cmd dir workers batch depth cache algo enclave_model no_auth seed
 (* follow: replication follower serving verified reads                 *)
 (* ------------------------------------------------------------------ *)
 
-let follow_cmd primary listen db_size workers shards depth cache algo
+let follow_cmd primary listen db_size workers depth cache algo
     enclave_model no_auth seed dir electable peers priority =
   if db_size < 1 then die "--db-size must be at least 1";
   if workers < 1 then die "--workers must be at least 1";
@@ -409,10 +401,7 @@ let follow_cmd primary listen db_size workers shards depth cache algo
           ~priority ~checkpoint_dir:dir (parse_addr s))
       electable
   in
-  let config =
-    { (mk_config workers 0 depth cache algo enclave_model no_auth seed)
-      with n_shards = shards }
-  in
+  let config = mk_config workers 0 depth cache algo enclave_model no_auth seed in
   match
     Fastver_replica.Follower.create ~config ~load:(initial_load db_size)
       ?election
@@ -691,7 +680,7 @@ let setup_logs =
 let run_term =
   Term.(
     const (fun () -> run_cmd)
-    $ setup_logs $ db_size $ ops $ workers $ shards $ batch $ depth $ cache
+    $ setup_logs $ db_size $ ops $ workers $ batch $ depth $ cache
     $ workload $ theta $ algo $ enclave_model $ no_auth $ parallel $ seed)
 
 let attack_term =
@@ -815,14 +804,14 @@ let metrics_interval =
 let serve_term =
   Term.(
     const (fun () -> serve_cmd)
-    $ setup_logs $ listen $ db_size $ workers $ shards $ batch $ depth $ cache
+    $ setup_logs $ listen $ db_size $ workers $ batch $ depth $ cache
     $ algo $ enclave_model $ no_auth $ seed $ batch_limit $ ckpt_dir
     $ metrics_interval $ cold_dir $ cold_threshold $ repl_listen $ repl_peers)
 
 let follow_term =
   Term.(
     const (fun () -> follow_cmd)
-    $ setup_logs $ follow_primary $ follow_listen $ db_size $ workers $ shards
+    $ setup_logs $ follow_primary $ follow_listen $ db_size $ workers
     $ depth $ cache $ algo $ enclave_model $ no_auth $ seed $ follow_dir
     $ follow_electable $ follow_peers $ follow_priority)
 

@@ -6,14 +6,11 @@ let ok = function Ok x -> x | Error e -> raise (Failed e)
 
 type variant = [ `Plain | `Cached of int | `Propagate_to_root of int ]
 
-type maux = { mutable cached : bool }
-
 type t = {
   verifier : Verifier.t;
-  tree : maux Tree.t;
+  tree : unit Tree.t;
   data : (int64, string option) Hashtbl.t; (* host copy of data values *)
-  lru : Key_lru.t;
-  parents : Key.t Key.Tbl.t;
+  lru : Key.t ref Key_lru.t; (* the cached records, each with its parent *)
   capacity : int;
   propagate : bool;
   evict_all : bool;
@@ -39,12 +36,11 @@ let create ?(algo = Record_enc.Blake2s) variant records =
         algo;
       }
   in
-  let tree = Tree.create ~root_aux:{ cached = true } in
+  let tree = Tree.create ~root_aux:() in
   let data = Hashtbl.create (Array.length records * 2) in
   Tree.bulk_build tree ~algo
-    ~aux:(fun _ _ -> { cached = false })
+    ~aux:(fun _ _ -> ())
     (Array.map (fun (k, v) -> (Key.of_int64 k, Value.Data (Some v))) records);
-  (Tree.get_exn tree Key.root).aux.cached <- true;
   Array.iter (fun (k, v) -> Hashtbl.replace data k (Some v)) records;
   ok (Verifier.install_root verifier (Tree.get_exn tree Key.root).value);
   {
@@ -52,7 +48,6 @@ let create ?(algo = Record_enc.Blake2s) variant records =
     tree;
     data;
     lru = Key_lru.create ();
-    parents = Key.Tbl.create 64;
     capacity;
     propagate;
     evict_all;
@@ -72,15 +67,13 @@ let apply_ptr t parent (ptr : Value.ptr) =
 
 let evict_one t e =
   let k = Key_lru.key e in
-  let parent = Key.Tbl.find t.parents k in
+  let parent = !(Key_lru.payload e) in
   let ptr = ok (Verifier.evict_m t.verifier ~key:k ~parent) in
   apply_ptr t parent ptr;
   (match Key_lru.find t.lru parent with
   | Some pe -> Key_lru.decr_children pe
   | None -> assert (Key.equal parent Key.root));
-  Key_lru.remove t.lru e;
-  Key.Tbl.remove t.parents k;
-  (Tree.get_exn t.tree k).aux.cached <- false
+  Key_lru.remove t.lru e
 
 let ensure_room t ?protect () =
   while Key_lru.length t.lru >= t.capacity do
@@ -107,12 +100,10 @@ let ensure_chain t path =
                  ~parent)
           in
           assert (installed = None);
-          ignore (Key_lru.add t.lru k);
-          Key.Tbl.replace t.parents k parent;
+          ignore (Key_lru.add t.lru k (ref parent));
           (match Key_lru.find t.lru parent with
           | Some pe -> Key_lru.incr_children pe
-          | None -> assert (Key.equal parent Key.root));
-          entry.aux.cached <- true
+          | None -> assert (Key.equal parent Key.root))
   done;
   arr.(Array.length arr - 1)
 
@@ -220,23 +211,24 @@ let put t k v =
               ~parent)
        with
       | Some ptr ->
-          Tree.set t.tree node_key node_value ~aux:{ cached = true };
+          Tree.set t.tree node_key node_value ~aux:();
           apply_ptr t parent ptr
       | None -> assert false);
-      ignore (Key_lru.add t.lru node_key);
-      Key.Tbl.replace t.parents node_key parent;
+      ignore (Key_lru.add t.lru node_key (ref parent));
       (match Key_lru.find t.lru parent with
       | Some pe -> Key_lru.incr_children pe
       | None -> assert (Key.equal parent Key.root));
-      (if (not (Key.is_data_key pointee)) && Key_lru.mem t.lru pointee then begin
-         Key.Tbl.replace t.parents pointee node_key;
-         (match Key_lru.find t.lru parent with
-         | Some pe -> Key_lru.decr_children pe
-         | None -> assert (Key.equal parent Key.root));
-         match Key_lru.find t.lru node_key with
-         | Some ne -> Key_lru.incr_children ne
-         | None -> assert false
-       end);
+      (* A cached pointee's pointing parent is now the new node. *)
+      (match Key_lru.find t.lru pointee with
+      | Some pe ->
+          Key_lru.payload pe := node_key;
+          (match Key_lru.find t.lru parent with
+          | Some pe -> Key_lru.decr_children pe
+          | None -> assert (Key.equal parent Key.root));
+          (match Key_lru.find t.lru node_key with
+          | Some ne -> Key_lru.incr_children ne
+          | None -> assert false)
+      | None -> ());
       (match
          ok
            (Verifier.add_m t.verifier ~key ~value:(Value.Data None)

@@ -1,6 +1,5 @@
 type t = {
   n_workers : int;
-  n_shards : int;
   cache_capacity : int;
   frontier_levels : int;
   batch_size : int;
@@ -22,7 +21,6 @@ type t = {
 let default =
   {
     n_workers = 1;
-    n_shards = 0;
     cache_capacity = 65_536;
     frontier_levels = 6;
     batch_size = 65536;
@@ -41,13 +39,11 @@ let default =
     cold_gc_ratio = 0.5;
   }
 
-let shards t = if t.n_shards <= 0 then max 1 t.n_workers else t.n_shards
-
 let pp ppf t =
   Format.fprintf ppf
-    "workers=%d shards=%d cache=%d d=%d batch=%d log=%d algo=%a enclave=%a \
+    "workers=%d cache=%d d=%d batch=%d log=%d algo=%a enclave=%a \
      auth=%b sorted=%b metrics=%b cold=%s"
-    t.n_workers (shards t) t.cache_capacity t.frontier_levels t.batch_size
+    t.n_workers t.cache_capacity t.frontier_levels t.batch_size
     t.log_buffer_size Record_enc.pp_algo t.algo Cost_model.pp t.cost_model
     t.authenticate_clients t.sorted_migration t.metrics_enabled
     (match t.cold_dir with

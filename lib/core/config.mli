@@ -6,15 +6,13 @@
 
 type t = {
   n_workers : int;
-      (** Worker domains that drive operations in {!Fastver.Parallel}.
-          Each operation routes to its key's shard, and each shard has one
-          verifier; [n_shards] defaults to [n_workers], so by default there
-          is one shard verifier per worker. *)
-  n_shards : int;
-      (** Keyspace partitions, each with its own Merkle tree, verifier
-          state, and epoch clock; per-shard epoch certificates fold into one
-          store-level certificate. [0] (the default) follows [n_workers] —
-          use {!shards} to resolve. *)
+      (** Shards, and the workers that drive them: the keyspace is split
+          into [n_workers] range partitions (at least one), each with its
+          own Merkle tree, single-threaded verifier, lock and epoch clock,
+          whose per-shard epoch certificates fold into one store-level
+          certificate. {!Fastver.Parallel} runs one driver domain per
+          shard and the server one executor per shard. {!Fastver.recover}
+          adopts the sealed shard count here. *)
   cache_capacity : int;
       (** Verifier cache entries per shard (default 65,536). Each entry is
           charged [Verifier.entry_bytes] (176) of trusted memory, so the
@@ -60,10 +58,7 @@ type t = {
 }
 
 val default : t
-(** 1 worker, 65,536-entry caches per shard, d = 6, 64K batch, simulated
+(** 1 shard, 65,536-entry caches per shard, d = 6, 64K batch, simulated
     enclave. *)
-
-val shards : t -> int
-(** Resolved shard count: [n_shards] if positive, else [max 1 n_workers]. *)
 
 val pp : Format.formatter -> t -> unit

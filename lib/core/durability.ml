@@ -113,15 +113,12 @@ exception Ckpt_error of string
    records each cached record as the state the sealed summary evicts it
    to ({!Verifier.checkpoint_summary}): a Merkle-cached record, written
    back in place, as Merkle-protected, and a blum-cached frontier record
-   as blum-protected at [vts], the timestamp of its virtual eviction. The
-   pinned root keeps its state and is written as 'm' (re-pinned on
-   recovery). *)
+   as blum-protected at [vts], the timestamp of its virtual eviction. A
+   cached record keeps the state it was added from, so only a blum-cached
+   one differs from its at-rest state. *)
 let image_mstate sh ~vts k (e : maux Tree.entry) =
   match e.aux.mstate with
-  | M_cached _ when not (Key.equal k Key.root) -> (
-      match Key.Tbl.find sh.via k with
-      | Via_merkle _ -> M_merkle
-      | Via_blum -> M_blum vts)
+  | M_blum _ when Key_lru.mem sh.lru k -> M_blum vts
   | st -> st
 
 (* The timestamp of [sh]'s virtual evictions: the verifier's, since
@@ -130,7 +127,7 @@ let virtual_evict_ts t sh =
   Timestamp.max sh.clock (Timestamp.first_of_epoch (Atomic.get t.live_epoch))
 
 let mstate_encode buf = function
-  | M_merkle | M_cached _ -> Buffer.add_char buf 'm'
+  | M_merkle -> Buffer.add_char buf 'm'
   | M_blum ts ->
       Buffer.add_char buf 'b';
       Buffer.add_string buf (Timestamp.encode ts)
@@ -266,9 +263,7 @@ let write_tree_image t sh ~path ~base =
         List.iter
           (fun f ->
             let e = Tree.get_exn sh.tree f in
-            match e.aux.mstate with
-            | M_cached _ when not e.changed -> emit f e
-            | M_cached _ | M_merkle | M_blum _ -> ())
+            if Key_lru.mem sh.lru f && not e.changed then emit f e)
           sh.frontier
       end;
       Ckpt_io.write w (Buffer.contents buf))
@@ -477,7 +472,7 @@ let checkpoint t ~dir =
    The enclosing generation was already classified Committed, so any of
    these means the manifest was forged around tampered bytes; the caller
    treats the chain as tampered and refuses to fall back. *)
-let apply_tree_image tree ~sid raw =
+let apply_tree_image tree raw =
   let exception Corrupt of string in
   let fail fmt = Printf.ksprintf (fun e -> raise (Corrupt e)) fmt in
   let pos = ref 0 and n = String.length raw in
@@ -516,9 +511,7 @@ let apply_tree_image tree ~sid raw =
       need 4;
       let owner = Int32.to_int (String.get_int32_le raw !pos) in
       pos := !pos + 4;
-      if Key.equal key Key.root then
-        Tree.set tree key value ~aux:{ mstate = M_cached sid; owner }
-      else Tree.set tree key value ~aux:{ mstate; owner }
+      Tree.set tree key value ~aux:{ mstate; owner }
     done;
     Ok ()
   with Corrupt e -> Error e
@@ -557,8 +550,7 @@ let check_tree_pointers tree =
    from the tip alone; the data and tree images of every link are applied
    in order, and the checks that tie them to the trusted state run once, on
    the result. The shard count and routing boundaries are adopted from the
-   sealed payload — the configuration's [n_shards] only governs fresh
-   systems. *)
+   sealed payload, and the shard count becomes the system's [n_workers]. *)
 let recover_chain ?(config = Config.default) ~gdirs () =
   let ( let* ) = Result.bind in
   let read name gdir =
@@ -631,13 +623,13 @@ let recover_chain ?(config = Config.default) ~gdirs () =
     let rec build acc sid =
       if sid >= n_sh then Ok (Array.of_list (List.rev acc))
       else
-        let tree = Tree.create ~root_aux:{ mstate = M_cached sid; owner = -1 } in
+        let tree = Tree.create ~root_aux:{ mstate = M_merkle; owner = -1 } in
         let* () =
           List.fold_left
             (fun acc gdir ->
               let* () = acc in
               let* raw = read (shard_tree_file sid) gdir in
-              apply_tree_image tree ~sid raw)
+              apply_tree_image tree raw)
             (Ok ()) gdirs
           |> Result.map_error (fun e -> Printf.sprintf "shard %d: %s" sid e)
         in
@@ -651,7 +643,8 @@ let recover_chain ?(config = Config.default) ~gdirs () =
     build [] 0
   in
   let* t =
-    make ~config ~enclave ~shards ~boundaries ~store ~nonces ~sealed
+    make ~config:{ config with Config.n_workers = n_sh } ~enclave ~shards
+      ~boundaries ~store ~nonces ~sealed
       ~loaded:true
       ~live_epoch:(Verifier.current_epoch verifiers.(0))
       ~cold

@@ -23,8 +23,8 @@ let verifier_op_count t =
    and seal also ride the slice ([close_and_seal_shard] below): a shard
    certifies its partition the moment its own migration finishes, without
    waiting for the others. Only the store-level multiset fold remains
-   serial. The coordinator holds every shard's tree and worker lock, so
-   no foreground operation runs while a slice does. *)
+   serial. The coordinator holds every shard's lock, so no foreground
+   operation runs while a slice does. *)
 let scan_shard t ~epoch sh dirty =
   let migrated_data = ref 0 and migrated_frontier = ref 0 in
   let in_enclave len f =
@@ -78,6 +78,15 @@ let scan_shard t ~epoch sh dirty =
         let f = frontier.(i) in
         let entry = Tree.get_exn sh.tree f in
         match entry.aux.mstate with
+        | _ when Key_lru.mem sh.lru f ->
+            (* Cached: it stays resident across the seal. A
+               record cached in epoch [e] contributes nothing further to
+               [e] (its add already balanced the evict that made it
+               cached), and its own eventual eviction — by capacity, or
+               the virtual one a checkpoint's sealed summary records —
+               lands at the live-epoch floor, balanced by that epoch's
+               scan. *)
+            ()
         | M_blum ts when Timestamp.epoch ts <= epoch ->
             ensure_room t sh ();
             ok
@@ -95,16 +104,6 @@ let scan_shard t ~epoch sh dirty =
             (* Already carried into the live epoch by a mid-scan cache
                eviction; the next scan migrates it. *)
             ()
-        | M_cached sid ->
-            (* Cached: it stays resident across the seal. A
-               record cached in epoch [e] contributes nothing further to
-               [e] (its add already balanced the evict that made it
-               cached), and its own eventual eviction — by capacity, or
-               the virtual one a checkpoint's sealed summary records —
-               lands at the live-epoch floor, balanced by that epoch's
-               scan. Only ever cached by its own shard (routing is forced
-               by key). *)
-            assert (sid = sh.sid)
         | M_merkle -> assert false
       done);
   (!migrated_data, !migrated_frontier)
@@ -125,9 +124,9 @@ let close_and_seal_shard t ~epoch sh =
   fold
 
 (* The verification scan (§6.3, §8.1), stop-the-world: the coordinator
-   owns every shard for the whole scan (lock order: tree locks ascending,
-   then worker locks ascending — the same order [merkle_slow] uses, so
-   scans and operations cannot deadlock). The seal flushes every log
+   owns every shard for the whole scan (shard locks ascending; an
+   operation takes only its own shard's lock, so scans and operations
+   cannot deadlock). The seal flushes every log
    buffer, snapshots every dirty set and bumps the live epoch, so a cache
    eviction made by a slice lands in epoch [e+1]; then the per-shard
    slices fan out to real domains (§8.5).

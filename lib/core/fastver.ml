@@ -24,7 +24,7 @@ let create ?(config = Config.default) () =
   match
     make ~config ~enclave
       ~shards:
-        (Array.init (Config.shards config) (fun sid ->
+        (Array.init (max 1 config.n_workers) (fun sid ->
              mk_shard (Verifier.create ~enclave vconfig) sid))
       ~boundaries:[||]
       ~store:(Store.create ?cold ~codec:Store.option_codec ())
@@ -223,7 +223,6 @@ let load t records =
       Tree.bulk_build sh.tree ~algo:t.config.algo
         ~aux:(fun _ _ -> { mstate = M_merkle; owner = -1 })
         (Array.of_list buckets.(sh.sid));
-      set_mstate sh Key.root (Tree.get_exn sh.tree Key.root) (M_cached sh.sid);
       ok
         (Verifier.install_root sh.verifier
            (Tree.get_exn sh.tree Key.root).value))
@@ -284,74 +283,6 @@ let run_ops t gen n =
         ignore (scan t k len);
         i := !i + len)
   done
-
-(* ------------------------------------------------------------------ *)
-(* Sessions                                                            *)
-(* ------------------------------------------------------------------ *)
-
-module Session = struct
-  type session = {
-    sys : t;
-    client_id : int;
-    auth : Auth.key;
-    mutable nonce : int64;
-  }
-
-  let connect t ~client_id =
-    { sys = t; client_id; auth = Auth.key_of_secret t.config.mac_secret; nonce = 0L }
-
-  type 'v receipt = { value : 'v; nonce : int64; epoch : int; mac : string }
-
-  let take_receipt s sh meta ~kind ~key ~value ~nonce =
-    (* The op's receipt cell fills when its log entry flushes; flushing under
-       the shard's worker lock also orders any cell write made by a
-       concurrent domain's scan before this read. *)
-    with_worker_lock s.sys sh.sid (fun () -> flush_worker s.sys sh);
-    match !(meta.receipt) with
-    | None -> raise (Integrity_violation "missing validation receipt")
-    | Some (mac, epoch) ->
-        let expected =
-          Auth.receipt s.auth ~kind ~client:s.client_id ~nonce key value ~epoch
-        in
-        if not (Auth.check ~expected mac) then
-          raise (Integrity_violation "result MAC check failed");
-        (mac, epoch)
-
-  let get s k =
-    check_loaded s.sys;
-    s.nonce <- Int64.succ s.nonce;
-    let nonce = s.nonce in
-    let key = Key.of_int64 k in
-    let meta = mk_meta ~client:s.client_id ~nonce ~mac:"" in
-    let value, sh = process s.sys key (A_get (Some meta)) in
-    let mac, epoch = take_receipt s sh meta ~kind:Auth.Get ~key ~value ~nonce in
-    maybe_verify s.sys;
-    { value; nonce; epoch; mac }
-
-  let put s k v =
-    check_loaded s.sys;
-    s.nonce <- Int64.succ s.nonce;
-    let nonce = s.nonce in
-    let key = Key.of_int64 k in
-    let mac = Auth.put_request s.auth ~client:s.client_id ~nonce key v in
-    let meta = mk_meta ~client:s.client_id ~nonce ~mac in
-    let _, sh = process s.sys key (A_put (Some v, Some meta)) in
-    let mac, epoch =
-      take_receipt s sh meta ~kind:Auth.Put ~key ~value:(Some v) ~nonce
-    in
-    maybe_verify s.sys;
-    { value = (); nonce; epoch; mac }
-
-  let await_certainty s r =
-    while verified_epoch s.sys < r.epoch do
-      (* [verify_pair] reports which epoch the certificate covers — reading
-         the verifier's current epoch separately would race a concurrent
-         scan and check the certificate against the wrong epoch. *)
-      let epoch, cert = verify_pair s.sys in
-      if not (check_epoch_certificate s.sys ~epoch cert) then
-        raise (Integrity_violation "bad epoch certificate")
-    done
-end
 
 (* ------------------------------------------------------------------ *)
 (* Batch submission (network serving path)                             *)
@@ -451,7 +382,7 @@ module Batch = struct
         Array.iteri
           (fun sid sh ->
             if touched.(sid) then
-              with_worker_lock t sid (fun () -> flush_worker t sh))
+              with_shard_lock t sid (fun () -> flush_worker t sh))
           t.shards
       with
       | () -> None
@@ -464,7 +395,7 @@ module Batch = struct
        let fallback_epoch = Atomic.get t.live_epoch in
        List.iter
          (fun p ->
-           (* The flush above took every touched shard's worker lock, which
+           (* The flush above took every touched shard's lock, which
               also orders any receipt-cell write made by a concurrent
               domain's verification scan before these reads. *)
            match p.p_meta with
@@ -489,6 +420,73 @@ module Batch = struct
       (fun i reply ->
         match errors.(i) with Some e -> Failed e | None -> reply)
       replies
+end
+
+(* ------------------------------------------------------------------ *)
+(* Sessions                                                            *)
+(* ------------------------------------------------------------------ *)
+
+module Session = struct
+  type session = {
+    sys : t;
+    client_id : int;
+    auth : Auth.key;
+    mutable nonce : int64;
+  }
+
+  let connect t ~client_id =
+    { sys = t; client_id; auth = Auth.key_of_secret t.config.mac_secret; nonce = 0L }
+
+  type 'v receipt = { value : 'v; nonce : int64; epoch : int; mac : string }
+
+  (* One op as a one-op batch, which flushes its shard's log and collects
+     the receipt; the session then checks the receipt MAC as a client
+     would. *)
+  let submit (s : session) ~kind ~nonce k op =
+    match (Batch.submit s.sys [| op |]).(0) with
+    | Batch.Failed e -> raise (Integrity_violation e)
+    | Batch.Scanned _ -> assert false
+    | Batch.Got item | Batch.Put_done item ->
+        if item.imac = "" then
+          raise (Integrity_violation "missing validation receipt");
+        let expected =
+          Auth.receipt s.auth ~kind ~client:s.client_id ~nonce
+            (Key.of_int64 k) item.ivalue ~epoch:item.iepoch
+        in
+        if not (Auth.check ~expected item.imac) then
+          raise (Integrity_violation "result MAC check failed");
+        item
+
+  let get (s : session) k =
+    s.nonce <- Int64.succ s.nonce;
+    let nonce = s.nonce in
+    let item =
+      submit s ~kind:Auth.Get ~nonce k
+        (Batch.Get { client = s.client_id; nonce; key = k })
+    in
+    { value = item.ivalue; nonce; epoch = item.iepoch; mac = item.imac }
+
+  let put (s : session) k v =
+    s.nonce <- Int64.succ s.nonce;
+    let nonce = s.nonce in
+    let mac =
+      Auth.put_request s.auth ~client:s.client_id ~nonce (Key.of_int64 k) v
+    in
+    let item =
+      submit s ~kind:Auth.Put ~nonce k
+        (Batch.Put { client = s.client_id; nonce; mac; key = k; value = Some v })
+    in
+    { value = (); nonce; epoch = item.iepoch; mac = item.imac }
+
+  let await_certainty s r =
+    while verified_epoch s.sys < r.epoch do
+      (* [verify_pair] reports which epoch the certificate covers — reading
+         the verifier's current epoch separately would race a concurrent
+         scan and check the certificate against the wrong epoch. *)
+      let epoch, cert = verify_pair s.sys in
+      if not (check_epoch_certificate s.sys ~epoch cert) then
+        raise (Integrity_violation "bad epoch certificate")
+    done
 end
 
 let checkpoint = Durability.checkpoint
@@ -559,9 +557,9 @@ module Parallel = struct
   let run_ycsb t ~spec ~db_size ~ops_per_worker =
     check_loaded t;
     let open Fastver_workload in
-    (* Driver domains: [n_workers] of them. Each operation still routes to
-       its key's shard — the domains only generate and drive traffic. *)
-    let n = max 1 t.config.n_workers in
+    (* One driver domain per shard. Each operation still routes to its
+       key's shard — the domains only generate and drive traffic. *)
+    let n = Array.length t.shards in
     let failures = Array.make n None in
     let body wid () =
       let gen =
@@ -636,8 +634,12 @@ module Testing = struct
     Array.iter
       (fun sh ->
         Tree.iter sh.tree (fun k e ->
-            if !found = None && (not (Key.equal k Key.root)) then
-              match e.aux.mstate with M_merkle -> found := Some k | _ -> ()))
+            if
+              !found = None
+              && (not (Key.equal k Key.root))
+              && e.aux.mstate = M_merkle
+              && not (Key_lru.mem sh.lru k)
+            then found := Some k))
       t.shards;
     !found
 
@@ -659,7 +661,6 @@ module Testing = struct
           match Durability.image_mstate sh ~vts k e with
           | M_merkle -> "merkle"
           | M_blum ts -> Printf.sprintf "blum %Ld" ts
-          | M_cached _ -> "cached"
         in
         acc := (k, e.value, st, e.aux.owner) :: !acc);
     List.sort (fun (a, _, _, _) (b, _, _, _) -> Key.compare a b) !acc
@@ -668,11 +669,28 @@ module Testing = struct
     Array.fold_left
       (fun (dirty, stale) sh ->
         ( dirty + sh.dirty_len,
-          Key.Tbl.fold
-            (fun _ via n ->
-              match via with Via_merkle { stale = true; _ } -> n + 1 | _ -> n)
-            sh.via stale ))
+          let n = ref stale in
+          Key_lru.iter sh.lru (fun e ->
+              match Key_lru.payload e with
+              | Via_merkle { stale = true; _ } -> incr n
+              | Via_merkle _ | Via_blum -> ());
+          !n ))
       (0, 0) t.shards
+
+  let residency t sid =
+    let sh = t.shards.(sid) in
+    let entries = ref [] in
+    Key_lru.iter sh.lru (fun e ->
+        let k = Key_lru.key e in
+        let parent =
+          match Key_lru.payload e with
+          | Via_merkle m -> Some m.parent
+          | Via_blum -> None
+        in
+        entries :=
+          (k, Verifier.cached sh.verifier k <> None, Key_lru.children e, parent)
+          :: !entries);
+    (Verifier.cache_size sh.verifier - 1, !entries)
 
   let drain_caches t =
     with_lock t.verify_mutex @@ fun () ->
@@ -694,11 +712,10 @@ module Testing = struct
       (Tree.descend sh.tree key).path
 
   (* Lock-order assertion hooks: with enforcement on, every acquisition in
-     the core checks the documented order — shard tree locks ascending,
-     then worker locks ascending, with [cold_lock] as an annotated leaf —
-     and these helpers let tests provoke violations directly. *)
+     the core checks the documented order — shard locks ascending, with
+     [cold_lock] as an annotated leaf — and these helpers let tests provoke
+     violations directly. *)
   let enforce_lock_order on = Atomic.set Lock_order.enforce on
   let with_shard_lock t sid f = with_shard_lock t sid f
-  let with_worker_lock t wid f = with_worker_lock t wid f
   let with_cold_lock t f = with_cold_lock t f
 end

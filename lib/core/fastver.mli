@@ -3,11 +3,12 @@
     A {!t} couples the untrusted host machinery — a FASTER-style store for
     data records, per-shard Patricia sparse-Merkle-tree stores for merkle
     records, per-shard verification-log buffers — with the in-enclave
-    verifier. The key space is partitioned into [Config.shards] independent
-    {e shards} (range partitions by data key, boundaries chosen from the
-    loaded key distribution and sealed with the verifier state): each shard
-    owns its own Merkle tree, verifier thread, dirty set, frontier cut and
-    epoch clock, guarded by its own locks, so operations and verification
+    verifier. The key space is partitioned into [Config.n_workers]
+    independent {e shards} (range partitions by data key, boundaries chosen
+    from the loaded key distribution and sealed with the verifier state):
+    each shard owns its own Merkle tree, verifier thread, dirty set,
+    frontier cut and epoch clock, guarded by its own lock, so operations
+    and verification
     slices on different shards never contend. Every get/put is validated by
     its shard's verifier using the hybrid scheme of §6:
 
@@ -113,8 +114,8 @@ end
 (** {2 Batch submission}
 
     The serving-path entry point ([lib/net]): a whole batch of decoded
-    client requests is driven through the worker loop, then every worker's
-    verification-log buffer is drained through the enclave {e once} —
+    client requests is driven through the worker loop, then the
+    verification-log buffer of every shard the batch touched is drained through the enclave {e once} —
     amortising transition cost over the batch exactly as §7 amortises
     ecalls — and the per-operation validation receipts are collected
     afterwards from per-operation receipt cells (safe under concurrent
@@ -178,8 +179,8 @@ val owner_of_key : t -> int64 -> int
     shard's locks. *)
 
 val n_shards : t -> int
-(** Number of verifier shards (= [Config.shards config] for a fresh system;
-    adopted from the sealed checkpoint payload after {!recover}). *)
+(** Number of verifier shards: [max 1 config.n_workers] for a fresh
+    system, adopted from the sealed checkpoint payload after {!recover}. *)
 
 (** {2 Verification} *)
 
@@ -189,7 +190,7 @@ val verify : t -> string
     and aggregate the shard folds into the store-level epoch certificate,
     which is returned.
 
-    With [n_shards > 1] the scan is parallel end-to-end: each shard's
+    With more than one shard the scan is parallel end-to-end: each shard's
     sorted dirty set, frontier migration, epoch close and shard seal run on
     the shard's own spawned domain (slice timings land in [worker_busy_s]
     and [fastver_verify_shard_seconds]); only the O(shards) fold
@@ -197,8 +198,7 @@ val verify : t -> string
     folds are order-independent, so the certificate is bit-identical to the
     1-shard scan's.
 
-    The scan stops the world: it holds every shard's tree and worker lock
-    from the seal to the certificate, so gets and puts on any shard wait
+    The scan stops the world: it holds every shard's lock from the seal to the certificate, so gets and puts on any shard wait
     for the whole scan ([fastver_verify_pause_seconds]). *)
 
 val live_epoch : t -> int
@@ -265,7 +265,7 @@ val recover : ?config:Config.t -> dir:string -> unit -> (t, string) result
     enclave's rollback-protected sealed slot, and the data version the
     chain produces must match every sealed shard summary's verified epoch.
     The shard count and routing boundaries are adopted from the sealed
-    payload ([config.n_shards] only governs fresh systems); a payload from
+    payload, and the shard count replaces [config.n_workers]; a payload from
     a pre-sharding release is rejected with an explicit [Error _], and so
     are verifier caches that do not fit the trusted-memory budget (as in
     {!create}, for the adopted shard count). Total on
@@ -322,7 +322,7 @@ val clear_auto_checkpoint : t -> unit
 
     A replication primary installs two hooks. [on_op] fires for every
     applied put ([value = Some _]) or delete ([value = None]), tagged with
-    the epoch the op folded into, under the owning shard's worker lock — so
+    the epoch the op folded into, under the owning shard's lock — so
     per-key stream order equals apply order, and every op tagged epoch [e]
     fires before [on_seal] can fire for [e]. [on_seal] fires once per
     verified epoch, in epoch order, carrying the store-level certificate
@@ -435,9 +435,10 @@ val enclave_handle : t -> Fastver_enclave.Enclave.t
     The paper's thread model (§5.3, §7): each worker is an OS thread paired
     with its own verifier thread; workers race compare-and-swaps on shared
     records (Example 5.2) and interact only through the store, the Merkle
-    tree (coarse lock) and stop-the-world verification scans. Here workers
-    are OCaml domains, and each operation routes to its key's shard, whose
-    single verifier stands in for the paper's per-worker verifier thread.
+    tree (coarse lock) and stop-the-world verification scans. Here a
+    worker is a shard: [run_ycsb] drives one OCaml domain per shard, each
+    operation routes to its key's shard, and the shard's single verifier
+    stands in for the paper's per-worker verifier thread.
     This is the real shared-memory runtime — on a multi-core machine it
     parallelises; the benchmarks use the modelled variant
     ({!Fastver_simthreads}) because the reproduction container has one
@@ -452,8 +453,8 @@ module Parallel : sig
   val run_ycsb :
     t -> spec:Fastver_workload.Ycsb.spec -> db_size:int ->
     ops_per_worker:int -> unit
-  (** Drive [ops_per_worker] YCSB operations through every worker
-      concurrently, honouring [config.batch_size] verification scans.
+  (** Drive [ops_per_worker] YCSB operations from each of {!n_shards}
+      domains concurrently, honouring [config.batch_size] verification scans.
       Per-worker generator seeds are derived by mixing the worker id
       through a SplitMix64 finaliser, so any two configured seeds produce
       disjoint per-worker streams (a plain [seed + wid * k] collides for
@@ -482,21 +483,28 @@ module Testing : sig
   (** Flip a hash inside a stored merkle record. *)
 
   val some_merkle_key : t -> Key.t option
-  (** Any currently merkle-protected internal record. *)
+  (** Any currently merkle-protected internal record that is not in its
+      shard's verifier cache. *)
 
   val store_contents : t -> (Key.t * string option * int64) list
   (** Every live data record — key, value, aux — sorted by key. *)
 
   val tree_entries : t -> int -> (Key.t * Value.t * string * int) list
   (** Shard [sid]'s merkle records — key, value, protection state
-      (["merkle"], ["blum <ts>"], or ["cached"] for the pinned root) and
-      owner — sorted by key. A record in the verifier cache has the state a
+      (["merkle"] or ["blum <ts>"]) and owner — sorted by key. A record in the verifier cache has the state a
       checkpoint taken now would record for it. *)
 
   val pending : t -> int * int
   (** Summed over shards: the records on the dirty lists (handed to
       deferred verification since the last scan) and the cached Merkle
       records marked stale. *)
+
+  val residency : t -> int -> int * (Key.t * bool * int * Key.t option) list
+  (** Shard [sid]'s verifier cache as the host records it: the number of
+      records the shard's verifier holds besides the pinned root, and for
+      each entry of the host's record its key, whether the verifier holds
+      it, its count of cached children, and its pointing parent ([None]
+      for a frontier record added via blum). *)
 
   val drain_caches : t -> unit
   (** Evict every cached record of every shard, children first, into the
@@ -514,14 +522,13 @@ module Testing : sig
 
   val enforce_lock_order : bool -> unit
   (** Globally enable the lock-order shadow: every lock acquisition in the
-      core checks the documented order — shard tree locks in ascending
-      shard id, then worker locks in ascending id, with [cold_lock] as a
-      leaf (it may be taken under tree/worker locks but nothing may be
-      taken under it) — and raises [Invalid_argument] naming both locks on a violation. Off
-      by default (one atomic load per lock operation when off). *)
+      core checks the documented order — shard locks in ascending shard
+      id, with [cold_lock] as a leaf (it may be taken under shard locks
+      but nothing may be taken under it) — and raises [Invalid_argument]
+      naming both locks on a violation. Off by default (one atomic load per
+      lock operation when off). *)
 
   val with_shard_lock : t -> int -> (unit -> 'a) -> 'a
-  val with_worker_lock : t -> int -> (unit -> 'a) -> 'a
   val with_cold_lock : t -> (unit -> 'a) -> 'a
   (** Order-checked lock acquisition, exposed so tests can provoke
       violations deliberately. *)

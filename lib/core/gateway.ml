@@ -29,7 +29,7 @@ let gateway_receipt t ~kind key value meta =
   match meta with
   | Some m when t.config.authenticate_clients ->
       (* The epoch this op folds into. Receipts are stamped under the
-         shard's worker lock, which a scan holds from its seal to its
+         shard's lock, which a scan holds from its seal to its
          close, so this is never an epoch the scan has sealed. *)
       let epoch = Atomic.get t.live_epoch in
       let mac =

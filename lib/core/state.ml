@@ -14,9 +14,11 @@ let aux_blum ts = Int64.logor Int64.min_int ts
 let aux_is_blum aux = Int64.compare aux 0L < 0
 let aux_timestamp aux = Int64.logand aux Int64.max_int
 
-(* Host-side protection state of merkle records. [M_cached sid] names the
-   shard whose (single) verifier thread holds the record. *)
-type mstate = M_merkle | M_blum of Timestamp.t | M_cached of int
+(* Host-side at-rest protection state of merkle records: the state a
+   record is in whenever its shard's verifier cache does not hold it.
+   Residency is the shard's [lru]; a cached record keeps the state it was
+   added from. The pinned root is [M_merkle]. *)
+type mstate = M_merkle | M_blum of Timestamp.t
 
 type maux = { mstate : mstate; owner : int }
 (** [owner >= 0] marks a frontier record and names its shard. Immutable:
@@ -46,29 +48,27 @@ type entry =
   | E_vget of Key.t * string option * meta option
   | E_vput of Key.t * string option * meta option
 
-(* The host mirror of a record in a shard's verifier cache. One added via
-   merkle names its pointing parent and mirrors the verifier's staleness:
-   its value changed since its hash was last stored at that parent, so a
-   checkpoint must write it back. One added via blum is a frontier record,
-   with no parent in the verifier. *)
+(* How a record in a shard's verifier cache got there: the payload of its
+   [lru] entry. One added via merkle names its pointing parent and mirrors
+   the verifier's staleness: its value changed since its hash was last
+   stored at that parent, so a checkpoint must write it back. One added via
+   blum is a frontier record, with no parent in the verifier. *)
 type cached_merkle = { mutable parent : Key.t; mutable stale : bool }
 type cached = Via_blum | Via_merkle of cached_merkle
 
 (* One keyspace partition: its own Merkle tree, its own single-threaded
-   verifier (tid is always 0), its own dirty set, frontier and epoch
-   clock — and its own pair of locks, so partitions never contend. The
-   worker-side mirror state (lru/via/log) lives here too: shard
-   routing is forced by key, so a shard {e is} its worker. *)
+   verifier, its own dirty set, frontier and epoch clock — and its own
+   lock, so partitions never contend. The worker-side mirror state
+   (lru/log) lives here too: routing is forced by key, so a shard {e is}
+   its worker. *)
 type shard = {
   sid : int;
   tree : maux Tree.t; (* this partition's merkle records *)
   verifier : Verifier.t; (* sharing the system enclave *)
-  tree_lock : Mutex.t;
-  worker_lock : Mutex.t;
+  lock : Mutex.t; (* guards everything below, the tree and the verifier *)
   mutable frontier : Key.t list; (* this shard's frontier merkle keys *)
   mutable clock : Timestamp.t; (* exact mirror of the verifier thread clock *)
-  lru : Key_lru.t; (* mirror of the merkle records in the verifier cache *)
-  via : cached Key.Tbl.t; (* the same records, by key *)
+  lru : cached Key_lru.t; (* the merkle records in the verifier cache *)
   mutable log : entry list; (* buffered verifier calls, newest first *)
   mutable log_len : int;
   mutable dirty : Key.t list; (* data keys handed to blum this epoch *)
@@ -92,10 +92,10 @@ type acc = {
 }
 
 (* Replication tee. [on_op] fires for every applied put/delete, under the
-   owning shard's worker lock at the instant the op folds into its epoch —
+   owning shard's lock at the instant the op folds into its epoch —
    so for any single key the stream order equals the apply order, and every
    op tagged epoch [e] is teed before [on_seal] can fire for [e] (the seal
-   barrier holds all worker locks). [on_seal] fires once per verified epoch,
+   barrier holds all shard locks). [on_seal] fires once per verified epoch,
    in epoch order (serialized by [verify_mutex]), with the store-level
    certificate. Hooks must be lock-free leaf code: they run under core
    locks. *)
@@ -123,7 +123,7 @@ type t = {
   enclave : Enclave.t;
   shards : shard array;
   mutable boundaries : Key.t array;
-      (* [n_shards - 1] sorted data keys partitioning the keyspace into
+      (* [shards - 1] sorted data keys partitioning the keyspace into
          ranges; shard [i] owns keys in [boundaries.(i-1), boundaries.(i)).
          Computed from key quantiles at load time and sealed inside the
          enclave payload at checkpoint: routing decides which shard proves
@@ -269,18 +269,16 @@ let mk_shard ?tree verifier sid =
   let tree =
     match tree with
     | Some tr -> tr
-    | None -> Tree.create ~root_aux:{ mstate = M_cached sid; owner = -1 }
+    | None -> Tree.create ~root_aux:{ mstate = M_merkle; owner = -1 }
   in
   {
     sid;
     tree;
     verifier;
-    tree_lock = Mutex.create ();
-    worker_lock = Mutex.create ();
+    lock = Mutex.create ();
     frontier = [];
     clock = Verifier.clock verifier;
     lru = Key_lru.create ();
-    via = Key.Tbl.create 64;
     log = [];
     log_len = 0;
     dirty = [];
@@ -365,9 +363,9 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* Shadow of the documented lock order — shard tree locks in ascending sid,
-   then worker locks in ascending sid ([merkle_slow], [verify_inner] and
-   [checkpoint] all follow it); [cold_lock] comes after the world (it may
+(* Shadow of the documented lock order: shard locks in ascending sid
+   ([merkle_slow], [blum_fast] and the receipt flushes take one,
+   [lock_world] takes them all); [cold_lock] comes after the world (it may
    be taken under the world lock) and is a leaf: nothing is acquired while
    it is held. Each domain tracks what it holds in domain-local state;
    enforcement is off by default (a single [Atomic.get] per lock
@@ -375,61 +373,31 @@ let with_lock m f =
    [Testing.enforce_lock_order]. A violation raises [Invalid_argument] at
    the acquisition that breaks the order, naming both locks. *)
 module Lock_order = struct
-  type held = {
-    mutable trees : int list; (* desc *)
-    mutable workers : int list; (* desc *)
-    mutable cold : bool;
-  }
+  type held = { mutable shards : int list; (* desc *) mutable cold : bool }
 
   let enforce = Atomic.make false
-
-  let dls =
-    Domain.DLS.new_key (fun () -> { trees = []; workers = []; cold = false })
-
+  let dls = Domain.DLS.new_key (fun () -> { shards = []; cold = false })
   let fail fmt = Printf.ksprintf invalid_arg ("lock order: " ^^ fmt)
 
   (* [cold_lock] is a leaf: nothing further may be acquired under it. *)
   let check_leaf h what =
     if h.cold then fail "%s requested while holding cold_lock" what
 
-  let note_tree_lock sid =
+  let note_shard_lock sid =
     if Atomic.get enforce then begin
       let h = Domain.DLS.get dls in
-      check_leaf h (Printf.sprintf "shard tree lock %d" sid);
-      (match h.workers with
-      | wid :: _ ->
-          fail "shard tree lock %d requested while holding worker lock %d" sid
-            wid
-      | [] -> ());
-      (match h.trees with
+      check_leaf h (Printf.sprintf "shard lock %d" sid);
+      (match h.shards with
       | top :: _ when top >= sid ->
-          fail "shard tree lock %d requested while holding shard tree lock %d"
-            sid top
+          fail "shard lock %d requested while holding shard lock %d" sid top
       | _ -> ());
-      h.trees <- sid :: h.trees
+      h.shards <- sid :: h.shards
     end
 
-  let note_tree_unlock sid =
+  let note_shard_unlock sid =
     if Atomic.get enforce then begin
       let h = Domain.DLS.get dls in
-      h.trees <- List.filter (fun s -> s <> sid) h.trees
-    end
-
-  let note_worker_lock wid =
-    if Atomic.get enforce then begin
-      let h = Domain.DLS.get dls in
-      check_leaf h (Printf.sprintf "worker lock %d" wid);
-      (match h.workers with
-      | top :: _ when top >= wid ->
-          fail "worker lock %d requested while holding worker lock %d" wid top
-      | _ -> ());
-      h.workers <- wid :: h.workers
-    end
-
-  let note_worker_unlock wid =
-    if Atomic.get enforce then begin
-      let h = Domain.DLS.get dls in
-      h.workers <- List.filter (fun w -> w <> wid) h.workers
+      h.shards <- List.filter (fun s -> s <> sid) h.shards
     end
 
   (* Acquirable under the world lock (checkpoint commits the cold manifest
@@ -446,21 +414,12 @@ module Lock_order = struct
 end
 
 let with_shard_lock t sid f =
-  Lock_order.note_tree_lock sid;
-  Mutex.lock t.shards.(sid).tree_lock;
+  Lock_order.note_shard_lock sid;
+  Mutex.lock t.shards.(sid).lock;
   Fun.protect
     ~finally:(fun () ->
-      Mutex.unlock t.shards.(sid).tree_lock;
-      Lock_order.note_tree_unlock sid)
-    f
-
-let with_worker_lock t wid f =
-  Lock_order.note_worker_lock wid;
-  Mutex.lock t.shards.(wid).worker_lock;
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.unlock t.shards.(wid).worker_lock;
-      Lock_order.note_worker_unlock wid)
+      Mutex.unlock t.shards.(sid).lock;
+      Lock_order.note_shard_unlock sid)
     f
 
 let with_cold_lock t f =
@@ -473,30 +432,19 @@ let with_cold_lock t f =
     f
 
 (* Stop-the-world acquisition (verification scans, checkpoints): every
-   shard tree lock in ascending sid, then every worker lock in ascending
-   sid — the same order [merkle_slow] uses for its single shard. *)
+   shard lock in ascending sid. *)
 let lock_world t =
   Array.iter
     (fun sh ->
-      Lock_order.note_tree_lock sh.sid;
-      Mutex.lock sh.tree_lock)
-    t.shards;
-  Array.iter
-    (fun sh ->
-      Lock_order.note_worker_lock sh.sid;
-      Mutex.lock sh.worker_lock)
+      Lock_order.note_shard_lock sh.sid;
+      Mutex.lock sh.lock)
     t.shards
 
 let unlock_world t =
   Array.iter
     (fun sh ->
-      Mutex.unlock sh.worker_lock;
-      Lock_order.note_worker_unlock sh.sid)
-    t.shards;
-  Array.iter
-    (fun sh ->
-      Mutex.unlock sh.tree_lock;
-      Lock_order.note_tree_unlock sh.sid)
+      Mutex.unlock sh.lock;
+      Lock_order.note_shard_unlock sh.sid)
     t.shards
 
 let now = Fastver_obs.Span.now

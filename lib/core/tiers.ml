@@ -9,9 +9,12 @@ open Gateway
 
 (* A cached-via-merkle record's value just changed. *)
 let mark_stale sh k =
-  match Key.Tbl.find_opt sh.via k with
-  | Some (Via_merkle m) -> m.stale <- true
-  | Some Via_blum | None -> ()
+  match Key_lru.find sh.lru k with
+  | Some e -> (
+      match Key_lru.payload e with
+      | Via_merkle m -> m.stale <- true
+      | Via_blum -> ())
+  | None -> ()
 
 (* Update the host copy of [parent]'s slot with a pointer computed and
    returned by the verifier (the eviction hand-back of §4.3). A slot that
@@ -51,23 +54,23 @@ let decr_parent_children sh parent =
   | Some pe -> Key_lru.decr_children pe
   | None -> assert (Key.equal parent Key.root)
 
-(* Evict one merkle record from the verifier cache (and its mirror). *)
+(* Evict one merkle record from the verifier cache (and its mirror). A
+   record added via merkle was [M_merkle] at rest all along, so only a
+   blum eviction rewrites the tree entry. *)
 let evict_mirror _t sh e ~epoch_floor =
   let k = Key_lru.key e in
   assert (Key_lru.children e = 0);
-  (match Key.Tbl.find sh.via k with
+  (match Key_lru.payload e with
   | Via_merkle { parent; _ } ->
       let ptr = ok (Verifier.evict_m sh.verifier ~key:k ~parent) in
       apply_ptr sh parent ptr;
-      decr_parent_children sh parent;
-      set_mstate sh k (Tree.get_exn sh.tree k) M_merkle
+      decr_parent_children sh parent
   | Via_blum ->
       let ts' = Timestamp.max sh.clock (Timestamp.first_of_epoch epoch_floor) in
       ok (Verifier.evict_b sh.verifier ~key:k ~timestamp:ts');
       sh.clock <- ts';
       set_mstate sh k (Tree.get_exn sh.tree k) (M_blum ts'));
-  Key_lru.remove sh.lru e;
-  Key.Tbl.remove sh.via k
+  Key_lru.remove sh.lru e
 
 (* Empty [sh]'s verifier cache, children first, landing every blum
    re-eviction at [epoch_floor]. Only the end of [load]'s frontier install
@@ -85,11 +88,10 @@ let drain_cache t sh ~epoch_floor =
 let write_back sh =
   let by_depth = Array.make Key.max_depth [] in
   let push k m = by_depth.(Key.depth k) <- (k, m) :: by_depth.(Key.depth k) in
-  Key.Tbl.iter
-    (fun k -> function
-      | Via_merkle m when m.stale -> push k m
-      | Via_merkle _ | Via_blum -> ())
-    sh.via;
+  Key_lru.iter sh.lru (fun e ->
+      match Key_lru.payload e with
+      | Via_merkle m when m.stale -> push (Key_lru.key e) m
+      | Via_merkle _ | Via_blum -> ());
   for d = Key.max_depth - 1 downto 1 do
     List.iter
       (fun (k, (m : cached_merkle)) ->
@@ -97,7 +99,7 @@ let write_back sh =
         let ptr =
           ok (Verifier.flush_m sh.verifier ~key:k ~parent:m.parent)
         in
-        (match Key.Tbl.find_opt sh.via m.parent with
+        (match Option.map Key_lru.payload (Key_lru.find sh.lru m.parent) with
         | Some (Via_merkle pm) when not pm.stale -> push m.parent pm
         | Some (Via_merkle _ | Via_blum) | None -> ());
         apply_ptr sh m.parent ptr)
@@ -143,11 +145,6 @@ let ensure_chain ?loaded t sh path =
         match (maux sh k).mstate with
         | M_blum _ -> i
         | M_merkle -> find_anchor (i - 1)
-        | M_cached sid ->
-            raise
-              (Integrity_violation
-                 (Fmt.str "routing: %a marked cached in shard %d but absent \
-                           from its mirror" Key.pp k sid))
   in
   let anchor = find_anchor (n - 1) in
   if anchor < 0 then
@@ -168,9 +165,7 @@ let ensure_chain ?loaded t sh path =
                 (Verifier.add_b sh.verifier ~key:k ~value:entry.value
                    ~timestamp:ts);
               mirror_add_b sh ts;
-              ignore (Key_lru.add sh.lru k);
-              Key.Tbl.replace sh.via k Via_blum;
-              set_mstate sh k entry (M_cached sh.sid)
+              ignore (Key_lru.add sh.lru k Via_blum)
           | M_merkle ->
               note_load ();
               let parent = arr.(j - 1) in
@@ -181,13 +176,11 @@ let ensure_chain ?loaded t sh path =
                      ~value:entry.value ~parent)
               in
               assert (installed = None);
-              ignore (Key_lru.add sh.lru k);
-              Key.Tbl.replace sh.via k (Via_merkle { parent; stale = false });
-              (match Key_lru.find sh.lru parent with
+              ignore
+                (Key_lru.add sh.lru k (Via_merkle { parent; stale = false }));
+              match Key_lru.find sh.lru parent with
               | Some pe -> Key_lru.incr_children pe
-              | None -> assert (Key.equal parent Key.root));
-              set_mstate sh k entry (M_cached sh.sid)
-          | M_cached _ -> assert false)
+              | None -> assert (Key.equal parent Key.root))
   done;
   arr.(n - 1)
 
@@ -267,14 +260,13 @@ let defer_data t sh key parent new_v =
   repl_op t ~epoch:(Timestamp.epoch ts') ~key ~value:new_v
 
 (* Slow path: the record is merkle-protected (not yet written this epoch),
-   or absent. Pays the chain from the nearest blum anchor (§6). Takes the
-   shard's tree lock, then its worker lock; if the record turned
-   blum-protected while we raced for the locks (another domain's first
-   write), returns [None] and the caller retries on the fast path. *)
+   or absent. Pays the chain from the nearest blum anchor (§6). Holds the
+   shard's lock across the descent and the verification; if the record
+   turned blum-protected while we raced for the lock (another domain's
+   first write), returns [None] and the caller retries on the fast path. *)
 let merkle_slow t sh key action =
   with_shard_lock t sh.sid @@ fun () ->
   let descent = Tree.descend sh.tree key in
-  with_worker_lock t sh.sid @@ fun () ->
   match ok (Store.get t.store key) with
   | Some (_, aux) when aux_is_blum aux -> None
   | store_state ->
@@ -358,13 +350,13 @@ let merkle_slow t sh key action =
                    ~value:node_value ~parent)
             in
             Tree.set sh.tree node_key node_value
-              ~aux:{ mstate = M_cached sh.sid; owner = -1 };
+              ~aux:{ mstate = M_merkle; owner = -1 };
             (match installed with
             | Some ptr -> apply_ptr sh parent ptr
             | None -> assert false);
-            ignore (Key_lru.add sh.lru node_key);
-            Key.Tbl.replace sh.via node_key
-              (Via_merkle { parent; stale = false });
+            ignore
+              (Key_lru.add sh.lru node_key
+                 (Via_merkle { parent; stale = false }));
             (match Key_lru.find sh.lru parent with
             | Some pe -> Key_lru.incr_children pe
             | None -> assert (Key.equal parent Key.root));
@@ -372,7 +364,7 @@ let merkle_slow t sh key action =
                parent is now the new node. One cached via blum (a frontier
                record) has no parent in the verifier and counts as nobody's
                child. *)
-            (match Key.Tbl.find_opt sh.via pointee with
+            (match Option.map Key_lru.payload (Key_lru.find sh.lru pointee) with
             | Some (Via_merkle m) ->
                 m.parent <- node_key;
                 decr_parent_children sh parent;
@@ -411,7 +403,7 @@ let rec process_inner t key action =
       match ok (Store.get t.store key) with
       | Some (cur, aux) when aux_is_blum aux -> (
           match
-            with_worker_lock t sh.sid (fun () ->
+            with_shard_lock t sh.sid (fun () ->
                 blum_fast t sh key cur (aux_timestamp aux) action)
           with
           | value -> (value, sh)

@@ -39,7 +39,6 @@ val alloc_trusted : t -> int -> unit
 val memory_budget : t -> int
 (** The trusted-memory budget in bytes. *)
 
-val free_trusted : t -> int -> unit
 val trusted_bytes_in_use : t -> int
 
 exception Out_of_enclave_memory

@@ -16,7 +16,7 @@ type 'v body =
   | In_memory of { mutable value : 'v; mutable aux : int64 }
   | Cold_ref of { cref : Cold.rref; aux : int64 }
 
-type 'v slot = { key : Key.t; mutable body : 'v body; prev : int }
+type 'v slot = { key : Key.t; mutable body : 'v body }
 
 let aux_of_body = function
   | In_memory { aux; _ } | Cold_ref { aux; _ } -> aux
@@ -206,14 +206,10 @@ let install t key value aux =
       (match Key.Tbl.find_opt t.index key with
       | Some prev ->
           bump t.stats.a_rcu_copies;
-          note_dead_body t (slot t prev).body;
-          let addr = append t { key; body = In_memory { value; aux }; prev } in
-          Key.Tbl.replace t.index key addr
-      | None ->
-          let addr =
-            append t { key; body = In_memory { value; aux }; prev = -1 }
-          in
-          Key.Tbl.replace t.index key addr)
+          note_dead_body t (slot t prev).body
+      | None -> ());
+      Key.Tbl.replace t.index key
+        (append t { key; body = In_memory { value; aux } })
 
 let put t key value ~aux =
   with_stripe t key (fun () -> install t key value aux)
@@ -437,7 +433,7 @@ let checkpoint t ~path ~version =
 let load_body t key body =
   match Key.Tbl.find_opt t.index key with
   | Some addr -> (slot t addr).body <- body
-  | None -> Key.Tbl.replace t.index key (append t { key; body; prev = -1 })
+  | None -> Key.Tbl.replace t.index key (append t { key; body })
 
 (* Every length and count read from disk is validated against the bytes
    actually remaining in the file before it is used for allocation or

@@ -1,17 +1,18 @@
 (* Doubly-linked intrusive list plus a key index. The list head is the
    most-recently-used end. *)
 
-type entry = {
+type 'a entry = {
   key : Key.t;
+  payload : 'a;
   mutable children : int;
-  mutable prev : entry option; (* towards MRU *)
-  mutable next : entry option; (* towards LRU *)
+  mutable prev : 'a entry option; (* towards MRU *)
+  mutable next : 'a entry option; (* towards LRU *)
 }
 
-type t = {
-  index : entry Key.Tbl.t;
-  mutable head : entry option; (* MRU *)
-  mutable tail : entry option; (* LRU *)
+type 'a t = {
+  index : 'a entry Key.Tbl.t;
+  mutable head : 'a entry option; (* MRU *)
+  mutable tail : 'a entry option; (* LRU *)
 }
 
 let create () = { index = Key.Tbl.create 64; head = None; tail = None }
@@ -35,9 +36,9 @@ let push_front t e =
   (match t.head with Some h -> h.prev <- Some e | None -> t.tail <- Some e);
   t.head <- Some e
 
-let add t k =
+let add t k payload =
   if Key.Tbl.mem t.index k then invalid_arg "Key_lru.add: present";
-  let e = { key = k; children = 0; prev = None; next = None } in
+  let e = { key = k; payload; children = 0; prev = None; next = None } in
   Key.Tbl.replace t.index k e;
   push_front t e;
   e
@@ -50,7 +51,9 @@ let remove t e =
   unlink t e;
   Key.Tbl.remove t.index e.key
 
+let iter t f = Key.Tbl.iter (fun _ e -> f e) t.index
 let key e = e.key
+let payload e = e.payload
 let children e = e.children
 let incr_children e = e.children <- e.children + 1
 

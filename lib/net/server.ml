@@ -82,7 +82,7 @@ type peer = {
 
 type conn = peer Reactor.conn
 
-(* One executor batch: data operations for a single owning worker, run
+(* One executor batch: data operations for a single owning shard, run
    through [Fastver.Batch.submit] off the I/O domain, as (wire nonce, op,
    reply slot) triples. Executors never see a [conn] or an fd — they only
    fill the reply slots. *)
@@ -127,9 +127,8 @@ let create ?(config = default_config) sys ~listen =
   | Error e -> Error e
   | Ok reactor ->
       let pool =
-        (* One executor per verifier shard: batches are grouped by
-           {!Fastver.owner_of_key}, which names shards, so the queue array
-           must cover every shard id even when shards exceed workers. *)
+        (* One executor per shard: batches are grouped by
+           {!Fastver.owner_of_key}, which names shards. *)
         let n = Fastver.n_shards sys in
         if n <= 1 then None
         else
@@ -331,7 +330,7 @@ let nonce_of = function
 (* Run one batch of data operations and fill its reply slots. Puts were
    already admitted on the I/O domain (client MAC + nonce consumed in
    arrival order), so the submit skips re-admission. Called from executor
-   domains and, in single-worker mode, inline on the I/O domain. *)
+   domains and, with one shard, inline on the I/O domain. *)
 let run_job t (job : job) =
   let ops = Array.map (fun (_, op, _) -> op) job in
   let replies =

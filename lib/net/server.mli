@@ -6,9 +6,10 @@
     verification-log flush — the same enclave-transition amortisation the
     paper applies to ecalls (§7).
 
-    With [n_workers > 1] the select loop keeps I/O only: decoded batches
-    are grouped by owning worker ({!Fastver.owner_of_key}) and handed to
-    one executor domain per worker over bounded queues (a full queue
+    With more than one shard ([Config.n_workers]) the select loop keeps
+    I/O only: decoded batches are grouped by owning shard
+    ({!Fastver.owner_of_key}) and handed to one executor domain per shard
+    over bounded queues (a full queue
     blocks the dispatcher — backpressure, not unbounded growth). Puts are
     admitted (client MAC + nonce) on the I/O domain in arrival order
     before dispatch. Responses are written back in per-connection request

@@ -33,7 +33,7 @@ type t = {
   reactor : peer Reactor.t;
   run_id : int64;
   lock : Mutex.t;
-      (* LEAF lock: the op hook runs under core worker locks and the seal
+      (* LEAF lock: the op hook runs under core shard locks and the seal
          hook under the verify mutex, so nothing may be acquired (and no
          blocking call made) while holding it *)
   mutable log : (int * string) list; (* (epoch, frame), newest first *)

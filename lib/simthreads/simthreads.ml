@@ -27,7 +27,7 @@ let run_hybrid ?(interference = paper_interference) ~config ~db_size ~ops
   Fastver.run_ops t gen ops;
   ignore (Fastver.verify t);
   let s = Fastver.stats t in
-  let workers = config.Fastver.Config.n_workers in
+  let workers = Fastver.n_shards t in
   let enclave_s = Int64.to_float (Fastver.enclave_overhead_ns t) /. 1e9 in
   (* Enclave transitions are per-worker work; spread them like busy time. *)
   let busy =

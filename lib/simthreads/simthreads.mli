@@ -47,8 +47,8 @@ val run_hybrid :
   unit ->
   result
 (** Load a [db_size]-record database, run [ops] operations of [spec] through
-    the hybrid system with [config.n_workers] logical workers, verify, and
-    model the makespan. *)
+    the hybrid system with one logical worker per shard
+    ([config.n_workers] of them), verify, and model the makespan. *)
 
 val run_dv_micro :
   ?interference:(int -> float) ->

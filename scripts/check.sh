@@ -171,28 +171,16 @@ dune exec bench/main.exe -- --quick --only coldtier > /dev/null
 dune exec bench/main.exe -- --quick --only coldtier > /dev/null
 $FV bench diff --ci --figure coldtier
 
-echo "== sharded serve round trip (2 executor domains, 4 verifier shards)"
-$FV serve --listen "unix:$WORK/shard.sock" -n 2000 --batch 0 --enclave zero \
-  --workers 2 --shards 4 &
-SHARD_SRV=$!
-trap 'kill -9 $SRV $OBS_SRV $SHARD_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
-wait_sock "$WORK/shard.sock" "shard server"
-# routing honours the sealed shard boundaries: every op lands on its
-# owner's executor, responses verify client-side, and the stats
-# reconciliation must balance across all four partitions
-$FV client-bench --connect "unix:$WORK/shard.sock" --ops 4000 --clients 4 \
-  --window 32 -n 2000
-$FV stats --connect "unix:$WORK/shard.sock" --check
-kill -9 $SHARD_SRV 2>/dev/null || true
-
-echo "== multi-domain serve round trip (executor pool, 4 workers)"
+echo "== sharded serve round trip (4 shards, one executor domain each)"
 $FV serve --listen "unix:$WORK/pool.sock" -n 2000 --batch 0 --enclave zero \
   --workers 4 &
 POOL_SRV=$!
-trap 'kill -9 $SRV $OBS_SRV $SHARD_SRV $POOL_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
+trap 'kill -9 $SRV $OBS_SRV $POOL_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
 wait_sock "$WORK/pool.sock" "pool server"
-# parallel pipelined clients through the executor pool, every response
-# signature verified client-side, then the reconciliation checks again
+# parallel pipelined clients through the executor pool: routing honours
+# the sealed shard boundaries, so every op lands on its owner's executor;
+# every response signature is verified client-side, and the stats
+# reconciliation must balance across all four partitions
 $FV client-bench --connect "unix:$WORK/pool.sock" --ops 4000 --clients 4 \
   --window 32 -n 2000
 $FV stats --connect "unix:$WORK/pool.sock" --check
@@ -205,7 +193,7 @@ $FV serve --listen "unix:$WORK/rp.sock" --replication-listen "unix:$WORK/repl.so
   -n 2000 --batch 400 --enclave zero --checkpoint-dir "$WORK/rckpt" &
 RP_SRV=$!
 F1=; F2=; F3=; RP2_SRV=
-trap 'kill -9 $SRV $OBS_SRV $SHARD_SRV $POOL_SRV $RP_SRV $F1 $F2 $F3 $RP2_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
+trap 'kill -9 $SRV $OBS_SRV $POOL_SRV $RP_SRV $F1 $F2 $F3 $RP2_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
 wait_sock "$WORK/repl.sock" "replication listener"
 $FV follow --primary "unix:$WORK/repl.sock" --listen "unix:$WORK/f1.sock" \
   -n 2000 --dir "$WORK/f1" > "$WORK/f1.log" 2>&1 &
@@ -275,7 +263,7 @@ $FV serve --listen "unix:$WORK/ep.sock" --replication-listen "unix:$WORK/erepl.s
   -n 2000 --batch 400 --enclave zero --checkpoint-dir "$WORK/eckpt" > "$WORK/ep.log" 2>&1 &
 EP_SRV=$!
 E1=; E2=; EP2_SRV=
-trap 'kill -9 $SRV $OBS_SRV $SHARD_SRV $POOL_SRV $RP_SRV $F1 $F2 $F3 $RP2_SRV $EP_SRV $E1 $E2 $EP2_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
+trap 'kill -9 $SRV $OBS_SRV $POOL_SRV $RP_SRV $F1 $F2 $F3 $RP2_SRV $EP_SRV $E1 $E2 $EP2_SRV 2>/dev/null || true; rm -rf "$WORK"' EXIT
 wait_sock "$WORK/erepl.sock" "election primary"
 $FV follow --primary "unix:$WORK/erepl.sock" --listen "unix:$WORK/e1.sock" \
   --electable "unix:$WORK/e1r.sock" --peer "unix:$WORK/e2r.sock" --priority 2 \

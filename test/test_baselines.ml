@@ -96,19 +96,6 @@ let test_dv_latency_linear () =
     (Printf.sprintf "16x data takes longer to verify (%.4f vs %.4f)" t1 t2)
     true (t2 > t1 *. 4.0)
 
-let test_trusted_db () =
-  let enclave = Enclave.create ~memory_budget_bytes:10_000 Cost_model.zero in
-  let db = Trusted_db.create ~enclave ~record_overhead_bytes:64 (records 50) in
-  Alcotest.(check vo) "read" (Some "v3") (Trusted_db.get db 3L);
-  Trusted_db.put db 3L "three";
-  Alcotest.(check vo) "update" (Some "three") (Trusted_db.get db 3L);
-  Alcotest.(check bool) "accounts memory" true (Trusted_db.memory_bytes db > 0);
-  (* P1 failure: a database bigger than the enclave cannot be hosted *)
-  let enclave = Enclave.create ~memory_budget_bytes:10_000 Cost_model.zero in
-  match Trusted_db.create ~enclave ~record_overhead_bytes:64 (records 500) with
-  | exception Enclave.Out_of_enclave_memory -> ()
-  | _ -> Alcotest.fail "oversized trusted DB accepted"
-
 let test_host_only () =
   let h = Host_only.create (records 100) in
   Alcotest.(check vo) "read" (Some "v4") (Host_only.get h 4L);
@@ -127,6 +114,5 @@ let suite =
       Alcotest.test_case "dv basic" `Quick test_dv_basic;
       Alcotest.test_case "dv detects tamper" `Quick test_dv_detects_tamper;
       Alcotest.test_case "dv latency linear" `Slow test_dv_latency_linear;
-      Alcotest.test_case "trusted db" `Quick test_trusted_db;
       Alcotest.test_case "host only" `Quick test_host_only;
     ] )

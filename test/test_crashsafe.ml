@@ -530,7 +530,7 @@ let prop_writeback_seals_like_drain =
       let flushes = ref 0 in
       let agree i (cache, shards) =
         let config =
-          { config with cache_capacity = cache; n_workers = 1; n_shards = shards }
+          { config with cache_capacity = cache; n_workers = shards }
         in
         let mk () =
           let t = Fastver.create ~config () in

@@ -89,7 +89,7 @@ let suite =
     [
       golden "1 shard" (straight base)
         "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 15725 15658 2328 1418 916 1524 1476 7";
-      golden "4 shards" (straight { base with n_shards = 4 })
+      golden "4 shards" (straight { base with n_workers = 4 })
         "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 10794 10537 2292 1365 940 1524 1476 7";
       golden "cold tier" with_cold
         "6 90102dff966d59efb000ee2a541b0f1de52357f9831af59038bcc5f98f48757e 15725 15658 2328 1418 916 1524 1476 7";

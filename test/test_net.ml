@@ -318,7 +318,7 @@ let test_multi_domain_stress () =
 (* Executor-pool robustness: stalls and shutdown races                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A stalled executor must not busy-spin the I/O domain. Hold worker 0's
+(* A stalled executor must not busy-spin the I/O domain. Hold shard 0's
    lock so its executor blocks mid-job, keep a request for it outstanding,
    and serve light traffic on the other worker: everything else stays
    live, and process CPU over the stall window stays far below the window
@@ -337,15 +337,15 @@ let test_stalled_executor_no_spin () =
       let s_a = Net.Client.open_session conn_a ~client:1 ~secret in
       let s_b = Net.Client.open_session conn_b ~client:2 ~secret in
       Net.Client.put s_b k1 "warm";
-      (* deferred-tier both keys: the op parked on the held worker lock
-         must be a fast-path one, holding no lock other workers need *)
+      (* deferred-tier both keys: the op parked on the held shard lock
+         must be a fast-path one, holding no lock other shards need *)
       Net.Client.put s_a k0 "warm";
       let lock = Mutex.create () and cond = Condition.create () in
       let release = ref false in
       let stalled = Atomic.make false in
       let blocker =
         Domain.spawn (fun () ->
-            Fastver.Testing.with_worker_lock t 0 (fun () ->
+            Fastver.Testing.with_shard_lock t 0 (fun () ->
                 Atomic.set stalled true;
                 Mutex.lock lock;
                 while not !release do

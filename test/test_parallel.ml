@@ -185,10 +185,10 @@ let test_lock_order_enforced () =
   Fastver.Testing.enforce_lock_order true;
   Fun.protect ~finally:(fun () -> Fastver.Testing.enforce_lock_order false)
   @@ fun () ->
-  (* the documented order is accepted: tree first, workers ascending *)
+  (* the documented order is accepted: shard locks in ascending id *)
   Fastver.Testing.with_shard_lock t 0 (fun () ->
-      Fastver.Testing.with_worker_lock t 0 (fun () ->
-          Fastver.Testing.with_worker_lock t 2 (fun () -> ())));
+      Fastver.Testing.with_shard_lock t 1 (fun () ->
+          Fastver.Testing.with_shard_lock t 2 (fun () -> ())));
   let expect_violation name f =
     match f () with
     | () -> Alcotest.failf "%s accepted" name
@@ -198,37 +198,18 @@ let test_lock_order_enforced () =
           true
           (String.length msg >= 10 && String.sub msg 0 10 = "lock order")
   in
-  expect_violation "worker-then-tree" (fun () ->
-      Fastver.Testing.with_worker_lock t 1 (fun () ->
-          Fastver.Testing.with_shard_lock t 0 (fun () -> ())));
-  expect_violation "descending workers" (fun () ->
-      Fastver.Testing.with_worker_lock t 2 (fun () ->
-          Fastver.Testing.with_worker_lock t 1 (fun () -> ())));
-  expect_violation "same worker twice" (fun () ->
-      Fastver.Testing.with_worker_lock t 1 (fun () ->
-          Fastver.Testing.with_worker_lock t 1 (fun () -> ())));
-  (* shard tree locks compose in ascending shard id, before workers *)
-  Fastver.Testing.with_shard_lock t 0 (fun () ->
-      Fastver.Testing.with_shard_lock t 2 (fun () ->
-          Fastver.Testing.with_worker_lock t 1 (fun () -> ())));
   expect_violation "descending shards" (fun () ->
       Fastver.Testing.with_shard_lock t 2 (fun () ->
           Fastver.Testing.with_shard_lock t 0 (fun () -> ())));
-  expect_violation "worker-then-shard" (fun () ->
-      Fastver.Testing.with_worker_lock t 0 (fun () ->
+  expect_violation "same shard twice" (fun () ->
+      Fastver.Testing.with_shard_lock t 1 (fun () ->
           Fastver.Testing.with_shard_lock t 1 (fun () -> ())));
-  (* the leaf: cold may sit under tree/worker locks, but nothing nests
-     under it *)
+  (* the leaf: cold may sit under shard locks, but nothing nests under it *)
   Fastver.Testing.with_shard_lock t 1 (fun () ->
-      Fastver.Testing.with_cold_lock t (fun () -> ()));
-  Fastver.Testing.with_worker_lock t 2 (fun () ->
       Fastver.Testing.with_cold_lock t (fun () -> ()));
   expect_violation "shard under cold" (fun () ->
       Fastver.Testing.with_cold_lock t (fun () ->
           Fastver.Testing.with_shard_lock t 0 (fun () -> ())));
-  expect_violation "worker under cold" (fun () ->
-      Fastver.Testing.with_cold_lock t (fun () ->
-          Fastver.Testing.with_worker_lock t 0 (fun () -> ())));
   (* real operations — fast path, slow path, a full parallel scan — all
      follow the documented order under enforcement *)
   for i = 0 to 7 do

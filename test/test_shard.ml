@@ -17,8 +17,7 @@ let vo = Alcotest.(option string)
 let config ?(shards = 1) ?(cache = 512) ?(depth = 2) () =
   {
     Fastver.Config.default with
-    n_workers = 1;
-    n_shards = shards;
+    n_workers = shards;
     batch_size = 0;
     frontier_levels = depth;
     cache_capacity = cache;
@@ -61,6 +60,40 @@ let scripted_ops =
     [ (31, "g"); (0, "h") ];
   ]
 
+(* The host's one record of verifier-cache residency mirrors the verifier:
+   the same non-root records, and each entry's child count equal to the
+   number of entries that name it as their pointing parent. *)
+let check_mirror ~cache ~depth t =
+  for sid = 0 to Fastver.n_shards t - 1 do
+    let held, entries = Fastver.Testing.residency t sid in
+    if
+      List.length entries <> held
+      || List.exists (fun (_, in_verifier, _, _) -> not in_verifier) entries
+    then
+      Alcotest.failf
+        "cache %d depth %d: shard %d records %d cached entries, its verifier \
+         holds %d"
+        cache depth sid (List.length entries) held;
+    let named = Key.Tbl.create 64 in
+    List.iter
+      (fun (_, _, _, parent) ->
+        Option.iter
+          (fun p ->
+            Key.Tbl.replace named p
+              (1 + Option.value (Key.Tbl.find_opt named p) ~default:0))
+          parent)
+      entries;
+    List.iter
+      (fun (k, _, children, _) ->
+        let n = Option.value (Key.Tbl.find_opt named k) ~default:0 in
+        if n <> children then
+          Alcotest.failf
+            "cache %d depth %d: %a counts %d cached children, %d entries name \
+             it"
+            cache depth Key.pp k children n)
+      entries
+  done
+
 (* Tier placement is invisible to clients: the verifier-cache capacity and
    the frontier depth only decide which records ride the merkle chain, the
    verifier cache or the deferred tier. One seeded stream of gets and puts
@@ -96,7 +129,8 @@ let run_placement ~cache ~depth =
           cache depth k
     done;
     let epoch = Fastver.current_epoch t in
-    certs := (epoch, Fastver.verify t) :: !certs
+    certs := (epoch, Fastver.verify t) :: !certs;
+    check_mirror ~cache ~depth t
   done;
   (Fastver.verifier_stats t, List.rev !certs)
 
@@ -223,6 +257,8 @@ let test_recover_adopts_sealed_layout () =
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok t2 ->
       Alcotest.(check int) "payload layout adopted" 4 (Fastver.n_shards t2);
+      Alcotest.(check int) "shard count adopted as n_workers" 4
+        (Fastver.config t2).n_workers;
       Alcotest.(check vo) "state intact" (Some "h") (Fastver.get t2 0L);
       ignore (Fastver.verify t2);
       C.remove_tree dir
@@ -329,7 +365,7 @@ let test_split_under_eviction () =
   List.iter
     (fun seed ->
       let rng = Random.State.make [| seed |] in
-      let config = { (config ~cache:16 ()) with n_workers = 2; n_shards = 0 } in
+      let config = { (config ~cache:16 ()) with n_workers = 2 } in
       let t = Fastver.create ~config () in
       Fastver.load t
         (Array.init 120 (fun i -> (Int64.of_int (2 * i), Printf.sprintf "v%d" i)));
